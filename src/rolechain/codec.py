@@ -7,6 +7,7 @@ The format is bit-exact and deliberately small:
   - text: UTF-8 bytes, length-prefixed like a byte string
   - booleans: one byte, 0 or 1
   - union variants: one leading tag byte
+  - enumerations: one byte, the member's value
   - sequences: 4-byte big-endian element count, then the elements
 
 Decoding is strict: every length is bounds-checked and a frame must be
@@ -16,8 +17,12 @@ consumed exactly, so any stray or missing byte is a :class:`CodecError`.
 from __future__ import annotations
 
 import struct
+from enum import Enum
+from typing import TypeVar
 
 from .errors import CodecError
+
+E = TypeVar("E", bound=Enum)
 
 U64_MAX = 2**64 - 1
 U32_MAX = 2**32 - 1
@@ -90,6 +95,14 @@ class Reader:
 
     def u64(self) -> int:
         return struct.unpack(">Q", self._take(8))[0]
+
+    def enum(self, kind: type[E]) -> E:
+        """One byte holding the value of a member of ``kind``."""
+        value = self.u8()
+        try:
+            return kind(value)
+        except ValueError:
+            raise CodecError(f"unknown {kind.__name__} value {value}") from None
 
     def boolean(self) -> bool:
         b = self.u8()

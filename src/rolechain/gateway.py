@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import errors as err
 from .engine import verify_evidence
@@ -59,18 +58,21 @@ KNOWN_FAULTS = {
 
 @dataclass
 class TokenBucket:
-    tokens: Fraction
+    tokens: int
     last_tick: int
 
-    def take(self, tick: int, capacity: int, refill: Fraction) -> bool:
+    def take(self, tick: int, capacity: int, refill: int) -> bool:
         """Refill by elapsed ticks (capped), then try to consume one token."""
         elapsed = max(0, tick - self.last_tick)
-        self.tokens = min(Fraction(capacity), self.tokens + refill * elapsed)
+        self.tokens = min(capacity, self.tokens + refill * elapsed)
         self.last_tick = max(self.last_tick, tick)
         if self.tokens < 1:
             return False
         self.tokens -= 1
         return True
+
+
+_NO_WHITELIST: tuple[bytes, frozenset[bytes]] = (b"", frozenset())
 
 
 @dataclass
@@ -97,20 +99,25 @@ class SecurityGateway:
         self.faults = faults if faults is not None else set()
         self.pool: dict[bytes, Transaction] = {}
         self._buckets: dict[bytes, TokenBucket] = {}
+        # the last non-empty rate.whitelist policy value and its parsed ids
+        self._whitelist: tuple[bytes, frozenset[bytes]] = _NO_WHITELIST
+
+    def _whitelisted(self, state: LedgerState, sender: bytes) -> bool:
+        raw = state.policy_bytes("rate.whitelist")
+        if not raw:
+            return False
+        if raw != self._whitelist[0]:
+            self._whitelist = (raw, frozenset(raw[i : i + 32] for i in range(0, len(raw), 32)))
+        return sender in self._whitelist[1]
 
     def rate_check(self, state: LedgerState, sender: bytes, tick: int) -> bool:
-        capacity = state.policy_int("rate.capacity", 10)
-        refill = Fraction(state.policy_int("rate.refill", 1))
-        whitelist = state.policy_bytes("rate.whitelist")
-        whitelisted = sender in {
-            whitelist[i : i + 32] for i in range(0, len(whitelist), 32)
-        }
-        if whitelisted:
+        if self._whitelisted(state, sender):
             return True
+        capacity = state.policy_int("rate.capacity", 10)
         bucket = self._buckets.get(sender)
         if bucket is None:
-            bucket = self._buckets[sender] = TokenBucket(Fraction(capacity), tick)
-        return bucket.take(tick, capacity, refill)
+            bucket = self._buckets[sender] = TokenBucket(capacity, tick)
+        return bucket.take(tick, capacity, state.policy_int("rate.refill", 1))
 
     def admit(self, state: LedgerState, raw_tx: bytes, tick: int) -> Admitted | Rejected | Censored:
         """Parse, authenticate, and rate-check one submission."""

@@ -1,10 +1,15 @@
 """Account/balance state machine and its on-ledger containers.
 
 All mutation is funneled through a single logical writer (the block apply
-path in :mod:`rolechain.engine`); reads act on snapshots produced by
-:meth:`LedgerState.clone`.  Handlers validate every precondition before
-touching state, so a raised :class:`TxError` always leaves the state
-untouched.
+path in :mod:`rolechain.engine`).  Reads, including gateway answers, act on
+the live state between blocks; :meth:`LedgerState.clone` makes an
+independent copy for callers that need one.  Handlers validate every
+precondition before touching state, so a raised :class:`TxError` always
+leaves the state untouched.
+
+Role holders are cached (see :meth:`LedgerState.holders`); the cache is
+keyed on :attr:`RoleSet.writes` and the number of accounts, so accounts
+are added to ``LedgerState.accounts`` but never replaced or removed.
 
 Balances are non-negative integers in minor currency units; there is no
 fractional arithmetic anywhere in the ledger.
@@ -16,6 +21,7 @@ import copy
 import hashlib
 from dataclasses import dataclass, field
 from enum import Enum
+from operator import attrgetter
 
 from . import errors as err
 from .codec import Writer
@@ -41,16 +47,58 @@ class Authority(Enum):
     SYSTEM = 2
 
 
+class RoleSet(set):
+    """The roles of one account; every mutation counts in ``RoleSet.writes``.
+
+    :meth:`LedgerState.holders` keys its cache on that count, so any role
+    change (assign, revoke, bootstrap, or a direct edit of the set)
+    invalidates every cached holder list.  The count is shared by all
+    states; a write to one state can only cause a needless rescan in
+    another, never a stale answer.
+    """
+
+    __slots__ = ()
+    writes = 0
+
+
+def _counted(name: str):
+    method = getattr(set, name)
+
+    def counted(self, *args):
+        RoleSet.writes += 1
+        return method(self, *args)
+
+    counted.__name__ = name
+    return counted
+
+
+for _name in (
+    "add", "discard", "remove", "pop", "clear", "update",
+    "difference_update", "intersection_update", "symmetric_difference_update",
+    "__ior__", "__iand__", "__isub__", "__ixor__",
+):
+    setattr(RoleSet, _name, _counted(_name))
+
+
 @dataclass
 class Account:
     account_id: bytes
     public_key: bytes
-    roles: set[Role] = field(default_factory=set)
+    roles: set[Role] = field(default_factory=RoleSet)
     balance: int = 0
     frozen: bool = False
     recovery: RecoveryPolicy = field(default_factory=ProviderOnly)
     nonce: int = 0
     provider: bytes | None = None
+
+
+def _set_roles(acct: Account, roles) -> None:
+    RoleSet.writes += 1
+    acct._roles = roles if isinstance(roles, RoleSet) else RoleSet(roles)
+
+
+# assigning ``roles`` stores a RoleSet and counts as a role write
+Account.roles = property(attrgetter("_roles"), _set_roles)
 
 
 @dataclass
@@ -175,6 +223,9 @@ class LedgerState:
     tx_index: dict[bytes, int] = field(default_factory=dict)
     height: int = 0
     validator_registry: dict[bytes, ValidatorRecord] = field(default_factory=dict)
+    # holders() cache: (RoleSet.writes, len(accounts)) it was filled at
+    _holders_key: tuple[int, int] = field(default=(-1, -1), init=False, repr=False, compare=False)
+    _holders: dict[Role, list[bytes]] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     # -- access helpers --------------------------------------------------
 
@@ -185,7 +236,19 @@ class LedgerState:
         return acct
 
     def holders(self, role: Role) -> list[bytes]:
-        return sorted(a.account_id for a in self.accounts.values() if role in a.roles)
+        """Ids of the accounts holding ``role``, ascending.
+
+        Cached until any account's roles change or an account is added.
+        """
+        key = (RoleSet.writes, len(self.accounts))
+        if key != self._holders_key:
+            self._holders_key, self._holders = key, {}
+        cached = self._holders.get(role)
+        if cached is None:
+            cached = self._holders[role] = sorted(
+                a.account_id for a in self.accounts.values() if role in a.roles
+            )
+        return list(cached)
 
     def validators(self) -> list[bytes]:
         """Validator account ids in canonical (ascending) rotation order."""

@@ -8,7 +8,7 @@ block ids are SHA-256 digests of the full canonical serialization.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 from .codec import Reader, Writer
@@ -553,7 +553,7 @@ def encode_payload(w: Writer, payload: Payload) -> None:
         raise CodecError(f"unknown payload type {type(payload).__name__}")
 
 
-def decode_payload(r: Reader) -> Payload:
+def decode_payload(r: Reader, in_proposal: bool = False) -> Payload:
     tag = r.u8()
     if tag == Transfer.TAG:
         return Transfer(r.bytes_(), r.u64())
@@ -577,25 +577,29 @@ def decode_payload(r: Reader) -> Payload:
             value = r.bytes_()
         else:
             raise CodecError(f"unknown policy value tag {value_tag}")
-        permanence = Permanence(r.u8())
+        permanence = r.enum(Permanence)
         expiry = r.u64() if permanence is Permanence.TIMED_EXPIRATION else None
         return SetPolicy(key, value, permanence, expiry)
     if tag == AssignRole.TAG:
         target = r.bytes_()
-        role = Role(r.u8())
+        role = r.enum(Role)
         target_key = r.optional_bytes()
         possession = r.optional_bytes()
         recovery = decode_recovery(r) if r.boolean() else None
         return AssignRole(target, role, target_key, possession, recovery)
     if tag == RevokeRole.TAG:
-        return RevokeRole(r.bytes_(), Role(r.u8()))
+        return RevokeRole(r.bytes_(), r.enum(Role))
     if tag == BootstrapValidators.TAG:
         return BootstrapValidators(frozenset(r.bytes_() for _ in range(r.count())))
     if tag == CreateProposal.TAG:
+        # no proposal is voteable, so a proposed proposal can never pass;
+        # refusing it here also bounds the decoder's recursion
+        if in_proposal:
+            raise CodecError("a proposal's action cannot be a proposal")
         inner = Reader(r.bytes_())
-        action = decode_payload(inner)
+        action = decode_payload(inner, in_proposal=True)
         inner.require_end()
-        return CreateProposal(action, Role(r.u8()))
+        return CreateProposal(action, r.enum(Role))
     if tag == CastVote.TAG:
         return CastVote(r.u64(), r.boolean())
     if tag == FinalizeProposal.TAG:
@@ -605,10 +609,10 @@ def decode_payload(r: Reader) -> Payload:
     if tag == Burn.TAG:
         return Burn(r.bytes_(), r.u64())
     if tag == ConvertFiat.TAG:
-        return ConvertFiat(r.bytes_(), FiatDirection(r.u8()), r.u64())
+        return ConvertFiat(r.bytes_(), r.enum(FiatDirection), r.u64())
     if tag == SetInterestRule.TAG:
         num, den, period, start = r.u64(), r.u64(), r.u64(), r.u64()
-        mode = InterestMode(r.u8())
+        mode = r.enum(InterestMode)
         scope = frozenset(r.bytes_() for _ in range(r.count())) if r.boolean() else None
         rule_id = r.u64() if r.boolean() else None
         return SetInterestRule(num, den, period, start, mode, scope, rule_id, r.boolean())
@@ -623,25 +627,38 @@ def decode_payload(r: Reader) -> Payload:
 
 # --- transaction envelope -----------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Transaction:
+    """Signed envelope around one payload.
+
+    The object and its payload are immutable, so its encoding and id are
+    computed on first use and then kept.
+    """
+
     sender: bytes
     nonce: int
     payload: Payload
     signature: bytes = b""
+    _encoded: bytes | None = field(default=None, init=False, repr=False, compare=False)
+    _tx_id: bytes | None = field(default=None, init=False, repr=False, compare=False)
 
     def signing_bytes(self) -> bytes:
-        return tx_signing_bytes(self.sender, self.nonce, self.payload)
+        # the encoding is the signing bytes, then the length-prefixed signature
+        return self.encode()[: -4 - len(self.signature)]
 
     def encode(self) -> bytes:
-        w = Writer()
-        w.raw(self.signing_bytes())
-        w.bytes_(self.signature)
-        return w.getvalue()
+        if self._encoded is None:
+            w = Writer()
+            w.raw(tx_signing_bytes(self.sender, self.nonce, self.payload))
+            w.bytes_(self.signature)
+            object.__setattr__(self, "_encoded", w.getvalue())
+        return self._encoded
 
     @property
     def tx_id(self) -> bytes:
-        return hashlib.sha256(self.encode()).digest()
+        if self._tx_id is None:
+            object.__setattr__(self, "_tx_id", hashlib.sha256(self.encode()).digest())
+        return self._tx_id
 
 
 def tx_signing_bytes(sender: bytes, nonce: int, payload: Payload) -> bytes:

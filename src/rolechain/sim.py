@@ -463,6 +463,8 @@ class Simulation:
         self.faults: dict[str, set[str]] = {}
         self.nonces: dict[str, int] = {}
         self.sec_gateways: dict[str, SecurityGateway] = {}
+        # names of the security gateways whose pool may hold entries
+        self._pooled: set[str] = set()
         self.vis_gateways: dict[str, VisibilityGateway] = {}
         # admitted transactions propagate between validators over the
         # validation-server mesh; this is the post-propagation pool
@@ -513,6 +515,7 @@ class Simulation:
             self.faults[actor.name] = set(actor.faults)
             self.nonces[actor.name] = 0
         self.keys["escrow"] = self._keypair("escrow")
+        self.faults["escrow"] = set()
         self.nonces["escrow"] = 0
         self.ids = {name: kp.account_id for name, kp in self.keys.items()}
         self.names_by_id = {aid: name for name, aid in self.ids.items()}
@@ -577,9 +580,10 @@ class Simulation:
     def _resolve(self, name: str) -> bytes:
         return self.aid(name)
 
-    def _offline(self) -> frozenset[bytes]:
+    def _offline(self, validators: list[bytes]) -> frozenset[bytes]:
+        """The validators whose actor is marked offline."""
         return frozenset(
-            self.aid(name) for name, faults in self.faults.items() if FAULT_OFFLINE in faults
+            vid for vid in validators if FAULT_OFFLINE in self.faults[self.names_by_id[vid]]
         )
 
     def _gateway_operators(self) -> list[str]:
@@ -706,6 +710,7 @@ class Simulation:
             outcome = self.sec_gateways[name].admit(self.state, raw, tick)
             if isinstance(outcome, Admitted):
                 accepted_anywhere = True
+                self._pooled.add(name)
         if accepted_anywhere:
             self.admitted_ids.add(tx.tx_id)
             self.mempool[tx.tx_id] = tx
@@ -872,7 +877,7 @@ class Simulation:
         if not validators:
             self.skipped_ticks.append(tick)
             return
-        offline = self._offline()
+        offline = self._offline(validators)
         recent = self.chain.recent_publishers(len(validators))
         try:
             publisher = expected_publisher(
@@ -901,8 +906,11 @@ class Simulation:
             raise InternalInvariantViolation("block carries a transaction no gateway admitted")
         for tx_id in included:
             self.mempool.pop(tx_id, None)
-        for gw in self.sec_gateways.values():
+        for name in sorted(self._pooled):
+            gw = self.sec_gateways[name]
             gw.drop_included(included)
+            if not gw.pool:
+                self._pooled.discard(name)
 
     def run(self) -> Report:
         by_tick: dict[int, list[Step]] = {}

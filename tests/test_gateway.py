@@ -177,6 +177,26 @@ def test_whitelisted_sender_never_throttled():
     assert all(isinstance(o, Admitted) for o in outcomes)
 
 
+def test_whitelist_edits_take_effect_on_a_gateway_already_in_use():
+    world = _gateway_world()
+    sec, _ = _gateways(world, "v0")
+
+    def burst(name: str, tick: int) -> int:
+        """How many of 20 submissions in one tick get through."""
+        txs = [world.tx(name, Transfer(world.aid("mgr"), 1), nonce=tick * 100 + n) for n in range(20)]
+        return sum(isinstance(sec.admit(world.state, tx.encode(), tick), Admitted) for tx in txs)
+
+    policy = world.state.policies["rate.whitelist"]
+    policy.value = world.aid("alice")
+    assert burst("alice", 1) == 20
+    policy.value = world.aid("bob") + world.aid("alice")
+    assert burst("alice", 2) == 20 and burst("bob", 2) == 20
+    policy.value = world.aid("bob")
+    assert burst("alice", 3) == 10
+    policy.value = b""
+    assert burst("bob", 4) == 10
+
+
 def test_censoring_gateway_drops_silently():
     world = _gateway_world()
     sec, _ = _gateways(world, "v0", faults={"censor_all"})

@@ -1,0 +1,121 @@
+"""The cached role-holder lists always equal a fresh scan of every account."""
+
+from __future__ import annotations
+
+from hypothesis import given, settings, strategies as st
+
+from rolechain import governance
+from rolechain.errors import TxError
+from rolechain.keys import keypair_from_label
+from rolechain.ledger import Account, Authority, LedgerState
+from rolechain.payloads import AssignRole, Role
+
+from conftest import make_world
+
+ROLES = list(Role)
+KEYS = [keypair_from_label("mock", f"acct{i}", 0) for i in range(8)]
+
+
+def scan(state: LedgerState, role: Role) -> list[bytes]:
+    return sorted(a.account_id for a in state.accounts.values() if role in a.roles)
+
+
+def assert_fresh(state: LedgerState) -> None:
+    for role in ROLES:
+        assert state.holders(role) == scan(state, role)
+    assert state.validators() == scan(state, Role.VALIDATOR)
+
+
+role = st.sampled_from(ROLES)
+key = st.integers(0, len(KEYS) - 1)
+op = st.one_of(
+    st.tuples(st.just("assign"), key, role),
+    st.tuples(st.just("revoke"), key, role),
+    st.tuples(st.just("bootstrap"), st.frozensets(key, min_size=1, max_size=4)),
+    st.tuples(st.just("ensure"), key),
+    st.tuples(st.just("add"), key, role),
+    st.tuples(st.just("discard"), key, role),
+    st.tuples(st.just("clear"), key),
+    st.tuples(st.just("assign_set"), key, st.frozensets(role)),
+    st.tuples(st.just("ior"), key, st.frozensets(role)),
+    st.tuples(st.just("isub"), key, st.frozensets(role)),
+    st.tuples(st.just("insert"), st.integers(0, 2)),
+    st.tuples(st.just("clone"),),
+)
+
+
+def apply(world, spares: list[Account], state: LedgerState, step) -> LedgerState:
+    kind, *args = step
+    mgr = world.aid("mgr")
+    if kind == "clone":
+        return state.clone()
+    if kind == "bootstrap":
+        try:
+            governance.bootstrap_set_validators(state, mgr, frozenset(KEYS[i].account_id for i in args[0]))
+        except TxError:
+            pass
+        return state
+    if kind == "insert":
+        # an account built before the cache was last filled
+        spare = spares[args[0]]
+        state.accounts.setdefault(spare.account_id, spare)
+        return state
+    kp = KEYS[args[0]]
+    # direct edits pick any existing account, genesis ones included
+    ids = sorted(state.accounts)
+    acct = state.accounts[ids[args[0] % len(ids)]]
+    if kind == "assign":
+        governance.assign_role(
+            state, mgr, AssignRole(kp.account_id, args[1], kp.public_key), Authority.SYSTEM
+        )
+    elif kind == "revoke":
+        try:
+            governance.revoke_role(state, mgr, kp.account_id, args[1], Authority.SYSTEM)
+        except TxError:
+            pass
+    elif kind == "ensure":
+        governance._ensure_account(state, kp.account_id, kp.public_key, None, None)
+    elif kind == "add":
+        acct.roles.add(args[1])
+    elif kind == "discard":
+        acct.roles.discard(args[1])
+    elif kind == "clear":
+        acct.roles.clear()
+    elif kind == "assign_set":
+        acct.roles = set(args[1])
+    elif kind == "ior":
+        roles = acct.roles  # in place, without going through the attribute
+        roles |= args[1]
+    elif kind == "isub":
+        roles = acct.roles
+        roles -= args[1]
+    return state
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(op, max_size=30))
+def test_holders_match_a_full_scan_after_every_step(steps):
+    world = make_world()
+    spares = [
+        Account(kp.account_id, kp.public_key, {Role.VALIDATOR, Role.USER})
+        for kp in (keypair_from_label("mock", f"spare{i}", 0) for i in range(3))
+    ]
+    state = world.state
+    earlier: list[LedgerState] = []
+    assert_fresh(state)
+    for step in steps:
+        new = apply(world, spares, state, step)
+        if new is not state:
+            earlier.append(state)
+            state = new
+        assert_fresh(state)
+        # a clone and its original never see each other's writes
+        for old in earlier:
+            assert_fresh(old)
+
+
+def test_returned_list_is_a_copy():
+    world = make_world()
+    holders = world.state.holders(Role.USER)
+    holders.clear()
+    assert world.state.holders(Role.USER) == scan(world.state, Role.USER) != []

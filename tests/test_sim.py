@@ -308,3 +308,30 @@ def test_chain_with_liveness_skips_still_verifies():
     chain, state = verify_dump(sim.export())
     assert state.digest() == sim.state.digest()
     assert chain.head_hash == sim.chain.head_hash
+
+
+def test_gateway_pools_hold_no_committed_transaction():
+    for fixture in ("bootstrap_and_transfer", "corrupt_gateway", "interest_pull"):
+        _, sim = run(load_scenario(SCENARIOS / f"{fixture}.yaml"))
+        committed = {tx.tx_id for block in sim.chain.blocks for tx in block.txs}
+        assert committed
+        for gateway in sim.sec_gateways.values():
+            assert not committed & set(gateway.pool)
+
+
+def test_escrow_as_validator_publishes_blocks_with_transactions():
+    raw = minimal_raw(
+        ticks=6,
+        actors=[
+            {"name": "mgr", "roles": ["platform_manager"]},
+            {"name": "v1", "roles": ["validator"]},
+            {"name": "a", "roles": ["user"], "balance": 50},
+            {"name": "b", "roles": ["user"]},
+        ],
+        steps=[{"tick": 1, "tx": {"from": "mgr", "kind": "bootstrap_validators", "validators": ["v1", "escrow"]}}]
+        + [{"tick": t, "tx": {"from": "a", "kind": "transfer", "to": "b", "amount": 1}} for t in range(2, 7)],
+    )
+    report, sim = run(parse_scenario(raw))
+    assert report.blocks_produced == 6
+    assert sim.aid("escrow") in {block.publisher for block in sim.chain.blocks}
+    assert report.balances["b"] == 5
