@@ -72,9 +72,6 @@ class TokenBucket:
         return True
 
 
-_NO_WHITELIST: tuple[bytes, frozenset[bytes]] = (b"", frozenset())
-
-
 @dataclass
 class Admitted:
     tx: Transaction
@@ -99,19 +96,10 @@ class SecurityGateway:
         self.faults = faults if faults is not None else set()
         self.pool: dict[bytes, Transaction] = {}
         self._buckets: dict[bytes, TokenBucket] = {}
-        # the last non-empty rate.whitelist policy value and its parsed ids
-        self._whitelist: tuple[bytes, frozenset[bytes]] = _NO_WHITELIST
-
-    def _whitelisted(self, state: LedgerState, sender: bytes) -> bool:
-        raw = state.policy_bytes("rate.whitelist")
-        if not raw:
-            return False
-        if raw != self._whitelist[0]:
-            self._whitelist = (raw, frozenset(raw[i : i + 32] for i in range(0, len(raw), 32)))
-        return sender in self._whitelist[1]
 
     def rate_check(self, state: LedgerState, sender: bytes, tick: int) -> bool:
-        if self._whitelisted(state, sender):
+        whitelist = state.policy_bytes("rate.whitelist")
+        if whitelist and sender in {whitelist[i : i + 32] for i in range(0, len(whitelist), 32)}:
             return True
         capacity = state.policy_int("rate.capacity", 10)
         bucket = self._buckets.get(sender)

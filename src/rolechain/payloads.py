@@ -553,7 +553,7 @@ def encode_payload(w: Writer, payload: Payload) -> None:
         raise CodecError(f"unknown payload type {type(payload).__name__}")
 
 
-def decode_payload(r: Reader, in_proposal: bool = False) -> Payload:
+def decode_payload(r: Reader) -> Payload:
     tag = r.u8()
     if tag == Transfer.TAG:
         return Transfer(r.bytes_(), r.u64())
@@ -592,12 +592,8 @@ def decode_payload(r: Reader, in_proposal: bool = False) -> Payload:
     if tag == BootstrapValidators.TAG:
         return BootstrapValidators(frozenset(r.bytes_() for _ in range(r.count())))
     if tag == CreateProposal.TAG:
-        # no proposal is voteable, so a proposed proposal can never pass;
-        # refusing it here also bounds the decoder's recursion
-        if in_proposal:
-            raise CodecError("a proposal's action cannot be a proposal")
         inner = Reader(r.bytes_())
-        action = decode_payload(inner, in_proposal=True)
+        action = decode_payload(inner)
         inner.require_end()
         return CreateProposal(action, r.enum(Role))
     if tag == CastVote.TAG:
@@ -677,7 +673,11 @@ def decode_transaction(data: bytes) -> Transaction:
         raise CodecError("missing transaction prefix")
     sender = r.bytes_()
     nonce = r.u64()
-    payload = decode_payload(r)
+    try:
+        payload = decode_payload(r)
+    except RecursionError:
+        # proposals nest, so a hostile frame can nest deeper than the stack
+        raise CodecError("payload nested too deeply") from None
     signature = r.bytes_()
     r.require_end()
     return Transaction(sender, nonce, payload, signature)

@@ -906,7 +906,7 @@ class Simulation:
             raise InternalInvariantViolation("block carries a transaction no gateway admitted")
         for tx_id in included:
             self.mempool.pop(tx_id, None)
-        for name in sorted(self._pooled):
+        for name in list(self._pooled):
             gw = self.sec_gateways[name]
             gw.drop_included(included)
             if not gw.pool:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import struct
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -106,23 +107,39 @@ def _nested_proposal(depth: int) -> bytes:
     return body
 
 
-def test_proposal_of_a_proposal_is_malformed():
-    with pytest.raises(CodecError, match="proposal"):
-        decode_payload(Reader(_nested_proposal(2)))
-    # one level still decodes
-    assert decode_payload(Reader(_nested_proposal(1))) == CreateProposal(CastVote(1, True), Role.VALIDATOR)
+def test_proposal_of_a_proposal_decodes_and_round_trips():
+    nested = CreateProposal(CreateProposal(CastVote(1, True), Role.VALIDATOR), Role.VALIDATOR)
+    raw = _nested_proposal(2)
+    assert decode_payload(Reader(raw)) == nested
+    w = Writer()
+    encode_payload(w, nested)
+    assert w.getvalue() == raw
 
 
-def test_deeply_nested_proposal_is_rejected_without_recursion_error():
+def _nested_frame(depth: int) -> bytes:
+    """A transaction from a known sender whose payload nests ``depth`` proposals."""
     w = Writer()
     w.raw(b"tx:")
     w.bytes_(WORLD.aid("mgr"))
     w.u64(0)
-    w.raw(_nested_proposal(5_000))
+    w.raw(_nested_proposal(depth))
     w.bytes_(b"")
-    outcome, decodes = _admit(WORLD, w.getvalue())
+    return w.getvalue()
+
+
+def test_deeply_nested_proposal_is_rejected_without_recursion_error():
+    outcome, decodes = _admit(WORLD, _nested_frame(5_000))
     assert not decodes
     assert outcome == Rejected(err.MALFORMED)
+
+
+def test_admission_never_raises_at_any_nesting_depth_near_the_stack_limit():
+    """A frame just shallow enough to decode must also encode for the signature check."""
+    limit = sys.getrecursionlimit()
+    results = [_admit(WORLD, _nested_frame(depth)) for depth in range(limit - 100, limit + 20)]
+    # the range straddles the depth at which decoding gives up
+    assert {decodes for _, decodes in results} == {True, False}
+    assert {type(outcome) for outcome, _ in results} == {Rejected}
 
 
 def _payloads() -> list[Payload]:
