@@ -18,11 +18,12 @@ import json
 from dataclasses import dataclass, field
 
 from . import engine
-from .codec import Reader, Writer
+from .codec import U64_MAX, Reader, Writer
 from .errors import (
     CodecError,
     InternalInvariantViolation,
     InvalidBlock,
+    InvalidKey,
     TxError,
 )
 from . import errors as err
@@ -34,6 +35,7 @@ from .payloads import (
     ProviderOnly,
     ProviderPlusSecurity,
     RecoveryPolicy,
+    ROLE_BY_NAME,
     Role,
     Transaction,
     ValidatorRecord,
@@ -48,12 +50,20 @@ DUMP_VERSION = 1
 
 @dataclass(frozen=True)
 class Block:
+    """One published block.
+
+    The object is immutable, so its digest is computed on first use and then
+    kept.  Its signing bytes are not kept: they would hold a second copy of
+    every transaction's encoding for as long as the chain lives.
+    """
+
     height: int
     prev_hash: bytes
     publisher: bytes
     tick: int
     txs: tuple[Transaction, ...]
     signature: bytes = b""
+    _digest: bytes | None = field(default=None, init=False, repr=False, compare=False)
 
     def signing_bytes(self) -> bytes:
         return block_signing_bytes(self.height, self.prev_hash, self.publisher, self.tick, self.txs)
@@ -65,7 +75,9 @@ class Block:
         return w.getvalue()
 
     def digest(self) -> bytes:
-        return hashlib.sha256(self.encode()).digest()
+        if self._digest is None:
+            object.__setattr__(self, "_digest", hashlib.sha256(self.encode()).digest())
+        return self._digest
 
 
 def block_signing_bytes(
@@ -224,7 +236,7 @@ def validate_block(
             violations.append("BadBlockSignature")
     for i, tx in enumerate(block.txs):
         sender = state.accounts.get(tx.sender)
-        if sender is None or not scheme.verify(sender.public_key, tx.signing_bytes(), tx.signature):
+        if sender is None or not tx.signature_ok(state.scheme, sender.public_key):
             violations.append(f"MalformedTx:{i}")
     return violations
 
@@ -270,10 +282,15 @@ def _recovery_to_doc(recovery: RecoveryPolicy) -> dict:
 def _recovery_from_doc(doc: dict) -> RecoveryPolicy:
     kind = doc["kind"]
     if kind == "guardians":
-        return Guardians(frozenset(bytes.fromhex(g) for g in doc["guardians"]), doc["threshold"])
+        threshold = doc["threshold"]
+        if not _u64(threshold):
+            raise CodecError("genesis doc: bad guardian threshold")
+        return Guardians(frozenset(bytes.fromhex(g) for g in doc["guardians"]), threshold)
     if kind == "provider_plus_security":
         return ProviderPlusSecurity()
-    return ProviderOnly()
+    if kind == "provider_only":
+        return ProviderOnly()
+    raise CodecError(f"genesis doc: unknown recovery kind {kind!r}")
 
 
 def genesis_doc(state: LedgerState, names: dict[str, bytes] | None = None) -> dict:
@@ -324,38 +341,78 @@ def genesis_doc(state: LedgerState, names: dict[str, bytes] | None = None) -> di
     return doc
 
 
+_PERMANENCE = {p.name.lower(): p for p in Permanence}
+
+
+def _u64(value) -> bool:
+    return type(value) is int and 0 <= value <= U64_MAX
+
+
+def _strs(values) -> bool:
+    return type(values) is list and all(type(v) is str for v in values)
+
+
 def state_from_doc(doc: dict) -> LedgerState:
+    """Height-0 state from a genesis doc.
+
+    A dump declares its doc's digest itself, so the doc is outside input: a
+    missing key, a wrong type, bad hex, an unknown name or a number outside
+    the u64 range raises ``CodecError``.
+    """
+    try:
+        return _state_from_doc(doc)
+    except (KeyError, TypeError, ValueError, InvalidKey) as exc:
+        # lookups and bytes.fromhex on a malformed doc fail with these
+        raise CodecError(f"genesis doc: {exc!r}") from None
+
+
+def _state_from_doc(doc: dict) -> LedgerState:
     state = LedgerState(scheme=doc["scheme"])
-    for p in doc["policies"]:
-        value: int | bytes = p["value"] if p["type"] == "int" else bytes.fromhex(p["value"])
-        state.policies[p["key"]] = Policy(
-            p["key"],
-            value,
-            Permanence[p["permanence"].upper()],
-            p["expiry_height"],
-            ZERO_ID,
-            0,
-        )
-    for a in doc["accounts"]:
+    get_scheme(state.scheme)
+    names = doc["names"]  # read by ``rolechain query``
+    policies, accounts, registry = doc["policies"], doc["accounts"], doc["registry"]
+    if type(names) is not dict or not all(type(x) is list for x in (policies, accounts, registry)):
+        raise CodecError("genesis doc: wrong type of names, policies, accounts or registry")
+    for aid in names.values():
+        bytes.fromhex(aid)
+    for p in policies:
+        key, kind, value, expiry = p["key"], p["type"], p["value"], p["expiry_height"]
+        if kind == "bytes":
+            value = bytes.fromhex(value)
+        elif kind != "int" or not _u64(value):
+            raise CodecError(f"genesis doc: bad value for policy {key!r}")
+        if type(key) is not str or not (expiry is None or _u64(expiry)):
+            raise CodecError(f"genesis doc: bad policy {key!r}")
+        state.policies[key] = Policy(key, value, _PERMANENCE[p["permanence"]], expiry, ZERO_ID, 0)
+    for a in accounts:
+        roles, balance, frozen, provider = a["roles"], a["balance"], a["frozen"], a["provider"]
+        if type(roles) is not list or not _u64(balance) or type(frozen) is not bool:
+            raise CodecError("genesis doc: bad account")
         acct = Account(
             account_id=bytes.fromhex(a["id"]),
             public_key=bytes.fromhex(a["key"]),
-            roles={Role[r.upper()] for r in a["roles"]},
-            balance=a["balance"],
-            frozen=a["frozen"],
+            roles={ROLE_BY_NAME[r] for r in roles},
+            balance=balance,
+            frozen=frozen,
             recovery=_recovery_from_doc(a["recovery"]),
-            provider=bytes.fromhex(a["provider"]) if a["provider"] else None,
+            provider=bytes.fromhex(provider) if provider else None,
         )
         state.accounts[acct.account_id] = acct
         state.supply.minted += acct.balance
-    for r in doc["registry"]:
+    if state.supply.minted > U64_MAX:
+        raise CodecError("genesis doc: balances exceed the u64 supply")
+    for r in registry:
+        sec, vis = r["security_gateways"], r["visibility_gateways"]
+        server, contact = r["validation_server"], r["contact"]
+        if not (_strs(sec) and _strs(vis) and _strs([server, contact])):
+            raise CodecError("genesis doc: bad validator record")
         rec = ValidatorRecord(
             account=bytes.fromhex(r["account"]),
-            security_gateways=tuple(r["security_gateways"]),
-            visibility_gateways=tuple(r["visibility_gateways"]),
-            validation_server=r["validation_server"],
+            security_gateways=tuple(sec),
+            visibility_gateways=tuple(vis),
+            validation_server=server,
             view_key=bytes.fromhex(r["view_key"]),
-            contact=r["contact"],
+            contact=contact,
         )
         state.validator_registry[rec.account] = rec
     return state
@@ -390,8 +447,9 @@ def import_chain(data: bytes) -> tuple[dict, list[Block]]:
         raise CodecError("genesis document digest mismatch")
     try:
         doc = json.loads(encoded_doc.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise CodecError(f"corrupt genesis document: {exc}") from exc
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers bad UTF-8, bad JSON and over-long integer literals
+        raise CodecError(f"corrupt genesis document: {exc}") from None
     blocks = [decode_block(r.bytes_()) for _ in range(r.count())]
     r.require_end()
     return doc, blocks

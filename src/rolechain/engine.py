@@ -299,8 +299,7 @@ def apply_transaction(state: LedgerState, tx: Transaction) -> Receipt:
     acct = state.accounts.get(tx.sender)
     if acct is None:
         return Receipt(tx_id, state.height, "unknown", False, err.UNKNOWN_SENDER)
-    scheme = get_scheme(state.scheme)
-    if not scheme.verify(acct.public_key, tx.signing_bytes(), tx.signature):
+    if not tx.signature_ok(state.scheme, acct.public_key):
         return Receipt(tx_id, state.height, "unknown", False, err.BAD_SIGNATURE)
     if tx.nonce != acct.nonce:
         return Receipt(tx_id, state.height, "unknown", False, err.BAD_NONCE)

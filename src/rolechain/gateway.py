@@ -122,7 +122,7 @@ class SecurityGateway:
             return Rejected(err.UNKNOWN_SENDER)
         if not sender.roles:
             return Rejected(err.NO_ROLE)
-        if not get_scheme(state.scheme).verify(sender.public_key, tx.signing_bytes(), tx.signature):
+        if not tx.signature_ok(state.scheme, sender.public_key):
             return Rejected(err.BAD_SIGNATURE)
         if not self.rate_check(state, tx.sender, tick):
             return Rejected(err.THROTTLED)

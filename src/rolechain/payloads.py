@@ -13,6 +13,7 @@ from enum import Enum
 
 from .codec import Reader, Writer
 from .errors import CodecError
+from .keys import get_scheme
 
 ZERO_ID = bytes(32)
 
@@ -628,7 +629,8 @@ class Transaction:
     """Signed envelope around one payload.
 
     The object and its payload are immutable, so its encoding and id are
-    computed on first use and then kept.
+    computed on first use and then kept, and so is the last ``(scheme,
+    public key)`` its signature verified under.
     """
 
     sender: bytes
@@ -637,10 +639,31 @@ class Transaction:
     signature: bytes = b""
     _encoded: bytes | None = field(default=None, init=False, repr=False, compare=False)
     _tx_id: bytes | None = field(default=None, init=False, repr=False, compare=False)
+    # two fields, not one tuple: both point at objects that exist anyway, so
+    # keeping a result allocates nothing per transaction
+    _verified_scheme: str | None = field(default=None, init=False, repr=False, compare=False)
+    _verified_key: bytes | None = field(default=None, init=False, repr=False, compare=False)
 
     def signing_bytes(self) -> bytes:
         # the encoding is the signing bytes, then the length-prefixed signature
         return self.encode()[: -4 - len(self.signature)]
+
+    def signature_ok(self, scheme: str, public_key: bytes) -> bool:
+        """Whether the envelope signature verifies under ``public_key``.
+
+        Validity depends only on the scheme, the key, the signed bytes and
+        the signature, and the last two never change, so a success is kept
+        and a repeat check under the same scheme and key returns at once.
+        Any other scheme or key (say, the sender's key after a rotation) is
+        verified afresh.
+        """
+        if self._verified_key == public_key and self._verified_scheme == scheme:
+            return True
+        if not get_scheme(scheme).verify(public_key, self.signing_bytes(), self.signature):
+            return False
+        object.__setattr__(self, "_verified_scheme", scheme)
+        object.__setattr__(self, "_verified_key", public_key)
+        return True
 
     def encode(self) -> bytes:
         if self._encoded is None:
@@ -675,12 +698,16 @@ def decode_transaction(data: bytes) -> Transaction:
     nonce = r.u64()
     try:
         payload = decode_payload(r)
+        signature = r.bytes_()
+        r.require_end()
+        tx = Transaction(sender, nonce, payload, signature)
+        # the signature check needs the encoding, which recurses a few
+        # frames deeper than decoding did, so compute it under this guard
+        tx.encode()
     except RecursionError:
         # proposals nest, so a hostile frame can nest deeper than the stack
         raise CodecError("payload nested too deeply") from None
-    signature = r.bytes_()
-    r.require_end()
-    return Transaction(sender, nonce, payload, signature)
+    return tx
 
 
 # --- auxiliary signed messages -------------------------------------------------

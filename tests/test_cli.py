@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+from rolechain.chain import Chain, export_chain, genesis_block, import_chain
 from rolechain.cli import main
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
@@ -100,6 +101,63 @@ def test_verify_detects_tampering(runner, dump_path, tmp_path):
     result = runner.invoke(main, ["verify", str(bad)])
     assert result.exit_code == 1
     assert "verification failed" in result.output
+
+
+def _set(*path_and_value):
+    *parents, last, value = path_and_value
+
+    def mutate(doc):
+        target = doc
+        for key in parents:
+            target = target[key]
+        target[last] = value
+        return doc
+
+    return mutate
+
+
+def _drop(*path):
+    def mutate(doc):
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        del target[path[-1]]
+        return doc
+
+    return mutate
+
+
+GENESIS_MUTATIONS = {
+    "unchanged": lambda doc: doc,
+    "unknown_role": _set("accounts", 0, "roles", ["archmage"]),
+    "unknown_permanence": _set("policies", 0, "permanence", "forever"),
+    "unknown_recovery_kind": _set("accounts", 0, "recovery", "kind", "wizard"),
+    "missing_balance": _drop("accounts", 0, "balance"),
+    "string_balance": _set("accounts", 0, "balance", "100"),
+    "balance_over_u64": _set("accounts", 0, "balance", 2**64),
+    "bad_hex_key": _set("accounts", 0, "key", "zz"),
+    "unknown_policy_type": _set("policies", 0, "type", "float"),
+    "unknown_scheme": _set("scheme", "rsa"),
+    "registry_not_a_list": _set("registry", {}),
+    "name_not_hex": _set("names", "alice", "not hex"),
+    "doc_not_an_object": lambda doc: [doc],
+}
+
+
+@pytest.mark.parametrize("mutation", sorted(GENESIS_MUTATIONS))
+def test_verify_of_a_bad_genesis_doc_exits_one(runner, dump_path, tmp_path, mutation):
+    """The doc's digest is self-declared, so a re-exported bad doc must fail cleanly."""
+    doc, blocks = import_chain(dump_path.read_bytes())
+    mutated = tmp_path / "mutated.bin"
+    chain = Chain([genesis_block(), *blocks])
+    mutated.write_bytes(export_chain(chain, GENESIS_MUTATIONS[mutation](doc)))
+    result = runner.invoke(main, ["verify", str(mutated)])
+    if mutation == "unchanged":
+        assert result.exit_code == 0, result.output
+        return
+    assert isinstance(result.exception, SystemExit), result.exception
+    assert result.exit_code == 1
+    assert "verification failed: genesis doc" in result.output
 
 
 def test_inspect_lists_blocks(runner, dump_path):

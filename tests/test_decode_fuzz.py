@@ -1,16 +1,31 @@
-"""Hostile bytes: decoders fail with CodecError only, admission never raises."""
+"""Hostile bytes: decoders fail with CodecError only, admission never raises.
+
+Covers transactions, blocks, chain dumps and the genesis doc inside a dump.
+"""
 
 from __future__ import annotations
 
+import copy
+import hashlib
 import struct
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from rolechain import errors as err
+from rolechain.chain import (
+    DUMP_MAGIC,
+    DUMP_VERSION,
+    decode_block,
+    export_chain,
+    import_chain,
+    state_from_doc,
+    verify_dump,
+)
 from rolechain.codec import Reader, Writer
-from rolechain.errors import CodecError
+from rolechain.errors import CodecError, RolechainError
 from rolechain.gateway import Rejected, SecurityGateway
 from rolechain.payloads import (
     AssignRole,
@@ -31,8 +46,11 @@ from rolechain.payloads import (
     decode_transaction,
     encode_payload,
 )
+from rolechain.sim import load_scenario, run
 
 from conftest import World, make_world
+
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
 WORLD = make_world()
 A, B = WORLD.aid("alice"), WORLD.aid("bob")
@@ -160,18 +178,24 @@ def _mutate(frame: bytes, edits: list[tuple[int, int]], cut: int, tail: bytes) -
     return bytes(buf[:cut]) + tail
 
 
-hostile = st.one_of(
-    st.binary(max_size=200),
-    st.binary(max_size=200).map(lambda b: b"tx:" + b),
-    # valid frames with a few bytes overwritten, then truncated or extended
-    st.builds(
-        _mutate,
-        st.sampled_from(FRAMES),
-        st.lists(st.tuples(st.integers(0, 400), st.integers(0, 255)), max_size=4),
-        st.integers(0, 400),
-        st.binary(max_size=8),
-    ),
-)
+def _hostile(prefix: bytes, samples: list[bytes]):
+    """Random bytes, random bytes after ``prefix``, and mangled ``samples``."""
+    size = max(map(len, samples))
+    return st.one_of(
+        st.binary(max_size=200),
+        st.binary(max_size=200).map(lambda b: prefix + b),
+        # valid encodings with a few bytes overwritten, then truncated or extended
+        st.builds(
+            _mutate,
+            st.sampled_from(samples),
+            st.lists(st.tuples(st.integers(0, size), st.integers(0, 255)), max_size=4),
+            st.integers(0, max(400, 2 * size)),
+            st.binary(max_size=8),
+        ),
+    )
+
+
+hostile = _hostile(b"tx:", FRAMES)
 
 
 @settings(max_examples=400, deadline=None)
@@ -189,3 +213,99 @@ def test_admit_never_raises(raw):
     outcome, decodes = _admit(WORLD, raw)
     if not decodes:
         assert outcome == Rejected(err.MALFORMED)
+
+
+# --- blocks and chain dumps ---------------------------------------------------
+
+SIMS = {
+    name: run(load_scenario(SCENARIOS / f"{name}.yaml"))[1]
+    for name in ("bootstrap_and_transfer", "corrupt_gateway")
+}
+DUMPS = [sim.export() for sim in SIMS.values()]
+BLOCKS = [block.encode() for sim in SIMS.values() for block in sim.chain.blocks[1:]]
+
+
+@settings(max_examples=400, deadline=None)
+@given(_hostile(b"blk:", BLOCKS))
+def test_decode_block_raises_only_codec_error(raw):
+    try:
+        decode_block(raw)
+    except CodecError:
+        pass
+
+
+@settings(max_examples=200, deadline=None)
+@given(_hostile(DUMP_MAGIC + bytes([DUMP_VERSION]), DUMPS))
+def test_import_chain_raises_only_codec_error(raw):
+    try:
+        import_chain(raw)
+    except CodecError:
+        pass
+
+
+@pytest.mark.parametrize(
+    "doc_bytes",
+    [b"[" * 100_000 + b"]" * 100_000, b"1" * 5_000, b"\xff", b"{"],
+    ids=["nested_too_deep", "int_too_long", "not_utf8", "not_json"],
+)
+def test_import_chain_rejects_an_unparsable_doc(doc_bytes):
+    w = Writer()
+    w.raw(DUMP_MAGIC)
+    w.u8(DUMP_VERSION)
+    w.bytes_(doc_bytes)
+    w.bytes_(hashlib.sha256(doc_bytes).digest())
+    w.count(0)
+    with pytest.raises(CodecError, match="corrupt genesis document"):
+        import_chain(w.getvalue())
+
+
+# the dump pins its genesis doc by a digest it declares itself, so any JSON
+# may stand in any part of the doc
+DOC_SIM = SIMS["corrupt_gateway"]
+DELETE = object()
+json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.text(max_size=6)
+    | st.sampled_from(["archmage", "validator", "permanent", "guardians", "int", "mock", "00" * 32]),
+    lambda children: st.lists(children, max_size=3) | st.dictionaries(st.text(max_size=6), children, max_size=3),
+    max_leaves=6,
+)
+
+
+def _paths(node, path=()):
+    yield path
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield from _paths(child, (*path, key))
+
+
+def _replaced(doc, path, value):
+    if not path:
+        return {} if value is DELETE else value
+    doc = copy.deepcopy(doc)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return doc
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(list(_paths(DOC_SIM.genesis_doc))), st.one_of(st.just(DELETE), json_values))
+def test_any_genesis_doc_fails_only_with_rolechain_errors(path, value):
+    """What ``rolechain verify`` catches: no other exception may escape."""
+    doc = _replaced(DOC_SIM.genesis_doc, path, value)
+    try:
+        state_from_doc(doc)
+    except CodecError:
+        pass
+    try:
+        _, state = verify_dump(export_chain(DOC_SIM.chain, doc))
+    except RolechainError:
+        return
+    state.digest()  # printed by ``rolechain verify``

@@ -1,0 +1,136 @@
+"""The envelope signature is verified once per transaction object and key.
+
+``Transaction.signature_ok`` keeps the ``(scheme, public key)`` a
+transaction last verified under.  These tests count the scheme's ``verify``
+calls to show where the memo saves work (validate then apply, replay) and
+where it must not (another key, another gateway's copy, a key rotated
+earlier in the same block).
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from rolechain import errors as err
+from rolechain.chain import Chain, append_block, export_chain, genesis_doc, import_chain, replay, validate_block
+from rolechain.keys import Ed25519Scheme, MockScheme, keypair_from_label
+from rolechain.payloads import RotateKey, Role, Transfer, decode_transaction, rotation_message
+from rolechain.sim import parse_scenario, run
+
+from conftest import make_world
+from test_chain import _chain_world, make_next_block
+
+
+@pytest.fixture
+def tx_verifies(monkeypatch) -> list[tuple[str, bytes]]:
+    """``(scheme, message)`` of every transaction-envelope verify call."""
+    calls: list[tuple[str, bytes]] = []
+    for cls in (MockScheme, Ed25519Scheme):
+        original = cls.verify
+
+        def counting(self, public_key, message, signature, original=original):
+            if message.startswith(b"tx:"):
+                calls.append((self.name, message))
+            return original(self, public_key, message, signature)
+
+        monkeypatch.setattr(cls, "verify", counting)
+    return calls
+
+
+def test_success_is_kept_for_the_same_scheme_and_key_only(tx_verifies):
+    world = make_world(balances={"alice": 10})
+    tx = world.tx("alice", Transfer(world.aid("bob"), 1))
+    alice_key, bob_key = world.kp("alice").public_key, world.kp("bob").public_key
+
+    assert tx.signature_ok("mock", alice_key)
+    assert tx.signature_ok("mock", alice_key)
+    assert len(tx_verifies) == 1
+
+    # another key or another scheme is verified afresh
+    assert not tx.signature_ok("mock", bob_key)
+    assert not tx.signature_ok("ed25519", alice_key)
+    assert [scheme for scheme, _ in tx_verifies] == ["mock", "mock", "ed25519"]
+
+    # a failure does not replace the kept success
+    assert tx.signature_ok("mock", alice_key)
+    assert len(tx_verifies) == 3
+
+    # the memo is not part of the value
+    assert tx == decode_transaction(tx.encode())
+    assert hash(tx) == hash(decode_transaction(tx.encode()))
+
+
+def test_a_tampered_copy_is_not_covered_by_the_memo(tx_verifies):
+    world = make_world(balances={"alice": 10})
+    tx = world.tx("alice", Transfer(world.aid("bob"), 1))
+    key = world.kp("alice").public_key
+    assert tx.signature_ok("mock", key)
+    raw = bytearray(tx.encode())
+    raw[-1] ^= 1  # last signature byte
+    assert not decode_transaction(bytes(raw)).signature_ok("mock", key)
+    assert len(tx_verifies) == 2
+
+
+def test_append_and_replay_verify_each_transaction_once(tx_verifies):
+    world = _chain_world()
+    doc = genesis_doc(world.state)
+    chain = Chain()
+    bob = world.aid("bob")
+    blocks = []
+    for nonce in range(0, 6, 3):
+        txs = [world.tx("alice", Transfer(bob, 1), nonce=n) for n in range(nonce, nonce + 3)]
+        block = make_next_block(world, chain, txs)
+        receipts = append_block(chain, world.state, block)
+        assert all(r.ok for r in receipts)
+        blocks.append(block)
+    signed = sorted(tx.signing_bytes() for block in blocks for tx in block.txs)
+    assert sorted(message for _, message in tx_verifies) == signed
+
+    tx_verifies.clear()
+    _, decoded = import_chain(export_chain(chain, doc))
+    replayed, _ = replay(doc, decoded)
+    assert replayed.head_hash == chain.head_hash
+    assert sorted(message for _, message in tx_verifies) == signed
+
+
+def test_rotation_earlier_in_the_block_reverifies_the_sender(tx_verifies):
+    world = _chain_world(extra_roles={"prov": {Role.ACCOUNT_PROVIDER}})
+    alice = world.state.accounts[world.aid("alice")]
+    alice.provider = world.aid("prov")
+    new_key = keypair_from_label("mock", "alice-new", 0).public_key
+    prov = world.kp("prov")
+    approval = (prov.account_id, prov.sign(rotation_message(alice.account_id, new_key)))
+    rotate = world.tx("prov", RotateKey(alice.account_id, new_key, (approval,)))
+    stale = world.tx("alice", Transfer(world.aid("bob"), 5))  # signed with the old key
+
+    chain = Chain()
+    block = make_next_block(world, chain, [rotate, stale])
+    # the block is checked against its parent state, where the old key is current
+    assert validate_block(block, world.state, chain) == []
+    receipts = append_block(chain, world.state, block)
+
+    assert receipts[0].ok and alice.public_key == new_key
+    assert (receipts[1].ok, receipts[1].error) == (False, err.BAD_SIGNATURE)
+    assert alice.nonce == 0
+    assert world.balance("alice") == 100
+    # stale: validate twice (memo on the second), then apply under the new key
+    assert sum(message == stale.signing_bytes() for _, message in tx_verifies) == 2
+
+
+def test_each_gateway_verifies_its_own_copy(tx_verifies):
+    validators = [f"v{i}" for i in range(1, 5)]
+    raw = {
+        "ticks": 1,
+        "actors": [
+            {"name": "alice", "roles": ["user"], "balance": 10},
+            {"name": "bob", "roles": ["user"]},
+            *({"name": name, "roles": ["validator"]} for name in validators),
+        ],
+        "steps": [{"tick": 1, "tx": {"from": "alice", "kind": "transfer", "to": "bob", "amount": 3}}],
+    }
+    report, sim = run(parse_scenario(raw))
+    assert report.balances["bob"] == 3
+    # four gateways decode and verify four copies; validate_block verifies the
+    # sim's own object once and apply_transaction reuses that result
+    assert len(tx_verifies) == len(validators) + 1
+    assert len({message for _, message in tx_verifies}) == 1
