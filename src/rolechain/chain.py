@@ -50,20 +50,12 @@ DUMP_VERSION = 1
 
 @dataclass(frozen=True)
 class Block:
-    """One published block.
-
-    The object is immutable, so its digest is computed on first use and then
-    kept.  Its signing bytes are not kept: they would hold a second copy of
-    every transaction's encoding for as long as the chain lives.
-    """
-
     height: int
     prev_hash: bytes
     publisher: bytes
     tick: int
     txs: tuple[Transaction, ...]
     signature: bytes = b""
-    _digest: bytes | None = field(default=None, init=False, repr=False, compare=False)
 
     def signing_bytes(self) -> bytes:
         return block_signing_bytes(self.height, self.prev_hash, self.publisher, self.tick, self.txs)
@@ -75,9 +67,7 @@ class Block:
         return w.getvalue()
 
     def digest(self) -> bytes:
-        if self._digest is None:
-            object.__setattr__(self, "_digest", hashlib.sha256(self.encode()).digest())
-        return self._digest
+        return hashlib.sha256(self.encode()).digest()
 
 
 def block_signing_bytes(
