@@ -5,18 +5,51 @@ ed25519).  Its state digest, head hash, full report JSON and the SHA-256
 of its chain dump were recorded from the code before the write path
 gained its caches; any change to wire bytes, digests or reports shows
 here first.
+
+``golden/wire_bytes.json`` holds the canonical bytes of every wire type:
+each payload, query, validator record, signed response, a block, a dump
+and a state digest.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 from pathlib import Path
 
 import pytest
 
-from rolechain.codec import Writer
-from rolechain.payloads import decode_transaction, tx_signing_bytes
+from rolechain.chain import ZERO_HASH, Block, Chain, export_chain, genesis_block, genesis_doc
+from rolechain.codec import Reader, Writer
+from rolechain.engine import build_genesis
+from rolechain.ledger import Account
+from rolechain.payloads import (
+    AssignRole,
+    Claimable,
+    GatewayDirectory,
+    Guardians,
+    ManagementLog,
+    OwnBalance,
+    OwnHistory,
+    Permanence,
+    ProviderOnly,
+    ProviderPlusSecurity,
+    Role,
+    SignedQueryResponse,
+    SupplyView,
+    Transaction,
+    ValidationServerAddress,
+    ValidatorRecord,
+    decode_payload,
+    decode_query,
+    decode_transaction,
+    encode_payload,
+    encode_query,
+    tx_signing_bytes,
+)
 from rolechain.sim import load_scenario, run
+
+from test_payloads import ALL_PAYLOADS, A, B, C
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -94,3 +127,113 @@ def test_cached_encodings_match_fresh_ones(stem):
         assert decode_transaction(fresh).encode() == fresh
         # asking again returns the same bytes
         assert tx.encode() == fresh and tx.signing_bytes() == fresh_signing
+
+
+# --- wire bytes -------------------------------------------------------------------
+#
+# The canonical bytes of every wire type, recorded in golden/wire_bytes.json
+# from the hand-written encoders before payloads, queries, recovery
+# policies and records were described by field codecs.  A new entry in
+# ``test_payloads.ALL_PAYLOADS`` needs its bytes recorded here too.
+
+WIRE = json.loads((GOLDEN / "wire_bytes.json").read_text())
+
+EXTRA_PAYLOADS = {
+    "AssignRole-no-recovery": AssignRole(B, Role.PLATFORM_MANAGER),
+    "AssignRole-provider-only": AssignRole(B, Role.USER, B, b"possess-sig", ProviderOnly()),
+}
+PAYLOADS = {
+    **{f"payload {i:02d} {type(p).__name__}": p for i, p in enumerate(ALL_PAYLOADS)},
+    **{f"payload {name}": p for name, p in EXTRA_PAYLOADS.items()},
+}
+QUERIES = {
+    f"query {type(q).__name__}": q
+    for q in (
+        OwnBalance(A),
+        OwnHistory(B),
+        ManagementLog(3, 2**64 - 1),
+        SupplyView(),
+        GatewayDirectory(),
+        ValidationServerAddress(C),
+        Claimable(A),
+    )
+}
+RECORD = ValidatorRecord(A, ("sim://a/sec0", "sim://a/sec1"), (), "sim://a/val", B, "ops@a")
+RESPONSE = SignedQueryResponse(B, b"echo", b"\x00" * 8, 2**40, b"view-sig")
+
+
+def _encoded(obj) -> bytes:
+    w = Writer()
+    obj.encode(w)
+    return w.getvalue()
+
+
+def _block() -> Block:
+    txs = (
+        Transaction(A, 0, ALL_PAYLOADS[0], b"sig-0"),
+        Transaction(B, 5, ALL_PAYLOADS[12], b"sig-1"),
+    )
+    return Block(1, ZERO_HASH, C, 4, txs, b"block-sig")
+
+
+def _state():
+    """A genesis state holding each recovery policy and a validator record."""
+    accounts = [
+        Account(A, b"\x01" * 32, {Role.USER}, 70, recovery=ProviderOnly(), provider=C),
+        Account(B, b"\x02" * 32, {Role.USER, Role.VALIDATOR}, 30, recovery=Guardians(frozenset({A, C}), 1)),
+        Account(C, b"\x03" * 32, {Role.ACCOUNT_PROVIDER}, recovery=ProviderPlusSecurity()),
+    ]
+    state = build_genesis("mock", accounts, [("rate.capacity", 4, Permanence.TIMED_EXPIRATION, 9)])
+    state.validator_registry[B] = ValidatorRecord(B, ("sim://b/sec0",), ("sim://b/vis0",), "sim://b/val", b"\x04" * 32, "ops@b")
+    return state
+
+
+def wire_cases() -> dict[str, bytes]:
+    """Every case's canonical bytes under the current encoders."""
+    cases = {}
+    for name, payload in PAYLOADS.items():
+        w = Writer()
+        encode_payload(w, payload)
+        cases[name] = w.getvalue()
+    for name, query in QUERIES.items():
+        cases[name] = encode_query(query)
+    cases["validator record"] = _encoded(RECORD)
+    cases["signed query response"] = _encoded(RESPONSE)
+    cases["signed query response signing bytes"] = RESPONSE.signing_bytes()
+    cases["transaction nested proposal"] = Transaction(C, 9, ALL_PAYLOADS[13], b"s").encode()
+    block = _block()
+    cases["block"] = block.encode()
+    state = _state()
+    cases["dump"] = export_chain(Chain([genesis_block(), block]), genesis_doc(state, {"a": A, "b": B, "c": C}))
+    cases["state digest"] = state.digest()
+    return cases
+
+
+def test_wire_bytes_cover_every_case():
+    assert sorted(WIRE) == sorted(wire_cases())
+
+
+@pytest.mark.parametrize("name", sorted(WIRE))
+def test_wire_bytes(name):
+    assert wire_cases()[name].hex() == WIRE[name]
+
+
+@pytest.mark.parametrize("name", sorted(PAYLOADS))
+def test_golden_payload_bytes_decode(name):
+    r = Reader(bytes.fromhex(WIRE[name]))
+    assert decode_payload(r) == PAYLOADS[name]
+    r.require_end()
+
+
+@pytest.mark.parametrize("name", sorted(QUERIES))
+def test_golden_query_bytes_decode(name):
+    assert decode_query(bytes.fromhex(WIRE[name])) == QUERIES[name]
+
+
+def test_golden_record_bytes_decode():
+    r = Reader(bytes.fromhex(WIRE["validator record"]))
+    assert ValidatorRecord.decode(r) == RECORD
+    r.require_end()
+    r = Reader(bytes.fromhex(WIRE["signed query response"]))
+    assert SignedQueryResponse.decode(r) == RESPONSE
+    r.require_end()
