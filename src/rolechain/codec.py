@@ -12,13 +12,20 @@ The format is bit-exact and deliberately small:
 
 Decoding is strict: every length is bounds-checked and a frame must be
 consumed exactly, so any stray or missing byte is a :class:`CodecError`.
+
+A wire type is described once, on its dataclass: :func:`wire` gives each
+field a :class:`Field` codec, :func:`wire_record` derives the codec of the
+whole record from them (fields in declaration order), and :class:`Tagged`
+tells the members of a union apart by a leading tag byte.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import struct
+from collections.abc import Callable
 from enum import Enum
-from typing import TypeVar
+from typing import Any, NamedTuple, TypeVar
 
 from .errors import CodecError
 
@@ -137,3 +144,203 @@ class Reader:
     def require_end(self) -> None:
         if self._pos != len(self._data):
             raise CodecError(f"{self.remaining} trailing bytes in frame")
+
+
+# --- field codecs ------------------------------------------------------------------
+
+
+class Field(NamedTuple):
+    """How one value is written to a :class:`Writer` and read back."""
+
+    encode: Callable[[Writer, Any], None]
+    decode: Callable[[Reader], Any]
+
+
+U64 = Field(Writer.u64, Reader.u64)
+BOOL = Field(Writer.boolean, Reader.boolean)
+BYTES = Field(Writer.bytes_, Reader.bytes_)
+TEXT = Field(Writer.text, Reader.text)
+
+
+def enum(kind: type[Enum]) -> Field:
+    """One byte holding the value of a member of ``kind``."""
+    return Field(lambda w, member: w.u8(member.value), lambda r: r.enum(kind))
+
+
+def optional(inner: Field) -> Field:
+    """A presence boolean, then the value if present; ``None`` when absent."""
+
+    def encode(w: Writer, value) -> None:
+        w.boolean(value is not None)
+        if value is not None:
+            inner.encode(w, value)
+
+    return Field(encode, lambda r: inner.decode(r) if r.boolean() else None)
+
+
+def seq_of(inner: Field) -> Field:
+    """A count, then the elements in order; decodes to a tuple."""
+
+    def encode(w: Writer, values) -> None:
+        w.count(len(values))
+        for value in values:
+            inner.encode(w, value)
+
+    return Field(encode, lambda r: tuple([inner.decode(r) for _ in range(r.count())]))
+
+
+def set_of(inner: Field) -> Field:
+    """A count, then the elements in ascending order; decodes to a frozenset."""
+
+    def encode(w: Writer, values) -> None:
+        w.count(len(values))
+        for value in sorted(values):
+            inner.encode(w, value)
+
+    return Field(encode, lambda r: frozenset([inner.decode(r) for _ in range(r.count())]))
+
+
+def pair(first: Field, second: Field) -> Field:
+    """Two values back to back; decodes to a 2-tuple."""
+
+    def encode(w: Writer, value) -> None:
+        first.encode(w, value[0])
+        second.encode(w, value[1])
+
+    return Field(encode, lambda r: (first.decode(r), second.decode(r)))
+
+
+def framed(inner: Field) -> Field:
+    """The value's encoding as a byte string, which must hold exactly one value."""
+
+    def encode(w: Writer, value) -> None:
+        body = Writer()
+        inner.encode(body, value)
+        w.bytes_(body.getvalue())
+
+    def decode(r: Reader):
+        body = Reader(r.bytes_())
+        value = inner.decode(body)
+        body.require_end()
+        return value
+
+    return Field(encode, decode)
+
+
+# --- records and unions ----------------------------------------------------------
+
+
+def wire(codec: Field, *, when: tuple[str, Any] | None = None, **kwargs) -> Any:
+    """A dataclass field written and read by ``codec``.
+
+    ``when=(name, value)`` puts the field on the wire only while the earlier
+    field ``name`` equals ``value``; otherwise it is not written and decodes
+    as ``None``.  Other keyword arguments go to :func:`dataclasses.field`.
+    """
+    return dataclasses.field(metadata={"codec": codec, "when": when}, **kwargs)
+
+
+def wire_record(cls: type) -> type:
+    """Make ``cls`` a frozen dataclass with ``FIELDS``, the codec of its fields.
+
+    Every field must be declared with :func:`wire`; the record is its
+    fields' encodings in declaration order.
+    """
+    cls = dataclasses.dataclass(frozen=True)(cls)
+    cls.FIELDS = _generate(cls)
+    return cls
+
+
+def _generate(cls: type, tag: int | None = None) -> Field:
+    """Encode and decode functions for the fields of the dataclass ``cls``.
+
+    They are generated as source with one statement per field, as
+    ``dataclasses`` generates ``__init__``, so a described record codes as
+    fast as a hand-written one.  With ``tag`` the encoder writes it first.
+    """
+    fields = dataclasses.fields(cls)
+    names = [f.name for f in fields]
+    env: dict[str, Any] = {"cls": cls, "CodecError": CodecError}
+    encode = ["def encode(w, obj):", "    pass" if tag is None else f"    w.u8({tag})"]
+    decode = ["def decode(r):"]
+    for i, f in enumerate(fields):
+        codec, when = f.metadata["codec"], f.metadata["when"]
+        env[f"e{i}"], env[f"d{i}"] = codec.encode, codec.decode
+        if when is None:
+            encode.append(f"    e{i}(w, obj.{f.name})")
+            decode.append(f"    v{i} = d{i}(r)")
+            continue
+        if when[0] not in names[:i]:
+            raise TypeError(f"{cls.__name__}.{f.name} depends on no earlier field")
+        env[f"on{i}"] = when[1]
+        env[f"missing{i}"] = f"{cls.__name__}.{f.name} is required when {when[0]} is {when[1]}"
+        encode += [
+            f"    if obj.{when[0]} == on{i}:",
+            f"        if obj.{f.name} is None:",
+            f"            raise CodecError(missing{i})",
+            f"        e{i}(w, obj.{f.name})",
+        ]
+        decode.append(f"    v{i} = d{i}(r) if v{names.index(when[0])} == on{i} else None")
+    decode.append(f"    return cls({', '.join(f'v{i}' for i in range(len(fields)))})")
+    exec("\n".join(encode + decode), env)
+    return Field(env["encode"], env["decode"])
+
+
+class Record:
+    """Base of an untagged wire record; its class is built with :func:`wire_record`."""
+
+    FIELDS: Field
+
+    def encode(self, w: Writer) -> None:
+        self.FIELDS.encode(w, self)
+
+    @classmethod
+    def decode(cls, r: Reader):
+        return cls.FIELDS.decode(r)
+
+
+class Tagged:
+    """A union of wire records told apart by a leading tag byte.
+
+    Usable as a :class:`Field`: ``encode`` writes the member's tag, then its
+    fields; ``decode`` reads the tag and the fields of the member it names.
+    """
+
+    def __init__(self, name: str):
+        self.name = name
+        self.by_tag: dict[int, type] = {}
+        self._encoders: dict[type, Callable[[Writer, Any], None]] = {}
+        self._decoders: dict[int, Callable[[Reader], Any]] = {}
+
+    def member(self, tag: int) -> Callable[[type], type]:
+        """Class decorator: make the class a frozen dataclass with ``TAG``.
+
+        Its fields are declared with :func:`wire`, as for :func:`wire_record`.
+        """
+
+        def register(cls: type) -> type:
+            if tag in self.by_tag:
+                raise ValueError(f"{self.name} tag {tag} is already {self.by_tag[tag].__name__}")
+            cls = dataclasses.dataclass(frozen=True)(cls)
+            cls.TAG = tag
+            self.by_tag[tag] = cls
+            self._encoders[cls], self._decoders[tag] = _generate(cls, tag)
+            return cls
+
+        return register
+
+    def encode(self, w: Writer, value) -> None:
+        encode = self._encoders.get(type(value))
+        if encode is None:
+            raise CodecError(f"unknown {self.name} type {type(value).__name__}")
+        encode(w, value)
+
+    def decode(self, r: Reader):
+        return self.decode_member(r.u8(), r)
+
+    def decode_member(self, tag: int, r: Reader):
+        """The member ``tag``, whose tag byte was already read."""
+        decode = self._decoders.get(tag)
+        if decode is None:
+            raise CodecError(f"unknown {self.name} tag {tag}")
+        return decode(r)

@@ -11,6 +11,7 @@ or not it succeeded.
 from __future__ import annotations
 
 import hashlib
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from . import errors as err
@@ -27,7 +28,6 @@ from .ledger import (
     Proposal,
 )
 from .payloads import (
-    PAYLOAD_KINDS,
     AssignRole,
     BootstrapValidators,
     Burn,
@@ -53,29 +53,6 @@ from .payloads import (
     Transfer,
     ZERO_ID,
 )
-
-# kinds that belong to the public management log
-MANAGEMENT_KINDS = {
-    "set_policy",
-    "assign_role",
-    "revoke_role",
-    "bootstrap_validators",
-    "set_frozen",
-    "confiscate",
-    "reverse",
-    "rotate_key",
-    "create_proposal",
-    "cast_vote",
-    "finalize_proposal",
-    "mint",
-    "burn",
-    "convert_fiat",
-    "set_interest_rule",
-    "register_endpoints",
-    "discrepancy_event",
-    "accrual",
-}
-
 
 @dataclass
 class Receipt:
@@ -130,68 +107,59 @@ def _apply_discrepancy(state: LedgerState, sender: bytes, event: DiscrepancyEven
     )
 
 
+# payload type -> handler(state, sender, payload, tx_id, authority); a
+# handler raises TxError without side effects on failure
+HANDLERS: dict[type, Callable[[LedgerState, bytes, Payload, bytes, Authority], Applied]] = {
+    Transfer: lambda st, who, p, tx_id, auth: ledger.transfer(st, who, p.to, p.amount),
+    SetFrozen: lambda st, who, p, tx_id, auth: ledger.set_frozen(st, who, p.target, p.frozen, auth),
+    Confiscate: lambda st, who, p, tx_id, auth: ledger.confiscate(
+        st, who, p.source, p.to, p.amount, auth
+    ),
+    Reverse: lambda st, who, p, tx_id, auth: ledger.reverse_transaction(
+        st, who, p.target_tx, tx_id, auth
+    ),
+    RotateKey: lambda st, who, p, tx_id, auth: ledger.rotate_key(st, p.target, p.new_key, p.approvals),
+    SetPolicy: lambda st, who, p, tx_id, auth: governance.set_policy(
+        st, who, p.key, p.value, p.permanence, p.expiry_height, auth
+    ),
+    AssignRole: lambda st, who, p, tx_id, auth: governance.assign_role(st, who, p, auth),
+    RevokeRole: lambda st, who, p, tx_id, auth: governance.revoke_role(st, who, p.target, p.role, auth),
+    BootstrapValidators: lambda st, who, p, tx_id, auth: governance.bootstrap_set_validators(
+        st, who, p.validators
+    ),
+    CreateProposal: lambda st, who, p, tx_id, auth: governance.create_proposal(
+        st, who, p.action, p.electorate
+    )[0],
+    CastVote: lambda st, who, p, tx_id, auth: governance.cast_vote(st, who, p.proposal_id, p.approve),
+    FinalizeProposal: lambda st, who, p, tx_id, auth: governance.finalize_proposal(
+        st, p.proposal_id, _proposal_executor(st)
+    ),
+    Mint: lambda st, who, p, tx_id, auth: monetary.mint(st, who, p.to, p.amount, auth),
+    Burn: lambda st, who, p, tx_id, auth: monetary.burn(st, who, p.source, p.amount, auth),
+    ConvertFiat: lambda st, who, p, tx_id, auth: monetary.convert_fiat(
+        st, who, p.user, p.direction, p.amount
+    ),
+    SetInterestRule: lambda st, who, p, tx_id, auth: monetary.set_interest_rule(st, who, p, auth),
+    ClaimAllowance: lambda st, who, p, tx_id, auth: monetary.claim_allowance(
+        st, who, p.rule_id, p.up_to_period
+    ),
+    RegisterEndpoints: lambda st, who, p, tx_id, auth: ledger.register_endpoints(st, who, p.record),
+    DiscrepancyEvent: lambda st, who, p, tx_id, auth: _apply_discrepancy(st, who, p),
+}
+
+
 def execute_payload(
     state: LedgerState,
     sender: bytes,
     payload: Payload,
     tx_id: bytes,
     authority: Authority,
-) -> tuple[str, Applied]:
+) -> Applied:
     """Dispatch one payload; raises TxError without side effects on failure."""
-    kind = PAYLOAD_KINDS[type(payload)]
-    if isinstance(payload, Transfer):
-        applied = ledger.transfer(state, sender, payload.to, payload.amount)
-    elif isinstance(payload, SetFrozen):
-        applied = ledger.set_frozen(state, sender, payload.target, payload.frozen, authority)
-    elif isinstance(payload, Confiscate):
-        applied = ledger.confiscate(
-            state, sender, payload.source, payload.to, payload.amount, authority
-        )
-    elif isinstance(payload, Reverse):
-        applied = ledger.reverse_transaction(state, sender, payload.target_tx, tx_id, authority)
-    elif isinstance(payload, RotateKey):
-        applied = ledger.rotate_key(state, payload.target, payload.new_key, payload.approvals)
-    elif isinstance(payload, SetPolicy):
-        applied = governance.set_policy(
-            state,
-            sender,
-            payload.key,
-            payload.value,
-            payload.permanence,
-            payload.expiry_height,
-            authority,
-        )
-    elif isinstance(payload, AssignRole):
-        applied = governance.assign_role(state, sender, payload, authority)
-    elif isinstance(payload, RevokeRole):
-        applied = governance.revoke_role(state, sender, payload.target, payload.role, authority)
-    elif isinstance(payload, BootstrapValidators):
-        applied = governance.bootstrap_set_validators(state, sender, payload.validators)
-    elif isinstance(payload, CreateProposal):
-        applied, _ = governance.create_proposal(state, sender, payload.action, payload.electorate)
-    elif isinstance(payload, CastVote):
-        applied = governance.cast_vote(state, sender, payload.proposal_id, payload.approve)
-    elif isinstance(payload, FinalizeProposal):
-        applied = governance.finalize_proposal(
-            state, payload.proposal_id, _proposal_executor(state)
-        )
-    elif isinstance(payload, Mint):
-        applied = monetary.mint(state, sender, payload.to, payload.amount, authority)
-    elif isinstance(payload, Burn):
-        applied = monetary.burn(state, sender, payload.source, payload.amount, authority)
-    elif isinstance(payload, ConvertFiat):
-        applied = monetary.convert_fiat(state, sender, payload.user, payload.direction, payload.amount)
-    elif isinstance(payload, SetInterestRule):
-        applied = monetary.set_interest_rule(state, sender, payload, authority)
-    elif isinstance(payload, ClaimAllowance):
-        applied = monetary.claim_allowance(state, sender, payload.rule_id, payload.up_to_period)
-    elif isinstance(payload, RegisterEndpoints):
-        applied = ledger.register_endpoints(state, sender, payload.record)
-    elif isinstance(payload, DiscrepancyEvent):
-        applied = _apply_discrepancy(state, sender, payload)
-    else:
+    handler = HANDLERS.get(type(payload))
+    if handler is None:
         raise TxError("UnknownPayload", type(payload).__name__)
-    return kind, applied
+    return handler(state, sender, payload, tx_id, authority)
 
 
 def _proposal_executor(state: LedgerState):
@@ -202,20 +170,18 @@ def _proposal_executor(state: LedgerState):
             b"exec:" + prop.proposal_id.to_bytes(8, "big") + state.height.to_bytes(8, "big")
         ).digest()
         try:
-            kind, applied = execute_payload(
-                state, prop.proposer, prop.action, exec_id, Authority.SYSTEM
-            )
+            applied = execute_payload(state, prop.proposer, prop.action, exec_id, Authority.SYSTEM)
         except TxError as exc:
             return exc.code
         state.log(
             LogEntry(
                 tx_id=exec_id,
                 height=state.height,
-                kind=kind,
+                kind=prop.action.KIND,
                 sender=prop.proposer,
                 ok=True,
                 error=None,
-                management=kind in MANAGEMENT_KINDS,
+                management=prop.action.MANAGEMENT,
                 participants=applied.participants,
                 data={**applied.data, "proposal_id": prop.proposal_id},
             )
@@ -306,9 +272,9 @@ def apply_transaction(state: LedgerState, tx: Transaction) -> Receipt:
     if not acct.roles:
         return Receipt(tx_id, state.height, "unknown", False, err.NO_ROLE)
 
-    kind = PAYLOAD_KINDS[type(tx.payload)]
+    kind = tx.payload.KIND
     try:
-        kind, applied = execute_payload(state, tx.sender, tx.payload, tx_id, Authority.USER)
+        applied = execute_payload(state, tx.sender, tx.payload, tx_id, Authority.USER)
         ok, code = True, None
     except TxError as exc:
         applied = Applied((tx.sender,), {})
@@ -322,7 +288,7 @@ def apply_transaction(state: LedgerState, tx: Transaction) -> Receipt:
             sender=tx.sender,
             ok=ok,
             error=code,
-            management=kind in MANAGEMENT_KINDS,
+            management=tx.payload.MANAGEMENT,
             participants=applied.participants,
             data=applied.data,
         )

@@ -105,6 +105,7 @@ RULE_INACTIVE = "RuleInactive"
 NOTHING_TO_CLAIM = "NothingToClaim"
 FROZEN = "Frozen"
 PERIOD_NOT_YET_ACCRUED = "PeriodNotYetAccrued"
+SUPPLY_OVERFLOW = "SupplyOverflow"
 
 # Chain / registry codes
 WRONG_PUBLISHER = "WrongPublisher"

@@ -33,22 +33,14 @@ from .ledger import (
     is_mutable,
 )
 from .payloads import (
-    PAYLOAD_KINDS,
     AssignRole,
-    Burn,
-    Confiscate,
     Guardians,
-    Mint,
     Payload,
     Permanence,
     ProviderOnly,
     RecoveryPolicy,
-    Reverse,
     RevokeRole,
     Role,
-    SetFrozen,
-    SetInterestRule,
-    SetPolicy,
     possession_message,
 )
 
@@ -58,19 +50,6 @@ MANAGER_ASSIGNABLE = {
     Role.SYSTEM_SECURITY,
     Role.CURRENCY_MANAGER,
     Role.PLATFORM_MANAGER,
-}
-
-# which electorate votes on which action, and that the action is voteable at all
-VOTEABLE_ACTIONS: dict[type, Role] = {
-    AssignRole: Role.VALIDATOR,  # only for the validator role; checked below
-    RevokeRole: Role.VALIDATOR,
-    SetFrozen: Role.SYSTEM_SECURITY,
-    Confiscate: Role.SYSTEM_SECURITY,
-    Reverse: Role.SYSTEM_SECURITY,
-    Mint: Role.CURRENCY_MANAGER,
-    Burn: Role.CURRENCY_MANAGER,
-    SetInterestRule: Role.CURRENCY_MANAGER,
-    SetPolicy: Role.PLATFORM_MANAGER,
 }
 
 
@@ -230,7 +209,7 @@ def bootstrap_set_validators(
 # --- proposals and voting -----------------------------------------------------
 
 def _required_electorate(action: Payload) -> Role:
-    electorate = VOTEABLE_ACTIONS.get(type(action))
+    electorate = action.ELECTORATE
     if electorate is None:
         raise TxError(err.ACTION_NOT_VOTEABLE)
     if isinstance(action, (AssignRole, RevokeRole)) and action.role is not Role.VALIDATOR:
@@ -265,7 +244,7 @@ def create_proposal(
             {
                 "proposal_id": pid,
                 "electorate": electorate.name.lower(),
-                "action": PAYLOAD_KINDS[type(action)],
+                "action": action.KIND,
             },
         ),
         pid,

@@ -28,6 +28,7 @@ from .codec import Writer
 from .errors import TxError
 from .keys import derive_account_id, get_scheme
 from .payloads import (
+    RECOVERY,
     Guardians,
     InterestMode,
     Permanence,
@@ -318,7 +319,7 @@ class LedgerState:
             w.boolean(a.frozen)
             w.u64(a.nonce)
             w.optional_bytes(a.provider)
-            _encode_recovery_digest(w, a.recovery)
+            RECOVERY.encode(w, a.recovery)
         w.count(len(self.policies))
         for key in sorted(self.policies):
             p = self.policies[key]
@@ -412,15 +413,6 @@ def encode_value(w: Writer, value) -> None:
         w.text(value)
     else:
         raise TypeError(f"unsupported log value type {type(value).__name__}")
-
-
-def _encode_recovery_digest(w: Writer, recovery: RecoveryPolicy) -> None:
-    w.u8(recovery.TAG)
-    if isinstance(recovery, Guardians):
-        w.count(len(recovery.guardians))
-        for g in sorted(recovery.guardians):
-            w.bytes_(g)
-        w.u64(recovery.threshold)
 
 
 # --- security feature gate -----------------------------------------------------

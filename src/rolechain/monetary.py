@@ -16,6 +16,7 @@ are recorded as zero so period indices stay dense.
 from __future__ import annotations
 
 from . import errors as err
+from .codec import U64_MAX
 from .errors import TxError
 from .ledger import AllowanceLedger, Applied, Authority, InterestRule, LedgerState
 from .payloads import FiatDirection, InterestMode, Role, SetInterestRule
@@ -29,6 +30,13 @@ def _currency_gate(state: LedgerState, actor: bytes, policy_key: str, authority:
     acct = state.accounts.get(actor)
     if acct is None or Role.CURRENCY_MANAGER not in acct.roles:
         raise TxError(err.NOT_CURRENCY_MANAGER)
+
+
+def _check_supply(state: LedgerState, amount: int) -> None:
+    # every balance is at most minted - burned, so bounding minted to the u64
+    # range that the state digest encodes bounds every credit too
+    if state.supply.minted + amount > U64_MAX:
+        raise TxError(err.SUPPLY_OVERFLOW)
 
 
 def _reject_all_users_overlap(state: LedgerState, except_id: int | None = None) -> None:
@@ -46,6 +54,7 @@ def mint(
 ) -> Applied:
     _currency_gate(state, actor, "mint.requires_vote", authority)
     acct = state.account(to)
+    _check_supply(state, amount)
     acct.balance += amount
     state.supply.minted += amount
     return Applied((actor, to), {"to": to, "amount": amount})
@@ -82,6 +91,7 @@ def convert_fiat(
     if Role.USER not in acct.roles:
         raise TxError(err.NOT_AUTHORIZED_CONVERTER, "target lacks the user role")
     if direction is FiatDirection.IN:
+        _check_supply(state, amount)
         acct.balance += amount
         state.supply.minted += amount
     else:

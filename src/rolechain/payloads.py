@@ -3,6 +3,12 @@
 Every type here has a canonical byte encoding built from :mod:`rolechain.codec`
 primitives.  Signing always happens over canonical bytes, and transaction /
 block ids are SHA-256 digests of the full canonical serialization.
+
+Each payload, query, recovery policy and record is described once, on its
+class: its tag, one codec per field and, for a payload, its kind name,
+whether it belongs to the management log and which role votes on it (see
+:func:`payload_kind`).  The codecs and ``PAYLOAD_KINDS`` derive from these
+descriptions.
 """
 
 from __future__ import annotations
@@ -11,7 +17,25 @@ import hashlib
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .codec import Reader, Writer
+from .codec import (
+    BOOL,
+    BYTES,
+    TEXT,
+    U64,
+    Field,
+    Reader,
+    Record,
+    Tagged,
+    Writer,
+    enum,
+    framed,
+    optional,
+    pair,
+    seq_of,
+    set_of,
+    wire,
+    wire_record,
+)
 from .errors import CodecError
 from .keys import get_scheme
 
@@ -56,185 +80,114 @@ class FiatDirection(Enum):
 
 # --- recovery policies -------------------------------------------------------
 
-@dataclass(frozen=True)
-class ProviderOnly:
-    TAG = 1
+class RecoveryPolicy:
+    """Who may approve a rotation of an account's key; one of ``RECOVERY``."""
 
 
-@dataclass(frozen=True)
-class Guardians:
-    TAG = 2
-    guardians: frozenset[bytes]
-    threshold: int
+RECOVERY = Tagged("recovery")
 
 
-@dataclass(frozen=True)
-class ProviderPlusSecurity:
-    TAG = 3
+@RECOVERY.member(1)
+class ProviderOnly(RecoveryPolicy):
+    pass
 
 
-RecoveryPolicy = ProviderOnly | Guardians | ProviderPlusSecurity
+@RECOVERY.member(2)
+class Guardians(RecoveryPolicy):
+    guardians: frozenset[bytes] = wire(set_of(BYTES))
+    threshold: int = wire(U64)
 
 
-def encode_recovery(w: Writer, policy: RecoveryPolicy) -> None:
-    w.u8(policy.TAG)
-    if isinstance(policy, Guardians):
-        w.count(len(policy.guardians))
-        for g in sorted(policy.guardians):
-            w.bytes_(g)
-        w.u64(policy.threshold)
-
-
-def decode_recovery(r: Reader) -> RecoveryPolicy:
-    tag = r.u8()
-    if tag == ProviderOnly.TAG:
-        return ProviderOnly()
-    if tag == Guardians.TAG:
-        n = r.count()
-        guardians = frozenset(r.bytes_() for _ in range(n))
-        return Guardians(guardians, r.u64())
-    if tag == ProviderPlusSecurity.TAG:
-        return ProviderPlusSecurity()
-    raise CodecError(f"unknown recovery tag {tag}")
+@RECOVERY.member(3)
+class ProviderPlusSecurity(RecoveryPolicy):
+    pass
 
 
 # --- validator endpoint record ----------------------------------------------
 
-@dataclass(frozen=True)
-class ValidatorRecord:
+@wire_record
+class ValidatorRecord(Record):
     """On-chain registration of a validator's gateways and view key.
 
     ``validation_server`` is stored on-chain but served only to validator
     accounts; everything else is public.
     """
 
-    account: bytes
-    security_gateways: tuple[str, ...]
-    visibility_gateways: tuple[str, ...]
-    validation_server: str
-    view_key: bytes
-    contact: str
-
-    def encode(self, w: Writer) -> None:
-        w.bytes_(self.account)
-        w.count(len(self.security_gateways))
-        for a in self.security_gateways:
-            w.text(a)
-        w.count(len(self.visibility_gateways))
-        for a in self.visibility_gateways:
-            w.text(a)
-        w.text(self.validation_server)
-        w.bytes_(self.view_key)
-        w.text(self.contact)
-
-    @classmethod
-    def decode(cls, r: Reader) -> ValidatorRecord:
-        account = r.bytes_()
-        sec = tuple(r.text() for _ in range(r.count()))
-        vis = tuple(r.text() for _ in range(r.count()))
-        return cls(account, sec, vis, r.text(), r.bytes_(), r.text())
+    account: bytes = wire(BYTES)
+    security_gateways: tuple[str, ...] = wire(seq_of(TEXT))
+    visibility_gateways: tuple[str, ...] = wire(seq_of(TEXT))
+    validation_server: str = wire(TEXT)
+    view_key: bytes = wire(BYTES)
+    contact: str = wire(TEXT)
 
 
 # --- queries ------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class OwnBalance:
-    TAG = 1
-    account: bytes
+class Query:
+    """A signed read; one of ``QUERY``."""
 
 
-@dataclass(frozen=True)
-class OwnHistory:
-    TAG = 2
-    account: bytes
+QUERY = Tagged("query")
 
 
-@dataclass(frozen=True)
-class ManagementLog:
-    TAG = 3
-    start_height: int
-    end_height: int
+@QUERY.member(1)
+class OwnBalance(Query):
+    account: bytes = wire(BYTES)
 
 
-@dataclass(frozen=True)
-class SupplyView:
-    TAG = 4
+@QUERY.member(2)
+class OwnHistory(Query):
+    account: bytes = wire(BYTES)
 
 
-@dataclass(frozen=True)
-class GatewayDirectory:
-    TAG = 5
+@QUERY.member(3)
+class ManagementLog(Query):
+    start_height: int = wire(U64)
+    end_height: int = wire(U64)
 
 
-@dataclass(frozen=True)
-class ValidationServerAddress:
-    TAG = 6
-    validator: bytes
+@QUERY.member(4)
+class SupplyView(Query):
+    pass
 
 
-@dataclass(frozen=True)
-class Claimable:
-    TAG = 7
-    account: bytes
+@QUERY.member(5)
+class GatewayDirectory(Query):
+    pass
 
 
-Query = (
-    OwnBalance
-    | OwnHistory
-    | ManagementLog
-    | SupplyView
-    | GatewayDirectory
-    | ValidationServerAddress
-    | Claimable
-)
+@QUERY.member(6)
+class ValidationServerAddress(Query):
+    validator: bytes = wire(BYTES)
+
+
+@QUERY.member(7)
+class Claimable(Query):
+    account: bytes = wire(BYTES)
 
 
 def encode_query(query: Query) -> bytes:
     w = Writer()
-    w.u8(query.TAG)
-    if isinstance(query, (OwnBalance, OwnHistory, Claimable)):
-        w.bytes_(query.account)
-    elif isinstance(query, ManagementLog):
-        w.u64(query.start_height)
-        w.u64(query.end_height)
-    elif isinstance(query, ValidationServerAddress):
-        w.bytes_(query.validator)
+    QUERY.encode(w, query)
     return w.getvalue()
 
 
 def decode_query(data: bytes) -> Query:
     r = Reader(data)
-    tag = r.u8()
-    query: Query
-    if tag == OwnBalance.TAG:
-        query = OwnBalance(r.bytes_())
-    elif tag == OwnHistory.TAG:
-        query = OwnHistory(r.bytes_())
-    elif tag == ManagementLog.TAG:
-        query = ManagementLog(r.u64(), r.u64())
-    elif tag == SupplyView.TAG:
-        query = SupplyView()
-    elif tag == GatewayDirectory.TAG:
-        query = GatewayDirectory()
-    elif tag == ValidationServerAddress.TAG:
-        query = ValidationServerAddress(r.bytes_())
-    elif tag == Claimable.TAG:
-        query = Claimable(r.bytes_())
-    else:
-        raise CodecError(f"unknown query tag {tag}")
+    query = QUERY.decode(r)
     r.require_end()
     return query
 
 
-@dataclass(frozen=True)
-class SignedQueryResponse:
+@wire_record
+class SignedQueryResponse(Record):
     """A visibility-gateway answer, signed under the validator's view key."""
 
-    validator: bytes
-    echo: bytes
-    result: bytes
-    as_of_height: int
-    signature: bytes
+    validator: bytes = wire(BYTES)
+    echo: bytes = wire(BYTES)
+    result: bytes = wire(BYTES)
+    as_of_height: int = wire(U64)
+    signature: bytes = wire(BYTES)
 
     def signing_bytes(self) -> bytes:
         w = Writer()
@@ -245,381 +198,222 @@ class SignedQueryResponse:
         w.u64(self.as_of_height)
         return w.getvalue()
 
-    def encode(self, w: Writer) -> None:
-        w.bytes_(self.validator)
-        w.bytes_(self.echo)
-        w.bytes_(self.result)
-        w.u64(self.as_of_height)
-        w.bytes_(self.signature)
-
-    @classmethod
-    def decode(cls, r: Reader) -> SignedQueryResponse:
-        return cls(r.bytes_(), r.bytes_(), r.bytes_(), r.u64(), r.bytes_())
-
 
 # --- action payloads ----------------------------------------------------------
 
-@dataclass(frozen=True)
-class Transfer:
-    TAG = 0x01
-    to: bytes
-    amount: int
+class Payload:
+    """An action a transaction carries; declared with :func:`payload_kind`."""
+
+    TAG: int
+    KIND: str
+    MANAGEMENT: bool
+    ELECTORATE: Role | None
 
 
-@dataclass(frozen=True)
-class SetFrozen:
-    TAG = 0x02
-    target: bytes
-    frozen: bool
+PAYLOAD = Tagged("payload")
+# payload class -> kind name, as receipts, logs and scenario steps spell it
+PAYLOAD_KINDS: dict[type, str] = {}
 
 
-@dataclass(frozen=True)
-class Confiscate:
-    TAG = 0x03
-    source: bytes
-    to: bytes
-    amount: int
+def payload_kind(tag: int, kind: str, *, management: bool = True, electorate: Role | None = None):
+    """Class decorator describing one payload kind in full.
+
+    The class becomes a frozen dataclass whose fields are declared with
+    :func:`~rolechain.codec.wire`.  ``tag`` is its wire tag, ``kind`` its
+    name in receipts and logs, ``management`` whether its successful
+    transactions belong to the public management log, and ``electorate``
+    the role that votes on it as a proposal (``None``: not voteable).
+    Besides the class, a kind has a handler in ``engine.HANDLERS`` and a
+    scenario step in ``sim.TX_STEPS``.
+    """
+
+    def register(cls: type) -> type:
+        if kind in PAYLOAD_KINDS.values():
+            raise ValueError(f"payload kind {kind!r} is declared twice")
+        cls = PAYLOAD.member(tag)(cls)
+        cls.KIND, cls.MANAGEMENT, cls.ELECTORATE = kind, management, electorate
+        PAYLOAD_KINDS[cls] = kind
+        return cls
+
+    return register
 
 
-@dataclass(frozen=True)
-class Reverse:
-    TAG = 0x04
-    target_tx: bytes
+def _encode_policy_value(w: Writer, value: int | bytes) -> None:
+    if isinstance(value, int):
+        w.u8(1)
+        w.u64(value)
+    else:
+        w.u8(2)
+        w.bytes_(value)
 
 
-@dataclass(frozen=True)
-class RotateKey:
-    TAG = 0x05
-    target: bytes
-    new_key: bytes
+def _decode_policy_value(r: Reader) -> int | bytes:
+    value_tag = r.u8()
+    if value_tag == 1:
+        return r.u64()
+    if value_tag == 2:
+        return r.bytes_()
+    raise CodecError(f"unknown policy value tag {value_tag}")
+
+
+# an integer or a byte string, after a tag byte (1 or 2)
+POLICY_VALUE = Field(_encode_policy_value, _decode_policy_value)
+
+
+@payload_kind(0x01, "transfer", management=False)
+class Transfer(Payload):
+    to: bytes = wire(BYTES)
+    amount: int = wire(U64)
+
+
+@payload_kind(0x02, "set_frozen", electorate=Role.SYSTEM_SECURITY)
+class SetFrozen(Payload):
+    target: bytes = wire(BYTES)
+    frozen: bool = wire(BOOL)
+
+
+@payload_kind(0x03, "confiscate", electorate=Role.SYSTEM_SECURITY)
+class Confiscate(Payload):
+    source: bytes = wire(BYTES)
+    to: bytes = wire(BYTES)
+    amount: int = wire(U64)
+
+
+@payload_kind(0x04, "reverse", electorate=Role.SYSTEM_SECURITY)
+class Reverse(Payload):
+    target_tx: bytes = wire(BYTES)
+
+
+@payload_kind(0x05, "rotate_key")
+class RotateKey(Payload):
+    target: bytes = wire(BYTES)
+    new_key: bytes = wire(BYTES)
     # (approver account id, signature over the rotation request)
-    approvals: tuple[tuple[bytes, bytes], ...]
+    approvals: tuple[tuple[bytes, bytes], ...] = wire(seq_of(pair(BYTES, BYTES)))
 
 
-@dataclass(frozen=True)
-class SetPolicy:
-    TAG = 0x06
-    key: str
-    value: int | bytes
-    permanence: Permanence
-    expiry_height: int | None = None
+@payload_kind(0x06, "set_policy", electorate=Role.PLATFORM_MANAGER)
+class SetPolicy(Payload):
+    key: str = wire(TEXT)
+    value: int | bytes = wire(POLICY_VALUE)
+    permanence: Permanence = wire(enum(Permanence))
+    expiry_height: int | None = wire(U64, when=("permanence", Permanence.TIMED_EXPIRATION), default=None)
 
 
-@dataclass(frozen=True)
-class AssignRole:
-    TAG = 0x07
-    target: bytes
-    role: Role
+# voteable only for the validator role (see governance)
+@payload_kind(0x07, "assign_role", electorate=Role.VALIDATOR)
+class AssignRole(Payload):
+    target: bytes = wire(BYTES)
+    role: Role = wire(enum(Role))
     # required when the target account does not exist yet
-    target_key: bytes | None = None
+    target_key: bytes | None = wire(optional(BYTES), default=None)
     # required when an account provider grants the user role
-    possession_sig: bytes | None = None
-    recovery: RecoveryPolicy | None = None
+    possession_sig: bytes | None = wire(optional(BYTES), default=None)
+    recovery: RecoveryPolicy | None = wire(optional(RECOVERY), default=None)
 
 
-@dataclass(frozen=True)
-class RevokeRole:
-    TAG = 0x08
-    target: bytes
-    role: Role
+@payload_kind(0x08, "revoke_role", electorate=Role.VALIDATOR)
+class RevokeRole(Payload):
+    target: bytes = wire(BYTES)
+    role: Role = wire(enum(Role))
 
 
-@dataclass(frozen=True)
-class BootstrapValidators:
-    TAG = 0x09
-    validators: frozenset[bytes]
+@payload_kind(0x09, "bootstrap_validators")
+class BootstrapValidators(Payload):
+    validators: frozenset[bytes] = wire(set_of(BYTES))
 
 
-@dataclass(frozen=True)
-class CreateProposal:
-    TAG = 0x0A
-    action: "Payload"
-    electorate: Role
+@payload_kind(0x0A, "create_proposal")
+class CreateProposal(Payload):
+    # encode_payload and decode_payload take this layout directly (see there)
+    action: Payload = wire(framed(PAYLOAD))
+    electorate: Role = wire(enum(Role))
 
 
-@dataclass(frozen=True)
-class CastVote:
-    TAG = 0x0B
-    proposal_id: int
-    approve: bool
+@payload_kind(0x0B, "cast_vote")
+class CastVote(Payload):
+    proposal_id: int = wire(U64)
+    approve: bool = wire(BOOL)
 
 
-@dataclass(frozen=True)
-class FinalizeProposal:
-    TAG = 0x0C
-    proposal_id: int
+@payload_kind(0x0C, "finalize_proposal")
+class FinalizeProposal(Payload):
+    proposal_id: int = wire(U64)
 
 
-@dataclass(frozen=True)
-class Mint:
-    TAG = 0x0D
-    to: bytes
-    amount: int
+@payload_kind(0x0D, "mint", electorate=Role.CURRENCY_MANAGER)
+class Mint(Payload):
+    to: bytes = wire(BYTES)
+    amount: int = wire(U64)
 
 
-@dataclass(frozen=True)
-class Burn:
-    TAG = 0x0E
-    source: bytes
-    amount: int
+@payload_kind(0x0E, "burn", electorate=Role.CURRENCY_MANAGER)
+class Burn(Payload):
+    source: bytes = wire(BYTES)
+    amount: int = wire(U64)
 
 
-@dataclass(frozen=True)
-class ConvertFiat:
-    TAG = 0x0F
-    user: bytes
-    direction: FiatDirection
-    amount: int
+@payload_kind(0x0F, "convert_fiat")
+class ConvertFiat(Payload):
+    user: bytes = wire(BYTES)
+    direction: FiatDirection = wire(enum(FiatDirection))
+    amount: int = wire(U64)
 
 
-@dataclass(frozen=True)
-class SetInterestRule:
-    TAG = 0x10
-    rate_num: int
-    rate_den: int
-    period_blocks: int
-    start_height: int
-    mode: InterestMode
+@payload_kind(0x10, "set_interest_rule", electorate=Role.CURRENCY_MANAGER)
+class SetInterestRule(Payload):
+    rate_num: int = wire(U64)
+    rate_den: int = wire(U64)
+    period_blocks: int = wire(U64)
+    start_height: int = wire(U64)
+    mode: InterestMode = wire(enum(InterestMode))
     # None means every user-role account
-    scope: frozenset[bytes] | None = None
+    scope: frozenset[bytes] | None = wire(optional(set_of(BYTES)), default=None)
     # updating an existing rule's active flag instead of creating one
-    rule_id: int | None = None
-    active: bool = True
+    rule_id: int | None = wire(optional(U64), default=None)
+    active: bool = wire(BOOL, default=True)
 
 
-@dataclass(frozen=True)
-class ClaimAllowance:
-    TAG = 0x11
-    rule_id: int
-    up_to_period: int
+@payload_kind(0x11, "claim_allowance", management=False)
+class ClaimAllowance(Payload):
+    rule_id: int = wire(U64)
+    up_to_period: int = wire(U64)
 
 
-@dataclass(frozen=True)
-class RegisterEndpoints:
-    TAG = 0x12
-    record: ValidatorRecord
+@payload_kind(0x12, "register_endpoints")
+class RegisterEndpoints(Payload):
+    record: ValidatorRecord = wire(ValidatorRecord.FIELDS)
 
 
-@dataclass(frozen=True)
-class DiscrepancyEvent:
-    TAG = 0x13
-    first: SignedQueryResponse
-    second: SignedQueryResponse
-
-
-Payload = (
-    Transfer
-    | SetFrozen
-    | Confiscate
-    | Reverse
-    | RotateKey
-    | SetPolicy
-    | AssignRole
-    | RevokeRole
-    | BootstrapValidators
-    | CreateProposal
-    | CastVote
-    | FinalizeProposal
-    | Mint
-    | Burn
-    | ConvertFiat
-    | SetInterestRule
-    | ClaimAllowance
-    | RegisterEndpoints
-    | DiscrepancyEvent
-)
-
-PAYLOAD_KINDS = {
-    Transfer: "transfer",
-    SetFrozen: "set_frozen",
-    Confiscate: "confiscate",
-    Reverse: "reverse",
-    RotateKey: "rotate_key",
-    SetPolicy: "set_policy",
-    AssignRole: "assign_role",
-    RevokeRole: "revoke_role",
-    BootstrapValidators: "bootstrap_validators",
-    CreateProposal: "create_proposal",
-    CastVote: "cast_vote",
-    FinalizeProposal: "finalize_proposal",
-    Mint: "mint",
-    Burn: "burn",
-    ConvertFiat: "convert_fiat",
-    SetInterestRule: "set_interest_rule",
-    ClaimAllowance: "claim_allowance",
-    RegisterEndpoints: "register_endpoints",
-    DiscrepancyEvent: "discrepancy_event",
-}
+@payload_kind(0x13, "discrepancy_event")
+class DiscrepancyEvent(Payload):
+    first: SignedQueryResponse = wire(SignedQueryResponse.FIELDS)
+    second: SignedQueryResponse = wire(SignedQueryResponse.FIELDS)
 
 
 def encode_payload(w: Writer, payload: Payload) -> None:
-    w.u8(payload.TAG)
-    if isinstance(payload, Transfer):
-        w.bytes_(payload.to)
-        w.u64(payload.amount)
-    elif isinstance(payload, SetFrozen):
-        w.bytes_(payload.target)
-        w.boolean(payload.frozen)
-    elif isinstance(payload, Confiscate):
-        w.bytes_(payload.source)
-        w.bytes_(payload.to)
-        w.u64(payload.amount)
-    elif isinstance(payload, Reverse):
-        w.bytes_(payload.target_tx)
-    elif isinstance(payload, RotateKey):
-        w.bytes_(payload.target)
-        w.bytes_(payload.new_key)
-        w.count(len(payload.approvals))
-        for approver, sig in payload.approvals:
-            w.bytes_(approver)
-            w.bytes_(sig)
-    elif isinstance(payload, SetPolicy):
-        w.text(payload.key)
-        if isinstance(payload.value, int):
-            w.u8(1)
-            w.u64(payload.value)
-        else:
-            w.u8(2)
-            w.bytes_(payload.value)
-        w.u8(payload.permanence.value)
-        if payload.permanence is Permanence.TIMED_EXPIRATION:
-            if payload.expiry_height is None:
-                raise CodecError("timed policy requires expiry_height")
-            w.u64(payload.expiry_height)
-    elif isinstance(payload, AssignRole):
-        w.bytes_(payload.target)
-        w.u8(payload.role.value)
-        w.optional_bytes(payload.target_key)
-        w.optional_bytes(payload.possession_sig)
-        if payload.recovery is None:
-            w.boolean(False)
-        else:
-            w.boolean(True)
-            encode_recovery(w, payload.recovery)
-    elif isinstance(payload, RevokeRole):
-        w.bytes_(payload.target)
-        w.u8(payload.role.value)
-    elif isinstance(payload, BootstrapValidators):
-        w.count(len(payload.validators))
-        for v in sorted(payload.validators):
-            w.bytes_(v)
-    elif isinstance(payload, CreateProposal):
+    if type(payload) is CreateProposal:
+        # proposals nest: recursing here directly costs one stack frame per
+        # level, where the generic path through PAYLOAD costs several, so a
+        # frame nested as deep as before still encodes
+        w.u8(CreateProposal.TAG)
         inner = Writer()
         encode_payload(inner, payload.action)
         w.bytes_(inner.getvalue())
         w.u8(payload.electorate.value)
-    elif isinstance(payload, CastVote):
-        w.u64(payload.proposal_id)
-        w.boolean(payload.approve)
-    elif isinstance(payload, FinalizeProposal):
-        w.u64(payload.proposal_id)
-    elif isinstance(payload, Mint):
-        w.bytes_(payload.to)
-        w.u64(payload.amount)
-    elif isinstance(payload, Burn):
-        w.bytes_(payload.source)
-        w.u64(payload.amount)
-    elif isinstance(payload, ConvertFiat):
-        w.bytes_(payload.user)
-        w.u8(payload.direction.value)
-        w.u64(payload.amount)
-    elif isinstance(payload, SetInterestRule):
-        w.u64(payload.rate_num)
-        w.u64(payload.rate_den)
-        w.u64(payload.period_blocks)
-        w.u64(payload.start_height)
-        w.u8(payload.mode.value)
-        if payload.scope is None:
-            w.boolean(False)
-        else:
-            w.boolean(True)
-            w.count(len(payload.scope))
-            for a in sorted(payload.scope):
-                w.bytes_(a)
-        if payload.rule_id is None:
-            w.boolean(False)
-        else:
-            w.boolean(True)
-            w.u64(payload.rule_id)
-        w.boolean(payload.active)
-    elif isinstance(payload, ClaimAllowance):
-        w.u64(payload.rule_id)
-        w.u64(payload.up_to_period)
-    elif isinstance(payload, RegisterEndpoints):
-        payload.record.encode(w)
-    elif isinstance(payload, DiscrepancyEvent):
-        payload.first.encode(w)
-        payload.second.encode(w)
     else:
-        raise CodecError(f"unknown payload type {type(payload).__name__}")
+        PAYLOAD.encode(w, payload)
 
 
 def decode_payload(r: Reader) -> Payload:
     tag = r.u8()
-    if tag == Transfer.TAG:
-        return Transfer(r.bytes_(), r.u64())
-    if tag == SetFrozen.TAG:
-        return SetFrozen(r.bytes_(), r.boolean())
-    if tag == Confiscate.TAG:
-        return Confiscate(r.bytes_(), r.bytes_(), r.u64())
-    if tag == Reverse.TAG:
-        return Reverse(r.bytes_())
-    if tag == RotateKey.TAG:
-        target, new_key = r.bytes_(), r.bytes_()
-        approvals = tuple((r.bytes_(), r.bytes_()) for _ in range(r.count()))
-        return RotateKey(target, new_key, approvals)
-    if tag == SetPolicy.TAG:
-        key = r.text()
-        value: int | bytes
-        value_tag = r.u8()
-        if value_tag == 1:
-            value = r.u64()
-        elif value_tag == 2:
-            value = r.bytes_()
-        else:
-            raise CodecError(f"unknown policy value tag {value_tag}")
-        permanence = r.enum(Permanence)
-        expiry = r.u64() if permanence is Permanence.TIMED_EXPIRATION else None
-        return SetPolicy(key, value, permanence, expiry)
-    if tag == AssignRole.TAG:
-        target = r.bytes_()
-        role = r.enum(Role)
-        target_key = r.optional_bytes()
-        possession = r.optional_bytes()
-        recovery = decode_recovery(r) if r.boolean() else None
-        return AssignRole(target, role, target_key, possession, recovery)
-    if tag == RevokeRole.TAG:
-        return RevokeRole(r.bytes_(), r.enum(Role))
-    if tag == BootstrapValidators.TAG:
-        return BootstrapValidators(frozenset(r.bytes_() for _ in range(r.count())))
     if tag == CreateProposal.TAG:
+        # direct recursion, as in encode_payload
         inner = Reader(r.bytes_())
         action = decode_payload(inner)
         inner.require_end()
         return CreateProposal(action, r.enum(Role))
-    if tag == CastVote.TAG:
-        return CastVote(r.u64(), r.boolean())
-    if tag == FinalizeProposal.TAG:
-        return FinalizeProposal(r.u64())
-    if tag == Mint.TAG:
-        return Mint(r.bytes_(), r.u64())
-    if tag == Burn.TAG:
-        return Burn(r.bytes_(), r.u64())
-    if tag == ConvertFiat.TAG:
-        return ConvertFiat(r.bytes_(), r.enum(FiatDirection), r.u64())
-    if tag == SetInterestRule.TAG:
-        num, den, period, start = r.u64(), r.u64(), r.u64(), r.u64()
-        mode = r.enum(InterestMode)
-        scope = frozenset(r.bytes_() for _ in range(r.count())) if r.boolean() else None
-        rule_id = r.u64() if r.boolean() else None
-        return SetInterestRule(num, den, period, start, mode, scope, rule_id, r.boolean())
-    if tag == ClaimAllowance.TAG:
-        return ClaimAllowance(r.u64(), r.u64())
-    if tag == RegisterEndpoints.TAG:
-        return RegisterEndpoints(ValidatorRecord.decode(r))
-    if tag == DiscrepancyEvent.TAG:
-        return DiscrepancyEvent(SignedQueryResponse.decode(r), SignedQueryResponse.decode(r))
-    raise CodecError(f"unknown payload tag {tag}")
+    return PAYLOAD.decode_member(tag, r)
 
 
 # --- transaction envelope -----------------------------------------------------

@@ -19,6 +19,7 @@ It is never served through a gateway.
 from __future__ import annotations
 
 import json
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -105,27 +106,6 @@ PERMANENCE_BY_NAME = {
     "permanent": Permanence.PERMANENT,
     "temporary": Permanence.TEMPORARY,
     "timed_expiration": Permanence.TIMED_EXPIRATION,
-}
-
-TX_KINDS = {
-    "transfer",
-    "set_frozen",
-    "confiscate",
-    "reverse",
-    "rotate_key",
-    "set_policy",
-    "assign_role",
-    "revoke_role",
-    "bootstrap_validators",
-    "create_proposal",
-    "cast_vote",
-    "finalize_proposal",
-    "mint",
-    "burn",
-    "convert_fiat",
-    "set_interest_rule",
-    "claim_allowance",
-    "register_endpoints",
 }
 
 QUERY_KINDS = {
@@ -340,36 +320,13 @@ def _validate_tx_body(body: dict, names: set[str], top_level: bool) -> None:
     if not isinstance(body, dict) or "kind" not in body:
         raise ScenarioError("tx step: missing field 'kind'")
     kind = body["kind"]
-    if kind not in TX_KINDS:
+    if kind not in TX_STEPS:
         raise ScenarioError(f"tx step: unknown kind {kind!r}")
     if top_level and "from" not in body:
         raise ScenarioError("tx step: missing field 'from'")
     if top_level:
         _require_actor(names, body["from"], "tx step")
-    fields = {
-        "transfer": ({"to", "amount"}, {"store"}),
-        "set_frozen": ({"target", "frozen"}, set()),
-        "confiscate": ({"source", "amount"}, {"to"}),
-        "reverse": ({"target"}, set()),
-        "rotate_key": ({"target", "new_key_label", "approvers"}, set()),
-        "set_policy": ({"key", "value"}, {"permanence", "expiry_height"}),
-        "assign_role": ({"target", "role"}, {"recovery"}),
-        "revoke_role": ({"target", "role"}, set()),
-        "bootstrap_validators": ({"validators"}, set()),
-        "create_proposal": ({"action", "electorate"}, set()),
-        "cast_vote": ({"proposal", "approve"}, set()),
-        "finalize_proposal": ({"proposal"}, set()),
-        "mint": ({"to", "amount"}, set()),
-        "burn": ({"source", "amount"}, set()),
-        "convert_fiat": ({"user", "direction", "amount"}, set()),
-        "set_interest_rule": (
-            {"rate_num", "rate_den", "period_blocks", "start_height", "mode"},
-            {"scope", "rule", "active"},
-        ),
-        "claim_allowance": ({"rule", "up_to_period"}, set()),
-        "register_endpoints": (set(), {"security_gateways", "visibility_gateways", "validation_server", "contact"}),
-    }[kind]
-    required, optional = fields
+    required, optional, _ = TX_STEPS[kind]
     required = required | {"kind"} | ({"from"} if top_level else set())
     optional = optional | ({"store"} if top_level else set())
     _expect_keys(body, f"tx {kind}", required, optional)
@@ -380,14 +337,140 @@ def _validate_tx_body(body: dict, names: set[str], top_level: bool) -> None:
         _require_actor(names, name, f"tx {kind}")
     for name in body.get("approvers") or []:
         _require_actor(names, name, f"tx {kind}")
-    if kind == "assign_role" and body["role"] not in ROLE_BY_NAME:
-        raise ScenarioError(f"tx assign_role: unknown role {body['role']!r}")
-    if kind == "revoke_role" and body["role"] not in ROLE_BY_NAME:
-        raise ScenarioError(f"tx revoke_role: unknown role {body['role']!r}")
-    if kind == "create_proposal":
-        if body["electorate"] not in ROLE_BY_NAME:
-            raise ScenarioError(f"tx create_proposal: unknown electorate {body['electorate']!r}")
+    for key in ("role", "electorate"):
+        if key in body and body[key] not in ROLE_BY_NAME:
+            raise ScenarioError(f"tx {kind}: unknown {key} {body[key]!r}")
+    if "action" in body:
         _validate_tx_body(body["action"], names, top_level=False)
+
+
+# --- transaction steps -----------------------------------------------------------------
+#
+# Each builder turns a validated step body into the payload ``sender`` submits.
+
+
+def _reverse(sim: Simulation, body: dict, sender: str) -> Reverse:
+    label = body["target"]
+    if label not in sim.stored_tx_ids:
+        raise ScenarioError(f"reverse: no stored tx labelled {label!r}")
+    return Reverse(sim.stored_tx_ids[label])
+
+
+def _rotate_key(sim: Simulation, body: dict, sender: str) -> RotateKey:
+    target = sim.aid(body["target"])
+    new_kp = sim._keypair(body["new_key_label"])
+    message = rotation_message(target, new_kp.public_key)
+    approvals = tuple((sim.aid(n), sim.keys[n].sign(message)) for n in body["approvers"])
+    # the sim plays the owner too: hand the account its new signing key (the
+    # account id itself never changes)
+    sim.keys[body["target"]] = new_kp
+    return RotateKey(target, new_kp.public_key, approvals)
+
+
+def _assign_role(sim: Simulation, body: dict, sender: str) -> AssignRole:
+    role = ROLE_BY_NAME[body["role"]]
+    target_kp = sim.keys[body["target"]]
+    possession = None
+    if role is Role.USER:
+        possession = target_kp.sign(possession_message(sim.aid(sender), target_kp.public_key))
+    recovery = sim._recovery_from_spec(body["recovery"]) if "recovery" in body else None
+    return AssignRole(sim.aid(body["target"]), role, target_kp.public_key, possession, recovery)
+
+
+def _set_interest_rule(sim: Simulation, body: dict, sender: str) -> SetInterestRule:
+    scope = body.get("scope")
+    return SetInterestRule(
+        body["rate_num"],
+        body["rate_den"],
+        body["period_blocks"],
+        body["start_height"],
+        InterestMode.PUSH if body["mode"] == "push" else InterestMode.PULL,
+        None if scope is None else frozenset(sim.aid(n) for n in scope),
+        body.get("rule"),
+        body.get("active", True),
+    )
+
+
+def _register_endpoints(sim: Simulation, body: dict, sender: str) -> RegisterEndpoints:
+    return RegisterEndpoints(
+        ValidatorRecord(
+            sim.aid(sender),
+            tuple(body.get("security_gateways", (f"sim://{sender}/sec0",))),
+            tuple(body.get("visibility_gateways", (f"sim://{sender}/vis0",))),
+            body.get("validation_server", f"sim://{sender}/validation"),
+            sim.view_keys[sender].public_key,
+            body.get("contact", f"ops@{sender}"),
+        )
+    )
+
+
+# tx step kind -> (required fields, optional fields, builder(sim, body, sender));
+# a top-level step also takes ``from`` and ``store``.  Every payload kind but
+# discrepancy_event, which only the comparator files, has an entry.
+TX_STEPS: dict[str, tuple[set[str], set[str], Callable[[Simulation, dict, str], Payload]]] = {
+    "transfer": (
+        {"to", "amount"}, {"store"}, lambda sim, b, sender: Transfer(sim.aid(b["to"]), b["amount"])
+    ),
+    "set_frozen": (
+        {"target", "frozen"}, set(),
+        lambda sim, b, sender: SetFrozen(sim.aid(b["target"]), bool(b["frozen"])),
+    ),
+    "confiscate": (
+        {"source", "amount"}, {"to"},
+        lambda sim, b, sender: Confiscate(sim.aid(b["source"]), sim.aid(b.get("to", "escrow")), b["amount"]),
+    ),
+    "reverse": ({"target"}, set(), _reverse),
+    "rotate_key": ({"target", "new_key_label", "approvers"}, set(), _rotate_key),
+    "set_policy": (
+        {"key", "value"}, {"permanence", "expiry_height"},
+        lambda sim, b, sender: SetPolicy(
+            b["key"],
+            sim._policy_value(b["value"]),
+            PERMANENCE_BY_NAME[b.get("permanence", "temporary")],
+            b.get("expiry_height"),
+        ),
+    ),
+    "assign_role": ({"target", "role"}, {"recovery"}, _assign_role),
+    "revoke_role": (
+        {"target", "role"}, set(),
+        lambda sim, b, sender: RevokeRole(sim.aid(b["target"]), ROLE_BY_NAME[b["role"]]),
+    ),
+    "bootstrap_validators": (
+        {"validators"}, set(),
+        lambda sim, b, sender: BootstrapValidators(frozenset(sim.aid(n) for n in b["validators"])),
+    ),
+    "create_proposal": (
+        {"action", "electorate"}, set(),
+        lambda sim, b, sender: CreateProposal(
+            sim._build_payload(b["action"], sender), ROLE_BY_NAME[b["electorate"]]
+        ),
+    ),
+    "cast_vote": (
+        {"proposal", "approve"}, set(), lambda sim, b, sender: CastVote(b["proposal"], bool(b["approve"]))
+    ),
+    "finalize_proposal": ({"proposal"}, set(), lambda sim, b, sender: FinalizeProposal(b["proposal"])),
+    "mint": ({"to", "amount"}, set(), lambda sim, b, sender: Mint(sim.aid(b["to"]), b["amount"])),
+    "burn": ({"source", "amount"}, set(), lambda sim, b, sender: Burn(sim.aid(b["source"]), b["amount"])),
+    "convert_fiat": (
+        {"user", "direction", "amount"}, set(),
+        lambda sim, b, sender: ConvertFiat(
+            sim.aid(b["user"]),
+            FiatDirection.IN if b["direction"] == "in" else FiatDirection.OUT,
+            b["amount"],
+        ),
+    ),
+    "set_interest_rule": (
+        {"rate_num", "rate_den", "period_blocks", "start_height", "mode"},
+        {"scope", "rule", "active"},
+        _set_interest_rule,
+    ),
+    "claim_allowance": (
+        {"rule", "up_to_period"}, set(), lambda sim, b, sender: ClaimAllowance(b["rule"], b["up_to_period"])
+    ),
+    "register_endpoints": (
+        set(), {"security_gateways", "visibility_gateways", "validation_server", "contact"}, _register_endpoints
+    ),
+}
 
 
 # --- the runner ------------------------------------------------------------------------
@@ -575,10 +658,7 @@ class Simulation:
 
         self.genesis_doc = genesis_doc(self.state, dict(self.ids))
 
-    # -- name resolution ------------------------------------------------------
-
-    def _resolve(self, name: str) -> bytes:
-        return self.aid(name)
+    # -- validators -------------------------------------------------------------
 
     def _offline(self, validators: list[bytes]) -> frozenset[bytes]:
         """The validators whose actor is marked offline."""
@@ -598,96 +678,7 @@ class Simulation:
     # -- step execution -------------------------------------------------------
 
     def _build_payload(self, body: dict, sender: str) -> Payload:
-        kind = body["kind"]
-        if kind == "transfer":
-            return Transfer(self._resolve(body["to"]), body["amount"])
-        if kind == "set_frozen":
-            return SetFrozen(self._resolve(body["target"]), bool(body["frozen"]))
-        if kind == "confiscate":
-            to = body.get("to", "escrow")
-            return Confiscate(self._resolve(body["source"]), self._resolve(to), body["amount"])
-        if kind == "reverse":
-            label = body["target"]
-            if label not in self.stored_tx_ids:
-                raise ScenarioError(f"reverse: no stored tx labelled {label!r}")
-            return Reverse(self.stored_tx_ids[label])
-        if kind == "rotate_key":
-            target = self._resolve(body["target"])
-            new_kp = self._keypair(body["new_key_label"])
-            message = rotation_message(target, new_kp.public_key)
-            approvals = tuple(
-                (self.aid(n), self.keys[n].sign(message)) for n in body["approvers"]
-            )
-            # the sim plays the owner too: hand the account its new signing
-            # key (the account id itself never changes)
-            self.keys[body["target"]] = new_kp
-            return RotateKey(target, new_kp.public_key, approvals)
-        if kind == "set_policy":
-            return SetPolicy(
-                body["key"],
-                self._policy_value(body["value"]),
-                PERMANENCE_BY_NAME[body.get("permanence", "temporary")],
-                body.get("expiry_height"),
-            )
-        if kind == "assign_role":
-            role = ROLE_BY_NAME[body["role"]]
-            target_name = body["target"]
-            target_kp = self.keys[target_name]
-            possession = None
-            if role is Role.USER:
-                possession = target_kp.sign(
-                    possession_message(self.aid(sender), target_kp.public_key)
-                )
-            recovery = (
-                self._recovery_from_spec(body["recovery"]) if "recovery" in body else None
-            )
-            return AssignRole(self.aid(target_name), role, target_kp.public_key, possession, recovery)
-        if kind == "revoke_role":
-            return RevokeRole(self._resolve(body["target"]), ROLE_BY_NAME[body["role"]])
-        if kind == "bootstrap_validators":
-            return BootstrapValidators(frozenset(self._resolve(n) for n in body["validators"]))
-        if kind == "create_proposal":
-            action = self._build_payload(body["action"], sender)
-            return CreateProposal(action, ROLE_BY_NAME[body["electorate"]])
-        if kind == "cast_vote":
-            return CastVote(body["proposal"], bool(body["approve"]))
-        if kind == "finalize_proposal":
-            return FinalizeProposal(body["proposal"])
-        if kind == "mint":
-            return Mint(self._resolve(body["to"]), body["amount"])
-        if kind == "burn":
-            return Burn(self._resolve(body["source"]), body["amount"])
-        if kind == "convert_fiat":
-            direction = FiatDirection.IN if body["direction"] == "in" else FiatDirection.OUT
-            return ConvertFiat(self._resolve(body["user"]), direction, body["amount"])
-        if kind == "set_interest_rule":
-            scope = body.get("scope")
-            return SetInterestRule(
-                body["rate_num"],
-                body["rate_den"],
-                body["period_blocks"],
-                body["start_height"],
-                InterestMode.PUSH if body["mode"] == "push" else InterestMode.PULL,
-                None if scope is None else frozenset(self._resolve(n) for n in scope),
-                body.get("rule"),
-                body.get("active", True),
-            )
-        if kind == "claim_allowance":
-            return ClaimAllowance(body["rule"], body["up_to_period"])
-        if kind == "register_endpoints":
-            vid = self.aid(sender)
-            view = self.view_keys[sender]
-            return RegisterEndpoints(
-                ValidatorRecord(
-                    vid,
-                    tuple(body.get("security_gateways", (f"sim://{sender}/sec0",))),
-                    tuple(body.get("visibility_gateways", (f"sim://{sender}/vis0",))),
-                    body.get("validation_server", f"sim://{sender}/validation"),
-                    view.public_key,
-                    body.get("contact", f"ops@{sender}"),
-                )
-            )
-        raise ScenarioError(f"unknown tx kind {kind!r}")
+        return TX_STEPS[body["kind"]][2](self, body, sender)
 
     def _submit_tx(self, sender: str, payload: Payload, tick: int, store: str | None = None) -> None:
         sender_id = self.aid(sender)
@@ -759,7 +750,7 @@ class Simulation:
 
     def _build_query(self, body: dict, requester: str) -> Query:
         kind = body["kind"]
-        account = self._resolve(body.get("account", requester))
+        account = self.aid(body.get("account", requester))
         if kind == "own_balance":
             return OwnBalance(account)
         if kind == "own_history":
@@ -773,7 +764,7 @@ class Simulation:
         if kind == "directory":
             return GatewayDirectory()
         if kind == "validation_server":
-            return ValidationServerAddress(self._resolve(body["validator"]))
+            return ValidationServerAddress(self.aid(body["validator"]))
         raise ScenarioError(f"unknown query kind {kind!r}")
 
     def _run_compare(self, body: dict, tick: int) -> None:
@@ -810,11 +801,11 @@ class Simulation:
         ok, detail = True, ""
         state = self.state
         if kind == "balance":
-            got = state.accounts[self._resolve(body["account"])].balance
+            got = state.accounts[self.aid(body["account"])].balance
             ok = got == body["equals"]
             detail = f"{body['account']} balance {got} (want {body['equals']})"
         elif kind == "frozen":
-            got = state.accounts[self._resolve(body["account"])].frozen
+            got = state.accounts[self.aid(body["account"])].frozen
             ok = got == bool(body["equals"])
             detail = f"{body['account']} frozen {got}"
         elif kind == "supply":
@@ -829,7 +820,7 @@ class Simulation:
             ok = got == body["equals"]
             detail = f"{body['key']}={got}"
         elif kind == "validators":
-            want = sorted(self._resolve(n) for n in body["equals"])
+            want = sorted(self.aid(n) for n in body["equals"])
             got = state.validators()
             ok = got == want
             detail = f"validators {[self.names_by_id.get(v, v.hex()[:8]) for v in got]}"
@@ -847,7 +838,7 @@ class Simulation:
             ok = bool(matches) == body.get("present", True)
             detail = f"{want_kind} x{len(matches)}"
         elif kind == "claimable":
-            got = claimable_amount(state, self._resolve(body["account"]))
+            got = claimable_amount(state, self.aid(body["account"]))
             ok = got == body["equals"]
             detail = f"claimable {got}"
         elif kind == "height":

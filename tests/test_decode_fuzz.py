@@ -49,6 +49,7 @@ from rolechain.payloads import (
 from rolechain.sim import load_scenario, run
 
 from conftest import World, make_world
+from test_payloads import ALL_PAYLOADS
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -92,11 +93,18 @@ def test_unknown_role_byte_is_malformed_not_a_crash():
 SWEEP_VALUES = (0, 1, 2, 3, 4, 5, 6, 7, 8, 0x13, 0x14, 0x40, 0x63, 0x7F, 0x80, 0xFE, 0xFF)
 
 
-@pytest.mark.parametrize("kind", sorted(SWEPT))
+# the four kinds above plus every variant in test_payloads.ALL_PAYLOADS
+SWEEP = {
+    **SWEPT,
+    **{f"{i:02d}-{type(p).__name__}": p for i, p in enumerate(ALL_PAYLOADS)},
+}
+
+
+@pytest.mark.parametrize("kind", sorted(SWEEP))
 def test_single_byte_mutation_sweep(kind):
     """Every byte of the frame overwritten: CodecError or a clean rejection."""
-    original = ENCODED[kind]
-    assert decode_transaction(original).payload == SWEPT[kind]
+    original = WORLD.tx("mgr", SWEEP[kind]).encode()
+    assert decode_transaction(original).payload == SWEEP[kind]
     gateway = SecurityGateway(WORLD.aid("mgr"))
     malformed = 0
     for i in range(len(original)):

@@ -184,7 +184,9 @@ def _state():
         Account(C, b"\x03" * 32, {Role.ACCOUNT_PROVIDER}, recovery=ProviderPlusSecurity()),
     ]
     state = build_genesis("mock", accounts, [("rate.capacity", 4, Permanence.TIMED_EXPIRATION, 9)])
-    state.validator_registry[B] = ValidatorRecord(B, ("sim://b/sec0",), ("sim://b/vis0",), "sim://b/val", b"\x04" * 32, "ops@b")
+    state.validator_registry[B] = ValidatorRecord(
+        B, ("sim://b/sec0",), ("sim://b/vis0",), "sim://b/val", b"\x04" * 32, "ops@b"
+    )
     return state
 
 

@@ -118,6 +118,39 @@ def test_convert_requires_institution_role():
     assert receipt.error == err.NOT_AUTHORIZED_CONVERTER
 
 
+# --- the u64 supply bound ----------------------------------------------------------------
+
+NEAR_MAX = 2**64 - 6  # minted supply, all of it alice's
+
+
+@pytest.mark.parametrize(
+    "sender, credit",
+    [("bank", lambda to, n: Mint(to, n)), ("prov", lambda to, n: ConvertFiat(to, FiatDirection.IN, n))],
+    ids=["mint", "convert_fiat_in"],
+)
+def test_credit_past_the_u64_supply_fails_before_any_change(sender, credit):
+    world = _monetary_world(balances={"alice": NEAR_MAX, "bob": 0})
+    receipt = world.apply(sender, credit(world.aid("bob"), 10))
+    assert receipt.error == err.SUPPLY_OVERFLOW
+    assert world.balance("bob") == 0
+    assert world.state.supply.minted == NEAR_MAX
+    world.state.digest()  # the digest raised CodecError here before the bound
+    world.apply_ok(sender, credit(world.aid("bob"), 5))
+    assert world.state.supply.minted == 2**64 - 1
+    world.state.digest()
+
+
+def test_voted_mint_past_the_u64_supply_records_the_error():
+    world = make_world(balances={"alice": NEAR_MAX})
+    receipt = world.apply_ok("bank", CreateProposal(Mint(world.aid("bob"), 10), Role.CURRENCY_MANAGER))
+    pid = receipt.data["proposal_id"]
+    world.apply_ok("bank", CastVote(pid, True))
+    receipt = world.apply_ok("bank", FinalizeProposal(pid))
+    assert receipt.data["execution_error"] == err.SUPPLY_OVERFLOW
+    assert world.balance("bob") == 0
+    world.state.digest()
+
+
 # --- interest rules ---------------------------------------------------------------------
 
 def _rule(world: World, *, mode=InterestMode.PULL, num=1, den=100, period=10, start=0, scope=None):
