@@ -9,6 +9,10 @@ here first.
 ``golden/wire_bytes.json`` holds the canonical bytes of every wire type:
 each payload, query, validator record, signed response, a block, a dump
 and a state digest.
+
+``golden/read_answers.json`` holds the SHA-256 of the honest answers to
+the log reads (``OwnHistory``, ``ManagementLog``) at the end of two
+scenarios.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ import pytest
 from rolechain.chain import ZERO_HASH, Block, Chain, export_chain, genesis_block, genesis_doc
 from rolechain.codec import Reader, Writer
 from rolechain.engine import build_genesis
+from rolechain.gateway import compute_result
 from rolechain.ledger import Account
 from rolechain.payloads import (
     AssignRole,
@@ -107,6 +112,40 @@ def test_golden_run(stem, scheme, state_digest, head_hash, dump_sha256):
     suffix = f".{scheme}" if scheme else ""
     assert report.to_json() + "\n" == (GOLDEN / f"{stem}{suffix}.report.json").read_text()
     assert hashlib.sha256(sim.export()).hexdigest() == dump_sha256
+
+
+# --- log read answers -----------------------------------------------------------
+#
+# SHA-256 of ``compute_result`` at the end of a scenario, for ``OwnHistory``
+# of every actor and for ``ManagementLog`` over the whole chain, a middle
+# window and a window holding no management entry.  Recorded while both
+# reads still scanned the whole transaction log.
+
+READS = json.loads((GOLDEN / "read_answers.json").read_text())
+
+# scenario stem -> {label: (start_height, end_height)}
+WINDOWS = {
+    "corrupt_gateway": {"all": (0, 10**9), "middle": (8, 9), "empty": (10, 11)},
+    "interest_pull": {"all": (0, 10**9), "middle": (3, 9), "empty": (4, 5)},
+}
+
+
+def read_answers(stem: str) -> dict[str, str]:
+    _, sim = _run(stem, None)
+    answers = {
+        f"own_history {name}": compute_result(sim.state, OwnHistory(sim.aid(name)))
+        for name in sorted(sim.ids)
+    }
+    for label, (start, end) in WINDOWS[stem].items():
+        answers[f"management_log {label} {start}..{end}"] = compute_result(
+            sim.state, ManagementLog(start, end)
+        )
+    return {key: hashlib.sha256(answer).hexdigest() for key, answer in answers.items()}
+
+
+@pytest.mark.parametrize("stem", sorted(WINDOWS))
+def test_read_answers(stem):
+    assert read_answers(stem) == READS[stem]
 
 
 @pytest.mark.parametrize("stem", ["bootstrap_and_transfer", "corrupt_gateway", "interest_pull"])
