@@ -173,19 +173,33 @@ def authorize_query(state: LedgerState, requester: bytes, query: Query) -> None:
     # ManagementLog, SupplyView, GatewayDirectory: public
 
 
+def _encode_entry(e: LogEntry) -> bytes:
+    # sender, participants and reversed_by stay private
+    w = Writer()
+    w.bytes_(e.tx_id)
+    w.u64(e.height)
+    w.text(e.kind)
+    w.boolean(e.ok)
+    w.text(e.error or "")
+    w.count(len(e.data))
+    for key in sorted(e.data):
+        w.text(key)
+        encode_value(w, e.data[key])
+    return w.getvalue()
+
+
 def _encode_entries(entries: list[LogEntry]) -> bytes:
+    """Count, then each entry's public bytes, encoded on its first read.
+
+    Keeping them is safe: the encoded fields never change once an entry
+    is logged (a reversal sets only ``reversed_by``).
+    """
     w = Writer()
     w.count(len(entries))
     for e in entries:
-        w.bytes_(e.tx_id)
-        w.u64(e.height)
-        w.text(e.kind)
-        w.boolean(e.ok)
-        w.text(e.error or "")
-        w.count(len(e.data))
-        for key in sorted(e.data):
-            w.text(key)
-            encode_value(w, e.data[key])
+        if e.public_bytes is None:
+            e.public_bytes = _encode_entry(e)
+        w.raw(e.public_bytes)
     return w.getvalue()
 
 

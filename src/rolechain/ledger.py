@@ -11,6 +11,10 @@ Role holders are cached (see :meth:`LedgerState.holders`); the cache is
 keyed on :attr:`RoleSet.writes` and the number of accounts, so accounts
 are added to ``LedgerState.accounts`` but never replaced or removed.
 
+The transaction log is append-only and written by :meth:`LedgerState.log`
+alone, which also keeps the indexes that answer history and
+management-log reads.
+
 Balances are non-negative integers in minor currency units; there is no
 fractional arithmetic anywhere in the ledger.
 """
@@ -19,6 +23,7 @@ from __future__ import annotations
 
 import copy
 import hashlib
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
 from operator import attrgetter
@@ -186,7 +191,9 @@ class LogEntry:
     """One applied (or on-chain failed) transaction, summarized.
 
     ``management`` entries form the public log; other entries are visible
-    only to their participants.
+    only to their participants.  Once logged, only ``reversed_by`` ever
+    changes; ``public_bytes`` is the read encoding of the fields a gateway
+    reveals (``gateway._encode_entries``), kept on the first read.
     """
 
     tx_id: bytes
@@ -199,6 +206,10 @@ class LogEntry:
     participants: tuple[bytes, ...]
     data: dict
     reversed_by: bytes | None = None
+    public_bytes: bytes | None = field(default=None, init=False, repr=False, compare=False)
+
+
+_height = attrgetter("height")
 
 
 @dataclass
@@ -227,6 +238,10 @@ class LedgerState:
     # holders() cache: (RoleSet.writes, len(accounts)) it was filled at
     _holders_key: tuple[int, int] = field(default=(-1, -1), init=False, repr=False, compare=False)
     _holders: dict[Role, list[bytes]] = field(default_factory=dict, init=False, repr=False, compare=False)
+    # log indexes kept by log(), both in log order: each participant's
+    # entries, and the successful management entries (heights never decrease)
+    _history: dict[bytes, list[LogEntry]] = field(default_factory=dict, init=False, repr=False, compare=False)
+    _management: list[LogEntry] = field(default_factory=list, init=False, repr=False, compare=False)
 
     # -- access helpers --------------------------------------------------
 
@@ -268,17 +283,23 @@ class LedgerState:
         return policy.value
 
     def log(self, entry: LogEntry) -> None:
+        """Append one entry to the log and to its indexes."""
         self.tx_index[entry.tx_id] = len(self.tx_log)
         self.tx_log.append(entry)
+        for account in entry.participants:
+            entries = self._history.get(account)
+            if entries is None:
+                self._history[account] = [entry]
+            elif entries[-1] is not entry:  # an account listed twice
+                entries.append(entry)
+        if entry.management and entry.ok:
+            self._management.append(entry)
 
     def management_log(self, start: int = 0, end: int | None = None) -> list[LogEntry]:
         """Successful management entries within [start, end] heights."""
         last = self.height if end is None else end
-        return [
-            e
-            for e in self.tx_log
-            if e.management and e.ok and start <= e.height <= last
-        ]
+        entries = self._management
+        return entries[bisect_left(entries, start, key=_height) : bisect_right(entries, last, key=_height)]
 
     # -- conservation ------------------------------------------------------
 
@@ -614,5 +635,6 @@ def get_balance(state: LedgerState, account: bytes) -> int:
 
 
 def get_history(state: LedgerState, account: bytes) -> list[LogEntry]:
+    """Every entry the account took part in, in log order."""
     state.account(account)
-    return [e for e in state.tx_log if account in e.participants]
+    return list(state._history.get(account, ()))
