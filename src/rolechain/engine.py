@@ -217,26 +217,39 @@ def finalize_expired_proposals(state: LedgerState) -> list[Receipt]:
 
 
 def run_accruals(state: LedgerState) -> None:
-    """Fire every period boundary that lands on the current height."""
+    """Fire every period boundary that lands on the current height.
+
+    A period whose total would take minted supply past the u64 range
+    credits nothing: the rule is deactivated and its public entry records
+    the failure.
+    """
     for rule_id, period_index in monetary.boundaries_at(state, state.height):
-        credited = monetary.accrue_period(state, rule_id, period_index)
         rule = state.interest_rules[rule_id]
-        total = sum(amount for _, amount in credited)
         boundary_id = hashlib.sha256(
             b"accrual:" + rule_id.to_bytes(8, "big") + period_index.to_bytes(8, "big")
         ).digest()
-        # public entry records only the rule-level total
+        data = {"rule_id": rule_id, "period": period_index}
+        try:
+            credited = monetary.accrue_period(state, rule_id, period_index)
+            ok, code = True, None
+            # public entry records only the rule-level total
+            data["total"] = sum(amount for _, amount in credited)
+        except TxError as exc:
+            if exc.code != err.SUPPLY_OVERFLOW:
+                raise
+            rule.active = False
+            credited, ok, code = [], False, exc.code
         state.log(
             LogEntry(
                 tx_id=boundary_id,
                 height=state.height,
                 kind="accrual",
                 sender=None,
-                ok=True,
-                error=None,
+                ok=ok,
+                error=code,
                 management=True,
                 participants=(),
-                data={"rule_id": rule_id, "period": period_index, "total": total},
+                data=data,
             )
         )
         credit_kind = (

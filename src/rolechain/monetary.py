@@ -18,7 +18,7 @@ from __future__ import annotations
 from . import errors as err
 from .codec import U64_MAX
 from .errors import TxError
-from .ledger import AllowanceLedger, Applied, Authority, InterestRule, LedgerState
+from .ledger import Account, AllowanceLedger, Applied, Authority, InterestRule, LedgerState
 from .payloads import FiatDirection, InterestMode, Role, SetInterestRule
 
 
@@ -165,18 +165,23 @@ def accrue_period(state: LedgerState, rule_id: int, period_index: int) -> list[t
 
     Returns (account, amount) pairs for logging.  Must be invoked exactly
     once per boundary, in period order; the rule tracks the last index.
+    Raises ``SupplyOverflow`` before any change when the period's total
+    would take minted supply past the u64 range.
     """
     rule = state.interest_rules.get(rule_id)
     if rule is None or not rule.active:
         raise TxError(err.RULE_INACTIVE)
     if period_index <= rule.last_accrued_period:
         raise TxError(err.ALREADY_ACCRUED)
-    credited: list[tuple[bytes, int]] = []
+    amounts: list[tuple[bytes, Account, int]] = []
     for account_id in _rule_members(state, rule):
         acct = state.accounts.get(account_id)
         if acct is None or Role.USER not in acct.roles:
             continue
-        amount = 0 if acct.frozen else rule.rate_num * acct.balance // rule.rate_den
+        amounts.append((account_id, acct, 0 if acct.frozen else rule.rate_num * acct.balance // rule.rate_den))
+    _check_supply(state, sum(amount for _, _, amount in amounts))
+    credited: list[tuple[bytes, int]] = []
+    for account_id, acct, amount in amounts:
         if rule.mode is InterestMode.PUSH:
             if amount:
                 acct.balance += amount

@@ -6,6 +6,7 @@ import pytest
 
 from rolechain import errors as err
 from rolechain.engine import run_accruals
+from rolechain.errors import TxError
 from rolechain.ledger import Authority
 from rolechain.monetary import accrue_period, claimable_amount, supply_view
 from rolechain.payloads import (
@@ -148,6 +149,50 @@ def test_voted_mint_past_the_u64_supply_records_the_error():
     receipt = world.apply_ok("bank", FinalizeProposal(pid))
     assert receipt.data["execution_error"] == err.SUPPLY_OVERFLOW
     assert world.balance("bob") == 0
+    world.state.digest()
+
+
+@pytest.mark.parametrize("mode", [InterestMode.PUSH, InterestMode.PULL], ids=["push", "pull"])
+def test_accrual_past_the_u64_supply_credits_nothing_and_ends_the_rule(mode):
+    world = _monetary_world(balances={"alice": NEAR_MAX, "bob": 0})
+    rule = _rule(world, mode=mode, num=1, den=100, period=5)
+    world.state.height = 5
+    before = world.state.digest()
+    with pytest.raises(TxError) as exc:
+        accrue_period(world.state, rule, 1)
+    assert exc.value.code == err.SUPPLY_OVERFLOW
+    assert world.state.digest() == before
+
+    run_accruals(world.state)  # the digest raised CodecError after this before the bound
+    assert world.state.supply.minted == NEAR_MAX
+    assert world.balance("alice") == NEAR_MAX
+    assert claimable_amount(world.state, world.aid("alice")) == 0
+    assert world.state.interest_rules[rule].active is False
+    assert world.state.interest_rules[rule].created_total == 0
+    assert world.state.interest_rules[rule].last_accrued_period == 0
+    entry = world.state.tx_log[-1]
+    assert (entry.kind, entry.ok, entry.error, entry.management) == ("accrual", False, err.SUPPLY_OVERFLOW, True)
+    assert entry.data == {"rule_id": rule, "period": 1}
+    assert entry.participants == ()
+    assert world.state.conservation_holds()
+    world.state.digest()
+
+    log_length = len(world.state.tx_log)
+    world.state.height = 10
+    run_accruals(world.state)  # the rule is inactive: no further boundary fires
+    assert len(world.state.tx_log) == log_length
+
+
+def test_accrual_up_to_the_u64_supply_still_credits():
+    # 1/2**63 of alice's balance is 1 unit, which fills the supply exactly
+    world = _monetary_world(balances={"alice": 2**64 - 2, "bob": 0})
+    rule = _rule(world, mode=InterestMode.PUSH, num=1, den=2**63, period=5)
+    world.state.height = 5
+    run_accruals(world.state)
+    assert world.balance("alice") == 2**64 - 1
+    assert world.state.supply.minted == 2**64 - 1
+    assert world.state.interest_rules[rule].active
+    assert world.state.tx_log[-2].ok and world.state.tx_log[-2].data["total"] == 1
     world.state.digest()
 
 
