@@ -133,6 +133,18 @@ ASSERT_FIELDS: dict[str, tuple[set[str], set[str]]] = {
 }
 
 
+def _is_key(value, table) -> bool:
+    """Whether ``value`` names an entry of ``table``; a YAML list or mapping never does."""
+    return isinstance(value, str) and value in table
+
+
+def _items(value, context: str) -> list:
+    """A list field's value, checked to be a list (or a tuple)."""
+    if not isinstance(value, (list, tuple)):
+        raise ScenarioError(f"{context}: expected a list, not {value!r}")
+    return value
+
+
 def _expect_keys(mapping: dict, context: str, required: set[str], optional: set[str] = frozenset()):
     if not isinstance(mapping, dict):
         raise ScenarioError(f"{context}: expected a mapping")
@@ -204,7 +216,7 @@ def parse_scenario(raw: dict, default_name: str = "scenario") -> Scenario:
 
     actors: list[ActorSpec] = []
     seen: set[str] = set()
-    for entry in raw.get("actors") or []:
+    for entry in _items(raw.get("actors") or [], "actors"):
         _expect_keys(
             entry,
             "actor",
@@ -212,40 +224,41 @@ def parse_scenario(raw: dict, default_name: str = "scenario") -> Scenario:
             optional={"roles", "balance", "provider", "recovery", "faults"},
         )
         actor = ActorSpec(name=entry["name"])
+        if not isinstance(actor.name, str):
+            raise ScenarioError(f"actor name must be text, not {actor.name!r}")
         if actor.name in seen or actor.name == "escrow":
             raise ScenarioError(f"duplicate or reserved actor name {actor.name!r}")
         seen.add(actor.name)
-        for role_name in entry.get("roles") or []:
-            role = ROLE_BY_NAME.get(role_name)
-            if role is None:
+        for role_name in _items(entry.get("roles") or [], f"actor {actor.name} roles"):
+            if not _is_key(role_name, ROLE_BY_NAME):
                 raise ScenarioError(f"actor {actor.name}: unknown role {role_name!r}")
-            actor.roles.add(role)
+            actor.roles.add(ROLE_BY_NAME[role_name])
         actor.balance = entry.get("balance", 0)
         actor.provider = entry.get("provider")
         actor.recovery = entry.get("recovery")
-        for fault in entry.get("faults") or []:
-            if fault not in KNOWN_FAULTS:
+        for fault in _items(entry.get("faults") or [], f"actor {actor.name} faults"):
+            if not _is_key(fault, KNOWN_FAULTS):
                 raise ScenarioError(f"actor {actor.name}: unknown fault {fault!r}")
             actor.faults.add(fault)
         actors.append(actor)
 
     names = {a.name for a in actors}
     for actor in actors:
-        if actor.provider is not None and actor.provider not in names:
+        if actor.provider is not None and not _is_key(actor.provider, names):
             raise ScenarioError(f"actor {actor.name}: undeclared provider {actor.provider!r}")
 
     policies = []
-    for entry in raw.get("policies") or []:
+    for entry in _items(raw.get("policies") or [], "policies"):
         _expect_keys(
             entry, "policy", required={"key", "value"}, optional={"permanence", "expiry_height"}
         )
         permanence = entry.get("permanence", "temporary")
-        if permanence not in PERMANENCE_BY_NAME:
+        if not _is_key(permanence, PERMANENCE_BY_NAME):
             raise ScenarioError(f"policy {entry['key']}: unknown permanence {permanence!r}")
         policies.append(entry)
 
     steps: list[Step] = []
-    for entry in raw.get("steps") or []:
+    for entry in _items(raw.get("steps") or [], "steps"):
         if not isinstance(entry, dict) or "tick" not in entry:
             raise ScenarioError("step: missing field 'tick'")
         body_keys = set(entry) - {"tick"}
@@ -265,7 +278,7 @@ def parse_scenario(raw: dict, default_name: str = "scenario") -> Scenario:
 
 
 def _require_actor(names: set[str], name, context: str) -> None:
-    if name not in names and name != "escrow":
+    if not (_is_key(name, names) or name == "escrow"):
         raise ScenarioError(f"{context}: undeclared actor {name!r}")
 
 
@@ -280,9 +293,9 @@ def _validate_step_body(kind: str, body: dict, names: set[str]) -> None:
             optional={"account", "validator", "start", "end", "gateways", "store", "expect_int", "expect_error"},
         )
         _require_actor(names, body["as"], "query step")
-        if body["kind"] not in QUERY_KINDS:
+        if not _is_key(body["kind"], QUERY_KINDS):
             raise ScenarioError(f"query step: unknown kind {body['kind']!r}")
-        for gw in body.get("gateways") or []:
+        for gw in _items(body.get("gateways") or [], "query step gateways"):
             _require_actor(names, gw, "query step")
         if "account" in body:
             _require_actor(names, body["account"], "query step")
@@ -297,20 +310,20 @@ def _validate_step_body(kind: str, body: dict, names: set[str]) -> None:
     elif kind == "fault":
         _expect_keys(body, "fault step", required={"actor", "set"})
         _require_actor(names, body["actor"], "fault step")
-        for fault in body["set"]:
-            if fault not in KNOWN_FAULTS:
+        for fault in _items(body["set"], "fault step set"):
+            if not _is_key(fault, KNOWN_FAULTS):
                 raise ScenarioError(f"fault step: unknown fault {fault!r}")
     elif kind == "assert":
         if not isinstance(body, dict) or "kind" not in body:
             raise ScenarioError("assert step: missing field 'kind'")
-        if body["kind"] not in ASSERT_FIELDS:
+        if not _is_key(body["kind"], ASSERT_FIELDS):
             raise ScenarioError(f"assert step: unknown kind {body['kind']!r}")
         required, optional = ASSERT_FIELDS[body["kind"]]
         _expect_keys(body, f"assert {body['kind']}", required | {"kind"}, optional)
         if "account" in body:
             _require_actor(names, body["account"], "assert step")
         if body["kind"] == "validators":
-            for name in body["equals"]:
+            for name in _items(body["equals"], "assert validators"):
                 _require_actor(names, name, "assert step")
         if body["kind"] == "publisher":
             _require_actor(names, body["equals"], "assert step")
@@ -320,7 +333,7 @@ def _validate_tx_body(body: dict, names: set[str], top_level: bool) -> None:
     if not isinstance(body, dict) or "kind" not in body:
         raise ScenarioError("tx step: missing field 'kind'")
     kind = body["kind"]
-    if kind not in TX_STEPS:
+    if not _is_key(kind, TX_STEPS):
         raise ScenarioError(f"tx step: unknown kind {kind!r}")
     if top_level and "from" not in body:
         raise ScenarioError("tx step: missing field 'from'")
@@ -333,12 +346,12 @@ def _validate_tx_body(body: dict, names: set[str], top_level: bool) -> None:
     for key in ("to", "target", "source", "user"):
         if key in body and isinstance(body[key], str):
             _require_actor(names, body[key], f"tx {kind}")
-    for name in body.get("validators") or []:
+    for name in _items(body.get("validators") or [], f"tx {kind} validators"):
         _require_actor(names, name, f"tx {kind}")
-    for name in body.get("approvers") or []:
+    for name in _items(body.get("approvers") or [], f"tx {kind} approvers"):
         _require_actor(names, name, f"tx {kind}")
     for key in ("role", "electorate"):
-        if key in body and body[key] not in ROLE_BY_NAME:
+        if key in body and not _is_key(body[key], ROLE_BY_NAME):
             raise ScenarioError(f"tx {kind}: unknown {key} {body[key]!r}")
     if "action" in body:
         _validate_tx_body(body["action"], names, top_level=False)

@@ -89,6 +89,71 @@ def test_reserved_escrow_name_rejected():
         parse_scenario(raw)
 
 
+def _with_step(step: dict) -> dict:
+    return minimal_raw(
+        ticks=1,
+        actors=[{"name": "mgr", "roles": ["platform_manager", "user"]}, {"name": "v1", "roles": ["validator"]}],
+        steps=[{"tick": 1, **step}],
+    )
+
+
+# each of these raised TypeError (unhashable type) out of parse_scenario
+UNHASHABLE_FIELDS = {
+    "tx kind": {"tx": {"from": "mgr", "kind": ["transfer"], "to": "mgr", "amount": 1}},
+    "revoke_role role": {"tx": {"from": "mgr", "kind": "revoke_role", "target": "mgr", "role": ["x"]}},
+    "create_proposal electorate": {
+        "tx": {
+            "from": "mgr",
+            "kind": "create_proposal",
+            "electorate": ["x"],
+            "action": {"kind": "revoke_role", "target": "v1", "role": "validator"},
+        }
+    },
+    "tx from": {"tx": {"from": ["mgr"], "kind": "transfer", "to": "mgr", "amount": 1}},
+    "query account": {"query": {"as": "mgr", "kind": "own_balance", "account": ["mgr"]}},
+    "query kind": {"query": {"as": "mgr", "kind": {"a": 1}}},
+    "assert kind": {"assert": {"kind": ["height"], "equals": 1}},
+}
+
+
+@pytest.mark.parametrize("step", UNHASHABLE_FIELDS.values(), ids=UNHASHABLE_FIELDS.keys())
+def test_list_or_mapping_where_a_name_belongs_is_a_scenario_error(step):
+    with pytest.raises(ScenarioError):
+        parse_scenario(_with_step(step))
+
+
+@pytest.mark.parametrize(
+    "actor",
+    [
+        {"name": ["mgr"]},
+        {"name": "a", "roles": [["user"]]},
+        {"name": "a", "faults": [{"a": 1}]},
+        {"name": "a", "provider": ["mgr"]},
+        {"name": "a", "roles": 5},
+    ],
+    ids=["name", "role", "fault", "provider", "roles-not-a-list"],
+)
+def test_malformed_actor_fields_are_scenario_errors(actor):
+    raw = minimal_raw()
+    raw["actors"].append(actor)
+    with pytest.raises(ScenarioError):
+        parse_scenario(raw)
+
+
+@pytest.mark.parametrize(
+    "step",
+    [
+        {"fault": {"actor": "v1", "set": 5}},
+        {"assert": {"kind": "validators", "equals": None}},
+        {"tx": {"from": "mgr", "kind": "bootstrap_validators", "validators": True}},
+    ],
+    ids=["fault-set", "assert-validators", "tx-validators"],
+)
+def test_scalar_where_a_list_belongs_is_a_scenario_error(step):
+    with pytest.raises(ScenarioError, match="expected a list"):
+        parse_scenario(_with_step(step))
+
+
 def test_missing_file_rejected(tmp_path):
     with pytest.raises(ScenarioError, match="no such scenario"):
         load_scenario(tmp_path / "ghost.yaml")
