@@ -229,14 +229,15 @@ def parse_scenario(raw: dict, default_name: str = "scenario") -> Scenario:
         if actor.name in seen or actor.name == "escrow":
             raise ScenarioError(f"duplicate or reserved actor name {actor.name!r}")
         seen.add(actor.name)
-        for role_name in _items(entry.get("roles") or [], f"actor {actor.name} roles"):
-            if not _is_key(role_name, ROLE_BY_NAME):
+        for role_name in _items(entry.get("roles") or (), "actor roles"):
+            role = ROLE_BY_NAME.get(role_name) if isinstance(role_name, str) else None
+            if role is None:
                 raise ScenarioError(f"actor {actor.name}: unknown role {role_name!r}")
-            actor.roles.add(ROLE_BY_NAME[role_name])
+            actor.roles.add(role)
         actor.balance = entry.get("balance", 0)
         actor.provider = entry.get("provider")
         actor.recovery = entry.get("recovery")
-        for fault in _items(entry.get("faults") or [], f"actor {actor.name} faults"):
+        for fault in _items(entry.get("faults") or (), "actor faults"):
             if not _is_key(fault, KNOWN_FAULTS):
                 raise ScenarioError(f"actor {actor.name}: unknown fault {fault!r}")
             actor.faults.add(fault)
@@ -278,7 +279,7 @@ def parse_scenario(raw: dict, default_name: str = "scenario") -> Scenario:
 
 
 def _require_actor(names: set[str], name, context: str) -> None:
-    if not (_is_key(name, names) or name == "escrow"):
+    if not (isinstance(name, str) and name in names) and name != "escrow":
         raise ScenarioError(f"{context}: undeclared actor {name!r}")
 
 
@@ -346,10 +347,10 @@ def _validate_tx_body(body: dict, names: set[str], top_level: bool) -> None:
     for key in ("to", "target", "source", "user"):
         if key in body and isinstance(body[key], str):
             _require_actor(names, body[key], f"tx {kind}")
-    for name in _items(body.get("validators") or [], f"tx {kind} validators"):
-        _require_actor(names, name, f"tx {kind}")
-    for name in _items(body.get("approvers") or [], f"tx {kind} approvers"):
-        _require_actor(names, name, f"tx {kind}")
+    for key in ("validators", "approvers"):
+        if key in body:
+            for name in _items(body[key], f"tx {kind} {key}"):
+                _require_actor(names, name, f"tx {kind}")
     for key in ("role", "electorate"):
         if key in body and not _is_key(body[key], ROLE_BY_NAME):
             raise ScenarioError(f"tx {kind}: unknown {key} {body[key]!r}")
