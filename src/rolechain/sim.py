@@ -216,7 +216,7 @@ def parse_scenario(raw: dict, default_name: str = "scenario") -> Scenario:
 
     actors: list[ActorSpec] = []
     seen: set[str] = set()
-    for entry in _items(raw.get("actors") or [], "actors"):
+    for entry in _items(raw.get("actors") or (), "actors"):
         _expect_keys(
             entry,
             "actor",
@@ -249,7 +249,7 @@ def parse_scenario(raw: dict, default_name: str = "scenario") -> Scenario:
             raise ScenarioError(f"actor {actor.name}: undeclared provider {actor.provider!r}")
 
     policies = []
-    for entry in _items(raw.get("policies") or [], "policies"):
+    for entry in _items(raw.get("policies") or (), "policies"):
         _expect_keys(
             entry, "policy", required={"key", "value"}, optional={"permanence", "expiry_height"}
         )
@@ -259,7 +259,7 @@ def parse_scenario(raw: dict, default_name: str = "scenario") -> Scenario:
         policies.append(entry)
 
     steps: list[Step] = []
-    for entry in _items(raw.get("steps") or [], "steps"):
+    for entry in _items(raw.get("steps") or (), "steps"):
         if not isinstance(entry, dict) or "tick" not in entry:
             raise ScenarioError("step: missing field 'tick'")
         body_keys = set(entry) - {"tick"}
@@ -296,7 +296,7 @@ def _validate_step_body(kind: str, body: dict, names: set[str]) -> None:
         _require_actor(names, body["as"], "query step")
         if not _is_key(body["kind"], QUERY_KINDS):
             raise ScenarioError(f"query step: unknown kind {body['kind']!r}")
-        for gw in _items(body.get("gateways") or [], "query step gateways"):
+        for gw in _items(body.get("gateways") or (), "query step gateways"):
             _require_actor(names, gw, "query step")
         if "account" in body:
             _require_actor(names, body["account"], "query step")
