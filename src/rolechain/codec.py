@@ -9,6 +9,7 @@ The format is bit-exact and deliberately small:
   - union variants: one leading tag byte
   - enumerations: one byte, the member's value
   - sequences: 4-byte big-endian element count, then the elements
+  - sets: a sequence whose elements are strictly ascending, so no repeats
 
 Decoding is strict: every length is bounds-checked and a frame must be
 consumed exactly, so any stray or missing byte is a :class:`CodecError`.
@@ -190,14 +191,25 @@ def seq_of(inner: Field) -> Field:
 
 
 def set_of(inner: Field) -> Field:
-    """A count, then the elements in ascending order; decodes to a frozenset."""
+    """A count, then the elements in ascending order; decodes to a frozenset.
+
+    Decoding rejects elements out of order or repeated, so a set has exactly
+    one encoding.
+    """
 
     def encode(w: Writer, values) -> None:
         w.count(len(values))
         for value in sorted(values):
             inner.encode(w, value)
 
-    return Field(encode, lambda r: frozenset([inner.decode(r) for _ in range(r.count())]))
+    def decode(r: Reader) -> frozenset:
+        values = [inner.decode(r) for _ in range(r.count())]
+        out = frozenset(values)
+        if sorted(out) != values:
+            raise CodecError("set elements not in strictly ascending order")
+        return out
+
+    return Field(encode, decode)
 
 
 def pair(first: Field, second: Field) -> Field:

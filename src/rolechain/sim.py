@@ -19,13 +19,13 @@ It is never served through a gateway.
 from __future__ import annotations
 
 import json
-from collections.abc import Callable
-from dataclasses import dataclass, field
+from collections.abc import Callable, Sequence
+from dataclasses import dataclass
 from pathlib import Path
 
 import yaml
 
-from .codec import Reader
+from .codec import U64_MAX, Reader
 from .chain import (
     Chain,
     append_block,
@@ -56,7 +56,29 @@ from .gateway import (
 )
 from .keys import KeyPair, keypair_from_label
 from .monetary import claimable_amount
-from .ledger import Account
+from .ledger import Account, ProposalStatus
+from .schema import (
+    ACTOR,
+    ACTORS,
+    BOOL,
+    ENTRIES,
+    INTEGER,
+    LABEL,
+    TEXT,
+    TEXTS,
+    U64,
+    Declared,
+    Fields,
+    FieldType,
+    Kind,
+    check,
+    check_kind,
+    choice,
+    fields,
+    kinds,
+    list_of,
+    optional,
+)
 from .payloads import (
     AssignRole,
     BootstrapValidators,
@@ -81,7 +103,6 @@ from .payloads import (
     Permanence,
     ProviderOnly,
     ProviderPlusSecurity,
-    Query,
     RecoveryPolicy,
     RegisterEndpoints,
     Reverse,
@@ -102,75 +123,98 @@ from .payloads import (
     rotation_message,
 )
 
-PERMANENCE_BY_NAME = {
-    "permanent": Permanence.PERMANENT,
-    "temporary": Permanence.TEMPORARY,
-    "timed_expiration": Permanence.TIMED_EXPIRATION,
-}
+# --- scenario entries ----------------------------------------------------------------
+#
+# Every entry of a scenario file (the top level, an actor, a policy and each
+# kind of step) declares its fields once, in the tables below, each with a
+# type; ``schema.check`` walks an entry against its declaration and hands the
+# runner every value converted (a Role for "user", a bool for true), so the
+# builders and evaluators use what they get as it is.
 
-QUERY_KINDS = {
-    "own_balance",
-    "own_history",
-    "claimable",
-    "management_log",
-    "supply",
-    "directory",
-    "validation_server",
-}
-
-ASSERT_FIELDS: dict[str, tuple[set[str], set[str]]] = {
-    "balance": ({"account", "equals"}, set()),
-    "frozen": ({"account", "equals"}, set()),
-    "supply": (set(), {"minted", "burned", "circulating"}),
-    "policy": ({"key", "equals"}, set()),
-    "validators": ({"equals"}, set()),
-    "proposal": ({"id", "status"}, set()),
-    "log_contains": ({"entry_kind"}, {"present", "within_last_blocks"}),
-    "claimable": ({"account", "equals"}, set()),
-    "height": ({"equals"}, set()),
-    "publisher": ({"height", "equals"}, set()),
-    "compare_result": ({"label", "equals"}, set()),
-}
+ROLE = choice("role", ROLE_BY_NAME)
+FAULTS = list_of(choice("fault", {name: name for name in KNOWN_FAULTS}))
+PERMANENCE = choice("permanence", {p.name.lower(): p for p in Permanence})
+MODE = choice("mode", {m.name.lower(): m for m in InterestMode})
+DIRECTION = choice("direction", {d.name.lower(): d for d in FiatDirection})
+OUTCOMES = {name: name for name in ("consistent", "evidence", "insufficient")}
+OUTCOME = choice("compare outcome", OUTCOMES)
+# what an assert reports for a proposal or a compare label that does not exist
+MISSING = {"missing": "missing"}
+# a proposal's action: a tx without from and store
+ACTION = FieldType("tx", lambda v, d: check_kind(v, ACTIONS, "tx", d))
 
 
-def _is_key(value, table) -> bool:
-    """Whether ``value`` names an entry of ``table``; a YAML list or mapping never does."""
-    return isinstance(value, str) and value in table
+def _policy_value(value, declared: Declared) -> int | bytes | tuple[str, ...]:
+    if type(value) is bool:
+        return int(value)
+    if type(value) is dict and len(value) == 1:
+        if type(value.get("hex")) is str:
+            try:
+                return bytes.fromhex(value["hex"])
+            except ValueError:
+                raise ScenarioError(f"bad hex {value['hex']!r}") from None
+        if "accounts" in value:
+            return tuple(ACTORS.check(value["accounts"], declared))
+    if type(value) is int and 0 <= value <= U64_MAX:
+        return value
+    raise ScenarioError(f"expected an integer in 0..2**64-1, {{hex: ...}} or {{accounts: [...]}}, not {value!r}")
 
 
-def _items(value, context: str) -> list:
-    """A list field's value, checked to be a list (or a tuple)."""
-    if not isinstance(value, (list, tuple)):
-        raise ScenarioError(f"{context}: expected a list, not {value!r}")
-    return value
+# an integer (true and false are 1 and 0), {hex: ...} bytes, or {accounts:
+# [...]}, whose account ids the runner joins
+POLICY_VALUE = FieldType("policy value", _policy_value)
+_RECOVERY_NAME = choice("recovery", {"provider_only": ProviderOnly(), "provider_plus_security": ProviderPlusSecurity()})
+# a recovery policy by name, or {guardians: [...], threshold: n}, whose
+# guardian names the runner turns into account ids
+RECOVERY = FieldType(
+    "recovery spec",
+    lambda v, d: check(v, GUARDIANS, "guardians", d) if type(v) is dict else _RECOVERY_NAME.check(v, d),
+)
 
-
-def _expect_keys(mapping: dict, context: str, required: set[str], optional: set[str] = frozenset()):
-    if not isinstance(mapping, dict):
-        raise ScenarioError(f"{context}: expected a mapping")
-    unknown = set(mapping) - required - set(optional)
-    if unknown:
-        raise ScenarioError(f"{context}: unknown field {sorted(unknown)[0]!r}")
-    missing = required - set(mapping)
-    if missing:
-        raise ScenarioError(f"{context}: missing field {sorted(missing)[0]!r}")
+SCENARIO = fields(
+    {
+        "ticks": U64,
+        "actors": ENTRIES,
+        "name": optional(TEXT),
+        "seed": optional(U64),
+        "scheme": optional(choice("scheme", {"mock": "mock", "ed25519": "ed25519"})),
+        "policies": optional(ENTRIES),
+        "steps": optional(ENTRIES),
+    }
+)
+ACTOR_ENTRY = fields(
+    {
+        "name": TEXT,
+        "roles": optional(list_of(ROLE)),
+        "balance": optional(U64),
+        "provider": optional(ACTOR),
+        "recovery": optional(RECOVERY),
+        "faults": optional(FAULTS),
+    }
+)
+GUARDIANS = fields({"guardians": ACTORS, "threshold": optional(U64)})
+# a genesis policy, and a set_policy step
+POLICY = {"key": TEXT, "value": POLICY_VALUE, "permanence": optional(PERMANENCE), "expiry_height": optional(U64)}
+POLICY_ENTRY = fields(POLICY)
+COMPARE_STEP = fields({"label": TEXT, "file_as": optional(ACTOR), "expect": optional(OUTCOME)})
+FAULT_STEP = fields({"actor": ACTOR, "set": FAULTS})
 
 
 @dataclass
 class ActorSpec:
     name: str
-    roles: set[Role] = field(default_factory=set)
+    roles: Sequence[Role] = ()
     balance: int = 0
     provider: str | None = None
-    recovery: dict | None = None
-    faults: set[str] = field(default_factory=set)
+    recovery: RecoveryPolicy | dict = ProviderOnly()
+    faults: Sequence[str] = ()
 
 
 @dataclass
 class Step:
     tick: int
     kind: str  # tx | query | compare | fault | assert
-    body: dict
+    body: dict  # checked against its declaration, values converted
 
 
 @dataclass
@@ -193,174 +237,59 @@ def load_scenario(path: str | Path) -> Scenario:
         raw = yaml.safe_load(path.read_text())
     except yaml.YAMLError as exc:
         raise ScenarioError(f"{path.name}: parse error: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ScenarioError(f"{path.name}: scenario must be a mapping")
     return parse_scenario(raw, default_name=path.stem)
 
 
 def parse_scenario(raw: dict, default_name: str = "scenario") -> Scenario:
-    _expect_keys(
-        raw,
-        "scenario",
-        required={"actors", "ticks"},
-        optional={"name", "seed", "scheme", "policies", "steps"},
-    )
-    name = raw.get("name", default_name)
-    seed = raw.get("seed", 0)
-    scheme = raw.get("scheme", "mock")
-    if scheme not in ("mock", "ed25519"):
-        raise ScenarioError(f"unknown scheme {scheme!r}")
-    ticks = raw["ticks"]
-    if not isinstance(ticks, int) or ticks < 0:
-        raise ScenarioError("ticks must be a non-negative integer")
+    """Check ``raw`` against the declarations above; every value comes out converted."""
+    top = check(raw, SCENARIO, "scenario", None)
+    # every actor field may name any actor, so collect the names first
+    declared = Declared({"escrow"})
+    for entry in top["actors"]:
+        name = entry.get("name") if type(entry) is dict else None
+        if type(name) is str:
+            if name in declared.actors:
+                raise ScenarioError(f"duplicate or reserved actor name {name!r}")
+            declared.actors.add(name)
+    actors = [ActorSpec(**check(entry, ACTOR_ENTRY, "actor", declared)) for entry in top["actors"]]
+    # genesis balances are minted supply, which is a u64 too
+    if sum([actor.balance for actor in actors]) > U64_MAX:
+        raise ScenarioError("actors: balances sum past 2**64-1")
+    policies = [check(entry, POLICY_ENTRY, "policy", declared) for entry in top.get("policies", ())]
 
-    actors: list[ActorSpec] = []
-    seen: set[str] = set()
-    for entry in _items(raw.get("actors") or (), "actors"):
-        _expect_keys(
-            entry,
-            "actor",
-            required={"name"},
-            optional={"roles", "balance", "provider", "recovery", "faults"},
-        )
-        actor = ActorSpec(name=entry["name"])
-        if not isinstance(actor.name, str):
-            raise ScenarioError(f"actor name must be text, not {actor.name!r}")
-        if actor.name in seen or actor.name == "escrow":
-            raise ScenarioError(f"duplicate or reserved actor name {actor.name!r}")
-        seen.add(actor.name)
-        for role_name in _items(entry.get("roles") or (), "actor roles"):
-            role = ROLE_BY_NAME.get(role_name) if isinstance(role_name, str) else None
-            if role is None:
-                raise ScenarioError(f"actor {actor.name}: unknown role {role_name!r}")
-            actor.roles.add(role)
-        actor.balance = entry.get("balance", 0)
-        actor.provider = entry.get("provider")
-        actor.recovery = entry.get("recovery")
-        for fault in _items(entry.get("faults") or (), "actor faults"):
-            if not _is_key(fault, KNOWN_FAULTS):
-                raise ScenarioError(f"actor {actor.name}: unknown fault {fault!r}")
-            actor.faults.add(fault)
-        actors.append(actor)
-
-    names = {a.name for a in actors}
-    for actor in actors:
-        if actor.provider is not None and not _is_key(actor.provider, names):
-            raise ScenarioError(f"actor {actor.name}: undeclared provider {actor.provider!r}")
-
-    policies = []
-    for entry in _items(raw.get("policies") or (), "policies"):
-        _expect_keys(
-            entry, "policy", required={"key", "value"}, optional={"permanence", "expiry_height"}
-        )
-        permanence = entry.get("permanence", "temporary")
-        if not _is_key(permanence, PERMANENCE_BY_NAME):
-            raise ScenarioError(f"policy {entry['key']}: unknown permanence {permanence!r}")
-        policies.append(entry)
-
+    ticks = top["ticks"]
     steps: list[Step] = []
-    for entry in _items(raw.get("steps") or (), "steps"):
-        if not isinstance(entry, dict) or "tick" not in entry:
+    for entry in top.get("steps", ()):
+        if type(entry) is not dict or "tick" not in entry:
             raise ScenarioError("step: missing field 'tick'")
-        body_keys = set(entry) - {"tick"}
-        if len(body_keys) != 1:
+        if len(entry) != 2:
             raise ScenarioError("step: exactly one of tx/query/compare/fault/assert required")
-        kind = body_keys.pop()
-        if kind not in ("tx", "query", "compare", "fault", "assert"):
-            raise ScenarioError(f"step: unknown field {kind!r}")
         tick = entry["tick"]
-        if not isinstance(tick, int) or not 1 <= tick <= ticks:
-            raise ScenarioError(f"step: tick {tick} outside 1..{ticks}")
-        body = entry[kind]
-        _validate_step_body(kind, body, names)
+        if type(tick) is not int or not 1 <= tick <= ticks:
+            raise ScenarioError(f"step: tick {tick!r} outside 1..{ticks}")
+        (kind,) = entry.keys() - {"tick"}
+        if kind not in STEP_BODIES:
+            raise ScenarioError(f"step: unknown field {kind!r}")
+        declaration = STEP_BODIES[kind]
+        try:
+            if type(declaration) is Fields:
+                body = check(entry[kind], declaration, kind, declared)
+            else:
+                body = check_kind(entry[kind], declaration, kind, declared)
+        except RecursionError:  # proposals nest
+            raise ScenarioError(f"{kind}: action nested too deeply") from None
+        if "store" in body and kind == "tx":
+            declared.tx_labels.add(body["store"])
         steps.append(Step(tick, kind, body))
 
-    return Scenario(name, seed, scheme, ticks, policies, actors, steps)
-
-
-def _require_actor(names: set[str], name, context: str) -> None:
-    if not (isinstance(name, str) and name in names) and name != "escrow":
-        raise ScenarioError(f"{context}: undeclared actor {name!r}")
-
-
-def _validate_step_body(kind: str, body: dict, names: set[str]) -> None:
-    if kind == "tx":
-        _validate_tx_body(body, names, top_level=True)
-    elif kind == "query":
-        _expect_keys(
-            body,
-            "query step",
-            required={"as", "kind"},
-            optional={"account", "validator", "start", "end", "gateways", "store", "expect_int", "expect_error"},
-        )
-        _require_actor(names, body["as"], "query step")
-        if not _is_key(body["kind"], QUERY_KINDS):
-            raise ScenarioError(f"query step: unknown kind {body['kind']!r}")
-        for gw in _items(body.get("gateways") or (), "query step gateways"):
-            _require_actor(names, gw, "query step")
-        if "account" in body:
-            _require_actor(names, body["account"], "query step")
-        if "validator" in body:
-            _require_actor(names, body["validator"], "query step")
-    elif kind == "compare":
-        _expect_keys(body, "compare step", required={"label"}, optional={"file_as", "expect"})
-        if "file_as" in body:
-            _require_actor(names, body["file_as"], "compare step")
-        if body.get("expect") not in (None, "consistent", "evidence"):
-            raise ScenarioError("compare step: expect must be consistent or evidence")
-    elif kind == "fault":
-        _expect_keys(body, "fault step", required={"actor", "set"})
-        _require_actor(names, body["actor"], "fault step")
-        for fault in _items(body["set"], "fault step set"):
-            if not _is_key(fault, KNOWN_FAULTS):
-                raise ScenarioError(f"fault step: unknown fault {fault!r}")
-    elif kind == "assert":
-        if not isinstance(body, dict) or "kind" not in body:
-            raise ScenarioError("assert step: missing field 'kind'")
-        if not _is_key(body["kind"], ASSERT_FIELDS):
-            raise ScenarioError(f"assert step: unknown kind {body['kind']!r}")
-        required, optional = ASSERT_FIELDS[body["kind"]]
-        _expect_keys(body, f"assert {body['kind']}", required | {"kind"}, optional)
-        if "account" in body:
-            _require_actor(names, body["account"], "assert step")
-        if body["kind"] == "validators":
-            for name in _items(body["equals"], "assert validators"):
-                _require_actor(names, name, "assert step")
-        if body["kind"] == "publisher":
-            _require_actor(names, body["equals"], "assert step")
-
-
-def _validate_tx_body(body: dict, names: set[str], top_level: bool) -> None:
-    if not isinstance(body, dict) or "kind" not in body:
-        raise ScenarioError("tx step: missing field 'kind'")
-    kind = body["kind"]
-    if not _is_key(kind, TX_STEPS):
-        raise ScenarioError(f"tx step: unknown kind {kind!r}")
-    if top_level and "from" not in body:
-        raise ScenarioError("tx step: missing field 'from'")
-    if top_level:
-        _require_actor(names, body["from"], "tx step")
-    required, optional, _ = TX_STEPS[kind]
-    required = required | {"kind"} | ({"from"} if top_level else set())
-    optional = optional | ({"store"} if top_level else set())
-    _expect_keys(body, f"tx {kind}", required, optional)
-    for key in ("to", "target", "source", "user"):
-        if key in body and isinstance(body[key], str):
-            _require_actor(names, body[key], f"tx {kind}")
-    for key in ("validators", "approvers"):
-        if key in body:
-            for name in _items(body[key], f"tx {kind} {key}"):
-                _require_actor(names, name, f"tx {kind}")
-    for key in ("role", "electorate"):
-        if key in body and not _is_key(body[key], ROLE_BY_NAME):
-            raise ScenarioError(f"tx {kind}: unknown {key} {body[key]!r}")
-    if "action" in body:
-        _validate_tx_body(body["action"], names, top_level=False)
+    return Scenario(
+        top.get("name", default_name), top.get("seed", 0), top.get("scheme", "mock"), ticks, policies, actors, steps
+    )
 
 
 # --- transaction steps -----------------------------------------------------------------
 #
-# Each builder turns a validated step body into the payload ``sender`` submits.
+# Each builder turns a checked step body into the payload ``sender`` submits.
 
 
 def _reverse(sim: Simulation, body: dict, sender: str) -> Reverse:
@@ -382,12 +311,12 @@ def _rotate_key(sim: Simulation, body: dict, sender: str) -> RotateKey:
 
 
 def _assign_role(sim: Simulation, body: dict, sender: str) -> AssignRole:
-    role = ROLE_BY_NAME[body["role"]]
+    role = body["role"]
     target_kp = sim.keys[body["target"]]
     possession = None
     if role is Role.USER:
         possession = target_kp.sign(possession_message(sim.aid(sender), target_kp.public_key))
-    recovery = sim._recovery_from_spec(body["recovery"]) if "recovery" in body else None
+    recovery = sim._recovery(body["recovery"]) if "recovery" in body else None
     return AssignRole(sim.aid(body["target"]), role, target_kp.public_key, possession, recovery)
 
 
@@ -398,8 +327,8 @@ def _set_interest_rule(sim: Simulation, body: dict, sender: str) -> SetInterestR
         body["rate_den"],
         body["period_blocks"],
         body["start_height"],
-        InterestMode.PUSH if body["mode"] == "push" else InterestMode.PULL,
-        None if scope is None else frozenset(sim.aid(n) for n in scope),
+        body["mode"],
+        None if scope is None else frozenset(map(sim.aid, scope)),
         body.get("rule"),
         body.get("active", True),
     )
@@ -418,73 +347,102 @@ def _register_endpoints(sim: Simulation, body: dict, sender: str) -> RegisterEnd
     )
 
 
-# tx step kind -> (required fields, optional fields, builder(sim, body, sender));
-# a top-level step also takes ``from`` and ``store``.  Every payload kind but
+# tx kind -> (builder(sim, body, sender), fields).  Every payload kind but
 # discrepancy_event, which only the comparator files, has an entry.
-TX_STEPS: dict[str, tuple[set[str], set[str], Callable[[Simulation, dict, str], Payload]]] = {
-    "transfer": (
-        {"to", "amount"}, {"store"}, lambda sim, b, sender: Transfer(sim.aid(b["to"]), b["amount"])
-    ),
+_TX: dict[str, tuple[Callable[[Simulation, dict, str], Payload], dict[str, FieldType]]] = {
+    "transfer": (lambda sim, b, sender: Transfer(sim.aid(b["to"]), b["amount"]), {"to": ACTOR, "amount": U64}),
     "set_frozen": (
-        {"target", "frozen"}, set(),
-        lambda sim, b, sender: SetFrozen(sim.aid(b["target"]), bool(b["frozen"])),
+        lambda sim, b, sender: SetFrozen(sim.aid(b["target"]), b["frozen"]),
+        {"target": ACTOR, "frozen": BOOL},
     ),
     "confiscate": (
-        {"source", "amount"}, {"to"},
         lambda sim, b, sender: Confiscate(sim.aid(b["source"]), sim.aid(b.get("to", "escrow")), b["amount"]),
+        {"source": ACTOR, "amount": U64, "to": optional(ACTOR)},
     ),
-    "reverse": ({"target"}, set(), _reverse),
-    "rotate_key": ({"target", "new_key_label", "approvers"}, set(), _rotate_key),
-    "set_policy": (
-        {"key", "value"}, {"permanence", "expiry_height"},
-        lambda sim, b, sender: SetPolicy(
-            b["key"],
-            sim._policy_value(b["value"]),
-            PERMANENCE_BY_NAME[b.get("permanence", "temporary")],
-            b.get("expiry_height"),
-        ),
-    ),
-    "assign_role": ({"target", "role"}, {"recovery"}, _assign_role),
+    "reverse": (_reverse, {"target": LABEL}),
+    "rotate_key": (_rotate_key, {"target": ACTOR, "new_key_label": TEXT, "approvers": ACTORS}),
+    "set_policy": (lambda sim, b, sender: SetPolicy(*sim._policy(b)), POLICY),
+    "assign_role": (_assign_role, {"target": ACTOR, "role": ROLE, "recovery": optional(RECOVERY)}),
     "revoke_role": (
-        {"target", "role"}, set(),
-        lambda sim, b, sender: RevokeRole(sim.aid(b["target"]), ROLE_BY_NAME[b["role"]]),
+        lambda sim, b, sender: RevokeRole(sim.aid(b["target"]), b["role"]),
+        {"target": ACTOR, "role": ROLE},
     ),
     "bootstrap_validators": (
-        {"validators"}, set(),
-        lambda sim, b, sender: BootstrapValidators(frozenset(sim.aid(n) for n in b["validators"])),
+        lambda sim, b, sender: BootstrapValidators(frozenset(map(sim.aid, b["validators"]))),
+        {"validators": ACTORS},
     ),
     "create_proposal": (
-        {"action", "electorate"}, set(),
-        lambda sim, b, sender: CreateProposal(
-            sim._build_payload(b["action"], sender), ROLE_BY_NAME[b["electorate"]]
-        ),
+        lambda sim, b, sender: CreateProposal(sim._build_payload(b["action"], sender), b["electorate"]),
+        {"action": ACTION, "electorate": ROLE},
     ),
     "cast_vote": (
-        {"proposal", "approve"}, set(), lambda sim, b, sender: CastVote(b["proposal"], bool(b["approve"]))
+        lambda sim, b, sender: CastVote(b["proposal"], b["approve"]),
+        {"proposal": U64, "approve": BOOL},
     ),
-    "finalize_proposal": ({"proposal"}, set(), lambda sim, b, sender: FinalizeProposal(b["proposal"])),
-    "mint": ({"to", "amount"}, set(), lambda sim, b, sender: Mint(sim.aid(b["to"]), b["amount"])),
-    "burn": ({"source", "amount"}, set(), lambda sim, b, sender: Burn(sim.aid(b["source"]), b["amount"])),
+    "finalize_proposal": (lambda sim, b, sender: FinalizeProposal(b["proposal"]), {"proposal": U64}),
+    "mint": (lambda sim, b, sender: Mint(sim.aid(b["to"]), b["amount"]), {"to": ACTOR, "amount": U64}),
+    "burn": (lambda sim, b, sender: Burn(sim.aid(b["source"]), b["amount"]), {"source": ACTOR, "amount": U64}),
     "convert_fiat": (
-        {"user", "direction", "amount"}, set(),
-        lambda sim, b, sender: ConvertFiat(
-            sim.aid(b["user"]),
-            FiatDirection.IN if b["direction"] == "in" else FiatDirection.OUT,
-            b["amount"],
-        ),
+        lambda sim, b, sender: ConvertFiat(sim.aid(b["user"]), b["direction"], b["amount"]),
+        {"user": ACTOR, "direction": DIRECTION, "amount": U64},
     ),
     "set_interest_rule": (
-        {"rate_num", "rate_den", "period_blocks", "start_height", "mode"},
-        {"scope", "rule", "active"},
         _set_interest_rule,
+        {
+            "rate_num": U64,
+            "rate_den": U64,
+            "period_blocks": U64,
+            "start_height": U64,
+            "mode": MODE,
+            "scope": optional(ACTORS),
+            "rule": optional(U64),
+            "active": optional(BOOL),
+        },
     ),
     "claim_allowance": (
-        {"rule", "up_to_period"}, set(), lambda sim, b, sender: ClaimAllowance(b["rule"], b["up_to_period"])
+        lambda sim, b, sender: ClaimAllowance(b["rule"], b["up_to_period"]),
+        {"rule": U64, "up_to_period": U64},
     ),
     "register_endpoints": (
-        set(), {"security_gateways", "visibility_gateways", "validation_server", "contact"}, _register_endpoints
+        _register_endpoints,
+        {
+            "security_gateways": optional(TEXTS),
+            "visibility_gateways": optional(TEXTS),
+            "validation_server": optional(TEXT),
+            "contact": optional(TEXT),
+        },
     ),
 }
+# a step also names its sender and may store the transaction under a label
+TX_STEPS = kinds({"from": ACTOR, "store": optional(TEXT)}, _TX)
+ACTIONS = kinds({}, _TX)
+
+
+# --- query steps ---------------------------------------------------------------------
+#
+# query kind -> (builder(sim, body, requester), fields); ``expect_int`` only
+# where the answer is one integer.
+
+_OWN = {"account": optional(ACTOR)}
+_OWN_INT = {**_OWN, "expect_int": optional(U64)}
+QUERY_STEPS = kinds(
+    {"as": ACTOR, "gateways": optional(ACTORS), "store": optional(TEXT), "expect_error": optional(TEXT)},
+    {
+        "own_balance": (lambda sim, b, who: OwnBalance(sim.aid(b.get("account", who))), _OWN_INT),
+        "own_history": (lambda sim, b, who: OwnHistory(sim.aid(b.get("account", who))), _OWN),
+        "claimable": (lambda sim, b, who: Claimable(sim.aid(b.get("account", who))), _OWN_INT),
+        "management_log": (
+            lambda sim, b, who: ManagementLog(b.get("start", 0), b.get("end", 10**9)),
+            {"start": optional(U64), "end": optional(U64)},
+        ),
+        "supply": (lambda sim, b, who: SupplyView(), {}),
+        "directory": (lambda sim, b, who: GatewayDirectory(), {}),
+        "validation_server": (
+            lambda sim, b, who: ValidationServerAddress(sim.aid(b["validator"])),
+            {"validator": ACTOR},
+        ),
+    },
+)
 
 
 # --- the runner ------------------------------------------------------------------------
@@ -584,26 +542,19 @@ class Simulation:
     def aid(self, name: str) -> bytes:
         return self.ids[name]
 
-    def _recovery_from_spec(self, spec: dict | None) -> RecoveryPolicy:
-        if spec is None or spec == "provider_only":
-            return ProviderOnly()
-        if spec == "provider_plus_security":
-            return ProviderPlusSecurity()
-        if isinstance(spec, dict) and "guardians" in spec:
-            guardians = frozenset(self.aid(n) for n in spec["guardians"])
-            return Guardians(guardians, spec.get("threshold", len(guardians)))
-        raise ScenarioError(f"unknown recovery spec {spec!r}")
+    def _recovery(self, spec: RecoveryPolicy | dict) -> RecoveryPolicy:
+        """The policy a checked recovery spec names, guardians as account ids."""
+        if isinstance(spec, RecoveryPolicy):
+            return spec
+        guardians = frozenset(map(self.aid, spec["guardians"]))
+        return Guardians(guardians, spec.get("threshold", len(guardians)))
 
-    def _policy_value(self, raw) -> int | bytes:
-        if isinstance(raw, bool):
-            return int(raw)
-        if isinstance(raw, int):
-            return raw
-        if isinstance(raw, dict) and "hex" in raw:
-            return bytes.fromhex(raw["hex"])
-        if isinstance(raw, dict) and "accounts" in raw:
-            return b"".join(self.aid(n) for n in raw["accounts"])
-        raise ScenarioError(f"unsupported policy value {raw!r}")
+    def _policy(self, entry: dict) -> tuple[str, int | bytes, Permanence, int | None]:
+        """Key, value, permanence and expiry of a checked policy entry."""
+        value = entry["value"]
+        if type(value) is tuple:  # {accounts: [...]}
+            value = b"".join(map(self.aid, value))
+        return entry["key"], value, entry.get("permanence", Permanence.TEMPORARY), entry.get("expiry_height")
 
     def _build_genesis(self) -> None:
         scn = self.scenario
@@ -621,7 +572,7 @@ class Simulation:
         for actor in scn.actors:
             if not actor.roles:
                 continue  # keys only; the account may be created later on-chain
-            recovery = self._recovery_from_spec(actor.recovery)
+            recovery = self._recovery(actor.recovery)
             try:
                 validate_recovery(recovery, self.aid(actor.name))
             except TxError as exc:
@@ -636,15 +587,7 @@ class Simulation:
                     provider=self.aid(actor.provider) if actor.provider else None,
                 )
             )
-        overrides = [
-            (
-                p["key"],
-                self._policy_value(p["value"]),
-                PERMANENCE_BY_NAME[p.get("permanence", "temporary")],
-                p.get("expiry_height"),
-            )
-            for p in scn.policies
-        ]
+        overrides = [self._policy(p) for p in scn.policies]
         escrow = Account(
             account_id=self.keys["escrow"].account_id,
             public_key=self.keys["escrow"].public_key,
@@ -652,22 +595,23 @@ class Simulation:
         self.state = build_genesis(scn.scheme, accounts, overrides, escrow)
         self.chain = Chain()
 
-        # every actor gets gateway machinery (it may become a validator later);
-        # only genesis validators start with on-chain endpoint registrations
-        for actor in scn.actors:
-            view = self._keypair(f"{actor.name}.view")
-            self.view_keys[actor.name] = view
-            aid = self.aid(actor.name)
-            self.sec_gateways[actor.name] = SecurityGateway(aid, self.faults[actor.name])
-            self.vis_gateways[actor.name] = VisibilityGateway(aid, view, self.faults[actor.name])
-            if Role.VALIDATOR in actor.roles:
+        # every actor and escrow gets gateway machinery (it may become a
+        # validator later); only genesis validators start with on-chain
+        # endpoint registrations
+        validators = {actor.name for actor in scn.actors if Role.VALIDATOR in actor.roles}
+        for name, aid in self.ids.items():
+            view = self._keypair(f"{name}.view")
+            self.view_keys[name] = view
+            self.sec_gateways[name] = SecurityGateway(aid, self.faults[name])
+            self.vis_gateways[name] = VisibilityGateway(aid, view, self.faults[name])
+            if name in validators:
                 self.state.validator_registry[aid] = ValidatorRecord(
                     account=aid,
-                    security_gateways=(f"sim://{actor.name}/sec0",),
-                    visibility_gateways=(f"sim://{actor.name}/vis0",),
-                    validation_server=f"sim://{actor.name}/validation",
+                    security_gateways=(f"sim://{name}/sec0",),
+                    visibility_gateways=(f"sim://{name}/vis0",),
+                    validation_server=f"sim://{name}/validation",
                     view_key=view.public_key,
-                    contact=f"ops@{actor.name}",
+                    contact=f"ops@{name}",
                 )
 
         self.genesis_doc = genesis_doc(self.state, dict(self.ids))
@@ -692,7 +636,7 @@ class Simulation:
     # -- step execution -------------------------------------------------------
 
     def _build_payload(self, body: dict, sender: str) -> Payload:
-        return TX_STEPS[body["kind"]][2](self, body, sender)
+        return TX_STEPS[body["kind"]].act(self, body, sender)
 
     def _submit_tx(self, sender: str, payload: Payload, tick: int, store: str | None = None) -> None:
         sender_id = self.aid(sender)
@@ -723,7 +667,7 @@ class Simulation:
 
     def _run_query(self, body: dict, tick: int) -> None:
         requester = body["as"]
-        query = self._build_query(body, requester)
+        query = QUERY_STEPS[body["kind"]].act(self, body, requester)
         gateway_names = body.get("gateways") or self._gateway_operators()
         label = body.get("store")
         expect_error = body.get("expect_error")
@@ -762,25 +706,6 @@ class Simulation:
             if label:
                 self.stored_responses.setdefault(label, []).append(response)
 
-    def _build_query(self, body: dict, requester: str) -> Query:
-        kind = body["kind"]
-        account = self.aid(body.get("account", requester))
-        if kind == "own_balance":
-            return OwnBalance(account)
-        if kind == "own_history":
-            return OwnHistory(account)
-        if kind == "claimable":
-            return Claimable(account)
-        if kind == "management_log":
-            return ManagementLog(body.get("start", 0), body.get("end", 10**9))
-        if kind == "supply":
-            return SupplyView()
-        if kind == "directory":
-            return GatewayDirectory()
-        if kind == "validation_server":
-            return ValidationServerAddress(self.aid(body["validator"]))
-        raise ScenarioError(f"unknown query kind {kind!r}")
-
     def _run_compare(self, body: dict, tick: int) -> None:
         label = body["label"]
         responses = self.stored_responses.get(label, [])
@@ -811,63 +736,61 @@ class Simulation:
             )
 
     def _run_assert(self, body: dict, tick: int) -> None:
-        kind = body["kind"]
-        ok, detail = True, ""
-        state = self.state
-        if kind == "balance":
-            got = state.accounts[self.aid(body["account"])].balance
-            ok = got == body["equals"]
-            detail = f"{body['account']} balance {got} (want {body['equals']})"
-        elif kind == "frozen":
-            got = state.accounts[self.aid(body["account"])].frozen
-            ok = got == bool(body["equals"])
-            detail = f"{body['account']} frozen {got}"
-        elif kind == "supply":
-            for field_name in ("minted", "burned", "circulating"):
-                if field_name in body:
-                    got = getattr(state.supply, field_name)
-                    if got != body[field_name]:
-                        ok = False
-                    detail += f"{field_name}={got} "
-        elif kind == "policy":
-            got = state.policy_int(body["key"], -1)
-            ok = got == body["equals"]
-            detail = f"{body['key']}={got}"
-        elif kind == "validators":
-            want = sorted(self.aid(n) for n in body["equals"])
-            got = state.validators()
-            ok = got == want
-            detail = f"validators {[self.names_by_id.get(v, v.hex()[:8]) for v in got]}"
-        elif kind == "proposal":
-            prop = state.proposals.get(body["id"])
-            got = prop.status.value if prop else "missing"
-            ok = got == body["status"]
-            detail = f"proposal {body['id']} {got}"
-        elif kind == "log_contains":
-            want_kind = body["entry_kind"]
-            matches = [e for e in state.management_log() if e.kind == want_kind]
-            if "within_last_blocks" in body:
-                cutoff = state.height - body["within_last_blocks"]
-                matches = [e for e in matches if e.height > cutoff]
-            ok = bool(matches) == body.get("present", True)
-            detail = f"{want_kind} x{len(matches)}"
-        elif kind == "claimable":
-            got = claimable_amount(state, self.aid(body["account"]))
-            ok = got == body["equals"]
-            detail = f"claimable {got}"
-        elif kind == "height":
-            ok = state.height == body["equals"]
-            detail = f"height {state.height}"
-        elif kind == "publisher":
-            block = next((b for b in self.chain.blocks if b.height == body["height"]), None)
-            got = self.names_by_id.get(block.publisher) if block else None
-            ok = got == body["equals"]
-            detail = f"height {body['height']} publisher {got}"
-        elif kind == "compare_result":
-            got = self.compare_results.get(body["label"], "missing")
-            ok = got == body["equals"]
-            detail = f"{body['label']}: {got}"
-        self.assertions.append(AssertionResult(tick, kind, ok, detail.strip()))
+        ok, detail = ASSERT_STEPS[body["kind"]].act(self, body)
+        self.assertions.append(AssertionResult(tick, body["kind"], ok, detail))
+
+    # -- assertions: each evaluates one assert kind to (ok, detail) ---------------
+
+    def _assert_balance(self, b: dict) -> tuple[bool, str]:
+        got = getattr(self.state.accounts.get(self.aid(b["account"])), "balance", None)
+        return got == b["equals"], f"{b['account']} balance {got} (want {b['equals']})"
+
+    def _assert_frozen(self, b: dict) -> tuple[bool, str]:
+        got = getattr(self.state.accounts.get(self.aid(b["account"])), "frozen", None)
+        return got == b["equals"], f"{b['account']} frozen {got}"
+
+    def _assert_supply(self, b: dict) -> tuple[bool, str]:
+        named = [name for name in ("minted", "burned", "circulating") if name in b]
+        got = {name: getattr(self.state.supply, name) for name in named}
+        return all(got[name] == b[name] for name in named), " ".join(f"{name}={got[name]}" for name in named)
+
+    def _assert_policy(self, b: dict) -> tuple[bool, str]:
+        got = self.state.policy_int(b["key"], -1)
+        return got == b["equals"], f"{b['key']}={got}"
+
+    def _assert_validators(self, b: dict) -> tuple[bool, str]:
+        got = self.state.validators()
+        names = [self.names_by_id.get(v, v.hex()[:8]) for v in got]
+        return got == sorted(map(self.aid, b["equals"])), f"validators {names}"
+
+    def _assert_proposal(self, b: dict) -> tuple[bool, str]:
+        prop = self.state.proposals.get(b["id"])
+        got = prop.status.value if prop else "missing"
+        return got == b["status"], f"proposal {b['id']} {got}"
+
+    def _assert_log_contains(self, b: dict) -> tuple[bool, str]:
+        matches = [e for e in self.state.management_log() if e.kind == b["entry_kind"]]
+        if "within_last_blocks" in b:
+            cutoff = self.state.height - b["within_last_blocks"]
+            matches = [e for e in matches if e.height > cutoff]
+        return bool(matches) == b.get("present", True), f"{b['entry_kind']} x{len(matches)}"
+
+    def _assert_claimable(self, b: dict) -> tuple[bool, str]:
+        aid = self.aid(b["account"])
+        got = claimable_amount(self.state, aid) if aid in self.state.accounts else None
+        return got == b["equals"], f"claimable {got}"
+
+    def _assert_height(self, b: dict) -> tuple[bool, str]:
+        return self.state.height == b["equals"], f"height {self.state.height}"
+
+    def _assert_publisher(self, b: dict) -> tuple[bool, str]:
+        block = next((blk for blk in self.chain.blocks if blk.height == b["height"]), None)
+        got = self.names_by_id.get(block.publisher) if block else None
+        return got == b["equals"], f"height {b['height']} publisher {got}"
+
+    def _assert_compare_result(self, b: dict) -> tuple[bool, str]:
+        got = self.compare_results.get(b["label"], "missing")
+        return got == b["equals"], f"{b['label']}: {got}"
 
     # -- the loop ----------------------------------------------------------------
 
@@ -978,6 +901,50 @@ class Simulation:
 
     def export(self) -> bytes:
         return export_chain(self.chain, self.genesis_doc)
+
+
+# --- assert steps ----------------------------------------------------------------------
+#
+# assert kind -> (Simulation method that evaluates it to (ok, detail), fields)
+
+ASSERT_STEPS = kinds(
+    {},
+    {
+        "balance": (Simulation._assert_balance, {"account": ACTOR, "equals": U64}),
+        "frozen": (Simulation._assert_frozen, {"account": ACTOR, "equals": BOOL}),
+        "supply": (
+            Simulation._assert_supply,
+            {"minted": optional(U64), "burned": optional(U64), "circulating": optional(U64)},
+        ),
+        # policy_int answers -1 for an absent key, so any integer may be expected
+        "policy": (Simulation._assert_policy, {"key": TEXT, "equals": INTEGER}),
+        "validators": (Simulation._assert_validators, {"equals": ACTORS}),
+        "proposal": (
+            Simulation._assert_proposal,
+            {"id": U64, "status": choice("proposal status", {s.value: s.value for s in ProposalStatus} | MISSING)},
+        ),
+        "log_contains": (
+            Simulation._assert_log_contains,
+            {"entry_kind": TEXT, "present": optional(BOOL), "within_last_blocks": optional(U64)},
+        ),
+        "claimable": (Simulation._assert_claimable, {"account": ACTOR, "equals": U64}),
+        "height": (Simulation._assert_height, {"equals": U64}),
+        "publisher": (Simulation._assert_publisher, {"height": U64, "equals": ACTOR}),
+        "compare_result": (
+            Simulation._assert_compare_result,
+            {"label": TEXT, "equals": choice("compare result", OUTCOMES | MISSING)},
+        ),
+    },
+)
+
+# step kind -> the fields of its body, or its kinds, told apart by the body's ``kind``
+STEP_BODIES: dict[str, Fields | dict[str, Kind]] = {
+    "tx": TX_STEPS,
+    "query": QUERY_STEPS,
+    "compare": COMPARE_STEP,
+    "fault": FAULT_STEP,
+    "assert": ASSERT_STEPS,
+}
 
 
 def run(scenario: Scenario) -> tuple[Report, Simulation]:

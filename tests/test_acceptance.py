@@ -16,6 +16,7 @@ import pytest
 
 from rolechain import errors as err
 from rolechain.chain import Chain, append_block, build_block, expected_publisher, verify_dump
+from rolechain.codec import U64_MAX
 from rolechain.engine import apply_transaction, finalize_expired_proposals, verify_evidence
 from rolechain.errors import TxError
 from rolechain.gateway import (
@@ -128,6 +129,12 @@ def _run_random_scenario(seed: int, ops: int) -> World:
         batch = []
         pending_nonces.clear()
 
+    def amount(high: int) -> int:
+        """Mostly 1..high; one draw in fifty is within 2**32 of the u64 maximum."""
+        if rng.random() < 0.02:
+            return U64_MAX - rng.randint(0, 2**32)
+        return rng.randint(1, high)
+
     queue("bank", SetInterestRule(1, 50, 7, 1, mode))
     flush()
 
@@ -137,18 +144,18 @@ def _run_random_scenario(seed: int, ops: int) -> World:
             roll = rng.random()
             if roll < 0.45:
                 a, b = rng.sample(users, 2)
-                queue(a, Transfer(world.aid(b), rng.randint(1, 80)))
+                queue(a, Transfer(world.aid(b), amount(80)))
             elif roll < 0.55:
-                queue("bank", Mint(world.aid(rng.choice(users)), rng.randint(1, 50)))
+                queue("bank", Mint(world.aid(rng.choice(users)), amount(50)))
             elif roll < 0.60:
                 queue("bank", Burn(world.aid("bank"), rng.randint(1, 40)))
             elif roll < 0.70:
                 direction = FiatDirection.IN if rng.random() < 0.5 else FiatDirection.OUT
-                queue("prov", ConvertFiat(world.aid(rng.choice(users)), direction, rng.randint(1, 30)))
+                queue("prov", ConvertFiat(world.aid(rng.choice(users)), direction, amount(30)))
             elif roll < 0.75:
                 queue("sec", SetFrozen(world.aid(rng.choice(users)), rng.random() < 0.5))
             elif roll < 0.80:
-                queue("sec", Confiscate(world.aid(rng.choice(users)), world.aid("escrow"), rng.randint(1, 25)))
+                queue("sec", Confiscate(world.aid(rng.choice(users)), world.aid("escrow"), amount(25)))
             elif roll < 0.85 and reversible:
                 queue("sec", Reverse(reversible.pop(rng.randrange(len(reversible)))))
             else:

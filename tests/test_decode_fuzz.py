@@ -29,6 +29,7 @@ from rolechain.errors import CodecError, RolechainError
 from rolechain.gateway import Rejected, SecurityGateway
 from rolechain.payloads import (
     AssignRole,
+    BootstrapValidators,
     CastVote,
     ConvertFiat,
     CreateProposal,
@@ -168,6 +169,41 @@ def test_admission_never_raises_at_any_nesting_depth_near_the_stack_limit():
     assert {type(outcome) for outcome, _ in results} == {Rejected}
 
 
+def _validators_frame(ids: list[bytes]) -> bytes:
+    """A ``BootstrapValidators`` frame listing ``ids`` as given, with the
+    signature of the canonical frame (the ids sorted, once each)."""
+    signed = WORLD.tx("mgr", BootstrapValidators(frozenset(ids)))
+    w = Writer()
+    w.raw(b"tx:")
+    w.bytes_(signed.sender)
+    w.u64(signed.nonce)
+    w.u8(BootstrapValidators.TAG)
+    w.count(len(ids))
+    for validator in ids:
+        w.bytes_(validator)
+    w.bytes_(signed.signature)
+    return w.getvalue()
+
+
+LOW, HIGH = sorted([A, B])
+
+
+def test_canonical_validator_set_frame_decodes():
+    raw = _validators_frame([LOW, HIGH])
+    assert raw == WORLD.tx("mgr", BootstrapValidators(frozenset({A, B}))).encode()
+    assert decode_transaction(raw).encode() == raw
+
+
+@pytest.mark.parametrize("ids", [[HIGH, LOW], [LOW, LOW, HIGH]], ids=["swapped", "repeated"])
+def test_set_out_of_order_or_repeated_is_malformed(ids):
+    """Each decoded to the canonical transaction, with its tx_id, from other bytes."""
+    raw = _validators_frame(ids)
+    with pytest.raises(CodecError, match="strictly ascending"):
+        decode_transaction(raw)
+    outcome, _ = _admit(WORLD, raw)
+    assert outcome == Rejected(err.MALFORMED)
+
+
 def _payloads() -> list[Payload]:
     return [
         *SWEPT.values(),
@@ -217,6 +253,16 @@ def test_decode_transaction_raises_only_codec_error(raw):
 
 @settings(max_examples=400, deadline=None)
 @given(hostile)
+def test_an_accepted_transaction_frame_is_its_own_encoding(raw):
+    try:
+        tx = decode_transaction(raw)
+    except CodecError:
+        return
+    assert tx.encode() == raw
+
+
+@settings(max_examples=400, deadline=None)
+@given(hostile)
 def test_admit_never_raises(raw):
     outcome, decodes = _admit(WORLD, raw)
     if not decodes:
@@ -240,6 +286,16 @@ def test_decode_block_raises_only_codec_error(raw):
         decode_block(raw)
     except CodecError:
         pass
+
+
+@settings(max_examples=400, deadline=None)
+@given(_hostile(b"blk:", BLOCKS))
+def test_an_accepted_block_frame_is_its_own_encoding(raw):
+    try:
+        block = decode_block(raw)
+    except CodecError:
+        return
+    assert block.encode() == raw
 
 
 @settings(max_examples=200, deadline=None)

@@ -2,17 +2,21 @@
 
 Adding a kind means one class declared with ``payloads.payload_kind``, one
 entry in ``engine.HANDLERS`` and one in ``sim.TX_STEPS``, plus a round-trip
-case in ``test_payloads.ALL_PAYLOADS``.  Leaving out any of them fails here.
+case in ``test_payloads.ALL_PAYLOADS``.  Adding a query means one member of
+``payloads.QUERY`` and one entry in ``sim.QUERY_STEPS``.  Leaving out any of
+them fails here.
 """
 
 from __future__ import annotations
+
+from collections import Counter
 
 import pytest
 
 from rolechain.codec import Reader, Writer
 from rolechain.engine import HANDLERS
-from rolechain.payloads import PAYLOAD, PAYLOAD_KINDS, Payload, encode_payload
-from rolechain.sim import TX_STEPS
+from rolechain.payloads import PAYLOAD, PAYLOAD_KINDS, QUERY, Payload, encode_payload
+from rolechain.sim import QUERY_STEPS, TX_STEPS, Simulation, parse_scenario
 
 from test_payloads import ALL_PAYLOADS
 
@@ -50,3 +54,10 @@ def test_encode_payload_matches_the_field_description(payload):
     r = Reader(described.getvalue())
     assert PAYLOAD.decode(r) == payload
     r.require_end()
+
+
+def test_every_query_has_exactly_one_query_step():
+    sim = Simulation(parse_scenario({"ticks": 0, "actors": [{"name": "a", "roles": ["validator"]}]}))
+    body = {"as": "a", "validator": "a"}  # every required field but kind
+    built = Counter(type(step.act(sim, {**body, "kind": kind}, "a")) for kind, step in QUERY_STEPS.items())
+    assert built == Counter(QUERY.by_tag.values())

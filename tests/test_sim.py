@@ -1,11 +1,23 @@
 from __future__ import annotations
 
+import copy
 from pathlib import Path
 
 import pytest
 
-from rolechain.errors import ScenarioError
-from rolechain.sim import Simulation, load_scenario, parse_scenario, run
+from rolechain.errors import RolechainError, ScenarioError
+from rolechain.schema import Fields
+from rolechain.sim import (
+    ACTIONS,
+    ACTOR_ENTRY,
+    POLICY_ENTRY,
+    SCENARIO,
+    STEP_BODIES,
+    Simulation,
+    load_scenario,
+    parse_scenario,
+    run,
+)
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -400,3 +412,292 @@ def test_escrow_as_validator_publishes_blocks_with_transactions():
     assert report.blocks_produced == 6
     assert sim.aid("escrow") in {block.publisher for block in sim.chain.blocks}
     assert report.balances["b"] == 5
+
+
+# --- reverse steps ------------------------------------------------------------------
+
+
+def _reverse_raw(target: str) -> dict:
+    return {
+        "ticks": 3,
+        "actors": [
+            {"name": "alice", "roles": ["user"], "balance": 50},
+            {"name": "bob", "roles": ["user"]},
+            {"name": "sec", "roles": ["system_security"]},
+            {"name": "v1", "roles": ["validator"]},
+        ],
+        "steps": [
+            {"tick": 1, "tx": {"from": "alice", "kind": "transfer", "to": "bob", "amount": 20, "store": "t1"}},
+            {"tick": 2, "assert": {"kind": "balance", "account": "bob", "equals": 20}},
+            {"tick": 3, "tx": {"from": "sec", "kind": "reverse", "target": target}},
+            {"tick": 3, "assert": {"kind": "balance", "account": "alice", "equals": 50}},
+            {"tick": 3, "assert": {"kind": "balance", "account": "bob", "equals": 0}},
+        ],
+    }
+
+
+def test_reverse_step_returns_a_stored_transfer():
+    report, sim = run(parse_scenario(_reverse_raw("t1")))
+    assert report.all_passed, [a for a in report.assertions if not a.ok]
+    assert report.balances["alice"] == 50 and report.balances["bob"] == 0
+    assert sim.receipts[sim.stored_tx_ids["t1"]].ok
+
+
+def test_reverse_of_a_label_no_earlier_step_stores_is_rejected():
+    with pytest.raises(ScenarioError, match="tx reverse: target: no earlier tx step stores 't2'"):
+        parse_scenario(_reverse_raw("t2"))
+
+
+def test_reverse_of_a_stored_but_refused_transaction_fails_the_run():
+    raw = _reverse_raw("t1")
+    raw["actors"].append({"name": "keyholder"})  # keys only: no account, so every gateway refuses it
+    raw["steps"][0]["tx"]["from"] = "keyholder"
+    with pytest.raises(ScenarioError, match="no stored tx labelled 't1'"):
+        run(parse_scenario(raw))
+
+
+# --- every declared field, fed hostile values ----------------------------------------
+#
+# The sweep builds one valid step of every kind from the declarations in
+# rolechain.sim, so a new step kind is swept without a change here; a new
+# field type needs a sample below.
+
+HOSTILE = {
+    "list": ["a"],
+    "mapping": {"a": 1},
+    "null": None,
+    "true": True,
+    "float": 5.5,
+    "negative": -1,
+    "2**64": 2**64,
+    "unknown name": "zz-unknown",
+}
+
+# a valid value of each field type, by its name
+SAMPLES = {
+    "actor": "a",
+    "list of actor": ["a", "b"],
+    "stored label": "t1",
+    "text": "x",
+    "u64": 1,
+    "integer": 1,
+    "bool": True,
+    "role": "user",
+    "list of role": ["user"],
+    "list of fault": ["offline"],
+    "list of text": ["sim://x"],
+    "permanence": "temporary",
+    "mode": "pull",
+    "direction": "in",
+    "compare outcome": "consistent",
+    "compare result": "consistent",
+    "proposal status": "open",
+    "policy value": 1,
+    "recovery spec": "provider_only",
+    "tx": {"kind": "cast_vote", "proposal": 1, "approve": True},
+    "scheme": "mock",
+}
+
+
+def _sweep_raw(step: dict | None = None) -> dict:
+    steps = [{"tick": 1, "tx": {"from": "a", "kind": "transfer", "to": "b", "amount": 1, "store": "t1"}}]
+    return {
+        "name": "sweep",
+        "seed": 1,
+        "scheme": "mock",
+        "ticks": 2,
+        "policies": [{"key": "vote.window_blocks", "value": 5, "permanence": "temporary", "expiry_height": 9}],
+        "actors": [
+            {"name": "a", "roles": ["user", "validator"], "balance": 100, "provider": "b", "recovery": "provider_only"},
+            {
+                "name": "b",
+                "roles": ["platform_manager", "system_security", "currency_manager", "account_provider", "validator"],
+                "balance": 100,
+                "faults": [],
+            },
+        ],
+        "steps": steps + ([{"tick": 2, **step}] if step else []),
+    }
+
+
+def _sample_body(declaration: Fields, kind: str | None) -> dict:
+    body = {} if kind is None else {"kind": kind}
+    for name, field_type in declaration.types.items():
+        if name != "kind":
+            body[name] = SAMPLES[field_type.name]
+    return body
+
+
+def _outcome(raw: dict) -> str:
+    """``rejected`` by parse_scenario, ``failed`` with a RolechainError while running, or ``ran``."""
+    try:
+        scenario = parse_scenario(raw)
+    except ScenarioError:
+        return "rejected"
+    try:
+        run(scenario)
+    except RolechainError:
+        return "failed"
+    return "ran"
+
+
+def _sweep(raw: dict, entry: dict) -> list[str]:
+    """Each hostile value at each field of ``entry``, a dict inside ``raw``; the escapes."""
+    escapes = []
+    for name in list(entry):
+        original = entry[name]
+        for label, value in HOSTILE.items():
+            entry[name] = copy.deepcopy(value)
+            try:
+                _outcome(copy.deepcopy(raw))
+            except Exception as exc:  # anything but a RolechainError escaped
+                escapes.append(f"{name}={label}: {type(exc).__name__}: {exc}")
+        entry[name] = original
+    return escapes
+
+
+STEP_ENTRIES = {
+    f"{step_kind} {kind}": (step_kind, kind)
+    for step_kind, declaration in STEP_BODIES.items()
+    for kind in ([None] if isinstance(declaration, Fields) else declaration)
+}
+
+
+@pytest.mark.parametrize("step_kind, kind", STEP_ENTRIES.values(), ids=[k.replace(" None", "") for k in STEP_ENTRIES])
+def test_hostile_value_in_any_step_field_is_a_scenario_or_run_error(step_kind, kind):
+    declaration = STEP_BODIES[step_kind]
+    fields = declaration if kind is None else declaration[kind].fields
+    body = _sample_body(fields, kind)
+    step = {step_kind: body}
+    raw = _sweep_raw(step)
+    assert _outcome(raw) in ("ran", "failed"), "the sample step must parse"
+    assert _sweep(raw, body) == []
+    assert _sweep(raw, raw["steps"][1]) == []  # the step's tick
+
+
+@pytest.mark.parametrize("kind", ACTIONS)
+def test_hostile_value_in_any_proposal_action_field(kind):
+    action = _sample_body(ACTIONS[kind].fields, kind)
+    raw = _sweep_raw({"tx": {"from": "b", "kind": "create_proposal", "action": action, "electorate": "validator"}})
+    assert _outcome(raw) in ("ran", "failed"), "the sample action must parse"
+    assert _sweep(raw, action) == []
+
+
+@pytest.mark.parametrize("entry", ["scenario", "actor", "policy"])
+def test_hostile_value_in_any_scenario_actor_or_policy_field(entry):
+    raw = _sweep_raw()
+    assert _outcome(raw) == "ran"
+    declaration = {"scenario": SCENARIO, "actor": ACTOR_ENTRY, "policy": POLICY_ENTRY}[entry]
+    target = {"scenario": raw, "actor": raw["actors"][0], "policy": raw["policies"][0]}[entry]
+    for name, field_type in declaration.types.items():
+        target.setdefault(name, SAMPLES.get(field_type.name))
+    assert _sweep(raw, target) == []
+
+
+def _malformed(**where) -> dict:
+    """The sweep scenario with one tick-2 ``step``, or ``actor``/``top`` fields replaced."""
+    raw = _sweep_raw(where.get("step"))
+    raw["actors"][0].update(where.get("actor", {}))
+    raw.update(where.get("top", {}))
+    return raw
+
+
+def _tx(**body) -> dict:
+    return {"step": {"tx": {"from": "b", **body}}}
+
+
+# each was accepted by parse_scenario and then crashed the run with a
+# TypeError, AttributeError, ValueError, struct.error or CodecError, or ran on
+# a silently wrong value
+MALFORMED = {
+    "amount text": (_tx(kind="transfer", to="a", amount="5"), "amount"),
+    "amount float": (_tx(kind="transfer", to="a", amount=5.5), "amount"),
+    "amount negative": (_tx(kind="transfer", to="a", amount=-5), "amount"),
+    "amount 2**64": (_tx(kind="mint", to="a", amount=2**64), "amount"),
+    "amount bool": (_tx(kind="transfer", to="a", amount=True), "amount"),
+    "to list": (_tx(kind="transfer", to=["a"], amount=5), "to"),
+    "source list": (_tx(kind="confiscate", source=["a"], amount=5), "source"),
+    "user mapping": (_tx(kind="convert_fiat", user={"a": 1}, direction="in", amount=5), "user"),
+    "rate_den text": (
+        _tx(kind="set_interest_rule", rate_num=1, rate_den="3", period_blocks=3, start_height=3, mode="pull"),
+        "rate_den",
+    ),
+    "mode unknown": (
+        _tx(kind="set_interest_rule", rate_num=1, rate_den=3, period_blocks=3, start_height=3, mode="sideways"),
+        "mode",
+    ),
+    "direction unknown": (_tx(kind="convert_fiat", user="a", direction="sideways", amount=5), "direction"),
+    "frozen text": (_tx(kind="set_frozen", target="a", frozen="no"), "frozen"),
+    "proposal text": (_tx(kind="cast_vote", proposal="1", approve=True), "proposal"),
+    "approve text": (_tx(kind="cast_vote", proposal=1, approve="yes"), "approve"),
+    "policy key number": (_tx(kind="set_policy", key=5, value=1), "key"),
+    "policy value bad hex": (_tx(kind="set_policy", key="k", value={"hex": "zz"}), "value"),
+    "policy expiry text": (
+        _tx(kind="set_policy", key="k", value=1, permanence="timed_expiration", expiry_height="9"),
+        "expiry_height",
+    ),
+    "new_key_label number": (_tx(kind="rotate_key", target="a", new_key_label=5, approvers=["b"]), "new_key_label"),
+    "contact number": (_tx(kind="register_endpoints", contact=5), "contact"),
+    "validation_server list": (_tx(kind="register_endpoints", validation_server=["x"]), "validation_server"),
+    "security_gateways text": (_tx(kind="register_endpoints", security_gateways="abc"), "security_gateways"),
+    "store list": (_tx(kind="transfer", to="a", amount=5, store=["x"]), "store"),
+    "compare label list": ({"step": {"compare": {"label": ["q1"]}}}, "label"),
+    "within_last_blocks text": (
+        {"step": {"assert": {"kind": "log_contains", "entry_kind": "transfer", "within_last_blocks": "4"}}},
+        "within_last_blocks",
+    ),
+    "publisher height text": ({"step": {"assert": {"kind": "publisher", "height": "1", "equals": "a"}}}, "height"),
+    "frozen assert text": ({"step": {"assert": {"kind": "frozen", "account": "a", "equals": "no"}}}, "equals"),
+    "query start text": ({"step": {"query": {"as": "a", "kind": "management_log", "start": "0"}}}, "start"),
+    "expect_int text": ({"step": {"query": {"as": "a", "kind": "own_balance", "expect_int": "60"}}}, "expect_int"),
+    "balance text": ({"actor": {"balance": "x"}}, "balance"),
+    "balance negative": ({"actor": {"balance": -1}}, "balance"),
+    "recovery guardians number": ({"actor": {"recovery": {"guardians": 5}}}, "guardians"),
+    "seed list": ({"top": {"seed": [1]}}, "seed"),
+    "name list": ({"top": {"name": [1]}}, "name"),
+    "ticks bool": ({"top": {"ticks": True}}, "ticks"),
+}
+
+
+def _nested_proposal(depth: int) -> dict:
+    action = {"kind": "cast_vote", "proposal": 1, "approve": True}
+    for _ in range(depth):
+        action = {"kind": "create_proposal", "electorate": "validator", "action": action}
+    return _sweep_raw({"tx": {"from": "b", **action}})
+
+
+def test_proposal_nested_past_the_stack_is_a_load_error():
+    run(parse_scenario(_nested_proposal(50)))
+    with pytest.raises(ScenarioError, match="nested too deeply"):
+        parse_scenario(_nested_proposal(5_000))
+
+
+def test_genesis_balances_past_the_u64_supply_are_a_load_error():
+    raw = _sweep_raw()
+    raw["actors"][0]["balance"] = raw["actors"][1]["balance"] = 2**63
+    with pytest.raises(ScenarioError, match="balances sum past"):
+        parse_scenario(raw)
+    raw["actors"][1]["balance"] = 2**63 - 1
+    assert run(parse_scenario(raw))[0].supply["minted"] == 2**64 - 1
+
+
+@pytest.mark.parametrize("where, field_name", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_field_is_a_load_error_naming_the_field(where, field_name):
+    with pytest.raises(ScenarioError, match=f"{field_name}: "):
+        parse_scenario(_malformed(**where))
+
+
+@pytest.mark.parametrize(
+    "step",
+    [
+        {"assert": {"kind": "balance", "account": "escrow", "equals": 0}},
+        {"tx": {"from": "b", "kind": "reverse", "target": "t1"}},
+        # escrow is an actor like any other, so it may send and serve reads
+        {"tx": {"from": "escrow", "kind": "register_endpoints"}},
+        {"query": {"as": "a", "kind": "supply", "gateways": ["escrow"]}},
+    ],
+    ids=["escrow-balance", "stored-label-reverse", "escrow-registers-endpoints", "escrow-gateway"],
+)
+def test_well_formed_edge_cases_parse_and_pass(step):
+    report, _ = run(parse_scenario(_sweep_raw(step)))
+    assert report.all_passed, report.assertions
