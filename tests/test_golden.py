@@ -7,8 +7,9 @@ gained its caches; any change to wire bytes, digests or reports shows
 here first.
 
 ``golden/wire_bytes.json`` holds the canonical bytes of every wire type:
-each payload, query, validator record, signed response, a block, a dump
-and a state digest.
+each payload, query, validator record, signed response, a block, a dump,
+a state digest, and the digest of a state holding every kind of state
+record and log value.
 
 ``golden/read_answers.json`` holds the SHA-256 of the honest answers to
 the log reads (``OwnHistory``, ``ManagementLog``) at the end of two
@@ -27,12 +28,21 @@ from rolechain.chain import ZERO_HASH, Block, Chain, export_chain, genesis_block
 from rolechain.codec import Reader, Writer
 from rolechain.engine import build_genesis
 from rolechain.gateway import compute_result
-from rolechain.ledger import Account
+from rolechain.ledger import (
+    Account,
+    AllowanceLedger,
+    InterestRule,
+    LogEntry,
+    Policy,
+    Proposal,
+    ProposalStatus,
+)
 from rolechain.payloads import (
     AssignRole,
     Claimable,
     GatewayDirectory,
     Guardians,
+    InterestMode,
     ManagementLog,
     OwnBalance,
     OwnHistory,
@@ -229,6 +239,66 @@ def _state():
     return state
 
 
+def _every_record_state():
+    """A state reaching every branch of the digest: each kind of record and value."""
+    state = _state()
+    D = b"\x44" * 32
+    state.height = 12
+    state.supply.burned = 5
+    state.accounts[D] = Account(
+        account_id=D, public_key=b"\x05" * 32, frozen=True, nonce=3, provider=C, recovery=ProviderPlusSecurity()
+    )
+    state.accounts[b"\x55" * 32] = Account(account_id=b"\x55" * 32, public_key=b"\x06" * 32, roles=set())
+    for key, value, permanence, expiry in [
+        ("custom.bytes.permanent", b"\x01\x02", Permanence.PERMANENT, None),
+        ("custom.bytes.temporary", b"", Permanence.TEMPORARY, None),
+        ("custom.bytes.timed", b"\xff", Permanence.TIMED_EXPIRATION, 40),
+        ("custom.int.permanent", 0, Permanence.PERMANENT, None),
+        ("custom.int.temporary", 2**64 - 1, Permanence.TEMPORARY, None),
+    ]:
+        state.policies[key] = Policy(key, value, permanence, expiry, D, 7)
+    state.proposals[1] = Proposal(
+        proposal_id=1, action=ALL_PAYLOADS[0], proposer=A, electorate=Role.USER, created_at=2, expires_at=9,
+        yes={B, A}, no={C}, status=ProposalStatus.PASSED,
+    )
+    state.proposals[2] = Proposal(
+        proposal_id=2, action=ALL_PAYLOADS[1], proposer=B, electorate=Role.SYSTEM_SECURITY, created_at=3,
+        expires_at=8, yes={B}, status=ProposalStatus.FAILED, execution_error="InsufficientFunds",
+    )
+    state.proposals[3] = Proposal(
+        proposal_id=3, action=ALL_PAYLOADS[2], proposer=C, electorate=Role.VALIDATOR, created_at=11, expires_at=21
+    )
+    state.interest_rules[1] = InterestRule(
+        rule_id=1, rate_num=1, rate_den=100, period_blocks=5, start_height=0, mode=InterestMode.PUSH, scope=None,
+        last_accrued_period=2, created_total=14,
+    )
+    state.interest_rules[2] = InterestRule(
+        rule_id=2, rate_num=3, rate_den=7, period_blocks=4, start_height=4, mode=InterestMode.PULL,
+        scope=frozenset({B, A}), active=False,
+    )
+    state.allowances[B] = {
+        2: AllowanceLedger(last_claimed_period=1, accrued=[(1, 4), (2, 6)]),
+        1: AllowanceLedger(accrued=[(2, 1)]),
+    }
+    state.allowances[A] = {2: AllowanceLedger()}
+    state.validator_registry[A] = RECORD
+    state.tx_log += [
+        LogEntry(
+            tx_id=b"\x07" * 32, height=1, kind="transfer", sender=A, ok=True, error=None, management=False,
+            participants=(A, A), data={"from": A, "to": A, "amount": 5}, reversed_by=b"\x08" * 32,
+        ),
+        LogEntry(
+            tx_id=b"\x08" * 32, height=2, kind="reverse", sender=D, ok=False, error="AlreadyReversed",
+            management=True, participants=(D,), data={},
+        ),
+        LogEntry(
+            tx_id=b"\x09" * 32, height=3, kind="set_policy", sender=None, ok=True, error=None, management=True,
+            participants=(), data={"key": "k", "value": b"\x00", "frozen": False, "active": True, "n": 0},
+        ),
+    ]
+    return state
+
+
 def wire_cases() -> dict[str, bytes]:
     """Every case's canonical bytes under the current encoders."""
     cases = {}
@@ -247,6 +317,7 @@ def wire_cases() -> dict[str, bytes]:
     state = _state()
     cases["dump"] = export_chain(Chain([genesis_block(), block]), genesis_doc(state, {"a": A, "b": B, "c": C}))
     cases["state digest"] = state.digest()
+    cases["state digest, every record"] = _every_record_state().digest()
     return cases
 
 
