@@ -30,12 +30,6 @@ from . import errors as err
 from .keys import KeyPair, get_scheme
 from .ledger import Account, LedgerState, Policy
 from .payloads import (
-    Guardians,
-    Permanence,
-    ProviderOnly,
-    ProviderPlusSecurity,
-    RecoveryPolicy,
-    ROLE_BY_NAME,
     Role,
     Transaction,
     ValidatorRecord,
@@ -257,155 +251,59 @@ def append_block(
 
 # --- genesis documents and chain dumps --------------------------------------------
 
-def _recovery_to_doc(recovery: RecoveryPolicy) -> dict:
-    if isinstance(recovery, Guardians):
-        return {
-            "kind": "guardians",
-            "guardians": sorted(g.hex() for g in recovery.guardians),
-            "threshold": recovery.threshold,
-        }
-    if isinstance(recovery, ProviderPlusSecurity):
-        return {"kind": "provider_plus_security"}
-    return {"kind": "provider_only"}
-
-
-def _recovery_from_doc(doc: dict) -> RecoveryPolicy:
-    kind = doc["kind"]
-    if kind == "guardians":
-        threshold = doc["threshold"]
-        if not _u64(threshold):
-            raise CodecError("genesis doc: bad guardian threshold")
-        return Guardians(frozenset(bytes.fromhex(g) for g in doc["guardians"]), threshold)
-    if kind == "provider_plus_security":
-        return ProviderPlusSecurity()
-    if kind == "provider_only":
-        return ProviderOnly()
-    raise CodecError(f"genesis doc: unknown recovery kind {kind!r}")
-
-
 def genesis_doc(state: LedgerState, names: dict[str, bytes] | None = None) -> dict:
-    """JSON-safe snapshot of a height-0 state, enough to replay from."""
-    doc: dict = {
+    """JSON-safe snapshot of a height-0 state, enough to replay from.
+
+    Accounts, policies and validator records take the JSON forms their
+    field declarations give them.
+    """
+    return {
         "scheme": state.scheme,
-        "accounts": [],
-        "policies": [],
-        "registry": [],
+        "accounts": [Account.FIELDS.to_doc(a) for _, a in sorted(state.accounts.items())],
+        "policies": [Policy.FIELDS.to_doc(p) for _, p in sorted(state.policies.items())],
+        "registry": [ValidatorRecord.FIELDS.to_doc(r) for _, r in sorted(state.validator_registry.items())],
         "names": {name: aid.hex() for name, aid in sorted((names or {}).items())},
     }
-    for aid in sorted(state.accounts):
-        a = state.accounts[aid]
-        doc["accounts"].append(
-            {
-                "id": a.account_id.hex(),
-                "key": a.public_key.hex(),
-                "roles": sorted(r.name.lower() for r in a.roles),
-                "balance": a.balance,
-                "frozen": a.frozen,
-                "provider": a.provider.hex() if a.provider else None,
-                "recovery": _recovery_to_doc(a.recovery),
-            }
-        )
-    for key in sorted(state.policies):
-        p = state.policies[key]
-        doc["policies"].append(
-            {
-                "key": p.key,
-                "type": "int" if isinstance(p.value, int) else "bytes",
-                "value": p.value if isinstance(p.value, int) else p.value.hex(),
-                "permanence": p.permanence.name.lower(),
-                "expiry_height": p.expiry_height,
-            }
-        )
-    for aid in sorted(state.validator_registry):
-        rec = state.validator_registry[aid]
-        doc["registry"].append(
-            {
-                "account": rec.account.hex(),
-                "security_gateways": list(rec.security_gateways),
-                "visibility_gateways": list(rec.visibility_gateways),
-                "validation_server": rec.validation_server,
-                "view_key": rec.view_key.hex(),
-                "contact": rec.contact,
-            }
-        )
-    return doc
-
-
-_PERMANENCE = {p.name.lower(): p for p in Permanence}
-
-
-def _u64(value) -> bool:
-    return type(value) is int and 0 <= value <= U64_MAX
-
-
-def _strs(values) -> bool:
-    return type(values) is list and all(type(v) is str for v in values)
 
 
 def state_from_doc(doc: dict) -> LedgerState:
     """Height-0 state from a genesis doc.
 
     A dump declares its doc's digest itself, so the doc is outside input: a
-    missing key, a wrong type, bad hex, an unknown name or a number outside
-    the u64 range raises ``CodecError``.
+    missing key, a wrong type, bad hex, an unknown name, a number outside
+    the u64 range or an account, policy or validator listed twice raises
+    ``CodecError``.
     """
     try:
-        return _state_from_doc(doc)
+        state = LedgerState(scheme=doc["scheme"])
+        get_scheme(state.scheme)
+        names = doc["names"]  # read by ``rolechain query``
+        policies, accounts, registry = doc["policies"], doc["accounts"], doc["registry"]
+        if type(names) is not dict or not all(type(x) is list for x in (policies, accounts, registry)):
+            raise CodecError("wrong type of names, policies, accounts or registry")
+        for aid in names.values():
+            bytes.fromhex(aid)
+        for policy in map(Policy.FIELDS.from_doc, policies):
+            if policy.key in state.policies:
+                raise CodecError(f"policy {policy.key!r} listed twice")
+            state.policies[policy.key] = policy
+        for acct in map(Account.FIELDS.from_doc, accounts):
+            if acct.account_id in state.accounts:
+                raise CodecError(f"account {acct.account_id.hex()} listed twice")
+            state.accounts[acct.account_id] = acct
+            state.supply.minted += acct.balance
+        if state.supply.minted > U64_MAX:
+            raise CodecError("balances exceed the u64 supply")
+        for rec in map(ValidatorRecord.FIELDS.from_doc, registry):
+            if rec.account in state.validator_registry:
+                raise CodecError(f"validator record {rec.account.hex()} listed twice")
+            state.validator_registry[rec.account] = rec
+        return state
+    except CodecError as exc:
+        raise CodecError(f"genesis doc: {exc}") from None
     except (KeyError, TypeError, ValueError, InvalidKey) as exc:
         # lookups and bytes.fromhex on a malformed doc fail with these
         raise CodecError(f"genesis doc: {exc!r}") from None
-
-
-def _state_from_doc(doc: dict) -> LedgerState:
-    state = LedgerState(scheme=doc["scheme"])
-    get_scheme(state.scheme)
-    names = doc["names"]  # read by ``rolechain query``
-    policies, accounts, registry = doc["policies"], doc["accounts"], doc["registry"]
-    if type(names) is not dict or not all(type(x) is list for x in (policies, accounts, registry)):
-        raise CodecError("genesis doc: wrong type of names, policies, accounts or registry")
-    for aid in names.values():
-        bytes.fromhex(aid)
-    for p in policies:
-        key, kind, value, expiry = p["key"], p["type"], p["value"], p["expiry_height"]
-        if kind == "bytes":
-            value = bytes.fromhex(value)
-        elif kind != "int" or not _u64(value):
-            raise CodecError(f"genesis doc: bad value for policy {key!r}")
-        if type(key) is not str or not (expiry is None or _u64(expiry)):
-            raise CodecError(f"genesis doc: bad policy {key!r}")
-        state.policies[key] = Policy(key, value, _PERMANENCE[p["permanence"]], expiry, ZERO_ID, 0)
-    for a in accounts:
-        roles, balance, frozen, provider = a["roles"], a["balance"], a["frozen"], a["provider"]
-        if type(roles) is not list or not _u64(balance) or type(frozen) is not bool:
-            raise CodecError("genesis doc: bad account")
-        acct = Account(
-            account_id=bytes.fromhex(a["id"]),
-            public_key=bytes.fromhex(a["key"]),
-            roles={ROLE_BY_NAME[r] for r in roles},
-            balance=balance,
-            frozen=frozen,
-            recovery=_recovery_from_doc(a["recovery"]),
-            provider=bytes.fromhex(provider) if provider else None,
-        )
-        state.accounts[acct.account_id] = acct
-        state.supply.minted += acct.balance
-    if state.supply.minted > U64_MAX:
-        raise CodecError("genesis doc: balances exceed the u64 supply")
-    for r in registry:
-        sec, vis = r["security_gateways"], r["visibility_gateways"]
-        server, contact = r["validation_server"], r["contact"]
-        if not (_strs(sec) and _strs(vis) and _strs([server, contact])):
-            raise CodecError("genesis doc: bad validator record")
-        rec = ValidatorRecord(
-            account=bytes.fromhex(r["account"]),
-            security_gateways=tuple(sec),
-            visibility_gateways=tuple(vis),
-            validation_server=server,
-            view_key=bytes.fromhex(r["view_key"]),
-            contact=contact,
-        )
-        state.validator_registry[rec.account] = rec
-    return state
 
 
 def export_chain(chain: Chain, doc: dict) -> bytes:

@@ -23,6 +23,7 @@ from .errors import (
     ScenarioError,
 )
 from .gateway import authorize_query, compute_result
+from .ledger import LOG_VALUE
 from .payloads import (
     Claimable,
     GatewayDirectory,
@@ -190,17 +191,9 @@ def _render_result(kind: str, result: bytes, state, id_names: dict[bytes, str]) 
             error = r.text()
             fields = []
             for _ in range(r.count()):
-                key = r.text()
-                tag = r.u8()
-                if tag == 1:
-                    value = str(r.u64())
-                elif tag == 2:
-                    raw = r.bytes_()
-                    value = id_names.get(raw, raw.hex()[:16])
-                elif tag == 3:
-                    value = str(r.boolean())
-                else:
-                    value = r.text()
+                key, value = r.text(), LOG_VALUE.decode(r)
+                if type(value) is bytes:
+                    value = id_names.get(value, value.hex()[:16])
                 fields.append(f"{key}={value}")
             status = "ok" if ok else f"failed:{error}"
             lines.append(f"h{height} {entry_kind} [{status}] {' '.join(fields)}")

@@ -51,7 +51,6 @@ from .payloads import (
     SetPolicy,
     Transaction,
     Transfer,
-    ZERO_ID,
 )
 
 @dataclass
@@ -345,17 +344,10 @@ def build_genesis(
     """
     state = LedgerState(scheme=scheme)
     for key, value, permanence in DEFAULT_POLICIES:
-        state.policies[key] = Policy(key, value, permanence, None, ZERO_ID, 0)
-    for spec in policy_overrides or []:
-        key, value, permanence, expiry = spec
-        state.policies[key] = Policy(
-            key,
-            value,
-            permanence,
-            expiry if permanence is Permanence.TIMED_EXPIRATION else None,
-            ZERO_ID,
-            0,
-        )
+        state.policies[key] = Policy(key, value, permanence, None)
+    for key, value, permanence, expiry in policy_overrides or []:
+        timed = permanence is Permanence.TIMED_EXPIRATION
+        state.policies[key] = Policy(key, value, permanence, expiry if timed else None)
     for acct in accounts or []:
         state.accounts[acct.account_id] = acct
         state.supply.minted += acct.balance
@@ -363,7 +355,5 @@ def build_genesis(
         escrow.roles.add(Role.SYSTEM_SECURITY)
         state.accounts[escrow.account_id] = escrow
         state.supply.minted += escrow.balance
-        state.policies["security.escrow"] = Policy(
-            "security.escrow", escrow.account_id, Permanence.PERMANENT, None, ZERO_ID, 0
-        )
+        state.policies["security.escrow"] = Policy("security.escrow", escrow.account_id, Permanence.PERMANENT, None)
     return state

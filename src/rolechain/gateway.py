@@ -21,8 +21,8 @@ from . import errors as err
 from .engine import verify_evidence
 from .errors import CodecError, QueryError, TxError
 from .keys import KeyPair, get_scheme
-from .ledger import LedgerState, LogEntry, encode_value, get_balance, get_history
-from .codec import Reader, Writer
+from .ledger import LOG_DATA, LedgerState, LogEntry, get_balance, get_history
+from .codec import TEXT, U64, Reader, Writer, seq_of, sorted_map
 from .monetary import claimable_amount, supply_view
 from .payloads import (
     Claimable,
@@ -181,10 +181,7 @@ def _encode_entry(e: LogEntry) -> bytes:
     w.text(e.kind)
     w.boolean(e.ok)
     w.text(e.error or "")
-    w.count(len(e.data))
-    for key in sorted(e.data):
-        w.text(key)
-        encode_value(w, e.data[key])
+    LOG_DATA.encode(w, e.data)
     return w.getvalue()
 
 
@@ -203,6 +200,10 @@ def _encode_entries(entries: list[LogEntry]) -> bytes:
     return w.getvalue()
 
 
+_RULE_TOTALS = sorted_map(U64, U64)
+_ADDRESSES = seq_of(TEXT)
+
+
 def compute_result(state: LedgerState, query: Query) -> bytes:
     """Canonical encoding of the honest answer for a query."""
     w = Writer()
@@ -218,21 +219,14 @@ def compute_result(state: LedgerState, query: Query) -> bytes:
         view = supply_view(state)
         w.u64(view["minted"])
         w.u64(view["burned"])
-        w.count(len(view["rules"]))
-        for rid, total in sorted(view["rules"].items()):
-            w.u64(rid)
-            w.u64(total)
+        _RULE_TOTALS.encode(w, view["rules"])
     elif isinstance(query, GatewayDirectory):
         w.count(len(state.validator_registry))
         for aid in sorted(state.validator_registry):
             rec = state.validator_registry[aid]
             w.bytes_(rec.account)
-            w.count(len(rec.security_gateways))
-            for a in rec.security_gateways:
-                w.text(a)
-            w.count(len(rec.visibility_gateways))
-            for a in rec.visibility_gateways:
-                w.text(a)
+            _ADDRESSES.encode(w, rec.security_gateways)
+            _ADDRESSES.encode(w, rec.visibility_gateways)
             w.bytes_(rec.view_key)
             w.text(rec.contact)
     elif isinstance(query, ValidationServerAddress):

@@ -29,11 +29,30 @@ from enum import Enum
 from operator import attrgetter
 
 from . import errors as err
-from .codec import Writer
+from .codec import (
+    BOOL,
+    BYTES,
+    TEXT,
+    U64,
+    Writer,
+    enum,
+    none_as,
+    optional,
+    pair,
+    seq_of,
+    set_of,
+    sorted_map,
+    tagged_value,
+    text_enum,
+    wire,
+    wire_record,
+)
 from .errors import TxError
 from .keys import derive_account_id, get_scheme
 from .payloads import (
+    POLICY_VALUE,
     RECOVERY,
+    ZERO_ID,
     Guardians,
     InterestMode,
     Permanence,
@@ -86,16 +105,17 @@ for _name in (
     setattr(RoleSet, _name, _counted(_name))
 
 
-@dataclass
+@wire_record(frozen=False)
 class Account:
-    account_id: bytes
-    public_key: bytes
-    roles: set[Role] = field(default_factory=RoleSet)
-    balance: int = 0
-    frozen: bool = False
-    recovery: RecoveryPolicy = field(default_factory=ProviderOnly)
-    nonce: int = 0
-    provider: bytes | None = None
+    account_id: bytes = wire(BYTES, doc="id")
+    public_key: bytes = wire(BYTES, doc="key")
+    roles: set[Role] = wire(set_of(enum(Role)), default_factory=RoleSet)
+    balance: int = wire(U64, default=0)
+    frozen: bool = wire(BOOL, default=False)
+    # every account starts at nonce 0, so the genesis doc leaves it out
+    nonce: int = wire(U64, default=0, doc=None)
+    provider: bytes | None = wire(optional(BYTES), default=None)
+    recovery: RecoveryPolicy = wire(RECOVERY, default_factory=ProviderOnly)
 
 
 def _set_roles(acct: Account, roles) -> None:
@@ -107,14 +127,14 @@ def _set_roles(acct: Account, roles) -> None:
 Account.roles = property(attrgetter("_roles"), _set_roles)
 
 
-@dataclass
+@wire_record(frozen=False)
 class Policy:
-    key: str
-    value: int | bytes
-    permanence: Permanence
-    expiry_height: int | None
-    set_by: bytes
-    set_at: int
+    key: str = wire(TEXT)
+    value: int | bytes = wire(POLICY_VALUE, doc="*")
+    permanence: Permanence = wire(enum(Permanence))
+    expiry_height: int | None = wire(none_as(U64, 0))
+    set_by: bytes = wire(BYTES, default=ZERO_ID, doc=None)
+    set_at: int = wire(U64, default=0, doc=None)
 
 
 def is_mutable(policy: Policy, height: int) -> bool:
@@ -137,40 +157,40 @@ class ProposalStatus(Enum):
     EXPIRED = "expired"
 
 
-@dataclass
+@wire_record(frozen=False)
 class Proposal:
-    proposal_id: int
+    proposal_id: int = wire(U64)
     action: object  # a Payload executed with system authority on passage
-    proposer: bytes
-    electorate: Role
-    created_at: int
-    expires_at: int
-    yes: set[bytes] = field(default_factory=set)
-    no: set[bytes] = field(default_factory=set)
-    status: ProposalStatus = ProposalStatus.OPEN
-    execution_error: str | None = None
+    electorate: Role = wire(enum(Role))
+    proposer: bytes = wire(BYTES)
+    created_at: int = wire(U64)
+    expires_at: int = wire(U64)
+    status: ProposalStatus = wire(text_enum(ProposalStatus), default=ProposalStatus.OPEN)
+    execution_error: str | None = wire(none_as(TEXT, ""), default=None)
+    yes: set[bytes] = wire(set_of(BYTES), default_factory=set)
+    no: set[bytes] = wire(set_of(BYTES), default_factory=set)
 
 
-@dataclass
+@wire_record(frozen=False)
 class InterestRule:
-    rule_id: int
-    rate_num: int
-    rate_den: int
-    period_blocks: int
-    start_height: int
-    mode: InterestMode
-    scope: frozenset[bytes] | None  # None = every user-role account
-    active: bool = True
-    last_accrued_period: int = 0
-    created_total: int = 0
+    rule_id: int = wire(U64)
+    rate_num: int = wire(U64)
+    rate_den: int = wire(U64)
+    period_blocks: int = wire(U64)
+    start_height: int = wire(U64)
+    mode: InterestMode = wire(enum(InterestMode))
+    scope: frozenset[bytes] | None = wire(optional(set_of(BYTES)))  # None = every user-role account
+    active: bool = wire(BOOL, default=True)
+    last_accrued_period: int = wire(U64, default=0)
+    created_total: int = wire(U64, default=0)
 
 
-@dataclass
+@wire_record(frozen=False)
 class AllowanceLedger:
     """Per-account, per-rule record of accrued-but-unclaimed periods."""
 
-    last_claimed_period: int = 0
-    accrued: list[tuple[int, int]] = field(default_factory=list)
+    last_claimed_period: int = wire(U64, default=0)
+    accrued: list[tuple[int, int]] = wire(seq_of(pair(U64, U64)), default_factory=list)
 
     def unclaimed_total(self) -> int:
         return sum(a for p, a in self.accrued if p > self.last_claimed_period)
@@ -186,7 +206,12 @@ class SupplyCounters:
         return self.minted - self.burned
 
 
-@dataclass
+# a log entry's data: a value of one of these types under each key
+LOG_VALUE = tagged_value(int, bytes, bool, str)
+LOG_DATA = sorted_map(TEXT, LOG_VALUE)
+
+
+@wire_record(frozen=False)
 class LogEntry:
     """One applied (or on-chain failed) transaction, summarized.
 
@@ -196,16 +221,16 @@ class LogEntry:
     reveals (``gateway._encode_entries``), kept on the first read.
     """
 
-    tx_id: bytes
-    height: int
-    kind: str
-    sender: bytes | None
-    ok: bool
-    error: str | None
-    management: bool
-    participants: tuple[bytes, ...]
-    data: dict
-    reversed_by: bytes | None = None
+    tx_id: bytes = wire(BYTES)
+    height: int = wire(U64)
+    kind: str = wire(TEXT)
+    sender: bytes | None = wire(optional(BYTES))
+    ok: bool = wire(BOOL)
+    error: str | None = wire(none_as(TEXT, ""))
+    management: bool = wire(BOOL)
+    participants: tuple[bytes, ...] = wire(seq_of(BYTES))
+    data: dict = wire(LOG_DATA)
+    reversed_by: bytes | None = wire(optional(BYTES), default=None)
     public_bytes: bytes | None = field(default=None, init=False, repr=False, compare=False)
 
 
@@ -322,118 +347,36 @@ class LedgerState:
         return copy.deepcopy(self)
 
     def digest(self) -> bytes:
-        """SHA-256 over a canonical encoding of the entire state."""
+        """SHA-256 over a canonical encoding of the entire state.
+
+        Each record is written by the encoder its field declarations generate.
+        """
         w = Writer()
         w.text(self.scheme)
         w.u64(self.height)
         w.u64(self.supply.minted)
         w.u64(self.supply.burned)
-        w.count(len(self.accounts))
-        for aid in sorted(self.accounts):
-            a = self.accounts[aid]
-            w.bytes_(a.account_id)
-            w.bytes_(a.public_key)
-            w.count(len(a.roles))
-            for role in sorted(a.roles, key=lambda r: r.value):
-                w.u8(role.value)
-            w.u64(a.balance)
-            w.boolean(a.frozen)
-            w.u64(a.nonce)
-            w.optional_bytes(a.provider)
-            RECOVERY.encode(w, a.recovery)
-        w.count(len(self.policies))
-        for key in sorted(self.policies):
-            p = self.policies[key]
-            w.text(p.key)
-            encode_value(w, p.value)
-            w.u8(p.permanence.value)
-            w.u64(p.expiry_height or 0)
-            w.bytes_(p.set_by)
-            w.u64(p.set_at)
-        w.count(len(self.proposals))
-        for pid in sorted(self.proposals):
-            prop = self.proposals[pid]
-            w.u64(prop.proposal_id)
-            w.u8(prop.electorate.value)
-            w.bytes_(prop.proposer)
-            w.u64(prop.created_at)
-            w.u64(prop.expires_at)
-            w.text(prop.status.value)
-            w.text(prop.execution_error or "")
-            for votes in (prop.yes, prop.no):
-                w.count(len(votes))
-                for v in sorted(votes):
-                    w.bytes_(v)
-        w.count(len(self.interest_rules))
-        for rid in sorted(self.interest_rules):
-            rule = self.interest_rules[rid]
-            w.u64(rule.rule_id)
-            w.u64(rule.rate_num)
-            w.u64(rule.rate_den)
-            w.u64(rule.period_blocks)
-            w.u64(rule.start_height)
-            w.u8(rule.mode.value)
-            if rule.scope is None:
-                w.boolean(False)
-            else:
-                w.boolean(True)
-                w.count(len(rule.scope))
-                for aid in sorted(rule.scope):
-                    w.bytes_(aid)
-            w.boolean(rule.active)
-            w.u64(rule.last_accrued_period)
-            w.u64(rule.created_total)
-        w.count(len(self.allowances))
-        for aid in sorted(self.allowances):
-            w.bytes_(aid)
-            per_rule = self.allowances[aid]
-            w.count(len(per_rule))
-            for rid in sorted(per_rule):
-                led = per_rule[rid]
-                w.u64(rid)
-                w.u64(led.last_claimed_period)
-                w.count(len(led.accrued))
-                for period, amount in led.accrued:
-                    w.u64(period)
-                    w.u64(amount)
-        w.count(len(self.validator_registry))
-        for aid in sorted(self.validator_registry):
-            self.validator_registry[aid].encode(w)
-        w.count(len(self.tx_log))
-        for entry in self.tx_log:
-            w.bytes_(entry.tx_id)
-            w.u64(entry.height)
-            w.text(entry.kind)
-            w.optional_bytes(entry.sender)
-            w.boolean(entry.ok)
-            w.text(entry.error or "")
-            w.boolean(entry.management)
-            w.count(len(entry.participants))
-            for p in entry.participants:
-                w.bytes_(p)
-            w.count(len(entry.data))
-            for key in sorted(entry.data):
-                w.text(key)
-                encode_value(w, entry.data[key])
-            w.optional_bytes(entry.reversed_by)
+        _write_table(w, self.accounts, Account)
+        _write_table(w, self.policies, Policy)
+        _write_table(w, self.proposals, Proposal)
+        _write_table(w, self.interest_rules, InterestRule)
+        _ALLOWANCES.encode(w, self.allowances)
+        _write_table(w, self.validator_registry, ValidatorRecord)
+        _LOG.encode(w, self.tx_log)
         return hashlib.sha256(w.getvalue()).digest()
 
 
-def encode_value(w: Writer, value) -> None:
-    if isinstance(value, bool):
-        w.u8(3)
-        w.boolean(value)
-    elif isinstance(value, int):
-        w.u8(1)
-        w.u64(value)
-    elif isinstance(value, bytes):
-        w.u8(2)
-        w.bytes_(value)
-    elif isinstance(value, str):
-        w.u8(4)
-        w.text(value)
-    else:
-        raise TypeError(f"unsupported log value type {type(value).__name__}")
+# account id -> rule id -> ledger, keys written
+_ALLOWANCES = sorted_map(BYTES, sorted_map(U64, AllowanceLedger.FIELDS))
+_LOG = seq_of(LogEntry.FIELDS)
+
+
+def _write_table(w: Writer, table: dict, record: type) -> None:
+    """A count, then the records in key order; each record holds its own key."""
+    w.count(len(table))
+    encode = record.FIELDS.encode
+    for key in sorted(table):
+        encode(w, table[key])
 
 
 # --- security feature gate -----------------------------------------------------

@@ -22,7 +22,6 @@ from .codec import (
     BYTES,
     TEXT,
     U64,
-    Field,
     Reader,
     Record,
     Tagged,
@@ -33,6 +32,7 @@ from .codec import (
     pair,
     seq_of,
     set_of,
+    tagged_value,
     wire,
     wire_record,
 )
@@ -50,16 +50,9 @@ class Role(Enum):
     CURRENCY_MANAGER = 5
     VALIDATOR = 6
 
-
-ROLE_NAMES = {
-    Role.PLATFORM_MANAGER: "platform_manager",
-    Role.ACCOUNT_PROVIDER: "account_provider",
-    Role.SYSTEM_SECURITY: "system_security",
-    Role.USER: "user",
-    Role.CURRENCY_MANAGER: "currency_manager",
-    Role.VALIDATOR: "validator",
-}
-ROLE_BY_NAME = {v: k for k, v in ROLE_NAMES.items()}
+    def __lt__(self, other: Role) -> bool:
+        # a set of roles is written in value order
+        return self.value < other.value
 
 
 class Permanence(Enum):
@@ -238,26 +231,8 @@ def payload_kind(tag: int, kind: str, *, management: bool = True, electorate: Ro
     return register
 
 
-def _encode_policy_value(w: Writer, value: int | bytes) -> None:
-    if isinstance(value, int):
-        w.u8(1)
-        w.u64(value)
-    else:
-        w.u8(2)
-        w.bytes_(value)
-
-
-def _decode_policy_value(r: Reader) -> int | bytes:
-    value_tag = r.u8()
-    if value_tag == 1:
-        return r.u64()
-    if value_tag == 2:
-        return r.bytes_()
-    raise CodecError(f"unknown policy value tag {value_tag}")
-
-
 # an integer or a byte string, after a tag byte (1 or 2)
-POLICY_VALUE = Field(_encode_policy_value, _decode_policy_value)
+POLICY_VALUE = tagged_value(int, bytes)
 
 
 @payload_kind(0x01, "transfer", management=False)

@@ -34,11 +34,17 @@ class FieldType(NamedTuple):
     name: str
     check: Callable[[Any, Declared], Any]
     required: bool = True
+    # (field, value): required while that field of the entry is written as value
+    when: tuple[str, Any] | None = None
 
 
-def optional(declared_type: FieldType) -> FieldType:
-    """``declared_type`` in a field that may be left out; null counts as left out."""
-    return declared_type._replace(required=False)
+def optional(declared_type: FieldType, when: tuple[str, Any] | None = None) -> FieldType:
+    """``declared_type`` in a field that may be left out; null counts as left out.
+
+    With ``when=(name, value)`` it is required while the field ``name`` is
+    written as ``value``.
+    """
+    return declared_type._replace(required=False, when=when)
 
 
 def _fail(message: str):
@@ -80,10 +86,12 @@ class Fields(NamedTuple):
 
     types: dict[str, FieldType]
     required: frozenset[str]
+    required_when: tuple[tuple[str, str, Any], ...]
 
 
 def fields(types: dict[str, FieldType]) -> Fields:
-    return Fields(types, frozenset(name for name, t in types.items() if t.required))
+    required = frozenset(name for name, t in types.items() if t.required)
+    return Fields(types, required, tuple((name, *t.when) for name, t in types.items() if t.when))
 
 
 def check(entry, declaration: Fields, context: str, declared: Declared | None) -> dict:
@@ -108,6 +116,9 @@ def check(entry, declaration: Fields, context: str, declared: Declared | None) -
     if not declaration.required <= out.keys():
         missing = sorted(declaration.required - out.keys())[0]
         raise ScenarioError(f"{context}: missing field {missing!r}")
+    for name, other, value in declaration.required_when:
+        if name not in out and entry.get(other) == value:
+            raise ScenarioError(f"{context}: missing field {name!r}, required when {other} is {value}")
     return out
 
 

@@ -108,7 +108,6 @@ from .payloads import (
     Reverse,
     RevokeRole,
     Role,
-    ROLE_BY_NAME,
     RotateKey,
     SetFrozen,
     SetInterestRule,
@@ -131,7 +130,7 @@ from .payloads import (
 # runner every value converted (a Role for "user", a bool for true), so the
 # builders and evaluators use what they get as it is.
 
-ROLE = choice("role", ROLE_BY_NAME)
+ROLE = choice("role", {r.name.lower(): r for r in Role})
 FAULTS = list_of(choice("fault", {name: name for name in KNOWN_FAULTS}))
 PERMANENCE = choice("permanence", {p.name.lower(): p for p in Permanence})
 MODE = choice("mode", {m.name.lower(): m for m in InterestMode})
@@ -194,7 +193,12 @@ ACTOR_ENTRY = fields(
 )
 GUARDIANS = fields({"guardians": ACTORS, "threshold": optional(U64)})
 # a genesis policy, and a set_policy step
-POLICY = {"key": TEXT, "value": POLICY_VALUE, "permanence": optional(PERMANENCE), "expiry_height": optional(U64)}
+POLICY = {
+    "key": TEXT,
+    "value": POLICY_VALUE,
+    "permanence": optional(PERMANENCE),
+    "expiry_height": optional(U64, when=("permanence", "timed_expiration")),
+}
 POLICY_ENTRY = fields(POLICY)
 COMPARE_STEP = fields({"label": TEXT, "file_as": optional(ACTOR), "expect": optional(OUTCOME)})
 FAULT_STEP = fields({"actor": ACTOR, "set": FAULTS})

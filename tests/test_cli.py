@@ -67,6 +67,22 @@ def test_run_schema_error_exits_two(runner, tmp_path):
     assert "scenario error" in result.output
 
 
+def test_run_timed_policy_without_expiry_exits_two(runner, tmp_path):
+    scenario = tmp_path / "timed.yaml"
+    scenario.write_text(
+        """
+ticks: 1
+actors: [{name: mgr, roles: [platform_manager]}]
+steps:
+  - tick: 1
+    tx: {from: mgr, kind: set_policy, key: k, value: 1, permanence: timed_expiration}
+"""
+    )
+    result = runner.invoke(main, ["run", str(scenario)])
+    assert result.exit_code == 2
+    assert "tx set_policy: missing field 'expiry_height'" in result.output
+
+
 def test_run_seed_override_changes_digest(runner, tmp_path):
     reports = []
     for seed in (1, 2):
@@ -141,6 +157,9 @@ GENESIS_MUTATIONS = {
     "registry_not_a_list": _set("registry", {}),
     "name_not_hex": _set("names", "alice", "not hex"),
     "doc_not_an_object": lambda doc: [doc],
+    "account_listed_twice": lambda doc: {**doc, "accounts": doc["accounts"] + doc["accounts"][:1]},
+    "policy_listed_twice": lambda doc: {**doc, "policies": doc["policies"] + doc["policies"][-1:]},
+    "validator_listed_twice": lambda doc: {**doc, "registry": doc["registry"] + doc["registry"][:1]},
 }
 
 

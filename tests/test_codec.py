@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, strategies as st
 
-from rolechain.codec import Reader, Writer
+from rolechain.codec import BYTES, Reader, Writer, optional
 from rolechain.errors import CodecError
 
 
@@ -78,5 +78,5 @@ def test_mixed_roundtrip(blob, number, flag):
 @given(st.one_of(st.none(), st.binary(max_size=32)))
 def test_optional_bytes_roundtrip(value):
     w = Writer()
-    w.optional_bytes(value)
-    assert Reader(w.getvalue()).optional_bytes() == value
+    optional(BYTES).encode(w, value)
+    assert optional(BYTES).decode(Reader(w.getvalue())) == value

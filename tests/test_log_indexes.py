@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 from rolechain.chain import Chain, append_block, build_block, expected_publisher, export_chain, genesis_doc, verify_dump
 from rolechain.codec import Writer
 from rolechain.gateway import _encode_entries, compute_result
-from rolechain.ledger import LedgerState, LogEntry, encode_value, get_history
+from rolechain.ledger import LOG_VALUE, LedgerState, LogEntry, get_history
 from rolechain.payloads import (
     CastVote,
     ClaimAllowance,
@@ -77,7 +77,7 @@ def encode_without_memo(entries: list[LogEntry]) -> bytes:
         w.count(len(e.data))
         for key in sorted(e.data):
             w.text(key)
-            encode_value(w, e.data[key])
+            LOG_VALUE.encode(w, e.data[key])
     return w.getvalue()
 
 

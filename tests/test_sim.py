@@ -659,6 +659,30 @@ MALFORMED = {
 }
 
 
+TIMED = {"key": "k", "value": 1, "permanence": "timed_expiration"}
+# each parsed: the genesis policy was stored with no expiry, so it was
+# mutable from height 0, and a step crashed the run with a CodecError
+TIMED_WITHOUT_EXPIRY = {
+    "genesis policy": {"top": {"policies": [TIMED]}},
+    "genesis policy null expiry": {"top": {"policies": [{**TIMED, "expiry_height": None}]}},
+    "set_policy step": _tx(kind="set_policy", **TIMED),
+    "set_policy action": _tx(kind="create_proposal", electorate="platform_manager", action={"kind": "set_policy", **TIMED}),
+}
+
+
+@pytest.mark.parametrize("where", TIMED_WITHOUT_EXPIRY.values(), ids=TIMED_WITHOUT_EXPIRY.keys())
+def test_timed_policy_without_expiry_is_a_load_error(where):
+    with pytest.raises(ScenarioError, match="missing field 'expiry_height', required when permanence"):
+        parse_scenario(_malformed(**where))
+    # with its expiry height, the same entry parses and runs
+    if "top" in where:
+        where["top"]["policies"][0]["expiry_height"] = 4
+    else:
+        body = where["step"]["tx"]
+        (body.get("action") or body)["expiry_height"] = 4
+    run(parse_scenario(_malformed(**where)))
+
+
 def _nested_proposal(depth: int) -> dict:
     action = {"kind": "cast_vote", "proposal": 1, "approve": True}
     for _ in range(depth):
