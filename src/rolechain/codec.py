@@ -221,10 +221,8 @@ def none_as(inner: Field, blank) -> Field:
 
     Its JSON form is that of ``optional(inner)``: null for ``None``.
     """
-    as_optional = optional(inner)
-    return Field(
-        lambda w, value: inner.encode(w, blank if value is None else value), None, *as_optional[2:]
-    )
+    doc = optional(inner)
+    return Field(lambda w, value: inner.encode(w, blank if value is None else value), None, doc.to_doc, doc.from_doc)
 
 
 def seq_of(inner: Field) -> Field:
@@ -238,8 +236,8 @@ def seq_of(inner: Field) -> Field:
     return _with_doc(
         Field(encode, lambda r: tuple([inner.decode(r) for _ in range(r.count())])),
         inner,
-        lambda values: [inner.to_doc(value) for value in values],
-        lambda values: tuple(map(inner.from_doc, _LIST(values))),
+        lambda values: list(map(inner.to_doc, values)),
+        lambda values: tuple(map(inner.from_doc, values if type(values) is list else _LIST(values))),
     )
 
 
@@ -265,8 +263,8 @@ def set_of(inner: Field) -> Field:
     return _with_doc(
         Field(encode, decode),
         inner,
-        lambda values: sorted([inner.to_doc(value) for value in values]),
-        lambda values: frozenset(map(inner.from_doc, _LIST(values))),
+        lambda values: sorted(map(inner.to_doc, values)),
+        lambda values: frozenset(map(inner.from_doc, values if type(values) is list else _LIST(values))),
     )
 
 
@@ -340,7 +338,7 @@ def tagged_value(*types: type) -> Field:
         return {"type": type(value).__name__, "value": by_type[type(value)][1].to_doc(value)}
 
     def from_doc(doc: dict):
-        name = doc.get("type")
+        name = doc["type"]
         if type(name) is not str or name not in by_name:
             raise CodecError(f"unknown value type {name!r}")
         return by_name[name].from_doc(doc["value"])
