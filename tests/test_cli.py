@@ -10,6 +10,7 @@ from rolechain.chain import Chain, export_chain, genesis_block, import_chain
 from rolechain.cli import main
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 @pytest.fixture
@@ -232,3 +233,53 @@ def test_query_directory_redacts_validation_servers(runner, dump_path):
 def test_query_unknown_actor(runner, dump_path):
     result = runner.invoke(main, ["query", str(dump_path), "--as", "mallory", "balance"])
     assert result.exit_code == 1
+
+
+# --- query output -----------------------------------------------------------------
+#
+# ``golden/cli_query.json`` holds the exit code, stdout and stderr of
+# ``rolechain query`` on the dumps of two scenarios: the balance, history
+# and claimable amount of every actor asked by that actor, the management
+# log, supply and directory asked by a user, the validation server of every
+# registered validator asked by a validator, and one such read denied to a
+# user.  Recorded before each read kind was described once.
+
+# scenario stem -> (actors, the validator that asks, the registered validators)
+QUERY_DUMPS = {
+    "corrupt_gateway": (["alice", "bob", "escrow", "mgr", "v1", "v2", "v3", "v4"], "v1", ["v1", "v2", "v3", "v4"]),
+    "interest_pull": (["alice", "bank", "bob", "escrow", "mgr", "v1"], "v1", ["v1"]),
+}
+
+
+def query_invocations(stem: str) -> list[list[str]]:
+    actors, validator, registered = QUERY_DUMPS[stem]
+    cases = [[who, kind] for who in actors for kind in ("balance", "history", "claimable")]
+    cases += [["alice", kind] for kind in ("management-log", "supply", "directory")]
+    cases += [[validator, "validation-server", name] for name in registered]
+    cases.append(["alice", "validation-server", validator])
+    return cases
+
+
+def query_outputs(runner: CliRunner, stem: str, dump: Path) -> dict[str, dict]:
+    outputs = {}
+    for who, *kind in query_invocations(stem):
+        result = runner.invoke(main, ["query", str(dump), "--as", who, *kind])
+        outputs[" ".join([who, *kind])] = {
+            "exit_code": result.exit_code,
+            "stdout": result.stdout,
+            "stderr": result.stderr,
+        }
+    return outputs
+
+
+def scenario_dump(runner: CliRunner, stem: str, directory: Path) -> Path:
+    dump = directory / f"{stem}.bin"
+    result = runner.invoke(main, ["run", str(SCENARIOS / f"{stem}.yaml"), "--dump", str(dump)])
+    assert result.exit_code == 0, result.output
+    return dump
+
+
+@pytest.mark.parametrize("stem", sorted(QUERY_DUMPS))
+def test_query_output_is_golden(runner, tmp_path, stem):
+    golden = json.loads((GOLDEN / "cli_query.json").read_text())[stem]
+    assert query_outputs(runner, stem, scenario_dump(runner, stem, tmp_path)) == golden

@@ -11,9 +11,8 @@ each payload, query, validator record, signed response, a block, a dump,
 a state digest, and the digest of a state holding every kind of state
 record and log value.
 
-``golden/read_answers.json`` holds the SHA-256 of the honest answers to
-the log reads (``OwnHistory``, ``ManagementLog``) at the end of two
-scenarios.
+``golden/read_answers.json`` holds the SHA-256 of the honest answer to
+every read kind at the end of two scenarios.
 """
 
 from __future__ import annotations
@@ -49,6 +48,7 @@ from rolechain.payloads import (
     Permanence,
     ProviderOnly,
     ProviderPlusSecurity,
+    Query,
     Role,
     SignedQueryResponse,
     SupplyView,
@@ -124,12 +124,15 @@ def test_golden_run(stem, scheme, state_digest, head_hash, dump_sha256):
     assert hashlib.sha256(sim.export()).hexdigest() == dump_sha256
 
 
-# --- log read answers -----------------------------------------------------------
+# --- read answers ----------------------------------------------------------------
 #
-# SHA-256 of ``compute_result`` at the end of a scenario, for ``OwnHistory``
-# of every actor and for ``ManagementLog`` over the whole chain, a middle
-# window and a window holding no management entry.  Recorded while both
-# reads still scanned the whole transaction log.
+# SHA-256 of ``compute_result`` at the end of a scenario, for every read
+# kind: the balance, history and claimable amount of every actor (escrow
+# included), ``ManagementLog`` over the whole chain, a middle window and a
+# window holding no management entry, the supply and the directory, and the
+# validation server of every registered validator.  The log reads were
+# recorded while both still scanned the whole transaction log, the others
+# before each read kind was described once.
 
 READS = json.loads((GOLDEN / "read_answers.json").read_text())
 
@@ -140,17 +143,31 @@ WINDOWS = {
 }
 
 
-def read_answers(stem: str) -> dict[str, str]:
-    _, sim = _run(stem, None)
-    answers = {
-        f"own_history {name}": compute_result(sim.state, OwnHistory(sim.aid(name)))
-        for name in sorted(sim.ids)
-    }
+def read_queries(stem: str, sim) -> dict[str, Query]:
+    """The reads pinned for ``stem``, by label."""
+    queries: dict[str, Query] = {}
+    for name in sorted(sim.ids):
+        aid = sim.aid(name)
+        queries[f"own_balance {name}"] = OwnBalance(aid)
+        queries[f"own_history {name}"] = OwnHistory(aid)
+        queries[f"claimable {name}"] = Claimable(aid)
     for label, (start, end) in WINDOWS[stem].items():
-        answers[f"management_log {label} {start}..{end}"] = compute_result(
-            sim.state, ManagementLog(start, end)
-        )
-    return {key: hashlib.sha256(answer).hexdigest() for key, answer in answers.items()}
+        queries[f"management_log {label} {start}..{end}"] = ManagementLog(start, end)
+    queries["supply"] = SupplyView()
+    queries["directory"] = GatewayDirectory()
+    for aid in sorted(sim.state.validator_registry):
+        queries[f"validation_server {sim.names_by_id[aid]}"] = ValidationServerAddress(aid)
+    return queries
+
+
+def read_answer_bytes(stem: str) -> dict[str, tuple[Query, bytes]]:
+    """Each pinned read of ``stem`` with its honest answer."""
+    _, sim = _run(stem, None)
+    return {label: (query, compute_result(sim.state, query)) for label, query in read_queries(stem, sim).items()}
+
+
+def read_answers(stem: str) -> dict[str, str]:
+    return {label: hashlib.sha256(answer).hexdigest() for label, (_, answer) in read_answer_bytes(stem).items()}
 
 
 @pytest.mark.parametrize("stem", sorted(WINDOWS))
