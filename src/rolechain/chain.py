@@ -30,6 +30,7 @@ from . import errors as err
 from .keys import KeyPair, get_scheme
 from .ledger import Account, LedgerState, Policy
 from .payloads import (
+    Permanence,
     Role,
     Transaction,
     ValidatorRecord,
@@ -271,8 +272,9 @@ def state_from_doc(doc: dict) -> LedgerState:
 
     A dump declares its doc's digest itself, so the doc is outside input: a
     missing key, a wrong type, bad hex, an unknown name, a number outside
-    the u64 range or an account, policy or validator listed twice raises
-    ``CodecError``.
+    the u64 range, an account, policy or validator listed twice, or a
+    policy with an expiry height that is not timed, or timed without one,
+    raises ``CodecError``.
     """
     try:
         state = LedgerState(scheme=doc["scheme"])
@@ -286,6 +288,8 @@ def state_from_doc(doc: dict) -> LedgerState:
         for policy in map(Policy.FIELDS.from_doc, policies):
             if policy.key in state.policies:
                 raise CodecError(f"policy {policy.key!r} listed twice")
+            if (policy.expiry_height is None) == (policy.permanence is Permanence.TIMED_EXPIRATION):
+                raise CodecError(f"policy {policy.key!r}: expiry_height is set exactly when it is timed_expiration")
             state.policies[policy.key] = policy
         for acct in map(Account.FIELDS.from_doc, accounts):
             if acct.account_id in state.accounts:

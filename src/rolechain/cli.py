@@ -1,7 +1,8 @@
 """Command-line interface: run scenarios, inspect/query/verify chain dumps.
 
 Exit codes for ``run``: 0 all assertions passed, 1 assertion failure,
-2 scenario load/schema error, 3 internal invariant violation.
+2 scenario load/schema error, 3 internal invariant violation or any other
+error raised while the scenario runs.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ from pathlib import Path
 
 import click
 
-from . import errors as err
 from .chain import format_chain, import_chain, replay
 from .codec import Reader
 from .errors import (
@@ -22,8 +22,7 @@ from .errors import (
     RolechainError,
     ScenarioError,
 )
-from .gateway import authorize_query, compute_result
-from .ledger import LOG_VALUE
+from .gateway import READS, authorize_query, compute_result
 from .payloads import (
     Claimable,
     GatewayDirectory,
@@ -60,6 +59,9 @@ def run_cmd(scenario_path: Path, seed: int | None, report_path: Path | None, dum
         sys.exit(2)
     except InternalInvariantViolation as exc:
         click.echo(f"internal invariant violation: {exc}", err=True)
+        sys.exit(3)
+    except RolechainError as exc:
+        click.echo(f"run failed: {type(exc).__name__}: {exc}", err=True)
         sys.exit(3)
 
     for result in report.assertions:
@@ -110,21 +112,51 @@ def verify(dump_path: Path):
     )
 
 
-QUERY_CHOICES = [
-    "balance",
-    "history",
-    "claimable",
-    "management-log",
-    "supply",
-    "directory",
-    "validation-server",
-]
+def _entries(entries, id_names: dict[bytes, str]) -> str:
+    lines = []
+    for e in entries:
+        data = [f"{k}={id_names.get(v, v.hex()[:16]) if type(v) is bytes else v}" for k, v in e.data.items()]
+        status = "ok" if e.ok else f"failed:{e.error}"
+        lines.append(f"h{e.height} {e.kind} [{status}] {' '.join(data)}")
+    return "\n".join(lines) or "(empty)"
+
+
+def _supply(supply, id_names: dict[bytes, str]) -> str:
+    lines = [f"minted={supply.minted} burned={supply.burned} circulating={supply.minted - supply.burned}"]
+    lines += [f"  rule {rule}: created {created}" for rule, created in supply.rules.items()]
+    return "\n".join(lines)
+
+
+def _directory(entries, id_names: dict[bytes, str]) -> str:
+    lines = [
+        f"{id_names.get(e.account, e.account.hex()[:16])}: security={list(e.security_gateways)} "
+        f"visibility={list(e.visibility_gateways)} contact={e.contact}"
+        for e in entries
+    ]
+    return "\n".join(lines) or "(empty)"
+
+
+def _text(value, id_names: dict[bytes, str]) -> str:
+    return str(value)
+
+
+# CLI name -> (its query, built from the requester, a function that resolves
+# the validator argument, and the state; the printer of its decoded answer)
+QUERIES = {
+    "balance": (lambda who, validator, state: OwnBalance(who), _text),
+    "history": (lambda who, validator, state: OwnHistory(who), _entries),
+    "claimable": (lambda who, validator, state: Claimable(who), _text),
+    "management-log": (lambda who, validator, state: ManagementLog(0, state.height), _entries),
+    "supply": (lambda who, validator, state: SupplyView(), _supply),
+    "directory": (lambda who, validator, state: GatewayDirectory(), _directory),
+    "validation-server": (lambda who, validator, state: ValidationServerAddress(validator()), _text),
+}
 
 
 @main.command()
 @click.argument("dump_path", type=click.Path(path_type=Path))
 @click.option("--as", "as_actor", required=True, help="Actor name (from the dump) or hex account id.")
-@click.argument("query_kind", type=click.Choice(QUERY_CHOICES))
+@click.argument("query_kind", type=click.Choice(list(QUERIES)))
 @click.argument("argument", required=False)
 def query(dump_path: Path, as_actor: str, query_kind: str, argument: str | None):
     """Answer a read query under in-protocol visibility rules."""
@@ -140,25 +172,15 @@ def query(dump_path: Path, as_actor: str, query_kind: str, argument: str | None)
             click.echo(f"unknown actor {label!r}", err=True)
             sys.exit(1)
 
-    requester = resolve(as_actor)
-    if query_kind == "balance":
-        q = OwnBalance(requester)
-    elif query_kind == "history":
-        q = OwnHistory(requester)
-    elif query_kind == "claimable":
-        q = Claimable(requester)
-    elif query_kind == "management-log":
-        q = ManagementLog(0, state.height)
-    elif query_kind == "supply":
-        q = SupplyView()
-    elif query_kind == "directory":
-        q = GatewayDirectory()
-    else:
+    def validator() -> bytes:
         if argument is None:
-            click.echo("validation-server needs a validator name", err=True)
+            click.echo(f"{query_kind} needs a validator name", err=True)
             sys.exit(1)
-        q = ValidationServerAddress(resolve(argument))
+        return resolve(argument)
 
+    build, render = QUERIES[query_kind]
+    requester = resolve(as_actor)
+    q = build(requester, validator, state)
     try:
         authorize_query(state, requester, q)
         result = compute_result(state, q)
@@ -168,48 +190,7 @@ def query(dump_path: Path, as_actor: str, query_kind: str, argument: str | None)
         sys.exit(1)
 
     id_names = {aid: name for name, aid in names.items()}
-    click.echo(_render_result(query_kind, result, state, id_names))
-
-
-def _render_result(kind: str, result: bytes, state, id_names: dict[bytes, str]) -> str:
-    r = Reader(result)
-    if kind in ("balance", "claimable"):
-        return str(r.u64())
-    if kind == "supply":
-        minted, burned = r.u64(), r.u64()
-        lines = [f"minted={minted} burned={burned} circulating={minted - burned}"]
-        for _ in range(r.count()):
-            lines.append(f"  rule {r.u64()}: created {r.u64()}")
-        return "\n".join(lines)
-    if kind in ("history", "management-log"):
-        lines = []
-        for _ in range(r.count()):
-            tx_id = r.bytes_()
-            height = r.u64()
-            entry_kind = r.text()
-            ok = r.boolean()
-            error = r.text()
-            fields = []
-            for _ in range(r.count()):
-                key, value = r.text(), LOG_VALUE.decode(r)
-                if type(value) is bytes:
-                    value = id_names.get(value, value.hex()[:16])
-                fields.append(f"{key}={value}")
-            status = "ok" if ok else f"failed:{error}"
-            lines.append(f"h{height} {entry_kind} [{status}] {' '.join(fields)}")
-        return "\n".join(lines) if lines else "(empty)"
-    if kind == "directory":
-        lines = []
-        for _ in range(r.count()):
-            account = r.bytes_()
-            sec = [r.text() for _ in range(r.count())]
-            vis = [r.text() for _ in range(r.count())]
-            view_key = r.bytes_()
-            contact = r.text()
-            name = id_names.get(account, account.hex()[:16])
-            lines.append(f"{name}: security={sec} visibility={vis} contact={contact}")
-        return "\n".join(lines) if lines else "(empty)"
-    return r.text()
+    click.echo(render(READS[type(q)].answer.decode(Reader(result)), id_names))
 
 
 if __name__ == "__main__":

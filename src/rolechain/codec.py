@@ -217,12 +217,17 @@ def optional(inner: Field) -> Field:
 
 
 def none_as(inner: Field, blank) -> Field:
-    """``inner`` with ``None`` written as ``blank``; only written.
+    """``inner`` with ``None`` written as ``blank``, and ``blank`` read back as ``None``.
 
     Its JSON form is that of ``optional(inner)``: null for ``None``.
     """
     doc = optional(inner)
-    return Field(lambda w, value: inner.encode(w, blank if value is None else value), None, doc.to_doc, doc.from_doc)
+    return Field(
+        lambda w, value: inner.encode(w, blank if value is None else value),
+        lambda r: None if (value := inner.decode(r)) == blank else value,
+        doc.to_doc,
+        doc.from_doc,
+    )
 
 
 def seq_of(inner: Field) -> Field:
@@ -269,7 +274,11 @@ def set_of(inner: Field) -> Field:
 
 
 def sorted_map(key: Field, value: Field) -> Field:
-    """A count, then each entry in ascending key order: its key, then its value; only written."""
+    """A count, then each entry in ascending key order: its key, then its value.
+
+    Decoding rejects keys out of order or repeated, so a mapping has exactly
+    one encoding.
+    """
 
     def encode(w: Writer, mapping) -> None:
         w.count(len(mapping))
@@ -277,7 +286,14 @@ def sorted_map(key: Field, value: Field) -> Field:
             key.encode(w, k)
             value.encode(w, mapping[k])
 
-    return Field(encode, None)
+    def decode(r: Reader) -> dict:
+        items = [(key.decode(r), value.decode(r)) for _ in range(r.count())]
+        mapping = dict(items)
+        if sorted(mapping) != [k for k, _ in items]:
+            raise CodecError("map keys not in strictly ascending order")
+        return mapping
+
+    return Field(encode, decode)
 
 
 def pair(first: Field, second: Field) -> Field:

@@ -15,15 +15,18 @@ machinery has to catch.
 from __future__ import annotations
 
 import hashlib
+from collections.abc import Callable
 from dataclasses import dataclass
+from enum import Enum
+from typing import Any, NamedTuple
 
 from . import errors as err
+from .codec import BOOL, BYTES, TEXT, U64, U64_MAX, Field, Reader, Writer, none_as, seq_of, wire, wire_record
 from .engine import verify_evidence
 from .errors import CodecError, QueryError, TxError
 from .keys import KeyPair, get_scheme
-from .ledger import LOG_DATA, LedgerState, LogEntry, get_balance, get_history
-from .codec import TEXT, U64, Reader, Writer, seq_of, sorted_map
-from .monetary import claimable_amount, supply_view
+from .ledger import LOG_DATA, LedgerState, get_balance, get_history
+from .monetary import Supply, claimable_amount, supply_view
 from .payloads import (
     Claimable,
     DiscrepancyEvent,
@@ -157,85 +160,105 @@ def sign_request(
     return QueryRequest(account if account is not None else requester.account_id, challenge, sig, query)
 
 
-def authorize_query(state: LedgerState, requester: bytes, query: Query) -> None:
-    """Visibility matrix; raises QueryError when access is denied.
+# --- read kinds ---------------------------------------------------------------------
 
-    Own-account data goes only to the owner, management data to anyone,
-    validation server addresses only to validator accounts.
+
+class Visibility(Enum):
+    """Who may see a read's answer."""
+
+    ANYONE = "anyone"
+    OWNER = "the account's owner"
+    VALIDATORS = "validator accounts"
+
+
+@wire_record(frozen=False)
+class PublicEntry:
+    """What a read reveals of a ``LogEntry``: sender, participants and reversed_by stay private."""
+
+    tx_id: bytes = wire(BYTES)
+    height: int = wire(U64)
+    kind: str = wire(TEXT)
+    ok: bool = wire(BOOL)
+    error: str | None = wire(none_as(TEXT, ""))
+    data: dict = wire(LOG_DATA)
+    public_bytes = None  # kept on first encoding, as a LogEntry keeps it
+
+
+def _write_entries(w: Writer, entries) -> None:
+    """Count, then each entry's public bytes, kept from its first read.
+
+    Keeping them is safe: the encoded fields never change once an entry is
+    logged (a reversal sets only ``reversed_by``).
     """
-    if isinstance(query, (OwnBalance, OwnHistory, Claimable)):
-        if query.account != requester:
-            raise QueryError(err.NOT_OWNER)
-    elif isinstance(query, ValidationServerAddress):
-        acct = state.accounts.get(requester)
-        if acct is None or Role.VALIDATOR not in acct.roles:
-            raise QueryError(err.NOT_VALIDATOR)
-    # ManagementLog, SupplyView, GatewayDirectory: public
-
-
-def _encode_entry(e: LogEntry) -> bytes:
-    # sender, participants and reversed_by stay private
-    w = Writer()
-    w.bytes_(e.tx_id)
-    w.u64(e.height)
-    w.text(e.kind)
-    w.boolean(e.ok)
-    w.text(e.error or "")
-    LOG_DATA.encode(w, e.data)
-    return w.getvalue()
-
-
-def _encode_entries(entries: list[LogEntry]) -> bytes:
-    """Count, then each entry's public bytes, encoded on its first read.
-
-    Keeping them is safe: the encoded fields never change once an entry
-    is logged (a reversal sets only ``reversed_by``).
-    """
-    w = Writer()
     w.count(len(entries))
     for e in entries:
         if e.public_bytes is None:
-            e.public_bytes = _encode_entry(e)
+            body = Writer()
+            PublicEntry.FIELDS.encode(body, e)  # reads the fields by name
+            e.public_bytes = body.getvalue()
         w.raw(e.public_bytes)
-    return w.getvalue()
 
 
-_RULE_TOTALS = sorted_map(U64, U64)
-_ADDRESSES = seq_of(TEXT)
+@wire_record
+class DirectoryEntry:
+    """What the directory reveals of a ``ValidatorRecord``, which it encodes directly: all but the validation server."""
+
+    account: bytes = wire(BYTES)
+    security_gateways: tuple[str, ...] = wire(seq_of(TEXT))
+    visibility_gateways: tuple[str, ...] = wire(seq_of(TEXT))
+    view_key: bytes = wire(BYTES)
+    contact: str = wire(TEXT)
+
+
+def _validation_server(state: LedgerState, query: ValidationServerAddress) -> str:
+    rec = state.validator_registry.get(query.validator)
+    if rec is None:
+        raise QueryError(err.UNKNOWN_ACCOUNT)
+    return rec.validation_server
+
+
+class Read(NamedTuple):
+    """One read kind: who may see its answer, the answer's codec, and the honest answer."""
+
+    visibility: Visibility
+    answer: Field
+    compute: Callable[[LedgerState, Query], Any]
+
+
+LOG_ENTRIES = Field(_write_entries, seq_of(PublicEntry.FIELDS).decode)
+READS: dict[type[Query], Read] = {
+    OwnBalance: Read(Visibility.OWNER, U64, lambda state, query: get_balance(state, query.account)),
+    OwnHistory: Read(Visibility.OWNER, LOG_ENTRIES, lambda state, query: get_history(state, query.account)),
+    Claimable: Read(Visibility.OWNER, U64, lambda state, query: claimable_amount(state, query.account)),
+    ManagementLog: Read(
+        Visibility.ANYONE, LOG_ENTRIES, lambda state, query: state.management_log(query.start_height, query.end_height)
+    ),
+    SupplyView: Read(Visibility.ANYONE, Supply.FIELDS, lambda state, query: supply_view(state)),
+    GatewayDirectory: Read(
+        Visibility.ANYONE,
+        seq_of(DirectoryEntry.FIELDS),
+        lambda state, query: [record for _, record in sorted(state.validator_registry.items())],
+    ),
+    ValidationServerAddress: Read(Visibility.VALIDATORS, TEXT, _validation_server),
+}
+
+
+def authorize_query(state: LedgerState, requester: bytes, query: Query) -> None:
+    """Raise QueryError unless ``requester`` may see the answer to ``query``."""
+    visibility = READS[type(query)].visibility
+    if visibility is Visibility.OWNER and query.account != requester:
+        raise QueryError(err.NOT_OWNER)
+    if visibility is Visibility.VALIDATORS:
+        acct = state.accounts.get(requester)
+        if acct is None or Role.VALIDATOR not in acct.roles:
+            raise QueryError(err.NOT_VALIDATOR)
 
 
 def compute_result(state: LedgerState, query: Query) -> bytes:
     """Canonical encoding of the honest answer for a query."""
+    read = READS[type(query)]
     w = Writer()
-    if isinstance(query, OwnBalance):
-        w.u64(get_balance(state, query.account))
-    elif isinstance(query, OwnHistory):
-        return _encode_entries(get_history(state, query.account))
-    elif isinstance(query, Claimable):
-        w.u64(claimable_amount(state, query.account))
-    elif isinstance(query, ManagementLog):
-        return _encode_entries(state.management_log(query.start_height, query.end_height))
-    elif isinstance(query, SupplyView):
-        view = supply_view(state)
-        w.u64(view["minted"])
-        w.u64(view["burned"])
-        _RULE_TOTALS.encode(w, view["rules"])
-    elif isinstance(query, GatewayDirectory):
-        w.count(len(state.validator_registry))
-        for aid in sorted(state.validator_registry):
-            rec = state.validator_registry[aid]
-            w.bytes_(rec.account)
-            _ADDRESSES.encode(w, rec.security_gateways)
-            _ADDRESSES.encode(w, rec.visibility_gateways)
-            w.bytes_(rec.view_key)
-            w.text(rec.contact)
-    elif isinstance(query, ValidationServerAddress):
-        rec = state.validator_registry.get(query.validator)
-        if rec is None:
-            raise QueryError(err.UNKNOWN_ACCOUNT)
-        w.text(rec.validation_server)
-    else:
-        raise QueryError(err.MALFORMED)
+    read.answer.encode(w, read.compute(state, query))
     return w.getvalue()
 
 
@@ -258,10 +281,10 @@ class VisibilityGateway:
         return challenge
 
     def _corrupt(self, query: Query, result: bytes) -> bytes:
-        # deterministic lie: inflate numeric answers, clobber the rest
-        if isinstance(query, (OwnBalance, Claimable)):
+        # deterministic lie: inflate a number (wrapping inside u64), clobber the rest
+        if READS[type(query)].answer is U64:
             w = Writer()
-            w.u64(Reader(result).u64() + 100)
+            U64.encode(w, (U64.decode(Reader(result)) + 100) & U64_MAX)
             return w.getvalue()
         return result + b"\x00"
 

@@ -218,7 +218,7 @@ class LogEntry:
     ``management`` entries form the public log; other entries are visible
     only to their participants.  Once logged, only ``reversed_by`` ever
     changes; ``public_bytes`` is the read encoding of the fields a gateway
-    reveals (``gateway._encode_entries``), kept on the first read.
+    reveals (``gateway.PublicEntry``), kept on the first read.
     """
 
     tx_id: bytes = wire(BYTES)

@@ -16,7 +16,7 @@ are recorded as zero so period indices stay dense.
 from __future__ import annotations
 
 from . import errors as err
-from .codec import U64_MAX
+from .codec import U64, U64_MAX, sorted_map, wire, wire_record
 from .errors import TxError
 from .ledger import Account, AllowanceLedger, Applied, Authority, InterestRule, LedgerState
 from .payloads import FiatDirection, InterestMode, Role, SetInterestRule
@@ -253,14 +253,16 @@ def claimable_amount(state: LedgerState, account: bytes) -> int:
     return sum(led.unclaimed_total() for led in per_rule.values())
 
 
-def supply_view(state: LedgerState) -> dict:
+@wire_record
+class Supply:
+    """The supply counters and the total each interest rule has created."""
+
+    minted: int = wire(U64)
+    burned: int = wire(U64)
+    rules: dict = wire(sorted_map(U64, U64))
+
+
+def supply_view(state: LedgerState) -> Supply:
     """Public supply counters plus per-rule created totals."""
-    return {
-        "minted": state.supply.minted,
-        "burned": state.supply.burned,
-        "circulating": state.supply.circulating,
-        "rules": {
-            rid: state.interest_rules[rid].created_total
-            for rid in sorted(state.interest_rules)
-        },
-    }
+    rules = {rid: rule.created_total for rid, rule in state.interest_rules.items()}
+    return Supply(state.supply.minted, state.supply.burned, rules)

@@ -25,6 +25,7 @@ from pathlib import Path
 
 import yaml
 
+from . import codec
 from .codec import U64_MAX, Reader
 from .chain import (
     Chain,
@@ -48,6 +49,7 @@ from .gateway import (
     FAULT_CENSOR_ALL,
     FAULT_CENSOR_DISCREPANCY,
     FAULT_OFFLINE,
+    READS,
     SecurityGateway,
     VisibilityGateway,
     compare_responses,
@@ -308,9 +310,9 @@ def _rotate_key(sim: Simulation, body: dict, sender: str) -> RotateKey:
     new_kp = sim._keypair(body["new_key_label"])
     message = rotation_message(target, new_kp.public_key)
     approvals = tuple((sim.aid(n), sim.keys[n].sign(message)) for n in body["approvers"])
-    # the sim plays the owner too: hand the account its new signing key (the
-    # account id itself never changes)
-    sim.keys[body["target"]] = new_kp
+    # the sim plays the owner too: it hands the account its new signing key
+    # once the rotation commits (the account id itself never changes)
+    sim.new_keys[body["target"]] = new_kp
     return RotateKey(target, new_kp.public_key, approvals)
 
 
@@ -424,27 +426,32 @@ ACTIONS = kinds({}, _TX)
 
 # --- query steps ---------------------------------------------------------------------
 #
-# query kind -> (builder(sim, body, requester), fields); ``expect_int`` only
-# where the answer is one integer.
+# query kind -> (query class, builder(sim, body, requester), fields); a kind
+# whose answer is one integer may also check it with ``expect_int``
 
-_OWN = {"account": optional(ACTOR)}
-_OWN_INT = {**_OWN, "expect_int": optional(U64)}
+_ACCOUNT = {"account": optional(ACTOR)}
+_QUERIES = {
+    "own_balance": (OwnBalance, lambda sim, b, who: OwnBalance(sim.aid(b.get("account", who))), _ACCOUNT),
+    "own_history": (OwnHistory, lambda sim, b, who: OwnHistory(sim.aid(b.get("account", who))), _ACCOUNT),
+    "claimable": (Claimable, lambda sim, b, who: Claimable(sim.aid(b.get("account", who))), _ACCOUNT),
+    "management_log": (
+        ManagementLog,
+        lambda sim, b, who: ManagementLog(b.get("start", 0), b.get("end", 10**9)),
+        {"start": optional(U64), "end": optional(U64)},
+    ),
+    "supply": (SupplyView, lambda sim, b, who: SupplyView(), {}),
+    "directory": (GatewayDirectory, lambda sim, b, who: GatewayDirectory(), {}),
+    "validation_server": (
+        ValidationServerAddress,
+        lambda sim, b, who: ValidationServerAddress(sim.aid(b["validator"])),
+        {"validator": ACTOR},
+    ),
+}
 QUERY_STEPS = kinds(
     {"as": ACTOR, "gateways": optional(ACTORS), "store": optional(TEXT), "expect_error": optional(TEXT)},
     {
-        "own_balance": (lambda sim, b, who: OwnBalance(sim.aid(b.get("account", who))), _OWN_INT),
-        "own_history": (lambda sim, b, who: OwnHistory(sim.aid(b.get("account", who))), _OWN),
-        "claimable": (lambda sim, b, who: Claimable(sim.aid(b.get("account", who))), _OWN_INT),
-        "management_log": (
-            lambda sim, b, who: ManagementLog(b.get("start", 0), b.get("end", 10**9)),
-            {"start": optional(U64), "end": optional(U64)},
-        ),
-        "supply": (lambda sim, b, who: SupplyView(), {}),
-        "directory": (lambda sim, b, who: GatewayDirectory(), {}),
-        "validation_server": (
-            lambda sim, b, who: ValidationServerAddress(sim.aid(b["validator"])),
-            {"validator": ACTOR},
-        ),
+        kind: (build, {**own, "expect_int": optional(U64)} if READS[cls].answer is codec.U64 else own)
+        for kind, (cls, build, own) in _QUERIES.items()
     },
 )
 
@@ -516,6 +523,7 @@ class Simulation:
     def __init__(self, scenario: Scenario):
         self.scenario = scenario
         self.keys: dict[str, KeyPair] = {}  # current signing keys; rotations swap these
+        self.new_keys: dict[str, KeyPair] = {}  # keys of rotations not yet committed
         self.ids: dict[str, bytes] = {}  # stable account ids, fixed at genesis
         self.view_keys: dict[str, KeyPair] = {}
         self.names_by_id: dict[bytes, str] = {}
@@ -701,7 +709,7 @@ class Simulation:
                     AssertionResult(tick, "query_error", False, f"{name}: answered despite expecting {expect_error}")
                 )
             if expect_int is not None:
-                got = Reader(response.result).u64()
+                got = READS[type(query)].answer.decode(Reader(response.result))
                 self.assertions.append(
                     AssertionResult(
                         tick, "query_int", got == expect_int, f"{name}: expected {expect_int}, got {got}"
@@ -833,6 +841,9 @@ class Simulation:
         self.blocks_produced += 1
         for receipt in receipts:
             self.receipts[receipt.tx_id] = receipt
+        for name, kp in list(self.new_keys.items()):
+            if getattr(self.state.accounts.get(self.ids[name]), "public_key", None) == kp.public_key:
+                self.keys[name] = self.new_keys.pop(name)
         included = {tx.tx_id for tx in block.txs}
         if not included <= self.admitted_ids:
             raise InternalInvariantViolation("block carries a transaction no gateway admitted")

@@ -8,6 +8,8 @@ from click.testing import CliRunner
 
 from rolechain.chain import Chain, export_chain, genesis_block, import_chain
 from rolechain.cli import main
+from rolechain.errors import InvalidBlock
+from rolechain.sim import Simulation
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -82,6 +84,36 @@ steps:
     result = runner.invoke(main, ["run", str(scenario)])
     assert result.exit_code == 2
     assert "tx set_policy: missing field 'expiry_height'" in result.output
+
+
+def test_run_of_a_validator_key_rotation_exits_zero(runner, tmp_path):
+    """The sim hands v1 its new key only once the rotation commits."""
+    scenario = tmp_path / "rotate.yaml"
+    scenario.write_text(
+        """
+ticks: 2
+actors:
+  - {name: prov, roles: [account_provider]}
+  - {name: v1, roles: [validator], provider: prov}
+steps:
+  - tick: 1
+    tx: {from: prov, kind: rotate_key, target: v1, new_key_label: v1-fresh, approvers: [prov]}
+"""
+    )
+    result = runner.invoke(main, ["run", str(scenario)])
+    assert result.exit_code == 0, result.output
+    assert "blocks=2" in result.output
+
+
+def test_run_reports_any_other_error_on_one_line_and_exits_three(runner, monkeypatch):
+    def fail(self):
+        raise InvalidBlock(["BadBlockSignature"])
+
+    monkeypatch.setattr(Simulation, "run", fail)
+    result = runner.invoke(main, ["run", str(SCENARIOS / "bootstrap_and_transfer.yaml")])
+    assert isinstance(result.exception, SystemExit), result.exception
+    assert result.exit_code == 3
+    assert result.stderr == "run failed: InvalidBlock: BadBlockSignature\n"
 
 
 def test_run_seed_override_changes_digest(runner, tmp_path):
@@ -161,6 +193,9 @@ GENESIS_MUTATIONS = {
     "account_listed_twice": lambda doc: {**doc, "accounts": doc["accounts"] + doc["accounts"][:1]},
     "policy_listed_twice": lambda doc: {**doc, "policies": doc["policies"] + doc["policies"][-1:]},
     "validator_listed_twice": lambda doc: {**doc, "registry": doc["registry"] + doc["registry"][:1]},
+    # policy 0 is permanent, with no expiry
+    "timed_policy_without_expiry": _set("policies", 0, "permanence", "timed_expiration"),
+    "permanent_policy_with_expiry": _set("policies", 0, "expiry_height", 7),
 }
 
 

@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, strategies as st
 
-from rolechain.codec import BYTES, Reader, Writer, optional
+from rolechain.codec import BYTES, U64, Reader, Writer, optional, sorted_map
 from rolechain.errors import CodecError
 
 
@@ -80,3 +80,26 @@ def test_optional_bytes_roundtrip(value):
     w = Writer()
     optional(BYTES).encode(w, value)
     assert optional(BYTES).decode(Reader(w.getvalue())) == value
+
+
+def _map_frame(*entries: tuple[int, int]) -> bytes:
+    w = Writer()
+    w.count(len(entries))
+    for key, value in entries:
+        w.u64(key)
+        w.u64(value)
+    return w.getvalue()
+
+
+def test_sorted_map_round_trips_in_key_order():
+    codec = sorted_map(U64, U64)
+    w = Writer()
+    codec.encode(w, {9: 1, 2: 3})
+    assert w.getvalue() == _map_frame((2, 3), (9, 1))
+    assert roundtrip(lambda w: codec.encode(w, {9: 1, 2: 3}), codec.decode) == {2: 3, 9: 1}
+
+
+@pytest.mark.parametrize("entries", [((9, 1), (2, 3)), ((2, 3), (2, 4))], ids=["out_of_order", "repeated"])
+def test_sorted_map_rejects_keys_out_of_order_or_repeated(entries):
+    with pytest.raises(CodecError, match="strictly ascending"):
+        sorted_map(U64, U64).decode(Reader(_map_frame(*entries)))

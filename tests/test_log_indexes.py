@@ -1,7 +1,7 @@
 """History and management-log reads equal a full scan of the transaction log.
 
 ``LedgerState.log`` keeps each account's entries and the successful
-management entries as indexes, and ``gateway._encode_entries`` keeps each
+management entries as indexes, and ``gateway.LOG_ENTRIES`` keeps each
 entry's public bytes on first read.  Over generated histories (self-
 transfers, failed receipts, reversals, proposals that execute their action,
 auto-finalized proposals, push and pull accruals), every read must equal
@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from rolechain.chain import Chain, append_block, build_block, expected_publisher, export_chain, genesis_doc, verify_dump
 from rolechain.codec import Writer
-from rolechain.gateway import _encode_entries, compute_result
+from rolechain.gateway import LOG_ENTRIES, compute_result
 from rolechain.ledger import LOG_VALUE, LedgerState, LogEntry, get_history
 from rolechain.payloads import (
     CastVote,
@@ -81,13 +81,19 @@ def encode_without_memo(entries: list[LogEntry]) -> bytes:
     return w.getvalue()
 
 
+def encode_entries(entries: list[LogEntry]) -> bytes:
+    w = Writer()
+    LOG_ENTRIES.encode(w, entries)
+    return w.getvalue()
+
+
 def assert_reads_match_scans(state: LedgerState) -> None:
     for account in state.accounts:
         history = get_history(state, account)
         assert history == scan_history(state, account)
         assert all(a is b for a, b in zip(history, scan_history(state, account)))
         expected = encode_without_memo(scan_history(state, account))
-        assert _encode_entries(history) == expected
+        assert encode_entries(history) == expected
         assert compute_result(state, OwnHistory(account)) == expected
     assert state.management_log() == scan_management_log(state)
     heights = range(state.height + 3)
@@ -96,7 +102,7 @@ def assert_reads_match_scans(state: LedgerState) -> None:
             window = state.management_log(start, end)
             assert window == scan_management_log(state, start, end)
             expected = encode_without_memo(scan_management_log(state, start, end))
-            assert _encode_entries(window) == expected
+            assert encode_entries(window) == expected
             assert compute_result(state, ManagementLog(start, end)) == expected
 
 

@@ -332,8 +332,8 @@ def test_supply_view_additivity():
     world.state.height = 10
     accrue_period(world.state, rule, 1)
     view = supply_view(world.state)
-    assert view["minted"] == 1_500 + 1_000 + view["rules"][rule]
-    assert view["rules"][rule] == (2_000 // 100) + (500 // 100)
+    assert view.minted == 1_500 + 1_000 + view.rules[rule]
+    assert view.rules[rule] == (2_000 // 100) + (500 // 100)
 
 
 def test_accruals_fire_through_block_hook():

@@ -2,9 +2,11 @@
 
 Adding a kind means one class declared with ``payloads.payload_kind``, one
 entry in ``engine.HANDLERS`` and one in ``sim.TX_STEPS``, plus a round-trip
-case in ``test_payloads.ALL_PAYLOADS``.  Adding a query means one member of
-``payloads.QUERY`` and one entry in ``sim.QUERY_STEPS``.  Leaving out any of
-them fails here.
+case in ``test_payloads.ALL_PAYLOADS``.  Adding a read kind means one member
+of ``payloads.QUERY``, one entry in ``gateway.READS`` (who may see it, its
+answer's codec and its answer), one in ``sim.QUERY_STEPS`` and one CLI name
+in ``cli.QUERIES``.  Leaving out any of them fails here, and every golden
+answer must decode with its declared codec and encode back to its bytes.
 
 Each ledger state record is described once too: every field the state
 digest writes is declared with a codec, and the records the genesis doc
@@ -14,6 +16,7 @@ holds have a JSON form that reads back to the same state.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 from collections import Counter
 
@@ -21,8 +24,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rolechain.chain import genesis_doc, state_from_doc
-from rolechain.codec import U64_MAX, Reader, Writer
+from rolechain.cli import QUERIES
+from rolechain.codec import U64, U64_MAX, Field, Reader, Writer
 from rolechain.engine import HANDLERS
+from rolechain.gateway import READS, Visibility
 from rolechain.ledger import Account, AllowanceLedger, InterestRule, LedgerState, LogEntry, Policy, Proposal
 from rolechain.payloads import (
     PAYLOAD,
@@ -40,6 +45,7 @@ from rolechain.payloads import (
 )
 from rolechain.sim import QUERY_STEPS, TX_STEPS, Simulation, parse_scenario
 
+from test_golden import READS as GOLDEN_READS, read_answer_bytes
 from test_payloads import ALL_PAYLOADS
 
 # every class declared as a payload, and every subclass of Payload even if
@@ -81,8 +87,36 @@ def test_encode_payload_matches_the_field_description(payload):
 def test_every_query_has_exactly_one_query_step():
     sim = Simulation(parse_scenario({"ticks": 0, "actors": [{"name": "a", "roles": ["validator"]}]}))
     body = {"as": "a", "validator": "a"}  # every required field but kind
-    built = Counter(type(step.act(sim, {**body, "kind": kind}, "a")) for kind, step in QUERY_STEPS.items())
+    built = {kind: type(step.act(sim, {**body, "kind": kind}, "a")) for kind, step in QUERY_STEPS.items()}
+    assert Counter(built.values()) == Counter(QUERY.by_tag.values())
+    # expect_int only where the answer is one integer
+    for kind, step in QUERY_STEPS.items():
+        assert ("expect_int" in step.fields.types) == (READS[built[kind]].answer is U64), kind
+
+
+def test_every_query_has_exactly_one_read_entry_and_cli_name():
+    assert set(READS) == set(QUERY.by_tag.values())
+    for read in READS.values():
+        assert isinstance(read.visibility, Visibility)
+        assert isinstance(read.answer, Field) and read.answer.decode is not None
+    account = b"\x01" * 32
+    built = Counter(type(build(account, lambda: account, LedgerState())) for build, _ in QUERIES.values())
     assert built == Counter(QUERY.by_tag.values())
+
+
+@pytest.mark.parametrize("stem", sorted(GOLDEN_READS))
+def test_golden_answers_decode_with_their_declared_codec(stem):
+    answers = read_answer_bytes(stem)
+    assert {type(query) for query, _ in answers.values()} == set(QUERY.by_tag.values())
+    for label, (query, answer) in answers.items():
+        assert hashlib.sha256(answer).hexdigest() == GOLDEN_READS[stem][label]
+        codec = READS[type(query)].answer
+        r = Reader(answer)
+        value = codec.decode(r)
+        r.require_end()
+        w = Writer()
+        codec.encode(w, value)
+        assert w.getvalue() == answer, label
 
 
 # --- ledger state records -----------------------------------------------------------
@@ -140,12 +174,15 @@ accounts = st.builds(
     provider=st.none() | ids,
     recovery=recoveries,
 )
+# a policy has an expiry height exactly when it is timed, as genesis and set_policy store it
 policies = st.builds(
-    Policy,
-    key=texts,
-    value=u64s | st.binary(max_size=8),
-    permanence=st.sampled_from(Permanence),
-    expiry_height=st.none() | u64s,
+    lambda key, value, permanence, expiry: Policy(
+        key, value, permanence, expiry if permanence is Permanence.TIMED_EXPIRATION else None
+    ),
+    texts,
+    u64s | st.binary(max_size=8),
+    st.sampled_from(Permanence),
+    u64s,
 )
 records = st.builds(
     ValidatorRecord,

@@ -319,6 +319,56 @@ def test_rotate_key_step_through_sim():
     assert acct.public_key == sim.keys["alice"].public_key
 
 
+ROTATE_VALIDATOR = {
+    "ticks": 3,
+    "actors": [
+        {"name": "prov", "roles": ["account_provider"]},
+        {"name": "v1", "roles": ["validator"], "provider": "prov"},
+    ],
+    "steps": [
+        {
+            "tick": 1,
+            "tx": {"from": "prov", "kind": "rotate_key", "target": "v1", "new_key_label": "v1-fresh", "approvers": ["prov"]},
+        },
+        {"tick": 3, "assert": {"kind": "log_contains", "entry_kind": "rotate_key"}},
+    ],
+}
+
+
+def test_a_validator_signs_with_its_rotated_key_only_once_the_rotation_commits():
+    """The block that carries the rotation is signed with the key the state still holds."""
+    report, sim = run(parse_scenario(ROTATE_VALIDATOR))
+    assert report.all_passed and report.blocks_produced == 3
+    assert sim.state.accounts[sim.aid("v1")].public_key == sim.keys["v1"].public_key
+    assert sim.keys["v1"].public_key != sim._keypair("v1").public_key
+    assert sim.new_keys == {}
+
+
+def test_a_failed_rotation_leaves_the_signing_key():
+    raw = copy.deepcopy(ROTATE_VALIDATOR)
+    raw["actors"].append({"name": "mallory", "roles": ["user"]})
+    raw["steps"][0]["tx"]["approvers"] = ["mallory"]  # not the provider: the rotation fails
+    raw["steps"][1]["assert"]["present"] = False
+    report, sim = run(parse_scenario(raw))
+    assert report.all_passed and report.blocks_produced == 3
+    assert sim.keys["v1"].public_key == sim._keypair("v1").public_key
+    assert sim.state.accounts[sim.aid("v1")].public_key == sim.keys["v1"].public_key
+
+
+def test_a_lying_gateway_inflates_the_largest_balance_within_u64():
+    raw = {
+        "ticks": 1,
+        "actors": [
+            {"name": "v1", "roles": ["validator"], "faults": ["corrupt_results"]},
+            {"name": "rich", "roles": ["user"], "balance": 2**64 - 1},
+        ],
+        "steps": [{"tick": 1, "query": {"as": "rich", "kind": "own_balance", "store": "q"}}],
+    }
+    report, sim = run(parse_scenario(raw))
+    [response] = sim.stored_responses["q"]
+    assert response.result == (99).to_bytes(8, "big")  # 2**64 - 1 + 100, wrapped
+
+
 def test_ed25519_scheme_end_to_end():
     raw = {
         "ticks": 4,
