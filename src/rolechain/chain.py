@@ -28,7 +28,7 @@ from .errors import (
 )
 from . import errors as err
 from .keys import KeyPair, get_scheme
-from .ledger import Account, LedgerState, Policy
+from .ledger import Account, LedgerState, LogEntry, Policy
 from .payloads import (
     Permanence,
     Role,
@@ -231,8 +231,12 @@ def append_block(
     state: LedgerState,
     block: Block,
     inactive: frozenset[bytes] | None = frozenset(),
-) -> list[engine.Receipt]:
-    """Validate, apply, and fire boundary work; fatal if conservation breaks."""
+) -> list[LogEntry]:
+    """Validate, apply, and fire boundary work; fatal if conservation breaks.
+
+    Returns each transaction's entry, in block order, then the entries of
+    the proposals the block auto-finalized.
+    """
     violations = validate_block(block, state, chain, inactive)
     if violations:
         raise InvalidBlock(violations)

@@ -96,6 +96,9 @@ def _load_dump(path: Path):
 def inspect(dump_path: Path, height: int | None):
     """Print a human-readable view of a chain dump."""
     doc, chain, state = _load_dump(dump_path)
+    if height is not None and not 0 <= height <= chain.height:
+        click.echo(f"no block at height {height}", err=True)
+        sys.exit(1)
     click.echo(format_chain(chain, height))
     if height is None:
         click.echo(f"head={chain.head_hash.hex()[:16]} state_digest={state.digest().hex()[:16]}")

@@ -1,18 +1,18 @@
 """Transaction envelope verification, payload dispatch, and genesis.
 
-``apply_transaction`` is the single mutation entry point.  Envelope-level
-failures (unknown sender, bad signature, stale nonce, no roles) change
-nothing at all.  Once the envelope is valid, the payload runs; if it fails,
-the sender's nonce is still consumed and the failure is recorded in the
-transaction log, so an on-chain transaction can never be replayed whether
-or not it succeeded.
+``apply_transaction`` is the single mutation entry point, and the log entry
+it returns is the transaction's receipt.  Envelope-level failures (unknown
+sender, bad signature, stale nonce, no roles) change nothing at all: their
+entry, of kind ``"unknown"``, is returned but never logged.  Once the
+envelope is valid, the payload runs; if it fails, the sender's nonce is
+still consumed and the failure is recorded in the transaction log, so an
+on-chain transaction can never be replayed whether or not it succeeded.
 """
 
 from __future__ import annotations
 
 import hashlib
 from collections.abc import Callable
-from dataclasses import dataclass, field
 
 from . import errors as err
 from . import governance, ledger, monetary
@@ -53,15 +53,6 @@ from .payloads import (
     Transfer,
 )
 
-@dataclass
-class Receipt:
-    tx_id: bytes
-    height: int
-    kind: str
-    ok: bool
-    error: str | None = None
-    data: dict = field(default_factory=dict)
-
 
 def verify_evidence(state: LedgerState, event: DiscrepancyEvent) -> str | None:
     """Check a discrepancy report against the on-chain registry.
@@ -91,7 +82,9 @@ def verify_evidence(state: LedgerState, event: DiscrepancyEvent) -> str | None:
     return None
 
 
-def _apply_discrepancy(state: LedgerState, sender: bytes, event: DiscrepancyEvent) -> Applied:
+def _apply_discrepancy(
+    state: LedgerState, sender: bytes, event: DiscrepancyEvent, tx_id: bytes, authority: Authority
+) -> Applied:
     reason = verify_evidence(state, event)
     if reason is not None:
         raise TxError(err.INVALID_EVIDENCE, reason)
@@ -109,41 +102,28 @@ def _apply_discrepancy(state: LedgerState, sender: bytes, event: DiscrepancyEven
 # payload type -> handler(state, sender, payload, tx_id, authority); a
 # handler raises TxError without side effects on failure
 HANDLERS: dict[type, Callable[[LedgerState, bytes, Payload, bytes, Authority], Applied]] = {
-    Transfer: lambda st, who, p, tx_id, auth: ledger.transfer(st, who, p.to, p.amount),
-    SetFrozen: lambda st, who, p, tx_id, auth: ledger.set_frozen(st, who, p.target, p.frozen, auth),
-    Confiscate: lambda st, who, p, tx_id, auth: ledger.confiscate(
-        st, who, p.source, p.to, p.amount, auth
-    ),
-    Reverse: lambda st, who, p, tx_id, auth: ledger.reverse_transaction(
-        st, who, p.target_tx, tx_id, auth
-    ),
-    RotateKey: lambda st, who, p, tx_id, auth: ledger.rotate_key(st, p.target, p.new_key, p.approvals),
-    SetPolicy: lambda st, who, p, tx_id, auth: governance.set_policy(
-        st, who, p.key, p.value, p.permanence, p.expiry_height, auth
-    ),
-    AssignRole: lambda st, who, p, tx_id, auth: governance.assign_role(st, who, p, auth),
-    RevokeRole: lambda st, who, p, tx_id, auth: governance.revoke_role(st, who, p.target, p.role, auth),
-    BootstrapValidators: lambda st, who, p, tx_id, auth: governance.bootstrap_set_validators(
-        st, who, p.validators
-    ),
-    CreateProposal: lambda st, who, p, tx_id, auth: governance.create_proposal(
-        st, who, p.action, p.electorate
-    )[0],
-    CastVote: lambda st, who, p, tx_id, auth: governance.cast_vote(st, who, p.proposal_id, p.approve),
+    Transfer: ledger.transfer,
+    SetFrozen: ledger.set_frozen,
+    Confiscate: ledger.confiscate,
+    Reverse: ledger.reverse_transaction,
+    RotateKey: ledger.rotate_key,
+    SetPolicy: governance.set_policy,
+    AssignRole: governance.assign_role,
+    RevokeRole: governance.revoke_role,
+    BootstrapValidators: governance.bootstrap_set_validators,
+    CreateProposal: governance.create_proposal,
+    CastVote: governance.cast_vote,
+    # finalizing also needs the engine's executor
     FinalizeProposal: lambda st, who, p, tx_id, auth: governance.finalize_proposal(
         st, p.proposal_id, _proposal_executor(st)
     ),
-    Mint: lambda st, who, p, tx_id, auth: monetary.mint(st, who, p.to, p.amount, auth),
-    Burn: lambda st, who, p, tx_id, auth: monetary.burn(st, who, p.source, p.amount, auth),
-    ConvertFiat: lambda st, who, p, tx_id, auth: monetary.convert_fiat(
-        st, who, p.user, p.direction, p.amount
-    ),
-    SetInterestRule: lambda st, who, p, tx_id, auth: monetary.set_interest_rule(st, who, p, auth),
-    ClaimAllowance: lambda st, who, p, tx_id, auth: monetary.claim_allowance(
-        st, who, p.rule_id, p.up_to_period
-    ),
-    RegisterEndpoints: lambda st, who, p, tx_id, auth: ledger.register_endpoints(st, who, p.record),
-    DiscrepancyEvent: lambda st, who, p, tx_id, auth: _apply_discrepancy(st, who, p),
+    Mint: monetary.mint,
+    Burn: monetary.burn,
+    ConvertFiat: monetary.convert_fiat,
+    SetInterestRule: monetary.set_interest_rule,
+    ClaimAllowance: monetary.claim_allowance,
+    RegisterEndpoints: ledger.register_endpoints,
+    DiscrepancyEvent: _apply_discrepancy,
 }
 
 
@@ -190,29 +170,31 @@ def _proposal_executor(state: LedgerState):
     return run
 
 
-def finalize_expired_proposals(state: LedgerState) -> list[Receipt]:
-    """Auto-finalize every open proposal whose voting window has closed."""
-    receipts = []
+def finalize_expired_proposals(state: LedgerState) -> list[LogEntry]:
+    """Auto-finalize every open proposal whose voting window has closed.
+
+    Returns the entries it logged, one per proposal.
+    """
+    entries = []
     for pid in governance.expired_open_proposals(state):
         applied = governance.finalize_proposal(state, pid, _proposal_executor(state))
         event_id = hashlib.sha256(
             b"autofinalize:" + pid.to_bytes(8, "big") + state.height.to_bytes(8, "big")
         ).digest()
-        state.log(
-            LogEntry(
-                tx_id=event_id,
-                height=state.height,
-                kind="finalize_proposal",
-                sender=None,
-                ok=True,
-                error=None,
-                management=True,
-                participants=applied.participants,
-                data=applied.data,
-            )
+        entry = LogEntry(
+            tx_id=event_id,
+            height=state.height,
+            kind="finalize_proposal",
+            sender=None,
+            ok=True,
+            error=None,
+            management=True,
+            participants=applied.participants,
+            data=applied.data,
         )
-        receipts.append(Receipt(event_id, state.height, "finalize_proposal", True, data=applied.data))
-    return receipts
+        state.log(entry)
+        entries.append(entry)
+    return entries
 
 
 def run_accruals(state: LedgerState) -> None:
@@ -271,20 +253,28 @@ def run_accruals(state: LedgerState) -> None:
             )
 
 
-def apply_transaction(state: LedgerState, tx: Transaction) -> Receipt:
-    """Verify the envelope, run the payload, and record the outcome."""
-    tx_id = tx.tx_id
+def _unlogged(state: LedgerState, tx: Transaction, code: str) -> LogEntry:
+    """The entry of an envelope failure: returned, never logged."""
+    return LogEntry(tx.tx_id, state.height, "unknown", tx.sender, False, code, False, (), {})
+
+
+def apply_transaction(state: LedgerState, tx: Transaction) -> LogEntry:
+    """Verify the envelope, run the payload, and log the outcome.
+
+    Returns the logged entry, or on an envelope failure an entry of kind
+    ``"unknown"`` that is not logged.
+    """
     acct = state.accounts.get(tx.sender)
     if acct is None:
-        return Receipt(tx_id, state.height, "unknown", False, err.UNKNOWN_SENDER)
+        return _unlogged(state, tx, err.UNKNOWN_SENDER)
     if not tx.signature_ok(state.scheme, acct.public_key):
-        return Receipt(tx_id, state.height, "unknown", False, err.BAD_SIGNATURE)
+        return _unlogged(state, tx, err.BAD_SIGNATURE)
     if tx.nonce != acct.nonce:
-        return Receipt(tx_id, state.height, "unknown", False, err.BAD_NONCE)
+        return _unlogged(state, tx, err.BAD_NONCE)
     if not acct.roles:
-        return Receipt(tx_id, state.height, "unknown", False, err.NO_ROLE)
+        return _unlogged(state, tx, err.NO_ROLE)
 
-    kind = tx.payload.KIND
+    tx_id = tx.tx_id
     try:
         applied = execute_payload(state, tx.sender, tx.payload, tx_id, Authority.USER)
         ok, code = True, None
@@ -292,20 +282,19 @@ def apply_transaction(state: LedgerState, tx: Transaction) -> Receipt:
         applied = Applied((tx.sender,), {})
         ok, code = False, exc.code
     acct.nonce += 1
-    state.log(
-        LogEntry(
-            tx_id=tx_id,
-            height=state.height,
-            kind=kind,
-            sender=tx.sender,
-            ok=ok,
-            error=code,
-            management=tx.payload.MANAGEMENT,
-            participants=applied.participants,
-            data=applied.data,
-        )
+    entry = LogEntry(
+        tx_id=tx_id,
+        height=state.height,
+        kind=tx.payload.KIND,
+        sender=tx.sender,
+        ok=ok,
+        error=code,
+        management=tx.payload.MANAGEMENT,
+        participants=applied.participants,
+        data=applied.data,
     )
-    return Receipt(tx_id, state.height, kind, ok, code, applied.data)
+    state.log(entry)
+    return entry
 
 
 # --- genesis -------------------------------------------------------------------

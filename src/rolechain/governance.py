@@ -1,6 +1,6 @@
 """Policies, role assignment rules, bootstrapping, and on-chain voting.
 
-Role authority matrix:
+Role authority matrix (``GRANTED_BY``):
 
   - platform managers set policy and grant/revoke the manager-tier roles
     (account provider, system security, currency manager, platform manager);
@@ -20,6 +20,7 @@ from __future__ import annotations
 from collections.abc import Callable
 
 from . import errors as err
+from .codec import U64_MAX
 from .errors import TxError
 from .keys import derive_account_id, get_scheme
 from .ledger import (
@@ -34,6 +35,9 @@ from .ledger import (
 )
 from .payloads import (
     AssignRole,
+    BootstrapValidators,
+    CastVote,
+    CreateProposal,
     Guardians,
     Payload,
     Permanence,
@@ -41,27 +45,25 @@ from .payloads import (
     RecoveryPolicy,
     RevokeRole,
     Role,
+    SetPolicy,
     possession_message,
 )
 
-# roles a platform manager may grant or revoke directly
-MANAGER_ASSIGNABLE = {
-    Role.ACCOUNT_PROVIDER,
-    Role.SYSTEM_SECURITY,
-    Role.CURRENCY_MANAGER,
-    Role.PLATFORM_MANAGER,
+# role -> the role that may grant or revoke it directly; the validator role
+# is not listed, since no account may change it directly
+GRANTED_BY = {
+    Role.USER: Role.ACCOUNT_PROVIDER,
+    Role.ACCOUNT_PROVIDER: Role.PLATFORM_MANAGER,
+    Role.SYSTEM_SECURITY: Role.PLATFORM_MANAGER,
+    Role.CURRENCY_MANAGER: Role.PLATFORM_MANAGER,
+    Role.PLATFORM_MANAGER: Role.PLATFORM_MANAGER,
 }
 
 
 def set_policy(
-    state: LedgerState,
-    actor: bytes,
-    key: str,
-    value: int | bytes,
-    permanence: Permanence,
-    expiry_height: int | None = None,
-    authority: Authority = Authority.USER,
+    state: LedgerState, actor: bytes, payload: SetPolicy, tx_id: bytes, authority: Authority
 ) -> Applied:
+    key, permanence = payload.key, payload.permanence
     if authority is not Authority.SYSTEM:
         acct = state.accounts.get(actor)
         if acct is None or Role.PLATFORM_MANAGER not in acct.roles:
@@ -74,15 +76,15 @@ def set_policy(
         raise TxError(err.POLICY_IMMUTABLE)
     state.policies[key] = Policy(
         key=key,
-        value=value,
+        value=payload.value,
         permanence=permanence,
-        expiry_height=expiry_height if permanence is Permanence.TIMED_EXPIRATION else None,
+        expiry_height=payload.expiry_height if permanence is Permanence.TIMED_EXPIRATION else None,
         set_by=actor,
         set_at=state.height,
     )
-    data: dict = {"key": key, "value": value, "permanence": permanence.name.lower()}
+    data: dict = {"key": key, "value": payload.value, "permanence": permanence.name.lower()}
     if permanence is Permanence.TIMED_EXPIRATION:
-        data["expiry_height"] = expiry_height or 0
+        data["expiry_height"] = payload.expiry_height or 0
     return Applied((actor,), data)
 
 
@@ -124,57 +126,42 @@ def _ensure_account(
     return acct
 
 
-def assign_role(
-    state: LedgerState,
-    actor: bytes,
-    payload: AssignRole,
-    authority: Authority = Authority.USER,
-) -> Applied:
-    role = payload.role
-    if authority is Authority.SYSTEM:
-        acct = _ensure_account(state, payload.target, payload.target_key, None, payload.recovery)
-        acct.roles.add(role)
-        return Applied((actor, payload.target), {"target": payload.target, "role": role.name.lower()})
-
-    actor_acct = state.accounts.get(actor)
-    actor_roles = actor_acct.roles if actor_acct else set()
+def _check_role_authority(state: LedgerState, actor: bytes, role: Role) -> None:
+    """Raise unless ``actor`` may grant or revoke ``role`` directly (``GRANTED_BY``)."""
     if role is Role.VALIDATOR:
         raise TxError(err.VALIDATOR_ROLE_LOCKED)
-    if role is Role.USER:
-        if Role.ACCOUNT_PROVIDER not in actor_roles:
-            raise TxError(err.NOT_AUTHORIZED_FOR_ROLE)
-        acct = _ensure_account(state, payload.target, payload.target_key, actor, payload.recovery)
+    acct = state.accounts.get(actor)
+    if acct is None or GRANTED_BY[role] not in acct.roles:
+        raise TxError(err.NOT_AUTHORIZED_FOR_ROLE)
+
+
+def assign_role(
+    state: LedgerState, actor: bytes, payload: AssignRole, tx_id: bytes, authority: Authority
+) -> Applied:
+    role = payload.role
+    # an account provider granting the user role must prove the target holds its key
+    provider = None
+    if authority is not Authority.SYSTEM:
+        _check_role_authority(state, actor, role)
+        if role is Role.USER:
+            provider = actor
+    acct = _ensure_account(state, payload.target, payload.target_key, provider, payload.recovery)
+    if provider is not None:
         if payload.possession_sig is None:
             raise TxError(err.MISSING_POSSESSION_PROOF)
         message = possession_message(actor, acct.public_key)
         if not get_scheme(state.scheme).verify(acct.public_key, message, payload.possession_sig):
             raise TxError(err.MISSING_POSSESSION_PROOF, "possession signature invalid")
-        acct.roles.add(role)
-    else:
-        if Role.PLATFORM_MANAGER not in actor_roles or role not in MANAGER_ASSIGNABLE:
-            raise TxError(err.NOT_AUTHORIZED_FOR_ROLE)
-        acct = _ensure_account(state, payload.target, payload.target_key, None, payload.recovery)
-        acct.roles.add(role)
+    acct.roles.add(role)
     return Applied((actor, payload.target), {"target": payload.target, "role": role.name.lower()})
 
 
 def revoke_role(
-    state: LedgerState,
-    actor: bytes,
-    target: bytes,
-    role: Role,
-    authority: Authority = Authority.USER,
+    state: LedgerState, actor: bytes, payload: RevokeRole, tx_id: bytes, authority: Authority
 ) -> Applied:
+    target, role = payload.target, payload.role
     if authority is not Authority.SYSTEM:
-        actor_acct = state.accounts.get(actor)
-        actor_roles = actor_acct.roles if actor_acct else set()
-        if role is Role.VALIDATOR:
-            raise TxError(err.VALIDATOR_ROLE_LOCKED)
-        if role is Role.USER:
-            if Role.ACCOUNT_PROVIDER not in actor_roles:
-                raise TxError(err.NOT_AUTHORIZED_FOR_ROLE)
-        elif Role.PLATFORM_MANAGER not in actor_roles or role not in MANAGER_ASSIGNABLE:
-            raise TxError(err.NOT_AUTHORIZED_FOR_ROLE)
+        _check_role_authority(state, actor, role)
     acct = state.account(target)
     if role not in acct.roles:
         raise TxError(err.ROLE_ABSENT)
@@ -183,8 +170,9 @@ def revoke_role(
 
 
 def bootstrap_set_validators(
-    state: LedgerState, actor: bytes, validators: frozenset[bytes]
+    state: LedgerState, actor: bytes, payload: BootstrapValidators, tx_id: bytes, authority: Authority
 ) -> Applied:
+    validators = payload.validators
     acct = state.accounts.get(actor)
     if acct is None or Role.PLATFORM_MANAGER not in acct.roles:
         raise TxError(err.NOT_PLATFORM_MANAGER)
@@ -219,8 +207,9 @@ def _required_electorate(action: Payload) -> Role:
 
 
 def create_proposal(
-    state: LedgerState, proposer: bytes, action: Payload, electorate: Role
-) -> tuple[Applied, int]:
+    state: LedgerState, proposer: bytes, payload: CreateProposal, tx_id: bytes, authority: Authority
+) -> Applied:
+    action, electorate = payload.action, payload.electorate
     required = _required_electorate(action)
     if electorate is not required:
         raise TxError(err.ACTION_NOT_VOTEABLE, f"electorate must be {required.name}")
@@ -236,22 +225,19 @@ def create_proposal(
         proposer=proposer,
         electorate=electorate,
         created_at=state.height,
-        expires_at=state.height + window,
+        # no height passes U64_MAX, so the cap changes no outcome
+        expires_at=min(state.height + window, U64_MAX),
     )
-    return (
-        Applied(
-            (proposer,),
-            {
-                "proposal_id": pid,
-                "electorate": electorate.name.lower(),
-                "action": action.KIND,
-            },
-        ),
-        pid,
+    return Applied(
+        (proposer,),
+        {"proposal_id": pid, "electorate": electorate.name.lower(), "action": action.KIND},
     )
 
 
-def cast_vote(state: LedgerState, voter: bytes, proposal_id: int, approve: bool) -> Applied:
+def cast_vote(
+    state: LedgerState, voter: bytes, payload: CastVote, tx_id: bytes, authority: Authority
+) -> Applied:
+    proposal_id, approve = payload.proposal_id, payload.approve
     prop = state.proposals.get(proposal_id)
     if prop is None:
         raise TxError(err.UNKNOWN_PROPOSAL)
@@ -310,7 +296,7 @@ def finalize_proposal(
     Passes early on a strict majority of yes votes, fails early once passage
     is impossible, and expires otherwise when the window closes.  A passed
     action executes immediately with system authority; if the action itself
-    now fails, the proposal still finalizes as passed and the receipt keeps
+    now fails, the proposal still finalizes as passed and its log entry keeps
     the execution error.
     """
     prop = state.proposals.get(proposal_id)

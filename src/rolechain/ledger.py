@@ -2,10 +2,10 @@
 
 All mutation is funneled through a single logical writer (the block apply
 path in :mod:`rolechain.engine`).  Reads, including gateway answers, act on
-the live state between blocks; :meth:`LedgerState.clone` makes an
-independent copy for callers that need one.  Handlers validate every
-precondition before touching state, so a raised :class:`TxError` always
-leaves the state untouched.
+the live state between blocks.  Handlers validate every precondition before
+touching state, so a raised :class:`TxError` always leaves the state
+untouched.  Every handler takes ``(state, sender, payload, tx_id,
+authority)``, the signature ``engine.HANDLERS`` declares.
 
 Role holders are cached (see :meth:`LedgerState.holders`); the cache is
 keyed on :attr:`RoleSet.writes` and the number of accounts, so accounts
@@ -21,7 +21,6 @@ fractional arithmetic anywhere in the ledger.
 
 from __future__ import annotations
 
-import copy
 import hashlib
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
@@ -53,13 +52,19 @@ from .payloads import (
     POLICY_VALUE,
     RECOVERY,
     ZERO_ID,
+    Confiscate,
     Guardians,
     InterestMode,
     Permanence,
     ProviderOnly,
     ProviderPlusSecurity,
     RecoveryPolicy,
+    RegisterEndpoints,
+    Reverse,
     Role,
+    RotateKey,
+    SetFrozen,
+    Transfer,
     ValidatorRecord,
     rotation_message,
 )
@@ -341,10 +346,7 @@ class LedgerState:
     def conservation_holds(self) -> bool:
         return self.total_balances() + self.total_unclaimed() == self.supply.circulating
 
-    # -- snapshots and digests ----------------------------------------------
-
-    def clone(self) -> LedgerState:
-        return copy.deepcopy(self)
+    # -- digest ----------------------------------------------------------------
 
     def digest(self) -> bytes:
         """SHA-256 over a canonical encoding of the entire state.
@@ -395,7 +397,10 @@ def security_gate(state: LedgerState, actor: bytes, feature: str, authority: Aut
 
 # --- core operations -------------------------------------------------------------
 
-def transfer(state: LedgerState, source: bytes, to: bytes, amount: int) -> Applied:
+def transfer(
+    state: LedgerState, source: bytes, payload: Transfer, tx_id: bytes, authority: Authority
+) -> Applied:
+    to, amount = payload.to, payload.amount
     sender = state.accounts.get(source)
     if sender is None or Role.USER not in sender.roles:
         raise TxError(err.NO_ROLE, "sender lacks the user role")
@@ -414,27 +419,19 @@ def transfer(state: LedgerState, source: bytes, to: bytes, amount: int) -> Appli
 
 
 def set_frozen(
-    state: LedgerState,
-    actor: bytes,
-    target: bytes,
-    frozen: bool,
-    authority: Authority = Authority.USER,
+    state: LedgerState, actor: bytes, payload: SetFrozen, tx_id: bytes, authority: Authority
 ) -> Applied:
     security_gate(state, actor, "freeze", authority)
-    acct = state.account(target)
-    acct.frozen = frozen
+    target, frozen = payload.target, payload.frozen
+    state.account(target).frozen = frozen
     return Applied((actor, target), {"target": target, "frozen": frozen})
 
 
 def confiscate(
-    state: LedgerState,
-    actor: bytes,
-    source: bytes,
-    to: bytes,
-    amount: int,
-    authority: Authority = Authority.USER,
+    state: LedgerState, actor: bytes, payload: Confiscate, tx_id: bytes, authority: Authority
 ) -> Applied:
     security_gate(state, actor, "confiscate", authority)
+    source, to, amount = payload.source, payload.to, payload.amount
     escrow = state.policy_bytes("security.escrow")
     if to != escrow:
         # moving seized funds anywhere but the escrow needs a passed vote,
@@ -457,13 +454,10 @@ def confiscate(
 
 
 def reverse_transaction(
-    state: LedgerState,
-    actor: bytes,
-    target_tx: bytes,
-    reversal_tx_id: bytes,
-    authority: Authority = Authority.USER,
+    state: LedgerState, actor: bytes, payload: Reverse, tx_id: bytes, authority: Authority
 ) -> Applied:
     security_gate(state, actor, "reverse", authority)
+    target_tx = payload.target_tx
     idx = state.tx_index.get(target_tx)
     if idx is None:
         raise TxError(err.NOT_A_TRANSFER, "no such transaction")
@@ -481,7 +475,7 @@ def reverse_transaction(
     sender = state.account(original_from)
     recipient.balance -= amount
     sender.balance += amount
-    entry.reversed_by = reversal_tx_id
+    entry.reversed_by = tx_id
     return Applied(
         (actor, original_from, original_to),
         {
@@ -494,16 +488,14 @@ def reverse_transaction(
 
 
 def rotate_key(
-    state: LedgerState,
-    target: bytes,
-    new_key: bytes,
-    approvals: tuple[tuple[bytes, bytes], ...],
+    state: LedgerState, sender: bytes, payload: RotateKey, tx_id: bytes, authority: Authority
 ) -> Applied:
     """Swap the target account's public key after recovery approval.
 
     Approval signatures are checked under each approver's *current* key;
     which approvers suffice depends on the account's recovery policy.
     """
+    target, new_key = payload.target, payload.new_key
     acct = state.account(target)
     scheme = get_scheme(state.scheme)
     try:
@@ -523,7 +515,7 @@ def rotate_key(
         eligible = {acct.provider} if acct.provider is not None else set()
 
     valid: set[bytes] = set()
-    for approver_id, sig in approvals:
+    for approver_id, sig in payload.approvals:
         if approver_id not in eligible:
             raise TxError(err.APPROVER_NOT_ELIGIBLE)
         approver = state.accounts.get(approver_id)
@@ -547,8 +539,11 @@ def rotate_key(
     return Applied((target,), {"target": target})
 
 
-def register_endpoints(state: LedgerState, actor: bytes, record: ValidatorRecord) -> Applied:
+def register_endpoints(
+    state: LedgerState, actor: bytes, payload: RegisterEndpoints, tx_id: bytes, authority: Authority
+) -> Applied:
     """Publish or replace a validator's gateway endpoints and view key."""
+    record = payload.record
     acct = state.accounts.get(actor)
     if acct is None or Role.VALIDATOR not in acct.roles:
         raise TxError(err.NOT_VALIDATOR)

@@ -19,7 +19,16 @@ from . import errors as err
 from .codec import U64, U64_MAX, sorted_map, wire, wire_record
 from .errors import TxError
 from .ledger import Account, AllowanceLedger, Applied, Authority, InterestRule, LedgerState
-from .payloads import FiatDirection, InterestMode, Role, SetInterestRule
+from .payloads import (
+    Burn,
+    ClaimAllowance,
+    ConvertFiat,
+    FiatDirection,
+    InterestMode,
+    Mint,
+    Role,
+    SetInterestRule,
+)
 
 
 def _currency_gate(state: LedgerState, actor: bytes, policy_key: str, authority: Authority) -> None:
@@ -45,14 +54,9 @@ def _reject_all_users_overlap(state: LedgerState, except_id: int | None = None) 
             raise TxError(err.OVERLAPPING_RULE)
 
 
-def mint(
-    state: LedgerState,
-    actor: bytes,
-    to: bytes,
-    amount: int,
-    authority: Authority = Authority.USER,
-) -> Applied:
+def mint(state: LedgerState, actor: bytes, payload: Mint, tx_id: bytes, authority: Authority) -> Applied:
     _currency_gate(state, actor, "mint.requires_vote", authority)
+    to, amount = payload.to, payload.amount
     acct = state.account(to)
     _check_supply(state, amount)
     acct.balance += amount
@@ -60,14 +64,9 @@ def mint(
     return Applied((actor, to), {"to": to, "amount": amount})
 
 
-def burn(
-    state: LedgerState,
-    actor: bytes,
-    source: bytes,
-    amount: int,
-    authority: Authority = Authority.USER,
-) -> Applied:
+def burn(state: LedgerState, actor: bytes, payload: Burn, tx_id: bytes, authority: Authority) -> Applied:
     _currency_gate(state, actor, "mint.requires_vote", authority)
+    source, amount = payload.source, payload.amount
     acct = state.account(source)
     if acct.balance < amount:
         raise TxError(err.INSUFFICIENT_FUNDS)
@@ -77,13 +76,10 @@ def burn(
 
 
 def convert_fiat(
-    state: LedgerState,
-    institution: bytes,
-    user: bytes,
-    direction: FiatDirection,
-    amount: int,
+    state: LedgerState, institution: bytes, payload: ConvertFiat, tx_id: bytes, authority: Authority
 ) -> Applied:
     """Mint on fiat received off-chain; burn on fiat paid out off-chain."""
+    user, direction, amount = payload.user, payload.direction, payload.amount
     inst = state.accounts.get(institution)
     if inst is None or not ({Role.ACCOUNT_PROVIDER, Role.CURRENCY_MANAGER} & inst.roles):
         raise TxError(err.NOT_AUTHORIZED_CONVERTER)
@@ -108,10 +104,7 @@ def convert_fiat(
 
 
 def set_interest_rule(
-    state: LedgerState,
-    actor: bytes,
-    payload: SetInterestRule,
-    authority: Authority = Authority.USER,
+    state: LedgerState, actor: bytes, payload: SetInterestRule, tx_id: bytes, authority: Authority
 ) -> Applied:
     _currency_gate(state, actor, "interest.requires_vote", authority)
     if payload.rule_id is not None:
@@ -214,9 +207,10 @@ def boundaries_at(state: LedgerState, height: int) -> list[tuple[int, int]]:
 
 
 def claim_allowance(
-    state: LedgerState, account: bytes, rule_id: int, up_to_period: int
+    state: LedgerState, account: bytes, payload: ClaimAllowance, tx_id: bytes, authority: Authority
 ) -> Applied:
-    """Withdraw all unclaimed periods up to and including ``up_to_period``."""
+    """Withdraw all unclaimed periods up to and including ``payload.up_to_period``."""
+    rule_id, up_to_period = payload.rule_id, payload.up_to_period
     acct = state.account(account)
     if Role.USER not in acct.roles:
         raise TxError(err.NO_ROLE)

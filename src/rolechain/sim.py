@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import yaml
@@ -35,7 +35,7 @@ from .chain import (
     export_chain,
     genesis_doc,
 )
-from .engine import Receipt, build_genesis
+from .engine import build_genesis
 from .governance import validate_recovery
 from .errors import (
     InternalInvariantViolation,
@@ -58,7 +58,7 @@ from .gateway import (
 )
 from .keys import KeyPair, keypair_from_label
 from .monetary import claimable_amount
-from .ledger import Account, ProposalStatus
+from .ledger import Account, LogEntry, ProposalStatus
 from .schema import (
     ACTOR,
     ACTORS,
@@ -487,24 +487,7 @@ class Report:
         return all(a.ok for a in self.assertions)
 
     def to_json(self) -> str:
-        payload = {
-            "scenario": self.scenario,
-            "seed": self.seed,
-            "ticks": self.ticks,
-            "blocks_produced": self.blocks_produced,
-            "skipped_ticks": self.skipped_ticks,
-            "assertions": [
-                {"tick": a.tick, "kind": a.kind, "ok": a.ok, "detail": a.detail}
-                for a in self.assertions
-            ],
-            "supply": self.supply,
-            "balances": self.balances,
-            "management_log": self.management_log,
-            "compare_results": self.compare_results,
-            "state_digest": self.state_digest,
-            "head_hash": self.head_hash,
-        }
-        return json.dumps(payload, sort_keys=True, indent=2)
+        return json.dumps(asdict(self), sort_keys=True, indent=2)
 
 
 def _jsonable(value):
@@ -542,7 +525,8 @@ class Simulation:
         self.compare_results: dict[str, str] = {}
         self.assertions: list[AssertionResult] = []
         self.skipped_ticks: list[int] = []
-        self.receipts: dict[bytes, Receipt] = {}
+        # tx id -> the entry apply_transaction returned for it
+        self.receipts: dict[bytes, LogEntry] = {}
         self.blocks_produced = 0
         self._build_genesis()
 

@@ -4,9 +4,9 @@ from dataclasses import dataclass
 
 import pytest
 
-from rolechain.engine import Receipt, apply_transaction, build_genesis
+from rolechain.engine import apply_transaction, build_genesis
 from rolechain.keys import KeyPair, keypair_from_label
-from rolechain.ledger import Account, LedgerState
+from rolechain.ledger import Account, LedgerState, LogEntry
 from rolechain.payloads import Payload, Role, Transaction
 
 DEFAULT_ROLES = {
@@ -45,10 +45,10 @@ class World:
         unsigned = Transaction(sender_id, nonce, payload)
         return Transaction(sender_id, nonce, payload, self.keys[sender].sign(unsigned.signing_bytes()))
 
-    def apply(self, sender: str, payload: Payload, nonce: int | None = None) -> Receipt:
+    def apply(self, sender: str, payload: Payload, nonce: int | None = None) -> LogEntry:
         return apply_transaction(self.state, self.tx(sender, payload, nonce))
 
-    def apply_ok(self, sender: str, payload: Payload) -> Receipt:
+    def apply_ok(self, sender: str, payload: Payload) -> LogEntry:
         receipt = self.apply(sender, payload)
         assert receipt.ok, f"{receipt.kind} failed: {receipt.error}"
         return receipt

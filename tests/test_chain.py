@@ -27,6 +27,7 @@ from rolechain.payloads import (
     CreateProposal,
     FinalizeProposal,
     InterestMode,
+    Mint,
     RegisterEndpoints,
     Role,
     SetInterestRule,
@@ -252,6 +253,23 @@ def test_validator_set_change_effective_next_block():
         block, _ = advance(world, chain)
         seen.add(block.publisher)
     assert v4.account_id in seen
+
+
+def test_append_block_returns_the_entries_it_logged():
+    world = _chain_world()
+    chain = Chain()
+    create = world.tx("bank", CreateProposal(Mint(world.aid("alice"), 5), Role.CURRENCY_MANAGER))
+    _, receipts = advance(world, chain, [create])
+    assert len(receipts) == 1 and receipts[0] is world.state.tx_log[-1]
+    expires_at = world.state.proposals[1].expires_at
+    while chain.height < expires_at:
+        advance(world, chain)
+    # the block past the window carries a transfer and auto-finalizes the proposal
+    _, receipts = advance(world, chain, [world.tx("alice", Transfer(world.aid("bob"), 1))])
+    assert [(r.kind, r.ok) for r in receipts] == [("transfer", True), ("finalize_proposal", True)]
+    logged = world.state.tx_log[-2:]
+    assert all(r is e for r, e in zip(receipts, logged, strict=True))
+    assert receipts[1].data["status"] == "expired"
 
 
 def test_accruals_fire_once_per_boundary_in_append():

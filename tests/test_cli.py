@@ -105,6 +105,28 @@ steps:
     assert "blocks=2" in result.output
 
 
+def test_run_with_the_widest_vote_window_exits_zero(runner, tmp_path):
+    """A proposal's expiry height stays in the u64 range the digest writes."""
+    scenario = tmp_path / "window.yaml"
+    scenario.write_text(
+        """
+ticks: 2
+actors:
+  - {name: mgr, roles: [platform_manager]}
+  - {name: v1, roles: [validator]}
+  - {name: cm, roles: [currency_manager]}
+  - {name: a, roles: [user], balance: 5}
+policies:
+  - {key: vote.window_blocks, value: 18446744073709551615, permanence: temporary}
+steps:
+  - tick: 1
+    tx: {from: cm, kind: create_proposal, electorate: currency_manager, action: {kind: mint, to: a, amount: 1}}
+"""
+    )
+    result = runner.invoke(main, ["run", str(scenario)])
+    assert result.exit_code == 0, result.output
+
+
 def test_run_reports_any_other_error_on_one_line_and_exits_three(runner, monkeypatch):
     def fail(self):
         raise InvalidBlock(["BadBlockSignature"])
@@ -222,6 +244,13 @@ def test_inspect_lists_blocks(runner, dump_path):
     single = runner.invoke(main, ["inspect", str(dump_path), "--height", "3"])
     assert "block height=3" in single.output
     assert "block height=1" not in single.output
+
+
+@pytest.mark.parametrize("height", ["999", "-1"])
+def test_inspect_of_a_height_the_chain_lacks_exits_one(runner, dump_path, height):
+    result = runner.invoke(main, ["inspect", str(dump_path), "--height", height])
+    assert result.exit_code == 1
+    assert (result.stdout, result.stderr) == ("", f"no block at height {height}\n")
 
 
 def test_query_own_balance(runner, dump_path):

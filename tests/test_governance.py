@@ -5,6 +5,7 @@ import itertools
 import pytest
 
 from rolechain import errors as err
+from rolechain.codec import U64_MAX
 from rolechain.engine import build_genesis, finalize_expired_proposals
 from rolechain.keys import keypair_from_label
 from rolechain.ledger import Account, LedgerState, Policy, ProposalStatus, is_mutable
@@ -211,6 +212,25 @@ def test_vote_rules():
     world.state.height = world.state.proposals[pid].expires_at + 1
     late = world.apply("v2", CastVote(pid, True))
     assert late.error == err.PROPOSAL_CLOSED
+
+
+def test_proposal_expiry_is_capped_at_the_u64_range():
+    world = make_world(
+        balances={"alice": 5},
+        policy_overrides=[("vote.window_blocks", U64_MAX, Permanence.TEMPORARY, None)],
+    )
+    world.state.height = 1
+    receipt = world.apply_ok("bank", CreateProposal(Mint(world.aid("alice"), 1), Role.CURRENCY_MANAGER))
+    pid = receipt.data["proposal_id"]
+    assert world.state.proposals[pid].expires_at == U64_MAX
+    world.state.digest()  # every stored height fits the u64 the digest writes
+    # no height passes the cap: at the last height the vote is still open
+    world.state.height = U64_MAX
+    assert finalize_expired_proposals(world.state) == []
+    world.apply_ok("bank", CastVote(pid, True))
+    world.apply_ok("bank", FinalizeProposal(pid))
+    assert world.state.proposals[pid].status is ProposalStatus.PASSED
+    assert world.balance("alice") == 6
 
 
 def test_finalize_undecided_open_proposal_rejected():

@@ -64,9 +64,21 @@ def test_sender_without_any_role_rejected_at_envelope(world):
 
 def test_nonce_replay_rejected(world):
     world.apply_ok("alice", Transfer(world.aid("bob"), 10))
+    log, digest = list(world.state.tx_log), world.state.digest()
     replay = world.apply("alice", Transfer(world.aid("bob"), 10), nonce=0)
-    assert replay.error == err.BAD_NONCE
+    assert (replay.kind, replay.ok, replay.error) == ("unknown", False, err.BAD_NONCE)
     assert world.balance("bob") == 10
+    # the entry is returned, not logged, and the nonce stays
+    assert world.state.tx_log == log
+    assert world.state.accounts[world.aid("alice")].nonce == 1
+    assert world.state.digest() == digest
+
+
+def test_committed_tx_returns_its_logged_entry(world):
+    entry = world.apply_ok("alice", Transfer(world.aid("bob"), 10))
+    assert entry is world.state.tx_log[-1]
+    failed = world.apply("alice", Transfer(world.aid("bob"), 500))
+    assert failed is world.state.tx_log[-1] and failed.error == err.INSUFFICIENT_FUNDS
 
 
 def test_failed_payload_still_consumes_nonce(world):
@@ -358,10 +370,11 @@ def test_random_ops_match_replay_oracle(world):
 
 
 def test_state_snapshots_transfer_between_processes(world):
+    import copy
     import pickle
 
     world.apply_ok("alice", Transfer(world.aid("bob"), 40))
-    snapshot = world.state.clone()
+    snapshot = copy.deepcopy(world.state)
     revived = pickle.loads(pickle.dumps(snapshot))
     assert revived.digest() == world.state.digest()
     # mutating the snapshot leaves the original untouched

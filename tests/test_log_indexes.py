@@ -6,11 +6,13 @@ entry's public bytes on first read.  Over generated histories (self-
 transfers, failed receipts, reversals, proposals that execute their action,
 auto-finalized proposals, push and pull accruals), every read must equal
 the full-scan definitions below and an encoder that keeps nothing: on the
-live state as reversals mark earlier entries, on a clone after the
+live state as reversals mark earlier entries, on a deep copy after the
 original moves on, and on the state replayed from an exported dump.
 """
 
 from __future__ import annotations
+
+import copy
 
 from hypothesis import given, settings, strategies as st
 
@@ -196,7 +198,7 @@ def test_indexed_reads_equal_full_scans(ops):
     clones: list[tuple[LedgerState, bytes]] = []
     for step in ops:
         if step[0] == "clone":
-            clones.append((h.world.state.clone(), h.world.state.digest()))
+            clones.append((copy.deepcopy(h.world.state), h.world.state.digest()))
             continue
         h.apply(step)
         if step[0] == "block":

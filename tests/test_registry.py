@@ -26,9 +26,20 @@ from hypothesis import given, settings, strategies as st
 from rolechain.chain import genesis_doc, state_from_doc
 from rolechain.cli import QUERIES
 from rolechain.codec import U64, U64_MAX, Field, Reader, Writer
-from rolechain.engine import HANDLERS
+from rolechain.engine import HANDLERS, execute_payload
+from rolechain.errors import TxError
 from rolechain.gateway import READS, Visibility
-from rolechain.ledger import Account, AllowanceLedger, InterestRule, LedgerState, LogEntry, Policy, Proposal
+from rolechain.ledger import (
+    Account,
+    AllowanceLedger,
+    Applied,
+    Authority,
+    InterestRule,
+    LedgerState,
+    LogEntry,
+    Policy,
+    Proposal,
+)
 from rolechain.payloads import (
     PAYLOAD,
     PAYLOAD_KINDS,
@@ -46,6 +57,7 @@ from rolechain.payloads import (
 from rolechain.sim import QUERY_STEPS, TX_STEPS, Simulation, parse_scenario
 
 from test_golden import READS as GOLDEN_READS, read_answer_bytes
+from conftest import make_world
 from test_payloads import ALL_PAYLOADS
 
 # every class declared as a payload, and every subclass of Payload even if
@@ -69,6 +81,22 @@ def test_tags_and_kinds_are_unique_and_tables_hold_no_strays():
     assert len(set(PAYLOAD_KINDS.values())) == len(CLASSES)
     assert set(HANDLERS) == set(CLASSES)
     assert set(TX_STEPS) == set(PAYLOAD_KINDS.values()) - {"discrepancy_event"}
+
+
+def test_every_handler_takes_its_payload():
+    """Each handler, called as ``execute_payload`` calls it, applies or fails with TxError."""
+    outcomes = Counter()
+    for authority in Authority:
+        for payload in ALL_PAYLOADS:
+            world = make_world()
+            try:
+                result = execute_payload(world.state, world.aid("mgr"), payload, bytes(32), authority)
+            except TxError:
+                outcomes["TxError"] += 1
+            else:
+                assert type(result) is Applied, (type(payload).__name__, authority)
+                outcomes["Applied"] += 1
+    assert outcomes == {"Applied": 6, "TxError": 46}
 
 
 @pytest.mark.parametrize("payload", ALL_PAYLOADS, ids=lambda p: type(p).__name__)

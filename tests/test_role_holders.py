@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import copy
+
 from hypothesis import given, settings, strategies as st
 
 from rolechain import governance
 from rolechain.errors import TxError
 from rolechain.keys import keypair_from_label
 from rolechain.ledger import Account, Authority, LedgerState
-from rolechain.payloads import AssignRole, Role
+from rolechain.payloads import ZERO_ID, AssignRole, BootstrapValidators, RevokeRole, Role
 
 from conftest import make_world
 
@@ -48,10 +50,11 @@ def apply(world, spares: list[Account], state: LedgerState, step) -> LedgerState
     kind, *args = step
     mgr = world.aid("mgr")
     if kind == "clone":
-        return state.clone()
+        return copy.deepcopy(state)
     if kind == "bootstrap":
         try:
-            governance.bootstrap_set_validators(state, mgr, frozenset(KEYS[i].account_id for i in args[0]))
+            validators = BootstrapValidators(frozenset(KEYS[i].account_id for i in args[0]))
+            governance.bootstrap_set_validators(state, mgr, validators, ZERO_ID, Authority.USER)
         except TxError:
             pass
         return state
@@ -66,11 +69,11 @@ def apply(world, spares: list[Account], state: LedgerState, step) -> LedgerState
     acct = state.accounts[ids[args[0] % len(ids)]]
     if kind == "assign":
         governance.assign_role(
-            state, mgr, AssignRole(kp.account_id, args[1], kp.public_key), Authority.SYSTEM
+            state, mgr, AssignRole(kp.account_id, args[1], kp.public_key), ZERO_ID, Authority.SYSTEM
         )
     elif kind == "revoke":
         try:
-            governance.revoke_role(state, mgr, kp.account_id, args[1], Authority.SYSTEM)
+            governance.revoke_role(state, mgr, RevokeRole(kp.account_id, args[1]), ZERO_ID, Authority.SYSTEM)
         except TxError:
             pass
     elif kind == "ensure":
