@@ -362,11 +362,6 @@ def replay(doc: dict, blocks: list[Block]) -> tuple[Chain, LedgerState]:
     return chain, state
 
 
-def verify_dump(data: bytes) -> tuple[Chain, LedgerState]:
-    doc, blocks = import_chain(data)
-    return replay(doc, blocks)
-
-
 def format_chain(chain: Chain, height: int | None = None) -> str:
     """Human-readable dump of one block or the whole chain."""
     lines: list[str] = []

@@ -14,14 +14,7 @@ import click
 
 from .chain import format_chain, import_chain, replay
 from .codec import Reader
-from .errors import (
-    CodecError,
-    InternalInvariantViolation,
-    InvalidBlock,
-    QueryError,
-    RolechainError,
-    ScenarioError,
-)
+from .errors import InternalInvariantViolation, RolechainError, ScenarioError
 from .gateway import READS, authorize_query, compute_result
 from .payloads import (
     Claimable,
@@ -84,7 +77,7 @@ def _load_dump(path: Path):
     try:
         doc, blocks = import_chain(path.read_bytes())
         chain, state = replay(doc, blocks)
-    except (CodecError, InvalidBlock, InternalInvariantViolation, RolechainError) as exc:
+    except RolechainError as exc:
         click.echo(f"verification failed: {exc}", err=True)
         sys.exit(1)
     return doc, chain, state
@@ -187,7 +180,7 @@ def query(dump_path: Path, as_actor: str, query_kind: str, argument: str | None)
     try:
         authorize_query(state, requester, q)
         result = compute_result(state, q)
-    except (QueryError, RolechainError) as exc:
+    except RolechainError as exc:
         code = getattr(exc, "code", str(exc))
         click.echo(f"denied: {code}", err=True)
         sys.exit(1)

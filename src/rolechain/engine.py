@@ -137,7 +137,7 @@ def execute_payload(
     """Dispatch one payload; raises TxError without side effects on failure."""
     handler = HANDLERS.get(type(payload))
     if handler is None:
-        raise TxError("UnknownPayload", type(payload).__name__)
+        raise TxError(err.UNKNOWN_PAYLOAD, type(payload).__name__)
     return handler(state, sender, payload, tx_id, authority)
 
 
@@ -341,7 +341,7 @@ def build_genesis(
         state.accounts[acct.account_id] = acct
         state.supply.minted += acct.balance
     if escrow is not None:
-        escrow.roles.add(Role.SYSTEM_SECURITY)
+        escrow.roles |= {Role.SYSTEM_SECURITY}
         state.accounts[escrow.account_id] = escrow
         state.supply.minted += escrow.balance
         state.policies["security.escrow"] = Policy("security.escrow", escrow.account_id, Permanence.PERMANENT, None)

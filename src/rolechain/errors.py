@@ -58,6 +58,7 @@ BAD_SIGNATURE = "BadSignature"
 BAD_NONCE = "BadNonce"
 UNKNOWN_SENDER = "UnknownSender"
 NO_ROLE = "NoRole"
+UNKNOWN_PAYLOAD = "UnknownPayload"
 
 # Transfer / security action codes
 RECIPIENT_NOT_AUTHORIZED = "RecipientNotAuthorized"
@@ -75,6 +76,7 @@ INSUFFICIENT_RECIPIENT_FUNDS = "InsufficientRecipientFunds"
 INSUFFICIENT_APPROVALS = "InsufficientApprovals"
 UNKNOWN_ACCOUNT = "UnknownAccount"
 APPROVER_NOT_ELIGIBLE = "ApproverNotEligible"
+INVALID_KEY = "InvalidKey"
 
 # Governance codes
 NOT_PLATFORM_MANAGER = "NotPlatformManager"
@@ -82,6 +84,7 @@ POLICY_IMMUTABLE = "PolicyImmutable"
 NOT_AUTHORIZED_FOR_ROLE = "NotAuthorizedForRole"
 VALIDATOR_ROLE_LOCKED = "ValidatorRoleLocked"
 MISSING_POSSESSION_PROOF = "MissingPossessionProof"
+INVALID_RECOVERY_POLICY = "InvalidRecoveryPolicy"
 ROLE_ABSENT = "RoleAbsent"
 BOOTSTRAP_OVER = "BootstrapOver"
 EMPTY_VALIDATOR_SET = "EmptyValidatorSet"

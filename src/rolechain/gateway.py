@@ -136,9 +136,6 @@ class SecurityGateway:
         for tx_id in tx_ids:
             self.pool.pop(tx_id, None)
 
-    def pending(self) -> list[Transaction]:
-        return list(self.pool.values())
-
 
 @dataclass(frozen=True)
 class QueryRequest:

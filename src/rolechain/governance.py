@@ -21,7 +21,7 @@ from collections.abc import Callable
 
 from . import errors as err
 from .codec import U64_MAX
-from .errors import TxError
+from .errors import InvalidKey, TxError
 from .keys import derive_account_id, get_scheme
 from .ledger import (
     Account,
@@ -93,37 +93,36 @@ def validate_recovery(recovery: RecoveryPolicy, account_id: bytes) -> None:
     if isinstance(recovery, Guardians):
         if not 1 <= recovery.threshold <= len(recovery.guardians):
             raise TxError(
-                "InvalidRecoveryPolicy",
+                err.INVALID_RECOVERY_POLICY,
                 "guardian threshold must be between 1 and the number of guardians",
             )
         if account_id in recovery.guardians:
-            raise TxError("InvalidRecoveryPolicy", "an account cannot guard itself")
+            raise TxError(err.INVALID_RECOVERY_POLICY, "an account cannot guard itself")
 
 
-def _ensure_account(
-    state: LedgerState,
+def _new_account(
     target: bytes,
     target_key: bytes | None,
     provider: bytes | None,
     recovery: RecoveryPolicy | None,
 ) -> Account:
-    acct = state.accounts.get(target)
-    if acct is not None:
-        return acct
+    """A role-less account for ``target``, checked but not yet in the state."""
     if target_key is None:
         raise TxError(err.UNKNOWN_ACCOUNT, "new account needs its public key")
-    if derive_account_id(target_key) != target:
+    try:
+        derived = derive_account_id(target_key)
+    except InvalidKey:
+        raise TxError(err.INVALID_KEY, "malformed target key") from None
+    if derived != target:
         raise TxError(err.UNKNOWN_ACCOUNT, "target id does not match the key")
     if recovery is not None:
         validate_recovery(recovery, target)
-    acct = Account(
+    return Account(
         account_id=target,
         public_key=target_key,
         recovery=recovery if recovery is not None else ProviderOnly(),
         provider=provider,
     )
-    state.accounts[target] = acct
-    return acct
 
 
 def _check_role_authority(state: LedgerState, actor: bytes, role: Role) -> None:
@@ -138,22 +137,26 @@ def _check_role_authority(state: LedgerState, actor: bytes, role: Role) -> None:
 def assign_role(
     state: LedgerState, actor: bytes, payload: AssignRole, tx_id: bytes, authority: Authority
 ) -> Applied:
-    role = payload.role
+    target, role = payload.target, payload.role
     # an account provider granting the user role must prove the target holds its key
     provider = None
     if authority is not Authority.SYSTEM:
         _check_role_authority(state, actor, role)
         if role is Role.USER:
             provider = actor
-    acct = _ensure_account(state, payload.target, payload.target_key, provider, payload.recovery)
+    acct = state.accounts.get(target)
+    if acct is None:
+        acct = _new_account(target, payload.target_key, provider, payload.recovery)
     if provider is not None:
         if payload.possession_sig is None:
             raise TxError(err.MISSING_POSSESSION_PROOF)
         message = possession_message(actor, acct.public_key)
         if not get_scheme(state.scheme).verify(acct.public_key, message, payload.possession_sig):
             raise TxError(err.MISSING_POSSESSION_PROOF, "possession signature invalid")
-    acct.roles.add(role)
-    return Applied((actor, payload.target), {"target": payload.target, "role": role.name.lower()})
+    # every check has passed: only now may a new account enter the state
+    state.accounts.setdefault(target, acct)
+    acct.roles |= {role}
+    return Applied((actor, target), {"target": target, "role": role.name.lower()})
 
 
 def revoke_role(
@@ -165,7 +168,7 @@ def revoke_role(
     acct = state.account(target)
     if role not in acct.roles:
         raise TxError(err.ROLE_ABSENT)
-    acct.roles.discard(role)
+    acct.roles -= {role}
     return Applied((actor, target), {"target": target, "role": role.name.lower()})
 
 
@@ -185,9 +188,9 @@ def bootstrap_set_validators(
         state.account(v)  # all listed accounts must exist
     for existing in state.validators():
         if existing not in validators:
-            state.accounts[existing].roles.discard(Role.VALIDATOR)
+            state.accounts[existing].roles -= {Role.VALIDATOR}
     for v in validators:
-        state.accounts[v].roles.add(Role.VALIDATOR)
+        state.accounts[v].roles |= {Role.VALIDATOR}
     return Applied(
         (actor, *sorted(validators)),
         {"count": len(validators)},

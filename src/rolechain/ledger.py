@@ -8,8 +8,9 @@ untouched.  Every handler takes ``(state, sender, payload, tx_id,
 authority)``, the signature ``engine.HANDLERS`` declares.
 
 Role holders are cached (see :meth:`LedgerState.holders`); the cache is
-keyed on :attr:`RoleSet.writes` and the number of accounts, so accounts
-are added to ``LedgerState.accounts`` but never replaced or removed.
+keyed on :data:`role_writes` and the number of accounts, so accounts are
+added to ``LedgerState.accounts`` but never replaced or removed.  An
+account's roles are a ``frozenset`` that only assignment replaces.
 
 The transaction log is append-only and written by :meth:`LedgerState.log`
 alone, which also keeps the indexes that answer history and
@@ -46,7 +47,7 @@ from .codec import (
     wire,
     wire_record,
 )
-from .errors import TxError
+from .errors import InvalidKey, TxError
 from .keys import derive_account_id, get_scheme
 from .payloads import (
     POLICY_VALUE,
@@ -77,44 +78,11 @@ class Authority(Enum):
     SYSTEM = 2
 
 
-class RoleSet(set):
-    """The roles of one account; every mutation counts in ``RoleSet.writes``.
-
-    :meth:`LedgerState.holders` keys its cache on that count, so any role
-    change (assign, revoke, bootstrap, or a direct edit of the set)
-    invalidates every cached holder list.  The count is shared by all
-    states; a write to one state can only cause a needless rescan in
-    another, never a stale answer.
-    """
-
-    __slots__ = ()
-    writes = 0
-
-
-def _counted(name: str):
-    method = getattr(set, name)
-
-    def counted(self, *args):
-        RoleSet.writes += 1
-        return method(self, *args)
-
-    counted.__name__ = name
-    return counted
-
-
-for _name in (
-    "add", "discard", "remove", "pop", "clear", "update",
-    "difference_update", "intersection_update", "symmetric_difference_update",
-    "__ior__", "__iand__", "__isub__", "__ixor__",
-):
-    setattr(RoleSet, _name, _counted(_name))
-
-
 @wire_record(frozen=False)
 class Account:
     account_id: bytes = wire(BYTES, doc="id")
     public_key: bytes = wire(BYTES, doc="key")
-    roles: set[Role] = wire(set_of(enum(Role)), default_factory=RoleSet)
+    roles: frozenset[Role] = wire(set_of(enum(Role)), default_factory=frozenset)
     balance: int = wire(U64, default=0)
     frozen: bool = wire(BOOL, default=False)
     # every account starts at nonce 0, so the genesis doc leaves it out
@@ -123,12 +91,20 @@ class Account:
     recovery: RecoveryPolicy = wire(RECOVERY, default_factory=ProviderOnly)
 
 
+# role writes so far, counted by the ``Account.roles`` setter; holders() keys
+# its cache on it.  Every state shares the count, so a write to one state can
+# only cause a needless rescan in another, never a stale answer.
+role_writes = 0
+
+
 def _set_roles(acct: Account, roles) -> None:
-    RoleSet.writes += 1
-    acct._roles = roles if isinstance(roles, RoleSet) else RoleSet(roles)
+    global role_writes
+    role_writes += 1
+    acct._roles = frozenset(roles)
 
 
-# assigning ``roles`` stores a RoleSet and counts as a role write
+# an account's roles change only by assignment (``acct.roles |= {role}``
+# included), which stores a frozenset and counts as a role write
 Account.roles = property(attrgetter("_roles"), _set_roles)
 
 
@@ -265,7 +241,7 @@ class LedgerState:
     tx_index: dict[bytes, int] = field(default_factory=dict)
     height: int = 0
     validator_registry: dict[bytes, ValidatorRecord] = field(default_factory=dict)
-    # holders() cache: (RoleSet.writes, len(accounts)) it was filled at
+    # holders() cache: (role_writes, len(accounts)) it was filled at
     _holders_key: tuple[int, int] = field(default=(-1, -1), init=False, repr=False, compare=False)
     _holders: dict[Role, list[bytes]] = field(default_factory=dict, init=False, repr=False, compare=False)
     # log indexes kept by log(), both in log order: each participant's
@@ -286,7 +262,7 @@ class LedgerState:
 
         Cached until any account's roles change or an account is added.
         """
-        key = (RoleSet.writes, len(self.accounts))
+        key = (role_writes, len(self.accounts))
         if key != self._holders_key:
             self._holders_key, self._holders = key, {}
         cached = self._holders.get(role)
@@ -500,8 +476,8 @@ def rotate_key(
     scheme = get_scheme(state.scheme)
     try:
         derive_account_id(new_key)
-    except Exception:
-        raise TxError("InvalidKey", "malformed replacement key") from None
+    except InvalidKey:
+        raise TxError(err.INVALID_KEY, "malformed replacement key") from None
     message = rotation_message(target, new_key)
 
     recovery = acct.recovery

@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 from rolechain import errors as err
-from rolechain.chain import Chain, append_block, build_block, expected_publisher, verify_dump
+from rolechain.chain import Chain, append_block, build_block, expected_publisher, import_chain, replay
 from rolechain.codec import U64_MAX
 from rolechain.engine import apply_transaction, finalize_expired_proposals, verify_evidence
 from rolechain.errors import TxError
@@ -546,12 +546,12 @@ def test_criterion_12_chain_integrity_and_replay():
         }
         _, sim = run(parse_scenario(raw))
         dump = sim.export()
-        verify_dump(dump)  # intact dump verifies
+        replay(*import_chain(dump))  # intact dump verifies
         for i in range(len(dump)):
             corrupted = bytearray(dump)
             corrupted[i] ^= 0x01
             with pytest.raises(Exception):
-                verify_dump(bytes(corrupted))
+                replay(*import_chain(bytes(corrupted)))
 
         digests = {run(parse_scenario(raw))[0].state_digest for _ in range(10)}
         assert len(digests) == 1

@@ -104,7 +104,7 @@ def test_admit_valid_transfer():
     tx = world.tx("alice", Transfer(world.aid("bob"), 5))
     outcome = sec.admit(world.state, tx.encode(), tick=1)
     assert isinstance(outcome, Admitted)
-    assert sec.pending() == [tx]
+    assert list(sec.pool.values()) == [tx]
 
 
 def test_admit_rejects_garbage():
@@ -128,7 +128,7 @@ def test_admit_rejects_unknown_sender():
 
 def test_admit_rejects_roleless_sender():
     world = _gateway_world()
-    world.state.accounts[world.aid("alice")].roles.clear()
+    world.state.accounts[world.aid("alice")].roles = frozenset()
     sec, _ = _gateways(world, "v0")
     tx = world.tx("alice", Transfer(world.aid("bob"), 1))
     outcome = sec.admit(world.state, tx.encode(), tick=1)
@@ -203,7 +203,7 @@ def test_censoring_gateway_drops_silently():
     tx = world.tx("alice", Transfer(world.aid("bob"), 1))
     outcome = sec.admit(world.state, tx.encode(), tick=1)
     assert isinstance(outcome, Censored)
-    assert sec.pending() == []
+    assert list(sec.pool.values()) == []
 
 
 # --- query authorization -------------------------------------------------------------

@@ -104,6 +104,18 @@ def test_provider_assign_user_without_proof(world):
     assert receipt.error == err.MISSING_POSSESSION_PROOF
 
 
+def test_failed_user_grant_creates_no_account(world):
+    carol = keypair_from_label("mock", "carol", 0)
+    grants = [
+        (AssignRole(carol.account_id, Role.USER, carol.public_key, None), err.MISSING_POSSESSION_PROOF),
+        (AssignRole(carol.account_id, Role.USER, carol.public_key, b"\x00" * 16), err.MISSING_POSSESSION_PROOF),
+        (AssignRole(carol.account_id, Role.USER, b"\x01" * 5), err.INVALID_KEY),
+    ]
+    for payload, code in grants:
+        assert world.apply("prov", payload).error == code
+    assert carol.account_id not in world.state.accounts
+
+
 def test_provider_cannot_assign_security(world):
     receipt = world.apply("prov", AssignRole(world.aid("bob"), Role.SYSTEM_SECURITY))
     assert receipt.error == err.NOT_AUTHORIZED_FOR_ROLE
@@ -292,7 +304,7 @@ def test_passed_proposal_with_failing_action_keeps_status():
     world = _validator_world(3)
     # minting to an account that will not exist fails at execution time
     ghost = keypair_from_label("mock", "ghost", 0).account_id
-    world.state.accounts[world.aid("bank")].roles.add(Role.VALIDATOR)
+    world.state.accounts[world.aid("bank")].roles |= {Role.VALIDATOR}
     receipt = world.apply_ok(
         "bank", CreateProposal(Mint(ghost, 10), Role.CURRENCY_MANAGER)
     )
@@ -370,7 +382,7 @@ def test_stale_role_votes_discarded_at_finalize():
     for voter in ("v0", "v1", "v2"):
         world.apply_ok(voter, CastVote(pid, True))
     # v2 loses the validator role before finalize; its vote no longer counts
-    world.state.accounts[world.aid("v2")].roles.discard(Role.VALIDATOR)
+    world.state.accounts[world.aid("v2")].roles -= {Role.VALIDATOR}
     undecided = world.apply("v3", FinalizeProposal(pid))
     # electorate is now 4, yes=2: not decidable yet
     assert undecided.error == err.PROPOSAL_NOT_DECIDABLE

@@ -54,7 +54,7 @@ def test_transfer_insufficient_funds(world):
 
 def test_sender_without_any_role_rejected_at_envelope(world):
     # escrow has a role; strip it to get a role-less account
-    world.state.accounts[world.aid("escrow")].roles.clear()
+    world.state.accounts[world.aid("escrow")].roles = frozenset()
     receipt = world.apply("escrow", Transfer(world.aid("bob"), 1))
     assert receipt.error == err.NO_ROLE
     # envelope failures consume nothing

@@ -16,7 +16,7 @@ import copy
 
 from hypothesis import given, settings, strategies as st
 
-from rolechain.chain import Chain, append_block, build_block, expected_publisher, export_chain, genesis_doc, verify_dump
+from rolechain.chain import Chain, append_block, build_block, expected_publisher, export_chain, genesis_doc, import_chain, replay
 from rolechain.codec import Writer
 from rolechain.gateway import LOG_ENTRIES, compute_result
 from rolechain.ledger import LOG_VALUE, LedgerState, LogEntry, get_history
@@ -213,7 +213,7 @@ def test_indexed_reads_equal_full_scans(ops):
         assert clone.digest() == digest  # later writes to the original did not reach it
         assert_reads_match_scans(clone)
 
-    _, replayed = verify_dump(export_chain(h.chain, h.doc))
+    _, replayed = replay(*import_chain(export_chain(h.chain, h.doc)))
     assert replayed.digest() == state.digest()
     assert_reads_match_scans(replayed)
 

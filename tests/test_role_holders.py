@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from rolechain import governance
@@ -77,21 +78,22 @@ def apply(world, spares: list[Account], state: LedgerState, step) -> LedgerState
         except TxError:
             pass
     elif kind == "ensure":
-        governance._ensure_account(state, kp.account_id, kp.public_key, None, None)
+        if kp.account_id not in state.accounts:
+            state.accounts[kp.account_id] = governance._new_account(kp.account_id, kp.public_key, None, None)
     elif kind == "add":
-        acct.roles.add(args[1])
+        with pytest.raises(AttributeError):
+            acct.roles.add(args[1])
+        acct.roles = acct.roles | {args[1]}
     elif kind == "discard":
-        acct.roles.discard(args[1])
+        acct.roles = acct.roles - {args[1]}
     elif kind == "clear":
-        acct.roles.clear()
+        acct.roles = frozenset()
     elif kind == "assign_set":
         acct.roles = set(args[1])
     elif kind == "ior":
-        roles = acct.roles  # in place, without going through the attribute
-        roles |= args[1]
+        acct.roles |= args[1]
     elif kind == "isub":
-        roles = acct.roles
-        roles -= args[1]
+        acct.roles -= args[1]
     return state
 
 
@@ -122,3 +124,20 @@ def test_returned_list_is_a_copy():
     holders = world.state.holders(Role.USER)
     holders.clear()
     assert world.state.holders(Role.USER) == scan(world.state, Role.USER) != []
+
+
+def test_roles_change_only_by_assignment():
+    """No in-place edit exists; a name bound to the roles never reaches the account."""
+    world = make_world()
+    acct = world.state.accounts[world.aid("alice")]
+    for name in (
+        "add", "discard", "remove", "pop", "clear", "update",
+        "difference_update", "intersection_update", "symmetric_difference_update",
+    ):
+        with pytest.raises(AttributeError):
+            getattr(acct.roles, name)
+    roles = acct.roles
+    roles |= {Role.VALIDATOR}
+    roles -= {Role.USER}
+    assert acct.roles == {Role.USER} and type(acct.roles) is frozenset
+    assert_fresh(world.state)

@@ -429,10 +429,10 @@ def test_invalid_genesis_recovery_is_schema_error():
 def test_chain_with_liveness_skips_still_verifies():
     # blocks published out of strict slot order (offline skips) must replay:
     # a verifier without liveness knowledge checks membership plus spacing
-    from rolechain.chain import verify_dump
+    from rolechain.chain import import_chain, replay
 
     _, sim = run(parse_scenario(_offline_validator_raw()))
-    chain, state = verify_dump(sim.export())
+    chain, state = replay(*import_chain(sim.export()))
     assert state.digest() == sim.state.digest()
     assert chain.head_hash == sim.chain.head_hash
 

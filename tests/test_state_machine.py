@@ -1,0 +1,377 @@
+"""A failed handler changes nothing, over random sequences on a small world.
+
+A step either seals empty blocks or sends one payload: of any handled
+kind, from a drawn sender, to drawn targets that include four accounts not
+yet created (``FRESH``); or a proposal or a vote that an electorate can
+pass.  The handler first runs on a deep copy under each authority: when it
+raises ``TxError``, the copy's digest and id counters must be as they were.
+The payload is then signed and committed in a block of its own, so
+proposals that pass run their action with system authority on the live
+state.
+After every step conservation holds, every amount fits in u64 and each
+cached role-holder list equals a full scan.  At teardown the exported
+chain replays to the same digest.
+"""
+
+from __future__ import annotations
+
+import copy
+from dataclasses import replace
+
+from hypothesis import settings, strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
+
+from rolechain.chain import (
+    Chain,
+    append_block,
+    build_block,
+    expected_publisher,
+    export_chain,
+    genesis_doc,
+    import_chain,
+    replay,
+)
+from rolechain.codec import U64_MAX
+from rolechain.engine import HANDLERS, execute_payload
+from rolechain.errors import TxError
+from rolechain.keys import keypair_from_label
+from rolechain.ledger import Authority, LedgerState, ProposalStatus
+from rolechain.payloads import (
+    AssignRole,
+    BootstrapValidators,
+    Burn,
+    CastVote,
+    ClaimAllowance,
+    Confiscate,
+    ConvertFiat,
+    CreateProposal,
+    DiscrepancyEvent,
+    FiatDirection,
+    FinalizeProposal,
+    Guardians,
+    InterestMode,
+    Mint,
+    Permanence,
+    ProviderOnly,
+    ProviderPlusSecurity,
+    RegisterEndpoints,
+    Reverse,
+    RevokeRole,
+    Role,
+    RotateKey,
+    SetFrozen,
+    SetInterestRule,
+    SetPolicy,
+    SignedQueryResponse,
+    Transaction,
+    Transfer,
+    ValidatorRecord,
+    possession_message,
+    rotation_message,
+)
+
+from conftest import make_world
+
+GENESIS_ROLES = {
+    "mgr": {Role.PLATFORM_MANAGER},
+    "sec": {Role.SYSTEM_SECURITY},
+    "bank": {Role.CURRENCY_MANAGER},
+    "prov": {Role.ACCOUNT_PROVIDER},
+    "alice": {Role.USER},
+    "bob": {Role.USER},
+    "v0": {Role.VALIDATOR},
+    "v1": {Role.VALIDATOR},
+}
+# mint and interest rules need no vote, so both the direct and the voted path run
+POLICIES = [
+    ("mint.requires_vote", 0, Permanence.TEMPORARY, None),
+    ("interest.requires_vote", 0, Permanence.TEMPORARY, None),
+]
+FRESH = ["carol", "dave", "erin", "frank"]
+NAMES = [*GENESIS_ROLES, "escrow", *FRESH]
+KEYS = {name: keypair_from_label("mock", name, 0) for name in [*NAMES, "spare0", "spare1"]}
+ID = {name: kp.account_id for name, kp in KEYS.items()}
+# every key an account can hold, by public key: its own, or a spare rotated in
+BY_PUBLIC_KEY = {kp.public_key: kp for kp in KEYS.values()}
+VIEW = {name: keypair_from_label("mock", f"{name}.view", 0) for name in NAMES}
+MALFORMED_KEY = b"\x01" * 5
+ROLES = list(Role)
+
+AMOUNT = st.one_of(st.sampled_from([0, 1, U64_MAX - 1, U64_MAX]), st.integers(0, 60), st.integers(0, U64_MAX))
+NAME = st.sampled_from(NAMES)
+TARGET = st.one_of(st.sampled_from(FRESH), NAME)
+USER = st.one_of(st.sampled_from(["alice", "bob"]), TARGET)
+# most signatures are valid; the rest are missing or forged
+SIG = st.one_of(st.just("valid"), st.sampled_from(["none", "valid", "forged"]))
+POLICY_KEYS = [
+    "mint.requires_vote",
+    "interest.requires_vote",
+    "security.freeze.enabled",
+    "security.confiscate.requires_vote",
+    "vote.threshold_percent",
+    "vote.window_blocks",
+    "bootstrap.window_blocks",
+    "app.note",
+]
+
+
+def _sign(draw, kp, message: bytes) -> bytes:
+    how = draw(SIG)
+    if how == "none":
+        return b""
+    return kp.sign(message) if how == "valid" else b"\x00" * 16
+
+
+def _recent(draw, next_id: int) -> int:
+    """Mostly the newest id a counter gave out; else any id up to the next one."""
+    return draw(st.one_of(st.just(max(0, next_id - 1)), st.integers(0, next_id)))
+
+
+def _assign_role(draw, m, sender):
+    target = draw(TARGET)
+    others = [None, KEYS["spare0"].public_key, MALFORMED_KEY]
+    key = draw(st.one_of(st.just(KEYS[target].public_key), st.sampled_from(others)))
+    # missing, valid or forged, evenly: only a valid proof may add an account
+    sig = None
+    if key is not None and draw(st.booleans()):
+        sig = KEYS[target].sign(possession_message(ID[sender], key)) if draw(st.booleans()) else b"\x00" * 16
+    recovery = draw(
+        st.one_of(
+            st.none(),
+            st.sampled_from([ProviderOnly(), ProviderPlusSecurity()]),
+            st.builds(Guardians, st.frozensets(NAME.map(ID.get), max_size=3), st.integers(0, 3)),
+        )
+    )
+    role = draw(st.one_of(st.just(Role.USER), st.sampled_from(ROLES)))
+    return AssignRole(ID[target], role, key, sig, recovery)
+
+
+def _revoke_role(draw, m, sender):
+    target = draw(NAME)
+    held = sorted(m.state.accounts[ID[target]].roles, key=ROLES.index) if ID[target] in m.state.accounts else []
+    return RevokeRole(ID[target], draw(st.sampled_from(held) if held else st.sampled_from(ROLES)))
+
+
+def _rotate_key(draw, m, sender):
+    target = draw(TARGET)
+    new_key = draw(st.sampled_from([KEYS["spare0"].public_key, KEYS["spare1"].public_key, MALFORMED_KEY]))
+    approvers = draw(st.one_of(st.just(["prov"]), st.lists(NAME, max_size=3)))
+    message = rotation_message(ID[target], new_key)
+    return RotateKey(ID[target], new_key, tuple((ID[a], _sign(draw, m.key_of(a), message)) for a in approvers))
+
+
+def _set_policy(draw, m, sender):
+    permanence = draw(st.sampled_from(list(Permanence)))
+    timed = permanence is Permanence.TIMED_EXPIRATION
+    return SetPolicy(
+        draw(st.sampled_from(POLICY_KEYS)),
+        draw(st.one_of(st.integers(0, 3), st.just(U64_MAX), st.binary(max_size=4))),
+        permanence,
+        draw(st.integers(0, m.state.height + 3)) if timed else None,
+    )
+
+
+def _set_interest_rule(draw, m, sender):
+    return SetInterestRule(
+        draw(st.one_of(st.integers(0, 3), st.just(U64_MAX))),
+        draw(st.one_of(st.just(10), st.integers(0, 4))),
+        draw(st.one_of(st.just(1), st.integers(0, 3))),
+        max(0, m.state.height + draw(st.one_of(st.integers(0, 2), st.just(-1)))),
+        draw(st.sampled_from(list(InterestMode))),
+        draw(st.one_of(st.none(), st.frozensets(USER.map(ID.get), max_size=3))),
+        None if draw(st.booleans()) else _recent(draw, m.state.next_rule_id),
+        draw(st.booleans()),
+    )
+
+
+def _register_endpoints(draw, m, sender):
+    account = draw(st.one_of(st.just(sender), NAME))
+    others = [KEYS[account].public_key, MALFORMED_KEY]
+    view_key = draw(st.one_of(st.just(VIEW[account].public_key), st.sampled_from(others)))
+    gateways = st.one_of(st.just(("gw0",)), st.lists(st.sampled_from(["gw0", "gw1"]), max_size=2).map(tuple))
+    contact = draw(st.sampled_from(["ops", ""]))
+    return RegisterEndpoints(ValidatorRecord(ID[account], draw(gateways), draw(gateways), "server", view_key, contact))
+
+
+def _response(draw, m, echo: bytes) -> SignedQueryResponse:
+    validator = draw(st.sampled_from(["v0", "v1", "alice"]))
+    unsigned = SignedQueryResponse(
+        ID[validator], echo, draw(st.sampled_from([b"1", b"2"])), draw(st.integers(0, m.state.height)), b""
+    )
+    return replace(unsigned, signature=_sign(draw, VIEW[validator], unsigned.signing_bytes()))
+
+
+def _discrepancy(draw, m, sender):
+    echo = draw(st.sampled_from([b"query", b"other"]))
+    return DiscrepancyEvent(_response(draw, m, echo), _response(draw, m, echo))
+
+
+def _reverse(draw, m, sender):
+    transfers = [e.tx_id for e in m.state.tx_log if e.kind == "transfer"]
+    return Reverse(draw(st.sampled_from([*transfers, bytes(32)]) if transfers else st.just(bytes(32))))
+
+
+def _create_proposal(draw, m, sender):
+    kind = draw(st.sampled_from([k for k in BUILDERS if k is not CreateProposal]))
+    action = BUILDERS[kind][1](draw, m, sender)
+    electorate = draw(st.one_of(st.just(action.ELECTORATE or Role.USER), st.sampled_from(ROLES)))
+    return CreateProposal(action, electorate)
+
+
+# payload class -> (the senders that may usually send it, a builder that
+# draws one payload of that class given the machine and the sender)
+BUILDERS = {
+    Transfer: (["alice", "bob"], lambda draw, m, s: Transfer(ID[draw(USER)], draw(AMOUNT))),
+    SetFrozen: (["sec"], lambda draw, m, s: SetFrozen(ID[draw(USER)], draw(st.booleans()))),
+    Confiscate: (
+        ["sec"],
+        lambda draw, m, s: Confiscate(ID[draw(USER)], ID[draw(st.one_of(st.just("escrow"), USER))], draw(AMOUNT)),
+    ),
+    Reverse: (["sec"], _reverse),
+    RotateKey: (FRESH, _rotate_key),
+    SetPolicy: (["mgr"], _set_policy),
+    AssignRole: (["prov"], _assign_role),
+    RevokeRole: (["prov", "mgr"], _revoke_role),
+    BootstrapValidators: (
+        ["mgr"],
+        lambda draw, m, s: BootstrapValidators(draw(st.frozensets(NAME.map(ID.get), max_size=3))),
+    ),
+    CreateProposal: (["mgr", "sec", "bank", "v0"], _create_proposal),
+    CastVote: (
+        ["mgr", "sec", "bank", "v0", "v1"],
+        lambda draw, m, s: CastVote(_recent(draw, m.state.next_proposal_id), draw(st.booleans())),
+    ),
+    FinalizeProposal: (["v0"], lambda draw, m, s: FinalizeProposal(_recent(draw, m.state.next_proposal_id))),
+    Mint: (["bank"], lambda draw, m, s: Mint(ID[draw(USER)], draw(AMOUNT))),
+    Burn: (["bank"], lambda draw, m, s: Burn(ID[draw(USER)], draw(AMOUNT))),
+    ConvertFiat: (
+        ["prov", "bank"],
+        lambda draw, m, s: ConvertFiat(ID[draw(USER)], draw(st.sampled_from(list(FiatDirection))), draw(AMOUNT)),
+    ),
+    SetInterestRule: (["bank"], _set_interest_rule),
+    ClaimAllowance: (
+        ["alice", "bob"],
+        lambda draw, m, s: ClaimAllowance(_recent(draw, m.state.next_rule_id), draw(st.integers(0, 4))),
+    ),
+    RegisterEndpoints: (["v0", "v1"], _register_endpoints),
+    DiscrepancyEvent: (["alice"], _discrepancy),
+}
+KINDS = list(BUILDERS)
+# proposer -> the voteable kinds its role votes on
+ELECTED = {
+    "mgr": [SetPolicy],
+    "sec": [SetFrozen, Confiscate, Reverse],
+    "bank": [Mint, Burn, SetInterestRule],
+    "v0": [AssignRole, RevokeRole],
+}
+
+
+def scan(state: LedgerState, role: Role) -> list[bytes]:
+    return sorted(a.account_id for a in state.accounts.values() if role in a.roles)
+
+
+def assert_sound(state: LedgerState) -> None:
+    assert state.conservation_holds()
+    amounts = [state.supply.minted, state.supply.burned]
+    amounts += [a.balance for a in state.accounts.values()]
+    amounts += [rule.created_total for rule in state.interest_rules.values()]
+    amounts += [amount for rules in state.allowances.values() for led in rules.values() for _, amount in led.accrued]
+    assert all(0 <= amount <= U64_MAX for amount in amounts)
+    for role in ROLES:
+        assert state.holders(role) == scan(state, role)
+
+
+class SmallWorld(RuleBasedStateMachine):
+    def __init__(self):
+        super().__init__()
+        self.state = make_world(GENESIS_ROLES, {"alice": 1_000, "bob": 10}, policy_overrides=POLICIES).state
+        self.doc = genesis_doc(self.state)
+        self.chain = Chain()
+
+    def key_of(self, name: str):
+        """The keypair that signs for ``name`` now: a rotated key if it was rotated."""
+        acct = self.state.accounts.get(ID[name])
+        return KEYS[name] if acct is None else BY_PUBLIC_KEY[acct.public_key]
+
+    @rule(data=st.data())
+    def send(self, data):
+        draw = data.draw
+        # role changes are drawn more often: every step checks the cached holders
+        role_kinds = [AssignRole, RevokeRole, BootstrapValidators]
+        kind = draw(st.one_of(st.sampled_from(role_kinds), st.sampled_from(KINDS)))
+        usual_senders, build = BUILDERS[kind]
+        sender = draw(st.one_of(st.sampled_from(usual_senders), NAME))
+        self.check_and_commit(sender, build(draw, self, sender))
+
+    @rule(data=st.data())
+    def propose(self, data):
+        """A proposal its proposer's electorate votes on, so that votes can pass it."""
+        proposer = data.draw(st.sampled_from(list(ELECTED)))
+        action = BUILDERS[data.draw(st.sampled_from(ELECTED[proposer]))][1](data.draw, self, proposer)
+        if isinstance(action, (AssignRole, RevokeRole)):
+            action = replace(action, role=Role.VALIDATOR)  # the one role changed by vote
+        self.check_and_commit(proposer, CreateProposal(action, action.ELECTORATE))
+
+    def open_proposals(self) -> list[int]:
+        return [pid for pid, p in self.state.proposals.items() if p.status is ProposalStatus.OPEN]
+
+    @precondition(open_proposals)
+    @rule(data=st.data())
+    def vote(self, data):
+        """A vote on an open proposal, mostly by a member of its electorate."""
+        draw = data.draw
+        pid = draw(st.sampled_from(self.open_proposals()))
+        members = [n for n in NAMES if ID[n] in self.state.holders(self.state.proposals[pid].electorate)]
+        voter = draw(st.one_of(st.sampled_from(members), NAME) if members else NAME)
+        self.check_and_commit(voter, CastVote(pid, draw(st.one_of(st.just(True), st.booleans()))))
+
+    def check_and_commit(self, sender: str, payload) -> None:
+        """Run the handler on a copy under each authority, then commit the payload."""
+        for authority in Authority:
+            trial = copy.deepcopy(self.state)
+            before = (trial.digest(), trial.next_proposal_id, trial.next_rule_id)
+            try:
+                execute_payload(trial, ID[sender], payload, bytes(32), authority)
+            except TxError:
+                assert (trial.digest(), trial.next_proposal_id, trial.next_rule_id) == before, (payload, authority)
+            assert_sound(trial)
+
+        acct = self.state.accounts.get(ID[sender])
+        if acct is not None:
+            unsigned = Transaction(ID[sender], acct.nonce, payload)
+            signature = self.key_of(sender).sign(unsigned.signing_bytes())
+            self.seal([Transaction(ID[sender], acct.nonce, payload, signature)])
+
+    @rule(blocks=st.integers(1, 4))
+    def empty_blocks(self, blocks):
+        for _ in range(blocks):
+            self.seal([])
+
+    def seal(self, txs: list[Transaction]) -> None:
+        state, chain = self.state, self.chain
+        validators = state.validators()
+        recent = chain.recent_publishers(len(validators))
+        diversity = state.policy_int("consensus.diversity", 50)
+        try:
+            publisher = expected_publisher(chain.height + 1, validators, recent, diversity)
+        except TxError:
+            return  # no validator may publish: the chain stops here
+        name = next(n for n in NAMES if ID[n] == publisher)
+        block = build_block(self.key_of(name), publisher, chain.head, txs, chain.height + 1, state, recent)
+        append_block(chain, state, block)
+
+    @invariant()
+    def sound(self):
+        assert_sound(self.state)
+
+    def teardown(self):
+        _, replayed = replay(*import_chain(export_chain(self.chain, self.doc)))
+        assert replayed.digest() == self.state.digest()
+
+
+def test_every_handled_kind_has_a_builder():
+    assert set(BUILDERS) == set(HANDLERS)
+
+
+SmallWorld.TestCase.settings = settings(max_examples=80, stateful_step_count=25, deadline=None)
+TestSmallWorld = SmallWorld.TestCase
