@@ -482,19 +482,6 @@ def _doc_source(fields: list[dataclasses.Field], kind: str | None) -> list[str]:
     return source + [f"    return cls({', '.join(loaded)})"]
 
 
-class Record:
-    """Base of an untagged wire record; its class is built with :func:`wire_record`."""
-
-    FIELDS: Field
-
-    def encode(self, w: Writer) -> None:
-        self.FIELDS.encode(w, self)
-
-    @classmethod
-    def decode(cls, r: Reader):
-        return cls.FIELDS.decode(r)
-
-
 class Tagged:
     """A union of wire records told apart by a leading tag byte.
 

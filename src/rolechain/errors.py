@@ -103,6 +103,7 @@ NOT_AUTHORIZED_CONVERTER = "NotAuthorizedConverter"
 USER_FROZEN = "UserFrozen"
 OVERLAPPING_RULE = "OverlappingRule"
 START_IN_PAST = "StartInPast"
+INVALID_RULE = "InvalidRule"
 ALREADY_ACCRUED = "AlreadyAccrued"
 RULE_INACTIVE = "RuleInactive"
 NOTHING_TO_CLAIM = "NothingToClaim"

@@ -41,8 +41,10 @@ from .payloads import (
     Transaction,
     ValidationServerAddress,
     challenge_message,
+    decode_query,
     decode_transaction,
     encode_query,
+    sign_transaction,
 )
 
 # fault profile flags
@@ -142,7 +144,7 @@ class QueryRequest:
     requester: bytes
     challenge: bytes
     challenge_signature: bytes
-    query: Query
+    echo: bytes  # the encoding of the query, as the requester signed it
 
 
 def sign_request(
@@ -154,7 +156,7 @@ def sign_request(
     """
     echo = encode_query(query)
     sig = requester.sign(challenge_message(challenge, echo))
-    return QueryRequest(account if account is not None else requester.account_id, challenge, sig, query)
+    return QueryRequest(account if account is not None else requester.account_id, challenge, sig, echo)
 
 
 # --- read kinds ---------------------------------------------------------------------
@@ -286,23 +288,26 @@ class VisibilityGateway:
         return result + b"\x00"
 
     def answer(self, state: LedgerState, request: QueryRequest) -> SignedQueryResponse:
-        """Authenticate, authorize, answer, and sign under the view key."""
+        """Authenticate the echo as received, decode, authorize, answer, and sign under the view key."""
         if request.challenge not in self._open_challenges:
             raise QueryError(err.BAD_CHALLENGE, "challenge not issued or already used")
         requester = state.accounts.get(request.requester)
-        echo = encode_query(request.query)
         if requester is None or not get_scheme(state.scheme).verify(
-            requester.public_key, challenge_message(request.challenge, echo), request.challenge_signature
+            requester.public_key, challenge_message(request.challenge, request.echo), request.challenge_signature
         ):
             raise QueryError(err.BAD_CHALLENGE)
+        try:
+            query = decode_query(request.echo)
+        except CodecError as exc:
+            raise QueryError(err.MALFORMED, str(exc)) from None
         self._open_challenges.discard(request.challenge)
-        authorize_query(state, request.requester, request.query)
-        result = compute_result(state, request.query)
+        authorize_query(state, request.requester, query)
+        result = compute_result(state, query)
         if FAULT_CORRUPT_RESULTS in self.faults:
-            result = self._corrupt(request.query, result)
-        unsigned = SignedQueryResponse(self.validator, echo, result, state.height, b"")
+            result = self._corrupt(query, result)
+        unsigned = SignedQueryResponse(self.validator, request.echo, result, state.height, b"")
         signature = self.view_signer.sign(unsigned.signing_bytes())
-        return SignedQueryResponse(self.validator, echo, result, state.height, signature)
+        return SignedQueryResponse(self.validator, request.echo, result, state.height, signature)
 
 
 def verify_response(state: LedgerState, response: SignedQueryResponse) -> bool:
@@ -316,19 +321,17 @@ def verify_response(state: LedgerState, response: SignedQueryResponse) -> bool:
 
 
 def compare_responses(
-    state: LedgerState,
-    responses: list[SignedQueryResponse],
-    head: int,
-    delay_window: int | None = None,
+    state: LedgerState, responses: list[SignedQueryResponse], head: int
 ) -> DiscrepancyEvent | None:
     """Cross-check gateway answers; None means consistent.
 
     Responses with invalid signatures are discarded.  Responses newer than
-    ``head - delay window`` are excluded from comparison: fresh data may
-    legitimately still differ between gateways.  Any surviving pair with the
-    same query echo but different results is self-verifying evidence.
+    ``head`` minus the ``gateway.delay_blocks`` policy are excluded from
+    comparison: fresh data may legitimately still differ between gateways.
+    Any surviving pair with the same query echo but different results is
+    self-verifying evidence.
     """
-    delay = state.policy_int("gateway.delay_blocks", 3) if delay_window is None else delay_window
+    delay = state.policy_int("gateway.delay_blocks", 3)
     valid = [r for r in responses if verify_response(state, r)]
     if len({r.validator for r in valid}) < 2:
         raise QueryError(err.INSUFFICIENT_RESPONSES)
@@ -358,7 +361,4 @@ def file_discrepancy(
     reason = verify_evidence(state, evidence)
     if reason is not None:
         raise TxError(err.INVALID_EVIDENCE, reason)
-    sender_id = sender if sender is not None else submitter.account_id
-    tx = Transaction(sender_id, nonce, evidence)
-    signature = submitter.sign(tx.signing_bytes())
-    return Transaction(sender_id, nonce, evidence, signature)
+    return sign_transaction(submitter, sender if sender is not None else submitter.account_id, nonce, evidence)

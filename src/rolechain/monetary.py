@@ -119,7 +119,7 @@ def set_interest_rule(
     if payload.start_height < state.height:
         raise TxError(err.START_IN_PAST)
     if payload.rate_den <= 0 or payload.period_blocks <= 0:
-        raise TxError(err.START_IN_PAST, "malformed rule parameters")
+        raise TxError(err.INVALID_RULE, "zero rate denominator or period")
     if payload.scope is None:
         _reject_all_users_overlap(state)
     rule_id = state.next_rule_id

@@ -23,7 +23,6 @@ from .codec import (
     TEXT,
     U64,
     Reader,
-    Record,
     Tagged,
     Writer,
     enum,
@@ -37,7 +36,7 @@ from .codec import (
     wire_record,
 )
 from .errors import CodecError
-from .keys import get_scheme
+from .keys import KeyPair, get_scheme
 
 ZERO_ID = bytes(32)
 
@@ -99,7 +98,7 @@ class ProviderPlusSecurity(RecoveryPolicy):
 # --- validator endpoint record ----------------------------------------------
 
 @wire_record
-class ValidatorRecord(Record):
+class ValidatorRecord:
     """On-chain registration of a validator's gateways and view key.
 
     ``validation_server`` is stored on-chain but served only to validator
@@ -173,7 +172,7 @@ def decode_query(data: bytes) -> Query:
 
 
 @wire_record
-class SignedQueryResponse(Record):
+class SignedQueryResponse:
     """A visibility-gateway answer, signed under the validator's view key."""
 
     validator: bytes = wire(BYTES)
@@ -397,9 +396,10 @@ def decode_payload(r: Reader) -> Payload:
 class Transaction:
     """Signed envelope around one payload.
 
-    The object and its payload are immutable, so its encoding and id are
-    computed on first use and then kept, and so is the last ``(scheme,
-    public key)`` its signature verified under.
+    The object and its payload are immutable, so its encoding is kept: the
+    frame it was decoded from, the bytes :func:`sign_transaction` wrote, or
+    else the encoding computed on first use.  So are its id and the last
+    ``(scheme, public key)`` its signature verified under.
     """
 
     sender: bytes
@@ -436,10 +436,7 @@ class Transaction:
 
     def encode(self) -> bytes:
         if self._encoded is None:
-            w = Writer()
-            w.raw(tx_signing_bytes(self.sender, self.nonce, self.payload))
-            w.bytes_(self.signature)
-            object.__setattr__(self, "_encoded", w.getvalue())
+            _keep_encoding(self, tx_signing_bytes(self.sender, self.nonce, self.payload))
         return self._encoded
 
     @property
@@ -467,15 +464,29 @@ def decode_transaction(data: bytes) -> Transaction:
     nonce = r.u64()
     try:
         payload = decode_payload(r)
-        signature = r.bytes_()
-        r.require_end()
-        tx = Transaction(sender, nonce, payload, signature)
-        # the signature check needs the encoding, which recurses a few
-        # frames deeper than decoding did, so compute it under this guard
-        tx.encode()
     except RecursionError:
         # proposals nest, so a hostile frame can nest deeper than the stack
         raise CodecError("payload nested too deeply") from None
+    signature = r.bytes_()
+    r.require_end()
+    tx = Transaction(sender, nonce, payload, signature)
+    # every decoder is strict, so a frame that decodes is its own encoding
+    object.__setattr__(tx, "_encoded", data)
+    return tx
+
+
+def sign_transaction(signer: KeyPair, sender: bytes, nonce: int, payload: Payload) -> Transaction:
+    """``payload`` from ``sender`` at ``nonce``, signed by ``signer``, its signing bytes written once."""
+    signing = tx_signing_bytes(sender, nonce, payload)
+    return _keep_encoding(Transaction(sender, nonce, payload, signer.sign(signing)), signing)
+
+
+def _keep_encoding(tx: Transaction, signing: bytes) -> Transaction:
+    """Keep ``signing``, the signing bytes of ``tx``, then its framed signature as its encoding."""
+    w = Writer()
+    w.raw(signing)
+    w.bytes_(tx.signature)
+    object.__setattr__(tx, "_encoded", w.getvalue())
     return tx
 
 

@@ -122,6 +122,7 @@ from .payloads import (
     ValidatorRecord,
     possession_message,
     rotation_message,
+    sign_transaction,
 )
 
 # --- scenario entries ----------------------------------------------------------------
@@ -635,10 +636,7 @@ class Simulation:
         return TX_STEPS[body["kind"]].act(self, body, sender)
 
     def _submit_tx(self, sender: str, payload: Payload, tick: int, store: str | None = None) -> None:
-        sender_id = self.aid(sender)
-        nonce = self.nonces[sender]
-        unsigned = Transaction(sender_id, nonce, payload)
-        tx = Transaction(sender_id, nonce, payload, self.keys[sender].sign(unsigned.signing_bytes()))
+        tx = sign_transaction(self.keys[sender], self.aid(sender), self.nonces[sender], payload)
         if self._broadcast(tx, tick):
             self.nonces[sender] += 1
             if store:

@@ -7,7 +7,7 @@ import pytest
 from rolechain.engine import apply_transaction, build_genesis
 from rolechain.keys import KeyPair, keypair_from_label
 from rolechain.ledger import Account, LedgerState, LogEntry
-from rolechain.payloads import Payload, Role, Transaction
+from rolechain.payloads import Payload, Role, Transaction, sign_transaction
 
 DEFAULT_ROLES = {
     "mgr": {Role.PLATFORM_MANAGER},
@@ -42,8 +42,7 @@ class World:
         sender_id = self.ids[sender]
         if nonce is None:
             nonce = self.state.accounts[sender_id].nonce
-        unsigned = Transaction(sender_id, nonce, payload)
-        return Transaction(sender_id, nonce, payload, self.keys[sender].sign(unsigned.signing_bytes()))
+        return sign_transaction(self.keys[sender], sender_id, nonce, payload)
 
     def apply(self, sender: str, payload: Payload, nonce: int | None = None) -> LogEntry:
         return apply_transaction(self.state, self.tx(sender, payload, nonce))

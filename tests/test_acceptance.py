@@ -56,6 +56,7 @@ from rolechain.payloads import (
     Transaction,
     Transfer,
     rotation_message,
+    sign_transaction,
 )
 from rolechain.sim import load_scenario, parse_scenario, run
 
@@ -467,9 +468,9 @@ def test_criterion_10_key_rotation():
         new1 = keypair_from_label("mock", "alice-r1", 0)
         world.apply_ok("prov", RotateKey(world.aid("alice"), new1.public_key,
                                          (approval("prov", world.aid("alice"), new1.public_key),)))
-        stale = Transaction(world.aid("alice"), scheme_alice.nonce, Transfer(world.aid("bob"), 1))
-        stale = Transaction(stale.sender, stale.nonce, stale.payload,
-                            world.kp("alice").sign(stale.signing_bytes()))
+        stale = sign_transaction(
+            world.kp("alice"), world.aid("alice"), scheme_alice.nonce, Transfer(world.aid("bob"), 1)
+        )
         assert apply_transaction(world.state, stale).error == err.BAD_SIGNATURE
         world.keys["alice"] = new1
 

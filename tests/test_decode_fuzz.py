@@ -1,6 +1,8 @@
-"""Hostile bytes: decoders fail with CodecError only, admission never raises.
+"""Hostile bytes: decoders fail with CodecError only, admission never raises,
+and a read fails with QueryError only.
 
-Covers transactions, blocks, chain dumps and the genesis doc inside a dump.
+Covers transactions, queries, blocks, chain dumps and the genesis doc inside
+a dump.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from rolechain import errors as err
 from rolechain.chain import (
@@ -25,27 +27,39 @@ from rolechain.chain import (
     state_from_doc,
 )
 from rolechain.codec import Reader, Writer
-from rolechain.errors import CodecError, RolechainError
-from rolechain.gateway import Rejected, SecurityGateway
+from rolechain.errors import CodecError, QueryError, RolechainError
+from rolechain.gateway import QueryRequest, Rejected, SecurityGateway, VisibilityGateway, sign_request
+from rolechain.keys import keypair_from_label
 from rolechain.payloads import (
     AssignRole,
     BootstrapValidators,
     CastVote,
+    Claimable,
     ConvertFiat,
     CreateProposal,
     FiatDirection,
+    GatewayDirectory,
     Guardians,
     InterestMode,
+    ManagementLog,
     Mint,
+    OwnBalance,
+    OwnHistory,
     Payload,
     Permanence,
     RevokeRole,
     Role,
     SetInterestRule,
     SetPolicy,
+    SupplyView,
+    ValidationServerAddress,
+    challenge_message,
     decode_payload,
+    decode_query,
     decode_transaction,
     encode_payload,
+    encode_query,
+    tx_signing_bytes,
 )
 from rolechain.sim import load_scenario, run
 
@@ -161,7 +175,7 @@ def test_deeply_nested_proposal_is_rejected_without_recursion_error():
 
 
 def test_admission_never_raises_at_any_nesting_depth_near_the_stack_limit():
-    """A frame just shallow enough to decode must also encode for the signature check."""
+    """A frame just shallow enough to decode is rejected cleanly, not with a RecursionError."""
     limit = sys.getrecursionlimit()
     results = [_admit(WORLD, _nested_frame(depth)) for depth in range(limit - 100, limit + 20)]
     # the range straddles the depth at which decoding gives up
@@ -258,7 +272,11 @@ def test_an_accepted_transaction_frame_is_its_own_encoding(raw):
         tx = decode_transaction(raw)
     except CodecError:
         return
-    assert tx.encode() == raw
+    # the decoded transaction keeps ``raw``, so write its encoding afresh
+    w = Writer()
+    w.raw(tx_signing_bytes(tx.sender, tx.nonce, tx.payload))
+    w.bytes_(tx.signature)
+    assert w.getvalue() == raw
 
 
 @settings(max_examples=400, deadline=None)
@@ -267,6 +285,73 @@ def test_admit_never_raises(raw):
     outcome, decodes = _admit(WORLD, raw)
     if not decodes:
         assert outcome == Rejected(err.MALFORMED)
+
+
+# --- read queries -------------------------------------------------------------
+
+QUERY_FRAMES = [
+    encode_query(q)
+    for q in (
+        OwnBalance(A),
+        OwnHistory(A),
+        ManagementLog(0, 5),
+        SupplyView(),
+        GatewayDirectory(),
+        ValidationServerAddress(B),
+        Claimable(A),
+    )
+]
+# after the management-log tag, any 16 bytes decode
+hostile_queries = _hostile(bytes([ManagementLog.TAG]), QUERY_FRAMES)
+
+
+@settings(max_examples=400, deadline=None)
+@given(hostile_queries)
+def test_decode_query_raises_only_codec_error(raw):
+    try:
+        decode_query(raw)
+    except CodecError:
+        pass
+
+
+@settings(max_examples=400, deadline=None)
+@given(hostile_queries)
+def test_an_accepted_query_frame_is_its_own_encoding(raw):
+    try:
+        query = decode_query(raw)
+    except CodecError:
+        return
+    assert encode_query(query) == raw
+
+
+VIEW = keypair_from_label("mock", "view", 0)
+
+
+@settings(max_examples=400, deadline=None)
+@given(hostile_queries)
+@example(b"\x63")  # an unknown query tag
+def test_answer_to_a_signed_hostile_echo_raises_only_query_error(echo):
+    """A validly signed request whose echo is any bytes: an answer echoing
+    them, or a QueryError; a malformed echo leaves its challenge open."""
+    gateway = VisibilityGateway(WORLD.aid("mgr"), VIEW)
+    challenge = gateway.issue_challenge()
+    alice = WORLD.kp("alice")
+    request = QueryRequest(A, challenge, alice.sign(challenge_message(challenge, echo)), echo)
+    try:
+        decode_query(echo)
+        decodes = True
+    except CodecError:
+        decodes = False
+    try:
+        assert gateway.answer(WORLD.state, request).echo == echo
+    except QueryError as exc:
+        if decodes:
+            return
+        assert exc.code == err.MALFORMED
+        good = sign_request(alice, challenge, OwnBalance(A))
+        assert gateway.answer(WORLD.state, good).echo == good.echo
+    else:
+        assert decodes
 
 
 # --- blocks and chain dumps ---------------------------------------------------

@@ -118,10 +118,9 @@ def test_admit_rejects_unknown_sender():
     world = _gateway_world()
     sec, _ = _gateways(world, "v0")
     ghost = keypair_from_label("mock", "ghost", 0)
-    from rolechain.payloads import Transaction
+    from rolechain.payloads import sign_transaction
 
-    tx = Transaction(ghost.account_id, 0, Transfer(world.aid("bob"), 1))
-    tx = Transaction(ghost.account_id, 0, tx.payload, ghost.sign(tx.signing_bytes()))
+    tx = sign_transaction(ghost, ghost.account_id, 0, Transfer(world.aid("bob"), 1))
     outcome = sec.admit(world.state, tx.encode(), tick=1)
     assert isinstance(outcome, Rejected) and outcome.reason == err.UNKNOWN_SENDER
 
@@ -270,7 +269,7 @@ def test_challenge_signature_must_match_key():
     _, vis = _gateways(world, "v0")
     challenge = vis.issue_challenge()
     request = sign_request(world.kp("bob"), challenge, OwnBalance(world.aid("alice")))
-    tampered = request.__class__(world.aid("alice"), challenge, request.challenge_signature, request.query)
+    tampered = request.__class__(world.aid("alice"), challenge, request.challenge_signature, request.echo)
     with pytest.raises(QueryError) as exc:
         vis.answer(world.state, tampered)
     assert exc.value.code == err.BAD_CHALLENGE

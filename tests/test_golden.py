@@ -175,22 +175,28 @@ def test_read_answers(stem):
     assert read_answers(stem) == READS[stem]
 
 
+def _fresh_encoding(tx: Transaction) -> bytes:
+    """The encoding of ``tx`` written afresh from its fields."""
+    w = Writer()
+    w.raw(tx_signing_bytes(tx.sender, tx.nonce, tx.payload))
+    w.bytes_(tx.signature)
+    return w.getvalue()
+
+
 @pytest.mark.parametrize("stem", ["bootstrap_and_transfer", "corrupt_gateway", "interest_pull"])
 def test_cached_encodings_match_fresh_ones(stem):
-    """Every committed transaction's reused bytes equal a fresh encoding."""
+    """Every committed transaction's reused bytes equal a fresh encoding,
+    and so do those of its decoded copy."""
     _, sim = _run(stem, None)
     txs = [tx for block in sim.chain.blocks for tx in block.txs]
     assert txs
     for tx in txs:
         fresh_signing = tx_signing_bytes(tx.sender, tx.nonce, tx.payload)
-        w = Writer()
-        w.raw(fresh_signing)
-        w.bytes_(tx.signature)
-        fresh = w.getvalue()
+        fresh = _fresh_encoding(tx)
         assert tx.signing_bytes() == fresh_signing
         assert tx.encode() == fresh
         assert tx.tx_id == hashlib.sha256(fresh).digest()
-        assert decode_transaction(fresh).encode() == fresh
+        assert _fresh_encoding(decode_transaction(fresh)) == fresh
         # asking again returns the same bytes
         assert tx.encode() == fresh and tx.signing_bytes() == fresh_signing
 
@@ -230,7 +236,7 @@ RESPONSE = SignedQueryResponse(B, b"echo", b"\x00" * 8, 2**40, b"view-sig")
 
 def _encoded(obj) -> bytes:
     w = Writer()
-    obj.encode(w)
+    obj.FIELDS.encode(w, obj)
     return w.getvalue()
 
 
@@ -361,8 +367,8 @@ def test_golden_query_bytes_decode(name):
 
 def test_golden_record_bytes_decode():
     r = Reader(bytes.fromhex(WIRE["validator record"]))
-    assert ValidatorRecord.decode(r) == RECORD
+    assert ValidatorRecord.FIELDS.decode(r) == RECORD
     r.require_end()
     r = Reader(bytes.fromhex(WIRE["signed query response"]))
-    assert SignedQueryResponse.decode(r) == RESPONSE
+    assert SignedQueryResponse.FIELDS.decode(r) == RESPONSE
     r.require_end()

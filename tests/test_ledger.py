@@ -20,6 +20,7 @@ from rolechain.payloads import (
     Transfer,
     Transaction,
     rotation_message,
+    sign_transaction,
 )
 
 from conftest import make_world
@@ -220,16 +221,14 @@ def test_rotate_provider_only(world):
 
     # a transaction still signed with the old key now fails
     old_kp = world.keys["alice"]
-    stale = Transaction(alice.account_id, alice.nonce, Transfer(world.aid("bob"), 1))
-    stale = Transaction(alice.account_id, alice.nonce, stale.payload, old_kp.sign(stale.signing_bytes()))
+    stale = sign_transaction(old_kp, alice.account_id, alice.nonce, Transfer(world.aid("bob"), 1))
     from rolechain.engine import apply_transaction
 
     assert apply_transaction(world.state, stale).error == err.BAD_SIGNATURE
 
     # and the new key works
     world.keys["alice"] = new_kp.__class__(new_kp.scheme, new_kp.public_key, new_kp.secret)
-    fresh = Transaction(alice.account_id, alice.nonce, Transfer(world.aid("bob"), 1))
-    fresh = Transaction(alice.account_id, alice.nonce, fresh.payload, new_kp.sign(fresh.signing_bytes()))
+    fresh = sign_transaction(new_kp, alice.account_id, alice.nonce, Transfer(world.aid("bob"), 1))
     assert apply_transaction(world.state, fresh).ok
 
 

@@ -222,6 +222,14 @@ def test_rule_start_in_past_rejected():
     assert receipt.error == err.START_IN_PAST
 
 
+@pytest.mark.parametrize("den, period", [(0, 1), (100, 0)], ids=["zero_denominator", "zero_period"])
+def test_rule_with_a_zero_denominator_or_period_is_invalid(den, period):
+    world = _monetary_world()
+    receipt = world.apply("bank", SetInterestRule(1, den, period, 5, InterestMode.PUSH))
+    assert receipt.error == err.INVALID_RULE
+    assert world.state.interest_rules == {}
+
+
 def test_push_accrual_credits_balance():
     world = _monetary_world()
     rule = _rule(world, mode=InterestMode.PUSH)

@@ -142,8 +142,8 @@ def test_query_roundtrip():
 
 def test_signed_response_roundtrip():
     w = Writer()
-    RESPONSE.encode(w)
-    assert SignedQueryResponse.decode(Reader(w.getvalue())) == RESPONSE
+    SignedQueryResponse.FIELDS.encode(w, RESPONSE)
+    assert SignedQueryResponse.FIELDS.decode(Reader(w.getvalue())) == RESPONSE
 
 
 def test_signing_bytes_cover_all_fields():

@@ -68,6 +68,7 @@ from rolechain.payloads import (
     ValidatorRecord,
     possession_message,
     rotation_message,
+    sign_transaction,
 )
 
 from conftest import make_world
@@ -338,9 +339,7 @@ class SmallWorld(RuleBasedStateMachine):
 
         acct = self.state.accounts.get(ID[sender])
         if acct is not None:
-            unsigned = Transaction(ID[sender], acct.nonce, payload)
-            signature = self.key_of(sender).sign(unsigned.signing_bytes())
-            self.seal([Transaction(ID[sender], acct.nonce, payload, signature)])
+            self.seal([sign_transaction(self.key_of(sender), ID[sender], acct.nonce, payload)])
 
     @rule(blocks=st.integers(1, 4))
     def empty_blocks(self, blocks):
