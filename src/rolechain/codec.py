@@ -503,12 +503,17 @@ class Tagged:
         """Class decorator: make the class a frozen dataclass with ``TAG``.
 
         Its fields are declared with :func:`wire`, as for :func:`wire_record`.
+        A member without fields has one value, so it has one instance: every
+        construction, decode and load returns it.
         """
 
         def register(cls: type) -> type:
             if tag in self.by_tag:
                 raise ValueError(f"{self.name} tag {tag} is already {self.by_tag[tag].__name__}")
             cls = dataclasses.dataclass(frozen=True)(cls)
+            if not dataclasses.fields(cls):
+                only = object.__new__(cls)
+                cls.__new__ = staticmethod(lambda _cls: only)
             cls.TAG = tag
             self.by_tag[tag] = cls
             kind = re.sub(r"(?<!^)(?=[A-Z])", "_", cls.__name__).lower()

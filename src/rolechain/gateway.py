@@ -44,6 +44,7 @@ from .payloads import (
     decode_query,
     decode_transaction,
     encode_query,
+    sign_response,
     sign_transaction,
 )
 
@@ -305,9 +306,7 @@ class VisibilityGateway:
         result = compute_result(state, query)
         if FAULT_CORRUPT_RESULTS in self.faults:
             result = self._corrupt(query, result)
-        unsigned = SignedQueryResponse(self.validator, request.echo, result, state.height, b"")
-        signature = self.view_signer.sign(unsigned.signing_bytes())
-        return SignedQueryResponse(self.validator, request.echo, result, state.height, signature)
+        return sign_response(self.view_signer, self.validator, request.echo, result, state.height)
 
 
 def verify_response(state: LedgerState, response: SignedQueryResponse) -> bool:

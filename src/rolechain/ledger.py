@@ -10,7 +10,8 @@ authority)``, the signature ``engine.HANDLERS`` declares.
 Role holders are cached (see :meth:`LedgerState.holders`); the cache is
 keyed on :data:`role_writes` and the number of accounts, so accounts are
 added to ``LedgerState.accounts`` but never replaced or removed.  An
-account's roles are a ``frozenset`` that only assignment replaces.
+account's roles are a ``frozenset`` that only assignment replaces, one
+shared by every account holding the same roles.
 
 The transaction log is append-only and written by :meth:`LedgerState.log`
 alone, which also keeps the indexes that answer history and
@@ -95,16 +96,20 @@ class Account:
 # its cache on it.  Every state shares the count, so a write to one state can
 # only cause a needless rescan in another, never a stale answer.
 role_writes = 0
+# one frozenset per distinct role set (at most 2 ** len(Role)), shared by
+# every account of every state that holds exactly those roles
+_role_sets: dict[frozenset[Role], frozenset[Role]] = {}
 
 
 def _set_roles(acct: Account, roles) -> None:
     global role_writes
     role_writes += 1
-    acct._roles = frozenset(roles)
+    roles = frozenset(roles)
+    acct._roles = _role_sets.setdefault(roles, roles)
 
 
 # an account's roles change only by assignment (``acct.roles |= {role}``
-# included), which stores a frozenset and counts as a role write
+# included), which stores the shared frozenset and counts as a role write
 Account.roles = property(attrgetter("_roles"), _set_roles)
 
 

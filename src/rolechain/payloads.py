@@ -182,13 +182,25 @@ class SignedQueryResponse:
     signature: bytes = wire(BYTES)
 
     def signing_bytes(self) -> bytes:
-        w = Writer()
-        w.raw(b"resp:")
-        w.bytes_(self.validator)
-        w.bytes_(self.echo)
-        w.bytes_(self.result)
-        w.u64(self.as_of_height)
-        return w.getvalue()
+        return response_signing_bytes(self.validator, self.echo, self.result, self.as_of_height)
+
+
+def response_signing_bytes(validator: bytes, echo: bytes, result: bytes, as_of_height: int) -> bytes:
+    w = Writer()
+    w.raw(b"resp:")
+    w.bytes_(validator)
+    w.bytes_(echo)
+    w.bytes_(result)
+    w.u64(as_of_height)
+    return w.getvalue()
+
+
+def sign_response(
+    signer: KeyPair, validator: bytes, echo: bytes, result: bytes, as_of_height: int
+) -> SignedQueryResponse:
+    """``validator``'s answer ``result`` to ``echo``, signed by ``signer``, its signing bytes written once."""
+    signature = signer.sign(response_signing_bytes(validator, echo, result, as_of_height))
+    return SignedQueryResponse(validator, echo, result, as_of_height, signature)
 
 
 # --- action payloads ----------------------------------------------------------

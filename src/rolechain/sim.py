@@ -11,6 +11,13 @@ Everything is derived from (scenario, seed): actor keys, challenges, and
 signatures are deterministic, so identical runs yield byte-identical
 reports and state digests.
 
+Any actor may run a security and a visibility gateway, but only validators
+with registered endpoints receive broadcasts.  So an actor's gateways, view
+key and fault set are built the first time something needs them: a
+broadcast or read through its gateway, a genesis validator record, a
+``register_endpoints`` step or a fault step.  A view key derives from its
+label, so one built later is the same key.
+
 The report is an omniscient oracle for tests: it lists every balance
 directly from the ledger, bypassing in-protocol visibility on purpose.
 It is never served through a gateway.
@@ -19,6 +26,7 @@ It is never served through a gateway.
 from __future__ import annotations
 
 import json
+from collections import defaultdict
 from collections.abc import Callable, Sequence
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -348,7 +356,7 @@ def _register_endpoints(sim: Simulation, body: dict, sender: str) -> RegisterEnd
             tuple(body.get("security_gateways", (f"sim://{sender}/sec0",))),
             tuple(body.get("visibility_gateways", (f"sim://{sender}/vis0",))),
             body.get("validation_server", f"sim://{sender}/validation"),
-            sim.view_keys[sender].public_key,
+            sim._view_key(sender).public_key,
             body.get("contact", f"ops@{sender}"),
         )
     )
@@ -509,14 +517,16 @@ class Simulation:
         self.keys: dict[str, KeyPair] = {}  # current signing keys; rotations swap these
         self.new_keys: dict[str, KeyPair] = {}  # keys of rotations not yet committed
         self.ids: dict[str, bytes] = {}  # stable account ids, fixed at genesis
-        self.view_keys: dict[str, KeyPair] = {}
         self.names_by_id: dict[bytes, str] = {}
-        self.faults: dict[str, set[str]] = {}
         self.nonces: dict[str, int] = {}
+        # an actor's gateway machinery, built on first need; its gateways
+        # share its fault set, so a fault step reaches them
+        self.faults: defaultdict[str, set[str]] = defaultdict(set)
+        self.view_keys: dict[str, KeyPair] = {}
         self.sec_gateways: dict[str, SecurityGateway] = {}
+        self.vis_gateways: dict[str, VisibilityGateway] = {}
         # names of the security gateways whose pool may hold entries
         self._pooled: set[str] = set()
-        self.vis_gateways: dict[str, VisibilityGateway] = {}
         # admitted transactions propagate between validators over the
         # validation-server mesh; this is the post-propagation pool
         self.mempool: dict[bytes, Transaction] = {}
@@ -557,10 +567,10 @@ class Simulation:
         scn = self.scenario
         for actor in scn.actors:
             self.keys[actor.name] = self._keypair(actor.name)
-            self.faults[actor.name] = set(actor.faults)
+            if actor.faults:
+                self.faults[actor.name] = set(actor.faults)
             self.nonces[actor.name] = 0
         self.keys["escrow"] = self._keypair("escrow")
-        self.faults["escrow"] = set()
         self.nonces["escrow"] = 0
         self.ids = {name: kp.account_id for name, kp in self.keys.items()}
         self.names_by_id = {aid: name for name, aid in self.ids.items()}
@@ -592,26 +602,42 @@ class Simulation:
         self.state = build_genesis(scn.scheme, accounts, overrides, escrow)
         self.chain = Chain()
 
-        # every actor and escrow gets gateway machinery (it may become a
-        # validator later); only genesis validators start with on-chain
-        # endpoint registrations
-        validators = {actor.name for actor in scn.actors if Role.VALIDATOR in actor.roles}
-        for name, aid in self.ids.items():
-            view = self._keypair(f"{name}.view")
-            self.view_keys[name] = view
-            self.sec_gateways[name] = SecurityGateway(aid, self.faults[name])
-            self.vis_gateways[name] = VisibilityGateway(aid, view, self.faults[name])
-            if name in validators:
+        # only genesis validators start with on-chain endpoint registrations
+        for actor in scn.actors:
+            if Role.VALIDATOR in actor.roles:
+                name, aid = actor.name, self.aid(actor.name)
                 self.state.validator_registry[aid] = ValidatorRecord(
                     account=aid,
                     security_gateways=(f"sim://{name}/sec0",),
                     visibility_gateways=(f"sim://{name}/vis0",),
                     validation_server=f"sim://{name}/validation",
-                    view_key=view.public_key,
+                    view_key=self._view_key(name).public_key,
                     contact=f"ops@{name}",
                 )
 
         self.genesis_doc = genesis_doc(self.state, dict(self.ids))
+
+    # -- gateway machinery, built on first need (see the module docstring) ----------
+
+    def _view_key(self, name: str) -> KeyPair:
+        view = self.view_keys.get(name)
+        if view is None:
+            view = self.view_keys[name] = self._keypair(f"{name}.view")
+        return view
+
+    def _security_gateway(self, name: str) -> SecurityGateway:
+        gateway = self.sec_gateways.get(name)
+        if gateway is None:
+            gateway = self.sec_gateways[name] = SecurityGateway(self.aid(name), self.faults[name])
+        return gateway
+
+    def _visibility_gateway(self, name: str) -> VisibilityGateway:
+        gateway = self.vis_gateways.get(name)
+        if gateway is None:
+            gateway = self.vis_gateways[name] = VisibilityGateway(
+                self.aid(name), self._view_key(name), self.faults[name]
+            )
+        return gateway
 
     # -- validators -------------------------------------------------------------
 
@@ -650,7 +676,7 @@ class Simulation:
         for name in self._gateway_operators():
             if FAULT_OFFLINE in self.faults[name]:
                 continue
-            outcome = self.sec_gateways[name].admit(self.state, raw, tick)
+            outcome = self._security_gateway(name).admit(self.state, raw, tick)
             if isinstance(outcome, Admitted):
                 accepted_anywhere = True
                 self._pooled.add(name)
@@ -669,7 +695,7 @@ class Simulation:
         for name in gateway_names:
             if FAULT_OFFLINE in self.faults[name]:
                 continue
-            gw = self.vis_gateways[name]
+            gw = self._visibility_gateway(name)
             request = sign_request(
                 self.keys[requester], gw.issue_challenge(), query, self.aid(requester)
             )

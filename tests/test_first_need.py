@@ -8,13 +8,16 @@ later registers the view key its label derives.
 
 from __future__ import annotations
 
+import gc
+
 import pytest
 
+from rolechain.chain import import_chain, replay
 from rolechain.codec import U64, Writer
-from rolechain.gateway import verify_response
-from rolechain.keys import keypair_from_label
-from rolechain.payloads import OwnBalance, RegisterEndpoints, encode_query
-from rolechain.sim import parse_scenario, run
+from rolechain.gateway import SecurityGateway, VisibilityGateway, verify_response
+from rolechain.keys import KeyPair, keypair_from_label
+from rolechain.payloads import OwnBalance, ProviderOnly, RegisterEndpoints, encode_query
+from rolechain.sim import Simulation, parse_scenario, run
 
 SEED = 9
 
@@ -120,3 +123,51 @@ def test_a_validator_registering_after_genesis_publishes_its_label_view_key(sche
     (answer,) = sim.stored_responses["q"]
     assert answer.validator == sim.aid("v2")
     assert verify_response(sim.state, answer)
+
+
+# --- what a set-up and a replay keep alive ---------------------------------------------
+
+ACTORS, VALIDATORS = 200, 3
+
+
+def _crowd_raw() -> dict:
+    users = [f"u{i}" for i in range(ACTORS - VALIDATORS)]
+    return {
+        "ticks": 6,
+        "seed": SEED,
+        "actors": [{"name": f"v{i}", "roles": ["validator"]} for i in range(VALIDATORS)]
+        + [{"name": name, "roles": ["user"], "balance": 10} for name in users],
+        "steps": [
+            {"tick": t, "tx": {"from": users[i], "kind": "transfer", "to": users[-1 - i], "amount": 1}}
+            for t in range(1, 5)
+            for i in range(t * 10, t * 10 + 10)
+        ]
+        + [{"tick": 5, "query": {"as": "u0", "kind": "own_balance"}}],
+    }
+
+
+def _instances(*classes: type) -> int:
+    gc.collect()
+    return sum(type(o) in classes for o in gc.get_objects())
+
+
+def test_set_up_builds_gateways_only_where_one_runs():
+    scenario = parse_scenario(_crowd_raw())
+    gateways, keypairs = _instances(SecurityGateway, VisibilityGateway), _instances(KeyPair)
+    sim = Simulation(scenario)
+    assert _instances(SecurityGateway, VisibilityGateway) - gateways <= VALIDATORS
+    # a signing key per actor and escrow, and a view key per genesis validator
+    assert _instances(KeyPair) - keypairs <= ACTORS + VALIDATORS + 1
+
+    report = sim.run()
+    assert report.all_passed and report.blocks_produced == 6
+    assert len(sim.sec_gateways) == len(sim.vis_gateways) == VALIDATORS
+    assert set(sim.view_keys) == {f"v{i}" for i in range(VALIDATORS)}
+
+
+def test_a_replayed_state_holds_one_provider_only_instance():
+    _, sim = run(parse_scenario(_crowd_raw()))
+    _, state = replay(*import_chain(sim.export()))
+    assert state.digest() == sim.state.digest()
+    assert all(type(acct.recovery) is ProviderOnly for acct in state.accounts.values())
+    assert _instances(ProviderOnly) <= 1

@@ -1,0 +1,73 @@
+"""Immutable per-account values are shared, not copied per account.
+
+An account's roles are one interned ``frozenset`` per distinct role set,
+and a union member without fields (``ProviderOnly``, ``SupplyView``, ...)
+has one instance, whether built, decoded or loaded.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+from itertools import combinations
+
+import pytest
+
+from rolechain import ledger
+from rolechain.chain import genesis_doc, state_from_doc
+from rolechain.codec import Reader, Writer
+from rolechain.ledger import Account
+from rolechain.payloads import QUERY, RECOVERY, Role, decode_query, encode_query
+
+from conftest import make_world
+
+FIELDLESS = [cls for union in (RECOVERY, QUERY) for cls in union.by_tag.values() if not dataclasses.fields(cls)]
+
+
+def test_accounts_with_equal_roles_share_one_frozenset_across_states():
+    first, second = make_world().state, make_world().state
+    loaded = state_from_doc(genesis_doc(first, {}))
+    for aid, acct in first.accounts.items():
+        assert second.accounts[aid].roles is acct.roles
+        assert loaded.accounts[aid].roles is acct.roles
+    users = [acct.roles for acct in first.accounts.values() if acct.roles == {Role.USER}]
+    assert len(users) >= 2 and all(roles is users[0] for roles in users)
+
+
+def test_the_interned_role_sets_number_at_most_one_per_subset_of_roles():
+    acct = Account(bytes(32), bytes(32))
+    for size in range(len(Role) + 1):
+        for roles in combinations(Role, size):
+            acct.roles = set(roles)
+            assert acct.roles == frozenset(roles)
+            acct.roles = list(reversed(roles))
+            assert acct.roles is ledger._role_sets[frozenset(roles)]
+    assert len(ledger._role_sets) <= 2 ** len(Role)
+
+
+def test_an_in_place_union_is_one_counted_write_of_a_shared_set():
+    world = make_world()
+    acct = world.state.accounts[world.aid("alice")]
+    validators = world.state.validators()
+    writes = ledger.role_writes
+    acct.roles |= {Role.VALIDATOR}
+    assert ledger.role_writes == writes + 1
+    assert acct.roles is Account(bytes(32), bytes(32), roles={Role.VALIDATOR, Role.USER}).roles
+    assert world.state.validators() == sorted([*validators, world.aid("alice")])
+
+
+@pytest.mark.parametrize("cls", FIELDLESS, ids=lambda cls: cls.__name__)
+def test_a_member_without_fields_is_one_instance_however_it_is_made(cls):
+    union = RECOVERY if cls in RECOVERY.by_tag.values() else QUERY
+    only = cls()
+    assert cls() is only and dataclasses.replace(only) is only
+    w = Writer()
+    union.encode(w, only)
+    raw = w.getvalue()
+    assert union.decode(Reader(raw)) is only
+    assert union.decode(Reader(raw)) is only
+    doc = union.to_doc(only)
+    assert union.from_doc(doc) is only
+    assert union.from_doc(dict(doc)) is only
+    if union is QUERY:
+        assert decode_query(encode_query(only)) is only
+

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import replace
+from types import SimpleNamespace
 
 from hypothesis import settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
@@ -68,6 +69,7 @@ from rolechain.payloads import (
     ValidatorRecord,
     possession_message,
     rotation_message,
+    sign_response,
     sign_transaction,
 )
 
@@ -196,10 +198,10 @@ def _register_endpoints(draw, m, sender):
 
 def _response(draw, m, echo: bytes) -> SignedQueryResponse:
     validator = draw(st.sampled_from(["v0", "v1", "alice"]))
-    unsigned = SignedQueryResponse(
-        ID[validator], echo, draw(st.sampled_from([b"1", b"2"])), draw(st.integers(0, m.state.height)), b""
+    signer = SimpleNamespace(sign=lambda message: _sign(draw, VIEW[validator], message))
+    return sign_response(
+        signer, ID[validator], echo, draw(st.sampled_from([b"1", b"2"])), draw(st.integers(0, m.state.height))
     )
-    return replace(unsigned, signature=_sign(draw, VIEW[validator], unsigned.signing_bytes()))
 
 
 def _discrepancy(draw, m, sender):
