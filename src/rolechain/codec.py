@@ -4,7 +4,8 @@ The format is bit-exact and deliberately small:
 
   - integers: unsigned 64-bit big-endian
   - byte strings: 4-byte big-endian length prefix, then the raw bytes
-  - text: UTF-8 bytes, length-prefixed like a byte string
+  - text: UTF-8 bytes, length-prefixed like a byte string (so text holding
+    a lone surrogate, which has no UTF-8 form, is a :class:`CodecError`)
   - booleans: one byte, 0 or 1
   - union variants: one leading tag byte
   - enumerations: one byte, the member's value
@@ -20,6 +21,19 @@ derives the codec of the whole record from them (fields in declaration
 order), and :class:`Tagged` tells the members of a union apart by a leading
 tag byte.  A record's codec also carries its JSON form, as the genesis doc
 holds it, and a checked loader that reads the form back.
+
+Encoders are compiled.  Each field codec gives its encoder as source,
+``Field.source(s, value)``: lines that append the value to ``b``, the
+writer's bytearray, with a ``_Pack`` for each fixed-width value (see
+:class:`_Source`).  A record's encoder is its fields' sources, one after
+the other, compiled into one function, so it writes every field in place
+with no call per field; each run of adjacent fixed-width values (u64,
+bool, enum, a length or a count) is one precompiled
+``struct.Struct(...).pack``, whose range errors become CodecError.  Each
+combinator's own ``encode`` is its source compiled the same way, on its
+first call, so every encoding rule is written once.  A codec without source is called from a
+record's encoder instead.  :class:`Writer` keeps the primitives for the
+hand-written frames (transaction signing bytes, blocks, messages).
 """
 
 from __future__ import annotations
@@ -27,6 +41,7 @@ from __future__ import annotations
 import dataclasses
 import re
 import struct
+import warnings
 from collections.abc import Callable
 from enum import Enum
 from typing import Any, NamedTuple, TypeVar
@@ -69,7 +84,11 @@ class Writer:
         self._buf += data
 
     def text(self, value: str) -> None:
-        self.bytes_(value.encode("utf-8"))
+        try:
+            data = value.encode("utf-8")
+        except UnicodeEncodeError:
+            _not_utf8(value)
+        self.bytes_(data)
 
     def count(self, n: int) -> None:
         if not 0 <= n <= U32_MAX:
@@ -146,6 +165,10 @@ class Reader:
 class Field(NamedTuple):
     """How one value is written to a :class:`Writer` and read back, and its JSON form.
 
+    ``source`` writes the encoder as source (see :class:`_Source`) and
+    ``encode`` is that source compiled, so a record's encoder can hold each
+    field's encoding in place of a call.  A codec without ``source`` (say,
+    one that keeps bytes between encodings) is called there instead.
     ``decode`` is ``None`` for a value only written, as into the state
     digest.  ``to_doc`` gives the JSON form; ``from_doc`` reads it back,
     checked, and a record's loader turns any error it raises into a
@@ -157,6 +180,158 @@ class Field(NamedTuple):
     decode: Callable[[Reader], Any] | None
     to_doc: Callable[[Any], Any] | None = None
     from_doc: Callable[[Any], Any] | None = None
+    source: Callable[[_Source, str], list] | None = None
+
+
+class _Pack(NamedTuple):
+    """A fixed-width value in an encoder's source: its struct code and the expression packed."""
+
+    code: str
+    value: str
+
+
+# what a pack raises for a value out of its range: struct.error, or
+# bytearray.append's ValueError or TypeError for a lone byte
+_PACK_ERRORS = (struct.error, TypeError, ValueError)
+# the name and top of each integer struct code
+_RANGES = {"B": ("u8", 0xFF), "I": ("u32", U32_MAX), "Q": ("u64", U64_MAX)}
+
+
+def _pack_error(codes: str, *values) -> None:
+    """Raise the CodecError for the first of ``values`` its struct code cannot take."""
+    for code, value in zip(codes, values):
+        if code in _RANGES and not (isinstance(value, int) and 0 <= value <= _RANGES[code][1]):
+            raise CodecError(f"{_RANGES[code][0]} out of range: {value!r}") from None
+    raise CodecError(f"cannot pack {values!r} as {codes}") from None
+
+
+def _not_utf8(text: str) -> None:
+    raise CodecError(f"text is not UTF-8: {text!r}") from None
+
+
+def is_utf8(text: str) -> bool:
+    """Whether ``text`` encodes as UTF-8; one holding a lone surrogate does not."""
+    try:
+        text.encode()
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
+class _Source:
+    """The source of one encoder ``encode(w, v)``, which appends to ``b``, the bytearray of ``w``.
+
+    A codec's ``source(s, value)`` returns items: lines of source, and a
+    :class:`_Pack` for each fixed-width value (u64, bool, enum, a length or
+    count).  ``value`` is an expression without side effects, cheap enough
+    to evaluate twice.  Adjacent packs are written as one precompiled
+    ``struct.Struct(...).pack``, whose range checks raise CodecError.
+    ``s`` names fresh locals and the constants the source refers to.
+    """
+
+    def __init__(self) -> None:
+        self.env: dict[str, Any] = {
+            "CodecError": CodecError,
+            "_PACK_ERRORS": _PACK_ERRORS,
+            "_pack_error": _pack_error,
+            "_not_utf8": _not_utf8,
+        }
+        self._names = 0
+
+    def local(self) -> str:
+        self._names += 1
+        return f"x{self._names}"
+
+    def const(self, value) -> str:
+        self._names += 1
+        self.env[f"k{self._names}"] = value
+        return f"k{self._names}"
+
+    def bind(self, value: str, items: list) -> str:
+        """A name for the expression ``value``, assigned in ``items`` unless it is one."""
+        if value.isidentifier():
+            return value
+        name = self.local()
+        items.append(f"{name} = {value}")
+        return name
+
+    def block(self, head: str, items: list) -> list[str]:
+        """``head``, then ``items`` indented under it."""
+        return [head, *(f"    {line}" for line in self.lines(items) or ["pass"])]
+
+    def by_type(self, value: str, cases: list[tuple[type, list]], otherwise: str) -> list[str]:
+        """The items of the case whose class ``value`` has, or else the line ``otherwise``."""
+        kind = self.local()
+        out = [f"{kind} = type({value})"]
+        for i, (cls, items) in enumerate(cases):
+            out += self.block(f"{'elif' if i else 'if'} {kind} is {self.const(cls)}:", items)
+        return out + (self.block("else:", [otherwise]) if cases else [otherwise])
+
+    def lines(self, items: list) -> list[str]:
+        """``items`` as lines of source, each run of adjacent packs as one pack."""
+        out: list[str] = []
+        run: list[_Pack] = []
+        for item in [*items, None]:
+            if type(item) is _Pack:
+                run.append(item)
+                continue
+            if run:
+                out += self._pack(run)
+                run = []
+            if item is not None:
+                out.append(item)
+        return out
+
+    def _pack(self, run: list[_Pack]) -> list[str]:
+        codes = "".join(p.code for p in run)
+        values = ", ".join(p.value for p in run)
+        if codes == "?":
+            return [f"b.append(1 if {values} else 0)"]
+        if codes == "B":
+            line = f"b.append({values})"
+        else:
+            line = f"b += {self.const(struct.Struct('>' + codes).pack)}({values})"
+        if all(p.value.isdigit() for p in run):  # tag bytes
+            return [line]
+        return ["try:", f"    {line}", "except _PACK_ERRORS:", f"    _pack_error({codes!r}, {values})"]
+
+
+def _compile(source: Callable[[_Source, str], list]) -> Callable[[Writer, Any], None]:
+    """``encode(w, v)``, the function ``source`` writes; its text is kept as ``encode.source``."""
+    s = _Source()
+    body = s.lines(source(s, "v")) or ["pass"]
+    text = "\n".join(["def encode(w, v):", "    b = w._buf", *(f"    {line}" for line in body)])
+    with warnings.catch_warnings():
+        # a warning (a bad escape, say) is a fault of the generator
+        warnings.simplefilter("error")
+        exec(text, s.env)
+    encode = s.env["encode"]
+    encode.source = text
+    return encode
+
+
+def _items(s: _Source, codec: Field, value: str) -> list:
+    """``codec`` writing ``value``: its source, or a call of its encoder if it has none."""
+    if codec.source is None:
+        return [f"{s.const(codec.encode)}(w, {value})"]
+    return codec.source(s, value)
+
+
+def _field(source: Callable[[_Source, str], list], decode, to_doc=None, from_doc=None) -> Field:
+    """The codec whose encoder ``source`` writes, compiled on its first call.
+
+    Most combinators are only written in place in a record's encoder, so
+    compiling each one up front would hold code that never runs.
+    """
+    compiled = None
+
+    def encode(w: Writer, value) -> None:
+        nonlocal compiled
+        if compiled is None:
+            compiled = _compile(source)
+        compiled(w, value)
+
+    return Field(encode, decode, to_doc, from_doc, source)
 
 
 def _same(value):
@@ -170,16 +345,30 @@ def _checked(expected: str, check: str) -> Callable[[Any], Any]:
     ``check`` is a Python expression, kept on the function: a record's
     loader writes it out in place of the call, which saves a call per value.
     """
-    env = {"CodecError": CodecError, "U64_MAX": U64_MAX, "expected": f"expected {expected}, not "}
+    env = {"CodecError": CodecError, "U64_MAX": U64_MAX, "is_utf8": is_utf8, "expected": f"expected {expected}, not "}
     exec(f"def from_doc(v):\n    if {check}:\n        return v\n    raise CodecError(expected + repr(v))", env)
     env["from_doc"].check = check
     return env["from_doc"]
 
 
-U64 = Field(Writer.u64, Reader.u64, _same, _checked("an integer in 0..2**64-1", "type(v) is int and 0 <= v <= U64_MAX"))
-BOOL = Field(Writer.boolean, Reader.boolean, _same, _checked("true or false", "type(v) is bool"))
-BYTES = Field(Writer.bytes_, Reader.bytes_, bytes.hex, bytes.fromhex)
-TEXT = Field(Writer.text, Reader.text, _same, _checked("text", "type(v) is str"))
+def _bytes(s: _Source, value: str) -> list:
+    return [_Pack("I", f"len({value})"), f"b += {value}"]
+
+
+def _text(s: _Source, value: str) -> list:
+    data = s.local()
+    return ["try:", f"    {data} = {value}.encode()", "except UnicodeEncodeError:", f"    _not_utf8({value})", *_bytes(s, data)]
+
+
+U64 = _field(
+    lambda s, v: [_Pack("Q", v)],
+    Reader.u64,
+    _same,
+    _checked("an integer in 0..2**64-1", "type(v) is int and 0 <= v <= U64_MAX"),
+)
+BOOL = _field(lambda s, v: [_Pack("?", v)], Reader.boolean, _same, _checked("true or false", "type(v) is bool"))
+BYTES = _field(_bytes, Reader.bytes_, bytes.hex, bytes.fromhex)
+TEXT = _field(_text, Reader.text, _same, _checked("UTF-8 text", "type(v) is str and (v.isascii() or is_utf8(v))"))
 _LIST = _checked("a list", "type(v) is list")
 
 
@@ -192,24 +381,24 @@ def enum(kind: type[Enum]) -> Field:
     """One byte holding the value of a member of ``kind``; in JSON, its lower-case name."""
     by_name = {member.name.lower(): member for member in kind}
     names = {member: name for name, member in by_name.items()}
-    return Field(lambda w, member: w.u8(member.value), lambda r: r.enum(kind), names.__getitem__, by_name.__getitem__)
+    return _field(lambda s, v: [_Pack("B", f"{v}._value_")], lambda r: r.enum(kind), names.__getitem__, by_name.__getitem__)
 
 
 def text_enum(kind: type[Enum]) -> Field:
     """The text value of a member of ``kind``; only written."""
-    return Field(lambda w, member: w.text(member.value), None)
+    return _field(lambda s, v: _text(s, f"{v}._value_"), None)
 
 
 def optional(inner: Field) -> Field:
     """A presence boolean, then the value if present; ``None`` when absent (null in JSON)."""
 
-    def encode(w: Writer, value) -> None:
-        w.boolean(value is not None)
-        if value is not None:
-            inner.encode(w, value)
+    def source(s: _Source, v: str) -> list:
+        items: list = []
+        value = s.bind(v, items)
+        return [*items, f"if {value} is None:", "    b.append(0)", *s.block("else:", [_Pack("B", "1"), *_items(s, inner, value)])]
 
     return _with_doc(
-        Field(encode, lambda r: inner.decode(r) if r.boolean() else None),
+        _field(source, lambda r: inner.decode(r) if r.boolean() else None),
         inner,
         lambda value: None if value is None else inner.to_doc(value),
         lambda value: None if value is None else inner.from_doc(value),
@@ -222,24 +411,30 @@ def none_as(inner: Field, blank) -> Field:
     Its JSON form is that of ``optional(inner)``: null for ``None``.
     """
     doc = optional(inner)
-    return Field(
-        lambda w, value: inner.encode(w, blank if value is None else value),
+    return _field(
+        lambda s, v: _items(s, inner, f"({s.const(blank)} if {v} is None else {v})"),
         lambda r: None if (value := inner.decode(r)) == blank else value,
         doc.to_doc,
         doc.from_doc,
     )
 
 
+def _each(inner: Field, ordered: str) -> Callable[[_Source, str], list]:
+    """The source of a count, then ``inner`` writing each element of ``ordered.format(values)``."""
+
+    def source(s: _Source, v: str) -> list:
+        items: list = []
+        values = s.bind(v, items)
+        value = s.local()
+        return [*items, _Pack("I", f"len({values})"), *s.block(f"for {value} in {ordered.format(values)}:", _items(s, inner, value))]
+
+    return source
+
+
 def seq_of(inner: Field) -> Field:
     """A count, then the elements in order; decodes to a tuple (a list in JSON)."""
-
-    def encode(w: Writer, values) -> None:
-        w.count(len(values))
-        for value in values:
-            inner.encode(w, value)
-
     return _with_doc(
-        Field(encode, lambda r: tuple([inner.decode(r) for _ in range(r.count())])),
+        _field(_each(inner, "{}"), lambda r: tuple([inner.decode(r) for _ in range(r.count())])),
         inner,
         lambda values: list(map(inner.to_doc, values)),
         lambda values: tuple(map(inner.from_doc, values if type(values) is list else _LIST(values))),
@@ -253,11 +448,6 @@ def set_of(inner: Field) -> Field:
     one encoding.  In JSON it is the list of its elements' JSON forms, sorted.
     """
 
-    def encode(w: Writer, values) -> None:
-        w.count(len(values))
-        for value in sorted(values):
-            inner.encode(w, value)
-
     def decode(r: Reader) -> frozenset:
         values = [inner.decode(r) for _ in range(r.count())]
         out = frozenset(values)
@@ -266,11 +456,24 @@ def set_of(inner: Field) -> Field:
         return out
 
     return _with_doc(
-        Field(encode, decode),
+        _field(_each(inner, "sorted({})"), decode),
         inner,
         lambda values: sorted(map(inner.to_doc, values)),
         lambda values: frozenset(map(inner.from_doc, values if type(values) is list else _LIST(values))),
     )
+
+
+def _by_key(key: Field | None, value: Field) -> Callable[[_Source, str], list]:
+    """The source of a count, then each entry in ascending key order: its key unless ``key`` is None, then its value."""
+
+    def source(s: _Source, v: str) -> list:
+        items: list = []
+        mapping = s.bind(v, items)
+        k = s.local()
+        entry = [*(_items(s, key, k) if key is not None else []), *_items(s, value, f"{mapping}[{k}]")]
+        return [*items, _Pack("I", f"len({mapping})"), *s.block(f"for {k} in sorted({mapping}):", entry)]
+
+    return source
 
 
 def sorted_map(key: Field, value: Field) -> Field:
@@ -280,12 +483,6 @@ def sorted_map(key: Field, value: Field) -> Field:
     one encoding.
     """
 
-    def encode(w: Writer, mapping) -> None:
-        w.count(len(mapping))
-        for k in sorted(mapping):
-            key.encode(w, k)
-            value.encode(w, mapping[k])
-
     def decode(r: Reader) -> dict:
         items = [(key.decode(r), value.decode(r)) for _ in range(r.count())]
         mapping = dict(items)
@@ -293,17 +490,26 @@ def sorted_map(key: Field, value: Field) -> Field:
             raise CodecError("map keys not in strictly ascending order")
         return mapping
 
-    return Field(encode, decode)
+    return _field(_by_key(key, value), decode)
+
+
+def values_by_key(value: Field) -> Field:
+    """A count, then the values of a mapping in ascending key order; only written.
+
+    For a table of records that each hold their own key.
+    """
+    return _field(_by_key(None, value), None)
 
 
 def pair(first: Field, second: Field) -> Field:
     """Two values back to back; decodes to a 2-tuple."""
 
-    def encode(w: Writer, value) -> None:
-        first.encode(w, value[0])
-        second.encode(w, value[1])
+    def source(s: _Source, v: str) -> list:
+        items: list = []
+        value = s.bind(v, items)
+        return [*items, *_items(s, first, f"{value}[0]"), *_items(s, second, f"{value}[1]")]
 
-    return Field(encode, lambda r: (first.decode(r), second.decode(r)))
+    return _field(source, lambda r: (first.decode(r), second.decode(r)))
 
 
 def framed(inner: Field) -> Field:
@@ -337,12 +543,11 @@ def tagged_value(*types: type) -> Field:
     by_tag = dict(by_type.values())
     by_name = {t.__name__: codec for t, (_, codec) in by_type.items()}
 
-    def encode(w: Writer, value) -> None:
-        tagged = by_type.get(type(value))
-        if tagged is None:
-            raise CodecError(f"unsupported value type {type(value).__name__}")
-        w.u8(tagged[0])
-        tagged[1].encode(w, value)
+    def source(s: _Source, v: str) -> list:
+        items: list = []
+        value = s.bind(v, items)
+        cases = [(t, [_Pack("B", str(tag)), *_items(s, codec, value)]) for t, (tag, codec) in by_type.items()]
+        return items + s.by_type(value, cases, f"raise CodecError('unsupported value type ' + type({value}).__name__)")
 
     def decode(r: Reader):
         tag = r.u8()
@@ -359,7 +564,7 @@ def tagged_value(*types: type) -> Field:
             raise CodecError(f"unknown value type {name!r}")
         return by_name[name].from_doc(doc["value"])
 
-    return Field(encode, decode, to_doc, from_doc)
+    return _field(source, decode, to_doc, from_doc)
 
 
 # --- records and unions ----------------------------------------------------------
@@ -400,14 +605,15 @@ def wire_record(cls: type | None = None, *, frozen: bool = True):
 def _generate(cls: type, tag: int | None = None, kind: str | None = None, whole: bool = True) -> Field:
     """The codec of the dataclass ``cls``, from the codecs of its fields.
 
-    Its functions are generated as source with one statement per field, as
-    ``dataclasses`` generates ``__init__``, so a described record codes as
-    fast as a hand-written one.  With ``tag`` the encoder writes it first.
-    Unless ``whole`` is false, every field must have a codec that decodes;
-    a record with a field outside its codec has no decoder and no JSON
-    form, and one with a field only written has no decoder.  Otherwise it
-    has a JSON form (see :func:`_doc_source`) when every field's value has
-    one and none depends on another.
+    Its functions are generated as source, as ``dataclasses`` generates
+    ``__init__``, so a described record codes as fast as a hand-written
+    one: the encoder holds each field's own source (see :class:`_Source`),
+    and the decoder one statement per field.  With ``tag`` the encoder
+    writes it first.  Unless ``whole`` is false, every field must have a
+    codec that decodes; a record with a field outside its codec has no
+    decoder and no JSON form, and one with a field only written has no
+    decoder.  Otherwise it has a JSON form (see :func:`_doc_source`) when
+    every field's value has one and none depends on another.
     """
     every = dataclasses.fields(cls)
     fields = [f for f in every if "codec" in f.metadata]
@@ -416,34 +622,42 @@ def _generate(cls: type, tag: int | None = None, kind: str | None = None, whole:
     if whole and not decodes:
         raise TypeError(f"every field of {cls.__name__} needs a codec that decodes")
     names = [f.name for f in fields]
-    env: dict[str, Any] = {"cls": cls, "CodecError": CodecError, "U64_MAX": U64_MAX, "name": cls.__name__}
-    encode = ["def encode(w, obj):", "    pass" if tag is None else f"    w.u8({tag})"]
+    env: dict[str, Any] = {"cls": cls, "CodecError": CodecError, "U64_MAX": U64_MAX, "is_utf8": is_utf8, "name": cls.__name__}
     decode = ["def decode(r):"]
     for i, f in enumerate(fields):
         codec, when = f.metadata["codec"], f.metadata["when"]
-        env[f"e{i}"], env[f"d{i}"] = codec.encode, codec.decode
-        env[f"t{i}"], env[f"f{i}"] = codec.to_doc, codec.from_doc
+        env[f"d{i}"], env[f"t{i}"], env[f"f{i}"] = codec.decode, codec.to_doc, codec.from_doc
         if when is None:
-            encode.append(f"    e{i}(w, obj.{f.name})")
             decode.append(f"    v{i} = d{i}(r)")
             continue
         if when[0] not in names[:i]:
             raise TypeError(f"{cls.__name__}.{f.name} depends on no earlier field")
         env[f"on{i}"] = when[1]
-        env[f"missing{i}"] = f"{cls.__name__}.{f.name} is required when {when[0]} is {when[1]}"
-        encode += [
-            f"    if obj.{when[0]} == on{i}:",
-            f"        if obj.{f.name} is None:",
-            f"            raise CodecError(missing{i})",
-            f"        e{i}(w, obj.{f.name})",
-        ]
         decode.append(f"    v{i} = d{i}(r) if v{names.index(when[0])} == on{i} else None")
     decode.append(f"    return cls({', '.join(f'v{i}' for i in range(len(fields)))})")
-    source = encode + decode if decodes else encode
+    source = decode if decodes else []
     if coded and all(f.metadata["codec"].to_doc is not None and f.metadata["when"] is None for f in fields):
         source += _doc_source(fields, kind)
     exec("\n".join(source), env)
-    return Field(env["encode"], env.get("decode"), env.get("to_doc"), env.get("from_doc"))
+
+    def encoder(s: _Source, v: str) -> list:
+        items: list = []
+        obj = s.bind(v, items)
+        if tag is not None:
+            items.append(_Pack("B", str(tag)))
+        for f in fields:
+            codec, when = f.metadata["codec"], f.metadata["when"]
+            written = _items(s, codec, f"{obj}.{f.name}")
+            if when is not None:
+                missing = s.const(f"{cls.__name__}.{f.name} is required when {when[0]} is {when[1]}")
+                written = s.block(
+                    f"if {obj}.{when[0]} == {s.const(when[1])}:",
+                    [*s.block(f"if {obj}.{f.name} is None:", [f"raise CodecError({missing})"]), *written],
+                )
+            items += written
+        return items
+
+    return Field(_compile(encoder), env.get("decode"), env.get("to_doc"), env.get("from_doc"), encoder)
 
 
 def _doc_source(fields: list[dataclasses.Field], kind: str | None) -> list[str]:
@@ -495,6 +709,7 @@ class Tagged:
         self.name = name
         self.by_tag: dict[int, type] = {}
         self._encoders: dict[type, Callable[[Writer, Any], None]] = {}
+        self._sources: dict[type, Callable[[_Source, str], list]] = {}
         self._decoders: dict[int, Callable[[Reader], Any]] = {}
         self._to_docs: dict[type, Callable[[Any], dict]] = {}
         self._from_docs: dict[str, Callable[[dict], Any]] = {}
@@ -518,7 +733,7 @@ class Tagged:
             self.by_tag[tag] = cls
             kind = re.sub(r"(?<!^)(?=[A-Z])", "_", cls.__name__).lower()
             codec = _generate(cls, tag, kind)
-            self._encoders[cls], self._decoders[tag] = codec.encode, codec.decode
+            self._encoders[cls], self._sources[cls], self._decoders[tag] = codec.encode, codec.source, codec.decode
             if codec.to_doc is not None:
                 self._to_docs[cls], self._from_docs[kind] = codec.to_doc, codec.from_doc
             return cls
@@ -530,6 +745,14 @@ class Tagged:
         if encode is None:
             raise CodecError(f"unknown {self.name} type {type(value).__name__}")
         encode(w, value)
+
+    def source(self, s: _Source, v: str) -> list:
+        """The tag and fields of the member the value is, chosen in place among
+        the members declared so far; any other value goes through ``encode``."""
+        items: list = []
+        value = s.bind(v, items)
+        cases = [(cls, source(s, value)) for cls, source in self._sources.items()]
+        return items + s.by_type(value, cases, f"{s.const(self.encode)}(w, {value})")
 
     def decode(self, r: Reader):
         return self.decode_member(r.u8(), r)

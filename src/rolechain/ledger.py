@@ -45,6 +45,7 @@ from .codec import (
     sorted_map,
     tagged_value,
     text_enum,
+    values_by_key,
     wire,
     wire_record,
 )
@@ -339,27 +340,25 @@ class LedgerState:
         w.u64(self.height)
         w.u64(self.supply.minted)
         w.u64(self.supply.burned)
-        _write_table(w, self.accounts, Account)
-        _write_table(w, self.policies, Policy)
-        _write_table(w, self.proposals, Proposal)
-        _write_table(w, self.interest_rules, InterestRule)
+        _ACCOUNTS.encode(w, self.accounts)
+        _POLICIES.encode(w, self.policies)
+        _PROPOSALS.encode(w, self.proposals)
+        _INTEREST_RULES.encode(w, self.interest_rules)
         _ALLOWANCES.encode(w, self.allowances)
-        _write_table(w, self.validator_registry, ValidatorRecord)
+        _REGISTRY.encode(w, self.validator_registry)
         _LOG.encode(w, self.tx_log)
         return hashlib.sha256(w.getvalue()).digest()
 
 
+# each table's records in key order; each record holds its own key
+_ACCOUNTS = values_by_key(Account.FIELDS)
+_POLICIES = values_by_key(Policy.FIELDS)
+_PROPOSALS = values_by_key(Proposal.FIELDS)
+_INTEREST_RULES = values_by_key(InterestRule.FIELDS)
+_REGISTRY = values_by_key(ValidatorRecord.FIELDS)
 # account id -> rule id -> ledger, keys written
 _ALLOWANCES = sorted_map(BYTES, sorted_map(U64, AllowanceLedger.FIELDS))
 _LOG = seq_of(LogEntry.FIELDS)
-
-
-def _write_table(w: Writer, table: dict, record: type) -> None:
-    """A count, then the records in key order; each record holds its own key."""
-    w.count(len(table))
-    encode = record.FIELDS.encode
-    for key in sorted(table):
-        encode(w, table[key])
 
 
 # --- security feature gate -----------------------------------------------------

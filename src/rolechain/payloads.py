@@ -51,7 +51,7 @@ class Role(Enum):
 
     def __lt__(self, other: Role) -> bool:
         # a set of roles is written in value order
-        return self.value < other.value
+        return self._value_ < other._value_
 
 
 class Permanence(Enum):

@@ -15,7 +15,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 from typing import Any, NamedTuple
 
-from .codec import U64_MAX
+from .codec import U64_MAX, is_utf8
 from .errors import ScenarioError
 
 
@@ -51,7 +51,10 @@ def _fail(message: str):
     raise ScenarioError(message)
 
 
-TEXT = FieldType("text", lambda v, d: v if type(v) is str else _fail(f"expected text, not {v!r}"))
+# text the canonical encoding can write: a lone surrogate has no UTF-8 form
+TEXT = FieldType(
+    "text", lambda v, d: v if type(v) is str and (v.isascii() or is_utf8(v)) else _fail(f"expected UTF-8 text, not {v!r}")
+)
 U64 = FieldType(
     "u64", lambda v, d: v if type(v) is int and 0 <= v <= U64_MAX else _fail(f"expected an integer in 0..2**64-1, not {v!r}")
 )

@@ -86,6 +86,25 @@ steps:
     assert "tx set_policy: missing field 'expiry_height'" in result.output
 
 
+# a double-quoted YAML "\ud800" loads as a lone surrogate, which has no UTF-8
+# form, so no canonical encoding can hold it
+MGR = "actors: [{name: a, roles: [platform_manager]}]\n"
+LONE_SURROGATES = {
+    "tx set_policy: key": MGR + r'steps: [{tick: 1, tx: {from: a, kind: set_policy, key: "a\ud800", value: 1, permanence: temporary}}]',
+    "actor: name": r'actors: [{name: "a\ud800", roles: [user]}]',
+    "assert log_contains: entry_kind": MGR + r'steps: [{tick: 1, assert: {kind: log_contains, entry_kind: "a\ud800"}}]',
+}
+
+
+@pytest.mark.parametrize("field", sorted(LONE_SURROGATES))
+def test_run_of_a_lone_surrogate_in_scenario_text_exits_two(runner, tmp_path, field):
+    scenario = tmp_path / "surrogate.yaml"
+    scenario.write_text(f"ticks: 1\n{LONE_SURROGATES[field]}\n")
+    result = runner.invoke(main, ["run", str(scenario)])
+    assert result.exit_code == 2, result.output
+    assert f"scenario error: {field}: expected UTF-8 text, not 'a\\ud800'" in result.output
+
+
 def test_run_of_a_validator_key_rotation_exits_zero(runner, tmp_path):
     """The sim hands v1 its new key only once the rotation commits."""
     scenario = tmp_path / "rotate.yaml"
@@ -235,6 +254,17 @@ def test_verify_of_a_bad_genesis_doc_exits_one(runner, dump_path, tmp_path, muta
     assert isinstance(result.exception, SystemExit), result.exception
     assert result.exit_code == 1
     assert "verification failed: genesis doc" in result.output
+
+
+def test_verify_of_a_lone_surrogate_in_the_genesis_doc_exits_one(runner, dump_path, tmp_path):
+    """A JSON lone-surrogate escape loads as text with no UTF-8 form; the loader rejects it before the digest."""
+    doc, blocks = import_chain(dump_path.read_bytes())
+    doc["policies"][0]["key"] = "a\ud800"
+    mutated = tmp_path / "mutated.bin"
+    mutated.write_bytes(export_chain(Chain([genesis_block(), *blocks]), doc))
+    result = runner.invoke(main, ["verify", str(mutated)])
+    assert result.exit_code == 1, result.output
+    assert result.output == "verification failed: genesis doc: Policy key: expected UTF-8 text, not 'a\\ud800'\n"
 
 
 def test_inspect_lists_blocks(runner, dump_path):
