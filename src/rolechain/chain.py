@@ -3,7 +3,8 @@
 Publication order is a strict rotation over the validator set (ascending
 account id), relaxed in two ways: a validator marked offline is skipped,
 and no validator may publish again within ``floor(diversity * n)`` blocks
-(``consensus.diversity`` policy, percent, default 50).
+(``consensus.diversity`` policy, percent, default 50).  :func:`publisher_at`
+names who publishes a height; the sim and :func:`validate_block` both ask it.
 
 A block is validated entirely against its parent state, so validator-set
 changes carried by a block take effect at the next height.  Replaying the
@@ -154,6 +155,17 @@ def expected_publisher(
     raise TxError(err.NO_ELIGIBLE_PUBLISHER)
 
 
+def publisher_at(height: int, chain: Chain, state: LedgerState, inactive: frozenset[bytes] = frozenset()) -> bytes:
+    """Who publishes ``height`` on ``chain``: :func:`expected_publisher` over the
+    state's validators, the chain's recent publishers and ``consensus.diversity``.
+
+    Raises ``TxError`` when no validator is eligible.
+    """
+    validators = state.validators()
+    recent = chain.recent_publishers(len(validators))
+    return expected_publisher(height, validators, recent, state.policy_int("consensus.diversity"), inactive)
+
+
 def build_block(
     signer: KeyPair,
     publisher: bytes,
@@ -161,20 +173,12 @@ def build_block(
     pending: list[Transaction],
     tick: int,
     state: LedgerState,
-    recent: list[bytes],
-    inactive: frozenset[bytes] = frozenset(),
 ) -> Block:
-    expected = expected_publisher(
-        parent.height + 1,
-        state.validators(),
-        recent,
-        state.policy_int("consensus.diversity", 50),
-        inactive,
-    )
-    if publisher != expected:
-        raise TxError(err.WRONG_PUBLISHER)
-    cap = state.policy_int("consensus.max_txs_per_block", 1000)
-    txs = tuple(pending[:cap])
+    """The next block, signed: at most ``consensus.max_txs_per_block`` of ``pending``.
+
+    Whether ``publisher`` is in turn is checked when the block is appended.
+    """
+    txs = tuple(pending[: state.policy_int("consensus.max_txs_per_block")])
     height = parent.height + 1
     prev_hash = parent.digest()
     signature = signer.sign(block_signing_bytes(height, prev_hash, publisher, tick, txs))
@@ -191,7 +195,8 @@ def validate_block(
 
     Returns violations as data; an empty list means acceptable.  Passing
     ``inactive=None`` relaxes the rotation check to membership plus spacing
-    only, which is what a replayer with no liveness knowledge can verify.
+    only, which is what a replayer with no liveness knowledge can verify: a
+    validator is then in turn if it would be with every other one offline.
     """
     violations: list[str] = []
     parent = chain.head
@@ -204,19 +209,14 @@ def validate_block(
     if publisher_acct is None or Role.VALIDATOR not in publisher_acct.roles:
         violations.append("NotAValidator")
     else:
-        validators = state.validators()
-        diversity = state.policy_int("consensus.diversity", 50)
-        recent = chain.recent_publishers(len(validators))
-        if inactive is None:
-            if block.publisher in set(recent[: spacing_window(len(validators), diversity)]):
-                violations.append("SpacingViolation")
-        else:
-            try:
-                expected = expected_publisher(block.height, validators, recent, diversity, inactive)
-                if block.publisher != expected:
-                    violations.append("WrongPublisher")
-            except TxError:
-                violations.append("NoEligiblePublisher")
+        replaying = inactive is None
+        if replaying:
+            inactive = frozenset(state.validators()) - {block.publisher}
+        try:
+            if publisher_at(block.height, chain, state, inactive) != block.publisher:
+                violations.append(err.WRONG_PUBLISHER)
+        except TxError:
+            violations.append("SpacingViolation" if replaying else err.NO_ELIGIBLE_PUBLISHER)
         if not scheme.verify(publisher_acct.public_key, block.signing_bytes(), block.signature):
             violations.append("BadBlockSignature")
     for i, tx in enumerate(block.txs):

@@ -29,9 +29,10 @@ writer's bytearray, with a ``_Pack`` for each fixed-width value (see
 the other, compiled into one function, so it writes every field in place
 with no call per field; each run of adjacent fixed-width values (u64,
 bool, enum, a length or a count) is one precompiled
-``struct.Struct(...).pack``, whose range errors become CodecError.  Each
-combinator's own ``encode`` is its source compiled the same way, on its
-first call, so every encoding rule is written once.  A codec without source is called from a
+``struct.Struct(...).pack``, whose range errors become CodecError.  Every
+codec's own ``encode``, a record's as a combinator's, is its source
+compiled on its first call, so every encoding rule is written once and
+importing compiles nothing.  A codec without source is called from a
 record's encoder instead.  :class:`Writer` keeps the primitives for the
 hand-written frames (transaction signing bytes, blocks, messages).
 """
@@ -61,13 +62,13 @@ class Writer:
         self._buf = bytearray()
 
     def u8(self, value: int) -> None:
-        if not 0 <= value <= 0xFF:
-            raise CodecError(f"u8 out of range: {value}")
+        if not (isinstance(value, int) and 0 <= value <= 0xFF):
+            raise CodecError(f"u8 out of range: {value!r}")
         self._buf.append(value)
 
     def u64(self, value: int) -> None:
-        if not 0 <= value <= U64_MAX:
-            raise CodecError(f"u64 out of range: {value}")
+        if not (isinstance(value, int) and 0 <= value <= U64_MAX):
+            raise CodecError(f"u64 out of range: {value!r}")
         self._buf += struct.pack(">Q", value)
 
     def boolean(self, value: bool) -> None:
@@ -91,8 +92,8 @@ class Writer:
         self.bytes_(data)
 
     def count(self, n: int) -> None:
-        if not 0 <= n <= U32_MAX:
-            raise CodecError(f"count out of range: {n}")
+        if not (isinstance(n, int) and 0 <= n <= U32_MAX):
+            raise CodecError(f"u32 out of range: {n!r}")
         self._buf += struct.pack(">I", n)
 
     def getvalue(self) -> bytes:
@@ -320,8 +321,9 @@ def _items(s: _Source, codec: Field, value: str) -> list:
 def _field(source: Callable[[_Source, str], list], decode, to_doc=None, from_doc=None) -> Field:
     """The codec whose encoder ``source`` writes, compiled on its first call.
 
-    Most combinators are only written in place in a record's encoder, so
-    compiling each one up front would hold code that never runs.
+    Most combinators and many records are only written in place in another
+    record's encoder, so compiling each one up front would hold code that
+    never runs.
     """
     compiled = None
 
@@ -657,7 +659,7 @@ def _generate(cls: type, tag: int | None = None, kind: str | None = None, whole:
             items += written
         return items
 
-    return Field(_compile(encoder), env.get("decode"), env.get("to_doc"), env.get("from_doc"), encoder)
+    return _field(encoder, env.get("decode"), env.get("to_doc"), env.get("from_doc"))
 
 
 def _doc_source(fields: list[dataclasses.Field], kind: str | None) -> list[str]:

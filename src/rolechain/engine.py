@@ -19,13 +19,14 @@ from . import governance, ledger, monetary
 from .errors import TxError
 from .keys import get_scheme
 from .ledger import (
+    POLICY_DEFAULTS,
     Account,
     Applied,
     Authority,
     LedgerState,
     LogEntry,
-    Policy,
     Proposal,
+    new_policy,
 )
 from .payloads import (
     AssignRole,
@@ -49,9 +50,20 @@ from .payloads import (
     SetFrozen,
     SetInterestRule,
     SetPolicy,
+    SignedQueryResponse,
     Transaction,
     Transfer,
 )
+
+
+def view_key_fault(state: LedgerState, response: SignedQueryResponse) -> str | None:
+    """Why ``response`` is not signed under its validator's registered view key, or None."""
+    record = state.validator_registry.get(response.validator)
+    if record is None:
+        return "validator has no registered view key"
+    if not get_scheme(state.scheme).verify(record.view_key, response.signing_bytes(), response.signature):
+        return "view-key signature invalid"
+    return None
 
 
 def verify_evidence(state: LedgerState, event: DiscrepancyEvent) -> str | None:
@@ -69,14 +81,11 @@ def verify_evidence(state: LedgerState, event: DiscrepancyEvent) -> str | None:
         return "responses answer different queries"
     if first.result == second.result:
         return "responses agree"
-    delay = state.policy_int("gateway.delay_blocks", 3)
-    scheme = get_scheme(state.scheme)
+    delay = state.policy_int("gateway.delay_blocks")
     for resp in (first, second):
-        record = state.validator_registry.get(resp.validator)
-        if record is None:
-            return "validator has no registered view key"
-        if not scheme.verify(record.view_key, resp.signing_bytes(), resp.signature):
-            return "view-key signature invalid"
+        fault = view_key_fault(state, resp)
+        if fault is not None:
+            return fault
         if resp.as_of_height > state.height - delay:
             return "response too recent to compare"
     return None
@@ -299,27 +308,6 @@ def apply_transaction(state: LedgerState, tx: Transaction) -> LogEntry:
 
 # --- genesis -------------------------------------------------------------------
 
-DEFAULT_POLICIES: list[tuple[str, int | bytes, Permanence]] = [
-    ("bootstrap.window_blocks", 10, Permanence.PERMANENT),
-    ("vote.window_blocks", 10, Permanence.TEMPORARY),
-    ("vote.threshold_percent", 51, Permanence.TEMPORARY),
-    ("security.freeze.enabled", 1, Permanence.TEMPORARY),
-    ("security.freeze.requires_vote", 0, Permanence.TEMPORARY),
-    ("security.confiscate.enabled", 1, Permanence.TEMPORARY),
-    ("security.confiscate.requires_vote", 0, Permanence.TEMPORARY),
-    ("security.reverse.enabled", 1, Permanence.TEMPORARY),
-    ("security.reverse.requires_vote", 0, Permanence.TEMPORARY),
-    ("mint.requires_vote", 1, Permanence.TEMPORARY),
-    ("interest.requires_vote", 1, Permanence.TEMPORARY),
-    ("consensus.diversity", 50, Permanence.TEMPORARY),
-    ("consensus.max_txs_per_block", 1000, Permanence.TEMPORARY),
-    ("rate.capacity", 10, Permanence.TEMPORARY),
-    ("rate.refill", 1, Permanence.TEMPORARY),
-    ("rate.whitelist", b"", Permanence.TEMPORARY),
-    ("gateway.delay_blocks", 3, Permanence.TEMPORARY),
-]
-
-
 def build_genesis(
     scheme: str = "mock",
     accounts: list[Account] | None = None,
@@ -332,11 +320,10 @@ def build_genesis(
     the first block.
     """
     state = LedgerState(scheme=scheme)
-    for key, value, permanence in DEFAULT_POLICIES:
-        state.policies[key] = Policy(key, value, permanence, None)
+    for key, (value, permanence) in POLICY_DEFAULTS.items():
+        state.policies[key] = new_policy(key, value, permanence)
     for key, value, permanence, expiry in policy_overrides or []:
-        timed = permanence is Permanence.TIMED_EXPIRATION
-        state.policies[key] = Policy(key, value, permanence, expiry if timed else None)
+        state.policies[key] = new_policy(key, value, permanence, expiry)
     for acct in accounts or []:
         state.accounts[acct.account_id] = acct
         state.supply.minted += acct.balance
@@ -344,5 +331,5 @@ def build_genesis(
         escrow.roles |= {Role.SYSTEM_SECURITY}
         state.accounts[escrow.account_id] = escrow
         state.supply.minted += escrow.balance
-        state.policies["security.escrow"] = Policy("security.escrow", escrow.account_id, Permanence.PERMANENT, None)
+        state.policies["security.escrow"] = new_policy("security.escrow", escrow.account_id, Permanence.PERMANENT)
     return state

@@ -22,7 +22,7 @@ from typing import Any, NamedTuple
 
 from . import errors as err
 from .codec import BOOL, BYTES, TEXT, U64, U64_MAX, Field, Reader, Writer, none_as, seq_of, wire, wire_record
-from .engine import verify_evidence
+from .engine import verify_evidence, view_key_fault
 from .errors import CodecError, QueryError, TxError
 from .keys import KeyPair, get_scheme
 from .ledger import LOG_DATA, LedgerState, get_balance, get_history
@@ -107,11 +107,11 @@ class SecurityGateway:
         whitelist = state.policy_bytes("rate.whitelist")
         if whitelist and sender in {whitelist[i : i + 32] for i in range(0, len(whitelist), 32)}:
             return True
-        capacity = state.policy_int("rate.capacity", 10)
+        capacity = state.policy_int("rate.capacity")
         bucket = self._buckets.get(sender)
         if bucket is None:
             bucket = self._buckets[sender] = TokenBucket(capacity, tick)
-        return bucket.take(tick, capacity, state.policy_int("rate.refill", 1))
+        return bucket.take(tick, capacity, state.policy_int("rate.refill"))
 
     def admit(self, state: LedgerState, raw_tx: bytes, tick: int) -> Admitted | Rejected | Censored:
         """Parse, authenticate, and rate-check one submission."""
@@ -310,13 +310,8 @@ class VisibilityGateway:
 
 
 def verify_response(state: LedgerState, response: SignedQueryResponse) -> bool:
-    """Check a response signature against the registered view key."""
-    record = state.validator_registry.get(response.validator)
-    if record is None:
-        return False
-    return get_scheme(state.scheme).verify(
-        record.view_key, response.signing_bytes(), response.signature
-    )
+    """Whether a response is signed under its validator's registered view key."""
+    return view_key_fault(state, response) is None
 
 
 def compare_responses(
@@ -330,7 +325,7 @@ def compare_responses(
     Any surviving pair with the same query echo but different results is
     self-verifying evidence.
     """
-    delay = state.policy_int("gateway.delay_blocks", 3)
+    delay = state.policy_int("gateway.delay_blocks")
     valid = [r for r in responses if verify_response(state, r)]
     if len({r.validator for r in valid}) < 2:
         raise QueryError(err.INSUFFICIENT_RESPONSES)

@@ -28,10 +28,10 @@ from .ledger import (
     Applied,
     Authority,
     LedgerState,
-    Policy,
     Proposal,
     ProposalStatus,
     is_mutable,
+    new_policy,
 )
 from .payloads import (
     AssignRole,
@@ -74,14 +74,7 @@ def set_policy(
     existing = state.policies.get(key)
     if existing is not None and not is_mutable(existing, state.height):
         raise TxError(err.POLICY_IMMUTABLE)
-    state.policies[key] = Policy(
-        key=key,
-        value=payload.value,
-        permanence=permanence,
-        expiry_height=payload.expiry_height if permanence is Permanence.TIMED_EXPIRATION else None,
-        set_by=actor,
-        set_at=state.height,
-    )
+    state.policies[key] = new_policy(key, payload.value, permanence, payload.expiry_height, actor, state.height)
     data: dict = {"key": key, "value": payload.value, "permanence": permanence.name.lower()}
     if permanence is Permanence.TIMED_EXPIRATION:
         data["expiry_height"] = payload.expiry_height or 0
@@ -179,7 +172,7 @@ def bootstrap_set_validators(
     acct = state.accounts.get(actor)
     if acct is None or Role.PLATFORM_MANAGER not in acct.roles:
         raise TxError(err.NOT_PLATFORM_MANAGER)
-    window = state.policy_int("bootstrap.window_blocks", 10)
+    window = state.policy_int("bootstrap.window_blocks")
     if state.height > window:
         raise TxError(err.BOOTSTRAP_OVER)
     if not validators:
@@ -219,7 +212,7 @@ def create_proposal(
     acct = state.accounts.get(proposer)
     if acct is None or electorate not in acct.roles:
         raise TxError(err.NOT_ELIGIBLE_PROPOSER)
-    window = state.policy_int("vote.window_blocks", 10)
+    window = state.policy_int("vote.window_blocks")
     pid = state.next_proposal_id
     state.next_proposal_id += 1
     state.proposals[pid] = Proposal(
@@ -260,7 +253,7 @@ def cast_vote(
 
 def _pass_threshold(state: LedgerState, electorate_size: int) -> int:
     """Smallest yes-count that passes: strictly above the threshold percent."""
-    percent = state.policy_int("vote.threshold_percent", 51)
+    percent = state.policy_int("vote.threshold_percent")
     return electorate_size * percent // 100 + 1
 
 

@@ -124,6 +124,42 @@ class Policy:
     set_at: int = wire(U64, default=0, doc=None)
 
 
+def new_policy(
+    key: str,
+    value: int | bytes,
+    permanence: Permanence,
+    expiry_height: int | None = None,
+    set_by: bytes = ZERO_ID,
+    set_at: int = 0,
+) -> Policy:
+    """A policy as genesis or ``set_policy`` installs it: only a timed one keeps its expiry height."""
+    timed = permanence is Permanence.TIMED_EXPIRATION
+    return Policy(key, value, permanence, expiry_height if timed else None, set_by, set_at)
+
+
+# every policy genesis installs, key -> (value, permanence); a read of a
+# policy that is unset or of the other type answers the value here
+POLICY_DEFAULTS: dict[str, tuple[int | bytes, Permanence]] = {
+    "bootstrap.window_blocks": (10, Permanence.PERMANENT),
+    "vote.window_blocks": (10, Permanence.TEMPORARY),
+    "vote.threshold_percent": (51, Permanence.TEMPORARY),
+    "security.freeze.enabled": (1, Permanence.TEMPORARY),
+    "security.freeze.requires_vote": (0, Permanence.TEMPORARY),
+    "security.confiscate.enabled": (1, Permanence.TEMPORARY),
+    "security.confiscate.requires_vote": (0, Permanence.TEMPORARY),
+    "security.reverse.enabled": (1, Permanence.TEMPORARY),
+    "security.reverse.requires_vote": (0, Permanence.TEMPORARY),
+    "mint.requires_vote": (1, Permanence.TEMPORARY),
+    "interest.requires_vote": (1, Permanence.TEMPORARY),
+    "consensus.diversity": (50, Permanence.TEMPORARY),
+    "consensus.max_txs_per_block": (1000, Permanence.TEMPORARY),
+    "rate.capacity": (10, Permanence.TEMPORARY),
+    "rate.refill": (1, Permanence.TEMPORARY),
+    "rate.whitelist": (b"", Permanence.TEMPORARY),
+    "gateway.delay_blocks": (3, Permanence.TEMPORARY),
+}
+
+
 def is_mutable(policy: Policy, height: int) -> bool:
     """Whether the stored policy may be overwritten at ``height``.
 
@@ -282,17 +318,20 @@ class LedgerState:
         """Validator account ids in canonical (ascending) rotation order."""
         return self.holders(Role.VALIDATOR)
 
-    def policy_int(self, key: str, default: int = 0) -> int:
+    def policy_int(self, key: str, default: int | None = None) -> int:
+        """The policy's int value; if it is unset or bytes, ``default``, else
+        its ``POLICY_DEFAULTS`` value (0 for a key the table lacks)."""
         policy = self.policies.get(key)
-        if policy is None or not isinstance(policy.value, int):
-            return default
-        return policy.value
+        if policy is not None and isinstance(policy.value, int):
+            return policy.value
+        return POLICY_DEFAULTS.get(key, (0,))[0] if default is None else default
 
-    def policy_bytes(self, key: str, default: bytes = b"") -> bytes:
+    def policy_bytes(self, key: str, default: bytes | None = None) -> bytes:
+        """As :meth:`policy_int`, for a bytes value (``b""`` for a key the table lacks)."""
         policy = self.policies.get(key)
-        if policy is None or not isinstance(policy.value, bytes):
-            return default
-        return policy.value
+        if policy is not None and isinstance(policy.value, bytes):
+            return policy.value
+        return POLICY_DEFAULTS.get(key, (b"",))[0] if default is None else default
 
     def log(self, entry: LogEntry) -> None:
         """Append one entry to the log and to its indexes."""
@@ -369,9 +408,9 @@ def security_gate(state: LedgerState, actor: bytes, feature: str, authority: Aut
         acct = state.accounts.get(actor)
         if acct is None or Role.SYSTEM_SECURITY not in acct.roles:
             raise TxError(err.NOT_SECURITY_ROLE)
-    if state.policy_int(f"security.{feature}.enabled", 1) == 0:
+    if state.policy_int(f"security.{feature}.enabled") == 0:
         raise TxError(err.FEATURE_DISABLED)
-    if authority is not Authority.SYSTEM and state.policy_int(f"security.{feature}.requires_vote", 0):
+    if authority is not Authority.SYSTEM and state.policy_int(f"security.{feature}.requires_vote"):
         raise TxError(err.VOTE_REQUIRED)
 
 
@@ -484,15 +523,15 @@ def rotate_key(
         raise TxError(err.INVALID_KEY, "malformed replacement key") from None
     message = rotation_message(target, new_key)
 
-    recovery = acct.recovery
+    # who may approve: groups of approvers, each needing a count of valid approvals
+    recovery, provider = acct.recovery, acct.provider
     if isinstance(recovery, Guardians):
-        eligible = set(recovery.guardians)
+        quorums = [(recovery.guardians, recovery.threshold)]
     elif isinstance(recovery, ProviderPlusSecurity):
-        eligible = set(state.holders(Role.SYSTEM_SECURITY))
-        if acct.provider is not None:
-            eligible.add(acct.provider)
+        quorums = [({provider}, 1), (set(state.holders(Role.SYSTEM_SECURITY)), 1)]
     else:
-        eligible = {acct.provider} if acct.provider is not None else set()
+        quorums = [({provider}, 1)]
+    eligible = set().union(*(group for group, _ in quorums))
 
     valid: set[bytes] = set()
     for approver_id, sig in payload.approvals:
@@ -504,14 +543,7 @@ def rotate_key(
         if scheme.verify(approver.public_key, message, sig):
             valid.add(approver_id)
 
-    if isinstance(recovery, Guardians):
-        satisfied = len(valid) >= recovery.threshold
-    elif isinstance(recovery, ProviderPlusSecurity):
-        security = set(state.holders(Role.SYSTEM_SECURITY))
-        satisfied = acct.provider in valid and bool(valid & security)
-    else:
-        satisfied = acct.provider is not None and acct.provider in valid
-    if not satisfied:
+    if any(len(valid & group) < needed for group, needed in quorums):
         raise TxError(err.INSUFFICIENT_APPROVALS)
 
     acct.public_key = new_key

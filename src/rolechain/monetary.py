@@ -34,7 +34,7 @@ from .payloads import (
 def _currency_gate(state: LedgerState, actor: bytes, policy_key: str, authority: Authority) -> None:
     if authority is Authority.SYSTEM:
         return
-    if state.policy_int(policy_key, 1):
+    if state.policy_int(policy_key):
         raise TxError(err.VOTE_REQUIRED)
     acct = state.accounts.get(actor)
     if acct is None or Role.CURRENCY_MANAGER not in acct.roles:

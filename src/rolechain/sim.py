@@ -39,9 +39,9 @@ from .chain import (
     Chain,
     append_block,
     build_block,
-    expected_publisher,
     export_chain,
     genesis_doc,
+    publisher_at,
 )
 from .engine import build_genesis
 from .governance import validate_recovery
@@ -525,8 +525,6 @@ class Simulation:
         self.view_keys: dict[str, KeyPair] = {}
         self.sec_gateways: dict[str, SecurityGateway] = {}
         self.vis_gateways: dict[str, VisibilityGateway] = {}
-        # names of the security gateways whose pool may hold entries
-        self._pooled: set[str] = set()
         # admitted transactions propagate between validators over the
         # validation-server mesh; this is the post-propagation pool
         self.mempool: dict[bytes, Transaction] = {}
@@ -641,11 +639,9 @@ class Simulation:
 
     # -- validators -------------------------------------------------------------
 
-    def _offline(self, validators: list[bytes]) -> frozenset[bytes]:
-        """The validators whose actor is marked offline."""
-        return frozenset(
-            vid for vid in validators if FAULT_OFFLINE in self.faults[self.names_by_id[vid]]
-        )
+    def _offline(self) -> frozenset[bytes]:
+        """The accounts whose actor is marked offline."""
+        return frozenset(self.aid(name) for name, faults in self.faults.items() if FAULT_OFFLINE in faults)
 
     def _gateway_operators(self) -> list[str]:
         """Names of current validators with registered endpoints."""
@@ -679,7 +675,6 @@ class Simulation:
             outcome = self._security_gateway(name).admit(self.state, raw, tick)
             if isinstance(outcome, Admitted):
                 accepted_anywhere = True
-                self._pooled.add(name)
         if accepted_anywhere:
             self.admitted_ids.add(tx.tx_id)
             self.mempool[tx.tx_id] = tx
@@ -821,30 +816,17 @@ class Simulation:
         return FAULT_CENSOR_DISCREPANCY in faults and isinstance(tx.payload, DiscrepancyEvent)
 
     def _publish_block(self, tick: int) -> None:
-        validators = self.state.validators()
-        if not validators:
-            self.skipped_ticks.append(tick)
-            return
-        offline = self._offline(validators)
-        recent = self.chain.recent_publishers(len(validators))
+        offline = self._offline()
         try:
-            publisher = expected_publisher(
-                self.chain.height + 1,
-                validators,
-                recent,
-                self.state.policy_int("consensus.diversity", 50),
-                offline,
-            )
-        except TxError:
+            publisher = publisher_at(self.chain.height + 1, self.chain, self.state, offline)
+        except TxError:  # no validators, or none eligible
             self.skipped_ticks.append(tick)
             return
         name = self.names_by_id[publisher]
         pending = [
             tx for tx in self.mempool.values() if not self._publisher_excludes(name, tx)
         ]
-        block = build_block(
-            self.keys[name], publisher, self.chain.head, pending, tick, self.state, recent, offline
-        )
+        block = build_block(self.keys[name], publisher, self.chain.head, pending, tick, self.state)
         receipts = append_block(self.chain, self.state, block, offline)
         self.blocks_produced += 1
         for receipt in receipts:
@@ -857,11 +839,8 @@ class Simulation:
             raise InternalInvariantViolation("block carries a transaction no gateway admitted")
         for tx_id in included:
             self.mempool.pop(tx_id, None)
-        for name in list(self._pooled):
-            gw = self.sec_gateways[name]
+        for gw in self.sec_gateways.values():
             gw.drop_included(included)
-            if not gw.pool:
-                self._pooled.discard(name)
 
     def run(self) -> Report:
         by_tick: dict[int, list[Step]] = {}

@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 from rolechain import errors as err
-from rolechain.chain import Chain, append_block, build_block, expected_publisher, import_chain, replay
+from rolechain.chain import Chain, append_block, build_block, import_chain, replay
 from rolechain.codec import U64_MAX
 from rolechain.engine import apply_transaction, finalize_expired_proposals, verify_evidence
 from rolechain.errors import TxError
@@ -119,10 +119,7 @@ def _run_random_scenario(seed: int, ops: int) -> World:
 
     def flush():
         nonlocal batch
-        recent = chain.recent_publishers(1)
-        block = build_block(
-            signer, publisher, chain.head, batch, chain.height + 1, world.state, recent
-        )
+        block = build_block(signer, publisher, chain.head, batch, chain.height + 1, world.state)
         receipts = append_block(chain, world.state, block)  # conservation checked here
         for receipt in receipts:
             if receipt.kind == "transfer" and receipt.ok:

@@ -14,6 +14,7 @@ from rolechain.chain import (
     format_chain,
     genesis_doc,
     import_chain,
+    publisher_at,
     replay,
     spacing_window,
     validate_block,
@@ -65,15 +66,10 @@ def _signer_for(world: World, account_id: bytes) -> KeyPair:
 
 
 def make_next_block(world: World, chain: Chain, txs=(), tick=None, inactive=frozenset()):
-    state = world.state
-    validators = state.validators()
-    recent = chain.recent_publishers(len(validators))
-    publisher = expected_publisher(
-        chain.height + 1, validators, recent, state.policy_int("consensus.diversity", 50), inactive
-    )
+    publisher = publisher_at(chain.height + 1, chain, world.state, inactive)
     signer = _signer_for(world, publisher)
     tick = chain.height + 1 if tick is None else tick
-    return build_block(signer, publisher, chain.head, list(txs), tick, state, recent, inactive)
+    return build_block(signer, publisher, chain.head, list(txs), tick, world.state)
 
 
 def advance(world: World, chain: Chain, txs=(), inactive=frozenset()):
@@ -157,17 +153,18 @@ def test_block_carries_txs_in_order():
     assert world.balance("bob") == 60
 
 
-def test_wrong_publisher_cannot_build():
+def test_append_refuses_a_block_out_of_turn():
     world = _chain_world()
     chain = Chain()
     state = world.state
-    validators = state.validators()
-    recent = chain.recent_publishers(4)
-    expected = expected_publisher(1, validators, recent)
-    wrong = next(v for v in validators if v != expected)
-    with pytest.raises(TxError) as exc:
-        build_block(_signer_for(world, wrong), wrong, chain.head, [], 1, state, recent)
-    assert exc.value.code == err.WRONG_PUBLISHER
+    expected = publisher_at(1, chain, state)
+    wrong = next(v for v in state.validators() if v != expected)
+    block = build_block(_signer_for(world, wrong), wrong, chain.head, [], 1, state)
+    digest = state.digest()
+    with pytest.raises(InvalidBlock) as exc:
+        append_block(chain, state, block)
+    assert exc.value.violations == [err.WRONG_PUBLISHER]
+    assert chain.height == 0 and state.digest() == digest
 
 
 def test_validate_catches_tampered_prev_hash():
@@ -197,6 +194,33 @@ def test_validate_catches_height_gap():
     block = make_next_block(world, chain)
     skipped = Block(5, block.prev_hash, block.publisher, block.tick, (), block.signature)
     assert "HeightGap" in validate_block(skipped, world.state, chain)
+
+
+def _signed_block(world: World, chain: Chain, publisher: bytes, height: int) -> Block:
+    unsigned = Block(height, chain.head.digest(), publisher, 1, ())
+    return Block(height, unsigned.prev_hash, publisher, 1, (), _signer_for(world, publisher).sign(unsigned.signing_bytes()))
+
+
+def test_rotation_verdicts_live_and_replayed():
+    """Live, a block must come from the publisher of its own height; a replay,
+    knowing no liveness, refuses only a publisher inside the spacing window."""
+    world = _chain_world()
+    chain = Chain()
+    state = world.state
+    ids = state.validators()
+    first, _ = advance(world, chain)  # spacing floor(4 * 50%) = 2: ``first`` waits
+    others = [v for v in ids if v != first.publisher]
+
+    again = _signed_block(world, chain, first.publisher, 2)
+    assert validate_block(again, state, chain) == [err.WRONG_PUBLISHER]
+    assert validate_block(again, state, chain, None) == ["SpacingViolation"]
+    assert validate_block(again, state, chain, frozenset(others)) == [err.NO_ELIGIBLE_PUBLISHER]
+    for other in others:  # any validator outside the window may have been in turn
+        assert validate_block(_signed_block(world, chain, other, 2), state, chain, None) == []
+    # a block past a height gap is checked against its own height's publisher
+    for height in (4, 5):
+        due = publisher_at(height, chain, state)
+        assert validate_block(_signed_block(world, chain, due, height), state, chain) == ["HeightGap"]
 
 
 def test_append_rejects_invalid_block_untouched():

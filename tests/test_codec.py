@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from rolechain.codec import BYTES, U64, Reader, Writer, optional, sorted_map
 from rolechain.errors import CodecError
+from rolechain.payloads import Transfer, tx_signing_bytes
 
 
 def roundtrip(write, read):
@@ -23,6 +24,18 @@ def test_u64_roundtrip_bounds():
         Writer().u64(2**64)
     with pytest.raises(CodecError):
         Writer().u64(-1)
+
+
+@pytest.mark.parametrize("value", [1.5, 1.0, "5", None, b"\x01"])
+def test_writer_refuses_a_non_integer_as_the_compiled_encoders_do(value):
+    for write, name in ((Writer.u8, "u8"), (Writer.u64, "u64"), (Writer.count, "u32")):
+        with pytest.raises(CodecError) as exc:
+            write(Writer(), value)
+        assert str(exc.value) == f"{name} out of range: {value!r}"
+    for write in (lambda: tx_signing_bytes(bytes(32), value, Transfer(bytes(32), 1)), lambda: U64.encode(Writer(), value)):
+        with pytest.raises(CodecError) as exc:  # a nonce, and the compiled encoder
+            write()
+        assert str(exc.value) == f"u64 out of range: {value!r}"
 
 
 def test_u64_is_big_endian_fixed_width():

@@ -13,7 +13,10 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import os
 import re
+import subprocess
+import sys
 from functools import cache
 from pathlib import Path
 
@@ -21,7 +24,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rolechain import gateway, ledger, monetary, payloads
-from rolechain.codec import BYTES, TEXT, U64_MAX, Tagged, Writer, seq_of
+from rolechain.codec import BYTES, TEXT, U64_MAX, Tagged, Writer, _compile, seq_of
 from rolechain.errors import CodecError
 from rolechain.gateway import READS
 from rolechain.ledger import Account, LedgerState, LogEntry, ProposalStatus
@@ -381,7 +384,8 @@ def test_no_compiled_encoder_calls_a_codec_that_has_source():
         for f in dataclasses.fields(cls)
         if "codec" in f.metadata and f.metadata["codec"].source is None
     }
-    encoders = [cls.FIELDS.encode for cls in RECORDS] + [union._encoders[cls] for union, cls in MEMBERS]
+    sources = [cls.FIELDS.source for cls in RECORDS] + [union._sources[cls] for union, cls in MEMBERS]
+    encoders = [_compile(source) for source in sources]  # as each first call compiles it
     called = set()
     for encode in encoders:
         for name in re.findall(r"\b(k\d+)\(w, ", encode.source):
@@ -389,3 +393,22 @@ def test_no_compiled_encoder_calls_a_codec_that_has_source():
             assert callee in sourceless or isinstance(getattr(callee, "__self__", None), Tagged), encode.source
             called.add(callee)
     assert called  # the framed action of a proposal, at least
+
+
+def test_an_encoder_is_compiled_on_its_first_call():
+    """Importing the program compiles nothing; one transfer compiles its own encoder alone."""
+    script = """
+import rolechain.codec as codec
+compiled = []
+original = codec._compile
+codec._compile = lambda source: compiled.append(source) or original(source)
+import rolechain.cli
+from rolechain.payloads import PAYLOAD, Transfer
+print(len(compiled))
+PAYLOAD.encode(codec.Writer(), Transfer(bytes(32), 1))
+PAYLOAD.encode(codec.Writer(), Transfer(bytes(32), 2))
+print(len(compiled))
+"""
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": str(src)})
+    assert out.stdout.split() == ["0", "1"]

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import ast
 import itertools
+from pathlib import Path
 
 import pytest
 
@@ -8,7 +10,7 @@ from rolechain import errors as err
 from rolechain.codec import U64_MAX
 from rolechain.engine import build_genesis, finalize_expired_proposals
 from rolechain.keys import keypair_from_label
-from rolechain.ledger import Account, LedgerState, Policy, ProposalStatus, is_mutable
+from rolechain.ledger import POLICY_DEFAULTS, Account, LedgerState, Policy, ProposalStatus, is_mutable, new_policy
 from rolechain.payloads import (
     AssignRole,
     Guardians,
@@ -51,6 +53,65 @@ def test_timed_expiration_exact_boundary(world):
     world.state.height = 50
     world.apply_ok("mgr", SetPolicy("custom.timed", 2, Permanence.TEMPORARY))
     assert world.state.policy_int("custom.timed") == 2
+
+
+def test_genesis_installs_the_default_table():
+    state = make_world().state
+    for key, (value, permanence) in POLICY_DEFAULTS.items():
+        policy = state.policies[key]
+        assert (policy.value, policy.permanence, policy.expiry_height) == (value, permanence, None)
+    assert set(state.policies) == {*POLICY_DEFAULTS, "security.escrow"}
+
+
+def test_a_policy_of_the_wrong_type_reads_as_the_tables_default():
+    state = make_world(
+        policy_overrides=[
+            ("consensus.diversity", b"\x01", Permanence.TEMPORARY, None),
+            ("rate.whitelist", 7, Permanence.TEMPORARY, None),
+        ]
+    ).state
+    assert state.policy_int("consensus.diversity") == POLICY_DEFAULTS["consensus.diversity"][0] == 50
+    assert state.policy_bytes("rate.whitelist") == b""
+    # an explicit default wins over the table; a key the table lacks reads as zero
+    assert state.policy_int("consensus.diversity", -1) == -1
+    assert state.policy_int("custom.unset") == 0 and state.policy_bytes("custom.unset") == b""
+
+
+def test_only_a_timed_policy_keeps_its_expiry_height(world):
+    for permanence in Permanence:
+        timed = permanence is Permanence.TIMED_EXPIRATION
+        assert new_policy("k", 1, permanence, 9).expiry_height == (9 if timed else None)
+        world.apply_ok("mgr", SetPolicy(f"k.{permanence.name}", 1, permanence, 9))
+        assert world.state.policies[f"k.{permanence.name}"].expiry_height == (9 if timed else None)
+    state = make_world(policy_overrides=[("k", 1, Permanence.TEMPORARY, 9)]).state
+    assert state.policies["k"].expiry_height is None
+
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "rolechain"
+
+
+def test_no_policy_read_in_src_names_its_own_default():
+    """``POLICY_DEFAULTS`` is the one source of defaults: a read in ``src`` names
+    only its key, and a key it names as a constant is in the table with a value
+    of the type it reads.  The escrow key is set by genesis from the escrow
+    account; the sim's ``policy`` assert reads -1 for an absent key."""
+    reads = 0
+    for path in sorted(SRC.glob("*.py")):
+        for call in ast.walk(ast.parse(path.read_text())):
+            if not (isinstance(call, ast.Call) and getattr(call.func, "attr", None) in ("policy_int", "policy_bytes")):
+                continue
+            reads += 1
+            where = f"{path.name}:{call.lineno}"
+            default = call.args[1:] + [k.value for k in call.keywords]
+            if path.name == "sim.py" and ast.unparse(call) == "self.state.policy_int(b['key'], -1)":
+                continue
+            assert not default, f"{where} names its own default"
+            key = call.args[0]
+            if isinstance(key, ast.Constant) and key.value != "security.escrow":
+                assert key.value in POLICY_DEFAULTS, f"{where} reads {key.value!r}, which has no default"
+                kind = int if call.func.attr == "policy_int" else bytes
+                assert type(POLICY_DEFAULTS[key.value][0]) is kind, f"{where} reads {key.value!r} as {kind.__name__}"
+    assert reads >= 14
 
 
 @pytest.mark.parametrize(

@@ -16,7 +16,7 @@ import copy
 
 from hypothesis import given, settings, strategies as st
 
-from rolechain.chain import Chain, append_block, build_block, expected_publisher, export_chain, genesis_doc, import_chain, replay
+from rolechain.chain import Chain, append_block, build_block, export_chain, genesis_doc, import_chain, publisher_at, replay
 from rolechain.codec import Writer
 from rolechain.gateway import LOG_ENTRIES, compute_result
 from rolechain.ledger import LOG_VALUE, LedgerState, LogEntry, get_history
@@ -148,11 +148,8 @@ class History:
 
     def seal(self) -> None:
         state = self.world.state
-        recent = self.chain.recent_publishers(1)
-        publisher = expected_publisher(self.chain.height + 1, state.validators(), recent, 50)
-        block = build_block(
-            self.world.kp("v0"), publisher, self.chain.head, self.pending, self.chain.height + 1, state, recent
-        )
+        publisher = publisher_at(self.chain.height + 1, self.chain, state)
+        block = build_block(self.world.kp("v0"), publisher, self.chain.head, self.pending, self.chain.height + 1, state)
         receipts = append_block(self.chain, state, block)
         assert len(receipts) >= len(self.pending)
         self.pending = []

@@ -26,10 +26,10 @@ from rolechain.chain import (
     Chain,
     append_block,
     build_block,
-    expected_publisher,
     export_chain,
     genesis_doc,
     import_chain,
+    publisher_at,
     replay,
 )
 from rolechain.codec import U64_MAX
@@ -350,15 +350,12 @@ class SmallWorld(RuleBasedStateMachine):
 
     def seal(self, txs: list[Transaction]) -> None:
         state, chain = self.state, self.chain
-        validators = state.validators()
-        recent = chain.recent_publishers(len(validators))
-        diversity = state.policy_int("consensus.diversity", 50)
         try:
-            publisher = expected_publisher(chain.height + 1, validators, recent, diversity)
+            publisher = publisher_at(chain.height + 1, chain, state)
         except TxError:
             return  # no validator may publish: the chain stops here
         name = next(n for n in NAMES if ID[n] == publisher)
-        block = build_block(self.key_of(name), publisher, chain.head, txs, chain.height + 1, state, recent)
+        block = build_block(self.key_of(name), publisher, chain.head, txs, chain.height + 1, state)
         append_block(chain, state, block)
 
     @invariant()
