@@ -15,33 +15,19 @@ state digests.
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass, field
 
 from . import engine
-from .codec import U64_MAX, Reader, Writer
-from .errors import (
-    CodecError,
-    InternalInvariantViolation,
-    InvalidBlock,
-    InvalidKey,
-    TxError,
-)
+from .codec import BYTES, TEXT, U64, Writer, seq_of, sorted_map, tuple_of, whole
+from .errors import CodecError, InternalInvariantViolation, InvalidBlock, TxError
 from . import errors as err
 from .keys import KeyPair, get_scheme
-from .ledger import Account, LedgerState, LogEntry, Policy
-from .payloads import (
-    Permanence,
-    Role,
-    Transaction,
-    ValidatorRecord,
-    ZERO_ID,
-    decode_transaction,
-)
+from .ledger import LedgerState, LogEntry, read_genesis
+from .payloads import Role, Transaction, ZERO_ID, decode_transaction
 
 ZERO_HASH = bytes(32)
 DUMP_MAGIC = b"RCHN"
-DUMP_VERSION = 1
+DUMP_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -71,28 +57,21 @@ def block_signing_bytes(
 ) -> bytes:
     w = Writer()
     w.raw(b"blk:")
-    w.u64(height)
-    w.bytes_(prev_hash)
-    w.bytes_(publisher)
-    w.u64(tick)
-    w.count(len(txs))
-    for tx in txs:
-        w.bytes_(tx.encode())
+    _BLOCK.encode(w, (height, prev_hash, publisher, tick, [tx.encode() for tx in txs]))
     return w.getvalue()
 
 
+# a block after its prefix, but for its signature: height, previous hash,
+# publisher, tick and each transaction's frame
+_BLOCK = tuple_of(U64, BYTES, BYTES, U64, seq_of(BYTES))
+
+
 def decode_block(data: bytes) -> Block:
-    r = Reader(data)
-    if r.fixed(4) != b"blk:":
+    if data[:4] != b"blk:":
         raise CodecError("missing block prefix")
-    height = r.u64()
-    prev_hash = r.bytes_()
-    publisher = r.bytes_()
-    tick = r.u64()
-    txs = tuple(decode_transaction(r.bytes_()) for _ in range(r.count()))
-    signature = r.bytes_()
-    r.require_end()
-    return Block(height, prev_hash, publisher, tick, txs, signature)
+    (height, prev_hash, publisher, tick, frames), pos = _BLOCK.read(data, 4)
+    signature = whole(BYTES.read, data, pos)
+    return Block(height, prev_hash, publisher, tick, tuple(map(decode_transaction, frames)), signature)
 
 
 def genesis_block() -> Block:
@@ -254,108 +233,61 @@ def append_block(
     return receipts
 
 
-# --- genesis documents and chain dumps --------------------------------------------
+# --- genesis and chain dumps ---------------------------------------------------------
 
-def genesis_doc(state: LedgerState, names: dict[str, bytes] | None = None) -> dict:
-    """JSON-safe snapshot of a height-0 state, enough to replay from.
-
-    Accounts, policies and validator records take the JSON forms their
-    field declarations give them.
-    """
-    return {
-        "scheme": state.scheme,
-        "accounts": [Account.FIELDS.to_doc(a) for _, a in sorted(state.accounts.items())],
-        "policies": [Policy.FIELDS.to_doc(p) for _, p in sorted(state.policies.items())],
-        "registry": [ValidatorRecord.FIELDS.to_doc(r) for _, r in sorted(state.validator_registry.items())],
-        "names": {name: aid.hex() for name, aid in sorted((names or {}).items())},
-    }
+# actor name -> account id, as ``rolechain query`` resolves names
+_NAMES = sorted_map(TEXT, BYTES)
+# a dump after its magic and version: the genesis, its SHA-256 and each block
+_DUMP = tuple_of(BYTES, BYTES, seq_of(BYTES))
 
 
-def state_from_doc(doc: dict) -> LedgerState:
-    """Height-0 state from a genesis doc.
+def genesis_doc(state: LedgerState, names: dict[str, bytes] | None = None) -> bytes:
+    """The genesis a dump holds: a height-0 state's canonical encoding, whose
+    SHA-256 is its digest, then ``names``."""
+    w = Writer()
+    w.raw(state.encode())
+    _NAMES.encode(w, names or {})
+    return w.getvalue()
 
-    A dump declares its doc's digest itself, so the doc is outside input: a
-    missing key, a wrong type, bad hex, an unknown name, a number outside
-    the u64 range, an account, policy or validator listed twice, or a
-    policy with an expiry height that is not timed, or timed without one,
-    raises ``CodecError``.
-    """
+
+def decode_genesis(genesis: bytes) -> tuple[LedgerState, dict[str, bytes]]:
+    """The height-0 state and the names of a genesis; any fault is a CodecError that names the genesis."""
     try:
-        state = LedgerState(scheme=doc["scheme"])
-        get_scheme(state.scheme)
-        names = doc["names"]  # read by ``rolechain query``
-        policies, accounts, registry = doc["policies"], doc["accounts"], doc["registry"]
-        if type(names) is not dict or not all(type(x) is list for x in (policies, accounts, registry)):
-            raise CodecError("wrong type of names, policies, accounts or registry")
-        for aid in names.values():
-            bytes.fromhex(aid)
-        for policy in map(Policy.FIELDS.from_doc, policies):
-            if policy.key in state.policies:
-                raise CodecError(f"policy {policy.key!r} listed twice")
-            if (policy.expiry_height is None) == (policy.permanence is Permanence.TIMED_EXPIRATION):
-                raise CodecError(f"policy {policy.key!r}: expiry_height is set exactly when it is timed_expiration")
-            state.policies[policy.key] = policy
-        for acct in map(Account.FIELDS.from_doc, accounts):
-            if acct.account_id in state.accounts:
-                raise CodecError(f"account {acct.account_id.hex()} listed twice")
-            state.accounts[acct.account_id] = acct
-            state.supply.minted += acct.balance
-        if state.supply.minted > U64_MAX:
-            raise CodecError("balances exceed the u64 supply")
-        for rec in map(ValidatorRecord.FIELDS.from_doc, registry):
-            if rec.account in state.validator_registry:
-                raise CodecError(f"validator record {rec.account.hex()} listed twice")
-            state.validator_registry[rec.account] = rec
-        return state
+        state, pos = read_genesis(genesis)
+        return state, whole(_NAMES.read, genesis, pos)
     except CodecError as exc:
-        raise CodecError(f"genesis doc: {exc}") from None
-    except (KeyError, TypeError, ValueError, InvalidKey) as exc:
-        # lookups and bytes.fromhex on a malformed doc fail with these
-        raise CodecError(f"genesis doc: {exc!r}") from None
+        raise CodecError(f"genesis: {exc}") from None
 
 
-def export_chain(chain: Chain, doc: dict) -> bytes:
-    """Length-prefixed binary dump: genesis document, its digest, blocks.
+def export_chain(chain: Chain, genesis: bytes) -> bytes:
+    """Binary dump: the genesis, its SHA-256, then the blocks.
 
     Blocks carry their own integrity (signatures and hash links); the
-    genesis document is not signed by anyone, so the dump pins its digest.
+    genesis is signed by no one, so the dump pins its digest.
     """
     w = Writer()
     w.raw(DUMP_MAGIC)
     w.u8(DUMP_VERSION)
-    encoded_doc = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
-    w.bytes_(encoded_doc)
-    w.bytes_(hashlib.sha256(encoded_doc).digest())
-    w.count(len(chain.blocks) - 1)
-    for block in chain.blocks[1:]:
-        w.bytes_(block.encode())
+    _DUMP.encode(w, (genesis, hashlib.sha256(genesis).digest(), [block.encode() for block in chain.blocks[1:]]))
     return w.getvalue()
 
 
-def import_chain(data: bytes) -> tuple[dict, list[Block]]:
-    r = Reader(data)
-    if r.fixed(4) != DUMP_MAGIC:
+def import_chain(data: bytes) -> tuple[bytes, list[Block]]:
+    """The genesis of a dump, its pin checked, and its blocks."""
+    if data[:4] != DUMP_MAGIC:
         raise CodecError("not a chain dump")
-    if r.u8() != DUMP_VERSION:
+    if data[4:5] != bytes([DUMP_VERSION]):
         raise CodecError("unsupported dump version")
-    encoded_doc = r.bytes_()
-    if r.bytes_() != hashlib.sha256(encoded_doc).digest():
-        raise CodecError("genesis document digest mismatch")
-    try:
-        doc = json.loads(encoded_doc.decode("utf-8"))
-    except (ValueError, RecursionError) as exc:
-        # ValueError covers bad UTF-8, bad JSON and over-long integer literals
-        raise CodecError(f"corrupt genesis document: {exc}") from None
-    blocks = [decode_block(r.bytes_()) for _ in range(r.count())]
-    r.require_end()
-    return doc, blocks
+    genesis, pin, blocks = whole(_DUMP.read, data, 5)
+    if pin != hashlib.sha256(genesis).digest():
+        raise CodecError("genesis digest mismatch")
+    return genesis, [decode_block(block) for block in blocks]
 
 
-def replay(doc: dict, blocks: list[Block]) -> tuple[Chain, LedgerState]:
-    """Rebuild state from a dump, re-validating every block and invariant."""
-    state = state_from_doc(doc)
-    if not state.conservation_holds():
-        raise InternalInvariantViolation("genesis state does not conserve supply")
+def replay(genesis: bytes, blocks: list[Block]) -> tuple[Chain, LedgerState]:
+    """Rebuild state from a dump, re-validating every block and invariant
+    (a genesis decodes only to a state that conserves supply)."""
+    state, _ = decode_genesis(genesis)
     chain = Chain()
     for block in blocks:
         append_block(chain, state, block, inactive=None)

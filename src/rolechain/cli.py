@@ -12,7 +12,7 @@ from pathlib import Path
 
 import click
 
-from .chain import format_chain, import_chain, replay
+from .chain import decode_genesis, format_chain, import_chain, replay
 from .codec import Reader
 from .errors import InternalInvariantViolation, RolechainError, ScenarioError
 from .gateway import READS, authorize_query, compute_result
@@ -75,12 +75,12 @@ def run_cmd(scenario_path: Path, seed: int | None, report_path: Path | None, dum
 
 def _load_dump(path: Path):
     try:
-        doc, blocks = import_chain(path.read_bytes())
-        chain, state = replay(doc, blocks)
+        genesis, blocks = import_chain(path.read_bytes())
+        chain, state = replay(genesis, blocks)
     except RolechainError as exc:
         click.echo(f"verification failed: {exc}", err=True)
         sys.exit(1)
-    return doc, chain, state
+    return genesis, chain, state
 
 
 @main.command()
@@ -88,7 +88,7 @@ def _load_dump(path: Path):
 @click.option("--height", type=int, default=None, help="Show a single block.")
 def inspect(dump_path: Path, height: int | None):
     """Print a human-readable view of a chain dump."""
-    doc, chain, state = _load_dump(dump_path)
+    _, chain, state = _load_dump(dump_path)
     if height is not None and not 0 <= height <= chain.height:
         click.echo(f"no block at height {height}", err=True)
         sys.exit(1)
@@ -101,7 +101,7 @@ def inspect(dump_path: Path, height: int | None):
 @click.argument("dump_path", type=click.Path(path_type=Path))
 def verify(dump_path: Path):
     """Re-check every hash link, signature, and ledger invariant."""
-    doc, chain, state = _load_dump(dump_path)
+    _, chain, state = _load_dump(dump_path)
     click.echo(
         f"ok: {len(chain.blocks) - 1} blocks, head={chain.head_hash.hex()[:16]}, "
         f"state_digest={state.digest().hex()[:16]}"
@@ -156,8 +156,8 @@ QUERIES = {
 @click.argument("argument", required=False)
 def query(dump_path: Path, as_actor: str, query_kind: str, argument: str | None):
     """Answer a read query under in-protocol visibility rules."""
-    doc, chain, state = _load_dump(dump_path)
-    names = {name: bytes.fromhex(aid) for name, aid in doc.get("names", {}).items()}
+    genesis, chain, state = _load_dump(dump_path)
+    _, names = decode_genesis(genesis)  # decoded again, for its names
 
     def resolve(label: str) -> bytes:
         if label in names:

@@ -19,28 +19,32 @@ A wire type or ledger state record is described once, on its dataclass:
 :func:`wire` gives each field a :class:`Field` codec, :func:`wire_record`
 derives the codec of the whole record from them (fields in declaration
 order), and :class:`Tagged` tells the members of a union apart by a leading
-tag byte.  A record's codec also carries its JSON form, as the genesis doc
-holds it, and a checked loader that reads the form back.
+tag byte.
 
-Encoders are compiled.  Each field codec gives its encoder as source,
-``Field.source(s, value)``: lines that append the value to ``b``, the
-writer's bytearray, with a ``_Pack`` for each fixed-width value (see
-:class:`_Source`).  A record's encoder is its fields' sources, one after
-the other, compiled into one function, so it writes every field in place
-with no call per field; each run of adjacent fixed-width values (u64,
-bool, enum, a length or a count) is one precompiled
-``struct.Struct(...).pack``, whose range errors become CodecError.  Every
-codec's own ``encode``, a record's as a combinator's, is its source
-compiled on its first call, so every encoding rule is written once and
-importing compiles nothing.  A codec without source is called from a
-record's encoder instead.  :class:`Writer` keeps the primitives for the
-hand-written frames (transaction signing bytes, blocks, messages).
+Encoders and decoders are compiled.  Each field codec gives its encoder as
+source, ``Field.source(s, value)``: lines that append the value to ``b``,
+the writer's bytearray, with a ``_Pack`` for each fixed-width value.  It
+gives its decoder the same way, ``Field.read_source(s, target)``: lines
+that read a value from the bytes ``d`` at position ``p`` into ``target``
+and move ``p`` past it, with an ``_Unpack`` for each fixed-width value (see
+:class:`_Source`).  A record's encoder and decoder are its fields' sources,
+one after the other, each compiled into one function, so it handles every
+field in place with no call per field.  Each run of adjacent fixed-width
+values (u64, bool, enum, a length or a count) is one precompiled
+``struct.Struct(...).pack`` or ``unpack_from``, whose range and bounds
+errors become CodecError, and a length-prefixed value is sliced in place.
+Every codec's own ``encode`` and ``read(data, pos)``, a record's as a
+combinator's, is its source compiled on its first call, so every rule is
+written once and importing compiles nothing; its ``decode`` reads at a
+:class:`Reader`'s cursor.  A codec without source is called from a
+record's encoder or decoder instead.  :class:`Writer` and :class:`Reader`
+keep the primitives for the hand-written frames (transaction signing
+bytes, messages).
 """
 
 from __future__ import annotations
 
 import dataclasses
-import re
 import struct
 import warnings
 from collections.abc import Callable
@@ -79,6 +83,8 @@ class Writer:
         self._buf += data
 
     def bytes_(self, data: bytes) -> None:
+        if not isinstance(data, (bytes, bytearray)):
+            _not_bytes(data)
         if len(data) > U32_MAX:
             raise CodecError("byte string too long")
         self._buf += struct.pack(">I", len(data))
@@ -87,7 +93,7 @@ class Writer:
     def text(self, value: str) -> None:
         try:
             data = value.encode("utf-8")
-        except UnicodeEncodeError:
+        except (UnicodeEncodeError, AttributeError):
             _not_utf8(value)
         self.bytes_(data)
 
@@ -148,9 +154,6 @@ class Reader:
     def count(self) -> int:
         return struct.unpack(">I", self._take(4))[0]
 
-    def fixed(self, n: int) -> bytes:
-        return self._take(n)
-
     @property
     def remaining(self) -> int:
         return len(self._data) - self._pos
@@ -164,24 +167,20 @@ class Reader:
 
 
 class Field(NamedTuple):
-    """How one value is written to a :class:`Writer` and read back, and its JSON form.
+    """How one value is written to a :class:`Writer` and read back.
 
-    ``source`` writes the encoder as source (see :class:`_Source`) and
-    ``encode`` is that source compiled, so a record's encoder can hold each
-    field's encoding in place of a call.  A codec without ``source`` (say,
-    one that keeps bytes between encodings) is called there instead.
-    ``decode`` is ``None`` for a value only written, as into the state
-    digest.  ``to_doc`` gives the JSON form; ``from_doc`` reads it back,
-    checked, and a record's loader turns any error it raises into a
-    :class:`CodecError` that names the field.  Both are ``None`` for a value
-    with no JSON form.
+    ``encode`` is the encoder ``source`` writes, and ``read(data, pos)``,
+    the value at ``pos`` and the position after it, the decoder
+    ``read_source`` writes (see :class:`_Source`); ``decode`` reads at a
+    :class:`Reader`'s cursor.  The decoding members are ``None`` for a
+    value only written, as into the state digest.
     """
 
     encode: Callable[[Writer, Any], None]
     decode: Callable[[Reader], Any] | None
-    to_doc: Callable[[Any], Any] | None = None
-    from_doc: Callable[[Any], Any] | None = None
     source: Callable[[_Source, str], list] | None = None
+    read: Callable[[bytes, int], tuple[Any, int]] | None = None
+    read_source: Callable[[_Source, str], list] | None = None
 
 
 class _Pack(NamedTuple):
@@ -191,9 +190,17 @@ class _Pack(NamedTuple):
     value: str
 
 
-# what a pack raises for a value out of its range: struct.error, or
-# bytearray.append's ValueError or TypeError for a lone byte
-_PACK_ERRORS = (struct.error, TypeError, ValueError)
+class _Unpack(NamedTuple):
+    """A fixed-width value in a decoder's source: its struct code, its local, and lines that check it once read."""
+
+    code: str
+    target: str
+    after: tuple[str, ...] = ()
+
+
+# what a pack raises for a value out of its range (bytearray.append raises
+# ValueError or TypeError), or for one of the wrong type
+_PACK_ERRORS = (struct.error, TypeError, ValueError, AttributeError)
 # the name and top of each integer struct code
 _RANGES = {"B": ("u8", 0xFF), "I": ("u32", U32_MAX), "Q": ("u64", U64_MAX)}
 
@@ -206,8 +213,25 @@ def _pack_error(codes: str, *values) -> None:
     raise CodecError(f"cannot pack {values!r} as {codes}") from None
 
 
-def _not_utf8(text: str) -> None:
+def _wrong_type(exc: Exception) -> None:
+    raise CodecError(f"value of the wrong type: {exc}") from None
+
+
+def _not_bytes(value) -> None:
+    raise CodecError(f"expected bytes, not {value!r}") from None
+
+
+def _not_utf8(text) -> None:
+    """Raise the CodecError for ``text`` that has no UTF-8 form, or for bytes read (``None``) that are not UTF-8."""
+    if text is None:
+        raise CodecError("invalid UTF-8 in text field") from None
+    if not isinstance(text, str):
+        raise CodecError(f"expected text, not {text!r}") from None
     raise CodecError(f"text is not UTF-8: {text!r}") from None
+
+
+def _short() -> None:
+    raise CodecError("unexpected end of frame") from None
 
 
 def is_utf8(text: str) -> bool:
@@ -220,13 +244,18 @@ def is_utf8(text: str) -> bool:
 
 
 class _Source:
-    """The source of one encoder ``encode(w, v)``, which appends to ``b``, the bytearray of ``w``.
+    """The source of one compiled function: an encoder ``encode(w, v)``, which
+    appends to ``b``, the bytearray of ``w``, or a decoder ``read(d, p)``,
+    which reads the bytes ``d`` of length ``L`` from position ``p``.
 
     A codec's ``source(s, value)`` returns items: lines of source, and a
     :class:`_Pack` for each fixed-width value (u64, bool, enum, a length or
     count).  ``value`` is an expression without side effects, cheap enough
     to evaluate twice.  Adjacent packs are written as one precompiled
     ``struct.Struct(...).pack``, whose range checks raise CodecError.
+    ``read_source(s, target)`` returns lines and an :class:`_Unpack` per
+    fixed-width value in the same way, leaving the value in ``target`` and
+    ``p`` past it; adjacent unpacks are one precompiled ``unpack_from``.
     ``s`` names fresh locals and the constants the source refers to.
     """
 
@@ -235,7 +264,11 @@ class _Source:
             "CodecError": CodecError,
             "_PACK_ERRORS": _PACK_ERRORS,
             "_pack_error": _pack_error,
+            "_wrong_type": _wrong_type,
+            "_not_bytes": _not_bytes,
             "_not_utf8": _not_utf8,
+            "_short": _short,
+            "struct_error": struct.error,
         }
         self._names = 0
 
@@ -260,26 +293,30 @@ class _Source:
         """``head``, then ``items`` indented under it."""
         return [head, *(f"    {line}" for line in self.lines(items) or ["pass"])]
 
+    def branches(self, cases: list[tuple[str, list]], otherwise: str) -> list[str]:
+        """The items of the first case whose condition holds, or else the line ``otherwise``."""
+        out: list[str] = []
+        for i, (condition, items) in enumerate(cases):
+            out += self.block(f"{'elif' if i else 'if'} {condition}:", items)
+        return out + (self.block("else:", [otherwise]) if cases else [otherwise])
+
     def by_type(self, value: str, cases: list[tuple[type, list]], otherwise: str) -> list[str]:
         """The items of the case whose class ``value`` has, or else the line ``otherwise``."""
         kind = self.local()
-        out = [f"{kind} = type({value})"]
-        for i, (cls, items) in enumerate(cases):
-            out += self.block(f"{'elif' if i else 'if'} {kind} is {self.const(cls)}:", items)
-        return out + (self.block("else:", [otherwise]) if cases else [otherwise])
+        cases = [(f"{kind} is {self.const(cls)}", items) for cls, items in cases]
+        return [f"{kind} = type({value})", *self.branches(cases, otherwise)]
 
     def lines(self, items: list) -> list[str]:
-        """``items`` as lines of source, each run of adjacent packs as one pack."""
+        """``items`` as lines of source, each run of adjacent packs or unpacks as one."""
         out: list[str] = []
-        run: list[_Pack] = []
+        run: list = []
         for item in [*items, None]:
-            if type(item) is _Pack:
-                run.append(item)
-                continue
-            if run:
-                out += self._pack(run)
+            if run and type(item) is not type(run[0]):
+                out += self._pack(run) if type(run[0]) is _Pack else self._unpack(run)
                 run = []
-            if item is not None:
+            if type(item) in (_Pack, _Unpack):
+                run.append(item)
+            elif item is not None:
                 out.append(item)
         return out
 
@@ -294,21 +331,81 @@ class _Source:
             line = f"b += {self.const(struct.Struct('>' + codes).pack)}({values})"
         if all(p.value.isdigit() for p in run):  # tag bytes
             return [line]
-        return ["try:", f"    {line}", "except _PACK_ERRORS:", f"    _pack_error({codes!r}, {values})"]
+        # the values are evaluated again to name the one at fault, which for
+        # a value of the wrong type fails again
+        return [
+            "try:",
+            f"    {line}",
+            "except _PACK_ERRORS:",
+            "    try:",
+            f"        _pack_error({codes!r}, {values})",
+            "    except _PACK_ERRORS as exc:",
+            "        _wrong_type(exc)",
+        ]
+
+    def _unpack(self, run: list[_Unpack]) -> list[str]:
+        unpack = struct.Struct(">" + "".join(u.code for u in run))
+        targets = "".join(f"{u.target}, " for u in run)
+        return [
+            "try:",
+            f"    {targets}= {self.const(unpack.unpack_from)}(d, p)",
+            "except struct_error:",
+            "    _short()",
+            f"p += {unpack.size}",
+            *(line for u in run for line in u.after),
+        ]
 
 
-def _compile(source: Callable[[_Source, str], list]) -> Callable[[Writer, Any], None]:
-    """``encode(w, v)``, the function ``source`` writes; its text is kept as ``encode.source``."""
-    s = _Source()
-    body = s.lines(source(s, "v")) or ["pass"]
-    text = "\n".join(["def encode(w, v):", "    b = w._buf", *(f"    {line}" for line in body)])
+def _function(s: _Source, signature: str, body: list[str]) -> Callable:
+    """The function ``signature`` with ``body``, defined among ``s``'s constants; its text is kept as ``.source``."""
+    text = "\n".join([signature, *(f"    {line}" for line in body)])
     with warnings.catch_warnings():
         # a warning (a bad escape, say) is a fault of the generator
         warnings.simplefilter("error")
         exec(text, s.env)
-    encode = s.env["encode"]
-    encode.source = text
-    return encode
+    function = s.env[signature[4 : signature.index("(")]]
+    function.source = text
+    return function
+
+
+def _compile(source: Callable[[_Source, str], list]) -> Callable[[Writer, Any], None]:
+    """``encode(w, v)``, the function ``source`` writes."""
+    s = _Source()
+    return _function(s, "def encode(w, v):", ["b = w._buf", *s.lines(source(s, "v"))])
+
+
+def _compile_read(read_source: Callable[[_Source, str], list]) -> Callable[[bytes, int], tuple[Any, int]]:
+    """``read(d, p)``, the function ``read_source`` writes: the value at ``p`` and the position after it."""
+    s = _Source()
+    return _function(s, "def read(d, p):", ["L = len(d)", *s.lines(read_source(s, "v")), "return v, p"])
+
+
+def _lazy(compile: Callable[[], Callable]) -> Callable:
+    """The function ``compile()`` returns, compiled on its first call.
+
+    Most combinators and many records are only handled in place in another
+    record's encoder or decoder, so compiling each one up front would hold
+    code that never runs.
+    """
+    compiled = None
+
+    def call(a, b):
+        nonlocal compiled
+        if compiled is None:
+            compiled = compile()
+        return compiled(a, b)
+
+    return call
+
+
+def decoder(read: Callable[[bytes, int], tuple[Any, int]]) -> Callable[[Reader], Any]:
+    """``decode(r)``: the value ``read`` reads at the cursor of the Reader ``r``, which moves past it."""
+
+    def decode(r: Reader):
+        value, r._pos = read(r._data, r._pos)
+        return value
+
+    return decode
 
 
 def _items(s: _Source, codec: Field, value: str) -> list:
@@ -318,111 +415,120 @@ def _items(s: _Source, codec: Field, value: str) -> list:
     return codec.source(s, value)
 
 
-def _field(source: Callable[[_Source, str], list], decode, to_doc=None, from_doc=None) -> Field:
-    """The codec whose encoder ``source`` writes, compiled on its first call.
-
-    Most combinators and many records are only written in place in another
-    record's encoder, so compiling each one up front would hold code that
-    never runs.
-    """
-    compiled = None
-
-    def encode(w: Writer, value) -> None:
-        nonlocal compiled
-        if compiled is None:
-            compiled = _compile(source)
-        compiled(w, value)
-
-    return Field(encode, decode, to_doc, from_doc, source)
+def _reads(s: _Source, codec: Field, target: str) -> list:
+    """``codec`` reading into ``target``: its read source, or a call of its ``read`` if it has none."""
+    if codec.read_source is None:
+        return [f"{target}, p = {s.const(codec.read)}(d, p)"]
+    return codec.read_source(s, target)
 
 
-def _same(value):
-    """The JSON form of a value that is its own JSON form."""
+def _field(source: Callable[[_Source, str], list], read_source: Callable[[_Source, str], list] | None = None, *over: Field) -> Field:
+    """The codec whose encoder ``source`` writes and whose decoder ``read_source``
+    writes, each compiled on its first call; it decodes only if every codec
+    in ``over``, those it reads with, does."""
+    encode = _lazy(lambda: _compile(source))
+    if read_source is None or any(codec.read is None for codec in over):
+        return Field(encode, None, source)
+    read = _lazy(lambda: _compile_read(read_source))
+    return Field(encode, decoder(read), source, read, read_source)
+
+
+def whole(read: Callable[[bytes, int], tuple[Any, int]], data: bytes, pos: int = 0):
+    """The value ``read`` reads from ``data`` at ``pos``, which must end the frame."""
+    value, end = read(data, pos)
+    if end != len(data):
+        raise CodecError(f"{len(data) - end} trailing bytes in frame")
     return value
 
 
-def _checked(expected: str, check: str) -> Callable[[Any], Any]:
-    """A ``from_doc`` that returns a value ``v`` meeting ``check`` and rejects any other.
+def _bool_byte(byte: str) -> str:
+    """The line rejecting ``byte`` unless it is a boolean's, 0 or 1."""
+    return f"if {byte} > 1: raise CodecError(f'invalid boolean byte: {{{byte}}}')"
 
-    ``check`` is a Python expression, kept on the function: a record's
-    loader writes it out in place of the call, which saves a call per value.
-    """
-    env = {"CodecError": CodecError, "U64_MAX": U64_MAX, "is_utf8": is_utf8, "expected": f"expected {expected}, not "}
-    exec(f"def from_doc(v):\n    if {check}:\n        return v\n    raise CodecError(expected + repr(v))", env)
-    env["from_doc"].check = check
-    return env["from_doc"]
+
+def _count(n: str) -> list:
+    """A count read into ``n``; as every value takes a byte or more, one past the bytes left is short."""
+    return [_Unpack("I", n), f"if {n} > L - p: _short()"]
 
 
 def _bytes(s: _Source, value: str) -> list:
-    return [_Pack("I", f"len({value})"), f"b += {value}"]
+    return [_Pack("I", f"len({value})"), "try:", f"    b += {value}", "except TypeError:", f"    _not_bytes({value})"]
+
+
+def _read_bytes(s: _Source, target: str) -> list:
+    n = s.local()
+    return [_Unpack("I", n), f"{target} = d[p : p + {n}]", f"p += {n}", "if p > L: _short()"]
 
 
 def _text(s: _Source, value: str) -> list:
     data = s.local()
-    return ["try:", f"    {data} = {value}.encode()", "except UnicodeEncodeError:", f"    _not_utf8({value})", *_bytes(s, data)]
+    encoded = ["try:", f"    {data} = {value}.encode()", "except (UnicodeEncodeError, AttributeError):", f"    _not_utf8({value})"]
+    return [*encoded, _Pack("I", f"len({data})"), f"b += {data}"]
 
 
-U64 = _field(
-    lambda s, v: [_Pack("Q", v)],
-    Reader.u64,
-    _same,
-    _checked("an integer in 0..2**64-1", "type(v) is int and 0 <= v <= U64_MAX"),
-)
-BOOL = _field(lambda s, v: [_Pack("?", v)], Reader.boolean, _same, _checked("true or false", "type(v) is bool"))
-BYTES = _field(_bytes, Reader.bytes_, bytes.hex, bytes.fromhex)
-TEXT = _field(_text, Reader.text, _same, _checked("UTF-8 text", "type(v) is str and (v.isascii() or is_utf8(v))"))
-_LIST = _checked("a list", "type(v) is list")
+def _read_text(s: _Source, target: str) -> list:
+    data = s.local()
+    decoded = ["try:", f"    {target} = {data}.decode()", "except UnicodeDecodeError:", "    _not_utf8(None)"]
+    return [*_read_bytes(s, data), *decoded]
 
 
-def _with_doc(codec: Field, inner: Field, to_doc: Callable, from_doc: Callable) -> Field:
-    """``codec`` with the JSON form ``to_doc`` and ``from_doc`` if ``inner``, the value it wraps, has one."""
-    return codec if inner.to_doc is None else codec._replace(to_doc=to_doc, from_doc=from_doc)
+def _read_bool(s: _Source, target: str) -> list:
+    byte = s.local()
+    return [_Unpack("B", byte, (_bool_byte(byte), f"{target} = {byte} == 1"))]
+
+
+U64 = _field(lambda s, v: [_Pack("Q", v)], lambda s, v: [_Unpack("Q", v)])
+U32 = _field(lambda s, v: [_Pack("I", v)], lambda s, v: [_Unpack("I", v)])
+BOOL = _field(lambda s, v: [_Pack("?", v)], _read_bool)
+BYTES = _field(_bytes, _read_bytes)
+TEXT = _field(_text, _read_text)
 
 
 def enum(kind: type[Enum]) -> Field:
-    """One byte holding the value of a member of ``kind``; in JSON, its lower-case name."""
-    by_name = {member.name.lower(): member for member in kind}
-    names = {member: name for name, member in by_name.items()}
-    return _field(lambda s, v: [_Pack("B", f"{v}._value_")], lambda r: r.enum(kind), names.__getitem__, by_name.__getitem__)
+    """One byte holding the value of a member of ``kind``."""
+    members = {member.value: member for member in kind}
+
+    def read_source(s: _Source, v: str) -> list:
+        byte = s.local()
+        unknown = f"raise CodecError(f'unknown {kind.__name__} value {{{byte}}}')"
+        return [_Unpack("B", byte, (f"{v} = {s.const(members)}.get({byte})", f"if {v} is None: {unknown}"))]
+
+    return _field(lambda s, v: [_Pack("B", f"{v}._value_")], read_source)
 
 
 def text_enum(kind: type[Enum]) -> Field:
     """The text value of a member of ``kind``; only written."""
-    return _field(lambda s, v: _text(s, f"{v}._value_"), None)
+    return _field(lambda s, v: _text(s, f"{v}._value_"))
 
 
 def optional(inner: Field) -> Field:
-    """A presence boolean, then the value if present; ``None`` when absent (null in JSON)."""
+    """A presence boolean, then the value if present; ``None`` when absent."""
 
     def source(s: _Source, v: str) -> list:
         items: list = []
         value = s.bind(v, items)
         return [*items, f"if {value} is None:", "    b.append(0)", *s.block("else:", [_Pack("B", "1"), *_items(s, inner, value)])]
 
-    return _with_doc(
-        _field(source, lambda r: inner.decode(r) if r.boolean() else None),
-        inner,
-        lambda value: None if value is None else inner.to_doc(value),
-        lambda value: None if value is None else inner.from_doc(value),
-    )
+    def read_source(s: _Source, v: str) -> list:
+        present = s.local()
+        return [_Unpack("B", present, (_bool_byte(present),)), *s.branches([(present, _reads(s, inner, v))], f"{v} = None")]
+
+    return _field(source, read_source, inner)
 
 
 def none_as(inner: Field, blank) -> Field:
-    """``inner`` with ``None`` written as ``blank``, and ``blank`` read back as ``None``.
-
-    Its JSON form is that of ``optional(inner)``: null for ``None``.
-    """
-    doc = optional(inner)
+    """``inner`` with ``None`` written as ``blank``, and ``blank`` read back as ``None``."""
     return _field(
         lambda s, v: _items(s, inner, f"({s.const(blank)} if {v} is None else {v})"),
-        lambda r: None if (value := inner.decode(r)) == blank else value,
-        doc.to_doc,
-        doc.from_doc,
+        lambda s, v: [*_reads(s, inner, v), f"if {v} == {s.const(blank)}: {v} = None"],
+        inner,
     )
 
 
-def _each(inner: Field, ordered: str) -> Callable[[_Source, str], list]:
-    """The source of a count, then ``inner`` writing each element of ``ordered.format(values)``."""
+def _each(inner: Field, ordered: str, check: str, made: str) -> tuple[Callable, Callable]:
+    """The source and read source of a count, then the elements: written in
+    the order ``ordered.format(values)``, read each meeting
+    ``check.format(elements, element)`` if given, made into ``made.format(elements)``."""
 
     def source(s: _Source, v: str) -> list:
         items: list = []
@@ -430,52 +536,52 @@ def _each(inner: Field, ordered: str) -> Callable[[_Source, str], list]:
         value = s.local()
         return [*items, _Pack("I", f"len({values})"), *s.block(f"for {value} in {ordered.format(values)}:", _items(s, inner, value))]
 
-    return source
+    def read_source(s: _Source, v: str) -> list:
+        n, elements, element = s.local(), s.local(), s.local()
+        each = [*_reads(s, inner, element), *([check.format(elements, element)] if check else []), f"{elements}.append({element})"]
+        return [*_count(n), f"{elements} = []", *s.block(f"for _ in range({n}):", each), f"{v} = {made.format(elements)}"]
+
+    return source, read_source
 
 
 def seq_of(inner: Field) -> Field:
-    """A count, then the elements in order; decodes to a tuple (a list in JSON)."""
-    return _with_doc(
-        _field(_each(inner, "{}"), lambda r: tuple([inner.decode(r) for _ in range(r.count())])),
-        inner,
-        lambda values: list(map(inner.to_doc, values)),
-        lambda values: tuple(map(inner.from_doc, values if type(values) is list else _LIST(values))),
-    )
+    """A count, then the elements in order; decodes to a tuple."""
+    return _field(*_each(inner, "{}", "", "tuple({})"), inner)
 
 
 def set_of(inner: Field) -> Field:
     """A count, then the elements in ascending order; decodes to a frozenset.
 
     Decoding rejects elements out of order or repeated, so a set has exactly
-    one encoding.  In JSON it is the list of its elements' JSON forms, sorted.
+    one encoding.
     """
-
-    def decode(r: Reader) -> frozenset:
-        values = [inner.decode(r) for _ in range(r.count())]
-        out = frozenset(values)
-        if sorted(out) != values:
-            raise CodecError("set elements not in strictly ascending order")
-        return out
-
-    return _with_doc(
-        _field(_each(inner, "sorted({})"), decode),
-        inner,
-        lambda values: sorted(map(inner.to_doc, values)),
-        lambda values: frozenset(map(inner.from_doc, values if type(values) is list else _LIST(values))),
-    )
+    ascending = "if {0} and not {0}[-1] < {1}: raise CodecError('set elements not in strictly ascending order')"
+    return _field(*_each(inner, "sorted({})", ascending, "frozenset({})"), inner)
 
 
-def _by_key(key: Field | None, value: Field) -> Callable[[_Source, str], list]:
-    """The source of a count, then each entry in ascending key order: its key unless ``key`` is None, then its value."""
+def _by_key(key: Field | str, value: Field) -> tuple[Callable, Callable]:
+    """The source and read source of a count, then each entry in strictly
+    ascending key order: its key, then its value, or the value alone if
+    ``key`` names the value's attribute that is its key."""
 
     def source(s: _Source, v: str) -> list:
         items: list = []
         mapping = s.bind(v, items)
         k = s.local()
-        entry = [*(_items(s, key, k) if key is not None else []), *_items(s, value, f"{mapping}[{k}]")]
+        entry = [*(_items(s, key, k) if type(key) is not str else []), *_items(s, value, f"{mapping}[{k}]")]
         return [*items, _Pack("I", f"len({mapping})"), *s.block(f"for {k} in sorted({mapping}):", entry)]
 
-    return source
+    def read_source(s: _Source, v: str) -> list:
+        n, k, last, entry = s.local(), s.local(), s.local(), s.local()
+        if type(key) is str:
+            items = [*_reads(s, value, entry), f"{k} = {entry}.{key}"]
+        else:
+            items = [*_reads(s, key, k), *_reads(s, value, entry)]
+        ascending = f"if {v} and not {last} < {k}: raise CodecError('map keys not in strictly ascending order')"
+        each = [*items, ascending, f"{v}[{k}] = {entry}", f"{last} = {k}"]
+        return [*_count(n), f"{v} = {{}}", *s.block(f"for _ in range({n}):", each)]
+
+    return source, read_source
 
 
 def sorted_map(key: Field, value: Field) -> Field:
@@ -484,34 +590,31 @@ def sorted_map(key: Field, value: Field) -> Field:
     Decoding rejects keys out of order or repeated, so a mapping has exactly
     one encoding.
     """
-
-    def decode(r: Reader) -> dict:
-        items = [(key.decode(r), value.decode(r)) for _ in range(r.count())]
-        mapping = dict(items)
-        if sorted(mapping) != [k for k, _ in items]:
-            raise CodecError("map keys not in strictly ascending order")
-        return mapping
-
-    return _field(_by_key(key, value), decode)
+    return _field(*_by_key(key, value), key, value)
 
 
-def values_by_key(value: Field) -> Field:
-    """A count, then the values of a mapping in ascending key order; only written.
-
-    For a table of records that each hold their own key.
+def values_by_key(value: Field, key: str) -> Field:
+    """A count, then the values of a mapping in ascending key order, for a
+    table of records that each hold their own key, the attribute ``key``;
+    decoding rejects keys out of order or repeated, as :func:`sorted_map` does.
     """
-    return _field(_by_key(None, value), None)
+    return _field(*_by_key(key, value), value)
 
 
-def pair(first: Field, second: Field) -> Field:
-    """Two values back to back; decodes to a 2-tuple."""
+def tuple_of(*inners: Field) -> Field:
+    """The values back to back; decodes to a tuple."""
 
     def source(s: _Source, v: str) -> list:
         items: list = []
         value = s.bind(v, items)
-        return [*items, *_items(s, first, f"{value}[0]"), *_items(s, second, f"{value}[1]")]
+        return [*items, *(item for i, inner in enumerate(inners) for item in _items(s, inner, f"{value}[{i}]"))]
 
-    return _field(source, lambda r: (first.decode(r), second.decode(r)))
+    def read_source(s: _Source, v: str) -> list:
+        values = [s.local() for _ in inners]
+        items = [item for inner, value in zip(inners, values) for item in _reads(s, inner, value)]
+        return [*items, f"{v} = ({', '.join(values)},)"]
+
+    return _field(source, read_source, *inners)
 
 
 def framed(inner: Field) -> Field:
@@ -522,13 +625,13 @@ def framed(inner: Field) -> Field:
         inner.encode(body, value)
         w.bytes_(body.getvalue())
 
-    def decode(r: Reader):
-        body = Reader(r.bytes_())
-        value = inner.decode(body)
-        body.require_end()
-        return value
+    def read_source(s: _Source, v: str) -> list:
+        body, end = s.local(), s.local()
+        trailing = f"raise CodecError(f'{{len({body}) - {end}}} trailing bytes in frame')"
+        return [*_read_bytes(s, body), f"{v}, {end} = {s.const(inner.read)}({body}, 0)", f"if {end} != len({body}): {trailing}"]
 
-    return Field(encode, decode)
+    read = _lazy(lambda: _compile_read(read_source))
+    return Field(encode, decoder(read), None, read, read_source)
 
 
 # the tag byte and codec of each type a tagged value may have
@@ -536,14 +639,8 @@ _VALUE_TAGS = {int: (1, U64), bytes: (2, BYTES), bool: (3, BOOL), str: (4, TEXT)
 
 
 def tagged_value(*types: type) -> Field:
-    """A value of one of ``types`` after its tag byte: 1 int, 2 bytes, 3 bool, 4 str.
-
-    Its JSON form is a mapping of two keys, ``type`` (the type's name) and
-    ``value``, that a record spreads into its own (``wire(..., doc="*")``).
-    """
+    """A value of one of ``types`` after its tag byte: 1 int, 2 bytes, 3 bool, 4 str."""
     by_type = {t: _VALUE_TAGS[t] for t in types}
-    by_tag = dict(by_type.values())
-    by_name = {t.__name__: codec for t, (_, codec) in by_type.items()}
 
     def source(s: _Source, v: str) -> list:
         items: list = []
@@ -551,39 +648,25 @@ def tagged_value(*types: type) -> Field:
         cases = [(t, [_Pack("B", str(tag)), *_items(s, codec, value)]) for t, (tag, codec) in by_type.items()]
         return items + s.by_type(value, cases, f"raise CodecError('unsupported value type ' + type({value}).__name__)")
 
-    def decode(r: Reader):
-        tag = r.u8()
-        if tag not in by_tag:
-            raise CodecError(f"unknown value tag {tag}")
-        return by_tag[tag].decode(r)
+    def read_source(s: _Source, v: str) -> list:
+        tag = s.local()
+        cases = [(f"{tag} == {t}", _reads(s, codec, v)) for t, codec in by_type.values()]
+        return [_Unpack("B", tag), *s.branches(cases, f"raise CodecError(f'unknown value tag {{{tag}}}')")]
 
-    def to_doc(value) -> dict:
-        return {"type": type(value).__name__, "value": by_type[type(value)][1].to_doc(value)}
-
-    def from_doc(doc: dict):
-        name = doc["type"]
-        if type(name) is not str or name not in by_name:
-            raise CodecError(f"unknown value type {name!r}")
-        return by_name[name].from_doc(doc["value"])
-
-    return _field(source, decode, to_doc, from_doc)
+    return _field(source, read_source)
 
 
 # --- records and unions ----------------------------------------------------------
 
 
-def wire(codec: Field, *, when: tuple[str, Any] | None = None, doc: str | None = "", **kwargs) -> Any:
+def wire(codec: Field, *, when: tuple[str, Any] | None = None, **kwargs) -> Any:
     """A dataclass field written and read by ``codec``.
 
     ``when=(name, value)`` puts the field on the wire only while the earlier
     field ``name`` equals ``value``; otherwise it is not written and decodes
-    as ``None``.  ``doc`` is the field's key in the record's JSON form, by
-    default the field's own name; ``doc=None`` leaves the field out, so it
-    loads as its default, and ``doc="*"`` spreads the value's JSON form, a
-    mapping, into the record's.  Other keyword arguments go to
-    :func:`dataclasses.field`.
+    as ``None``.  Other keyword arguments go to :func:`dataclasses.field`.
     """
-    return dataclasses.field(metadata={"codec": codec, "when": when, "doc": doc}, **kwargs)
+    return dataclasses.field(metadata={"codec": codec, "when": when}, **kwargs)
 
 
 def wire_record(cls: type | None = None, *, frozen: bool = True):
@@ -604,43 +687,27 @@ def wire_record(cls: type | None = None, *, frozen: bool = True):
     return make if cls is None else make(cls)
 
 
-def _generate(cls: type, tag: int | None = None, kind: str | None = None, whole: bool = True) -> Field:
+def _generate(cls: type, tag: int | None = None, whole: bool = True) -> Field:
     """The codec of the dataclass ``cls``, from the codecs of its fields.
 
-    Its functions are generated as source, as ``dataclasses`` generates
-    ``__init__``, so a described record codes as fast as a hand-written
-    one: the encoder holds each field's own source (see :class:`_Source`),
-    and the decoder one statement per field.  With ``tag`` the encoder
-    writes it first.  Unless ``whole`` is false, every field must have a
-    codec that decodes; a record with a field outside its codec has no
-    decoder and no JSON form, and one with a field only written has no
-    decoder.  Otherwise it has a JSON form (see :func:`_doc_source`) when
-    every field's value has one and none depends on another.
+    Its encoder and decoder are generated as source, as ``dataclasses``
+    generates ``__init__``, so a described record codes as fast as a
+    hand-written one: each holds every field's own source (see
+    :class:`_Source`).  With ``tag`` the encoder writes it first, and the
+    decoder reads the fields after it, which the union has read.  Unless
+    ``whole`` is false, every field must have a codec that decodes; a record
+    with a field outside its codec, or one only written, has no decoder.
     """
     every = dataclasses.fields(cls)
     fields = [f for f in every if "codec" in f.metadata]
-    coded = len(fields) == len(every)
-    decodes = coded and all(f.metadata["codec"].decode is not None for f in fields)
+    decodes = len(fields) == len(every) and all(f.metadata["codec"].read is not None for f in fields)
     if whole and not decodes:
         raise TypeError(f"every field of {cls.__name__} needs a codec that decodes")
     names = [f.name for f in fields]
-    env: dict[str, Any] = {"cls": cls, "CodecError": CodecError, "U64_MAX": U64_MAX, "is_utf8": is_utf8, "name": cls.__name__}
-    decode = ["def decode(r):"]
     for i, f in enumerate(fields):
-        codec, when = f.metadata["codec"], f.metadata["when"]
-        env[f"d{i}"], env[f"t{i}"], env[f"f{i}"] = codec.decode, codec.to_doc, codec.from_doc
-        if when is None:
-            decode.append(f"    v{i} = d{i}(r)")
-            continue
-        if when[0] not in names[:i]:
+        when = f.metadata["when"]
+        if when is not None and when[0] not in names[:i]:
             raise TypeError(f"{cls.__name__}.{f.name} depends on no earlier field")
-        env[f"on{i}"] = when[1]
-        decode.append(f"    v{i} = d{i}(r) if v{names.index(when[0])} == on{i} else None")
-    decode.append(f"    return cls({', '.join(f'v{i}' for i in range(len(fields)))})")
-    source = decode if decodes else []
-    if coded and all(f.metadata["codec"].to_doc is not None and f.metadata["when"] is None for f in fields):
-        source += _doc_source(fields, kind)
-    exec("\n".join(source), env)
 
     def encoder(s: _Source, v: str) -> list:
         items: list = []
@@ -659,52 +726,26 @@ def _generate(cls: type, tag: int | None = None, kind: str | None = None, whole:
             items += written
         return items
 
-    return _field(encoder, env.get("decode"), env.get("to_doc"), env.get("from_doc"))
+    def reader(s: _Source, v: str) -> list:
+        values = [s.local() for _ in fields]
+        items: list = []
+        for f, value in zip(fields, values):
+            codec, when = f.metadata["codec"], f.metadata["when"]
+            read = _reads(s, codec, value)
+            if when is not None:
+                read = s.branches([(f"{values[names.index(when[0])]} == {s.const(when[1])}", read)], f"{value} = None")
+            items += read
+        return [*items, f"{v} = {s.const(cls)}({', '.join(values)})"]
 
-
-def _doc_source(fields: list[dataclasses.Field], kind: str | None) -> list[str]:
-    """Source of ``to_doc`` and ``from_doc`` for a record of ``fields``.
-
-    The JSON form is a mapping with one key per field (see :func:`wire`),
-    plus ``"kind": kind`` for a union member.  The loader's CodecError
-    names the key it was reading.
-    """
-    to_doc = [] if kind is None else [f"'kind': {kind!r}"]
-    load, loaded = [], []
-    for i, f in enumerate(fields):
-        codec, key = f.metadata["codec"], f.metadata["doc"]
-        if key is None:
-            continue
-        key = key or f.name
-        value = f"obj.{f.name}" if codec.to_doc is _same else f"t{i}(obj.{f.name})"
-        check = getattr(codec.from_doc, "check", None)
-        to_doc.append(f"**{value}" if key == "*" else f"{key!r}: {value}")
-        if key == "*":
-            load.append(f"        at = {f.name!r}; v{i} = f{i}(doc)")
-        elif check is None:
-            load.append(f"        at = {key!r}; v{i} = f{i}(doc[{key!r}])")
-        else:
-            load.append(f"        at = {key!r}; v = v{i} = doc[{key!r}]")
-            load.append(f"        if not ({check}): f{i}(v)")
-        loaded.append(f"{f.name}=v{i}")
-    source = ["def to_doc(obj):", f"    return {{{', '.join(to_doc)}}}", "def from_doc(doc):"]
-    if load:
-        source += [
-            "    try:",
-            *load,
-            "    except (CodecError, LookupError, TypeError, ValueError) as exc:",
-            "        raise CodecError(f'{name} {at}: {exc if type(exc) is CodecError else repr(exc)}') from None",
-        ]
-    return source + [f"    return cls({', '.join(loaded)})"]
+    return _field(encoder, reader if decodes else None)
 
 
 class Tagged:
     """A union of wire records told apart by a leading tag byte.
 
     Usable as a :class:`Field`: ``encode`` writes the member's tag, then its
-    fields; ``decode`` reads the tag and the fields of the member it names.
-    In JSON a member is a mapping of its fields plus ``kind``, its class name
-    in snake case.
+    fields; ``read`` and ``decode`` read the tag and the fields of the member
+    it names.
     """
 
     def __init__(self, name: str):
@@ -712,16 +753,18 @@ class Tagged:
         self.by_tag: dict[int, type] = {}
         self._encoders: dict[type, Callable[[Writer, Any], None]] = {}
         self._sources: dict[type, Callable[[_Source, str], list]] = {}
-        self._decoders: dict[int, Callable[[Reader], Any]] = {}
-        self._to_docs: dict[type, Callable[[Any], dict]] = {}
-        self._from_docs: dict[str, Callable[[dict], Any]] = {}
+        # each member's fields, read after its tag
+        self._reads: dict[int, Callable[[bytes, int], tuple[Any, int]]] = {}
+        self._read_sources: dict[int, Callable[[_Source, str], list]] = {}
+        self.read = _lazy(lambda: _compile_read(self.read_source))
+        self.decode = decoder(self.read)
 
     def member(self, tag: int) -> Callable[[type], type]:
         """Class decorator: make the class a frozen dataclass with ``TAG``.
 
         Its fields are declared with :func:`wire`, as for :func:`wire_record`.
         A member without fields has one value, so it has one instance: every
-        construction, decode and load returns it.
+        construction and decode returns it.
         """
 
         def register(cls: type) -> type:
@@ -733,11 +776,9 @@ class Tagged:
                 cls.__new__ = staticmethod(lambda _cls: only)
             cls.TAG = tag
             self.by_tag[tag] = cls
-            kind = re.sub(r"(?<!^)(?=[A-Z])", "_", cls.__name__).lower()
-            codec = _generate(cls, tag, kind)
-            self._encoders[cls], self._sources[cls], self._decoders[tag] = codec.encode, codec.source, codec.decode
-            if codec.to_doc is not None:
-                self._to_docs[cls], self._from_docs[kind] = codec.to_doc, codec.from_doc
+            codec = _generate(cls, tag)
+            self._encoders[cls], self._sources[cls] = codec.encode, codec.source
+            self._reads[tag], self._read_sources[tag] = codec.read, codec.read_source
             return cls
 
         return register
@@ -756,22 +797,16 @@ class Tagged:
         cases = [(cls, source(s, value)) for cls, source in self._sources.items()]
         return items + s.by_type(value, cases, f"{s.const(self.encode)}(w, {value})")
 
-    def decode(self, r: Reader):
-        return self.decode_member(r.u8(), r)
+    def read_source(self, s: _Source, v: str) -> list:
+        """The tag, then the fields of the member it names, chosen in place among
+        the members declared so far; any other tag goes through ``read_member``."""
+        tag = s.local()
+        cases = [(f"{tag} == {t}", source(s, v)) for t, source in self._read_sources.items()]
+        return [_Unpack("B", tag), *s.branches(cases, f"{v}, p = {s.const(self.read_member)}({tag}, d, p)")]
 
-    def decode_member(self, tag: int, r: Reader):
-        """The member ``tag``, whose tag byte was already read."""
-        decode = self._decoders.get(tag)
-        if decode is None:
+    def read_member(self, tag: int, data: bytes, pos: int) -> tuple[Any, int]:
+        """The member ``tag`` at ``pos``, whose tag byte was already read, and the position after it."""
+        read = self._reads.get(tag)
+        if read is None:
             raise CodecError(f"unknown {self.name} tag {tag}")
-        return decode(r)
-
-    def to_doc(self, value) -> dict:
-        return self._to_docs[type(value)](value)
-
-    def from_doc(self, doc):
-        try:
-            from_doc = self._from_docs[doc["kind"]]
-        except (KeyError, TypeError):  # no kind, an unknown one, or no mapping
-            raise CodecError(f"no known {self.name} kind in {doc!r}") from None
-        return from_doc(doc)
+        return read(data, pos)

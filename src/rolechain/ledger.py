@@ -34,22 +34,23 @@ from .codec import (
     BOOL,
     BYTES,
     TEXT,
+    U32,
     U64,
     Writer,
     enum,
     none_as,
     optional,
-    pair,
     seq_of,
     set_of,
     sorted_map,
     tagged_value,
     text_enum,
+    tuple_of,
     values_by_key,
     wire,
     wire_record,
 )
-from .errors import InvalidKey, TxError
+from .errors import CodecError, InvalidKey, TxError
 from .keys import derive_account_id, get_scheme
 from .payloads import (
     POLICY_VALUE,
@@ -82,13 +83,12 @@ class Authority(Enum):
 
 @wire_record(frozen=False)
 class Account:
-    account_id: bytes = wire(BYTES, doc="id")
-    public_key: bytes = wire(BYTES, doc="key")
+    account_id: bytes = wire(BYTES)
+    public_key: bytes = wire(BYTES)
     roles: frozenset[Role] = wire(set_of(enum(Role)), default_factory=frozenset)
     balance: int = wire(U64, default=0)
     frozen: bool = wire(BOOL, default=False)
-    # every account starts at nonce 0, so the genesis doc leaves it out
-    nonce: int = wire(U64, default=0, doc=None)
+    nonce: int = wire(U64, default=0)
     provider: bytes | None = wire(optional(BYTES), default=None)
     recovery: RecoveryPolicy = wire(RECOVERY, default_factory=ProviderOnly)
 
@@ -117,11 +117,11 @@ Account.roles = property(attrgetter("_roles"), _set_roles)
 @wire_record(frozen=False)
 class Policy:
     key: str = wire(TEXT)
-    value: int | bytes = wire(POLICY_VALUE, doc="*")
+    value: int | bytes = wire(POLICY_VALUE)
     permanence: Permanence = wire(enum(Permanence))
     expiry_height: int | None = wire(none_as(U64, 0))
-    set_by: bytes = wire(BYTES, default=ZERO_ID, doc=None)
-    set_at: int = wire(U64, default=0, doc=None)
+    set_by: bytes = wire(BYTES, default=ZERO_ID)
+    set_at: int = wire(U64, default=0)
 
 
 def new_policy(
@@ -213,7 +213,7 @@ class AllowanceLedger:
     """Per-account, per-rule record of accrued-but-unclaimed periods."""
 
     last_claimed_period: int = wire(U64, default=0)
-    accrued: list[tuple[int, int]] = wire(seq_of(pair(U64, U64)), default_factory=list)
+    accrued: list[tuple[int, int]] = wire(seq_of(tuple_of(U64, U64)), default_factory=list)
 
     def unclaimed_total(self) -> int:
         return sum(a for p, a in self.accrued if p > self.last_claimed_period)
@@ -369,35 +369,61 @@ class LedgerState:
 
     # -- digest ----------------------------------------------------------------
 
-    def digest(self) -> bytes:
-        """SHA-256 over a canonical encoding of the entire state.
-
-        Each record is written by the encoder its field declarations generate.
-        """
+    def encode(self) -> bytes:
+        """The canonical encoding of the entire state, each record written by the encoder its fields declare."""
         w = Writer()
-        w.text(self.scheme)
-        w.u64(self.height)
-        w.u64(self.supply.minted)
-        w.u64(self.supply.burned)
-        _ACCOUNTS.encode(w, self.accounts)
-        _POLICIES.encode(w, self.policies)
-        _PROPOSALS.encode(w, self.proposals)
-        _INTEREST_RULES.encode(w, self.interest_rules)
-        _ALLOWANCES.encode(w, self.allowances)
-        _REGISTRY.encode(w, self.validator_registry)
-        _LOG.encode(w, self.tx_log)
-        return hashlib.sha256(w.getvalue()).digest()
+        head = (self.scheme, self.height, self.supply.minted, self.supply.burned)
+        tables = (self.accounts, self.policies, self.proposals, self.interest_rules, self.allowances, self.validator_registry)
+        _STATE.encode(w, (*head, *tables, self.tx_log))
+        return w.getvalue()
+
+    def digest(self) -> bytes:
+        """SHA-256 over :meth:`encode`."""
+        return hashlib.sha256(self.encode()).digest()
 
 
 # each table's records in key order; each record holds its own key
-_ACCOUNTS = values_by_key(Account.FIELDS)
-_POLICIES = values_by_key(Policy.FIELDS)
-_PROPOSALS = values_by_key(Proposal.FIELDS)
-_INTEREST_RULES = values_by_key(InterestRule.FIELDS)
-_REGISTRY = values_by_key(ValidatorRecord.FIELDS)
+_ACCOUNTS = values_by_key(Account.FIELDS, "account_id")
+_POLICIES = values_by_key(Policy.FIELDS, "key")
+_REGISTRY = values_by_key(ValidatorRecord.FIELDS, "account")
+_PROPOSALS = values_by_key(Proposal.FIELDS, "proposal_id")
+_INTEREST_RULES = values_by_key(InterestRule.FIELDS, "rule_id")
 # account id -> rule id -> ledger, keys written
 _ALLOWANCES = sorted_map(BYTES, sorted_map(U64, AllowanceLedger.FIELDS))
-_LOG = seq_of(LogEntry.FIELDS)
+_TABLES = (_ACCOUNTS, _POLICIES, _PROPOSALS, _INTEREST_RULES, _ALLOWANCES, _REGISTRY)
+_STATE = tuple_of(TEXT, U64, U64, U64, *_TABLES, seq_of(LogEntry.FIELDS))
+# the encoding of a height-0 state: its proposals, interest rules,
+# allowances and log are empty, each a zero count
+_GENESIS = tuple_of(TEXT, U64, U64, U64, _ACCOUNTS, _POLICIES, U32, U32, U32, _REGISTRY, U32)
+
+
+def read_genesis(data: bytes, pos: int = 0) -> tuple[LedgerState, int]:
+    """The height-0 state encoded (see :meth:`LedgerState.encode`) at ``pos``
+    of ``data``, and the position after it.
+
+    A state no genesis holds is a CodecError too: an unknown scheme; a
+    height, burned supply, proposal, interest rule, allowance or log entry;
+    minted supply not the balances' sum; a nonce or a policy's setter off
+    its default; or an expiry height exactly when a policy is not timed.
+    """
+    (scheme, height, minted, burned, accounts, policies, *empty, registry, log), pos = _GENESIS.read(data, pos)
+    try:
+        get_scheme(scheme)
+    except InvalidKey as exc:
+        raise CodecError(str(exc)) from None
+    if height or burned or any(empty) or log:
+        raise CodecError("a genesis state has no height, burned supply, proposals, interest rules, allowances or log")
+    if minted != sum(acct.balance for acct in accounts.values()):
+        raise CodecError(f"minted supply {minted} is not the sum of the balances")
+    if any(acct.nonce for acct in accounts.values()):
+        raise CodecError("a genesis account's nonce is not 0")
+    for policy in policies.values():
+        if policy.set_by != ZERO_ID or policy.set_at:
+            raise CodecError(f"genesis policy {policy.key!r} was set by a transaction")
+        if (policy.expiry_height is None) == (policy.permanence is Permanence.TIMED_EXPIRATION):
+            raise CodecError(f"policy {policy.key!r}: expiry_height is set exactly when it is timed_expiration")
+    state = LedgerState(scheme, accounts, policies, supply=SupplyCounters(minted), validator_registry=registry)
+    return state, pos
 
 
 # --- security feature gate -----------------------------------------------------

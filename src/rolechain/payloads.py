@@ -22,16 +22,18 @@ from .codec import (
     BYTES,
     TEXT,
     U64,
-    Reader,
+    Field,
     Tagged,
     Writer,
+    decoder,
     enum,
     framed,
     optional,
-    pair,
     seq_of,
     set_of,
     tagged_value,
+    tuple_of,
+    whole,
     wire,
     wire_record,
 )
@@ -165,10 +167,7 @@ def encode_query(query: Query) -> bytes:
 
 
 def decode_query(data: bytes) -> Query:
-    r = Reader(data)
-    query = QUERY.decode(r)
-    r.require_end()
-    return query
+    return whole(QUERY.read, data)
 
 
 @wire_record
@@ -275,7 +274,7 @@ class RotateKey(Payload):
     target: bytes = wire(BYTES)
     new_key: bytes = wire(BYTES)
     # (approver account id, signature over the rotation request)
-    approvals: tuple[tuple[bytes, bytes], ...] = wire(seq_of(pair(BYTES, BYTES)))
+    approvals: tuple[tuple[bytes, bytes], ...] = wire(seq_of(tuple_of(BYTES, BYTES)))
 
 
 @payload_kind(0x06, "set_policy", electorate=Role.PLATFORM_MANAGER)
@@ -311,7 +310,7 @@ class BootstrapValidators(Payload):
 
 @payload_kind(0x0A, "create_proposal")
 class CreateProposal(Payload):
-    # encode_payload and decode_payload take this layout directly (see there)
+    # encode_payload and read_payload take this layout directly (see there)
     action: Payload = wire(framed(PAYLOAD))
     electorate: Role = wire(enum(Role))
 
@@ -391,15 +390,22 @@ def encode_payload(w: Writer, payload: Payload) -> None:
         PAYLOAD.encode(w, payload)
 
 
-def decode_payload(r: Reader) -> Payload:
-    tag = r.u8()
-    if tag == CreateProposal.TAG:
-        # direct recursion, as in encode_payload
-        inner = Reader(r.bytes_())
-        action = decode_payload(inner)
-        inner.require_end()
-        return CreateProposal(action, r.enum(Role))
-    return PAYLOAD.decode_member(tag, r)
+def read_payload(data: bytes, pos: int) -> tuple[Payload, int]:
+    """The payload at ``pos`` of ``data`` and the position after it."""
+    if data[pos : pos + 1] != _PROPOSAL_TAG:
+        return PAYLOAD.read(data, pos)
+    # direct recursion, one stack frame per level, as in encode_payload
+    body, pos = BYTES.read(data, pos + 1)
+    action, end = read_payload(body, 0)
+    if end != len(body):
+        raise CodecError(f"{len(body) - end} trailing bytes in frame")
+    electorate, pos = _ELECTORATE.read(data, pos)
+    return CreateProposal(action, electorate), pos
+
+
+decode_payload = decoder(read_payload)
+_PROPOSAL_TAG = bytes([CreateProposal.TAG])
+_ELECTORATE = enum(Role)
 
 
 # --- transaction envelope -----------------------------------------------------
@@ -467,21 +473,18 @@ def tx_signing_bytes(sender: bytes, nonce: int, payload: Payload) -> bytes:
     return w.getvalue()
 
 
+# a transaction after its prefix: sender, nonce, payload, signature
+_ENVELOPE = tuple_of(BYTES, U64, Field(encode_payload, decode_payload, None, read_payload), BYTES)
+
+
 def decode_transaction(data: bytes) -> Transaction:
-    r = Reader(data)
-    prefix = r.fixed(3)
-    if prefix != b"tx:":
+    if data[:3] != b"tx:":
         raise CodecError("missing transaction prefix")
-    sender = r.bytes_()
-    nonce = r.u64()
     try:
-        payload = decode_payload(r)
+        tx = Transaction(*whole(_ENVELOPE.read, data, 3))
     except RecursionError:
         # proposals nest, so a hostile frame can nest deeper than the stack
         raise CodecError("payload nested too deeply") from None
-    signature = r.bytes_()
-    r.require_end()
-    tx = Transaction(sender, nonce, payload, signature)
     # every decoder is strict, so a frame that decodes is its own encoding
     object.__setattr__(tx, "_encoded", data)
     return tx

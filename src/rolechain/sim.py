@@ -271,6 +271,9 @@ def parse_scenario(raw: dict, default_name: str = "scenario") -> Scenario:
     if sum([actor.balance for actor in actors]) > U64_MAX:
         raise ScenarioError("actors: balances sum past 2**64-1")
     policies = [check(entry, POLICY_ENTRY, "policy", declared) for entry in top.get("policies", ())]
+    # the genesis writes a policy with no expiry height as one of 0
+    if any(p.get("permanence") is Permanence.TIMED_EXPIRATION and not p["expiry_height"] for p in policies):
+        raise ScenarioError("policy: a timed genesis policy's expiry_height must be at least 1")
 
     ticks = top["ticks"]
     steps: list[Step] = []
@@ -613,7 +616,7 @@ class Simulation:
                     contact=f"ops@{name}",
                 )
 
-        self.genesis_doc = genesis_doc(self.state, dict(self.ids))
+        self.genesis = genesis_doc(self.state, dict(self.ids))
 
     # -- gateway machinery, built on first need (see the module docstring) ----------
 
@@ -902,7 +905,7 @@ class Simulation:
         )
 
     def export(self) -> bytes:
-        return export_chain(self.chain, self.genesis_doc)
+        return export_chain(self.chain, self.genesis)
 
 
 # --- assert steps ----------------------------------------------------------------------

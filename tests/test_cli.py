@@ -1,14 +1,19 @@
 from __future__ import annotations
 
+import dataclasses
 import json
+import struct
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
-from rolechain.chain import Chain, export_chain, genesis_block, import_chain
+from rolechain import ledger
+from rolechain.chain import Chain, decode_genesis, export_chain, genesis_block, import_chain
 from rolechain.cli import main
+from rolechain.codec import TEXT, Writer
 from rolechain.errors import InvalidBlock
+from rolechain.payloads import Permanence
 from rolechain.sim import Simulation
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
@@ -193,78 +198,165 @@ def test_verify_detects_tampering(runner, dump_path, tmp_path):
     assert "verification failed" in result.output
 
 
-def _set(*path_and_value):
-    *parents, last, value = path_and_value
+def _encoded(codec, value) -> bytes:
+    w = Writer()
+    codec.encode(w, value)
+    return w.getvalue()
 
-    def mutate(doc):
-        target = doc
-        for key in parents:
-            target = target[key]
-        target[last] = value
-        return doc
+
+def _at(genesis: bytes, record, field: str) -> int:
+    """Where ``field`` of ``record``, a genesis account, policy or validator record, lies in ``genesis``."""
+    fields = [f for f in dataclasses.fields(record) if "codec" in f.metadata]
+    before = fields[: [f.name for f in fields].index(field)]
+    start = genesis.index(_encoded(type(record).FIELDS, record))
+    return start + sum(len(_encoded(f.metadata["codec"], getattr(record, f.name))) for f in before)
+
+
+def _put(pick, field: str, new: bytes, skip: int = 0, cut: int | None = None):
+    """Overwrite ``field`` of the record ``pick(state)`` with ``new``, ``skip``
+    bytes into it, or replace ``cut`` bytes there with ``new``."""
+
+    def mutate(genesis: bytes, state) -> bytes:
+        at = _at(genesis, pick(state), field) + skip
+        return genesis[:at] + new + genesis[at + (len(new) if cut is None else cut) :]
 
     return mutate
 
 
-def _drop(*path):
-    def mutate(doc):
-        target = doc
-        for key in path[:-1]:
-            target = target[key]
-        del target[path[-1]]
-        return doc
+def _twice(table: str, pick):
+    """The record ``pick(state)`` of ``table`` listed twice in a row, the table's count one more."""
+
+    def mutate(genesis: bytes, state) -> bytes:
+        record = pick(state)
+        at = genesis.index(_encoded(type(record).FIELDS, record))
+        size = len(_encoded(type(record).FIELDS, record))
+        records = getattr(state, table)
+        count_at = genesis.index(struct.pack(">I", len(records)) + _encoded(type(record).FIELDS, min(records.items())[1]))
+        count = struct.pack(">I", len(records) + 1)
+        out = genesis[: at + size] + genesis[at : at + size] + genesis[at + size :]
+        return out[:count_at] + count + out[count_at + 4 :]
 
     return mutate
 
 
+def _header(offset: int, new: bytes):
+    """``new`` written ``offset`` bytes past the scheme, into the height (0), minted (8) or burned (16) supply or the counts after."""
+
+    def mutate(genesis: bytes, state) -> bytes:
+        at = 4 + len(state.scheme) + offset
+        return genesis[:at] + new + genesis[at + len(new) :]
+
+    return mutate
+
+
+def _empty_table(n: int):
+    """Table ``n`` of the proposals (0), interest rules (1), allowances (2) and log (3) given a count of 1."""
+
+    def mutate(genesis: bytes, state) -> bytes:
+        registry = _encoded(ledger._REGISTRY, state.validator_registry)
+        start = genesis.index(registry)
+        at = start - 12 + 4 * n if n < 3 else start + len(registry)
+        return genesis[:at] + struct.pack(">I", 1) + genesis[at + 4 :]
+
+    return mutate
+
+
+def _first(table: str, where=lambda record: True):
+    return lambda state: next(r for _, r in sorted(getattr(state, table).items()) if where(r))
+
+
+FIRST_ACCOUNT = _first("accounts")
+PERMANENT_POLICY = _first("policies", lambda p: p.permanence is Permanence.PERMANENT)
+
+# each a mutation of a genesis and the reason verify must give, if one alone
+# applies (a balance missing or written as text shifts every later field)
 GENESIS_MUTATIONS = {
-    "unchanged": lambda doc: doc,
-    "unknown_role": _set("accounts", 0, "roles", ["archmage"]),
-    "unknown_permanence": _set("policies", 0, "permanence", "forever"),
-    "unknown_recovery_kind": _set("accounts", 0, "recovery", "kind", "wizard"),
-    "missing_balance": _drop("accounts", 0, "balance"),
-    "string_balance": _set("accounts", 0, "balance", "100"),
-    "balance_over_u64": _set("accounts", 0, "balance", 2**64),
-    "bad_hex_key": _set("accounts", 0, "key", "zz"),
-    "unknown_policy_type": _set("policies", 0, "type", "float"),
-    "unknown_scheme": _set("scheme", "rsa"),
-    "registry_not_a_list": _set("registry", {}),
-    "name_not_hex": _set("names", "alice", "not hex"),
-    "doc_not_an_object": lambda doc: [doc],
-    "account_listed_twice": lambda doc: {**doc, "accounts": doc["accounts"] + doc["accounts"][:1]},
-    "policy_listed_twice": lambda doc: {**doc, "policies": doc["policies"] + doc["policies"][-1:]},
-    "validator_listed_twice": lambda doc: {**doc, "registry": doc["registry"] + doc["registry"][:1]},
-    # policy 0 is permanent, with no expiry
-    "timed_policy_without_expiry": _set("policies", 0, "permanence", "timed_expiration"),
-    "permanent_policy_with_expiry": _set("policies", 0, "expiry_height", 7),
+    "unchanged": (lambda genesis, state: genesis, None),
+    "unknown_role": (_put(_first("accounts", lambda a: a.roles), "roles", b"\x7f", skip=4), "unknown Role value 127"),
+    "unknown_permanence": (_put(PERMANENT_POLICY, "permanence", b"\x7f"), "unknown Permanence value 127"),
+    "unknown_recovery_kind": (_put(FIRST_ACCOUNT, "recovery", b"\x7f"), "unknown recovery tag 127"),
+    "missing_balance": (_put(FIRST_ACCOUNT, "balance", b"", cut=8), None),
+    "string_balance": (_put(FIRST_ACCOUNT, "balance", _encoded(TEXT, "100"), cut=8), None),
+    "balance_over_u64": (
+        _put(_first("accounts", lambda a: not a.balance), "balance", struct.pack(">Q", 2**64 - 1)),
+        "is not the sum of the balances",
+    ),
+    "unknown_policy_type": (_put(PERMANENT_POLICY, "value", b"\x7f"), "unknown value tag 127"),
+    "unknown_scheme": (_header(-1, b"x"), "unknown signature scheme: 'mocx'"),
+    "account_listed_twice": (_twice("accounts", FIRST_ACCOUNT), "map keys not in strictly ascending order"),
+    "policy_listed_twice": (_twice("policies", PERMANENT_POLICY), "map keys not in strictly ascending order"),
+    "validator_listed_twice": (_twice("validator_registry", _first("validator_registry")), "map keys not in strictly ascending order"),
+    "timed_policy_without_expiry": (
+        _put(PERMANENT_POLICY, "permanence", bytes([Permanence.TIMED_EXPIRATION.value])),
+        "expiry_height is set exactly when it is timed_expiration",
+    ),
+    "permanent_policy_with_expiry": (
+        _put(PERMANENT_POLICY, "expiry_height", b"\x07", skip=7),
+        "expiry_height is set exactly when it is timed_expiration",
+    ),
+    "nonzero_height": (_header(7, b"\x01"), "a genesis state has no height"),
+    "nonzero_burned": (_header(23, b"\x01"), "a genesis state has no height, burned supply"),
+    "minted_differs": (_header(15, b"\x01"), "is not the sum of the balances"),
+    "nonzero_nonce": (_put(FIRST_ACCOUNT, "nonce", b"\x01", skip=7), "nonce is not 0"),
+    "policy_set_by": (_put(PERMANENT_POLICY, "set_by", b"\x01", skip=4), "was set by a transaction"),
+    "policy_set_at": (_put(PERMANENT_POLICY, "set_at", b"\x01", skip=7), "was set by a transaction"),
+    **{
+        f"{table}_not_empty": (_empty_table(n), "a genesis state has no height")
+        for n, table in enumerate(["proposals", "interest_rules", "allowances", "log"])
+    },
+    "name_not_utf8": (lambda genesis, state: genesis.replace(b"\x05alice", b"\x05\xfflice"), "invalid UTF-8 in text field"),
+    "truncated": (lambda genesis, state: genesis[:-1], "unexpected end of frame"),
+    "trailing_byte": (lambda genesis, state: genesis + b"\x00", "1 trailing bytes in frame"),
 }
+
+
+def _verify_mutated(runner, dump_path: Path, tmp_path: Path, mutate):
+    """``rolechain verify`` of the dump with its genesis mutated and pinned afresh."""
+    genesis, blocks = import_chain(dump_path.read_bytes())
+    state, _ = decode_genesis(genesis)
+    mutated = tmp_path / "mutated.bin"
+    mutated.write_bytes(export_chain(Chain([genesis_block(), *blocks]), mutate(genesis, state)))
+    return runner.invoke(main, ["verify", str(mutated)])
 
 
 @pytest.mark.parametrize("mutation", sorted(GENESIS_MUTATIONS))
 def test_verify_of_a_bad_genesis_doc_exits_one(runner, dump_path, tmp_path, mutation):
-    """The doc's digest is self-declared, so a re-exported bad doc must fail cleanly."""
-    doc, blocks = import_chain(dump_path.read_bytes())
-    mutated = tmp_path / "mutated.bin"
-    chain = Chain([genesis_block(), *blocks])
-    mutated.write_bytes(export_chain(chain, GENESIS_MUTATIONS[mutation](doc)))
-    result = runner.invoke(main, ["verify", str(mutated)])
+    """The genesis digest is self-declared, so a re-exported bad genesis must fail cleanly and say why."""
+    mutate, reason = GENESIS_MUTATIONS[mutation]
+    result = _verify_mutated(runner, dump_path, tmp_path, mutate)
     if mutation == "unchanged":
         assert result.exit_code == 0, result.output
         return
     assert isinstance(result.exception, SystemExit), result.exception
     assert result.exit_code == 1
-    assert "verification failed: genesis doc" in result.output
+    assert result.output.startswith("verification failed: genesis: "), result.output
+    assert reason is None or reason in result.output, result.output
 
 
 def test_verify_of_a_lone_surrogate_in_the_genesis_doc_exits_one(runner, dump_path, tmp_path):
-    """A JSON lone-surrogate escape loads as text with no UTF-8 form; the loader rejects it before the digest."""
-    doc, blocks = import_chain(dump_path.read_bytes())
-    doc["policies"][0]["key"] = "a\ud800"
-    mutated = tmp_path / "mutated.bin"
-    mutated.write_bytes(export_chain(Chain([genesis_block(), *blocks]), doc))
-    result = runner.invoke(main, ["verify", str(mutated)])
+    """A lone surrogate's bytes, which are not UTF-8, in place of the start of a policy key."""
+    surrogate = "\ud800".encode("utf-8", "surrogatepass")
+    result = _verify_mutated(runner, dump_path, tmp_path, _put(PERMANENT_POLICY, "key", surrogate, skip=4))
     assert result.exit_code == 1, result.output
-    assert result.output == "verification failed: genesis doc: Policy key: expected UTF-8 text, not 'a\\ud800'\n"
+    assert result.output == "verification failed: genesis: invalid UTF-8 in text field\n"
+
+
+def test_verify_of_a_flipped_genesis_byte_names_the_pin(runner, dump_path, tmp_path):
+    data = bytearray(dump_path.read_bytes())
+    data[5 + 4 + 10] ^= 1  # inside the genesis, after the magic, version and its length
+    bad = tmp_path / "flipped.bin"
+    bad.write_bytes(bytes(data))
+    result = runner.invoke(main, ["verify", str(bad)])
+    assert (result.exit_code, result.output) == (1, "verification failed: genesis digest mismatch\n")
+
+
+def test_verify_of_a_version_1_dump_exits_one(runner, dump_path, tmp_path):
+    data = bytearray(dump_path.read_bytes())
+    data[4] = 1
+    old = tmp_path / "v1.bin"
+    old.write_bytes(bytes(data))
+    result = runner.invoke(main, ["verify", str(old)])
+    assert (result.exit_code, result.output) == (1, "verification failed: unsupported dump version\n")
 
 
 def test_inspect_lists_blocks(runner, dump_path):

@@ -375,6 +375,20 @@ def test_text_with_a_lone_surrogate_is_a_codec_error():
             write()
 
 
+def test_a_value_of_the_wrong_type_is_a_codec_error():
+    for write, message in (
+        (lambda: Writer().bytes_("ab"), "expected bytes, not 'ab'"),
+        (lambda: written(BYTES.encode, "ab"), "expected bytes, not 'ab'"),
+        (lambda: written(BYTES.encode, 5), "wrong type"),
+        (lambda: Writer().text(b"ab"), "expected text, not b'ab'"),
+        (lambda: written(TEXT.encode, 5), "expected text, not 5"),
+        (lambda: written(Account.FIELDS.encode, Account(ID, ID, provider="p")), "expected bytes"),
+        (lambda: written(PAYLOAD.encode, SetPolicy("k", 1, 3)), "wrong type"),
+    ):
+        with pytest.raises(CodecError, match=message):
+            write()
+
+
 def test_no_compiled_encoder_calls_a_codec_that_has_source():
     """A record calls only a codec without source, or its union's encoder for a member declared later."""
     classes = RECORDS + [cls for _, cls in MEMBERS]
@@ -396,15 +410,16 @@ def test_no_compiled_encoder_calls_a_codec_that_has_source():
 
 
 def test_an_encoder_is_compiled_on_its_first_call():
-    """Importing the program compiles nothing; one transfer compiles its own encoder alone."""
+    """Importing the program compiles nothing, no decoder either; one transfer compiles its own encoder alone."""
     script = """
 import rolechain.codec as codec
-compiled = []
-original = codec._compile
+compiled, reads = [], []
+original, original_read = codec._compile, codec._compile_read
 codec._compile = lambda source: compiled.append(source) or original(source)
+codec._compile_read = lambda source: reads.append(source) or original_read(source)
 import rolechain.cli
 from rolechain.payloads import PAYLOAD, Transfer
-print(len(compiled))
+print(len(compiled) + len(reads))
 PAYLOAD.encode(codec.Writer(), Transfer(bytes(32), 1))
 PAYLOAD.encode(codec.Writer(), Transfer(bytes(32), 2))
 print(len(compiled))

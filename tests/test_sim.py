@@ -733,6 +733,14 @@ def test_timed_policy_without_expiry_is_a_load_error(where):
     run(parse_scenario(_malformed(**where)))
 
 
+def test_a_timed_genesis_policy_expiring_at_height_0_is_a_load_error():
+    """A genesis writes no expiry height as 0, so a timed one at 0 could not be told from one without."""
+    at_0 = {**TIMED, "expiry_height": 0}
+    with pytest.raises(ScenarioError, match="expiry_height must be at least 1"):
+        parse_scenario(_malformed(top={"policies": [at_0]}))
+    run(parse_scenario(_malformed(**_tx(kind="set_policy", **at_0))))  # a set_policy frame writes its expiry height as it is
+
+
 def _nested_proposal(depth: int) -> dict:
     action = {"kind": "cast_vote", "proposal": 1, "approve": True}
     for _ in range(depth):
