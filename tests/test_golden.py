@@ -4,7 +4,9 @@ Each bundled scenario is run at its own seed (and one of them again under
 ed25519).  Its state digest, head hash, full report JSON and the SHA-256
 of its chain dump were recorded from the code before the write path
 gained its caches; any change to wire bytes, digests or reports shows
-here first.
+here first.  The dump hashes, and the dump among the wire bytes, were
+recorded again when a dump's genesis became the state's own encoding
+(dump version 2); nothing else changed then.
 
 ``golden/wire_bytes.json`` holds the canonical bytes of every wire type:
 each payload, query, validator record, signed response, a block, a dump,
@@ -76,28 +78,28 @@ VECTORS = [
         None,
         "a5cf43cdbe22248672e1cb9f36c3a367daf60805e70b2798b3e0cb256d4bb9ae",
         "1d1bdb174e204cb478e1b0d2ec53bb36d94d5d5355bc8308c89078e84cc1986b",
-        "da77d59854f4e14b575504bd511aaa53710d46ab6ae45139f499689051313f49",
+        "4fe0a74b28302c211a52e512ffc7b1ecc2d9549b1969618ea5cd5fcf16536297",
     ),
     (
         "corrupt_gateway",
         None,
         "0f1a6849f84dd1f937d83214dc7385d15308e1332f959ef609749f36104c901d",
         "8f24b3a537135d0a6415c7920604700a03e7386755ae1e3f2a245129b48c83d5",
-        "f1440de12b74759b69902b1c4016af768ff27b0c4a6158125a5c87d5d5c47f58",
+        "88130a22d1a4974a709cea9f20c82779f64e0f9621810c893f9351be3460b2f0",
     ),
     (
         "interest_pull",
         None,
         "b3772868fa7e5664de2e3604105bca8a3d4076e2d57a86b320ed858a38f7884d",
         "46095d55bed650df6fdca81750a6144b314c7b8991eddb1056e6fd6bbc4a41ee",
-        "20e853d229374e8d558adf4d302e3527336ff09dbc037b539640a85e6a70c7ec",
+        "7fe167440e7e76418aa4d26c7ffd2dde74a0d5bacf6b75e8f6059df46c025b1b",
     ),
     (
         "bootstrap_and_transfer",
         "ed25519",
         "993084d80c325645a424e2ae6cd8905db66c619d1c0f4fd6bf3e42d036f5986c",
         "b7db56de86dcb28bc9f268e5919b02497324a8121466d1d805abe0f67e557459",
-        "60b8489f6b64c2dcfeb63d0ed2e620f15312f56c6f1118f003f0f2db3af07357",
+        "a13acb29157f8b2c383a9a1299b38d797ee8475a911c808fc33bd0d2f15db9f1",
     ),
 ]
 
