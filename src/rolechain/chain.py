@@ -61,8 +61,7 @@ def block_signing_bytes(
     return w.getvalue()
 
 
-# a block after its prefix, but for its signature: height, previous hash,
-# publisher, tick and each transaction's frame
+# a block between its prefix and signature: height, prev hash, publisher, tick, tx frames
 _BLOCK = tuple_of(U64, BYTES, BYTES, U64, seq_of(BYTES))
 
 

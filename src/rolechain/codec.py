@@ -735,7 +735,9 @@ def _generate(cls: type, tag: int | None = None, whole: bool = True) -> Field:
             if when is not None:
                 read = s.branches([(f"{values[names.index(when[0])]} == {s.const(when[1])}", read)], f"{value} = None")
             items += read
-        return [*items, f"{v} = {s.const(cls)}({', '.join(values)})"]
+        # a union member without fields has one instance
+        made = s.const(cls()) if not fields and tag is not None else f"{s.const(cls)}({', '.join(values)})"
+        return [*items, f"{v} = {made}"]
 
     return _field(encoder, reader if decodes else None)
 

@@ -392,8 +392,7 @@ _INTEREST_RULES = values_by_key(InterestRule.FIELDS, "rule_id")
 _ALLOWANCES = sorted_map(BYTES, sorted_map(U64, AllowanceLedger.FIELDS))
 _TABLES = (_ACCOUNTS, _POLICIES, _PROPOSALS, _INTEREST_RULES, _ALLOWANCES, _REGISTRY)
 _STATE = tuple_of(TEXT, U64, U64, U64, *_TABLES, seq_of(LogEntry.FIELDS))
-# the encoding of a height-0 state: its proposals, interest rules,
-# allowances and log are empty, each a zero count
+# a height-0 state, whose proposals, interest rules, allowances and log are empty (a zero count)
 _GENESIS = tuple_of(TEXT, U64, U64, U64, _ACCOUNTS, _POLICIES, U32, U32, U32, _REGISTRY, U32)
 
 
