@@ -222,9 +222,6 @@ def _not_bytes(value) -> None:
 
 
 def _not_utf8(text) -> None:
-    """Raise the CodecError for ``text`` that has no UTF-8 form, or for bytes read (``None``) that are not UTF-8."""
-    if text is None:
-        raise CodecError("invalid UTF-8 in text field") from None
     if not isinstance(text, str):
         raise CodecError(f"expected text, not {text!r}") from None
     raise CodecError(f"text is not UTF-8: {text!r}") from None
@@ -468,7 +465,7 @@ def _text(s: _Source, value: str) -> list:
 
 def _read_text(s: _Source, target: str) -> list:
     data = s.local()
-    decoded = ["try:", f"    {target} = {data}.decode()", "except UnicodeDecodeError:", "    _not_utf8(None)"]
+    decoded = ["try:", f"    {target} = {data}.decode()", "except UnicodeDecodeError:", "    raise CodecError('invalid UTF-8 in text field') from None"]
     return [*_read_bytes(s, data), *decoded]
 
 
