@@ -223,18 +223,15 @@ def _put(pick, field: str, new: bytes, skip: int = 0, cut: int | None = None):
     return mutate
 
 
-def _twice(table: str, pick):
-    """The record ``pick(state)`` of ``table`` listed twice in a row, the table's count one more."""
+def _twice(table: str):
+    """The first record of ``table`` listed twice in a row, the table's count one more."""
 
     def mutate(genesis: bytes, state) -> bytes:
-        record = pick(state)
-        at = genesis.index(_encoded(type(record).FIELDS, record))
-        size = len(_encoded(type(record).FIELDS, record))
         records = getattr(state, table)
-        count_at = genesis.index(struct.pack(">I", len(records)) + _encoded(type(record).FIELDS, min(records.items())[1]))
-        count = struct.pack(">I", len(records) + 1)
-        out = genesis[: at + size] + genesis[at : at + size] + genesis[at + size :]
-        return out[:count_at] + count + out[count_at + 4 :]
+        _, record = min(records.items())
+        first = _encoded(type(record).FIELDS, record)
+        at = genesis.index(first)  # just after the table's count
+        return genesis[: at - 4] + struct.pack(">I", len(records) + 1) + first + genesis[at:]
 
     return mutate
 
@@ -283,9 +280,10 @@ GENESIS_MUTATIONS = {
     ),
     "unknown_policy_type": (_put(PERMANENT_POLICY, "value", b"\x7f"), "unknown value tag 127"),
     "unknown_scheme": (_header(-1, b"x"), "unknown signature scheme: 'mocx'"),
-    "account_listed_twice": (_twice("accounts", FIRST_ACCOUNT), "map keys not in strictly ascending order"),
-    "policy_listed_twice": (_twice("policies", PERMANENT_POLICY), "map keys not in strictly ascending order"),
-    "validator_listed_twice": (_twice("validator_registry", _first("validator_registry")), "map keys not in strictly ascending order"),
+    **{
+        f"{name}_listed_twice": (_twice(table), "map keys not in strictly ascending order")
+        for name, table in [("account", "accounts"), ("policy", "policies"), ("validator", "validator_registry")]
+    },
     "timed_policy_without_expiry": (
         _put(PERMANENT_POLICY, "permanence", bytes([Permanence.TIMED_EXPIRATION.value])),
         "expiry_height is set exactly when it is timed_expiration",
