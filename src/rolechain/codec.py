@@ -37,9 +37,9 @@ Every codec's own ``encode`` and ``read(data, pos)``, a record's as a
 combinator's, is its source compiled on its first call, so every rule is
 written once and importing compiles nothing; its ``decode`` reads at a
 :class:`Reader`'s cursor.  A codec without source is called from a
-record's encoder or decoder instead.  :class:`Writer` and :class:`Reader`
-keep the primitives for the hand-written frames (transaction signing
-bytes, messages).
+record's encoder or decoder instead.  :class:`Writer` keeps the
+primitives for the hand-written frames (transaction signing bytes,
+messages), and :class:`Reader` those that read a frame field by field.
 """
 
 from __future__ import annotations
