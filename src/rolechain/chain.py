@@ -271,8 +271,8 @@ def export_chain(chain: Chain, genesis: bytes) -> bytes:
     return w.getvalue()
 
 
-def import_chain(data: bytes) -> tuple[bytes, list[Block]]:
-    """The genesis of a dump, its pin checked, and its blocks."""
+def import_chain(data: bytes) -> tuple[tuple[LedgerState, dict[str, bytes]], list[Block]]:
+    """The genesis of a dump, its pin checked, decoded by :func:`decode_genesis`; and its blocks."""
     if data[:4] != DUMP_MAGIC:
         raise CodecError("not a chain dump")
     if data[4:5] != bytes([DUMP_VERSION]):
@@ -280,13 +280,14 @@ def import_chain(data: bytes) -> tuple[bytes, list[Block]]:
     genesis, pin, blocks = whole(_DUMP.read, data, 5)
     if pin != hashlib.sha256(genesis).digest():
         raise CodecError("genesis digest mismatch")
-    return genesis, [decode_block(block) for block in blocks]
+    blocks = [decode_block(block) for block in blocks]
+    return decode_genesis(genesis), blocks
 
 
-def replay(genesis: bytes, blocks: list[Block]) -> tuple[Chain, LedgerState]:
-    """Rebuild state from a dump, re-validating every block and invariant
-    (a genesis decodes only to a state that conserves supply)."""
-    state, _ = decode_genesis(genesis)
+def replay(genesis: tuple[LedgerState, dict[str, bytes]], blocks: list[Block]) -> tuple[Chain, LedgerState]:
+    """Rebuild state from a decoded dump onto its genesis state, re-validating
+    every block and invariant (a genesis decodes only to a state that conserves supply)."""
+    state, _ = genesis
     chain = Chain()
     for block in blocks:
         append_block(chain, state, block, inactive=None)

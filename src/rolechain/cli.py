@@ -12,8 +12,8 @@ from pathlib import Path
 
 import click
 
-from .chain import decode_genesis, format_chain, import_chain, replay
-from .codec import Reader
+from .chain import format_chain, import_chain, replay
+from .codec import whole
 from .errors import InternalInvariantViolation, RolechainError, ScenarioError
 from .gateway import READS, authorize_query, compute_result
 from .payloads import (
@@ -80,7 +80,7 @@ def _load_dump(path: Path):
     except RolechainError as exc:
         click.echo(f"verification failed: {exc}", err=True)
         sys.exit(1)
-    return genesis, chain, state
+    return genesis[1], chain, state  # the names, then the replayed chain and state
 
 
 @main.command()
@@ -156,8 +156,10 @@ QUERIES = {
 @click.argument("argument", required=False)
 def query(dump_path: Path, as_actor: str, query_kind: str, argument: str | None):
     """Answer a read query under in-protocol visibility rules."""
-    genesis, chain, state = _load_dump(dump_path)
-    _, names = decode_genesis(genesis)  # decoded again, for its names
+    if argument is not None and query_kind != "validation-server":
+        click.echo(f"{query_kind} takes no argument", err=True)
+        sys.exit(1)
+    names, chain, state = _load_dump(dump_path)
 
     def resolve(label: str) -> bytes:
         if label in names:
@@ -186,7 +188,7 @@ def query(dump_path: Path, as_actor: str, query_kind: str, argument: str | None)
         sys.exit(1)
 
     id_names = {aid: name for name, aid in names.items()}
-    click.echo(render(READS[type(q)].answer.decode(Reader(result)), id_names))
+    click.echo(render(whole(READS[type(q)].answer.read, result), id_names))
 
 
 if __name__ == "__main__":

@@ -35,8 +35,8 @@ values (u64, bool, enum, a length or a count) is one precompiled
 errors become CodecError, and a length-prefixed value is sliced in place.
 Every codec's own ``encode`` and ``read(data, pos)``, a record's as a
 combinator's, is its source compiled on its first call, so every rule is
-written once and importing compiles nothing; its ``decode`` reads at a
-:class:`Reader`'s cursor.  A codec without source is called from a
+written once and importing compiles nothing; :func:`whole` reads a frame
+that must hold exactly one value.  A codec without source is called from a
 record's encoder or decoder instead.  :class:`Writer` keeps the
 primitives for the hand-written frames (transaction signing bytes,
 messages), and :class:`Reader` those that read a frame field by field.
@@ -154,13 +154,9 @@ class Reader:
     def count(self) -> int:
         return struct.unpack(">I", self._take(4))[0]
 
-    @property
-    def remaining(self) -> int:
-        return len(self._data) - self._pos
-
     def require_end(self) -> None:
         if self._pos != len(self._data):
-            raise CodecError(f"{self.remaining} trailing bytes in frame")
+            raise CodecError(f"{len(self._data) - self._pos} trailing bytes in frame")
 
 
 # --- field codecs ------------------------------------------------------------------
@@ -171,13 +167,11 @@ class Field(NamedTuple):
 
     ``encode`` is the encoder ``source`` writes, and ``read(data, pos)``,
     the value at ``pos`` and the position after it, the decoder
-    ``read_source`` writes (see :class:`_Source`); ``decode`` reads at a
-    :class:`Reader`'s cursor.  The decoding members are ``None`` for a
-    value only written, as into the state digest.
+    ``read_source`` writes (see :class:`_Source`).  The decoding members
+    are ``None`` for a value only written, as into the state digest.
     """
 
     encode: Callable[[Writer, Any], None]
-    decode: Callable[[Reader], Any] | None
     source: Callable[[_Source, str], list] | None = None
     read: Callable[[bytes, int], tuple[Any, int]] | None = None
     read_source: Callable[[_Source, str], list] | None = None
@@ -395,16 +389,6 @@ def _lazy(compile: Callable[[], Callable]) -> Callable:
     return call
 
 
-def decoder(read: Callable[[bytes, int], tuple[Any, int]]) -> Callable[[Reader], Any]:
-    """``decode(r)``: the value ``read`` reads at the cursor of the Reader ``r``, which moves past it."""
-
-    def decode(r: Reader):
-        value, r._pos = read(r._data, r._pos)
-        return value
-
-    return decode
-
-
 def _items(s: _Source, codec: Field, value: str) -> list:
     """``codec`` writing ``value``: its source, or a call of its encoder if it has none."""
     if codec.source is None:
@@ -425,9 +409,8 @@ def _field(source: Callable[[_Source, str], list], read_source: Callable[[_Sourc
     in ``over``, those it reads with, does."""
     encode = _lazy(lambda: _compile(source))
     if read_source is None or any(codec.read is None for codec in over):
-        return Field(encode, None, source)
-    read = _lazy(lambda: _compile_read(read_source))
-    return Field(encode, decoder(read), source, read, read_source)
+        return Field(encode, source)
+    return Field(encode, source, _lazy(lambda: _compile_read(read_source)), read_source)
 
 
 def whole(read: Callable[[bytes, int], tuple[Any, int]], data: bytes, pos: int = 0):
@@ -627,8 +610,7 @@ def framed(inner: Field) -> Field:
         trailing = f"raise CodecError(f'{{len({body}) - {end}}} trailing bytes in frame')"
         return [*_read_bytes(s, body), f"{v}, {end} = {s.const(inner.read)}({body}, 0)", f"if {end} != len({body}): {trailing}"]
 
-    read = _lazy(lambda: _compile_read(read_source))
-    return Field(encode, decoder(read), None, read, read_source)
+    return Field(encode, None, _lazy(lambda: _compile_read(read_source)), read_source)
 
 
 # the tag byte and codec of each type a tagged value may have
@@ -743,8 +725,7 @@ class Tagged:
     """A union of wire records told apart by a leading tag byte.
 
     Usable as a :class:`Field`: ``encode`` writes the member's tag, then its
-    fields; ``read`` and ``decode`` read the tag and the fields of the member
-    it names.
+    fields; ``read`` reads the tag and the fields of the member it names.
     """
 
     def __init__(self, name: str):
@@ -756,7 +737,6 @@ class Tagged:
         self._reads: dict[int, Callable[[bytes, int], tuple[Any, int]]] = {}
         self._read_sources: dict[int, Callable[[_Source, str], list]] = {}
         self.read = _lazy(lambda: _compile_read(self.read_source))
-        self.decode = decoder(self.read)
 
     def member(self, tag: int) -> Callable[[type], type]:
         """Class decorator: make the class a frozen dataclass with ``TAG``.

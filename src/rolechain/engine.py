@@ -26,6 +26,7 @@ from .ledger import (
     LedgerState,
     LogEntry,
     Proposal,
+    SupplyCounters,
     new_policy,
 )
 from .payloads import (
@@ -326,10 +327,10 @@ def build_genesis(
         state.policies[key] = new_policy(key, value, permanence, expiry)
     for acct in accounts or []:
         state.accounts[acct.account_id] = acct
-        state.supply.minted += acct.balance
     if escrow is not None:
         escrow.roles |= {Role.SYSTEM_SECURITY}
         state.accounts[escrow.account_id] = escrow
-        state.supply.minted += escrow.balance
         state.policies["security.escrow"] = new_policy("security.escrow", escrow.account_id, Permanence.PERMANENT)
+    # minted supply is the balances' sum, as read_genesis requires
+    state.supply = SupplyCounters(state.total_balances())
     return state

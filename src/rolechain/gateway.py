@@ -21,7 +21,7 @@ from enum import Enum
 from typing import Any, NamedTuple
 
 from . import errors as err
-from .codec import BOOL, BYTES, TEXT, U64, U64_MAX, Field, Reader, Writer, none_as, seq_of, wire, wire_record
+from .codec import BOOL, BYTES, TEXT, U64, U64_MAX, Field, Writer, none_as, seq_of, whole, wire, wire_record
 from .engine import verify_evidence, view_key_fault
 from .errors import CodecError, QueryError, TxError
 from .keys import KeyPair, get_scheme
@@ -225,7 +225,7 @@ class Read(NamedTuple):
     compute: Callable[[LedgerState, Query], Any]
 
 
-LOG_ENTRIES = Field(_write_entries, seq_of(PublicEntry.FIELDS).decode)
+LOG_ENTRIES = Field(_write_entries, None, seq_of(PublicEntry.FIELDS).read)
 READS: dict[type[Query], Read] = {
     OwnBalance: Read(Visibility.OWNER, U64, lambda state, query: get_balance(state, query.account)),
     OwnHistory: Read(Visibility.OWNER, LOG_ENTRIES, lambda state, query: get_history(state, query.account)),
@@ -284,7 +284,7 @@ class VisibilityGateway:
         # deterministic lie: inflate a number (wrapping inside u64), clobber the rest
         if READS[type(query)].answer is U64:
             w = Writer()
-            U64.encode(w, (U64.decode(Reader(result)) + 100) & U64_MAX)
+            U64.encode(w, (whole(U64.read, result) + 100) & U64_MAX)
             return w.getvalue()
         return result + b"\x00"
 

@@ -18,7 +18,10 @@ alone, which also keeps the indexes that answer history and
 management-log reads.
 
 Balances are non-negative integers in minor currency units; there is no
-fractional arithmetic anywhere in the ledger.
+fractional arithmetic anywhere in the ledger.  Five methods of
+:class:`LedgerState` are the only writers of balances, unclaimed
+allowances and supply: ``move``, ``issue``, ``retire``, ``promise`` and
+``claim``.  The u64 bound on minted supply is ``check_supply`` alone.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ from .codec import (
     TEXT,
     U32,
     U64,
+    U64_MAX,
     Writer,
     enum,
     none_as,
@@ -352,6 +356,50 @@ class LedgerState:
         entries = self._management
         return entries[bisect_left(entries, start, key=_height) : bisect_right(entries, last, key=_height)]
 
+    # -- money: the only writers of balances, allowances and supply -------
+    # each keeps sum(balances) + unclaimed == minted - burned, checks first
+
+    def check_supply(self, amount: int) -> None:
+        """Raise SupplyOverflow if minting ``amount`` would take minted supply past the u64 range."""
+        # every balance and allowance is at most minted - burned, so bounding
+        # minted to the range that the state digest encodes bounds them too
+        if self.supply.minted + amount > U64_MAX:
+            raise TxError(err.SUPPLY_OVERFLOW)
+
+    def move(self, source: Account, to: Account, amount: int) -> None:
+        """Move ``amount`` from one account to another."""
+        if source.balance < amount:
+            raise TxError(err.INSUFFICIENT_FUNDS)
+        source.balance -= amount
+        to.balance += amount
+
+    def issue(self, to: Account, amount: int) -> None:
+        """Credit ``amount`` to the account, minted."""
+        self.check_supply(amount)
+        to.balance += amount
+        self.supply.minted += amount
+
+    def retire(self, source: Account, amount: int) -> None:
+        """Debit ``amount`` from the account, burned."""
+        if source.balance < amount:
+            raise TxError(err.INSUFFICIENT_FUNDS)
+        source.balance -= amount
+        self.supply.burned += amount
+
+    def promise(self, account_id: bytes, rule_id: int, period: int, amount: int) -> None:
+        """Record ``amount`` as the account's allowance for one period of a pull rule, minted now."""
+        self.check_supply(amount)
+        ledger = self.allowances.setdefault(account_id, {}).setdefault(rule_id, AllowanceLedger())
+        ledger.accrued.append((period, amount))
+        self.supply.minted += amount
+
+    def claim(self, to: Account, ledger: AllowanceLedger, up_to_period: int) -> int:
+        """Credit the account with ``ledger``'s periods after the last claimed, up to ``up_to_period``; the amount."""
+        amount = sum(a for p, a in ledger.accrued if ledger.last_claimed_period < p <= up_to_period)
+        ledger.last_claimed_period = up_to_period
+        to.balance += amount
+        return amount
+
     # -- conservation ------------------------------------------------------
 
     def total_balances(self) -> int:
@@ -406,13 +454,14 @@ def read_genesis(data: bytes, pos: int = 0) -> tuple[LedgerState, int]:
     its default; or an expiry height exactly when a policy is not timed.
     """
     (scheme, height, minted, burned, accounts, policies, *empty, registry, log), pos = _GENESIS.read(data, pos)
+    state = LedgerState(scheme, accounts, policies, supply=SupplyCounters(minted), validator_registry=registry)
     try:
         get_scheme(scheme)
     except InvalidKey as exc:
         raise CodecError(str(exc)) from None
     if height or burned or any(empty) or log:
         raise CodecError("a genesis state has no height, burned supply, proposals, interest rules, allowances or log")
-    if minted != sum(acct.balance for acct in accounts.values()):
+    if minted != state.total_balances():
         raise CodecError(f"minted supply {minted} is not the sum of the balances")
     if any(acct.nonce for acct in accounts.values()):
         raise CodecError("a genesis account's nonce is not 0")
@@ -421,7 +470,6 @@ def read_genesis(data: bytes, pos: int = 0) -> tuple[LedgerState, int]:
             raise CodecError(f"genesis policy {policy.key!r} was set by a transaction")
         if (policy.expiry_height is None) == (policy.permanence is Permanence.TIMED_EXPIRATION):
             raise CodecError(f"policy {policy.key!r}: expiry_height is set exactly when it is timed_expiration")
-    state = LedgerState(scheme, accounts, policies, supply=SupplyCounters(minted), validator_registry=registry)
     return state, pos
 
 
@@ -455,10 +503,7 @@ def transfer(
         raise TxError(err.SENDER_FROZEN)
     if amount < 1:
         raise TxError(err.ZERO_AMOUNT)
-    if sender.balance < amount:
-        raise TxError(err.INSUFFICIENT_FUNDS)
-    sender.balance -= amount
-    recipient.balance += amount
+    state.move(sender, recipient, amount)
     return Applied((source, to), {"from": source, "to": to, "amount": amount})
 
 
@@ -488,9 +533,7 @@ def confiscate(
     holder = state.account(source)
     if holder.balance < amount:
         raise TxError(err.INSUFFICIENT_FUNDS)
-    recipient = state.account(to)
-    holder.balance -= amount
-    recipient.balance += amount
+    state.move(holder, state.account(to), amount)
     return Applied(
         (actor, source, to),
         {"from": source, "to": to, "amount": amount},
@@ -516,9 +559,7 @@ def reverse_transaction(
     recipient = state.account(original_to)
     if recipient.balance < amount:
         raise TxError(err.INSUFFICIENT_RECIPIENT_FUNDS)
-    sender = state.account(original_from)
-    recipient.balance -= amount
-    sender.balance += amount
+    state.move(recipient, state.account(original_from), amount)
     entry.reversed_by = tx_id
     return Applied(
         (actor, original_from, original_to),

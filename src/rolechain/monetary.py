@@ -1,5 +1,9 @@
 """Money supply control: mint/burn, fiat conversion, and periodic creation.
 
+The handlers here check who may act and on what; the money itself moves
+only through the ledger's writers (``LedgerState.issue``, ``retire``,
+``promise`` and ``claim``), which also keep the u64 bound on minted supply.
+
 Periodic creation rules accrue at block heights ``start + k * period``.
 Push rules credit balances directly; pull rules record a claimable amount
 per period and count it toward minted supply immediately, so the ledger
@@ -16,9 +20,9 @@ are recorded as zero so period indices stay dense.
 from __future__ import annotations
 
 from . import errors as err
-from .codec import U64, U64_MAX, sorted_map, wire, wire_record
+from .codec import U64, sorted_map, wire, wire_record
 from .errors import TxError
-from .ledger import Account, AllowanceLedger, Applied, Authority, InterestRule, LedgerState
+from .ledger import Account, Applied, Authority, InterestRule, LedgerState
 from .payloads import (
     Burn,
     ClaimAllowance,
@@ -41,13 +45,6 @@ def _currency_gate(state: LedgerState, actor: bytes, policy_key: str, authority:
         raise TxError(err.NOT_CURRENCY_MANAGER)
 
 
-def _check_supply(state: LedgerState, amount: int) -> None:
-    # every balance is at most minted - burned, so bounding minted to the u64
-    # range that the state digest encodes bounds every credit too
-    if state.supply.minted + amount > U64_MAX:
-        raise TxError(err.SUPPLY_OVERFLOW)
-
-
 def _reject_all_users_overlap(state: LedgerState, except_id: int | None = None) -> None:
     for other in state.interest_rules.values():
         if other.active and other.scope is None and other.rule_id != except_id:
@@ -57,21 +54,14 @@ def _reject_all_users_overlap(state: LedgerState, except_id: int | None = None) 
 def mint(state: LedgerState, actor: bytes, payload: Mint, tx_id: bytes, authority: Authority) -> Applied:
     _currency_gate(state, actor, "mint.requires_vote", authority)
     to, amount = payload.to, payload.amount
-    acct = state.account(to)
-    _check_supply(state, amount)
-    acct.balance += amount
-    state.supply.minted += amount
+    state.issue(state.account(to), amount)
     return Applied((actor, to), {"to": to, "amount": amount})
 
 
 def burn(state: LedgerState, actor: bytes, payload: Burn, tx_id: bytes, authority: Authority) -> Applied:
     _currency_gate(state, actor, "mint.requires_vote", authority)
     source, amount = payload.source, payload.amount
-    acct = state.account(source)
-    if acct.balance < amount:
-        raise TxError(err.INSUFFICIENT_FUNDS)
-    acct.balance -= amount
-    state.supply.burned += amount
+    state.retire(state.account(source), amount)
     return Applied((actor, source), {"from": source, "amount": amount})
 
 
@@ -87,16 +77,11 @@ def convert_fiat(
     if Role.USER not in acct.roles:
         raise TxError(err.NOT_AUTHORIZED_CONVERTER, "target lacks the user role")
     if direction is FiatDirection.IN:
-        _check_supply(state, amount)
-        acct.balance += amount
-        state.supply.minted += amount
+        state.issue(acct, amount)
     else:
         if acct.frozen:
             raise TxError(err.USER_FROZEN)
-        if acct.balance < amount:
-            raise TxError(err.INSUFFICIENT_FUNDS)
-        acct.balance -= amount
-        state.supply.burned += amount
+        state.retire(acct, amount)
     return Applied(
         (institution, user),
         {"user": user, "direction": direction.name.lower(), "amount": amount},
@@ -172,23 +157,17 @@ def accrue_period(state: LedgerState, rule_id: int, period_index: int) -> list[t
         if acct is None or Role.USER not in acct.roles:
             continue
         amounts.append((account_id, acct, 0 if acct.frozen else rule.rate_num * acct.balance // rule.rate_den))
-    _check_supply(state, sum(amount for _, _, amount in amounts))
+    state.check_supply(sum(amount for _, _, amount in amounts))
     credited: list[tuple[bytes, int]] = []
     for account_id, acct, amount in amounts:
         if rule.mode is InterestMode.PUSH:
-            if amount:
-                acct.balance += amount
-                state.supply.minted += amount
-                rule.created_total += amount
-                credited.append((account_id, amount))
+            if not amount:
+                continue
+            state.issue(acct, amount)
         else:
-            ledger = state.allowances.setdefault(account_id, {}).setdefault(
-                rule_id, AllowanceLedger()
-            )
-            ledger.accrued.append((period_index, amount))
-            state.supply.minted += amount
-            rule.created_total += amount
-            credited.append((account_id, amount))
+            state.promise(account_id, rule_id, period_index, amount)
+        rule.created_total += amount
+        credited.append((account_id, amount))
     rule.last_accrued_period = period_index
     return credited
 
@@ -227,13 +206,7 @@ def claim_allowance(
     ledger = state.allowances.get(account, {}).get(rule_id)
     if ledger is None or up_to_period <= ledger.last_claimed_period:
         raise TxError(err.NOTHING_TO_CLAIM)
-    total = sum(
-        amount
-        for period, amount in ledger.accrued
-        if ledger.last_claimed_period < period <= up_to_period
-    )
-    ledger.last_claimed_period = up_to_period
-    acct.balance += total
+    total = state.claim(acct, ledger, up_to_period)
     return Applied(
         (account,),
         {"rule_id": rule_id, "up_to_period": up_to_period, "amount": total},

@@ -25,7 +25,6 @@ from .codec import (
     Field,
     Tagged,
     Writer,
-    decoder,
     enum,
     framed,
     optional,
@@ -403,7 +402,6 @@ def read_payload(data: bytes, pos: int) -> tuple[Payload, int]:
     return CreateProposal(action, electorate), pos
 
 
-decode_payload = decoder(read_payload)
 _PROPOSAL_TAG = bytes([CreateProposal.TAG])
 _ELECTORATE = enum(Role)
 
@@ -474,7 +472,7 @@ def tx_signing_bytes(sender: bytes, nonce: int, payload: Payload) -> bytes:
 
 
 # a transaction after its prefix: sender, nonce, payload, signature
-_ENVELOPE = tuple_of(BYTES, U64, Field(encode_payload, decode_payload, None, read_payload), BYTES)
+_ENVELOPE = tuple_of(BYTES, U64, Field(encode_payload, None, read_payload), BYTES)
 
 
 def decode_transaction(data: bytes) -> Transaction:

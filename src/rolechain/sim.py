@@ -34,7 +34,7 @@ from pathlib import Path
 import yaml
 
 from . import codec
-from .codec import U64_MAX, Reader
+from .codec import U64_MAX, whole
 from .chain import (
     Chain,
     append_block,
@@ -715,7 +715,7 @@ class Simulation:
                     AssertionResult(tick, "query_error", False, f"{name}: answered despite expecting {expect_error}")
                 )
             if expect_int is not None:
-                got = READS[type(query)].answer.decode(Reader(response.result))
+                got = whole(READS[type(query)].answer.read, response.result)
                 self.assertions.append(
                     AssertionResult(
                         tick, "query_int", got == expect_int, f"{name}: expected {expect_int}, got {got}"

@@ -8,9 +8,9 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from rolechain import ledger
-from rolechain.chain import Chain, decode_genesis, export_chain, genesis_block, import_chain
-from rolechain.cli import main
+from rolechain import chain, ledger
+from rolechain.chain import Chain, export_chain, genesis_block, genesis_doc, import_chain
+from rolechain.cli import QUERIES, main
 from rolechain.codec import TEXT, Writer
 from rolechain.errors import InvalidBlock
 from rolechain.payloads import Permanence
@@ -310,8 +310,8 @@ GENESIS_MUTATIONS = {
 
 def _verify_mutated(runner, dump_path: Path, tmp_path: Path, mutate):
     """``rolechain verify`` of the dump with its genesis mutated and pinned afresh."""
-    genesis, blocks = import_chain(dump_path.read_bytes())
-    state, _ = decode_genesis(genesis)
+    (state, names), blocks = import_chain(dump_path.read_bytes())
+    genesis = genesis_doc(state, names)  # the bytes it was decoded from
     mutated = tmp_path / "mutated.bin"
     mutated.write_bytes(export_chain(Chain([genesis_block(), *blocks]), mutate(genesis, state)))
     return runner.invoke(main, ["verify", str(mutated)])
@@ -417,6 +417,25 @@ def test_query_directory_redacts_validation_servers(runner, dump_path):
 def test_query_unknown_actor(runner, dump_path):
     result = runner.invoke(main, ["query", str(dump_path), "--as", "mallory", "balance"])
     assert result.exit_code == 1
+
+
+@pytest.mark.parametrize("kind", sorted(set(QUERIES) - {"validation-server"}))
+def test_a_query_that_takes_no_argument_refuses_one(runner, dump_path, kind):
+    result = runner.invoke(main, ["query", str(dump_path), "--as", "alice", kind, "bob"])
+    assert (result.exit_code, result.stdout, result.stderr) == (1, "", f"{kind} takes no argument\n")
+
+
+def test_one_query_decodes_the_genesis_once(runner, dump_path, monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return ledger.read_genesis(*args)
+
+    monkeypatch.setattr(chain, "read_genesis", counted)
+    result = runner.invoke(main, ["query", str(dump_path), "--as", "alice", "balance"])
+    assert (result.exit_code, result.stdout) == (0, "60\n")
+    assert len(calls) == 1
 
 
 # --- query output -----------------------------------------------------------------

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rolechain.chain import Block, decode_block
-from rolechain.codec import Reader, Writer
+from rolechain.codec import Reader, Writer, whole
 from rolechain.errors import CodecError
 from rolechain.gateway import READS, DirectoryEntry, PublicEntry
 from rolechain.monetary import Supply
@@ -233,16 +233,21 @@ def whole_frame(decode):
     return read
 
 
+def framed_by(read):
+    """The compiled ``read(data, pos)`` of a whole frame (see ``codec.whole``) as a Reader-taking function."""
+    return whole_frame(lambda data: whole(read, data))
+
+
 # every decoder under test: name -> (compiled, reference, values, encode)
-DECODABLE = [cls for cls in RECORDS if cls.FIELDS.decode is not None]
+DECODABLE = [cls for cls in RECORDS if cls.FIELDS.read is not None]
 CASES = {
-    **{cls.__name__: (cls.FIELDS.decode, fields(cls), instances(cls), cls.FIELDS.encode) for cls in DECODABLE},
+    **{cls.__name__: (framed_by(cls.FIELDS.read), fields(cls), instances(cls), cls.FIELDS.encode) for cls in DECODABLE},
     **{
-        f"{tagged.name}.{cls.__name__}": (tagged.decode, union(tagged), instances(cls), tagged.encode)
+        f"{tagged.name}.{cls.__name__}": (framed_by(tagged.read), union(tagged), instances(cls), tagged.encode)
         for tagged, cls in MEMBERS
     },
     **{
-        f"answer.{query.__name__}": (READS[query].answer.decode, reference, ANSWERS[query][1], READS[query].answer.encode)
+        f"answer.{query.__name__}": (framed_by(READS[query].answer.read), reference, ANSWERS[query][1], READS[query].answer.encode)
         for query, reference in {
             OwnBalance: u64,
             Claimable: u64,
@@ -333,7 +338,7 @@ def _fault_frames() -> dict[str, tuple[object, object, bytes]]:
         "unknown value tag": (*tx, _replaced(policy, b"key\x01", b"key\x7f")),
         "set out of order": (*tx, _replaced(validators, ID_A + b"\x00\x00\x00\x20" + ID_B, ID_B + b"\x00\x00\x00\x20" + ID_A)),
         "map keys out of order": (
-            Supply.FIELDS.decode,
+            framed_by(Supply.FIELDS.read),
             fields(Supply),
             _replaced(supply, struct.pack(">QQQQ", 1, 5, 2, 6), struct.pack(">QQQQ", 2, 6, 1, 5)),
         ),

@@ -25,7 +25,7 @@ from rolechain.chain import (
     import_chain,
     replay,
 )
-from rolechain.codec import Reader, Writer
+from rolechain.codec import Writer, whole
 from rolechain.errors import CodecError, QueryError, RolechainError
 from rolechain.gateway import QueryRequest, Rejected, SecurityGateway, VisibilityGateway, sign_request
 from rolechain.keys import keypair_from_label
@@ -54,11 +54,11 @@ from rolechain.payloads import (
     Transaction,
     ValidationServerAddress,
     challenge_message,
-    decode_payload,
     decode_query,
     decode_transaction,
     encode_payload,
     encode_query,
+    read_payload,
     tx_signing_bytes,
 )
 from rolechain.sim import load_scenario, run
@@ -151,7 +151,7 @@ def _nested_proposal(depth: int) -> bytes:
 def test_proposal_of_a_proposal_decodes_and_round_trips():
     nested = CreateProposal(CreateProposal(CastVote(1, True), Role.VALIDATOR), Role.VALIDATOR)
     raw = _nested_proposal(2)
-    assert decode_payload(Reader(raw)) == nested
+    assert whole(read_payload, raw) == nested
     w = Writer()
     encode_payload(w, nested)
     assert w.getvalue() == raw

@@ -26,7 +26,7 @@ from pathlib import Path
 import pytest
 
 from rolechain.chain import ZERO_HASH, Block, Chain, export_chain, genesis_block, genesis_doc
-from rolechain.codec import Reader, Writer
+from rolechain.codec import Writer, whole
 from rolechain.engine import build_genesis
 from rolechain.gateway import compute_result
 from rolechain.ledger import (
@@ -57,11 +57,11 @@ from rolechain.payloads import (
     Transaction,
     ValidationServerAddress,
     ValidatorRecord,
-    decode_payload,
     decode_query,
     decode_transaction,
     encode_payload,
     encode_query,
+    read_payload,
     tx_signing_bytes,
 )
 from rolechain.sim import load_scenario, run
@@ -357,9 +357,7 @@ def test_wire_bytes(name):
 
 @pytest.mark.parametrize("name", sorted(PAYLOADS))
 def test_golden_payload_bytes_decode(name):
-    r = Reader(bytes.fromhex(WIRE[name]))
-    assert decode_payload(r) == PAYLOADS[name]
-    r.require_end()
+    assert whole(read_payload, bytes.fromhex(WIRE[name])) == PAYLOADS[name]
 
 
 @pytest.mark.parametrize("name", sorted(QUERIES))
@@ -368,9 +366,5 @@ def test_golden_query_bytes_decode(name):
 
 
 def test_golden_record_bytes_decode():
-    r = Reader(bytes.fromhex(WIRE["validator record"]))
-    assert ValidatorRecord.FIELDS.decode(r) == RECORD
-    r.require_end()
-    r = Reader(bytes.fromhex(WIRE["signed query response"]))
-    assert SignedQueryResponse.FIELDS.decode(r) == RESPONSE
-    r.require_end()
+    assert whole(ValidatorRecord.FIELDS.read, bytes.fromhex(WIRE["validator record"])) == RECORD
+    assert whole(SignedQueryResponse.FIELDS.read, bytes.fromhex(WIRE["signed query response"])) == RESPONSE

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import ast
 import random
+from pathlib import Path
 
 import pytest
 
@@ -414,3 +416,90 @@ def test_conservation_and_nonnegative_balances_property(ops):
             world.apply("sec", Confiscate(world.aid(who), world.aid("escrow"), amount))
         assert world.state.conservation_holds()
         assert all(a.balance >= 0 for a in world.state.accounts.values())
+
+
+# --- one home for money ------------------------------------------------------------
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "rolechain"
+# the only writers of balances, unclaimed allowances and supply, and the u64 bound
+PRIMITIVES = {f"ledger.LedgerState.{name}" for name in ("move", "issue", "retire", "promise", "claim", "check_supply")}
+MONEY = {"balance", "minted", "burned", "last_claimed_period"}
+TABLES = {"accrued", "allowances"}  # containers of unclaimed allowances
+MUTATORS = {"append", "extend", "insert", "pop", "popitem", "remove", "clear", "update", "setdefault", "sort", "reverse"}
+
+
+class _MoneyWrites(ast.NodeVisitor):
+    """Each write of money in a module, a raise of SupplyOverflow and a
+    ``SupplyCounters`` built from a value, as (kind, function, line)."""
+
+    def __init__(self, module: str):
+        self.scope, self.found = [module], []
+
+    def _note(self, kind: str, node: ast.AST) -> None:
+        self.found.append((kind, ".".join(self.scope), node.lineno))
+
+    def _scoped(self, node) -> None:
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    visit_FunctionDef = visit_AsyncFunctionDef = visit_ClassDef = _scoped
+
+    def _target(self, target: ast.AST) -> None:
+        for node in ast.walk(target):
+            if isinstance(node, ast.Attribute) and node.attr in MONEY | TABLES:
+                self._note(f"write .{node.attr}", node)
+            elif isinstance(node, ast.Subscript) and getattr(node.value, "attr", None) in TABLES:
+                self._note(f"write .{node.value.attr}[...]", node)
+
+    def visit_Assign(self, node):
+        for target in node.targets:
+            self._target(target)
+        self.generic_visit(node)
+
+    def visit_AugAssign(self, node):
+        self._target(node.target)
+        self.generic_visit(node)
+
+    visit_AnnAssign = visit_AugAssign
+
+    def visit_Delete(self, node):
+        for target in node.targets:
+            self._target(target)
+
+    def visit_Call(self, node):
+        func = node.func
+        if isinstance(func, ast.Attribute) and func.attr in MUTATORS and getattr(func.value, "attr", None) in TABLES:
+            self._note(f"{func.attr} on .{func.value.attr}", node)
+        if getattr(func, "id", None) in ("setattr", "delattr") and any(
+            isinstance(a, ast.Constant) and a.value in MONEY | TABLES for a in node.args
+        ):
+            self._note(func.id, node)
+        if getattr(func, "id", None) == "SupplyCounters" and (node.args or node.keywords):
+            self._note("SupplyCounters(...)", node)
+        self.generic_visit(node)
+
+    def visit_Raise(self, node):
+        if node.exc is not None and any(getattr(n, "attr", None) == "SUPPLY_OVERFLOW" for n in ast.walk(node.exc)):
+            self._note("raise SupplyOverflow", node)
+        self.generic_visit(node)
+
+
+def test_only_the_ledger_primitives_write_money():
+    """No balance, supply counter or unclaimed allowance is written outside the
+    ledger's money primitives, and one function holds the u64 bound.  Genesis
+    sets minted supply only by building ``SupplyCounters`` once, from the sum
+    of the balances that ``read_genesis`` checks a decoded genesis against."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        visitor = _MoneyWrites(path.stem)
+        visitor.visit(ast.parse(path.read_text()))
+        found += visitor.found
+    raises = [where for kind, where, _ in found if kind == "raise SupplyOverflow"]
+    built = sorted(where for kind, where, _ in found if kind == "SupplyCounters(...)")
+    writes = [(kind, where, line) for kind, where, line in found if kind not in ("raise SupplyOverflow", "SupplyCounters(...)")]
+    assert raises == ["ledger.LedgerState.check_supply"]
+    assert built == ["engine.build_genesis", "ledger.read_genesis"]
+    assert not [f"{where}:{line} {kind}" for kind, where, line in writes if where not in PRIMITIVES]
+    # the scan sees the writes the primitives make
+    assert {where for _, where, _ in writes} == PRIMITIVES - {"ledger.LedgerState.check_supply"}

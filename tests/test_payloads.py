@@ -5,7 +5,7 @@ import struct
 
 import pytest
 
-from rolechain.codec import Reader, Writer
+from rolechain.codec import Writer, whole
 from rolechain.errors import CodecError
 from rolechain.keys import keypair_from_label
 from rolechain.payloads import (
@@ -39,11 +39,11 @@ from rolechain.payloads import (
     Transaction,
     Transfer,
     ValidatorRecord,
-    decode_payload,
     decode_query,
     decode_transaction,
     encode_payload,
     encode_query,
+    read_payload,
 )
 
 A = b"\x11" * 32
@@ -106,9 +106,7 @@ ALL_PAYLOADS = [
 def test_payload_roundtrip(payload):
     w = Writer()
     encode_payload(w, payload)
-    r = Reader(w.getvalue())
-    assert decode_payload(r) == payload
-    r.require_end()
+    assert whole(read_payload, w.getvalue()) == payload
 
 
 def test_transaction_roundtrip_every_payload():
@@ -126,7 +124,7 @@ def test_decode_rejects_garbage():
     with pytest.raises(CodecError):
         decode_transaction(b"not a transaction")
     with pytest.raises(CodecError):
-        decode_payload(Reader(b"\xff"))
+        whole(read_payload, b"\xff")
 
 
 def test_decode_rejects_trailing_bytes():
@@ -143,7 +141,7 @@ def test_query_roundtrip():
 def test_signed_response_roundtrip():
     w = Writer()
     SignedQueryResponse.FIELDS.encode(w, RESPONSE)
-    assert SignedQueryResponse.FIELDS.decode(Reader(w.getvalue())) == RESPONSE
+    assert whole(SignedQueryResponse.FIELDS.read, w.getvalue()) == RESPONSE
 
 
 def test_signing_bytes_cover_all_fields():

@@ -24,7 +24,7 @@ from hypothesis import given, settings, strategies as st
 
 from rolechain.chain import decode_genesis, genesis_doc
 from rolechain.cli import QUERIES
-from rolechain.codec import U64, U64_MAX, Field, Reader, Writer
+from rolechain.codec import U64, U64_MAX, Field, Writer, whole
 from rolechain.engine import HANDLERS, execute_payload
 from rolechain.errors import TxError
 from rolechain.gateway import READS, Visibility
@@ -100,15 +100,13 @@ def test_every_handler_takes_its_payload():
 
 @pytest.mark.parametrize("payload", ALL_PAYLOADS, ids=lambda p: type(p).__name__)
 def test_encode_payload_matches_the_field_description(payload):
-    """``encode_payload`` and ``decode_payload`` take proposals directly; the bytes match."""
+    """``encode_payload`` and ``read_payload`` take proposals directly; the bytes match."""
     described = Writer()
     PAYLOAD.encode(described, payload)
     direct = Writer()
     encode_payload(direct, payload)
     assert direct.getvalue() == described.getvalue()
-    r = Reader(described.getvalue())
-    assert PAYLOAD.decode(r) == payload
-    r.require_end()
+    assert whole(PAYLOAD.read, described.getvalue()) == payload
 
 
 def test_every_query_has_exactly_one_query_step():
@@ -125,7 +123,7 @@ def test_every_query_has_exactly_one_read_entry_and_cli_name():
     assert set(READS) == set(QUERY.by_tag.values())
     for read in READS.values():
         assert isinstance(read.visibility, Visibility)
-        assert isinstance(read.answer, Field) and read.answer.decode is not None
+        assert isinstance(read.answer, Field) and read.answer.read is not None
     account = b"\x01" * 32
     built = Counter(type(build(account, lambda: account, LedgerState())) for build, _ in QUERIES.values())
     assert built == Counter(QUERY.by_tag.values())
@@ -138,9 +136,7 @@ def test_golden_answers_decode_with_their_declared_codec(stem):
     for label, (query, answer) in answers.items():
         assert hashlib.sha256(answer).hexdigest() == GOLDEN_READS[stem][label]
         codec = READS[type(query)].answer
-        r = Reader(answer)
-        value = codec.decode(r)
-        r.require_end()
+        value = whole(codec.read, answer)
         w = Writer()
         codec.encode(w, value)
         assert w.getvalue() == answer, label

@@ -14,7 +14,7 @@ import pytest
 
 from rolechain import ledger
 from rolechain.chain import decode_genesis, genesis_doc
-from rolechain.codec import Reader, Writer
+from rolechain.codec import Writer, whole
 from rolechain.ledger import Account
 from rolechain.payloads import QUERY, RECOVERY, Role, decode_query, encode_query
 
@@ -63,8 +63,8 @@ def test_a_member_without_fields_is_one_instance_however_it_is_made(cls):
     w = Writer()
     union.encode(w, only)
     raw = w.getvalue()
-    assert union.decode(Reader(raw)) is only
-    assert union.decode(Reader(raw)) is only
+    assert whole(union.read, raw) is only
+    assert whole(union.read, raw) is only
     value, end = union.read(raw, 0)
     assert value is only and end == len(raw)
     if union is QUERY:

@@ -87,8 +87,8 @@ def test_append_and_replay_verify_each_transaction_once(tx_verifies):
     assert sorted(message for _, message in tx_verifies) == signed
 
     tx_verifies.clear()
-    _, decoded = import_chain(export_chain(chain, doc))
-    replayed, _ = replay(doc, decoded)
+    genesis, decoded = import_chain(export_chain(chain, doc))
+    replayed, _ = replay(genesis, decoded)
     assert replayed.head_hash == chain.head_hash
     assert sorted(message for _, message in tx_verifies) == signed
 
