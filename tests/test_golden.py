@@ -57,11 +57,14 @@ from rolechain.payloads import (
     Transaction,
     ValidationServerAddress,
     ValidatorRecord,
+    challenge_message,
     decode_query,
     decode_transaction,
     encode_payload,
     encode_query,
+    possession_message,
     read_payload,
+    rotation_message,
     tx_signing_bytes,
 )
 from rolechain.sim import load_scenario, run
@@ -336,6 +339,9 @@ def wire_cases() -> dict[str, bytes]:
     cases["validator record"] = _encoded(RECORD)
     cases["signed query response"] = _encoded(RESPONSE)
     cases["signed query response signing bytes"] = RESPONSE.signing_bytes()
+    cases["rotation message"] = rotation_message(A, b"\x05" * 32)
+    cases["possession message"] = possession_message(C, b"\x06" * 32)
+    cases["challenge message"] = challenge_message(b"\x07" * 32, encode_query(OwnBalance(A)))
     cases["transaction nested proposal"] = Transaction(C, 9, ALL_PAYLOADS[13], b"s").encode()
     block = _block()
     cases["block"] = block.encode()
