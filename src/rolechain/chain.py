@@ -18,7 +18,7 @@ import hashlib
 from dataclasses import dataclass, field
 
 from . import engine
-from .codec import BYTES, TEXT, U64, Writer, seq_of, sorted_map, tuple_of, whole
+from .codec import BYTES, TEXT, U64, encoding, seq_of, sorted_map, tuple_of, whole
 from .errors import CodecError, InternalInvariantViolation, InvalidBlock, TxError
 from . import errors as err
 from .keys import KeyPair, get_scheme
@@ -43,10 +43,7 @@ class Block:
         return block_signing_bytes(self.height, self.prev_hash, self.publisher, self.tick, self.txs)
 
     def encode(self) -> bytes:
-        w = Writer()
-        w.raw(self.signing_bytes())
-        w.bytes_(self.signature)
-        return w.getvalue()
+        return self.signing_bytes() + encoding(BYTES.encode, self.signature)
 
     def digest(self) -> bytes:
         return hashlib.sha256(self.encode()).digest()
@@ -55,10 +52,7 @@ class Block:
 def block_signing_bytes(
     height: int, prev_hash: bytes, publisher: bytes, tick: int, txs: tuple[Transaction, ...]
 ) -> bytes:
-    w = Writer()
-    w.raw(b"blk:")
-    _BLOCK.encode(w, (height, prev_hash, publisher, tick, [tx.encode() for tx in txs]))
-    return w.getvalue()
+    return b"blk:" + encoding(_BLOCK.encode, (height, prev_hash, publisher, tick, [tx.encode() for tx in txs]))
 
 
 # a block between its prefix and signature: height, prev hash, publisher, tick, tx frames
@@ -243,10 +237,7 @@ _DUMP = tuple_of(BYTES, BYTES, seq_of(BYTES))
 def genesis_doc(state: LedgerState, names: dict[str, bytes] | None = None) -> bytes:
     """The genesis a dump holds: a height-0 state's canonical encoding, whose
     SHA-256 is its digest, then ``names``."""
-    w = Writer()
-    w.raw(state.encode())
-    _NAMES.encode(w, names or {})
-    return w.getvalue()
+    return state.encode() + encoding(_NAMES.encode, names or {})
 
 
 def decode_genesis(genesis: bytes) -> tuple[LedgerState, dict[str, bytes]]:
@@ -264,11 +255,9 @@ def export_chain(chain: Chain, genesis: bytes) -> bytes:
     Blocks carry their own integrity (signatures and hash links); the
     genesis is signed by no one, so the dump pins its digest.
     """
-    w = Writer()
-    w.raw(DUMP_MAGIC)
-    w.u8(DUMP_VERSION)
-    _DUMP.encode(w, (genesis, hashlib.sha256(genesis).digest(), [block.encode() for block in chain.blocks[1:]]))
-    return w.getvalue()
+    pin = hashlib.sha256(genesis).digest()
+    blocks = [block.encode() for block in chain.blocks[1:]]
+    return DUMP_MAGIC + bytes([DUMP_VERSION]) + encoding(_DUMP.encode, (genesis, pin, blocks))
 
 
 def import_chain(data: bytes) -> tuple[tuple[LedgerState, dict[str, bytes]], list[Block]]:

@@ -23,7 +23,7 @@ tag byte.
 
 Encoders and decoders are compiled.  Each field codec gives its encoder as
 source, ``Field.source(s, value)``: lines that append the value to ``b``,
-the writer's bytearray, with a ``_Pack`` for each fixed-width value.  It
+the caller's bytearray, with a ``_Pack`` for each fixed-width value.  It
 gives its decoder the same way, ``Field.read_source(s, target)``: lines
 that read a value from the bytes ``d`` at position ``p`` into ``target``
 and move ``p`` past it, with an ``_Unpack`` for each fixed-width value (see
@@ -33,13 +33,14 @@ field in place with no call per field.  Each run of adjacent fixed-width
 values (u64, bool, enum, a length or a count) is one precompiled
 ``struct.Struct(...).pack`` or ``unpack_from``, whose range and bounds
 errors become CodecError, and a length-prefixed value is sliced in place.
-Every codec's own ``encode`` and ``read(data, pos)``, a record's as a
-combinator's, is its source compiled on its first call, so every rule is
-written once and importing compiles nothing; :func:`whole` reads a frame
-that must hold exactly one value.  A codec without source is called from a
-record's encoder or decoder instead.  :class:`Writer` keeps the
-primitives for the hand-written frames (transaction signing bytes,
-messages), and :class:`Reader` those that read a frame field by field.
+Every codec's own ``encode(b, value)``, which appends to the bytearray
+``b``, and ``read(data, pos)``, a record's as a combinator's, is its source
+compiled on its first call, so every rule is written once and importing
+compiles nothing.  :func:`encoding` gives the bytes of one value and
+:func:`whole` reads a frame that must hold exactly one value; every frame,
+signed messages included, is a declared codec's after at most a constant
+prefix.  A codec without source is called from a record's encoder or
+decoder instead.
 """
 
 from __future__ import annotations
@@ -49,129 +50,28 @@ import struct
 import warnings
 from collections.abc import Callable
 from enum import Enum
-from typing import Any, NamedTuple, TypeVar
+from typing import Any, NamedTuple
 
 from .errors import CodecError
 
-E = TypeVar("E", bound=Enum)
-
 U64_MAX = 2**64 - 1
 U32_MAX = 2**32 - 1
-
-
-class Writer:
-    """Accumulates canonical bytes."""
-
-    def __init__(self) -> None:
-        self._buf = bytearray()
-
-    def u8(self, value: int) -> None:
-        if not (isinstance(value, int) and 0 <= value <= 0xFF):
-            raise CodecError(f"u8 out of range: {value!r}")
-        self._buf.append(value)
-
-    def u64(self, value: int) -> None:
-        if not (isinstance(value, int) and 0 <= value <= U64_MAX):
-            raise CodecError(f"u64 out of range: {value!r}")
-        self._buf += struct.pack(">Q", value)
-
-    def boolean(self, value: bool) -> None:
-        self._buf.append(1 if value else 0)
-
-    def raw(self, data: bytes) -> None:
-        """Append bytes without a length prefix (caller controls framing)."""
-        self._buf += data
-
-    def bytes_(self, data: bytes) -> None:
-        if not isinstance(data, (bytes, bytearray)):
-            _not_bytes(data)
-        if len(data) > U32_MAX:
-            raise CodecError("byte string too long")
-        self._buf += struct.pack(">I", len(data))
-        self._buf += data
-
-    def text(self, value: str) -> None:
-        try:
-            data = value.encode("utf-8")
-        except (UnicodeEncodeError, AttributeError):
-            _not_utf8(value)
-        self.bytes_(data)
-
-    def count(self, n: int) -> None:
-        if not (isinstance(n, int) and 0 <= n <= U32_MAX):
-            raise CodecError(f"u32 out of range: {n!r}")
-        self._buf += struct.pack(">I", n)
-
-    def getvalue(self) -> bytes:
-        return bytes(self._buf)
-
-
-class Reader:
-    """Strict cursor over a canonical byte frame."""
-
-    def __init__(self, data: bytes) -> None:
-        self._data = data
-        self._pos = 0
-
-    def _take(self, n: int) -> bytes:
-        if n < 0 or self._pos + n > len(self._data):
-            raise CodecError("unexpected end of frame")
-        out = self._data[self._pos : self._pos + n]
-        self._pos += n
-        return out
-
-    def u8(self) -> int:
-        return self._take(1)[0]
-
-    def u64(self) -> int:
-        return struct.unpack(">Q", self._take(8))[0]
-
-    def enum(self, kind: type[E]) -> E:
-        """One byte holding the value of a member of ``kind``."""
-        value = self.u8()
-        try:
-            return kind(value)
-        except ValueError:
-            raise CodecError(f"unknown {kind.__name__} value {value}") from None
-
-    def boolean(self) -> bool:
-        b = self.u8()
-        if b not in (0, 1):
-            raise CodecError(f"invalid boolean byte: {b}")
-        return b == 1
-
-    def bytes_(self) -> bytes:
-        n = struct.unpack(">I", self._take(4))[0]
-        return self._take(n)
-
-    def text(self) -> str:
-        raw = self.bytes_()
-        try:
-            return raw.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise CodecError("invalid UTF-8 in text field") from exc
-
-    def count(self) -> int:
-        return struct.unpack(">I", self._take(4))[0]
-
-    def require_end(self) -> None:
-        if self._pos != len(self._data):
-            raise CodecError(f"{len(self._data) - self._pos} trailing bytes in frame")
 
 
 # --- field codecs ------------------------------------------------------------------
 
 
 class Field(NamedTuple):
-    """How one value is written to a :class:`Writer` and read back.
+    """How one value is written and read back.
 
-    ``encode`` is the encoder ``source`` writes, and ``read(data, pos)``,
+    ``encode(b, value)``, which appends to the bytearray ``b``, is the
+    encoder ``source`` writes (see :func:`encoding`), and ``read(data, pos)``,
     the value at ``pos`` and the position after it, the decoder
     ``read_source`` writes (see :class:`_Source`).  The decoding members
     are ``None`` for a value only written, as into the state digest.
     """
 
-    encode: Callable[[Writer, Any], None]
+    encode: Callable[[bytearray, Any], None]
     source: Callable[[_Source, str], list] | None = None
     read: Callable[[bytes, int], tuple[Any, int]] | None = None
     read_source: Callable[[_Source, str], list] | None = None
@@ -235,8 +135,8 @@ def is_utf8(text: str) -> bool:
 
 
 class _Source:
-    """The source of one compiled function: an encoder ``encode(w, v)``, which
-    appends to ``b``, the bytearray of ``w``, or a decoder ``read(d, p)``,
+    """The source of one compiled function: an encoder ``encode(b, v)``, which
+    appends to the bytearray ``b``, or a decoder ``read(d, p)``,
     which reads the bytes ``d`` of length ``L`` from position ``p``.
 
     A codec's ``source(s, value)`` returns items: lines of source, and a
@@ -359,10 +259,10 @@ def _function(s: _Source, signature: str, body: list[str]) -> Callable:
     return function
 
 
-def _compile(source: Callable[[_Source, str], list]) -> Callable[[Writer, Any], None]:
-    """``encode(w, v)``, the function ``source`` writes."""
+def _compile(source: Callable[[_Source, str], list]) -> Callable[[bytearray, Any], None]:
+    """``encode(b, v)``, the function ``source`` writes."""
     s = _Source()
-    return _function(s, "def encode(w, v):", ["b = w._buf", *s.lines(source(s, "v"))])
+    return _function(s, "def encode(b, v):", s.lines(source(s, "v")))
 
 
 def _compile_read(read_source: Callable[[_Source, str], list]) -> Callable[[bytes, int], tuple[Any, int]]:
@@ -392,7 +292,7 @@ def _lazy(compile: Callable[[], Callable]) -> Callable:
 def _items(s: _Source, codec: Field, value: str) -> list:
     """``codec`` writing ``value``: its source, or a call of its encoder if it has none."""
     if codec.source is None:
-        return [f"{s.const(codec.encode)}(w, {value})"]
+        return [f"{s.const(codec.encode)}(b, {value})"]
     return codec.source(s, value)
 
 
@@ -411,6 +311,13 @@ def _field(source: Callable[[_Source, str], list], read_source: Callable[[_Sourc
     if read_source is None or any(codec.read is None for codec in over):
         return Field(encode, source)
     return Field(encode, source, _lazy(lambda: _compile_read(read_source)), read_source)
+
+
+def encoding(encode: Callable[[bytearray, Any], None], value) -> bytes:
+    """The bytes ``encode`` writes for ``value``."""
+    b = bytearray()
+    encode(b, value)
+    return bytes(b)
 
 
 def whole(read: Callable[[bytes, int], tuple[Any, int]], data: bytes, pos: int = 0):
@@ -600,10 +507,8 @@ def tuple_of(*inners: Field) -> Field:
 def framed(inner: Field) -> Field:
     """The value's encoding as a byte string, which must hold exactly one value."""
 
-    def encode(w: Writer, value) -> None:
-        body = Writer()
-        inner.encode(body, value)
-        w.bytes_(body.getvalue())
+    def encode(b: bytearray, value) -> None:
+        BYTES.encode(b, encoding(inner.encode, value))
 
     def read_source(s: _Source, v: str) -> list:
         body, end = s.local(), s.local()
@@ -731,7 +636,7 @@ class Tagged:
     def __init__(self, name: str):
         self.name = name
         self.by_tag: dict[int, type] = {}
-        self._encoders: dict[type, Callable[[Writer, Any], None]] = {}
+        self._encoders: dict[type, Callable[[bytearray, Any], None]] = {}
         self._sources: dict[type, Callable[[_Source, str], list]] = {}
         # each member's fields, read after its tag
         self._reads: dict[int, Callable[[bytes, int], tuple[Any, int]]] = {}
@@ -762,11 +667,11 @@ class Tagged:
 
         return register
 
-    def encode(self, w: Writer, value) -> None:
+    def encode(self, b: bytearray, value) -> None:
         encode = self._encoders.get(type(value))
         if encode is None:
             raise CodecError(f"unknown {self.name} type {type(value).__name__}")
-        encode(w, value)
+        encode(b, value)
 
     def source(self, s: _Source, v: str) -> list:
         """The tag and fields of the member the value is, chosen in place among
@@ -774,7 +679,7 @@ class Tagged:
         items: list = []
         value = s.bind(v, items)
         cases = [(cls, source(s, value)) for cls, source in self._sources.items()]
-        return items + s.by_type(value, cases, f"{s.const(self.encode)}(w, {value})")
+        return items + s.by_type(value, cases, f"{s.const(self.encode)}(b, {value})")
 
     def read_source(self, s: _Source, v: str) -> list:
         """The tag, then the fields of the member it names, chosen in place among

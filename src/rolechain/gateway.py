@@ -21,7 +21,7 @@ from enum import Enum
 from typing import Any, NamedTuple
 
 from . import errors as err
-from .codec import BOOL, BYTES, TEXT, U64, U64_MAX, Field, Writer, none_as, seq_of, whole, wire, wire_record
+from .codec import BOOL, BYTES, TEXT, U32, U64, U64_MAX, Field, encoding, none_as, seq_of, whole, wire, wire_record
 from .engine import verify_evidence, view_key_fault
 from .errors import CodecError, QueryError, TxError
 from .keys import KeyPair, get_scheme
@@ -184,19 +184,17 @@ class PublicEntry:
     public_bytes = None  # kept on first encoding, as a LogEntry keeps it
 
 
-def _write_entries(w: Writer, entries) -> None:
+def _write_entries(b: bytearray, entries) -> None:
     """Count, then each entry's public bytes, kept from its first read.
 
     Keeping them is safe: the encoded fields never change once an entry is
     logged (a reversal sets only ``reversed_by``).
     """
-    w.count(len(entries))
+    U32.encode(b, len(entries))
     for e in entries:
         if e.public_bytes is None:
-            body = Writer()
-            PublicEntry.FIELDS.encode(body, e)  # reads the fields by name
-            e.public_bytes = body.getvalue()
-        w.raw(e.public_bytes)
+            e.public_bytes = encoding(PublicEntry.FIELDS.encode, e)  # reads the fields by name
+        b += e.public_bytes
 
 
 @wire_record
@@ -257,9 +255,7 @@ def authorize_query(state: LedgerState, requester: bytes, query: Query) -> None:
 def compute_result(state: LedgerState, query: Query) -> bytes:
     """Canonical encoding of the honest answer for a query."""
     read = READS[type(query)]
-    w = Writer()
-    read.answer.encode(w, read.compute(state, query))
-    return w.getvalue()
+    return encoding(read.answer.encode, read.compute(state, query))
 
 
 class VisibilityGateway:
@@ -283,9 +279,7 @@ class VisibilityGateway:
     def _corrupt(self, query: Query, result: bytes) -> bytes:
         # deterministic lie: inflate a number (wrapping inside u64), clobber the rest
         if READS[type(query)].answer is U64:
-            w = Writer()
-            U64.encode(w, (whole(U64.read, result) + 100) & U64_MAX)
-            return w.getvalue()
+            return encoding(U64.encode, (whole(U64.read, result) + 100) & U64_MAX)
         return result + b"\x00"
 
     def answer(self, state: LedgerState, request: QueryRequest) -> SignedQueryResponse:

@@ -40,7 +40,7 @@ from .codec import (
     U32,
     U64,
     U64_MAX,
-    Writer,
+    encoding,
     enum,
     none_as,
     optional,
@@ -419,11 +419,9 @@ class LedgerState:
 
     def encode(self) -> bytes:
         """The canonical encoding of the entire state, each record written by the encoder its fields declare."""
-        w = Writer()
         head = (self.scheme, self.height, self.supply.minted, self.supply.burned)
         tables = (self.accounts, self.policies, self.proposals, self.interest_rules, self.allowances, self.validator_registry)
-        _STATE.encode(w, (*head, *tables, self.tx_log))
-        return w.getvalue()
+        return encoding(_STATE.encode, (*head, *tables, self.tx_log))
 
     def digest(self) -> bytes:
         """SHA-256 over :meth:`encode`."""

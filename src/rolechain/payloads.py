@@ -24,7 +24,7 @@ from .codec import (
     U64,
     Field,
     Tagged,
-    Writer,
+    encoding,
     enum,
     framed,
     optional,
@@ -160,9 +160,7 @@ class Claimable(Query):
 
 
 def encode_query(query: Query) -> bytes:
-    w = Writer()
-    QUERY.encode(w, query)
-    return w.getvalue()
+    return encoding(QUERY.encode, query)
 
 
 def decode_query(data: bytes) -> Query:
@@ -184,13 +182,11 @@ class SignedQueryResponse:
 
 
 def response_signing_bytes(validator: bytes, echo: bytes, result: bytes, as_of_height: int) -> bytes:
-    w = Writer()
-    w.raw(b"resp:")
-    w.bytes_(validator)
-    w.bytes_(echo)
-    w.bytes_(result)
-    w.u64(as_of_height)
-    return w.getvalue()
+    return b"resp:" + encoding(_ANSWERED.encode, (validator, echo, result, as_of_height))
+
+
+# what a response signs after its prefix: validator, echo, result, height
+_ANSWERED = tuple_of(BYTES, BYTES, BYTES, U64)
 
 
 def sign_response(
@@ -375,18 +371,18 @@ class DiscrepancyEvent(Payload):
     second: SignedQueryResponse = wire(SignedQueryResponse.FIELDS)
 
 
-def encode_payload(w: Writer, payload: Payload) -> None:
+def encode_payload(b: bytearray, payload: Payload) -> None:
     if type(payload) is CreateProposal:
         # proposals nest: recursing here directly costs one stack frame per
         # level, where the generic path through PAYLOAD costs several, so a
         # frame nested as deep as before still encodes
-        w.u8(CreateProposal.TAG)
-        inner = Writer()
+        b.append(CreateProposal.TAG)
+        inner = bytearray()
         encode_payload(inner, payload.action)
-        w.bytes_(inner.getvalue())
-        w.u8(payload.electorate.value)
+        BYTES.encode(b, inner)
+        _ELECTORATE.encode(b, payload.electorate)
     else:
-        PAYLOAD.encode(w, payload)
+        PAYLOAD.encode(b, payload)
 
 
 def read_payload(data: bytes, pos: int) -> tuple[Payload, int]:
@@ -463,16 +459,14 @@ class Transaction:
 
 
 def tx_signing_bytes(sender: bytes, nonce: int, payload: Payload) -> bytes:
-    w = Writer()
-    w.raw(b"tx:")
-    w.bytes_(sender)
-    w.u64(nonce)
-    encode_payload(w, payload)
-    return w.getvalue()
+    return b"tx:" + encoding(_SIGNED.encode, (sender, nonce, payload))
 
 
-# a transaction after its prefix: sender, nonce, payload, signature
-_ENVELOPE = tuple_of(BYTES, U64, Field(encode_payload, None, read_payload), BYTES)
+_PAYLOAD = Field(encode_payload, None, read_payload)
+# a transaction after its prefix: sender, nonce and payload, which are
+# signed, then the signature
+_SIGNED = tuple_of(BYTES, U64, _PAYLOAD)
+_ENVELOPE = tuple_of(BYTES, U64, _PAYLOAD, BYTES)
 
 
 def decode_transaction(data: bytes) -> Transaction:
@@ -496,37 +490,26 @@ def sign_transaction(signer: KeyPair, sender: bytes, nonce: int, payload: Payloa
 
 def _keep_encoding(tx: Transaction, signing: bytes) -> Transaction:
     """Keep ``signing``, the signing bytes of ``tx``, then its framed signature as its encoding."""
-    w = Writer()
-    w.raw(signing)
-    w.bytes_(tx.signature)
-    object.__setattr__(tx, "_encoded", w.getvalue())
+    object.__setattr__(tx, "_encoded", signing + encoding(BYTES.encode, tx.signature))
     return tx
 
 
 # --- auxiliary signed messages -------------------------------------------------
 
+# each message after its prefix: two byte strings
+_PAIR = tuple_of(BYTES, BYTES)
+
+
 def rotation_message(target: bytes, new_key: bytes) -> bytes:
     """Message each rotation approver signs."""
-    w = Writer()
-    w.raw(b"rotate:")
-    w.bytes_(target)
-    w.bytes_(new_key)
-    return w.getvalue()
+    return b"rotate:" + encoding(_PAIR.encode, (target, new_key))
 
 
 def possession_message(provider: bytes, key: bytes) -> bytes:
     """Message a prospective user signs to prove possession of their key."""
-    w = Writer()
-    w.raw(b"possess:")
-    w.bytes_(provider)
-    w.bytes_(key)
-    return w.getvalue()
+    return b"possess:" + encoding(_PAIR.encode, (provider, key))
 
 
 def challenge_message(challenge: bytes, echo: bytes) -> bytes:
     """Message a requester signs to authenticate one gateway query."""
-    w = Writer()
-    w.raw(b"query:")
-    w.bytes_(challenge)
-    w.bytes_(echo)
-    return w.getvalue()
+    return b"query:" + encoding(_PAIR.encode, (challenge, echo))

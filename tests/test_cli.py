@@ -11,7 +11,7 @@ from click.testing import CliRunner
 from rolechain import chain, ledger
 from rolechain.chain import Chain, export_chain, genesis_block, genesis_doc, import_chain
 from rolechain.cli import QUERIES, main
-from rolechain.codec import TEXT, Writer
+from rolechain.codec import TEXT, encoding
 from rolechain.errors import InvalidBlock
 from rolechain.payloads import Permanence
 from rolechain.sim import Simulation
@@ -199,9 +199,7 @@ def test_verify_detects_tampering(runner, dump_path, tmp_path):
 
 
 def _encoded(codec, value) -> bytes:
-    w = Writer()
-    codec.encode(w, value)
-    return w.getvalue()
+    return encoding(codec.encode, value)
 
 
 def _at(genesis: bytes, record, field: str) -> int:

@@ -3,9 +3,11 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, strategies as st
 
-from rolechain.codec import BYTES, U64, Reader, Writer, optional, sorted_map, whole
+from rolechain.codec import BYTES, U64, optional, sorted_map, whole
 from rolechain.errors import CodecError
 from rolechain.payloads import Transfer, tx_signing_bytes
+
+from reference import Reader, Writer
 
 
 def roundtrip(write, read):

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rolechain.chain import Block, decode_block
-from rolechain.codec import Reader, Writer, whole
+from rolechain.codec import whole
 from rolechain.errors import CodecError
 from rolechain.gateway import READS, DirectoryEntry, PublicEntry
 from rolechain.monetary import Supply
@@ -49,6 +49,7 @@ from rolechain.payloads import (
 )
 from rolechain.keys import keypair_from_label
 
+from reference import Reader, Writer
 from test_compiled_encoders import ANSWERS, MEMBERS, RECORDS, ids, instances, u64s, written
 
 # --- the reference: Reader primitives only ------------------------------------------

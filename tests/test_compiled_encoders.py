@@ -24,7 +24,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rolechain import gateway, ledger, monetary, payloads
-from rolechain.codec import BYTES, TEXT, U64_MAX, Tagged, Writer, _compile, seq_of
+from rolechain.codec import BYTES, TEXT, U64_MAX, Tagged, _compile, seq_of
 from rolechain.errors import CodecError
 from rolechain.gateway import READS
 from rolechain.ledger import Account, LedgerState, LogEntry, ProposalStatus
@@ -54,6 +54,7 @@ from rolechain.payloads import (
 )
 from rolechain.sim import load_scenario, run
 
+from reference import Writer
 from test_registry import genesis_states
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
@@ -402,7 +403,7 @@ def test_no_compiled_encoder_calls_a_codec_that_has_source():
     encoders = [_compile(source) for source in sources]  # as each first call compiles it
     called = set()
     for encode in encoders:
-        for name in re.findall(r"\b(k\d+)\(w, ", encode.source):
+        for name in re.findall(r"\b(k\d+)\(b, ", encode.source):
             callee = encode.__globals__[name]
             assert callee in sourceless or isinstance(getattr(callee, "__self__", None), Tagged), encode.source
             called.add(callee)
@@ -420,8 +421,8 @@ codec._compile_read = lambda source: reads.append(source) or original_read(sourc
 import rolechain.cli
 from rolechain.payloads import PAYLOAD, Transfer
 print(len(compiled) + len(reads))
-PAYLOAD.encode(codec.Writer(), Transfer(bytes(32), 1))
-PAYLOAD.encode(codec.Writer(), Transfer(bytes(32), 2))
+PAYLOAD.encode(bytearray(), Transfer(bytes(32), 1))
+PAYLOAD.encode(bytearray(), Transfer(bytes(32), 2))
 print(len(compiled))
 """
     src = Path(__file__).resolve().parents[1] / "src"

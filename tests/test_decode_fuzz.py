@@ -25,7 +25,7 @@ from rolechain.chain import (
     import_chain,
     replay,
 )
-from rolechain.codec import Writer, whole
+from rolechain.codec import whole
 from rolechain.errors import CodecError, QueryError, RolechainError
 from rolechain.gateway import QueryRequest, Rejected, SecurityGateway, VisibilityGateway, sign_request
 from rolechain.keys import keypair_from_label
@@ -64,6 +64,7 @@ from rolechain.payloads import (
 from rolechain.sim import load_scenario, run
 
 from conftest import World, make_world
+from reference import Writer
 from test_payloads import ALL_PAYLOADS
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"

@@ -13,7 +13,7 @@ import gc
 import pytest
 
 from rolechain.chain import import_chain, replay
-from rolechain.codec import U64, Writer
+from rolechain.codec import U64, encoding
 from rolechain.gateway import SecurityGateway, VisibilityGateway, verify_response
 from rolechain.keys import KeyPair, keypair_from_label
 from rolechain.payloads import OwnBalance, ProviderOnly, RegisterEndpoints, encode_query
@@ -23,9 +23,7 @@ SEED = 9
 
 
 def _u64(value: int) -> bytes:
-    w = Writer()
-    U64.encode(w, value)
-    return w.getvalue()
+    return encoding(U64.encode, value)
 
 
 def _non_validator_gateway_raw(scheme: str) -> dict:

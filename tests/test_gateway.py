@@ -212,7 +212,7 @@ def test_own_balance_allowed():
     _, vis = _gateways(world, "v0")
     response = _query(world, vis, "alice", OwnBalance(world.aid("alice")))
     assert verify_response(world.state, response)
-    from rolechain.codec import Reader
+    from reference import Reader
 
     assert Reader(response.result).u64() == 100
 

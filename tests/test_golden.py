@@ -26,7 +26,7 @@ from pathlib import Path
 import pytest
 
 from rolechain.chain import ZERO_HASH, Block, Chain, export_chain, genesis_block, genesis_doc
-from rolechain.codec import Writer, whole
+from rolechain.codec import BYTES, encoding, whole
 from rolechain.engine import build_genesis
 from rolechain.gateway import compute_result
 from rolechain.ledger import (
@@ -182,10 +182,7 @@ def test_read_answers(stem):
 
 def _fresh_encoding(tx: Transaction) -> bytes:
     """The encoding of ``tx`` written afresh from its fields."""
-    w = Writer()
-    w.raw(tx_signing_bytes(tx.sender, tx.nonce, tx.payload))
-    w.bytes_(tx.signature)
-    return w.getvalue()
+    return tx_signing_bytes(tx.sender, tx.nonce, tx.payload) + encoding(BYTES.encode, tx.signature)
 
 
 @pytest.mark.parametrize("stem", ["bootstrap_and_transfer", "corrupt_gateway", "interest_pull"])
@@ -240,9 +237,7 @@ RESPONSE = SignedQueryResponse(B, b"echo", b"\x00" * 8, 2**40, b"view-sig")
 
 
 def _encoded(obj) -> bytes:
-    w = Writer()
-    obj.FIELDS.encode(w, obj)
-    return w.getvalue()
+    return encoding(obj.FIELDS.encode, obj)
 
 
 def _block() -> Block:
@@ -331,9 +326,7 @@ def wire_cases() -> dict[str, bytes]:
     """Every case's canonical bytes under the current encoders."""
     cases = {}
     for name, payload in PAYLOADS.items():
-        w = Writer()
-        encode_payload(w, payload)
-        cases[name] = w.getvalue()
+        cases[name] = encoding(encode_payload, payload)
     for name, query in QUERIES.items():
         cases[name] = encode_query(query)
     cases["validator record"] = _encoded(RECORD)

@@ -17,7 +17,6 @@ import copy
 from hypothesis import given, settings, strategies as st
 
 from rolechain.chain import Chain, append_block, build_block, export_chain, genesis_doc, import_chain, publisher_at, replay
-from rolechain.codec import Writer
 from rolechain.gateway import LOG_ENTRIES, compute_result
 from rolechain.ledger import LOG_VALUE, LedgerState, LogEntry, get_history
 from rolechain.payloads import (
@@ -39,6 +38,7 @@ from rolechain.payloads import (
 )
 
 from conftest import World, make_world
+from reference import Writer
 
 USERS = ["alice", "bob", "carol"]
 ROLES = {

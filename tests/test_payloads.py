@@ -5,7 +5,7 @@ import struct
 
 import pytest
 
-from rolechain.codec import Writer, whole
+from rolechain.codec import whole
 from rolechain.errors import CodecError
 from rolechain.keys import keypair_from_label
 from rolechain.payloads import (
@@ -45,6 +45,8 @@ from rolechain.payloads import (
     encode_query,
     read_payload,
 )
+
+from reference import Writer
 
 A = b"\x11" * 32
 B = b"\x22" * 32

@@ -24,7 +24,7 @@ from hypothesis import given, settings, strategies as st
 
 from rolechain.chain import decode_genesis, genesis_doc
 from rolechain.cli import QUERIES
-from rolechain.codec import U64, U64_MAX, Field, Writer, whole
+from rolechain.codec import U64, U64_MAX, Field, whole
 from rolechain.engine import HANDLERS, execute_payload
 from rolechain.errors import TxError
 from rolechain.gateway import READS, Visibility
@@ -55,6 +55,7 @@ from rolechain.payloads import (
 )
 from rolechain.sim import QUERY_STEPS, TX_STEPS, Simulation, parse_scenario
 
+from reference import Writer
 from test_golden import READS as GOLDEN_READS, read_answer_bytes
 from conftest import make_world
 from test_payloads import ALL_PAYLOADS

@@ -14,11 +14,12 @@ import pytest
 
 from rolechain import ledger
 from rolechain.chain import decode_genesis, genesis_doc
-from rolechain.codec import Writer, whole
+from rolechain.codec import whole
 from rolechain.ledger import Account
 from rolechain.payloads import QUERY, RECOVERY, Role, decode_query, encode_query
 
 from conftest import make_world
+from reference import Writer
 
 FIELDLESS = [cls for union in (RECOVERY, QUERY) for cls in union.by_tag.values() if not dataclasses.fields(cls)]
 
