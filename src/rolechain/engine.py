@@ -151,13 +151,17 @@ def execute_payload(
     return handler(state, sender, payload, tx_id, authority)
 
 
+def _event_id(prefix: bytes, first: int, second: int) -> bytes:
+    """The logged id of an event no transaction carries: SHA-256 of ``prefix``
+    and the two numbers, each as 8 big-endian bytes."""
+    return hashlib.sha256(prefix + first.to_bytes(8, "big") + second.to_bytes(8, "big")).digest()
+
+
 def _proposal_executor(state: LedgerState):
     """Build the callback that runs a passed proposal's action."""
 
     def run(prop: Proposal) -> str | None:
-        exec_id = hashlib.sha256(
-            b"exec:" + prop.proposal_id.to_bytes(8, "big") + state.height.to_bytes(8, "big")
-        ).digest()
+        exec_id = _event_id(b"exec:", prop.proposal_id, state.height)
         try:
             applied = execute_payload(state, prop.proposer, prop.action, exec_id, Authority.SYSTEM)
         except TxError as exc:
@@ -188,9 +192,7 @@ def finalize_expired_proposals(state: LedgerState) -> list[LogEntry]:
     entries = []
     for pid in governance.expired_open_proposals(state):
         applied = governance.finalize_proposal(state, pid, _proposal_executor(state))
-        event_id = hashlib.sha256(
-            b"autofinalize:" + pid.to_bytes(8, "big") + state.height.to_bytes(8, "big")
-        ).digest()
+        event_id = _event_id(b"autofinalize:", pid, state.height)
         entry = LogEntry(
             tx_id=event_id,
             height=state.height,
@@ -216,9 +218,7 @@ def run_accruals(state: LedgerState) -> None:
     """
     for rule_id, period_index in monetary.boundaries_at(state, state.height):
         rule = state.interest_rules[rule_id]
-        boundary_id = hashlib.sha256(
-            b"accrual:" + rule_id.to_bytes(8, "big") + period_index.to_bytes(8, "big")
-        ).digest()
+        boundary_id = _event_id(b"accrual:", rule_id, period_index)
         data = {"rule_id": rule_id, "period": period_index}
         try:
             credited = monetary.accrue_period(state, rule_id, period_index)
@@ -318,7 +318,8 @@ def build_genesis(
     """Assemble the height-0 state: accounts, default policies, escrow.
 
     Genesis balances count toward minted supply so conservation holds from
-    the first block.
+    the first block; balances summing past the u64 range raise
+    SupplyOverflow.
     """
     state = LedgerState(scheme=scheme)
     for key, (value, permanence) in POLICY_DEFAULTS.items():
@@ -332,5 +333,7 @@ def build_genesis(
         state.accounts[escrow.account_id] = escrow
         state.policies["security.escrow"] = new_policy("security.escrow", escrow.account_id, Permanence.PERMANENT)
     # minted supply is the balances' sum, as read_genesis requires
-    state.supply = SupplyCounters(state.total_balances())
+    minted = state.total_balances()
+    state.check_supply(minted)
+    state.supply = SupplyCounters(minted)
     return state

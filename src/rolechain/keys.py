@@ -27,7 +27,6 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import (
 from .errors import InvalidKey
 
 KEY_LEN = 32
-ACCOUNT_ID_LEN = 32
 
 
 def derive_account_id(public_key: bytes) -> bytes:

@@ -267,9 +267,6 @@ def parse_scenario(raw: dict, default_name: str = "scenario") -> Scenario:
                 raise ScenarioError(f"duplicate or reserved actor name {name!r}")
             declared.actors.add(name)
     actors = [ActorSpec(**check(entry, ACTOR_ENTRY, "actor", declared)) for entry in top["actors"]]
-    # genesis balances are minted supply, which is a u64 too
-    if sum([actor.balance for actor in actors]) > U64_MAX:
-        raise ScenarioError("actors: balances sum past 2**64-1")
     policies = [check(entry, POLICY_ENTRY, "policy", declared) for entry in top.get("policies", ())]
     # the genesis writes a policy with no expiry height as one of 0
     if any(p.get("permanence") is Permanence.TIMED_EXPIRATION and not p["expiry_height"] for p in policies):
@@ -600,7 +597,10 @@ class Simulation:
             account_id=self.keys["escrow"].account_id,
             public_key=self.keys["escrow"].public_key,
         )
-        self.state = build_genesis(scn.scheme, accounts, overrides, escrow)
+        try:
+            self.state = build_genesis(scn.scheme, accounts, overrides, escrow)
+        except TxError as exc:
+            raise ScenarioError(f"actors: balances sum past 2**64-1 ({exc})") from exc
         self.chain = Chain()
 
         # only genesis validators start with on-chain endpoint registrations

@@ -5,9 +5,9 @@ import random
 import pytest
 
 from rolechain import errors as err
-from rolechain.engine import run_accruals
+from rolechain.engine import build_genesis, run_accruals
 from rolechain.errors import TxError
-from rolechain.ledger import Authority
+from rolechain.ledger import Account, Authority
 from rolechain.monetary import accrue_period, claimable_amount, supply_view
 from rolechain.payloads import (
     Burn,
@@ -122,6 +122,15 @@ def test_convert_requires_institution_role():
 # --- the u64 supply bound ----------------------------------------------------------------
 
 NEAR_MAX = 2**64 - 6  # minted supply, all of it alice's
+
+
+def test_genesis_balances_past_the_u64_supply_raise_supply_overflow():
+    accounts = [Account(bytes([i]) * 32, bytes([i]) * 32, {Role.USER}, 2**63) for i in (1, 2)]
+    with pytest.raises(TxError) as exc:
+        build_genesis("mock", accounts)
+    assert exc.value.code == err.SUPPLY_OVERFLOW
+    accounts[1].balance -= 1
+    assert build_genesis("mock", accounts).supply.minted == 2**64 - 1
 
 
 @pytest.mark.parametrize(

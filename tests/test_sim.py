@@ -758,7 +758,7 @@ def test_genesis_balances_past_the_u64_supply_are_a_load_error():
     raw = _sweep_raw()
     raw["actors"][0]["balance"] = raw["actors"][1]["balance"] = 2**63
     with pytest.raises(ScenarioError, match="balances sum past"):
-        parse_scenario(raw)
+        Simulation(parse_scenario(raw))
     raw["actors"][1]["balance"] = 2**63 - 1
     assert run(parse_scenario(raw))[0].supply["minted"] == 2**64 - 1
 
