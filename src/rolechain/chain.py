@@ -204,7 +204,9 @@ def append_block(
     block: Block,
     inactive: frozenset[bytes] | None = frozenset(),
 ) -> list[LogEntry]:
-    """Validate, apply, and fire boundary work; fatal if conservation breaks.
+    """Validate, apply, and fire boundary work; fatal if conservation breaks,
+    which is judged from the money the block wrote
+    (:meth:`LedgerState.conserved_since_check`).
 
     Returns each transaction's entry, in block order, then the entries of
     the proposals the block auto-finalized.
@@ -216,7 +218,7 @@ def append_block(
     receipts = [engine.apply_transaction(state, tx) for tx in block.txs]
     engine.run_accruals(state)
     receipts.extend(engine.finalize_expired_proposals(state))
-    if not state.conservation_holds():
+    if not state.conserved_since_check():
         raise InternalInvariantViolation(
             f"conservation broken at height {block.height}: "
             f"balances={state.total_balances()} unclaimed={state.total_unclaimed()} "
@@ -275,11 +277,14 @@ def import_chain(data: bytes) -> tuple[tuple[LedgerState, dict[str, bytes]], lis
 
 def replay(genesis: tuple[LedgerState, dict[str, bytes]], blocks: list[Block]) -> tuple[Chain, LedgerState]:
     """Rebuild state from a decoded dump onto its genesis state, re-validating
-    every block and invariant (a genesis decodes only to a state that conserves supply)."""
+    every block and invariant (a genesis decodes only to a state that conserves
+    supply); at the end conservation is checked over every account."""
     state, _ = genesis
     chain = Chain()
     for block in blocks:
         append_block(chain, state, block, inactive=None)
+    if not state.conservation_holds():
+        raise InternalInvariantViolation("conservation broken at end of replay")
     return chain, state
 
 

@@ -22,6 +22,14 @@ fractional arithmetic anywhere in the ledger.  Five methods of
 :class:`LedgerState` are the only writers of balances, unclaimed
 allowances and supply: ``move``, ``issue``, ``retire``, ``promise`` and
 ``claim``.  The u64 bound on minted supply is ``check_supply`` alone.
+
+Conservation (the balances plus the unclaimed allowances equal the
+circulating supply) is checked after every block from that block's own
+writes: each primitive journals the holding of every account it is about
+to write, and :meth:`LedgerState.conserved_since_check` compares the
+journaled holdings' change with the change in circulating supply.  The
+first check of a state, and the end of a run and of a replay, sum every
+account instead (:meth:`LedgerState.conservation_holds`).
 """
 
 from __future__ import annotations
@@ -220,7 +228,14 @@ class AllowanceLedger:
     accrued: list[tuple[int, int]] = wire(seq_of(tuple_of(U64, U64)), default_factory=list)
 
     def unclaimed_total(self) -> int:
-        return sum(a for p, a in self.accrued if p > self.last_claimed_period)
+        # a plain loop: a ledger holds a few periods, and the conservation
+        # check sums one ledger per account that a block writes, where a
+        # generator would cost more than the sum
+        total, last = 0, self.last_claimed_period
+        for period, amount in self.accrued:
+            if period > last:
+                total += amount
+        return total
 
 
 @dataclass
@@ -294,6 +309,11 @@ class LedgerState:
     # entries, and the successful management entries (heights never decrease)
     _history: dict[bytes, list[LogEntry]] = field(default_factory=dict, init=False, repr=False, compare=False)
     _management: list[LogEntry] = field(default_factory=list, init=False, repr=False, compare=False)
+    # conservation journal kept by the money primitives: each written
+    # account's holding before its first write since the last check, and
+    # the circulating supply at that check (None before the first)
+    _held_before: dict[bytes, int] = field(default_factory=dict, init=False, repr=False, compare=False)
+    _checked_supply: int | None = field(default=None, init=False, repr=False, compare=False)
 
     # -- access helpers --------------------------------------------------
 
@@ -358,6 +378,7 @@ class LedgerState:
 
     # -- money: the only writers of balances, allowances and supply -------
     # each keeps sum(balances) + unclaimed == minted - burned, checks first
+    # and journals every account it is about to write
 
     def check_supply(self, amount: int) -> None:
         """Raise SupplyOverflow if minting ``amount`` would take minted supply past the u64 range."""
@@ -370,12 +391,15 @@ class LedgerState:
         """Move ``amount`` from one account to another."""
         if source.balance < amount:
             raise TxError(err.INSUFFICIENT_FUNDS)
+        self._journal(source.account_id)
+        self._journal(to.account_id)
         source.balance -= amount
         to.balance += amount
 
     def issue(self, to: Account, amount: int) -> None:
         """Credit ``amount`` to the account, minted."""
         self.check_supply(amount)
+        self._journal(to.account_id)
         to.balance += amount
         self.supply.minted += amount
 
@@ -383,18 +407,21 @@ class LedgerState:
         """Debit ``amount`` from the account, burned."""
         if source.balance < amount:
             raise TxError(err.INSUFFICIENT_FUNDS)
+        self._journal(source.account_id)
         source.balance -= amount
         self.supply.burned += amount
 
     def promise(self, account_id: bytes, rule_id: int, period: int, amount: int) -> None:
         """Record ``amount`` as the account's allowance for one period of a pull rule, minted now."""
         self.check_supply(amount)
+        self._journal(account_id)
         ledger = self.allowances.setdefault(account_id, {}).setdefault(rule_id, AllowanceLedger())
         ledger.accrued.append((period, amount))
         self.supply.minted += amount
 
     def claim(self, to: Account, ledger: AllowanceLedger, up_to_period: int) -> int:
-        """Credit the account with ``ledger``'s periods after the last claimed, up to ``up_to_period``; the amount."""
+        """Credit the account with its own ``ledger``'s periods after the last claimed, up to ``up_to_period``; the amount."""
+        self._journal(to.account_id)
         amount = sum(a for p, a in ledger.accrued if ledger.last_claimed_period < p <= up_to_period)
         ledger.last_claimed_period = up_to_period
         to.balance += amount
@@ -413,7 +440,40 @@ class LedgerState:
         )
 
     def conservation_holds(self) -> bool:
+        """The full sum over every account and allowance ledger."""
         return self.total_balances() + self.total_unclaimed() == self.supply.circulating
+
+    def holding(self, account_id: bytes) -> int:
+        """The account's balance plus its unclaimed allowances over every rule."""
+        acct = self.accounts.get(account_id)
+        held = 0 if acct is None else acct.balance
+        for ledger in self.allowances.get(account_id, {}).values():
+            held += ledger.unclaimed_total()
+        return held
+
+    def _journal(self, account_id: bytes) -> None:
+        """Record the account's holding before its first money write since the last check."""
+        if account_id not in self._held_before:
+            self._held_before[account_id] = self.holding(account_id)
+
+    def conserved_since_check(self) -> bool:
+        """Whether conservation holds, judged from the accounts written since the last check.
+
+        The journaled holdings must have changed by as much as circulating
+        supply did.  A state's first check runs the full sum instead.  A
+        passing check empties the journal and moves the baseline to now; a
+        failing one keeps both, so every later check fails too.
+        """
+        circulating = self.supply.circulating
+        if self._checked_supply is None:
+            ok = self.conservation_holds()
+        else:
+            journal = self._held_before
+            ok = sum(map(self.holding, journal)) - sum(journal.values()) == circulating - self._checked_supply
+        if ok:
+            self._held_before.clear()
+            self._checked_supply = circulating
+        return ok
 
     # -- digest ----------------------------------------------------------------
 

@@ -50,6 +50,10 @@ class Role(Enum):
     CURRENCY_MANAGER = 5
     VALIDATOR = 6
 
+    # members are singletons, so identity hashing is exact, and it runs in C
+    # where Enum.__hash__ is a Python call on every set test
+    __hash__ = object.__hash__
+
     def __lt__(self, other: Role) -> bool:
         # a set of roles is written in value order
         return self._value_ < other._value_

@@ -267,6 +267,10 @@ def parse_scenario(raw: dict, default_name: str = "scenario") -> Scenario:
                 raise ScenarioError(f"duplicate or reserved actor name {name!r}")
             declared.actors.add(name)
     actors = [ActorSpec(**check(entry, ACTOR_ENTRY, "actor", declared)) for entry in top["actors"]]
+    # an actor without roles gets no genesis account, so nothing could hold its balance
+    for actor in actors:
+        if actor.balance and not actor.roles:
+            raise ScenarioError(f"actor {actor.name}: a balance needs at least one role")
     policies = [check(entry, POLICY_ENTRY, "policy", declared) for entry in top.get("policies", ())]
     # the genesis writes a policy with no expiry height as one of 0
     if any(p.get("permanence") is Permanence.TIMED_EXPIRATION and not p["expiry_height"] for p in policies):

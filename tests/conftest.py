@@ -4,6 +4,7 @@ from dataclasses import dataclass
 
 import pytest
 
+from rolechain import engine
 from rolechain.engine import apply_transaction, build_genesis
 from rolechain.keys import KeyPair, keypair_from_label
 from rolechain.ledger import Account, LedgerState, LogEntry
@@ -87,3 +88,16 @@ def make_world(
 @pytest.fixture
 def world() -> World:
     return make_world(balances={"alice": 100, "bob": 0})
+
+
+def write_behind_the_primitives(monkeypatch, height: int, account_id: bytes) -> None:
+    """Add 1 to the account's balance while block ``height`` applies, after
+    its transactions, bypassing the ledger's money primitives."""
+    run_accruals = engine.run_accruals
+
+    def stray_write_then_run_accruals(state: LedgerState) -> None:
+        if state.height == height:
+            state.accounts[account_id].balance += 1
+        run_accruals(state)
+
+    monkeypatch.setattr(engine, "run_accruals", stray_write_then_run_accruals)

@@ -19,7 +19,7 @@ from rolechain.chain import (
     spacing_window,
     validate_block,
 )
-from rolechain.errors import InvalidBlock, TxError
+from rolechain.errors import InternalInvariantViolation, InvalidBlock, TxError
 from rolechain.keys import KeyPair
 from rolechain.payloads import (
     AssignRole,
@@ -35,7 +35,7 @@ from rolechain.payloads import (
     ValidatorRecord,
 )
 
-from conftest import World, make_world
+from conftest import World, make_world, write_behind_the_primitives
 
 V = [f"v{i}" for i in range(4)]
 
@@ -421,8 +421,6 @@ def test_block_size_cap_spills_to_next_block():
 
 
 def test_conservation_violation_is_fatal():
-    from rolechain.errors import InternalInvariantViolation
-
     world = _chain_world()
     chain = Chain()
     advance(world, chain)
@@ -430,3 +428,29 @@ def test_conservation_violation_is_fatal():
     world.state.supply.minted += 1
     with pytest.raises(InternalInvariantViolation):
         advance(world, chain)
+
+
+def test_a_stray_write_to_an_account_the_block_wrote_is_fatal_at_that_block(monkeypatch):
+    world = _chain_world()
+    chain = Chain()
+    advance(world, chain)  # the first check sums every account
+    write_behind_the_primitives(monkeypatch, 2, world.aid("bob"))
+    with pytest.raises(InternalInvariantViolation, match="at height 2: balances=101 unclaimed=0 supply=100"):
+        advance(world, chain, [world.tx("alice", Transfer(world.aid("bob"), 5))])
+    assert chain.height == 1
+
+
+def test_a_stray_write_to_an_account_no_block_wrote_is_caught_at_the_end_of_replay(monkeypatch):
+    world = _chain_world()
+    doc = genesis_doc(world.state)
+    chain = Chain()
+    advance(world, chain)
+    advance(world, chain, [world.tx("alice", Transfer(world.aid("bob"), 5))])
+    advance(world, chain)
+    dump = export_chain(chain, doc)
+    replay(*import_chain(dump))
+    # a write the blocks' own money writes do not show passes each block's
+    # check; the full sum at the end of the replay still finds it
+    write_behind_the_primitives(monkeypatch, 2, world.aid("mgr"))
+    with pytest.raises(InternalInvariantViolation, match="end of replay"):
+        replay(*import_chain(dump))

@@ -16,6 +16,8 @@ from rolechain.errors import InvalidBlock
 from rolechain.payloads import Permanence
 from rolechain.sim import Simulation
 
+from conftest import write_behind_the_primitives
+
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -186,6 +188,15 @@ def test_verify_ok(runner, dump_path):
     result = runner.invoke(main, ["verify", str(dump_path)])
     assert result.exit_code == 0
     assert result.output.startswith("ok:")
+
+
+def test_verify_of_a_replay_that_breaks_conservation_exits_one(runner, dump_path, monkeypatch):
+    (_, names), _ = import_chain(dump_path.read_bytes())
+    # mgr's balance is written by no block, so only the end-of-replay sum sees it
+    write_behind_the_primitives(monkeypatch, 2, names["mgr"])
+    result = runner.invoke(main, ["verify", str(dump_path)])
+    assert result.exit_code == 1
+    assert result.output == "verification failed: conservation broken at end of replay\n"
 
 
 def test_verify_detects_tampering(runner, dump_path, tmp_path):

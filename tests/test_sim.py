@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from rolechain.errors import RolechainError, ScenarioError
+from rolechain.errors import InternalInvariantViolation, RolechainError, ScenarioError
 from rolechain.schema import Fields
 from rolechain.sim import (
     ACTIONS,
@@ -18,6 +18,8 @@ from rolechain.sim import (
     parse_scenario,
     run,
 )
+
+from conftest import write_behind_the_primitives
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -761,6 +763,27 @@ def test_genesis_balances_past_the_u64_supply_are_a_load_error():
         Simulation(parse_scenario(raw))
     raw["actors"][1]["balance"] = 2**63 - 1
     assert run(parse_scenario(raw))[0].supply["minted"] == 2**64 - 1
+
+
+def test_a_balance_without_roles_is_a_load_error_naming_the_actor():
+    raw = minimal_raw()
+    raw["actors"].append({"name": "ghost", "balance": 7})
+    with pytest.raises(ScenarioError, match="actor ghost: a balance needs at least one role"):
+        parse_scenario(raw)
+    raw["actors"][1]["roles"] = []
+    with pytest.raises(ScenarioError, match="actor ghost: "):
+        parse_scenario(raw)
+    raw["actors"][1]["balance"] = 0  # an actor with keys only, whose account may be created on-chain
+    assert run(parse_scenario(raw))[0].supply["minted"] == 0
+
+
+def test_a_stray_write_that_no_block_check_sees_is_caught_at_the_end_of_the_run(monkeypatch):
+    sim = Simulation(parse_scenario(_sweep_raw()))
+    # block 2 writes no money, so its check passes; the full sum at the end does not
+    write_behind_the_primitives(monkeypatch, 2, sim.aid("b"))
+    with pytest.raises(InternalInvariantViolation, match="end of run"):
+        sim.run()
+    assert sim.chain.height == 2
 
 
 @pytest.mark.parametrize("where, field_name", MALFORMED.values(), ids=MALFORMED.keys())

@@ -2,15 +2,19 @@
 
 A step either seals empty blocks or sends one payload: of any handled
 kind, from a drawn sender, to drawn targets that include four accounts not
-yet created (``FRESH``); or a proposal or a vote that an electorate can
-pass.  The handler first runs on a deep copy under each authority: when it
-raises ``TxError``, the copy's digest and id counters must be as they were.
+yet created (``FRESH``); a proposal or a vote that an electorate can pass;
+or a small transfer between the genesis users.  The handler first runs on
+a deep copy under each authority: when it raises ``TxError``, the copy's
+digest and id counters must be as they were.
 The payload is then signed and committed in a block of its own, so
 proposals that pass run their action with system authority on the live
 state.
 After every step conservation holds, every amount fits in u64 and each
-cached role-holder list equals a full scan.  At teardown the exported
-chain replays to the same digest.
+cached role-holder list equals a full scan.  Before each block is
+committed, it is applied to a copy, where the per-block conservation check
+must give the full sum's verdict: with and without a stray write to an
+account the block wrote.  At teardown the exported chain replays to the
+same digest.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from types import SimpleNamespace
 from hypothesis import settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
+from rolechain import engine
 from rolechain.chain import (
     Chain,
     append_block,
@@ -284,6 +289,26 @@ def assert_sound(state: LedgerState) -> None:
         assert state.holders(role) == scan(state, role)
 
 
+def check_block_conservation(state: LedgerState, block) -> None:
+    """On a copy of ``state`` that applies ``block`` as ``append_block`` does,
+    the per-block check's verdict is the full sum's, first with 1 added behind
+    the primitives' back to an account the block wrote, then without it."""
+    trial = copy.deepcopy(state)
+    trial.height = block.height
+    for tx in block.txs:
+        engine.apply_transaction(trial, tx)
+    engine.run_accruals(trial)
+    engine.finalize_expired_proposals(trial)
+    written = sorted(trial._held_before)
+    if written:
+        trial.accounts[written[0]].balance += 1
+        assert not trial.conservation_holds()
+        assert not trial.conserved_since_check()
+        trial.accounts[written[0]].balance -= 1
+    assert trial.conservation_holds()
+    assert trial.conserved_since_check()
+
+
 class SmallWorld(RuleBasedStateMachine):
     def __init__(self):
         super().__init__()
@@ -305,6 +330,13 @@ class SmallWorld(RuleBasedStateMachine):
         usual_senders, build = BUILDERS[kind]
         sender = draw(st.one_of(st.sampled_from(usual_senders), NAME))
         self.check_and_commit(sender, build(draw, self, sender))
+
+    @rule(data=st.data())
+    def pay(self, data):
+        """A small transfer between the genesis users, so that many blocks write money."""
+        sender = data.draw(st.sampled_from(["alice", "bob"]))
+        to = "bob" if sender == "alice" else "alice"
+        self.check_and_commit(sender, Transfer(ID[to], data.draw(st.integers(1, 60))))
 
     @rule(data=st.data())
     def propose(self, data):
@@ -356,6 +388,7 @@ class SmallWorld(RuleBasedStateMachine):
             return  # no validator may publish: the chain stops here
         name = next(n for n in NAMES if ID[n] == publisher)
         block = build_block(self.key_of(name), publisher, chain.head, txs, chain.height + 1, state)
+        check_block_conservation(state, block)
         append_block(chain, state, block)
 
     @invariant()
