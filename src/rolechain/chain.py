@@ -3,7 +3,8 @@
 Publication order is a strict rotation over the validator set (ascending
 account id), relaxed in two ways: a validator marked offline is skipped,
 and no validator may publish again within ``floor(diversity * n)`` blocks
-(``consensus.diversity`` policy, percent, default 50).  :func:`publisher_at`
+(``consensus.diversity`` policy, percent, default 50), capped at n - 1 so
+that some validator is always eligible.  :func:`publisher_at`
 names who publishes a height; the sim and :func:`validate_block` both ask it.
 
 A block is validated entirely against its parent state, so validator-set
@@ -98,7 +99,9 @@ class Chain:
 
 
 def spacing_window(validator_count: int, diversity_percent: int) -> int:
-    return validator_count * diversity_percent // 100
+    """How many recent publishers are blocked: ``floor(n * d / 100)``, at most
+    n - 1, the strictest spacing n validators can meet."""
+    return min(validator_count * diversity_percent // 100, validator_count - 1)
 
 
 def expected_publisher(
@@ -112,7 +115,7 @@ def expected_publisher(
 
     Skips validators that are offline or still inside the diversity spacing
     window (they appear among the publishers of the last ``floor(d*n)``
-    blocks).  ``recent`` is newest-first.
+    blocks, at most n - 1).  ``recent`` is newest-first.
     """
     n = len(validators)
     if n == 0:
@@ -191,6 +194,9 @@ def validate_block(
             violations.append("SpacingViolation" if replaying else err.NO_ELIGIBLE_PUBLISHER)
         if not scheme.verify(publisher_acct.public_key, block.signing_bytes(), block.signature):
             violations.append("BadBlockSignature")
+    # narrower than engine.envelope_fault: a sender that loses its roles
+    # between admission and inclusion is an unlogged NoRole receipt, not an
+    # invalid block
     for i, tx in enumerate(block.txs):
         sender = state.accounts.get(tx.sender)
         if sender is None or not tx.signature_ok(state.scheme, sender.public_key):

@@ -2,11 +2,13 @@
 
 ``apply_transaction`` is the single mutation entry point, and the log entry
 it returns is the transaction's receipt.  Envelope-level failures (unknown
-sender, bad signature, stale nonce, no roles) change nothing at all: their
+sender, no roles, bad signature, stale nonce) change nothing at all: their
 entry, of kind ``"unknown"``, is returned but never logged.  Once the
 envelope is valid, the payload runs; if it fails, the sender's nonce is
 still consumed and the failure is recorded in the transaction log, so an
 on-chain transaction can never be replayed whether or not it succeeded.
+Security gateways admit by :func:`envelope_fault`, and the comparator
+returns only evidence :func:`verify_evidence` accepts.
 """
 
 from __future__ import annotations
@@ -55,6 +57,22 @@ from .payloads import (
     Transaction,
     Transfer,
 )
+
+
+def envelope_fault(state: LedgerState, tx: Transaction) -> str | None:
+    """Why ``tx``'s envelope is refused, nonce aside, or None.
+
+    The sender must exist, then hold a role, then have signed under its
+    current key: cheapest first, so a refused sender costs no signature check.
+    """
+    acct = state.accounts.get(tx.sender)
+    if acct is None:
+        return err.UNKNOWN_SENDER
+    if not acct.roles:
+        return err.NO_ROLE
+    if not tx.signature_ok(state.scheme, acct.public_key):
+        return err.BAD_SIGNATURE
+    return None
 
 
 def view_key_fault(state: LedgerState, response: SignedQueryResponse) -> str | None:
@@ -271,18 +289,16 @@ def _unlogged(state: LedgerState, tx: Transaction, code: str) -> LogEntry:
 def apply_transaction(state: LedgerState, tx: Transaction) -> LogEntry:
     """Verify the envelope, run the payload, and log the outcome.
 
-    Returns the logged entry, or on an envelope failure an entry of kind
+    Returns the logged entry, or on an envelope failure (see
+    :func:`envelope_fault`, then a stale nonce) an entry of kind
     ``"unknown"`` that is not logged.
     """
-    acct = state.accounts.get(tx.sender)
-    if acct is None:
-        return _unlogged(state, tx, err.UNKNOWN_SENDER)
-    if not tx.signature_ok(state.scheme, acct.public_key):
-        return _unlogged(state, tx, err.BAD_SIGNATURE)
+    fault = envelope_fault(state, tx)
+    if fault is not None:
+        return _unlogged(state, tx, fault)
+    acct = state.accounts[tx.sender]
     if tx.nonce != acct.nonce:
         return _unlogged(state, tx, err.BAD_NONCE)
-    if not acct.roles:
-        return _unlogged(state, tx, err.NO_ROLE)
 
     tx_id = tx.tx_id
     try:

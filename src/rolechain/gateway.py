@@ -2,10 +2,13 @@
 the client-side response comparator.
 
 Admission never touches the chain: a rejected transaction simply never
-reaches a pending pool.  Read queries authenticate with a single-use
-challenge signature, get access-checked against the visibility rules, and
-come back signed under the gateway validator's registered view key so a
-client can later prove what it was told.
+reaches a pending pool.  The gateways keep no chain rule of their own:
+admission refuses by ``engine.envelope_fault``, as ``apply_transaction``
+does, and the comparator returns only a pair ``engine.verify_evidence``
+accepts.  Read queries authenticate with a single-use challenge signature,
+get access-checked against the visibility rules, and come back signed
+under the gateway validator's registered view key so a client can later
+prove what it was told.
 
 Fault injection is first-class: a gateway can be configured to corrupt its
 answers or to censor submissions, which is exactly what the discrepancy
@@ -18,11 +21,12 @@ import hashlib
 from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
+from itertools import combinations
 from typing import Any, NamedTuple
 
 from . import errors as err
 from .codec import BOOL, BYTES, TEXT, U32, U64, U64_MAX, Field, encoding, none_as, seq_of, whole, wire, wire_record
-from .engine import verify_evidence, view_key_fault
+from .engine import envelope_fault, verify_evidence, view_key_fault
 from .errors import CodecError, QueryError, TxError
 from .keys import KeyPair, get_scheme
 from .ledger import LOG_DATA, LedgerState, get_balance, get_history
@@ -123,13 +127,9 @@ class SecurityGateway:
             return Censored()
         if FAULT_CENSOR_DISCREPANCY in self.faults and isinstance(tx.payload, DiscrepancyEvent):
             return Censored()
-        sender = state.accounts.get(tx.sender)
-        if sender is None:
-            return Rejected(err.UNKNOWN_SENDER)
-        if not sender.roles:
-            return Rejected(err.NO_ROLE)
-        if not tx.signature_ok(state.scheme, sender.public_key):
-            return Rejected(err.BAD_SIGNATURE)
+        fault = envelope_fault(state, tx)
+        if fault is not None:
+            return Rejected(fault)
         if not self.rate_check(state, tx.sender, tick):
             return Rejected(err.THROTTLED)
         self.pool[tx.tx_id] = tx
@@ -148,16 +148,11 @@ class QueryRequest:
     echo: bytes  # the encoding of the query, as the requester signed it
 
 
-def sign_request(
-    requester: KeyPair, challenge: bytes, query: Query, account: bytes | None = None
-) -> QueryRequest:
-    """Client helper: prove key possession over (challenge, query echo).
-
-    ``account`` overrides the derived id for accounts whose key rotated.
-    """
+def sign_request(requester: KeyPair, challenge: bytes, query: Query, account: bytes) -> QueryRequest:
+    """Client helper: ``account`` proves possession of its current key over
+    (challenge, query echo)."""
     echo = encode_query(query)
-    sig = requester.sign(challenge_message(challenge, echo))
-    return QueryRequest(account if account is not None else requester.account_id, challenge, sig, echo)
+    return QueryRequest(account, challenge, requester.sign(challenge_message(challenge, echo)), echo)
 
 
 # --- read kinds ---------------------------------------------------------------------
@@ -303,50 +298,31 @@ class VisibilityGateway:
         return sign_response(self.view_signer, self.validator, request.echo, result, state.height)
 
 
-def verify_response(state: LedgerState, response: SignedQueryResponse) -> bool:
-    """Whether a response is signed under its validator's registered view key."""
-    return view_key_fault(state, response) is None
-
-
-def compare_responses(
-    state: LedgerState, responses: list[SignedQueryResponse], head: int
-) -> DiscrepancyEvent | None:
+def compare_responses(state: LedgerState, responses: list[SignedQueryResponse]) -> DiscrepancyEvent | None:
     """Cross-check gateway answers; None means consistent.
 
-    Responses with invalid signatures are discarded.  Responses newer than
-    ``head`` minus the ``gateway.delay_blocks`` policy are excluded from
-    comparison: fresh data may legitimately still differ between gateways.
-    Any surviving pair with the same query echo but different results is
-    self-verifying evidence.
+    Responses not signed under their validator's registered view key are
+    discarded; fewer than two validators left raise ``InsufficientResponses``.
+    The evidence is the first pair in (validator, result) order that the
+    chain's ``verify_evidence`` accepts, which also holds back answers fresher
+    than ``gateway.delay_blocks`` below the current height.
     """
-    delay = state.policy_int("gateway.delay_blocks")
-    valid = [r for r in responses if verify_response(state, r)]
+    valid = [r for r in responses if view_key_fault(state, r) is None]
     if len({r.validator for r in valid}) < 2:
         raise QueryError(err.INSUFFICIENT_RESPONSES)
-    comparable = sorted(
-        (r for r in valid if r.as_of_height <= head - delay),
-        key=lambda r: (r.validator, r.result),
-    )
-    for i, first in enumerate(comparable):
-        for second in comparable[i + 1 :]:
-            if (
-                first.validator != second.validator
-                and first.echo == second.echo
-                and first.result != second.result
-            ):
-                return DiscrepancyEvent(first, second)
+    ordered = sorted(valid, key=lambda r: (r.validator, r.result))
+    for first, second in combinations(ordered, 2):
+        evidence = DiscrepancyEvent(first, second)
+        if verify_evidence(state, evidence) is None:
+            return evidence
     return None
 
 
 def file_discrepancy(
-    state: LedgerState,
-    evidence: DiscrepancyEvent,
-    submitter: KeyPair,
-    nonce: int,
-    sender: bytes | None = None,
+    state: LedgerState, evidence: DiscrepancyEvent, submitter: KeyPair, nonce: int, sender: bytes
 ) -> Transaction:
-    """Wrap verified evidence into a signed event transaction."""
+    """Wrap verified evidence into an event transaction ``sender`` signs with ``submitter``."""
     reason = verify_evidence(state, evidence)
     if reason is not None:
         raise TxError(err.INVALID_EVIDENCE, reason)
-    return sign_transaction(submitter, sender if sender is not None else submitter.account_id, nonce, evidence)
+    return sign_transaction(submitter, sender, nonce, evidence)

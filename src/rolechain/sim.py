@@ -354,6 +354,8 @@ def _set_interest_rule(sim: Simulation, body: dict, sender: str) -> SetInterestR
 
 
 def _register_endpoints(sim: Simulation, body: dict, sender: str) -> RegisterEndpoints:
+    """``sender``'s endpoints under its view key; each field ``body`` leaves out
+    defaults to one derived from the name, as genesis validators register."""
     return RegisterEndpoints(
         ValidatorRecord(
             sim.aid(sender),
@@ -607,18 +609,11 @@ class Simulation:
             raise ScenarioError(f"actors: balances sum past 2**64-1 ({exc})") from exc
         self.chain = Chain()
 
-        # only genesis validators start with on-chain endpoint registrations
+        # only genesis validators start with on-chain endpoint registrations,
+        # each the default record of a register_endpoints step
         for actor in scn.actors:
             if Role.VALIDATOR in actor.roles:
-                name, aid = actor.name, self.aid(actor.name)
-                self.state.validator_registry[aid] = ValidatorRecord(
-                    account=aid,
-                    security_gateways=(f"sim://{name}/sec0",),
-                    visibility_gateways=(f"sim://{name}/vis0",),
-                    validation_server=f"sim://{name}/validation",
-                    view_key=self._view_key(name).public_key,
-                    contact=f"ops@{name}",
-                )
+                self.state.validator_registry[self.aid(actor.name)] = _register_endpoints(self, {}, actor.name).record
 
         self.genesis = genesis_doc(self.state, dict(self.ids))
 
@@ -734,7 +729,7 @@ class Simulation:
         outcome = "consistent"
         evidence = None
         try:
-            evidence = compare_responses(self.state, responses, head=self.state.height)
+            evidence = compare_responses(self.state, responses)
         except QueryError:
             outcome = "insufficient"
         if evidence is not None:

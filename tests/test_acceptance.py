@@ -315,17 +315,16 @@ def test_criterion_06_delay_window():
             gateways[name] = VisibilityGateway(world.aid(name), view, faults)
         query = OwnBalance(world.aid("alice"))
         responses = [
-            gw.answer(world.state, sign_request(world.kp("alice"), gw.issue_challenge(), query))
+            gw.answer(world.state, sign_request(world.kp("alice"), gw.issue_challenge(), query, world.aid("alice")))
             for gw in gateways.values()
         ]
         assert responses[0].result != responses[1].result  # a discrepancy exists
         delay = world.state.policy_int("gateway.delay_blocks", 3)
-        recent_head = responses[0].as_of_height + delay - 1
-        assert compare_responses(world.state, responses, head=recent_head) is None
-        old_head = responses[0].as_of_height + delay
-        evidence = compare_responses(world.state, responses, head=old_head)
+        world.state.height = responses[0].as_of_height + delay - 1
+        assert compare_responses(world.state, responses) is None
+        world.state.height = responses[0].as_of_height + delay
+        evidence = compare_responses(world.state, responses)
         assert evidence is not None
-        world.state.height = old_head
         assert verify_evidence(world.state, evidence) is None
 
 

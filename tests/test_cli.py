@@ -190,6 +190,41 @@ def test_verify_ok(runner, dump_path):
     assert result.output.startswith("ok:")
 
 
+SPACING_ACTORS = """
+ticks: 12
+actors:
+  - {name: mgr, roles: [platform_manager]}
+  - {name: v1, roles: [validator]}
+  - {name: v2, roles: [validator]}
+  - {name: v3, roles: [validator]}
+"""
+DIVERSITY_100 = {
+    "genesis policy": "policies:\n  - {key: consensus.diversity, value: 100, permanence: temporary}\n",
+    "set_policy step": (
+        "steps:\n  - tick: 1\n"
+        "    tx: {from: mgr, kind: set_policy, key: consensus.diversity, value: 100, permanence: temporary}\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("how", sorted(DIVERSITY_100))
+def test_full_diversity_keeps_strict_rotation(runner, tmp_path, how):
+    """A spacing window as wide as the validator set is capped at n - 1:
+    every tick still gets a block, in rotation order, and the dump verifies."""
+    scenario, dump = tmp_path / "spacing.yaml", tmp_path / "spacing.bin"
+    scenario.write_text(SPACING_ACTORS + DIVERSITY_100[how])
+    result = runner.invoke(main, ["run", str(scenario), "--dump", str(dump)])
+    assert result.exit_code == 0, result.output
+    assert "blocks=12" in result.output
+    genesis, blocks = import_chain(dump.read_bytes())
+    validators = genesis[0].validators()
+    assert [b.publisher for b in blocks] == [validators[h % 3] for h in range(1, 13)]
+    assert chain.replay(genesis, blocks)[1].policy_int("consensus.diversity") == 100
+    result = runner.invoke(main, ["verify", str(dump)])
+    assert result.exit_code == 0, result.output
+    assert result.output.startswith("ok: 12 blocks")
+
+
 def test_verify_of_a_replay_that_breaks_conservation_exits_one(runner, dump_path, monkeypatch):
     (_, names), _ = import_chain(dump_path.read_bytes())
     # mgr's balance is written by no block, so only the end-of-replay sum sees it

@@ -353,7 +353,7 @@ def test_answer_to_a_signed_hostile_echo_raises_only_query_error(echo):
         if decodes:
             return
         assert exc.code == err.MALFORMED
-        good = sign_request(alice, challenge, OwnBalance(A))
+        good = sign_request(alice, challenge, OwnBalance(A), A)
         assert gateway.answer(WORLD.state, good).echo == good.echo
     else:
         assert decodes

@@ -14,7 +14,8 @@ import pytest
 
 from rolechain.chain import import_chain, replay
 from rolechain.codec import U64, encoding
-from rolechain.gateway import SecurityGateway, VisibilityGateway, verify_response
+from rolechain.engine import view_key_fault
+from rolechain.gateway import SecurityGateway, VisibilityGateway
 from rolechain.keys import KeyPair, keypair_from_label
 from rolechain.payloads import OwnBalance, ProviderOnly, RegisterEndpoints, encode_query
 from rolechain.sim import Simulation, parse_scenario, run
@@ -74,7 +75,7 @@ def test_a_query_through_a_non_validator_gateway_is_answered_under_its_label_vie
     assert answer.as_of_height == 2
     assert answer.signature == view.sign(answer.signing_bytes())
     # bob registered no endpoints, so no reader can check the signature
-    assert not verify_response(sim.state, answer)
+    assert view_key_fault(sim.state, answer) is not None
 
     (supply,) = sim.stored_responses["sup"]
     carol_view = keypair_from_label(scheme, "carol.view", SEED)
@@ -120,7 +121,7 @@ def test_a_validator_registering_after_genesis_publishes_its_label_view_key(sche
     # its gateway signs reads under that registered key
     (answer,) = sim.stored_responses["q"]
     assert answer.validator == sim.aid("v2")
-    assert verify_response(sim.state, answer)
+    assert view_key_fault(sim.state, answer) is None
 
 
 # --- what a set-up and a replay keep alive ---------------------------------------------

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations, permutations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rolechain import errors as err
-from rolechain.engine import verify_evidence
+from rolechain.engine import apply_transaction, verify_evidence, view_key_fault
 from rolechain.errors import QueryError, TxError
 from rolechain.gateway import (
     Admitted,
@@ -17,9 +19,9 @@ from rolechain.gateway import (
     compare_responses,
     file_discrepancy,
     sign_request,
-    verify_response,
 )
 from rolechain.keys import keypair_from_label
+from rolechain.ledger import Account
 from rolechain.payloads import (
     Claimable,
     DiscrepancyEvent,
@@ -31,9 +33,12 @@ from rolechain.payloads import (
     SetFrozen,
     SignedQueryResponse,
     SupplyView,
+    Transaction,
     Transfer,
     ValidationServerAddress,
     ValidatorRecord,
+    sign_response,
+    sign_transaction,
 )
 
 from conftest import World, make_world
@@ -64,6 +69,17 @@ def _gateway_world() -> World:
     return world
 
 
+def _add_validator(world: World, name: str) -> None:
+    """A validator account ``name`` with a registered view key."""
+    world.keys[name] = keypair_from_label("mock", name, 0)
+    world.ids[name] = world.keys[name].account_id
+    world.keys[f"{name}.view"] = keypair_from_label("mock", f"{name}.view", 0)
+    world.state.accounts[world.aid(name)] = Account(world.aid(name), world.keys[name].public_key, {Role.VALIDATOR})
+    world.state.validator_registry[world.aid(name)] = ValidatorRecord(
+        world.aid(name), ("s",), ("v",), "val", world.keys[f"{name}.view"].public_key, "ops"
+    )
+
+
 def _gateways(world: World, name: str, faults=None):
     sec = SecurityGateway(world.aid(name), set(faults or ()))
     vis = VisibilityGateway(world.aid(name), world.keys[f"{name}.view"], set(faults or ()))
@@ -71,7 +87,7 @@ def _gateways(world: World, name: str, faults=None):
 
 
 def _query(world: World, vis: VisibilityGateway, requester: str, query):
-    request = sign_request(world.kp(requester), vis.issue_challenge(), query)
+    request = sign_request(world.kp(requester), vis.issue_challenge(), query, world.aid(requester))
     return vis.answer(world.state, request)
 
 
@@ -118,8 +134,6 @@ def test_admit_rejects_unknown_sender():
     world = _gateway_world()
     sec, _ = _gateways(world, "v0")
     ghost = keypair_from_label("mock", "ghost", 0)
-    from rolechain.payloads import sign_transaction
-
     tx = sign_transaction(ghost, ghost.account_id, 0, Transfer(world.aid("bob"), 1))
     outcome = sec.admit(world.state, tx.encode(), tick=1)
     assert isinstance(outcome, Rejected) and outcome.reason == err.UNKNOWN_SENDER
@@ -138,8 +152,6 @@ def test_admit_rejects_bad_signature():
     world = _gateway_world()
     sec, _ = _gateways(world, "v0")
     tx = world.tx("alice", Transfer(world.aid("bob"), 1))
-    from rolechain.payloads import Transaction
-
     forged = Transaction(tx.sender, tx.nonce, tx.payload, b"\x00" * 32)
     outcome = sec.admit(world.state, forged.encode(), tick=1)
     assert isinstance(outcome, Rejected) and outcome.reason == err.BAD_SIGNATURE
@@ -211,7 +223,7 @@ def test_own_balance_allowed():
     world = _gateway_world()
     _, vis = _gateways(world, "v0")
     response = _query(world, vis, "alice", OwnBalance(world.aid("alice")))
-    assert verify_response(world.state, response)
+    assert view_key_fault(world.state, response) is None
     from reference import Reader
 
     assert Reader(response.result).u64() == 100
@@ -257,7 +269,7 @@ def test_challenge_single_use():
     world = _gateway_world()
     _, vis = _gateways(world, "v0")
     challenge = vis.issue_challenge()
-    request = sign_request(world.kp("alice"), challenge, OwnBalance(world.aid("alice")))
+    request = sign_request(world.kp("alice"), challenge, OwnBalance(world.aid("alice")), world.aid("alice"))
     vis.answer(world.state, request)
     with pytest.raises(QueryError) as exc:
         vis.answer(world.state, request)
@@ -268,7 +280,7 @@ def test_challenge_signature_must_match_key():
     world = _gateway_world()
     _, vis = _gateways(world, "v0")
     challenge = vis.issue_challenge()
-    request = sign_request(world.kp("bob"), challenge, OwnBalance(world.aid("alice")))
+    request = sign_request(world.kp("bob"), challenge, OwnBalance(world.aid("alice")), world.aid("bob"))
     tampered = request.__class__(world.aid("alice"), challenge, request.challenge_signature, request.echo)
     with pytest.raises(QueryError) as exc:
         vis.answer(world.state, tampered)
@@ -300,7 +312,7 @@ def _two_answers(world, fault=("corrupt_results",)):
 def test_corrupt_gateway_still_signs():
     world = _gateway_world()
     good, bad = _two_answers(world)
-    assert verify_response(world.state, bad)  # signature fine, content wrong
+    assert view_key_fault(world.state, bad) is None  # signature fine, content wrong
     assert good.result != bad.result
 
 
@@ -308,11 +320,11 @@ def test_wrong_view_key_response_discarded():
     world = _gateway_world()
     good, bad = _two_answers(world)
     forged = SignedQueryResponse(bad.validator, bad.echo, bad.result, bad.as_of_height, b"\x00" * 32)
-    assert not verify_response(world.state, forged)
+    assert view_key_fault(world.state, forged) is not None
     world.state.height = 50
     # the forged one is discarded; a single valid response is not comparable
     with pytest.raises(QueryError) as exc:
-        compare_responses(world.state, [good, forged], head=50)
+        compare_responses(world.state, [good, forged])
     assert exc.value.code == err.INSUFFICIENT_RESPONSES
 
 
@@ -323,14 +335,14 @@ def test_identical_answers_consistent():
     query = OwnBalance(world.aid("alice"))
     responses = [_query(world, vis_a, "alice", query), _query(world, vis_b, "alice", query)]
     world.state.height = 50
-    assert compare_responses(world.state, responses, head=50) is None
+    assert compare_responses(world.state, responses) is None
 
 
 def test_discrepancy_detected_when_old_enough():
     world = _gateway_world()
     responses = list(_two_answers(world))
     world.state.height = 50  # answers are as_of 0, far older than the window
-    evidence = compare_responses(world.state, responses, head=50)
+    evidence = compare_responses(world.state, responses)
     assert isinstance(evidence, DiscrepancyEvent)
     assert {evidence.first.validator, evidence.second.validator} == {world.aid("v0"), world.aid("v1")}
     assert verify_evidence(world.state, evidence) is None
@@ -339,19 +351,17 @@ def test_discrepancy_detected_when_old_enough():
 def test_recent_discrepancy_within_window_is_consistent():
     world = _gateway_world()
     responses = list(_two_answers(world))
-    # head has moved only 2 blocks; delay window is 3
-    assert compare_responses(world.state, responses, head=2) is None
+    world.state.height = 2  # the head has moved only 2 blocks; the delay window is 3
+    assert compare_responses(world.state, responses) is None
 
 
 def test_file_discrepancy_builds_event_tx():
     world = _gateway_world()
     responses = list(_two_answers(world))
     world.state.height = 50
-    evidence = compare_responses(world.state, responses, head=50)
+    evidence = compare_responses(world.state, responses)
     nonce = world.state.accounts[world.aid("alice")].nonce
-    tx = file_discrepancy(world.state, evidence, world.kp("alice"), nonce)
-    from rolechain.engine import apply_transaction
-
+    tx = file_discrepancy(world.state, evidence, world.kp("alice"), nonce, world.aid("alice"))
     receipt = apply_transaction(world.state, tx)
     assert receipt.ok and receipt.kind == "discrepancy_event"
     assert any(e.kind == "discrepancy_event" for e in world.state.management_log())
@@ -361,7 +371,7 @@ def test_forged_evidence_rejected():
     world = _gateway_world()
     responses = list(_two_answers(world))
     world.state.height = 50
-    evidence = compare_responses(world.state, responses, head=50)
+    evidence = compare_responses(world.state, responses)
     forged = DiscrepancyEvent(
         evidence.first,
         SignedQueryResponse(
@@ -373,7 +383,7 @@ def test_forged_evidence_rejected():
         ),
     )
     with pytest.raises(TxError) as exc:
-        file_discrepancy(world.state, forged, world.kp("alice"), 0)
+        file_discrepancy(world.state, forged, world.kp("alice"), 0, world.aid("alice"))
     assert exc.value.code == err.INVALID_EVIDENCE
 
 
@@ -381,7 +391,7 @@ def test_evidence_sound_against_ground_truth():
     world = _gateway_world()
     good, bad = _two_answers(world)
     world.state.height = 50
-    evidence = compare_responses(world.state, [good, bad], head=50)
+    evidence = compare_responses(world.state, [good, bad])
     # at least one side of the pair provably differs from the honest answer
     from rolechain.gateway import compute_result
 
@@ -393,18 +403,7 @@ def test_outlier_among_four_responses_is_named():
     world = _gateway_world()
     # add two more honest validators
     for name in ("v2", "v3"):
-        world.keys[name] = keypair_from_label("mock", name, 0)
-        world.ids[name] = world.keys[name].account_id
-        world.keys[f"{name}.view"] = keypair_from_label("mock", f"{name}.view", 0)
-        from rolechain.ledger import Account
-        from rolechain.payloads import Role as R
-
-        world.state.accounts[world.aid(name)] = Account(
-            world.aid(name), world.keys[name].public_key, {R.VALIDATOR}
-        )
-        world.state.validator_registry[world.aid(name)] = ValidatorRecord(
-            world.aid(name), ("s",), ("v",), "val", world.keys[f"{name}.view"].public_key, "ops"
-        )
+        _add_validator(world, name)
     query = OwnBalance(world.aid("alice"))
     responses = []
     for name in ("v0", "v2", "v3"):
@@ -414,7 +413,105 @@ def test_outlier_among_four_responses_is_named():
     outlier = _query(world, liar, "alice", query)
     responses.append(outlier)
     world.state.height = 50
-    evidence = compare_responses(world.state, responses, head=50)
+    evidence = compare_responses(world.state, responses)
     assert evidence is not None
     # any conflicting pair must include the one lying validator
     assert world.aid("v1") in (evidence.first.validator, evidence.second.validator)
+
+
+# --- the gateways judge with the chain's rules ------------------------------------------
+
+HEAD = 10  # the delay window is 3, so answers as of 7 or older are comparable
+COMPARE_WORLD = _gateway_world()
+for _name in ("v2", "v3"):
+    _add_validator(COMPARE_WORLD, _name)
+COMPARE_WORLD.state.height = HEAD
+# (validator, echo, result, as_of_height, signed under its view key)
+ANSWERS = st.tuples(
+    st.sampled_from(["v0", "v1", "v2", "v3"]),
+    st.sampled_from([b"q1", b"q2"]),
+    st.sampled_from([b"r1", b"r2", b"r3"]),
+    st.integers(HEAD - 5, HEAD),
+    st.booleans(),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(ANSWERS, min_size=2, max_size=6))
+def test_compare_responses_returns_what_verify_evidence_accepts(answers):
+    """The comparator's verdict equals a brute force over ``verify_evidence``:
+    too few validly signed validators raise, no accepted pair is None, and
+    otherwise the evidence is the first accepted pair in (validator, result)
+    order."""
+    world = COMPARE_WORLD
+    responses = []
+    for name, echo, result, as_of, honest in answers:
+        signer = world.kp(f"{name}.view") if honest else world.kp(name)
+        responses.append(sign_response(signer, world.aid(name), echo, result, as_of))
+    valid = [r for r in responses if view_key_fault(world.state, r) is None]
+    if len({r.validator for r in valid}) < 2:
+        with pytest.raises(QueryError) as exc:
+            compare_responses(world.state, responses)
+        assert exc.value.code == err.INSUFFICIENT_RESPONSES
+        return
+    evidence = compare_responses(world.state, responses)
+    accepted = [
+        DiscrepancyEvent(a, b)
+        for a, b in permutations(responses, 2)
+        if verify_evidence(world.state, DiscrepancyEvent(a, b)) is None
+    ]
+    if not accepted:
+        assert evidence is None
+        return
+    ordered = sorted(valid, key=lambda r: (r.validator, r.result))
+    first = next(
+        DiscrepancyEvent(a, b)
+        for a, b in combinations(ordered, 2)
+        if verify_evidence(world.state, DiscrepancyEvent(a, b)) is None
+    )
+    assert evidence == first and evidence in accepted
+
+
+ENVELOPE_CODES = {err.UNKNOWN_SENDER, err.NO_ROLE, err.BAD_SIGNATURE}
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    unknown=st.booleans(),
+    roleless=st.booleans(),
+    forged=st.booleans(),
+    rotated=st.booleans(),
+    signed_with_new_key=st.booleans(),
+    stale_nonce=st.booleans(),
+)
+def test_admission_and_apply_name_the_same_envelope_fault(
+    unknown, roleless, forged, rotated, signed_with_new_key, stale_nonce
+):
+    """Where a security gateway refuses an envelope, ``apply_transaction`` at
+    the same state returns the same code; where it admits, apply names no
+    envelope fault but, at most, a stale nonce."""
+    world = _gateway_world()
+    sec, _ = _gateways(world, "v0")
+    alice = world.state.accounts[world.aid("alice")]
+    alice.nonce = 3
+    signer = world.kp("alice")
+    if roleless:
+        alice.roles = frozenset()
+    if rotated:  # a rotation that has committed: the id stays, the key is new
+        fresh = keypair_from_label("mock", "alice-fresh", 0)
+        alice.public_key = fresh.public_key
+        if signed_with_new_key:
+            signer = fresh
+    sender = keypair_from_label("mock", "ghost", 0).account_id if unknown else world.aid("alice")
+    tx = sign_transaction(signer, sender, 2 if stale_nonce else 3, Transfer(world.aid("bob"), 1))
+    if forged:
+        tx = Transaction(tx.sender, tx.nonce, tx.payload, bytes(len(tx.signature)))
+    outcome = sec.admit(world.state, tx.encode(), tick=1)
+    receipt = apply_transaction(world.state, tx)
+    if isinstance(outcome, Rejected):
+        assert outcome.reason in ENVELOPE_CODES
+        assert (receipt.kind, receipt.error) == ("unknown", outcome.reason)
+    else:
+        assert isinstance(outcome, Admitted)
+        assert receipt.error not in ENVELOPE_CODES
+        assert (receipt.error == err.BAD_NONCE) == stale_nonce
