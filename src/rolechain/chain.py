@@ -3,7 +3,8 @@
 Publication order is a strict rotation over the validator set (ascending
 account id), relaxed in two ways: a validator marked offline is skipped,
 and no validator may publish again within ``floor(diversity * n)`` blocks
-(``consensus.diversity`` policy, percent, default 50), capped at n - 1 so
+(the ``consensus.diversity`` policy, a percent, whose default is in
+``ledger.POLICY_DEFAULTS``), capped at n - 1 so
 that some validator is always eligible.  :func:`publisher_at`
 names who publishes a height; the sim and :func:`validate_block` both ask it.
 
@@ -108,7 +109,7 @@ def expected_publisher(
     height: int,
     validators: list[bytes],
     recent: list[bytes],
-    diversity_percent: int = 50,
+    diversity_percent: int,
     inactive: frozenset[bytes] = frozenset(),
 ) -> bytes:
     """Who publishes ``height``: rotation slot, then cyclic skip.

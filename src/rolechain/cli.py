@@ -77,7 +77,7 @@ def _load_dump(path: Path):
     try:
         genesis, blocks = import_chain(path.read_bytes())
         chain, state = replay(genesis, blocks)
-    except RolechainError as exc:
+    except (OSError, RolechainError) as exc:  # OSError: a missing or unreadable dump
         click.echo(f"verification failed: {exc}", err=True)
         sys.exit(1)
     return genesis[1], chain, state  # the names, then the replayed chain and state

@@ -636,11 +636,8 @@ class Tagged:
     def __init__(self, name: str):
         self.name = name
         self.by_tag: dict[int, type] = {}
-        self._encoders: dict[type, Callable[[bytearray, Any], None]] = {}
-        self._sources: dict[type, Callable[[_Source, str], list]] = {}
-        # each member's fields, read after its tag
-        self._reads: dict[int, Callable[[bytes, int], tuple[Any, int]]] = {}
-        self._read_sources: dict[int, Callable[[_Source, str], list]] = {}
+        # each member's codec: its tag and fields written, its fields read after its tag
+        self._codecs: dict[type, Field] = {}
         self.read = _lazy(lambda: _compile_read(self.read_source))
 
     def member(self, tag: int) -> Callable[[type], type]:
@@ -660,37 +657,35 @@ class Tagged:
                 cls.__new__ = staticmethod(lambda _cls: only)
             cls.TAG = tag
             self.by_tag[tag] = cls
-            codec = _generate(cls, tag)
-            self._encoders[cls], self._sources[cls] = codec.encode, codec.source
-            self._reads[tag], self._read_sources[tag] = codec.read, codec.read_source
+            self._codecs[cls] = _generate(cls, tag)
             return cls
 
         return register
 
     def encode(self, b: bytearray, value) -> None:
-        encode = self._encoders.get(type(value))
-        if encode is None:
+        codec = self._codecs.get(type(value))
+        if codec is None:
             raise CodecError(f"unknown {self.name} type {type(value).__name__}")
-        encode(b, value)
+        codec.encode(b, value)
 
     def source(self, s: _Source, v: str) -> list:
         """The tag and fields of the member the value is, chosen in place among
         the members declared so far; any other value goes through ``encode``."""
         items: list = []
         value = s.bind(v, items)
-        cases = [(cls, source(s, value)) for cls, source in self._sources.items()]
+        cases = [(cls, codec.source(s, value)) for cls, codec in self._codecs.items()]
         return items + s.by_type(value, cases, f"{s.const(self.encode)}(b, {value})")
 
     def read_source(self, s: _Source, v: str) -> list:
         """The tag, then the fields of the member it names, chosen in place among
         the members declared so far; any other tag goes through ``read_member``."""
         tag = s.local()
-        cases = [(f"{tag} == {t}", source(s, v)) for t, source in self._read_sources.items()]
+        cases = [(f"{tag} == {cls.TAG}", codec.read_source(s, v)) for cls, codec in self._codecs.items()]
         return [_Unpack("B", tag), *s.branches(cases, f"{v}, p = {s.const(self.read_member)}({tag}, d, p)")]
 
     def read_member(self, tag: int, data: bytes, pos: int) -> tuple[Any, int]:
         """The member ``tag`` at ``pos``, whose tag byte was already read, and the position after it."""
-        read = self._reads.get(tag)
-        if read is None:
+        cls = self.by_tag.get(tag)
+        if cls is None:
             raise CodecError(f"unknown {self.name} tag {tag}")
-        return read(data, pos)
+        return self._codecs[cls].read(data, pos)

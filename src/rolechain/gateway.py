@@ -12,7 +12,8 @@ prove what it was told.
 
 Fault injection is first-class: a gateway can be configured to corrupt its
 answers or to censor submissions, which is exactly what the discrepancy
-machinery has to catch.
+machinery has to catch.  :func:`censors` is the one censor rule, asked by
+admission and by a publisher choosing its block's transactions.
 """
 
 from __future__ import annotations
@@ -97,6 +98,19 @@ class Censored:
     """Silently dropped by a faulty gateway; not a protocol rejection."""
 
 
+def censors(faults: set[str], tx: Transaction, publisher: bytes | None = None) -> bool:
+    """Whether a validator with ``faults`` drops ``tx``: every transaction
+    under ``censor_all``, every discrepancy event under ``censor_discrepancy``.
+
+    A censoring ``publisher`` still includes its own transactions under
+    ``censor_all``, since it censors to silence others, not itself;
+    admission names no publisher, so it drops every submission.
+    """
+    if FAULT_CENSOR_ALL in faults and tx.sender != publisher:
+        return True
+    return FAULT_CENSOR_DISCREPANCY in faults and isinstance(tx.payload, DiscrepancyEvent)
+
+
 class SecurityGateway:
     """Per-validator admission front end with a token-bucket rate limiter."""
 
@@ -123,9 +137,7 @@ class SecurityGateway:
             tx = decode_transaction(raw_tx)
         except CodecError:
             return Rejected(err.MALFORMED)
-        if FAULT_CENSOR_ALL in self.faults:
-            return Censored()
-        if FAULT_CENSOR_DISCREPANCY in self.faults and isinstance(tx.payload, DiscrepancyEvent):
+        if censors(self.faults, tx):
             return Censored()
         fault = envelope_fault(state, tx)
         if fault is not None:

@@ -227,16 +227,6 @@ class AllowanceLedger:
     last_claimed_period: int = wire(U64, default=0)
     accrued: list[tuple[int, int]] = wire(seq_of(tuple_of(U64, U64)), default_factory=list)
 
-    def unclaimed_total(self) -> int:
-        # a plain loop: a ledger holds a few periods, and the conservation
-        # check sums one ledger per account that a block writes, where a
-        # generator would cost more than the sum
-        total, last = 0, self.last_claimed_period
-        for period, amount in self.accrued:
-            if period > last:
-                total += amount
-        return total
-
 
 @dataclass
 class SupplyCounters:
@@ -432,12 +422,21 @@ class LedgerState:
     def total_balances(self) -> int:
         return sum(a.balance for a in self.accounts.values())
 
+    def unclaimed(self, account_id: bytes) -> int:
+        """The account's unclaimed allowances over every rule; the only such sum."""
+        # a plain loop: a ledger holds a few periods, and the conservation
+        # check sums the ledgers of every account that a block writes, where
+        # a generator would cost more than the sum
+        total = 0
+        for ledger in self.allowances.get(account_id, {}).values():
+            last = ledger.last_claimed_period
+            for period, amount in ledger.accrued:
+                if period > last:
+                    total += amount
+        return total
+
     def total_unclaimed(self) -> int:
-        return sum(
-            led.unclaimed_total()
-            for per_rule in self.allowances.values()
-            for led in per_rule.values()
-        )
+        return sum(map(self.unclaimed, self.allowances))
 
     def conservation_holds(self) -> bool:
         """The full sum over every account and allowance ledger."""
@@ -446,10 +445,7 @@ class LedgerState:
     def holding(self, account_id: bytes) -> int:
         """The account's balance plus its unclaimed allowances over every rule."""
         acct = self.accounts.get(account_id)
-        held = 0 if acct is None else acct.balance
-        for ledger in self.allowances.get(account_id, {}).values():
-            held += ledger.unclaimed_total()
-        return held
+        return (0 if acct is None else acct.balance) + self.unclaimed(account_id)
 
     def _journal(self, account_id: bytes) -> None:
         """Record the account's holding before its first money write since the last check."""

@@ -216,8 +216,7 @@ def claim_allowance(
 def claimable_amount(state: LedgerState, account: bytes) -> int:
     """Total unclaimed accruals across every rule, for the account owner."""
     state.account(account)
-    per_rule = state.allowances.get(account, {})
-    return sum(led.unclaimed_total() for led in per_rule.values())
+    return state.unclaimed(account)
 
 
 @wire_record

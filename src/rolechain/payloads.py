@@ -5,10 +5,10 @@ primitives.  Signing always happens over canonical bytes, and transaction /
 block ids are SHA-256 digests of the full canonical serialization.
 
 Each payload, query, recovery policy and record is described once, on its
-class: its tag, one codec per field and, for a payload, its kind name,
-whether it belongs to the management log and which role votes on it (see
-:func:`payload_kind`).  The codecs and ``PAYLOAD_KINDS`` derive from these
-descriptions.
+class: its tag, one codec per field and, for a payload, its kind name
+(``KIND``), whether it belongs to the management log and which role votes
+on it (see :func:`payload_kind`).  The codecs derive from these
+descriptions, and ``PAYLOAD.by_tag`` is the one table of payload classes.
 """
 
 from __future__ import annotations
@@ -213,8 +213,6 @@ class Payload:
 
 
 PAYLOAD = Tagged("payload")
-# payload class -> kind name, as receipts, logs and scenario steps spell it
-PAYLOAD_KINDS: dict[type, str] = {}
 
 
 def payload_kind(tag: int, kind: str, *, management: bool = True, electorate: Role | None = None):
@@ -230,11 +228,10 @@ def payload_kind(tag: int, kind: str, *, management: bool = True, electorate: Ro
     """
 
     def register(cls: type) -> type:
-        if kind in PAYLOAD_KINDS.values():
+        if any(other.KIND == kind for other in PAYLOAD.by_tag.values()):
             raise ValueError(f"payload kind {kind!r} is declared twice")
         cls = PAYLOAD.member(tag)(cls)
         cls.KIND, cls.MANAGEMENT, cls.ELECTORATE = kind, management, electorate
-        PAYLOAD_KINDS[cls] = kind
         return cls
 
     return register

@@ -54,12 +54,11 @@ from .errors import (
 from .gateway import (
     Admitted,
     KNOWN_FAULTS,
-    FAULT_CENSOR_ALL,
-    FAULT_CENSOR_DISCREPANCY,
     FAULT_OFFLINE,
     READS,
     SecurityGateway,
     VisibilityGateway,
+    censors,
     compare_responses,
     file_discrepancy,
     sign_request,
@@ -99,7 +98,6 @@ from .payloads import (
     Confiscate,
     ConvertFiat,
     CreateProposal,
-    DiscrepancyEvent,
     FiatDirection,
     FinalizeProposal,
     GatewayDirectory,
@@ -246,10 +244,18 @@ class Scenario:
 def load_scenario(path: str | Path) -> Scenario:
     """Parse and strictly validate one scenario file."""
     path = Path(path)
-    if not path.exists():
-        raise ScenarioError(f"no such scenario file: {path}")
     try:
-        raw = yaml.safe_load(path.read_text())
+        text = path.read_text(encoding="utf-8")
+    except FileNotFoundError:
+        raise ScenarioError(f"no such scenario file: {path}") from None
+    except OSError as exc:  # a directory, say
+        raise ScenarioError(f"cannot read scenario file {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise ScenarioError(f"{path.name}: not UTF-8 text at byte {exc.start}") from None
+    try:
+        raw = yaml.safe_load(text)
+    except RecursionError:
+        raise ScenarioError(f"{path.name}: parse error: nested too deeply") from None
     except yaml.YAMLError as exc:
         raise ScenarioError(f"{path.name}: parse error: {exc}") from exc
     return parse_scenario(raw, default_name=path.stem)
@@ -542,7 +548,6 @@ class Simulation:
         self.skipped_ticks: list[int] = []
         # tx id -> the entry apply_transaction returned for it
         self.receipts: dict[bytes, LogEntry] = {}
-        self.blocks_produced = 0
         self._build_genesis()
 
     # -- construction -------------------------------------------------------
@@ -801,8 +806,8 @@ class Simulation:
         return self.state.height == b["equals"], f"height {self.state.height}"
 
     def _assert_publisher(self, b: dict) -> tuple[bool, str]:
-        block = next((blk for blk in self.chain.blocks if blk.height == b["height"]), None)
-        got = self.names_by_id.get(block.publisher) if block else None
+        height = b["height"]
+        got = self.names_by_id.get(self.chain.blocks[height].publisher) if height <= self.chain.height else None
         return got == b["equals"], f"height {b['height']} publisher {got}"
 
     def _assert_compare_result(self, b: dict) -> tuple[bool, str]:
@@ -810,12 +815,6 @@ class Simulation:
         return got == b["equals"], f"{b['label']}: {got}"
 
     # -- the loop ----------------------------------------------------------------
-
-    def _publisher_excludes(self, publisher_name: str, tx: Transaction) -> bool:
-        faults = self.faults[publisher_name]
-        if FAULT_CENSOR_ALL in faults and tx.sender != self.aid(publisher_name):
-            return True
-        return FAULT_CENSOR_DISCREPANCY in faults and isinstance(tx.payload, DiscrepancyEvent)
 
     def _publish_block(self, tick: int) -> None:
         offline = self._offline()
@@ -825,12 +824,10 @@ class Simulation:
             self.skipped_ticks.append(tick)
             return
         name = self.names_by_id[publisher]
-        pending = [
-            tx for tx in self.mempool.values() if not self._publisher_excludes(name, tx)
-        ]
+        faults = self.faults[name]
+        pending = [tx for tx in self.mempool.values() if not censors(faults, tx, publisher)]
         block = build_block(self.keys[name], publisher, self.chain.head, pending, tick, self.state)
         receipts = append_block(self.chain, self.state, block, offline)
-        self.blocks_produced += 1
         for receipt in receipts:
             self.receipts[receipt.tx_id] = receipt
         for name, kp in list(self.new_keys.items()):
@@ -888,7 +885,7 @@ class Simulation:
             scenario=self.scenario.name,
             seed=self.scenario.seed,
             ticks=self.scenario.ticks,
-            blocks_produced=self.blocks_produced,
+            blocks_produced=self.chain.height,
             skipped_ticks=self.skipped_ticks,
             assertions=self.assertions,
             supply={

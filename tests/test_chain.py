@@ -84,7 +84,7 @@ def test_pure_rotation_schedule():
     world = _chain_world()
     order = _sorted_validators(world)
     ids = [world.aid(n) for n in order]
-    schedule = [expected_publisher(h, ids, []) for h in range(1, 9)]
+    schedule = [expected_publisher(h, ids, [], 50) for h in range(1, 9)]
     # strict rotation: slot h mod n, so heights 1..8 wrap around twice
     expected = [ids[h % 4] for h in range(1, 9)]
     assert schedule == expected
@@ -113,7 +113,7 @@ def test_single_validator_publishes_every_block():
     vid = world.aid("v0")
     assert spacing_window(1, 50) == 0
     for h in range(1, 6):
-        assert expected_publisher(h, [vid], [vid]) == vid
+        assert expected_publisher(h, [vid], [vid], 50) == vid
 
 
 def test_no_eligible_publisher():
@@ -126,7 +126,7 @@ def test_no_eligible_publisher():
 
 def test_empty_validator_set_rejected():
     with pytest.raises(TxError):
-        expected_publisher(1, [], [])
+        expected_publisher(1, [], [], 50)
 
 
 # --- block building and validation ---------------------------------------------------

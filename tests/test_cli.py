@@ -234,6 +234,17 @@ def test_verify_of_a_replay_that_breaks_conservation_exits_one(runner, dump_path
     assert result.output == "verification failed: conservation broken at end of replay\n"
 
 
+@pytest.mark.parametrize("command", [["verify"], ["inspect"], ["query", "--as", "00", "supply"]], ids=lambda c: c[0])
+@pytest.mark.parametrize("where", ["missing", "directory"])
+def test_a_dump_that_cannot_be_read_fails_verification_without_a_traceback(runner, tmp_path, command, where):
+    path = tmp_path / "ghost.bin" if where == "missing" else tmp_path
+    result = runner.invoke(main, [command[0], str(path), *command[1:]])
+    assert isinstance(result.exception, SystemExit), result.exception
+    assert result.exit_code == 1
+    assert result.output.startswith("verification failed: ") and result.output.count("\n") == 1, result.output
+    assert str(path) in result.output
+
+
 def test_verify_detects_tampering(runner, dump_path, tmp_path):
     data = bytearray(dump_path.read_bytes())
     data[len(data) // 2] ^= 0xFF

@@ -399,7 +399,7 @@ def test_no_compiled_encoder_calls_a_codec_that_has_source():
         for f in dataclasses.fields(cls)
         if "codec" in f.metadata and f.metadata["codec"].source is None
     }
-    sources = [cls.FIELDS.source for cls in RECORDS] + [union._sources[cls] for union, cls in MEMBERS]
+    sources = [cls.FIELDS.source for cls in RECORDS] + [union._codecs[cls].source for union, cls in MEMBERS]
     encoders = [_compile(source) for source in sources]  # as each first call compiles it
     called = set()
     for encode in encoders:

@@ -10,12 +10,14 @@ from rolechain import errors as err
 from rolechain.engine import apply_transaction, verify_evidence, view_key_fault
 from rolechain.errors import QueryError, TxError
 from rolechain.gateway import (
+    KNOWN_FAULTS,
     Admitted,
     Censored,
     Rejected,
     SecurityGateway,
     TokenBucket,
     VisibilityGateway,
+    censors,
     compare_responses,
     file_discrepancy,
     sign_request,
@@ -42,6 +44,7 @@ from rolechain.payloads import (
 )
 
 from conftest import World, make_world
+from test_payloads import ALL_PAYLOADS
 
 
 def _gateway_world() -> World:
@@ -215,6 +218,28 @@ def test_censoring_gateway_drops_silently():
     outcome = sec.admit(world.state, tx.encode(), tick=1)
     assert isinstance(outcome, Censored)
     assert list(sec.pool.values()) == []
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    faults=st.sets(st.sampled_from(sorted(KNOWN_FAULTS))),
+    sender=st.sampled_from(["alice", "mgr", "v0", "v1"]),
+    payload=st.sampled_from(ALL_PAYLOADS),
+    publisher=st.sampled_from(["v0", "v1"]),
+)
+def test_admission_and_publication_censor_by_one_rule(faults, sender, payload, publisher):
+    world = _gateway_world()
+    tx = world.tx(sender, payload)
+    discrepancy = isinstance(payload, DiscrepancyEvent)
+    # what admission and a publisher each censored when each had a rule of its own
+    admission_censors = "censor_all" in faults or ("censor_discrepancy" in faults and discrepancy)
+    publisher_censors = ("censor_all" in faults and sender != publisher) or ("censor_discrepancy" in faults and discrepancy)
+    sec, _ = _gateways(world, "v0", faults)
+    assert isinstance(sec.admit(world.state, tx.encode(), tick=1), Censored) == admission_censors
+    assert censors(faults, tx) == admission_censors
+    assert censors(faults, tx, world.aid(publisher)) == publisher_censors
+    if sender == publisher and not discrepancy:  # its own transactions, even under censor_all
+        assert not censors(faults, tx, world.aid(publisher))
 
 
 # --- query authorization -------------------------------------------------------------

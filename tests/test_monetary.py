@@ -3,6 +3,7 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rolechain import errors as err
 from rolechain.engine import build_genesis, run_accruals
@@ -453,3 +454,65 @@ def test_reactivating_all_users_rule_checks_overlap():
     # deactivate the second, then reactivation of the first is fine
     world.apply_ok("bank", SetInterestRule(0, 1, 1, 0, InterestMode.PULL, None, second, False))
     world.apply_ok("bank", SetInterestRule(0, 1, 1, 0, InterestMode.PULL, None, first, True))
+
+
+# --- the one unclaimed sum -------------------------------------------------------------
+
+USERS = ("alice", "bob")
+
+
+def _brute_unclaimed(world: World, account_id: bytes) -> int:
+    """Every recorded period after its ledger's last claim, summed afresh."""
+    return sum(
+        amount
+        for ledger in world.state.allowances.get(account_id, {}).values()
+        for period, amount in ledger.accrued
+        if period > ledger.last_claimed_period
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_one_unclaimed_sum_answers_claimable_holding_and_both_conservation_checks(data):
+    world = _monetary_world(balances={name: data.draw(st.integers(0, 5_000), label=name) for name in USERS})
+    state = world.state
+    # pull rules over all users (at most one) or over some of them, so a user may hold several ledgers
+    scopes = data.draw(st.lists(st.sampled_from([None, ("alice",), ("bob",), USERS]), min_size=1, max_size=3), label="scopes")
+    for i, scope in enumerate(scopes):
+        if scope is None and None in scopes[:i]:
+            continue
+        _rule(
+            world,
+            num=data.draw(st.integers(0, 20)),
+            den=data.draw(st.integers(1, 100)),
+            period=data.draw(st.integers(1, 4)),
+            start=data.draw(st.integers(0, 3)),
+            scope=None if scope is None else frozenset(map(world.aid, scope)),
+        )
+    assert state.conserved_since_check()
+    for height in range(1, data.draw(st.integers(1, 12), label="heights") + 1):
+        state.height = height
+        for _ in range(data.draw(st.integers(0, 3))):
+            name = data.draw(st.sampled_from(USERS))
+            action = data.draw(st.sampled_from(["freeze", "unfreeze", "claim", "transfer"]))
+            if action == "claim":
+                rule = state.interest_rules[data.draw(st.sampled_from(sorted(state.interest_rules)))]
+                world.apply(name, ClaimAllowance(rule.rule_id, data.draw(st.integers(0, rule.last_accrued_period + 1))))
+            elif action == "transfer":
+                world.apply(name, Transfer(world.aid("bob" if name == "alice" else "alice"), data.draw(st.integers(0, 100))))
+            else:
+                world.apply("sec", SetFrozen(world.aid(name), action == "freeze"))
+        run_accruals(state)
+        # a write behind the primitives to an account this block wrote, which both checks must see
+        stray = data.draw(st.sampled_from([None, *USERS]), label="stray")
+        if stray is not None and world.aid(stray) in state._held_before:
+            state.accounts[world.aid(stray)].balance += 1
+        brute = {aid: _brute_unclaimed(world, aid) for aid in state.accounts}
+        for aid, unclaimed in brute.items():
+            assert state.unclaimed(aid) == unclaimed
+            assert claimable_amount(state, aid) == state.holding(aid) - state.accounts[aid].balance == unclaimed
+        assert state.total_unclaimed() == sum(map(state.unclaimed, state.accounts)) == sum(brute.values())
+        full = state.conservation_holds()
+        assert state.conserved_since_check() == full
+        if not full:  # a failed check keeps failing
+            return

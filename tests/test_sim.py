@@ -173,6 +173,25 @@ def test_missing_file_rejected(tmp_path):
         load_scenario(tmp_path / "ghost.yaml")
 
 
+def test_a_directory_is_a_scenario_error_naming_it(tmp_path):
+    with pytest.raises(ScenarioError, match=f"cannot read scenario file {tmp_path}"):
+        load_scenario(tmp_path)
+
+
+def test_a_file_that_is_not_utf8_is_a_scenario_error_naming_it(tmp_path):
+    path = tmp_path / "binary.yaml"
+    path.write_bytes(b"ticks: 1\n\xff\n")
+    with pytest.raises(ScenarioError, match=r"binary\.yaml: not UTF-8 text at byte 9"):
+        load_scenario(path)
+
+
+def test_yaml_nested_past_the_recursion_limit_is_a_scenario_error_naming_the_file(tmp_path):
+    path = tmp_path / "deep.yaml"
+    path.write_text("ticks: " + "[" * 5_000 + "]" * 5_000 + "\n")
+    with pytest.raises(ScenarioError, match=r"deep\.yaml: parse error: nested too deeply"):
+        load_scenario(path)
+
+
 def test_non_mapping_file_rejected(tmp_path):
     path = tmp_path / "list.yaml"
     path.write_text("- 1\n- 2\n")
