@@ -230,23 +230,23 @@ def finalize_expired_proposals(state: LedgerState) -> list[LogEntry]:
 def run_accruals(state: LedgerState) -> None:
     """Fire every period boundary that lands on the current height.
 
-    A period whose total would take minted supply past the u64 range
-    credits nothing: the rule is deactivated and its public entry records
-    the failure.
+    Each boundary logs one public ``accrual`` entry with the period's total;
+    a push period also logs a private ``interest_credit`` entry per account
+    it credited.  A period whose total would take minted supply past the
+    u64 range credits nothing: the rule is deactivated and its public entry
+    records the failure.
     """
     for rule_id, period_index in monetary.boundaries_at(state, state.height):
         rule = state.interest_rules[rule_id]
         boundary_id = _event_id(b"accrual:", rule_id, period_index)
         data = {"rule_id": rule_id, "period": period_index}
         try:
-            credited = monetary.accrue_period(state, rule_id, period_index)
+            data["total"], credited = monetary.accrue_period(state, rule_id, period_index)
             ok, code = True, None
-            # public entry records only the rule-level total
-            data["total"] = sum(amount for _, amount in credited)
         except TxError as exc:
             if exc.code != err.SUPPLY_OVERFLOW:
                 raise
-            rule.active = False
+            state.set_rule_active(rule, False)
             credited, ok, code = [], False, exc.code
         state.log(
             LogEntry(
@@ -261,16 +261,12 @@ def run_accruals(state: LedgerState) -> None:
                 data=data,
             )
         )
-        credit_kind = (
-            "interest_credit" if rule.mode.name == "PUSH" else "interest_accrued"
-        )
         for account_id, amount in credited:
-            entry_id = hashlib.sha256(boundary_id + account_id).digest()
             state.log(
                 LogEntry(
-                    tx_id=entry_id,
+                    tx_id=hashlib.sha256(boundary_id + account_id).digest(),
                     height=state.height,
-                    kind=credit_kind,
+                    kind="interest_credit",
                     sender=None,
                     ok=True,
                     error=None,
@@ -343,10 +339,10 @@ def build_genesis(
     for key, value, permanence, expiry in policy_overrides or []:
         state.policies[key] = new_policy(key, value, permanence, expiry)
     for acct in accounts or []:
-        state.accounts[acct.account_id] = acct
+        state.add_account(acct)
     if escrow is not None:
-        escrow.roles |= {Role.SYSTEM_SECURITY}
-        state.accounts[escrow.account_id] = escrow
+        state.add_account(escrow)
+        state.set_roles(escrow, escrow.roles | {Role.SYSTEM_SECURITY})
         state.policies["security.escrow"] = new_policy("security.escrow", escrow.account_id, Permanence.PERMANENT)
     # minted supply is the balances' sum, as read_genesis requires
     minted = state.total_balances()

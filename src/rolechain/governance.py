@@ -147,8 +147,9 @@ def assign_role(
         if not get_scheme(state.scheme).verify(acct.public_key, message, payload.possession_sig):
             raise TxError(err.MISSING_POSSESSION_PROOF, "possession signature invalid")
     # every check has passed: only now may a new account enter the state
-    state.accounts.setdefault(target, acct)
-    acct.roles |= {role}
+    if target not in state.accounts:
+        state.add_account(acct)
+    state.set_roles(acct, acct.roles | {role})
     return Applied((actor, target), {"target": target, "role": role.name.lower()})
 
 
@@ -161,7 +162,7 @@ def revoke_role(
     acct = state.account(target)
     if role not in acct.roles:
         raise TxError(err.ROLE_ABSENT)
-    acct.roles -= {role}
+    state.set_roles(acct, acct.roles - {role})
     return Applied((actor, target), {"target": target, "role": role.name.lower()})
 
 
@@ -181,9 +182,11 @@ def bootstrap_set_validators(
         state.account(v)  # all listed accounts must exist
     for existing in state.validators():
         if existing not in validators:
-            state.accounts[existing].roles -= {Role.VALIDATOR}
+            acct = state.accounts[existing]
+            state.set_roles(acct, acct.roles - {Role.VALIDATOR})
     for v in validators:
-        state.accounts[v].roles |= {Role.VALIDATOR}
+        acct = state.accounts[v]
+        state.set_roles(acct, acct.roles | {Role.VALIDATOR})
     return Applied(
         (actor, *sorted(validators)),
         {"count": len(validators)},
@@ -215,14 +218,16 @@ def create_proposal(
     window = state.policy_int("vote.window_blocks")
     pid = state.next_proposal_id
     state.next_proposal_id += 1
-    state.proposals[pid] = Proposal(
-        proposal_id=pid,
-        action=action,
-        proposer=proposer,
-        electorate=electorate,
-        created_at=state.height,
-        # no height passes U64_MAX, so the cap changes no outcome
-        expires_at=min(state.height + window, U64_MAX),
+    state.add_proposal(
+        Proposal(
+            proposal_id=pid,
+            action=action,
+            proposer=proposer,
+            electorate=electorate,
+            created_at=state.height,
+            # no height passes U64_MAX, so the cap changes no outcome
+            expires_at=min(state.height + window, U64_MAX),
+        )
     )
     return Applied(
         (proposer,),
@@ -321,8 +326,10 @@ def finalize_proposal(
 
 
 def expired_open_proposals(state: LedgerState) -> list[int]:
-    return sorted(
-        pid
-        for pid, prop in state.proposals.items()
-        if prop.status is ProposalStatus.OPEN and state.height > prop.expires_at
-    )
+    """Ids of the open proposals whose voting window has closed, ascending.
+
+    Reads the state's expiry index (``LedgerState.closed_windows``), so a
+    block costs what expires in it, not every proposal ever made; each
+    proposal leaves the index here, so the caller must finalize them all.
+    """
+    return sorted(pid for pid in state.closed_windows() if state.proposals[pid].status is ProposalStatus.OPEN)

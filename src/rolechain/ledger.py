@@ -23,19 +23,31 @@ fractional arithmetic anywhere in the ledger.  Five methods of
 allowances and supply: ``move``, ``issue``, ``retire``, ``promise`` and
 ``claim``.  The u64 bound on minted supply is ``check_supply`` alone.
 
-Conservation (the balances plus the unclaimed allowances equal the
-circulating supply) is checked after every block from that block's own
-writes: each primitive journals the holding of every account it is about
-to write, and :meth:`LedgerState.conserved_since_check` compares the
-journaled holdings' change with the change in circulating supply.  The
-first check of a state, and the end of a run and of a replay, sum every
-account instead (:meth:`LedgerState.conservation_holds`).
+A pull interest period costs O(rules) at its boundary.  Each active pull
+rule keeps its next period's total (``InterestRule.next_total``, the sum
+of every eligible account's share), which every write of a balance, a
+freeze, roles or a new account keeps current; ``promise`` mints that total
+into a pending pool.  An account's periods since it last settled all saw
+one balance, freeze and role set, since a write of any of them settles
+first: the first write that touches the account records those periods in
+its allowances and takes their amounts out of the pool.
+
+Conservation (the balances plus the unclaimed allowances plus the pending
+pool equal the circulating supply) is checked after every block from that
+block's own writes: each writer journals the balance and settled
+allowances of every account it is about to write, and
+:meth:`LedgerState.conserved_since_check` compares the journaled holdings'
+change with the change in circulating supply less the pool.  The first
+check of a state, and the end of a run and of a replay, recompute every
+account's pending periods and every rule's next total instead
+(:meth:`LedgerState.conservation_holds`).
 """
 
 from __future__ import annotations
 
 import hashlib
 from bisect import bisect_left, bisect_right
+from heapq import heappop, heappush
 from dataclasses import dataclass, field
 from enum import Enum
 from operator import attrgetter
@@ -218,14 +230,47 @@ class InterestRule:
     active: bool = wire(BOOL, default=True)
     last_accrued_period: int = wire(U64, default=0)
     created_total: int = wire(U64, default=0)
+    # an active pull rule's next period total, the sum of share() over every
+    # account, kept by the state's writers; derived, so not in the digest
+    next_total: int = field(default=0, init=False, repr=False, compare=False)
+
+    def member(self, acct: Account) -> bool:
+        """Whether the rule's periods are the account's: it holds the user role and is in scope."""
+        return Role.USER in acct.roles and (self.scope is None or acct.account_id in self.scope)
+
+    def share(self, acct: Account) -> int:
+        """The account's amount of one period: floor of the rate times its balance, 0 while frozen."""
+        if acct.frozen or not self.member(acct):
+            return 0
+        return self.rate_num * acct.balance // self.rate_den
 
 
 @wire_record(frozen=False)
 class AllowanceLedger:
-    """Per-account, per-rule record of accrued-but-unclaimed periods."""
+    """Per-account, per-rule record of settled, unclaimed periods."""
 
     last_claimed_period: int = wire(U64, default=0)
+    # (period, amount) after the last claimed, ascending; a period of 0 is not kept
     accrued: list[tuple[int, int]] = wire(seq_of(tuple_of(U64, U64)), default_factory=list)
+
+
+@wire_record(frozen=False)
+class Allowances:
+    """An account's pull allowances: how many of the state's pull accruals it
+    has settled, and per rule its settled, unclaimed periods."""
+
+    settled: int = wire(U64, default=0)
+    ledgers: dict[int, AllowanceLedger] = wire(sorted_map(U64, AllowanceLedger.FIELDS), default_factory=dict)
+
+    def unclaimed(self) -> int:
+        # a plain loop: a ledger holds a few periods, and the conservation
+        # check sums the ledgers of every account that a block writes, where
+        # a generator would cost more than the sum
+        total = 0
+        for ledger in self.ledgers.values():
+            for _, amount in ledger.accrued:
+                total += amount
+        return total
 
 
 @dataclass
@@ -286,7 +331,7 @@ class LedgerState:
     next_proposal_id: int = 1
     interest_rules: dict[int, InterestRule] = field(default_factory=dict)
     next_rule_id: int = 1
-    allowances: dict[bytes, dict[int, AllowanceLedger]] = field(default_factory=dict)
+    allowances: dict[bytes, Allowances] = field(default_factory=dict)
     supply: SupplyCounters = field(default_factory=SupplyCounters)
     tx_log: list[LogEntry] = field(default_factory=list)
     tx_index: dict[bytes, int] = field(default_factory=dict)
@@ -299,11 +344,19 @@ class LedgerState:
     # entries, and the successful management entries (heights never decrease)
     _history: dict[bytes, list[LogEntry]] = field(default_factory=dict, init=False, repr=False, compare=False)
     _management: list[LogEntry] = field(default_factory=list, init=False, repr=False, compare=False)
-    # conservation journal kept by the money primitives: each written
-    # account's holding before its first write since the last check, and
-    # the circulating supply at that check (None before the first)
+    # conservation journal kept by the writers: each written account's
+    # balance plus settled allowances before its first write since the last
+    # check, and circulating supply less the pool at that check (None before the first)
     _held_before: dict[bytes, int] = field(default_factory=dict, init=False, repr=False, compare=False)
-    _checked_supply: int | None = field(default=None, init=False, repr=False, compare=False)
+    _checked_held: int | None = field(default=None, init=False, repr=False, compare=False)
+    # pull interest, derived from the log and the rules: every successful pull
+    # accrual as (rule, period) in log order, the pool those accruals minted
+    # and no account has settled yet, and the active pull rules
+    _accruals: list[tuple[InterestRule, int]] = field(default_factory=list, init=False, repr=False, compare=False)
+    _pool: int = field(default=0, init=False, repr=False, compare=False)
+    _pull: list[InterestRule] = field(default_factory=list, init=False, repr=False, compare=False)
+    # (expires_at, proposal id) of every proposal not yet past its window, a heap
+    _expiring: list[tuple[int, int]] = field(default_factory=list, init=False, repr=False, compare=False)
 
     # -- access helpers --------------------------------------------------
 
@@ -366,9 +419,61 @@ class LedgerState:
         entries = self._management
         return entries[bisect_left(entries, start, key=_height) : bisect_right(entries, last, key=_height)]
 
+    def add_account(self, acct: Account) -> None:
+        """Add a new account: the pull periods accrued so far are not its."""
+        self.accounts[acct.account_id] = acct
+        if self._accruals:
+            self.allowances[acct.account_id] = Allowances(len(self._accruals))
+        self._after_write(acct)
+
+    def set_roles(self, acct: Account, roles) -> None:
+        self._before_write(acct)
+        acct.roles = roles
+        self._after_write(acct)
+
+    def set_frozen(self, acct: Account, frozen: bool) -> None:
+        self._before_write(acct)
+        acct.frozen = frozen
+        self._after_write(acct)
+
+    def add_rule(self, rule: InterestRule) -> None:
+        self.interest_rules[rule.rule_id] = rule
+        self._track(rule)
+
+    def set_rule_active(self, rule: InterestRule, active: bool) -> None:
+        rule.active = active
+        self._track(rule)
+
+    def _track(self, rule: InterestRule) -> None:
+        """Keep the next total of an active pull rule, from a full sum when it
+        starts or restarts; stop keeping that of any other rule."""
+        kept = any(rule is other for other in self._pull)
+        if rule.active and rule.mode is InterestMode.PULL:
+            if not kept:
+                rule.next_total = self.rule_total(rule)
+                self._pull.append(rule)
+        elif kept:
+            self._pull = [other for other in self._pull if other is not rule]
+
+    def rule_total(self, rule: InterestRule) -> int:
+        """The rule's share of every account summed afresh: what its next period creates."""
+        return sum(map(rule.share, self.accounts.values()))
+
+    def add_proposal(self, prop: Proposal) -> None:
+        self.proposals[prop.proposal_id] = prop
+        heappush(self._expiring, (prop.expires_at, prop.proposal_id))
+
+    def closed_windows(self) -> list[int]:
+        """Take from the expiry index the ids of the proposals whose voting
+        window closed before this height, whatever their status."""
+        expiring, closed = self._expiring, []
+        while expiring and expiring[0][0] < self.height:
+            closed.append(heappop(expiring)[1])
+        return closed
+
     # -- money: the only writers of balances, allowances and supply -------
-    # each keeps sum(balances) + unclaimed == minted - burned, checks first
-    # and journals every account it is about to write
+    # each keeps sum(balances) + unclaimed + pool == minted - burned, checks
+    # first, and writes an account only between _before_write and _after_write
 
     def check_supply(self, amount: int) -> None:
         """Raise SupplyOverflow if minting ``amount`` would take minted supply past the u64 range."""
@@ -381,41 +486,87 @@ class LedgerState:
         """Move ``amount`` from one account to another."""
         if source.balance < amount:
             raise TxError(err.INSUFFICIENT_FUNDS)
-        self._journal(source.account_id)
-        self._journal(to.account_id)
+        self._before_write(source)
+        self._before_write(to)
         source.balance -= amount
         to.balance += amount
+        self._after_write(source)
+        self._after_write(to)
 
     def issue(self, to: Account, amount: int) -> None:
         """Credit ``amount`` to the account, minted."""
         self.check_supply(amount)
-        self._journal(to.account_id)
+        self._before_write(to)
         to.balance += amount
         self.supply.minted += amount
+        self._after_write(to)
 
     def retire(self, source: Account, amount: int) -> None:
         """Debit ``amount`` from the account, burned."""
         if source.balance < amount:
             raise TxError(err.INSUFFICIENT_FUNDS)
-        self._journal(source.account_id)
+        self._before_write(source)
         source.balance -= amount
         self.supply.burned += amount
+        self._after_write(source)
 
-    def promise(self, account_id: bytes, rule_id: int, period: int, amount: int) -> None:
-        """Record ``amount`` as the account's allowance for one period of a pull rule, minted now."""
+    def promise(self, rule: InterestRule, period: int) -> int:
+        """Mint one period of a pull rule, its next total, into the pending
+        pool, from which each account settles its share; the amount."""
+        amount = rule.next_total
         self.check_supply(amount)
-        self._journal(account_id)
-        ledger = self.allowances.setdefault(account_id, {}).setdefault(rule_id, AllowanceLedger())
-        ledger.accrued.append((period, amount))
+        self._accruals.append((rule, period))
+        self._pool += amount
         self.supply.minted += amount
+        return amount
 
-    def claim(self, to: Account, ledger: AllowanceLedger, up_to_period: int) -> int:
-        """Credit the account with its own ``ledger``'s periods after the last claimed, up to ``up_to_period``; the amount."""
-        self._journal(to.account_id)
-        amount = sum(a for p, a in ledger.accrued if ledger.last_claimed_period < p <= up_to_period)
+    def claim(self, to: Account, rule_id: int, up_to_period: int) -> int:
+        """Credit the account with its periods of a rule that it holds a
+        ledger of, after the last claimed up to ``up_to_period``; the amount.
+        Claimed periods leave the ledger."""
+        self._before_write(to)
+        ledger = self.allowances[to.account_id].ledgers[rule_id]
+        amount = sum(a for p, a in ledger.accrued if p <= up_to_period)
+        ledger.accrued = [(p, a) for p, a in ledger.accrued if p > up_to_period]
         ledger.last_claimed_period = up_to_period
         to.balance += amount
+        self._after_write(to)
         return amount
+
+    def pending(self, acct: Account) -> list[tuple[InterestRule, int, int]]:
+        """The account's pull periods since it last settled, as (rule, period,
+        amount), without writing: every one saw its current balance, freeze
+        and roles, and the rules' rates and scopes never change."""
+        entry = self.allowances.get(acct.account_id)
+        accruals = self._accruals[0 if entry is None else entry.settled :]
+        return [(rule, period, rule.share(acct)) for rule, period in accruals if rule.member(acct)]
+
+    def _before_write(self, acct: Account) -> None:
+        """Journal the account, settle its pending periods and take its
+        shares out of the next totals, before a write of its balance, freeze or roles."""
+        account_id = acct.account_id
+        if account_id not in self._held_before:
+            self._held_before[account_id] = self._held(account_id)
+        if self._accruals:
+            entry = self.allowances.get(account_id)
+            if entry is None or entry.settled < len(self._accruals):
+                if entry is None:
+                    entry = self.allowances[account_id] = Allowances()
+                for rule, period, amount in self.pending(acct):
+                    ledger = entry.ledgers.get(rule.rule_id)
+                    if ledger is None:
+                        ledger = entry.ledgers[rule.rule_id] = AllowanceLedger()
+                    if amount:
+                        ledger.accrued.append((period, amount))
+                        self._pool -= amount
+                entry.settled = len(self._accruals)
+        for rule in self._pull:
+            rule.next_total -= rule.share(acct)
+
+    def _after_write(self, acct: Account) -> None:
+        """Put the account's shares back into the next totals after a write."""
+        for rule in self._pull:
+            rule.next_total += rule.share(acct)
 
     # -- conservation ------------------------------------------------------
 
@@ -423,52 +574,57 @@ class LedgerState:
         return sum(a.balance for a in self.accounts.values())
 
     def unclaimed(self, account_id: bytes) -> int:
-        """The account's unclaimed allowances over every rule; the only such sum."""
-        # a plain loop: a ledger holds a few periods, and the conservation
-        # check sums the ledgers of every account that a block writes, where
-        # a generator would cost more than the sum
-        total = 0
-        for ledger in self.allowances.get(account_id, {}).values():
-            last = ledger.last_claimed_period
-            for period, amount in ledger.accrued:
-                if period > last:
-                    total += amount
+        """The account's unclaimed allowances over every rule, its pending
+        periods included; the only such sum."""
+        entry = self.allowances.get(account_id)
+        acct = self.accounts.get(account_id)
+        total = 0 if entry is None else entry.unclaimed()
+        if acct is not None and self._accruals:
+            for _, _, amount in self.pending(acct):
+                total += amount
         return total
 
     def total_unclaimed(self) -> int:
-        return sum(map(self.unclaimed, self.allowances))
+        return sum(map(self.unclaimed, self.accounts))
 
     def conservation_holds(self) -> bool:
-        """The full sum over every account and allowance ledger."""
-        return self.total_balances() + self.total_unclaimed() == self.supply.circulating
+        """The full sum: every balance and unclaimed allowance, each account's
+        pending periods recomputed, equals circulating supply; the pool is
+        the pending periods' sum; and each next total is its rule's full sum."""
+        pending = sum(amount for acct in self.accounts.values() for _, _, amount in self.pending(acct))
+        settled = sum(entry.unclaimed() for entry in self.allowances.values())
+        pull = [r for r in self.interest_rules.values() if r.active and r.mode is InterestMode.PULL]
+        return (
+            self.total_balances() + settled + pending == self.supply.circulating
+            and pending == self._pool
+            and sorted(id(r) for r in pull) == sorted(map(id, self._pull))
+            and all(rule.next_total == self.rule_total(rule) for rule in pull)
+        )
 
-    def holding(self, account_id: bytes) -> int:
-        """The account's balance plus its unclaimed allowances over every rule."""
+    def _held(self, account_id: bytes) -> int:
+        """The account's balance plus its settled, unclaimed allowances."""
         acct = self.accounts.get(account_id)
-        return (0 if acct is None else acct.balance) + self.unclaimed(account_id)
-
-    def _journal(self, account_id: bytes) -> None:
-        """Record the account's holding before its first money write since the last check."""
-        if account_id not in self._held_before:
-            self._held_before[account_id] = self.holding(account_id)
+        entry = self.allowances.get(account_id)
+        return (0 if acct is None else acct.balance) + (0 if entry is None else entry.unclaimed())
 
     def conserved_since_check(self) -> bool:
         """Whether conservation holds, judged from the accounts written since the last check.
 
         The journaled holdings must have changed by as much as circulating
-        supply did.  A state's first check runs the full sum instead.  A
-        passing check empties the journal and moves the baseline to now; a
-        failing one keeps both, so every later check fails too.
+        supply less the pending pool did.  A state's first check runs the
+        full sum instead.  A passing check empties the journal and moves the
+        baseline to now; a failing one keeps both, so every later check
+        fails too.
         """
-        circulating = self.supply.circulating
-        if self._checked_supply is None:
+        held = self.supply.circulating - self._pool
+        if self._checked_held is None:
             ok = self.conservation_holds()
         else:
             journal = self._held_before
-            ok = sum(map(self.holding, journal)) - sum(journal.values()) == circulating - self._checked_supply
+            ok = sum(map(self._held, journal)) - sum(journal.values()) == held - self._checked_held
         if ok:
             self._held_before.clear()
-            self._checked_supply = circulating
+            self._checked_held = held
         return ok
 
     # -- digest ----------------------------------------------------------------
@@ -490,8 +646,8 @@ _POLICIES = values_by_key(Policy.FIELDS, "key")
 _REGISTRY = values_by_key(ValidatorRecord.FIELDS, "account")
 _PROPOSALS = values_by_key(Proposal.FIELDS, "proposal_id")
 _INTEREST_RULES = values_by_key(InterestRule.FIELDS, "rule_id")
-# account id -> rule id -> ledger, keys written
-_ALLOWANCES = sorted_map(BYTES, sorted_map(U64, AllowanceLedger.FIELDS))
+# account id -> its allowances (rule id -> ledger inside), keys written
+_ALLOWANCES = sorted_map(BYTES, Allowances.FIELDS)
 _TABLES = (_ACCOUNTS, _POLICIES, _PROPOSALS, _INTEREST_RULES, _ALLOWANCES, _REGISTRY)
 _STATE = tuple_of(TEXT, U64, U64, U64, *_TABLES, seq_of(LogEntry.FIELDS))
 # a height-0 state, whose proposals, interest rules, allowances and log are empty (a zero count)
@@ -566,7 +722,7 @@ def set_frozen(
 ) -> Applied:
     security_gate(state, actor, "freeze", authority)
     target, frozen = payload.target, payload.frozen
-    state.account(target).frozen = frozen
+    state.set_frozen(state.account(target), frozen)
     return Applied((actor, target), {"target": target, "frozen": frozen})
 
 

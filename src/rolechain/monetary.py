@@ -4,17 +4,26 @@ The handlers here check who may act and on what; the money itself moves
 only through the ledger's writers (``LedgerState.issue``, ``retire``,
 ``promise`` and ``claim``), which also keep the u64 bound on minted supply.
 
-Periodic creation rules accrue at block heights ``start + k * period``.
-Push rules credit balances directly; pull rules record a claimable amount
-per period and count it toward minted supply immediately, so the ledger
-conservation equation stays a plain equality:
+Periodic creation rules accrue at block heights ``start + k * period``,
+each account's amount the floor of the rate times its balance at the
+boundary.  Unclaimed amounts are not part of the accrual base, and frozen
+accounts neither accrue (their periods are worth 0, so period indices
+stay dense) nor claim while frozen.
 
-    sum(balances) + sum(unclaimed accruals) == minted - burned
+Push rules credit every balance at the boundary.  Pull rules cost O(rules)
+there: the ledger keeps each active pull rule's next total, the sum of its
+accounts' amounts, and a boundary mints that total into a pending pool.
+Each account settles its periods from the pool on the next write of its
+balance, freeze or roles, or its next claim, at the balance those periods
+saw, which no write changed in between.  So the conservation equation
+gains one term:
 
-Accrual uses floor division on the balance at the boundary.  Unclaimed
-amounts are not part of the accrual base (recorded amounts never change),
-and frozen accounts neither accrue nor claim while frozen: their periods
-are recorded as zero so period indices stay dense.
+    sum(balances) + sum(unclaimed allowances) + pending pool == minted - burned
+
+``claimable_amount`` counts the pending periods without settling them.  A
+pull boundary logs only its public ``accrual`` total: per-account entries
+would grow the log by one per account every period, and claim receipts and
+``claimable`` answers carry every amount.
 """
 
 from __future__ import annotations
@@ -22,7 +31,7 @@ from __future__ import annotations
 from . import errors as err
 from .codec import U64, sorted_map, wire, wire_record
 from .errors import TxError
-from .ledger import Account, Applied, Authority, InterestRule, LedgerState
+from .ledger import Applied, Authority, InterestRule, LedgerState
 from .payloads import (
     Burn,
     ClaimAllowance,
@@ -98,7 +107,7 @@ def set_interest_rule(
             raise TxError(err.RULE_INACTIVE, "no such rule")
         if payload.active and rule.scope is None:
             _reject_all_users_overlap(state, except_id=rule.rule_id)
-        rule.active = payload.active
+        state.set_rule_active(rule, payload.active)
         return Applied((actor,), {"rule_id": rule.rule_id, "active": payload.active})
 
     if payload.start_height < state.height:
@@ -109,15 +118,17 @@ def set_interest_rule(
         _reject_all_users_overlap(state)
     rule_id = state.next_rule_id
     state.next_rule_id += 1
-    state.interest_rules[rule_id] = InterestRule(
-        rule_id=rule_id,
-        rate_num=payload.rate_num,
-        rate_den=payload.rate_den,
-        period_blocks=payload.period_blocks,
-        start_height=payload.start_height,
-        mode=payload.mode,
-        scope=payload.scope,
-        active=payload.active,
+    state.add_rule(
+        InterestRule(
+            rule_id=rule_id,
+            rate_num=payload.rate_num,
+            rate_den=payload.rate_den,
+            period_blocks=payload.period_blocks,
+            start_height=payload.start_height,
+            mode=payload.mode,
+            scope=payload.scope,
+            active=payload.active,
+        )
     )
     return Applied(
         (actor,),
@@ -138,38 +149,36 @@ def _rule_members(state: LedgerState, rule: InterestRule) -> list[bytes]:
     return sorted(rule.scope)
 
 
-def accrue_period(state: LedgerState, rule_id: int, period_index: int) -> list[tuple[bytes, int]]:
-    """Create one period's funds for every in-scope account.
+def accrue_period(state: LedgerState, rule_id: int, period_index: int) -> tuple[int, list[tuple[bytes, int]]]:
+    """Create one period's funds: a push rule credits every in-scope
+    account now, a pull rule mints its next total into the pending pool.
 
-    Returns (account, amount) pairs for logging.  Must be invoked exactly
-    once per boundary, in period order; the rule tracks the last index.
-    Raises ``SupplyOverflow`` before any change when the period's total
-    would take minted supply past the u64 range.
+    Returns the period's total and, for a push rule, the (account, amount)
+    pairs it credited, for logging.  Must be invoked exactly once per
+    boundary, in period order; the rule tracks the last index.  Raises
+    ``SupplyOverflow`` before any change when the period's total would take
+    minted supply past the u64 range.
     """
     rule = state.interest_rules.get(rule_id)
     if rule is None or not rule.active:
         raise TxError(err.RULE_INACTIVE)
     if period_index <= rule.last_accrued_period:
         raise TxError(err.ALREADY_ACCRUED)
-    amounts: list[tuple[bytes, Account, int]] = []
-    for account_id in _rule_members(state, rule):
-        acct = state.accounts.get(account_id)
-        if acct is None or Role.USER not in acct.roles:
-            continue
-        amounts.append((account_id, acct, 0 if acct.frozen else rule.rate_num * acct.balance // rule.rate_den))
-    state.check_supply(sum(amount for _, _, amount in amounts))
     credited: list[tuple[bytes, int]] = []
-    for account_id, acct, amount in amounts:
-        if rule.mode is InterestMode.PUSH:
-            if not amount:
-                continue
-            state.issue(acct, amount)
-        else:
-            state.promise(account_id, rule_id, period_index, amount)
-        rule.created_total += amount
-        credited.append((account_id, amount))
+    if rule.mode is InterestMode.PUSH:
+        members = [acct for acct in map(state.accounts.get, _rule_members(state, rule)) if acct is not None]
+        amounts = [(acct, rule.share(acct)) for acct in members]
+        total = sum(amount for _, amount in amounts)
+        state.check_supply(total)
+        for acct, amount in amounts:
+            if amount:
+                state.issue(acct, amount)
+                credited.append((acct.account_id, amount))
+    else:
+        total = state.promise(rule, period_index)
+    rule.created_total += total
     rule.last_accrued_period = period_index
-    return credited
+    return total, credited
 
 
 def boundaries_at(state: LedgerState, height: int) -> list[tuple[int, int]]:
@@ -203,10 +212,14 @@ def claim_allowance(
         raise TxError(err.NOTHING_TO_CLAIM, "account not in rule scope")
     if up_to_period > rule.last_accrued_period:
         raise TxError(err.PERIOD_NOT_YET_ACCRUED)
-    ledger = state.allowances.get(account, {}).get(rule_id)
-    if ledger is None or up_to_period <= ledger.last_claimed_period:
+    # the account holds a ledger of the rule once it settles a period of it
+    entry = state.allowances.get(account)
+    ledger = None if entry is None else entry.ledgers.get(rule_id)
+    if ledger is None and not any(r is rule for r, _, _ in state.pending(acct)):
         raise TxError(err.NOTHING_TO_CLAIM)
-    total = state.claim(acct, ledger, up_to_period)
+    if up_to_period <= (0 if ledger is None else ledger.last_claimed_period):
+        raise TxError(err.NOTHING_TO_CLAIM)
+    total = state.claim(acct, rule_id, up_to_period)
     return Applied(
         (account,),
         {"rule_id": rule_id, "up_to_period": up_to_period, "amount": total},
@@ -214,7 +227,7 @@ def claim_allowance(
 
 
 def claimable_amount(state: LedgerState, account: bytes) -> int:
-    """Total unclaimed accruals across every rule, for the account owner."""
+    """Total unclaimed accruals across every rule, pending periods included, for the account owner."""
     state.account(account)
     return state.unclaimed(account)
 

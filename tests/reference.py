@@ -1,4 +1,5 @@
-"""Field-by-field primitives of the canonical encoding, the tests' reference.
+"""The tests' references: field-by-field primitives of the canonical
+encoding, and periodic money creation done eagerly.
 
 ``rolechain.codec`` writes and reads every frame with compiled codecs.
 These primitives write and read one value at a time, each by its rule in
@@ -6,6 +7,11 @@ the ``codec`` module docstring, so the reference encoders and decoders of
 ``test_compiled_encoders`` and ``test_compiled_decoders`` can be built from
 them and compared with the compiled ones.  A :class:`Writer` is a
 bytearray, so a compiled encoder may also write into one.
+
+:class:`EagerInterest` records every pull period of every account at its
+boundary, as the ledger did before it settled periods on each account's
+next write, so the lazy ledger's claims, ``claimable`` answers, supply and
+public accrual totals can be compared with it block by block.
 """
 
 from __future__ import annotations
@@ -14,8 +20,10 @@ import struct
 from enum import Enum
 from typing import TypeVar
 
+from rolechain import errors as err
 from rolechain.codec import U32_MAX, U64_MAX, _not_bytes, _not_utf8
 from rolechain.errors import CodecError
+from rolechain.payloads import ClaimAllowance, InterestMode, Role
 
 E = TypeVar("E", bound=Enum)
 
@@ -115,3 +123,92 @@ class Reader:
     def require_end(self) -> None:
         if self._pos != len(self._data):
             raise CodecError(f"{len(self._data) - self._pos} trailing bytes in frame")
+
+
+# --- periodic money creation, eagerly --------------------------------------------------
+
+
+class EagerInterest:
+    """Every account's pull periods, recorded at each boundary from the live state.
+
+    ``ledgers`` maps account id -> rule id -> [last claimed period,
+    [(period, amount), ...]], every period kept, worthless ones included.
+    Call :meth:`accrue` on the state as a block reaches its boundaries (after
+    its transactions, before ``engine.run_accruals``), and :meth:`claim`
+    before a claim whose envelope is valid runs.
+    """
+
+    def __init__(self):
+        self.ledgers: dict[bytes, dict[int, list]] = {}
+        self.created: dict[int, int] = {}  # rule id -> total created
+        self.last_period: dict[int, int] = {}  # rule id -> last period accrued
+
+    def accrue(self, state) -> list[tuple[int, int, bool, str | None, int | None]]:
+        """Accrue every boundary at the state's height, in rule order, without
+        writing the state; each boundary's (rule id, period, ok, error code,
+        total), which its public ``accrual`` entry must hold."""
+        minted = state.supply.minted
+        credits: dict[bytes, int] = {}  # push credits of earlier rules at this height
+        boundaries = []
+        for rule_id in sorted(state.interest_rules):
+            rule = state.interest_rules[rule_id]
+            offset = state.height - rule.start_height
+            if not rule.active or offset <= 0 or offset % rule.period_blocks:
+                continue
+            period = offset // rule.period_blocks
+            members = [
+                acct
+                for acct in map(state.accounts.get, sorted(rule.scope) if rule.scope is not None else state.accounts)
+                if acct is not None and Role.USER in acct.roles
+            ]
+            amounts = []
+            for acct in members:
+                balance = acct.balance + credits.get(acct.account_id, 0)
+                amounts.append((acct.account_id, 0 if acct.frozen else rule.rate_num * balance // rule.rate_den))
+            total = sum(amount for _, amount in amounts)
+            if minted + total > U64_MAX:
+                boundaries.append((rule_id, period, False, err.SUPPLY_OVERFLOW, None))
+                continue
+            minted += total
+            for account_id, amount in amounts:
+                if rule.mode is InterestMode.PUSH:
+                    credits[account_id] = credits.get(account_id, 0) + amount
+                else:
+                    ledger = self.ledgers.setdefault(account_id, {}).setdefault(rule_id, [0, []])
+                    ledger[1].append((period, amount))
+            self.created[rule_id] = self.created.get(rule_id, 0) + total
+            self.last_period[rule_id] = period
+            boundaries.append((rule_id, period, True, None, total))
+        return boundaries
+
+    def claim(self, state, account_id: bytes, payload: ClaimAllowance) -> tuple[str | None, int | None]:
+        """The (error code, amount) of the claim on the state as it stands,
+        checked in the handler's order; a successful one is recorded."""
+        acct = state.accounts.get(account_id)
+        rule = state.interest_rules.get(payload.rule_id)
+        if acct is None:
+            return err.UNKNOWN_ACCOUNT, None
+        if Role.USER not in acct.roles:
+            return err.NO_ROLE, None
+        if acct.frozen:
+            return err.FROZEN, None
+        if rule is None:
+            return err.RULE_INACTIVE, None
+        if rule.scope is not None and account_id not in rule.scope:
+            return err.NOTHING_TO_CLAIM, None
+        if payload.up_to_period > self.last_period.get(payload.rule_id, 0):
+            return err.PERIOD_NOT_YET_ACCRUED, None
+        ledger = self.ledgers.get(account_id, {}).get(payload.rule_id)
+        if ledger is None or payload.up_to_period <= ledger[0]:
+            return err.NOTHING_TO_CLAIM, None
+        amount = sum(a for p, a in ledger[1] if ledger[0] < p <= payload.up_to_period)
+        ledger[0] = payload.up_to_period
+        return None, amount
+
+    def unclaimed(self, account_id: bytes) -> int:
+        return sum(
+            amount
+            for last, periods in self.ledgers.get(account_id, {}).values()
+            for period, amount in periods
+            if period > last
+        )

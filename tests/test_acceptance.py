@@ -29,7 +29,7 @@ from rolechain.gateway import (
 )
 from rolechain.keys import keypair_from_label
 from rolechain.ledger import ProposalStatus
-from rolechain.monetary import accrue_period
+from rolechain.monetary import accrue_period, claimable_amount
 from rolechain.payloads import (
     AssignRole,
     BootstrapValidators,
@@ -61,6 +61,7 @@ from rolechain.payloads import (
 from rolechain.sim import load_scenario, parse_scenario, run
 
 from conftest import World, make_world
+from reference import EagerInterest
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -344,7 +345,7 @@ def _interest_world(balances: dict[str, int], seed: int) -> World:
 
 
 def _drive_history(world: World, rule_id: int, mode: InterestMode, periods: int,
-                   period_len: int, transfers, claim_every: bool) -> list[int]:
+                   period_len: int, transfers, claim_every: bool, eager: EagerInterest | None = None) -> list[int]:
     ends = []
     for height in range(1, periods * period_len + 1):
         world.state.height = height
@@ -353,6 +354,8 @@ def _drive_history(world: World, rule_id: int, mode: InterestMode, periods: int,
                 world.apply(a, Transfer(world.aid(b), amount))
         if height % period_len == 0:
             k = height // period_len
+            if eager is not None:
+                eager.accrue(world.state)
             accrue_period(world.state, rule_id, k)
             if claim_every:
                 world.apply("alice", ClaimAllowance(rule_id, k))
@@ -384,12 +387,11 @@ def test_criterion_07_push_pull_equivalence():
 
             assert pull_ends == push_ends, f"trial {trial}"
 
-            # deferred claimer receives exactly the recorded per-boundary sum
-            deferred = _interest_world(dict(balances), seed=trial)
+            # deferred claimer receives exactly what an eager accrual records at each boundary
+            deferred, eager = _interest_world(dict(balances), seed=trial), EagerInterest()
             deferred.apply_ok("bank", SetInterestRule(rate[0], rate[1], period_len, 0, InterestMode.PULL))
-            _drive_history(deferred, 1, InterestMode.PULL, periods, period_len, transfers, False)
-            ledger = deferred.state.allowances.get(deferred.aid("alice"), {}).get(1)
-            expected = sum(a for _, a in ledger.accrued) if ledger else 0
+            _drive_history(deferred, 1, InterestMode.PULL, periods, period_len, transfers, False, eager)
+            expected = eager.unclaimed(deferred.aid("alice"))
             before = deferred.balance("alice")
             receipt = deferred.apply("alice", ClaimAllowance(1, periods))
             gained = deferred.balance("alice") - before
@@ -409,8 +411,7 @@ def test_criterion_08_skip_and_claim():
         for k in (1, 2, 3, 4):
             world.state.height = 10 * k
             accrue_period(world.state, 1, k)
-        recorded = world.state.allowances[world.aid("alice")][1].accrued
-        combined = sum(amount for _, amount in recorded)
+        combined = claimable_amount(world.state, world.aid("alice"))
         receipt = world.apply_ok("alice", ClaimAllowance(1, 4))
         assert receipt.data["amount"] == combined == 40
         assert world.balance("alice") == 1_040

@@ -22,6 +22,7 @@ from rolechain.chain import Block, decode_block
 from rolechain.codec import whole
 from rolechain.errors import CodecError
 from rolechain.gateway import READS, DirectoryEntry, PublicEntry
+from rolechain.ledger import AllowanceLedger
 from rolechain.monetary import Supply
 from rolechain.payloads import (
     PAYLOAD,
@@ -205,6 +206,7 @@ BY_FIELD = {
     "SetInterestRule.rule_id": optional(u64),
     "PublicEntry.data": by_key(text, tagged_value),
     "Supply.rules": by_key(u64, u64),
+    "Allowances.ledgers": by_key(u64, fields(AllowanceLedger)),
 }
 
 
@@ -275,7 +277,7 @@ FRAMES = {
 
 
 def test_every_record_but_those_holding_more_than_their_encoding_decodes():
-    assert {cls.__name__ for cls in RECORDS if cls not in DECODABLE} == {"Proposal", "LogEntry"}
+    assert {cls.__name__ for cls in RECORDS if cls not in DECODABLE} == {"Proposal", "LogEntry", "InterestRule"}
 
 
 # 2 is no boolean, 0x7F no enum member or tag, and 0xFF no UTF-8 byte, or

@@ -215,6 +215,10 @@ BY_FIELD = {
     "LogEntry.data": (by_key(text, tagged_value), log_data),
     "PublicEntry.data": (by_key(text, tagged_value), log_data),
     "Supply.rules": (by_key(u64, u64), st.dictionaries(u64s, u64s, max_size=3)),
+    "Allowances.ledgers": (
+        by_key(u64, record),
+        st.dictionaries(u64s, st.deferred(lambda: instances(ledger.AllowanceLedger)), max_size=3),
+    ),
 }
 NESTED = set(PAYLOAD.by_tag.values()) - {CreateProposal}
 
@@ -296,7 +300,7 @@ def reference_digest(state: LedgerState) -> bytes:
     table = by_key(None, record)
     for records in (state.accounts, state.policies, state.proposals, state.interest_rules):
         table(w, records)
-    by_key(raw_bytes, by_key(u64, record))(w, state.allowances)
+    by_key(raw_bytes, record)(w, state.allowances)
     table(w, state.validator_registry)
     sequence(record)(w, state.tx_log)
     return hashlib.sha256(w.getvalue()).digest()

@@ -32,6 +32,7 @@ from rolechain.gateway import compute_result
 from rolechain.ledger import (
     Account,
     AllowanceLedger,
+    Allowances,
     InterestRule,
     LogEntry,
     Policy,
@@ -299,11 +300,11 @@ def _every_record_state():
         rule_id=2, rate_num=3, rate_den=7, period_blocks=4, start_height=4, mode=InterestMode.PULL,
         scope=frozenset({B, A}), active=False,
     )
-    state.allowances[B] = {
-        2: AllowanceLedger(last_claimed_period=1, accrued=[(1, 4), (2, 6)]),
-        1: AllowanceLedger(accrued=[(2, 1)]),
-    }
-    state.allowances[A] = {2: AllowanceLedger()}
+    state.allowances[B] = Allowances(
+        settled=3,
+        ledgers={2: AllowanceLedger(last_claimed_period=1, accrued=[(2, 6), (3, 4)]), 1: AllowanceLedger(accrued=[(2, 1)])},
+    )
+    state.allowances[A] = Allowances(ledgers={2: AllowanceLedger()})
     state.validator_registry[A] = RECORD
     state.tx_log += [
         LogEntry(

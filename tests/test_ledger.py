@@ -421,19 +421,33 @@ def test_conservation_and_nonnegative_balances_property(ops):
 # --- one home for money ------------------------------------------------------------
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "rolechain"
-# the only writers of balances, unclaimed allowances and supply, and the u64 bound
-PRIMITIVES = {f"ledger.LedgerState.{name}" for name in ("move", "issue", "retire", "promise", "claim", "check_supply")}
-MONEY = {"balance", "minted", "burned", "last_claimed_period"}
-TABLES = {"accrued", "allowances"}  # containers of unclaimed allowances
+# the only writers of balances, unclaimed allowances, the pending pool and
+# supply, and the u64 bound; _before_write settles pending periods, and
+# add_account marks the periods accrued before an account as not its own
+PRIMITIVES = {
+    f"ledger.LedgerState.{name}"
+    for name in ("move", "issue", "retire", "promise", "claim", "check_supply", "_before_write", "add_account")
+}
+MONEY = {"balance", "minted", "burned", "last_claimed_period", "settled", "_pool"}
+TABLES = {"accrued", "allowances", "ledgers", "_accruals"}  # containers of unclaimed allowances
 MUTATORS = {"append", "extend", "insert", "pop", "popitem", "remove", "clear", "update", "setdefault", "sort", "reverse"}
+# what a pull period's share depends on, and the running sums of the shares
+SHARE_INPUTS = {"frozen", "roles", "active", "next_total", "_pull"}
+SHARE_TABLES = {"accounts", "interest_rules"}
+SHARE_WRITERS = {
+    f"ledger.LedgerState.{name}"
+    for name in ("add_account", "set_roles", "set_frozen", "add_rule", "set_rule_active", "_track", "_before_write", "_after_write")
+} | {"ledger"}  # the module itself declares the ``Account.roles`` property
 
 
 class _MoneyWrites(ast.NodeVisitor):
     """Each write of money in a module, a raise of SupplyOverflow and a
-    ``SupplyCounters`` built from a value, as (kind, function, line)."""
+    ``SupplyCounters`` built from a value, as (kind, function, line); or,
+    given other attribute and table names, each write of those."""
 
-    def __init__(self, module: str):
+    def __init__(self, module: str, attrs: set[str] = MONEY, tables: set[str] = TABLES):
         self.scope, self.found = [module], []
+        self.attrs, self.tables = attrs, tables
 
     def _note(self, kind: str, node: ast.AST) -> None:
         self.found.append((kind, ".".join(self.scope), node.lineno))
@@ -447,9 +461,9 @@ class _MoneyWrites(ast.NodeVisitor):
 
     def _target(self, target: ast.AST) -> None:
         for node in ast.walk(target):
-            if isinstance(node, ast.Attribute) and node.attr in MONEY | TABLES:
+            if isinstance(node, ast.Attribute) and node.attr in self.attrs | self.tables:
                 self._note(f"write .{node.attr}", node)
-            elif isinstance(node, ast.Subscript) and getattr(node.value, "attr", None) in TABLES:
+            elif isinstance(node, ast.Subscript) and getattr(node.value, "attr", None) in self.tables:
                 self._note(f"write .{node.value.attr}[...]", node)
 
     def visit_Assign(self, node):
@@ -469,10 +483,10 @@ class _MoneyWrites(ast.NodeVisitor):
 
     def visit_Call(self, node):
         func = node.func
-        if isinstance(func, ast.Attribute) and func.attr in MUTATORS and getattr(func.value, "attr", None) in TABLES:
+        if isinstance(func, ast.Attribute) and func.attr in MUTATORS and getattr(func.value, "attr", None) in self.tables:
             self._note(f"{func.attr} on .{func.value.attr}", node)
         if getattr(func, "id", None) in ("setattr", "delattr") and any(
-            isinstance(a, ast.Constant) and a.value in MONEY | TABLES for a in node.args
+            isinstance(a, ast.Constant) and a.value in self.attrs | self.tables for a in node.args
         ):
             self._note(func.id, node)
         if getattr(func, "id", None) == "SupplyCounters" and (node.args or node.keywords):
@@ -503,3 +517,16 @@ def test_only_the_ledger_primitives_write_money():
     assert not [f"{where}:{line} {kind}" for kind, where, line in writes if where not in PRIMITIVES]
     # the scan sees the writes the primitives make
     assert {where for _, where, _ in writes} == PRIMITIVES - {"ledger.LedgerState.check_supply"}
+
+
+def test_only_the_ledger_writes_what_a_pull_share_depends_on():
+    """Freezes, roles, accounts, rules' activity and the rules' next totals
+    are written only by the ledger methods that settle the account first
+    and keep every next total, so a pull boundary can mint the running sum."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        visitor = _MoneyWrites(path.stem, SHARE_INPUTS, SHARE_TABLES)
+        visitor.visit(ast.parse(path.read_text()))
+        found += [(kind, where, line) for kind, where, line in visitor.found if kind.startswith(("write", *MUTATORS))]
+    assert not [f"{where}:{line} {kind}" for kind, where, line in found if where not in SHARE_WRITERS]
+    assert {where for _, where, _ in found} == SHARE_WRITERS

@@ -29,6 +29,7 @@ from rolechain.payloads import (
 )
 
 from conftest import World, make_world
+from reference import EagerInterest
 
 
 def _monetary_world(**kwargs) -> World:
@@ -267,9 +268,11 @@ def test_small_balance_floors_to_zero_entry():
     rule = _rule(world, mode=InterestMode.PULL)
     world.state.height = 10
     accrue_period(world.state, rule, 1)
-    ledger = world.state.allowances[world.aid("alice")][rule]
-    assert ledger.accrued == [(1, 0)]
     assert claimable_amount(world.state, world.aid("alice")) == 0
+    # the worthless period settles as a ledger without it, and claims as 0
+    assert world.apply_ok("alice", ClaimAllowance(rule, 1)).data["amount"] == 0
+    ledger = world.state.allowances[world.aid("alice")].ledgers[rule]
+    assert (ledger.last_claimed_period, ledger.accrued) == (1, [])
 
 
 def test_accrue_twice_rejected():
@@ -297,8 +300,12 @@ def test_frozen_accounts_skip_periods():
     world.apply_ok("sec", SetFrozen(world.aid("alice"), True))
     world.state.height = 10
     accrue_period(world.state, rule, 1)
-    ledger = world.state.allowances[world.aid("alice")][rule]
-    assert ledger.accrued == [(1, 0)]  # recorded but worthless: skipped, not deferred
+    assert world.state.interest_rules[rule].created_total == 5  # bob's alone
+    # unfreezing settles the period at the freeze it saw: worthless, skipped, not deferred
+    world.apply_ok("sec", SetFrozen(world.aid("alice"), False))
+    assert world.state.allowances[world.aid("alice")].ledgers[rule].accrued == []
+    assert claimable_amount(world.state, world.aid("alice")) == 0
+    assert world.apply_ok("alice", ClaimAllowance(rule, 1)).data["amount"] == 0
 
 
 def test_claim_combined_periods():
@@ -429,14 +436,15 @@ def test_deferred_claim_pays_recorded_accruals_exactly(seed):
     world = _monetary_world(balances={"alice": rng.randint(100, 5_000), "bob": 1_000})
     rule = _rule(world, mode=InterestMode.PULL, num=rng.randint(1, 5), den=100, period=3)
     periods = rng.randint(3, 6)
+    rate_num = world.state.interest_rules[rule].rate_num
+    expected = 0
     for k in range(1, periods + 1):
         world.state.height = 3 * k
         # interleave transfers so the balance-at-boundary varies
         world.apply("bob", Transfer(world.aid("alice"), rng.randint(1, 40)))
+        # independent oracle: alice's own share at each boundary
+        expected += rate_num * world.balance("alice") // 100
         accrue_period(world.state, rule, k)
-    # independent oracle: replay the recorded boundary entries and sum them
-    recorded = world.state.allowances[world.aid("alice")][rule].accrued
-    expected = sum(amount for _, amount in recorded)
     before = world.balance("alice")
     receipt = world.apply_ok("alice", ClaimAllowance(rule, periods))
     assert world.balance("alice") - before == expected
@@ -456,26 +464,18 @@ def test_reactivating_all_users_rule_checks_overlap():
     world.apply_ok("bank", SetInterestRule(0, 1, 1, 0, InterestMode.PULL, None, first, True))
 
 
-# --- the one unclaimed sum -------------------------------------------------------------
+# --- the one unclaimed sum ----------------------------------------------------------
 
 USERS = ("alice", "bob")
 
 
-def _brute_unclaimed(world: World, account_id: bytes) -> int:
-    """Every recorded period after its ledger's last claim, summed afresh."""
-    return sum(
-        amount
-        for ledger in world.state.allowances.get(account_id, {}).values()
-        for period, amount in ledger.accrued
-        if period > ledger.last_claimed_period
-    )
-
-
 @settings(max_examples=60, deadline=None)
 @given(st.data())
-def test_one_unclaimed_sum_answers_claimable_holding_and_both_conservation_checks(data):
+def test_one_unclaimed_sum_answers_claimable_and_both_conservation_checks(data):
+    """Pending and settled periods, over freezes, claims and transfers between
+    boundaries of several pull rules, sum to what the eager reference recorded."""
     world = _monetary_world(balances={name: data.draw(st.integers(0, 5_000), label=name) for name in USERS})
-    state = world.state
+    state, eager = world.state, EagerInterest()
     # pull rules over all users (at most one) or over some of them, so a user may hold several ledgers
     scopes = data.draw(st.lists(st.sampled_from([None, ("alice",), ("bob",), USERS]), min_size=1, max_size=3), label="scopes")
     for i, scope in enumerate(scopes):
@@ -497,22 +497,60 @@ def test_one_unclaimed_sum_answers_claimable_holding_and_both_conservation_check
             action = data.draw(st.sampled_from(["freeze", "unfreeze", "claim", "transfer"]))
             if action == "claim":
                 rule = state.interest_rules[data.draw(st.sampled_from(sorted(state.interest_rules)))]
-                world.apply(name, ClaimAllowance(rule.rule_id, data.draw(st.integers(0, rule.last_accrued_period + 1))))
+                claim = ClaimAllowance(rule.rule_id, data.draw(st.integers(0, rule.last_accrued_period + 1)))
+                code, amount = eager.claim(state, world.aid(name), claim)
+                receipt = world.apply(name, claim)
+                assert (receipt.error, receipt.data.get("amount")) == (code, amount)
             elif action == "transfer":
                 world.apply(name, Transfer(world.aid("bob" if name == "alice" else "alice"), data.draw(st.integers(0, 100))))
             else:
                 world.apply("sec", SetFrozen(world.aid(name), action == "freeze"))
+        eager.accrue(state)
         run_accruals(state)
         # a write behind the primitives to an account this block wrote, which both checks must see
         stray = data.draw(st.sampled_from([None, *USERS]), label="stray")
         if stray is not None and world.aid(stray) in state._held_before:
             state.accounts[world.aid(stray)].balance += 1
-        brute = {aid: _brute_unclaimed(world, aid) for aid in state.accounts}
-        for aid, unclaimed in brute.items():
-            assert state.unclaimed(aid) == unclaimed
-            assert claimable_amount(state, aid) == state.holding(aid) - state.accounts[aid].balance == unclaimed
-        assert state.total_unclaimed() == sum(map(state.unclaimed, state.accounts)) == sum(brute.values())
         full = state.conservation_holds()
         assert state.conserved_since_check() == full
         if not full:  # a failed check keeps failing
             return
+        for aid in state.accounts:
+            assert claimable_amount(state, aid) == state.unclaimed(aid) == eager.unclaimed(aid)
+        assert state.total_unclaimed() == sum(map(eager.unclaimed, state.accounts))
+
+
+def test_a_boundary_journals_no_account_and_settles_on_the_next_write():
+    world = _monetary_world()
+    state = world.state
+    rule = _rule(world, period=5)
+    assert state.conserved_since_check()
+    state.height = 5
+    run_accruals(state)
+    assert state._held_before == {}
+    assert state.allowances == {}
+    assert state._pool == 15
+    assert state.conserved_since_check()
+    # alice's transfer settles her period, and bob's as the recipient
+    world.apply_ok("alice", Transfer(world.aid("bob"), 100))
+    assert state._pool == 0
+    assert state.allowances[world.aid("alice")].ledgers[rule].accrued == [(1, 10)]
+    assert state.allowances[world.aid("bob")].ledgers[rule].accrued == [(1, 5)]
+    assert state.interest_rules[rule].next_total == 9 + 6
+    assert state.conserved_since_check()
+    assert state.conservation_holds()
+
+
+def test_a_full_sum_catches_a_wrong_pool_or_next_total():
+    world = _monetary_world()
+    state = world.state
+    rule = state.interest_rules[_rule(world, period=5)]
+    state.height = 5
+    run_accruals(state)
+    assert state.conservation_holds()
+    rule.next_total += 1
+    assert not state.conservation_holds()
+    rule.next_total -= 1
+    state._pool += 1
+    state.supply.minted += 1  # still balanced, but the pool is not the pending periods' sum
+    assert not state.conservation_holds()

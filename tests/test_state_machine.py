@@ -9,12 +9,15 @@ digest and id counters must be as they were.
 The payload is then signed and committed in a block of its own, so
 proposals that pass run their action with system authority on the live
 state.
-After every step conservation holds, every amount fits in u64 and each
-cached role-holder list equals a full scan.  Before each block is
-committed, it is applied to a copy, where the per-block conservation check
-must give the full sum's verdict: with and without a stray write to an
-account the block wrote.  At teardown the exported chain replays to the
-same digest.
+After every step conservation holds, every amount fits in u64, each
+cached role-holder list equals a full scan and each active pull rule's next
+total equals its full sum.  Before each block is committed, it is applied
+to a copy, where each claim's receipt and each boundary's public total must
+be what the eager reference (``reference.EagerInterest``) gives, and the
+per-block conservation check must give the full sum's verdict: with and
+without a stray write to an account the block wrote.  After each block,
+every account's ``claimable`` and each rule's created total are the eager
+reference's.  At teardown the exported chain replays to the same digest.
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ from rolechain.engine import HANDLERS, execute_payload
 from rolechain.errors import TxError
 from rolechain.keys import keypair_from_label
 from rolechain.ledger import Authority, LedgerState, ProposalStatus
+from rolechain.monetary import claimable_amount
 from rolechain.payloads import (
     AssignRole,
     BootstrapValidators,
@@ -79,6 +83,7 @@ from rolechain.payloads import (
 )
 
 from conftest import make_world
+from reference import EagerInterest
 
 GENESIS_ROLES = {
     "mgr": {Role.PLATFORM_MANAGER},
@@ -283,21 +288,40 @@ def assert_sound(state: LedgerState) -> None:
     amounts = [state.supply.minted, state.supply.burned]
     amounts += [a.balance for a in state.accounts.values()]
     amounts += [rule.created_total for rule in state.interest_rules.values()]
-    amounts += [amount for rules in state.allowances.values() for led in rules.values() for _, amount in led.accrued]
+    amounts += [amount for entry in state.allowances.values() for led in entry.ledgers.values() for _, amount in led.accrued]
     assert all(0 <= amount <= U64_MAX for amount in amounts)
     for role in ROLES:
         assert state.holders(role) == scan(state, role)
+    for rule in state.interest_rules.values():
+        if rule.active and rule.mode is InterestMode.PULL:
+            eligible = [
+                a for a in state.accounts.values()
+                if Role.USER in a.roles and not a.frozen and (rule.scope is None or a.account_id in rule.scope)
+            ]
+            assert rule.next_total == sum(rule.rate_num * a.balance // rule.rate_den for a in eligible)
 
 
-def check_block_conservation(state: LedgerState, block) -> None:
+def check_block(state: LedgerState, block, eager: EagerInterest) -> LedgerState:
     """On a copy of ``state`` that applies ``block`` as ``append_block`` does,
-    the per-block check's verdict is the full sum's, first with 1 added behind
-    the primitives' back to an account the block wrote, then without it."""
+    each claim's receipt, each boundary's public ``accrual`` entry and the
+    supply it mints are the eager reference's, and the per-block check's
+    verdict is the full sum's, first with 1 added behind the primitives' back
+    to an account the block wrote, then without it.  Returns the copy."""
     trial = copy.deepcopy(state)
     trial.height = block.height
     for tx in block.txs:
-        engine.apply_transaction(trial, tx)
+        acct = trial.accounts.get(tx.sender)
+        runs = engine.envelope_fault(trial, tx) is None and tx.nonce == acct.nonce
+        expected = eager.claim(trial, tx.sender, tx.payload) if runs and isinstance(tx.payload, ClaimAllowance) else None
+        receipt = engine.apply_transaction(trial, tx)
+        if expected is not None:
+            assert (receipt.error, receipt.data.get("amount")) == expected
+    logged, minted = len(trial.tx_log), trial.supply.minted
+    boundaries = eager.accrue(trial)
     engine.run_accruals(trial)
+    accruals = [e for e in trial.tx_log[logged:] if e.kind == "accrual"]
+    assert [(e.data["rule_id"], e.data["period"], e.ok, e.error, e.data.get("total")) for e in accruals] == boundaries
+    assert trial.supply.minted == minted + sum(total for *_, total in boundaries if total is not None)
     engine.finalize_expired_proposals(trial)
     written = sorted(trial._held_before)
     if written:
@@ -307,6 +331,7 @@ def check_block_conservation(state: LedgerState, block) -> None:
         trial.accounts[written[0]].balance -= 1
     assert trial.conservation_holds()
     assert trial.conserved_since_check()
+    return trial
 
 
 class SmallWorld(RuleBasedStateMachine):
@@ -315,6 +340,7 @@ class SmallWorld(RuleBasedStateMachine):
         self.state = make_world(GENESIS_ROLES, {"alice": 1_000, "bob": 10}, policy_overrides=POLICIES).state
         self.doc = genesis_doc(self.state)
         self.chain = Chain()
+        self.eager = EagerInterest()
 
     def key_of(self, name: str):
         """The keypair that signs for ``name`` now: a rotated key if it was rotated."""
@@ -346,6 +372,38 @@ class SmallWorld(RuleBasedStateMachine):
         if isinstance(action, (AssignRole, RevokeRole)):
             action = replace(action, role=Role.VALIDATOR)  # the one role changed by vote
         self.check_and_commit(proposer, CreateProposal(action, action.ELECTORATE))
+
+    @rule(data=st.data())
+    def interest(self, data):
+        """A step that moves pull interest: a new pull rule, a rule switched off
+        or on, a claim near the last period, a freeze or unfreeze, or the user
+        role granted (creating an account after a boundary) or revoked."""
+        draw, rules = data.draw, sorted(self.state.interest_rules)
+        step = draw(st.sampled_from(["rule", "toggle", "claim", "freeze", "grant", "revoke"]))
+        if step == "rule" or not rules and step in ("toggle", "claim"):
+            scope = draw(st.one_of(st.none(), st.frozensets(USER.map(ID.get), min_size=1, max_size=3)))
+            start = self.state.height + draw(st.integers(0, 2))
+            payload = SetInterestRule(
+                draw(st.integers(1, 10)), draw(st.sampled_from([1, 10, 100])), draw(st.integers(1, 3)),
+                start, InterestMode.PULL, scope,
+            )
+            self.check_and_commit("bank", payload)
+        elif step == "toggle":
+            rule = self.state.interest_rules[draw(st.sampled_from(rules))]
+            payload = SetInterestRule(0, 1, 1, 0, rule.mode, rule.scope, rule.rule_id, not rule.active)
+            self.check_and_commit("bank", payload)
+        elif step == "claim":
+            rule = self.state.interest_rules[draw(st.sampled_from(rules))]
+            up_to = max(0, rule.last_accrued_period - draw(st.integers(0, 2)))
+            self.check_and_commit(draw(USER), ClaimAllowance(rule.rule_id, up_to))
+        elif step == "freeze":
+            self.check_and_commit("sec", SetFrozen(ID[draw(USER)], draw(st.booleans())))
+        elif step == "grant":
+            target = draw(USER)
+            sig = KEYS[target].sign(possession_message(ID["prov"], KEYS[target].public_key))
+            self.check_and_commit("prov", AssignRole(ID[target], Role.USER, KEYS[target].public_key, sig))
+        else:
+            self.check_and_commit("prov", RevokeRole(ID[draw(USER)], Role.USER))
 
     def open_proposals(self) -> list[int]:
         return [pid for pid, p in self.state.proposals.items() if p.status is ProposalStatus.OPEN]
@@ -388,8 +446,13 @@ class SmallWorld(RuleBasedStateMachine):
             return  # no validator may publish: the chain stops here
         name = next(n for n in NAMES if ID[n] == publisher)
         block = build_block(self.key_of(name), publisher, chain.head, txs, chain.height + 1, state)
-        check_block_conservation(state, block)
+        trial = check_block(state, block, self.eager)
         append_block(chain, state, block)
+        assert (state.supply.minted, state.supply.burned) == (trial.supply.minted, trial.supply.burned)
+        for account_id in state.accounts:
+            assert claimable_amount(state, account_id) == self.eager.unclaimed(account_id)
+        for rule_id, rule in state.interest_rules.items():
+            assert rule.created_total == self.eager.created.get(rule_id, 0)
 
     @invariant()
     def sound(self):
