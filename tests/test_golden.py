@@ -94,7 +94,7 @@ VECTORS = [
     (
         "interest_pull",
         None,
-        "b3772868fa7e5664de2e3604105bca8a3d4076e2d57a86b320ed858a38f7884d",
+        "e76a503f196bf58455cfdb253686a6b4072553ccba4ee72f126344f23e6bc1d8",
         "46095d55bed650df6fdca81750a6144b314c7b8991eddb1056e6fd6bbc4a41ee",
         "7fe167440e7e76418aa4d26c7ffd2dde74a0d5bacf6b75e8f6059df46c025b1b",
     ),
