@@ -33,7 +33,7 @@ from pathlib import Path
 
 import yaml
 
-from . import codec
+from . import codec, ledger
 from .codec import U64_MAX, whole
 from .chain import (
     Chain,
@@ -179,9 +179,21 @@ RECOVERY = FieldType(
     lambda v, d: check(v, GUARDIANS, "guardians", d) if type(v) is dict else _RECOVERY_NAME.check(v, d),
 )
 
+# a run publishes up to one block per tick, so a scenario file may ask for
+# no more ticks than this: a hostile one then still ends
+MAX_TICKS = 100_000
+
+
+def _ticks(value, declared: Declared) -> int:
+    ticks = U64.check(value, declared)
+    if ticks > MAX_TICKS:
+        raise ScenarioError(f"at most {MAX_TICKS} ticks, not {ticks}")
+    return ticks
+
+
 SCENARIO = fields(
     {
-        "ticks": U64,
+        "ticks": FieldType("ticks", _ticks),
         "actors": ENTRIES,
         "name": optional(TEXT),
         "seed": optional(U64),
@@ -548,6 +560,8 @@ class Simulation:
         self.skipped_ticks: list[int] = []
         # tx id -> the entry apply_transaction returned for it
         self.receipts: dict[bytes, LogEntry] = {}
+        self._operators_key: tuple[int, int, int] | None = None
+        self._operators: list[str] = []
         self._build_genesis()
 
     # -- construction -------------------------------------------------------
@@ -651,13 +665,19 @@ class Simulation:
         return frozenset(self.aid(name) for name, faults in self.faults.items() if FAULT_OFFLINE in faults)
 
     def _gateway_operators(self) -> list[str]:
-        """Names of current validators with registered endpoints."""
-        current = set(self.state.validators())
-        return sorted(
-            self.names_by_id[vid]
-            for vid in self.state.validator_registry
-            if vid in current
-        )
+        """Names of current validators with registered endpoints.
+
+        Kept until a role is written, an account is added (the key of
+        ``LedgerState.holders``) or a validator registers for the first
+        time: records are replaced, never removed, so the registry's size
+        names its membership.
+        """
+        key = (ledger.role_writes, len(self.state.accounts), len(self.state.validator_registry))
+        if key != self._operators_key:
+            current = set(self.state.validators())
+            self._operators = sorted(self.names_by_id[vid] for vid in self.state.validator_registry if vid in current)
+            self._operators_key = key
+        return self._operators
 
     # -- step execution -------------------------------------------------------
 

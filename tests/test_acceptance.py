@@ -441,7 +441,7 @@ def test_criterion_09_rate_limiting_and_admission_soundness():
         assert sum(isinstance(o, Admitted) for o in bob_outcomes) == 50
 
         # across every bundled scenario, whatever reached a block was admitted
-        for fixture in ("bootstrap_and_transfer", "corrupt_gateway", "interest_pull"):
+        for fixture in ("bootstrap_and_transfer", "corrupt_gateway", "interest_pull", "interest_settle"):
             _, sim = run(load_scenario(SCENARIOS / f"{fixture}.yaml"))
             for block in sim.chain.blocks[1:]:
                 for tx in block.txs:

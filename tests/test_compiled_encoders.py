@@ -312,7 +312,7 @@ def test_genesis_digest_matches_the_reference(state):
     assert state.digest() == reference_digest(state)
 
 
-@pytest.mark.parametrize("name", ["bootstrap_and_transfer", "corrupt_gateway", "interest_pull"])
+@pytest.mark.parametrize("name", ["bootstrap_and_transfer", "corrupt_gateway", "interest_pull", "interest_settle"])
 def test_scenario_digest_matches_the_reference(name):
     """A run's final state holds proposals, interest rules, allowances and a log."""
     _, sim = run(load_scenario(SCENARIOS / f"{name}.yaml"))

@@ -99,6 +99,13 @@ VECTORS = [
         "7fe167440e7e76418aa4d26c7ffd2dde74a0d5bacf6b75e8f6059df46c025b1b",
     ),
     (
+        "interest_settle",
+        None,
+        "51d629647bd7bef932e7f1de25ffe10e3b10ec27c85a02af731c854a81a3cfcd",
+        "4d083de6bfa205a89e48b31ea691d779cb6c6c7da598e5109bf9e191b295fbf0",
+        "9dc29fe621d67552965999b0b8f6e5e4e730e58c063579fefea22b095ee9aa54",
+    ),
+    (
         "bootstrap_and_transfer",
         "ed25519",
         "993084d80c325645a424e2ae6cd8905db66c619d1c0f4fd6bf3e42d036f5986c",
@@ -186,7 +193,7 @@ def _fresh_encoding(tx: Transaction) -> bytes:
     return tx_signing_bytes(tx.sender, tx.nonce, tx.payload) + encoding(BYTES.encode, tx.signature)
 
 
-@pytest.mark.parametrize("stem", ["bootstrap_and_transfer", "corrupt_gateway", "interest_pull"])
+@pytest.mark.parametrize("stem", ["bootstrap_and_transfer", "corrupt_gateway", "interest_pull", "interest_settle"])
 def test_cached_encodings_match_fresh_ones(stem):
     """Every committed transaction's reused bytes equal a fresh encoding,
     and so do those of its decoded copy."""

@@ -306,6 +306,30 @@ def test_proposal_expiry_is_capped_at_the_u64_range():
     assert world.balance("alice") == 6
 
 
+def test_expired_proposals_finalize_in_id_order_whatever_their_expiry():
+    """The expiry index yields proposals by expiry height; finalizing keeps
+    ascending ids, skips one a vote already closed, and empties the index."""
+    world = make_world(balances={"alice": 5})
+    state = world.state
+    state.policies["vote.window_blocks"].value = 3
+    first = world.apply_ok("bank", CreateProposal(Mint(world.aid("alice"), 1), Role.CURRENCY_MANAGER)).data["proposal_id"]
+    state.height = 1
+    state.policies["vote.window_blocks"].value = 1
+    second = world.apply_ok("bank", CreateProposal(Mint(world.aid("alice"), 2), Role.CURRENCY_MANAGER)).data["proposal_id"]
+    closed = world.apply_ok("bank", CreateProposal(Mint(world.aid("alice"), 3), Role.CURRENCY_MANAGER)).data["proposal_id"]
+    world.apply_ok("bank", CastVote(closed, True))
+    world.apply_ok("bank", FinalizeProposal(closed))
+    assert state.proposals[second].expires_at < state.proposals[first].expires_at
+    state.height = 2
+    assert finalize_expired_proposals(state) == []
+    state.height = 10
+    entries = finalize_expired_proposals(state)
+    assert [e.data["proposal_id"] for e in entries] == [first, second]
+    assert [state.proposals[pid].status for pid in (first, second)] == [ProposalStatus.EXPIRED] * 2
+    assert state._expiring == []
+    assert finalize_expired_proposals(state) == []
+
+
 def test_finalize_undecided_open_proposal_rejected():
     world = _validator_world(5)
     receipt = world.apply_ok(

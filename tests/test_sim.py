@@ -10,6 +10,7 @@ from rolechain.schema import Fields
 from rolechain.sim import (
     ACTIONS,
     ACTOR_ENTRY,
+    MAX_TICKS,
     POLICY_ENTRY,
     SCENARIO,
     STEP_BODIES,
@@ -202,7 +203,7 @@ def test_non_mapping_file_rejected(tmp_path):
 # --- bundled fixtures ---------------------------------------------------------------
 
 @pytest.mark.parametrize(
-    "fixture", ["bootstrap_and_transfer", "corrupt_gateway", "interest_pull"]
+    "fixture", ["bootstrap_and_transfer", "corrupt_gateway", "interest_pull", "interest_settle"]
 )
 def test_bundled_scenarios_pass(fixture):
     scenario = load_scenario(SCENARIOS / f"{fixture}.yaml")
@@ -459,12 +460,49 @@ def test_chain_with_liveness_skips_still_verifies():
 
 
 def test_gateway_pools_hold_no_committed_transaction():
-    for fixture in ("bootstrap_and_transfer", "corrupt_gateway", "interest_pull"):
+    for fixture in ("bootstrap_and_transfer", "corrupt_gateway", "interest_pull", "interest_settle"):
         _, sim = run(load_scenario(SCENARIOS / f"{fixture}.yaml"))
         committed = {tx.tx_id for block in sim.chain.blocks for tx in block.txs}
         assert committed
         for gateway in sim.sec_gateways.values():
             assert not committed & set(gateway.pool)
+
+
+def test_gateway_operators_follow_registrations_and_validator_changes(monkeypatch):
+    """The kept list of gateway operators is a fresh scan's at every tick,
+    as a validator is revoked and a new one registers endpoints mid-run."""
+    raw = minimal_raw(
+        ticks=6,
+        actors=[
+            {"name": "mgr", "roles": ["platform_manager"]},
+            {"name": "v1", "roles": ["validator"]},
+            {"name": "v2", "roles": ["validator"]},
+            {"name": "v3", "roles": ["user"]},
+            {"name": "a", "roles": ["user"], "balance": 50},
+            {"name": "b", "roles": ["user"]},
+        ],
+        steps=[
+            {"tick": 2, "tx": {"from": "mgr", "kind": "bootstrap_validators", "validators": ["v1", "v3"]}},
+            {"tick": 4, "tx": {"from": "v3", "kind": "register_endpoints"}},
+        ]
+        + [{"tick": t, "tx": {"from": "a", "kind": "transfer", "to": "b", "amount": 1}} for t in range(1, 7)],
+    )
+    sim = Simulation(parse_scenario(raw))
+    seen = []
+    publish = Simulation._publish_block
+
+    def publish_and_record(self, tick):
+        publish(self, tick)
+        current = set(self.state.validators())
+        fresh = sorted(self.names_by_id[v] for v in self.state.validator_registry if v in current)
+        seen.append(self._gateway_operators())
+        assert seen[-1] == fresh
+
+    monkeypatch.setattr(Simulation, "_publish_block", publish_and_record)
+    report = sim.run()
+    assert report.all_passed
+    assert seen == [["v1", "v2"]] + [["v1"]] * 2 + [["v1", "v3"]] * 3
+    assert report.balances["b"] == 6  # every transfer found a gateway
 
 
 def test_escrow_as_validator_publishes_blocks_with_transactions():
@@ -505,6 +543,13 @@ def _reverse_raw(target: str) -> dict:
             {"tick": 3, "assert": {"kind": "balance", "account": "bob", "equals": 0}},
         ],
     }
+
+
+def test_ticks_past_the_bound_are_a_load_error_naming_ticks():
+    assert parse_scenario(minimal_raw(ticks=MAX_TICKS)).ticks == MAX_TICKS
+    for ticks in (MAX_TICKS + 1, 2**64 - 1):
+        with pytest.raises(ScenarioError, match=f"^scenario: ticks: at most {MAX_TICKS} ticks"):
+            parse_scenario(minimal_raw(ticks=ticks))
 
 
 def test_reverse_step_returns_a_stored_transfer():
