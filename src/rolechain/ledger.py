@@ -21,7 +21,9 @@ Balances are non-negative integers in minor currency units; there is no
 fractional arithmetic anywhere in the ledger.  Five methods of
 :class:`LedgerState` are the only writers of balances, unclaimed
 allowances and supply: ``move``, ``issue``, ``retire``, ``promise`` and
-``claim``.  The u64 bound on minted supply is ``check_supply`` alone.
+``claim``; besides them only ``_settle`` writes allowances, which every
+write of an account's balance, freeze or roles runs first.  The u64 bound
+on minted supply is ``check_supply`` alone.
 
 A pull interest period costs O(rules) at its boundary.  Each active pull
 rule keeps its next period's total (``InterestRule.next_total``, the sum
@@ -240,7 +242,8 @@ class InterestRule:
 
     def share(self, acct: Account) -> int:
         """The account's amount of one period: floor of the rate times its balance, 0 while frozen."""
-        if acct.frozen or not self.member(acct):
+        # member() inlined: every write of an account asks each pull rule
+        if acct.frozen or Role.USER not in acct.roles or (self.scope is not None and acct.account_id not in self.scope):
             return 0
         return self.rate_num * acct.balance // self.rate_den
 
@@ -354,7 +357,7 @@ class LedgerState:
     # and no account has settled yet, and the active pull rules
     _accruals: list[tuple[InterestRule, int]] = field(default_factory=list, init=False, repr=False, compare=False)
     _pool: int = field(default=0, init=False, repr=False, compare=False)
-    _pull: list[InterestRule] = field(default_factory=list, init=False, repr=False, compare=False)
+    _pull: dict[int, InterestRule] = field(default_factory=dict, init=False, repr=False, compare=False)
     # (expires_at, proposal id) of every proposal not yet past its window, a heap
     _expiring: list[tuple[int, int]] = field(default_factory=list, init=False, repr=False, compare=False)
 
@@ -447,13 +450,12 @@ class LedgerState:
     def _track(self, rule: InterestRule) -> None:
         """Keep the next total of an active pull rule, from a full sum when it
         starts or restarts; stop keeping that of any other rule."""
-        kept = any(rule is other for other in self._pull)
         if rule.active and rule.mode is InterestMode.PULL:
-            if not kept:
+            if rule.rule_id not in self._pull:
                 rule.next_total = self.rule_total(rule)
-                self._pull.append(rule)
-        elif kept:
-            self._pull = [other for other in self._pull if other is not rule]
+                self._pull[rule.rule_id] = rule
+        else:
+            self._pull.pop(rule.rule_id, None)
 
     def rule_total(self, rule: InterestRule) -> int:
         """The rule's share of every account summed afresh: what its next period creates."""
@@ -538,8 +540,10 @@ class LedgerState:
         amount), without writing: every one saw its current balance, freeze
         and roles, and the rules' rates and scopes never change."""
         entry = self.allowances.get(acct.account_id)
-        accruals = self._accruals[0 if entry is None else entry.settled :]
-        return [(rule, period, rule.share(acct)) for rule, period in accruals if rule.member(acct)]
+        settled = 0 if entry is None else entry.settled
+        if settled == len(self._accruals):
+            return []
+        return [(rule, period, rule.share(acct)) for rule, period in self._accruals[settled:] if rule.member(acct)]
 
     def _before_write(self, acct: Account) -> None:
         """Journal the account, settle its pending periods and take its
@@ -550,22 +554,26 @@ class LedgerState:
         if self._accruals:
             entry = self.allowances.get(account_id)
             if entry is None or entry.settled < len(self._accruals):
-                if entry is None:
-                    entry = self.allowances[account_id] = Allowances()
-                for rule, period, amount in self.pending(acct):
-                    ledger = entry.ledgers.get(rule.rule_id)
-                    if ledger is None:
-                        ledger = entry.ledgers[rule.rule_id] = AllowanceLedger()
-                    if amount:
-                        ledger.accrued.append((period, amount))
-                        self._pool -= amount
-                entry.settled = len(self._accruals)
-        for rule in self._pull:
+                self._settle(acct, entry)
+        for rule in self._pull.values():
             rule.next_total -= rule.share(acct)
+
+    def _settle(self, acct: Account, entry: Allowances | None) -> None:
+        """Record the account's pending periods in its ledgers, from the pool."""
+        if entry is None:
+            entry = self.allowances[acct.account_id] = Allowances()
+        for rule, period, amount in self.pending(acct):
+            ledger = entry.ledgers.get(rule.rule_id)
+            if ledger is None:
+                ledger = entry.ledgers[rule.rule_id] = AllowanceLedger()
+            if amount:
+                ledger.accrued.append((period, amount))
+                self._pool -= amount
+        entry.settled = len(self._accruals)
 
     def _after_write(self, acct: Account) -> None:
         """Put the account's shares back into the next totals after a write."""
-        for rule in self._pull:
+        for rule in self._pull.values():
             rule.next_total += rule.share(acct)
 
     # -- conservation ------------------------------------------------------
@@ -575,13 +583,12 @@ class LedgerState:
 
     def unclaimed(self, account_id: bytes) -> int:
         """The account's unclaimed allowances over every rule, its pending
-        periods included; the only such sum."""
+        periods included: what a ``claimable`` read answers."""
         entry = self.allowances.get(account_id)
         acct = self.accounts.get(account_id)
         total = 0 if entry is None else entry.unclaimed()
-        if acct is not None and self._accruals:
-            for _, _, amount in self.pending(acct):
-                total += amount
+        if acct is not None:
+            total += sum(amount for _, _, amount in self.pending(acct))
         return total
 
     def total_unclaimed(self) -> int:
@@ -593,12 +600,12 @@ class LedgerState:
         the pending periods' sum; and each next total is its rule's full sum."""
         pending = sum(amount for acct in self.accounts.values() for _, _, amount in self.pending(acct))
         settled = sum(entry.unclaimed() for entry in self.allowances.values())
-        pull = [r for r in self.interest_rules.values() if r.active and r.mode is InterestMode.PULL]
+        pull = {r.rule_id: r for r in self.interest_rules.values() if r.active and r.mode is InterestMode.PULL}
         return (
             self.total_balances() + settled + pending == self.supply.circulating
             and pending == self._pool
-            and sorted(id(r) for r in pull) == sorted(map(id, self._pull))
-            and all(rule.next_total == self.rule_total(rule) for rule in pull)
+            and pull.keys() == self._pull.keys()
+            and all(rule.next_total == self.rule_total(rule) for rule in pull.values())
         )
 
     def _held(self, account_id: bytes) -> int:

@@ -422,11 +422,11 @@ def test_conservation_and_nonnegative_balances_property(ops):
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "rolechain"
 # the only writers of balances, unclaimed allowances, the pending pool and
-# supply, and the u64 bound; _before_write settles pending periods, and
+# supply, and the u64 bound; _settle records pending periods, and
 # add_account marks the periods accrued before an account as not its own
 PRIMITIVES = {
     f"ledger.LedgerState.{name}"
-    for name in ("move", "issue", "retire", "promise", "claim", "check_supply", "_before_write", "add_account")
+    for name in ("move", "issue", "retire", "promise", "claim", "check_supply", "_settle", "add_account")
 }
 MONEY = {"balance", "minted", "burned", "last_claimed_period", "settled", "_pool"}
 TABLES = {"accrued", "allowances", "ledgers", "_accruals"}  # containers of unclaimed allowances
