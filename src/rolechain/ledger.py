@@ -25,9 +25,9 @@ allowances and supply: ``move``, ``issue``, ``retire``, ``promise`` and
 write of an account's balance, freeze or roles runs first.  The u64 bound
 on minted supply is ``check_supply`` alone.
 
-A pull interest period costs O(rules) at its boundary.  Each active pull
-rule keeps its next period's total (``InterestRule.next_total``, the sum
-of every eligible account's share), which every write of a balance, a
+A pull interest period costs O(rules) at its boundary.  The state keeps
+each active pull rule's next period total (:meth:`LedgerState.next_total`,
+the sum of every eligible account's share), which every write of a balance, a
 freeze, roles or a new account keeps current; ``promise`` mints that total
 into a pending pool.  An account's periods since it last settled all saw
 one balance, freeze and role set, since a write of any of them settles
@@ -232,9 +232,6 @@ class InterestRule:
     active: bool = wire(BOOL, default=True)
     last_accrued_period: int = wire(U64, default=0)
     created_total: int = wire(U64, default=0)
-    # an active pull rule's next period total, the sum of share() over every
-    # account, kept by the state's writers; derived, so not in the digest
-    next_total: int = field(default=0, init=False, repr=False, compare=False)
 
     def member(self, acct: Account) -> bool:
         """Whether the rule's periods are the account's: it holds the user role and is in scope."""
@@ -354,10 +351,11 @@ class LedgerState:
     _checked_held: int | None = field(default=None, init=False, repr=False, compare=False)
     # pull interest, derived from the log and the rules: every successful pull
     # accrual as (rule, period) in log order, the pool those accruals minted
-    # and no account has settled yet, and the active pull rules
+    # and no account has settled yet, and each active pull rule's next
+    # period total by rule id (the sum of its share of every account)
     _accruals: list[tuple[InterestRule, int]] = field(default_factory=list, init=False, repr=False, compare=False)
     _pool: int = field(default=0, init=False, repr=False, compare=False)
-    _pull: dict[int, InterestRule] = field(default_factory=dict, init=False, repr=False, compare=False)
+    _next_totals: dict[int, int] = field(default_factory=dict, init=False, repr=False, compare=False)
     # (expires_at, proposal id) of every proposal not yet past its window, a heap
     _expiring: list[tuple[int, int]] = field(default_factory=list, init=False, repr=False, compare=False)
 
@@ -451,11 +449,14 @@ class LedgerState:
         """Keep the next total of an active pull rule, from a full sum when it
         starts or restarts; stop keeping that of any other rule."""
         if rule.active and rule.mode is InterestMode.PULL:
-            if rule.rule_id not in self._pull:
-                rule.next_total = self.rule_total(rule)
-                self._pull[rule.rule_id] = rule
+            if rule.rule_id not in self._next_totals:
+                self._next_totals[rule.rule_id] = self.rule_total(rule)
         else:
-            self._pull.pop(rule.rule_id, None)
+            self._next_totals.pop(rule.rule_id, None)
+
+    def next_total(self, rule_id: int) -> int:
+        """What an active pull rule's next period creates, as kept by the writers."""
+        return self._next_totals[rule_id]
 
     def rule_total(self, rule: InterestRule) -> int:
         """The rule's share of every account summed afresh: what its next period creates."""
@@ -515,7 +516,7 @@ class LedgerState:
     def promise(self, rule: InterestRule, period: int) -> int:
         """Mint one period of a pull rule, its next total, into the pending
         pool, from which each account settles its share; the amount."""
-        amount = rule.next_total
+        amount = self._next_totals[rule.rule_id]
         self.check_supply(amount)
         self._accruals.append((rule, period))
         self._pool += amount
@@ -555,8 +556,8 @@ class LedgerState:
             entry = self.allowances.get(account_id)
             if entry is None or entry.settled < len(self._accruals):
                 self._settle(acct, entry)
-        for rule in self._pull.values():
-            rule.next_total -= rule.share(acct)
+        for rule_id in self._next_totals:
+            self._next_totals[rule_id] -= self.interest_rules[rule_id].share(acct)
 
     def _settle(self, acct: Account, entry: Allowances | None) -> None:
         """Record the account's pending periods in its ledgers, from the pool."""
@@ -573,8 +574,8 @@ class LedgerState:
 
     def _after_write(self, acct: Account) -> None:
         """Put the account's shares back into the next totals after a write."""
-        for rule in self._pull.values():
-            rule.next_total += rule.share(acct)
+        for rule_id in self._next_totals:
+            self._next_totals[rule_id] += self.interest_rules[rule_id].share(acct)
 
     # -- conservation ------------------------------------------------------
 
@@ -600,12 +601,11 @@ class LedgerState:
         the pending periods' sum; and each next total is its rule's full sum."""
         pending = sum(amount for acct in self.accounts.values() for _, _, amount in self.pending(acct))
         settled = sum(entry.unclaimed() for entry in self.allowances.values())
-        pull = {r.rule_id: r for r in self.interest_rules.values() if r.active and r.mode is InterestMode.PULL}
+        pull = [r for r in self.interest_rules.values() if r.active and r.mode is InterestMode.PULL]
         return (
             self.total_balances() + settled + pending == self.supply.circulating
             and pending == self._pool
-            and pull.keys() == self._pull.keys()
-            and all(rule.next_total == self.rule_total(rule) for rule in pull.values())
+            and self._next_totals == {rule.rule_id: self.rule_total(rule) for rule in pull}
         )
 
     def _held(self, account_id: bytes) -> int:

@@ -471,7 +471,7 @@ USERS = ("alice", "bob")
 
 @settings(max_examples=60, deadline=None)
 @given(st.data())
-def test_one_unclaimed_sum_answers_claimable_and_both_conservation_checks(data):
+def test_one_unclaimed_sum_answers_claimable_holding_and_both_conservation_checks(data):
     """Pending and settled periods, over freezes, claims and transfers between
     boundaries of several pull rules, sum to what the eager reference recorded."""
     world = _monetary_world(balances={name: data.draw(st.integers(0, 5_000), label=name) for name in USERS})
@@ -536,7 +536,7 @@ def test_a_boundary_journals_no_account_and_settles_on_the_next_write():
     assert state._pool == 0
     assert state.allowances[world.aid("alice")].ledgers[rule].accrued == [(1, 10)]
     assert state.allowances[world.aid("bob")].ledgers[rule].accrued == [(1, 5)]
-    assert state.interest_rules[rule].next_total == 9 + 6
+    assert state.next_total(rule) == 9 + 6
     assert state.conserved_since_check()
     assert state.conservation_holds()
 
@@ -544,13 +544,13 @@ def test_a_boundary_journals_no_account_and_settles_on_the_next_write():
 def test_a_full_sum_catches_a_wrong_pool_or_next_total():
     world = _monetary_world()
     state = world.state
-    rule = state.interest_rules[_rule(world, period=5)]
+    rule = _rule(world, period=5)
     state.height = 5
     run_accruals(state)
     assert state.conservation_holds()
-    rule.next_total += 1
+    state._next_totals[rule] += 1
     assert not state.conservation_holds()
-    rule.next_total -= 1
+    state._next_totals[rule] -= 1
     state._pool += 1
     state.supply.minted += 1  # still balanced, but the pool is not the pending periods' sum
     assert not state.conservation_holds()
