@@ -460,7 +460,13 @@ class LedgerState:
 
     def rule_total(self, rule: InterestRule) -> int:
         """The rule's share of every account summed afresh: what its next period creates."""
-        return sum(map(rule.share, self.accounts.values()))
+        return sum(map(rule.share, self._in_scope(rule)))
+
+    def _in_scope(self, rule: InterestRule) -> list[Account]:
+        """The accounts a rule's scope names, or every account: all that can share in it."""
+        if rule.scope is None:
+            return list(self.accounts.values())
+        return [acct for acct in map(self.accounts.get, rule.scope) if acct is not None]
 
     def add_proposal(self, prop: Proposal) -> None:
         self.proposals[prop.proposal_id] = prop
@@ -599,7 +605,13 @@ class LedgerState:
         """The full sum: every balance and unclaimed allowance, each account's
         pending periods recomputed, equals circulating supply; the pool is
         the pending periods' sum; and each next total is its rule's full sum."""
-        pending = sum(amount for acct in self.accounts.values() for _, _, amount in self.pending(acct))
+        # each accrual's share of every account in scope that has not settled past it
+        pending = 0
+        for index, (rule, _) in enumerate(self._accruals):
+            for acct in self._in_scope(rule):
+                entry = self.allowances.get(acct.account_id)
+                if entry is None or entry.settled <= index:
+                    pending += rule.share(acct)
         settled = sum(entry.unclaimed() for entry in self.allowances.values())
         pull = [r for r in self.interest_rules.values() if r.active and r.mode is InterestMode.PULL]
         return (
