@@ -354,6 +354,8 @@ class LedgerState:
     # and no account has settled yet, and each active pull rule's next
     # period total by rule id (the sum of its share of every account)
     _accruals: list[tuple[InterestRule, int]] = field(default_factory=list, init=False, repr=False, compare=False)
+    # rule id -> how many of those accruals there were up to the rule's latest
+    _accrued_upto: dict[int, int] = field(default_factory=dict, init=False, repr=False, compare=False)
     _pool: int = field(default=0, init=False, repr=False, compare=False)
     _next_totals: dict[int, int] = field(default_factory=dict, init=False, repr=False, compare=False)
     # (expires_at, proposal id) of every proposal not yet past its window, a heap
@@ -429,6 +431,9 @@ class LedgerState:
 
     def set_roles(self, acct: Account, roles) -> None:
         self._before_write(acct)
+        if self._accruals and (Role.USER in roles) != (Role.USER in acct.roles):
+            # the periods so far were the account's, or not, by its old roles
+            self._settle(acct, self.allowances.get(acct.account_id))
         acct.roles = roles
         self._after_write(acct)
 
@@ -525,6 +530,7 @@ class LedgerState:
         amount = self._next_totals[rule.rule_id]
         self.check_supply(amount)
         self._accruals.append((rule, period))
+        self._accrued_upto[rule.rule_id] = len(self._accruals)
         self._pool += amount
         self.supply.minted += amount
         return amount
@@ -559,9 +565,14 @@ class LedgerState:
         if account_id not in self._held_before:
             self._held_before[account_id] = self._held(account_id)
         if self._accruals:
+            # only a rule's periods settle: an account outside every rule
+            # with periods pending keeps its count until a role write
             entry = self.allowances.get(account_id)
-            if entry is None or entry.settled < len(self._accruals):
-                self._settle(acct, entry)
+            settled = 0 if entry is None else entry.settled
+            for rule_id, upto in self._accrued_upto.items():
+                if upto > settled and self.interest_rules[rule_id].member(acct):
+                    self._settle(acct, entry)
+                    break
         for rule_id in self._next_totals:
             self._next_totals[rule_id] -= self.interest_rules[rule_id].share(acct)
 

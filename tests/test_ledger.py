@@ -429,7 +429,7 @@ PRIMITIVES = {
     for name in ("move", "issue", "retire", "promise", "claim", "check_supply", "_settle", "add_account")
 }
 MONEY = {"balance", "minted", "burned", "last_claimed_period", "settled", "_pool"}
-TABLES = {"accrued", "allowances", "ledgers", "_accruals"}  # containers of unclaimed allowances
+TABLES = {"accrued", "allowances", "ledgers", "_accruals", "_accrued_upto"}  # containers of unclaimed allowances
 MUTATORS = {"append", "extend", "insert", "pop", "popitem", "remove", "clear", "update", "setdefault", "sort", "reverse"}
 # what a pull period's share depends on, and the running sums of the shares
 SHARE_INPUTS = {"frozen", "roles", "active"}

@@ -541,6 +541,19 @@ def test_a_boundary_journals_no_account_and_settles_on_the_next_write():
     assert state.conservation_holds()
 
 
+def test_an_account_outside_every_rule_keeps_no_allowances():
+    world = _monetary_world()
+    state = world.state
+    rule = _rule(world, period=5, scope=frozenset({world.aid("alice")}))
+    state.height = 5
+    run_accruals(state)
+    world.apply_ok("bob", Transfer(world.aid("alice"), 100))
+    assert world.aid("bob") not in state.allowances
+    assert state.allowances[world.aid("alice")].ledgers[rule].accrued == [(1, 10)]
+    assert state.conserved_since_check()
+    assert state.conservation_holds()
+
+
 def test_a_full_sum_catches_a_wrong_pool_or_next_total():
     world = _monetary_world()
     state = world.state
