@@ -220,6 +220,11 @@ class Proposal:
     no: set[bytes] = wire(set_of(BYTES), default_factory=set)
 
 
+# an enum member read from its class costs a lookup through the enum's
+# metaclass, too slow for the share every write of an account computes
+_USER = Role.USER
+
+
 @wire_record(frozen=False)
 class InterestRule:
     rule_id: int = wire(U64)
@@ -235,14 +240,24 @@ class InterestRule:
 
     def member(self, acct: Account) -> bool:
         """Whether the rule's periods are the account's: it holds the user role and is in scope."""
-        return Role.USER in acct.roles and (self.scope is None or acct.account_id in self.scope)
+        return _USER in acct.roles and (self.scope is None or acct.account_id in self.scope)
 
     def share(self, acct: Account) -> int:
         """The account's amount of one period: floor of the rate times its balance, 0 while frozen."""
         # member() inlined: every write of an account asks each pull rule
-        if acct.frozen or Role.USER not in acct.roles or (self.scope is not None and acct.account_id not in self.scope):
+        if acct.frozen or _USER not in acct.roles or (self.scope is not None and acct.account_id not in self.scope):
             return 0
         return self.rate_num * acct.balance // self.rate_den
+
+
+class PullSum:
+    """An active pull rule and its next period's total: the sum of its share
+    of every account, which the state's writers keep current."""
+
+    __slots__ = ("rule", "next_total")
+
+    def __init__(self, rule: InterestRule, next_total: int):
+        self.rule, self.next_total = rule, next_total
 
 
 @wire_record(frozen=False)
@@ -351,13 +366,13 @@ class LedgerState:
     _checked_held: int | None = field(default=None, init=False, repr=False, compare=False)
     # pull interest, derived from the log and the rules: every successful pull
     # accrual as (rule, period) in log order, the pool those accruals minted
-    # and no account has settled yet, and each active pull rule's next
-    # period total by rule id (the sum of its share of every account)
+    # and no account has settled yet, and the next total of each active pull
+    # rule by rule id
     _accruals: list[tuple[InterestRule, int]] = field(default_factory=list, init=False, repr=False, compare=False)
     # rule id -> how many of those accruals there were up to the rule's latest
     _accrued_upto: dict[int, int] = field(default_factory=dict, init=False, repr=False, compare=False)
     _pool: int = field(default=0, init=False, repr=False, compare=False)
-    _next_totals: dict[int, int] = field(default_factory=dict, init=False, repr=False, compare=False)
+    _pull: dict[int, PullSum] = field(default_factory=dict, init=False, repr=False, compare=False)
     # (expires_at, proposal id) of every proposal not yet past its window, a heap
     _expiring: list[tuple[int, int]] = field(default_factory=list, init=False, repr=False, compare=False)
 
@@ -431,7 +446,7 @@ class LedgerState:
 
     def set_roles(self, acct: Account, roles) -> None:
         self._before_write(acct)
-        if self._accruals and (Role.USER in roles) != (Role.USER in acct.roles):
+        if self._accruals and (_USER in roles) != (_USER in acct.roles):
             # the periods so far were the account's, or not, by its old roles
             self._settle(acct, self.allowances.get(acct.account_id))
         acct.roles = roles
@@ -454,14 +469,14 @@ class LedgerState:
         """Keep the next total of an active pull rule, from a full sum when it
         starts or restarts; stop keeping that of any other rule."""
         if rule.active and rule.mode is InterestMode.PULL:
-            if rule.rule_id not in self._next_totals:
-                self._next_totals[rule.rule_id] = self.rule_total(rule)
+            if rule.rule_id not in self._pull:
+                self._pull[rule.rule_id] = PullSum(rule, self.rule_total(rule))
         else:
-            self._next_totals.pop(rule.rule_id, None)
+            self._pull.pop(rule.rule_id, None)
 
     def next_total(self, rule_id: int) -> int:
         """What an active pull rule's next period creates, as kept by the writers."""
-        return self._next_totals[rule_id]
+        return self._pull[rule_id].next_total
 
     def rule_total(self, rule: InterestRule) -> int:
         """The rule's share of every account summed afresh: what its next period creates."""
@@ -527,7 +542,7 @@ class LedgerState:
     def promise(self, rule: InterestRule, period: int) -> int:
         """Mint one period of a pull rule, its next total, into the pending
         pool, from which each account settles its share; the amount."""
-        amount = self._next_totals[rule.rule_id]
+        amount = self._pull[rule.rule_id].next_total
         self.check_supply(amount)
         self._accruals.append((rule, period))
         self._accrued_upto[rule.rule_id] = len(self._accruals)
@@ -569,12 +584,13 @@ class LedgerState:
             # with periods pending keeps its count until a role write
             entry = self.allowances.get(account_id)
             settled = 0 if entry is None else entry.settled
-            for rule_id, upto in self._accrued_upto.items():
-                if upto > settled and self.interest_rules[rule_id].member(acct):
-                    self._settle(acct, entry)
-                    break
-        for rule_id in self._next_totals:
-            self._next_totals[rule_id] -= self.interest_rules[rule_id].share(acct)
+            if settled < len(self._accruals):
+                for rule_id, upto in self._accrued_upto.items():
+                    if upto > settled and self.interest_rules[rule_id].member(acct):
+                        self._settle(acct, entry)
+                        break
+        for kept in self._pull.values():
+            kept.next_total -= kept.rule.share(acct)
 
     def _settle(self, acct: Account, entry: Allowances | None) -> None:
         """Record the account's pending periods in its ledgers, from the pool."""
@@ -591,8 +607,8 @@ class LedgerState:
 
     def _after_write(self, acct: Account) -> None:
         """Put the account's shares back into the next totals after a write."""
-        for rule_id in self._next_totals:
-            self._next_totals[rule_id] += self.interest_rules[rule_id].share(acct)
+        for kept in self._pull.values():
+            kept.next_total += kept.rule.share(acct)
 
     # -- conservation ------------------------------------------------------
 
@@ -628,7 +644,8 @@ class LedgerState:
         return (
             self.total_balances() + settled + pending == self.supply.circulating
             and pending == self._pool
-            and self._next_totals == {rule.rule_id: self.rule_total(rule) for rule in pull}
+            and {rule_id: kept.next_total for rule_id, kept in self._pull.items()}
+            == {rule.rule_id: self.rule_total(rule) for rule in pull}
         )
 
     def _held(self, account_id: bytes) -> int:

@@ -432,12 +432,12 @@ MONEY = {"balance", "minted", "burned", "last_claimed_period", "settled", "_pool
 TABLES = {"accrued", "allowances", "ledgers", "_accruals", "_accrued_upto"}  # containers of unclaimed allowances
 MUTATORS = {"append", "extend", "insert", "pop", "popitem", "remove", "clear", "update", "setdefault", "sort", "reverse"}
 # what a pull period's share depends on, and the running sums of the shares
-SHARE_INPUTS = {"frozen", "roles", "active"}
-SHARE_TABLES = {"accounts", "interest_rules", "_next_totals"}
+SHARE_INPUTS = {"frozen", "roles", "active", "next_total"}
+SHARE_TABLES = {"accounts", "interest_rules", "_pull"}
 SHARE_WRITERS = {
     f"ledger.LedgerState.{name}"
     for name in ("add_account", "set_roles", "set_frozen", "add_rule", "set_rule_active", "_track", "_before_write", "_after_write")
-} | {"ledger"}  # the module itself declares the ``Account.roles`` property
+} | {"ledger", "ledger.PullSum.__init__"}  # the module declares the ``Account.roles`` property
 
 
 class _MoneyWrites(ast.NodeVisitor):

@@ -561,9 +561,9 @@ def test_a_full_sum_catches_a_wrong_pool_or_next_total():
     state.height = 5
     run_accruals(state)
     assert state.conservation_holds()
-    state._next_totals[rule] += 1
+    state._pull[rule].next_total += 1
     assert not state.conservation_holds()
-    state._next_totals[rule] -= 1
+    state._pull[rule].next_total -= 1
     state._pool += 1
     state.supply.minted += 1  # still balanced, but the pool is not the pending periods' sum
     assert not state.conservation_holds()
