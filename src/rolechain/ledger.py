@@ -21,18 +21,20 @@ Balances are non-negative integers in minor currency units; there is no
 fractional arithmetic anywhere in the ledger.  Five methods of
 :class:`LedgerState` are the only writers of balances, unclaimed
 allowances and supply: ``move``, ``issue``, ``retire``, ``promise`` and
-``claim``; besides them only ``_settle`` writes allowances, which every
-write of an account's balance, freeze or roles runs first.  The u64 bound
-on minted supply is ``check_supply`` alone.
+``claim``; besides them only ``_settle`` writes allowances, which a write
+of an account's balance, freeze or roles runs first when the account has
+periods pending.  The u64 bound on minted supply is ``check_supply`` alone.
 
 A pull interest period costs O(rules) at its boundary.  The state keeps
-each active pull rule's next period total (:meth:`LedgerState.next_total`,
-the sum of every eligible account's share), which every write of a balance, a
+each active pull rule's next period total (a :class:`PullSum`, the sum
+of every eligible account's share), which every write of a balance, a
 freeze, roles or a new account keeps current; ``promise`` mints that total
 into a pending pool.  An account's periods since it last settled all saw
 one balance, freeze and role set, since a write of any of them settles
-first: the first write that touches the account records those periods in
-its allowances and takes their amounts out of the pool.
+first: the first write that touches an account a rule with periods pending
+covers records those periods in its allowances and takes their amounts out
+of the pool.  Any other account settles nothing until a role write grants
+or revokes the user role.
 
 Conservation (the balances plus the unclaimed allowances plus the pending
 pool equal the circulating supply) is checked after every block from that
@@ -473,10 +475,6 @@ class LedgerState:
                 self._pull[rule.rule_id] = PullSum(rule, self.rule_total(rule))
         else:
             self._pull.pop(rule.rule_id, None)
-
-    def next_total(self, rule_id: int) -> int:
-        """What an active pull rule's next period creates, as kept by the writers."""
-        return self._pull[rule_id].next_total
 
     def rule_total(self, rule: InterestRule) -> int:
         """The rule's share of every account summed afresh: what its next period creates."""

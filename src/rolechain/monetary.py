@@ -13,10 +13,11 @@ stay dense) nor claim while frozen.
 Push rules credit every balance at the boundary.  Pull rules cost O(rules)
 there: the ledger keeps each active pull rule's next total, the sum of its
 accounts' amounts, and a boundary mints that total into a pending pool.
-Each account settles its periods from the pool on the next write of its
-balance, freeze or roles, or its next claim, at the balance those periods
-saw, which no write changed in between.  So the conservation equation
-gains one term:
+Each account a rule with periods pending covers settles them from the
+pool on the next write of its balance, freeze or roles, or its next claim,
+at the balance those periods saw, which no write changed in between; any
+other account settles nothing until a role write grants or revokes the
+user role.  So the conservation equation gains one term:
 
     sum(balances) + sum(unclaimed allowances) + pending pool == minted - burned
 

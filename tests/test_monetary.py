@@ -536,7 +536,7 @@ def test_a_boundary_journals_no_account_and_settles_on_the_next_write():
     assert state._pool == 0
     assert state.allowances[world.aid("alice")].ledgers[rule].accrued == [(1, 10)]
     assert state.allowances[world.aid("bob")].ledgers[rule].accrued == [(1, 5)]
-    assert state.next_total(rule) == 9 + 6
+    assert state._pull[rule].next_total == 9 + 6
     assert state.conserved_since_check()
     assert state.conservation_holds()
 

@@ -298,7 +298,7 @@ def assert_sound(state: LedgerState) -> None:
                 a for a in state.accounts.values()
                 if Role.USER in a.roles and not a.frozen and (rule.scope is None or a.account_id in rule.scope)
             ]
-            assert state.next_total(rule.rule_id) == sum(rule.rate_num * a.balance // rule.rate_den for a in eligible)
+            assert state._pull[rule.rule_id].next_total == sum(rule.rate_num * a.balance // rule.rate_den for a in eligible)
 
 
 def check_block(state: LedgerState, block, eager: EagerInterest) -> LedgerState:
