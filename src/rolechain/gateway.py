@@ -118,6 +118,8 @@ class SecurityGateway:
         self.validator = validator
         # shared by reference so a sim can toggle faults mid-run
         self.faults = faults if faults is not None else set()
+        # admitted and not yet included: this validator publishes these
+        # copies, whose signatures it verified, rather than propagated ones
         self.pool: dict[bytes, Transaction] = {}
         self._buckets: dict[bytes, TokenBucket] = {}
 

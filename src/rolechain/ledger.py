@@ -223,7 +223,7 @@ class Proposal:
 
 
 # an enum member read from its class costs a lookup through the enum's
-# metaclass, too slow for the share every write of an account computes
+# metaclass, too slow for the user-role tests on every transfer and share
 _USER = Role.USER
 
 
@@ -749,10 +749,10 @@ def transfer(
 ) -> Applied:
     to, amount = payload.to, payload.amount
     sender = state.accounts.get(source)
-    if sender is None or Role.USER not in sender.roles:
+    if sender is None or _USER not in sender.roles:
         raise TxError(err.NO_ROLE, "sender lacks the user role")
     recipient = state.accounts.get(to)
-    if recipient is None or Role.USER not in recipient.roles:
+    if recipient is None or _USER not in recipient.roles:
         raise TxError(err.RECIPIENT_NOT_AUTHORIZED)
     if sender.frozen:
         raise TxError(err.SENDER_FROZEN)
@@ -783,7 +783,7 @@ def confiscate(
         if authority is not Authority.SYSTEM:
             raise TxError(err.VOTE_REQUIRED, "non-escrow destination requires a vote")
         recipient = state.accounts.get(to)
-        if recipient is None or Role.USER not in recipient.roles:
+        if recipient is None or _USER not in recipient.roles:
             raise TxError(err.RECIPIENT_NOT_AUTHORIZED)
     holder = state.account(source)
     if holder.balance < amount:

@@ -32,7 +32,7 @@ from __future__ import annotations
 from . import errors as err
 from .codec import U64, sorted_map, wire, wire_record
 from .errors import TxError
-from .ledger import Applied, Authority, InterestRule, LedgerState
+from .ledger import _USER, Applied, Authority, InterestRule, LedgerState
 from .payloads import (
     Burn,
     ClaimAllowance,
@@ -84,7 +84,7 @@ def convert_fiat(
     if inst is None or not ({Role.ACCOUNT_PROVIDER, Role.CURRENCY_MANAGER} & inst.roles):
         raise TxError(err.NOT_AUTHORIZED_CONVERTER)
     acct = state.account(user)
-    if Role.USER not in acct.roles:
+    if _USER not in acct.roles:
         raise TxError(err.NOT_AUTHORIZED_CONVERTER, "target lacks the user role")
     if direction is FiatDirection.IN:
         state.issue(acct, amount)
@@ -201,7 +201,7 @@ def claim_allowance(
     """Withdraw all unclaimed periods up to and including ``payload.up_to_period``."""
     rule_id, up_to_period = payload.rule_id, payload.up_to_period
     acct = state.account(account)
-    if Role.USER not in acct.roles:
+    if _USER not in acct.roles:
         raise TxError(err.NO_ROLE)
     if acct.frozen:
         raise TxError(err.FROZEN)

@@ -550,7 +550,8 @@ class Simulation:
         self.sec_gateways: dict[str, SecurityGateway] = {}
         self.vis_gateways: dict[str, VisibilityGateway] = {}
         # admitted transactions propagate between validators over the
-        # validation-server mesh; this is the post-propagation pool
+        # validation-server mesh; this is the post-propagation pool, the
+        # copy a publisher takes when its own gateway did not admit one
         self.mempool: dict[bytes, Transaction] = {}
         self.admitted_ids: set[bytes] = set()
         self.stored_tx_ids: dict[str, bytes] = {}
@@ -845,14 +846,19 @@ class Simulation:
             return
         name = self.names_by_id[publisher]
         faults = self.faults[name]
-        pending = [tx for tx in self.mempool.values() if not censors(faults, tx, publisher)]
+        # the publisher's own gateway's copy carries the signature check this
+        # node made at admission, so validate and apply reuse it; one that
+        # gateway never admitted is the propagated copy, verified afresh
+        gateway = self.sec_gateways.get(name)
+        own = gateway.pool if gateway is not None else {}
+        pending = [own.get(tx_id, tx) for tx_id, tx in self.mempool.items() if not censors(faults, tx, publisher)]
         block = build_block(self.keys[name], publisher, self.chain.head, pending, tick, self.state)
         receipts = append_block(self.chain, self.state, block, offline)
         for receipt in receipts:
             self.receipts[receipt.tx_id] = receipt
-        for name, kp in list(self.new_keys.items()):
-            if getattr(self.state.accounts.get(self.ids[name]), "public_key", None) == kp.public_key:
-                self.keys[name] = self.new_keys.pop(name)
+        for actor, kp in list(self.new_keys.items()):
+            if getattr(self.state.accounts.get(self.ids[actor]), "public_key", None) == kp.public_key:
+                self.keys[actor] = self.new_keys.pop(actor)
         included = {tx.tx_id for tx in block.txs}
         if not included <= self.admitted_ids:
             raise InternalInvariantViolation("block carries a transaction no gateway admitted")

@@ -3,18 +3,23 @@
 ``Transaction.signature_ok`` keeps the ``(scheme, public key)`` a
 transaction last verified under.  These tests count the scheme's ``verify``
 calls to show where the memo saves work (validate then apply, replay) and
-where it must not (another key, another gateway's copy, a key rotated
-earlier in the same block).
+where it must not (another key, another gateway's copy, a copy the
+publisher's own gateway never admitted, a key rotated earlier in the same
+block).
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
+
 import pytest
 
+from rolechain import chain as chain_module
 from rolechain import errors as err
 from rolechain.chain import Chain, append_block, export_chain, genesis_doc, import_chain, replay, validate_block
 from rolechain.keys import Ed25519Scheme, MockScheme, keypair_from_label
-from rolechain.payloads import RotateKey, Role, Transfer, decode_transaction, rotation_message
+from rolechain.gateway import Admitted, SecurityGateway
+from rolechain.payloads import RotateKey, Role, Transaction, Transfer, decode_transaction, rotation_message
 from rolechain.sim import parse_scenario, run
 
 from conftest import make_world
@@ -117,20 +122,97 @@ def test_rotation_earlier_in_the_block_reverifies_the_sender(tx_verifies):
     assert sum(message == stale.signing_bytes() for _, message in tx_verifies) == 2
 
 
-def test_each_gateway_verifies_its_own_copy(tx_verifies):
-    validators = [f"v{i}" for i in range(1, 5)]
-    raw = {
+VALIDATORS = [f"v{i}" for i in range(1, 5)]
+
+
+def _transfers_raw(amounts: list[int], **extra) -> dict:
+    """alice pays bob each of ``amounts`` at tick 1, before four validators."""
+    return {
         "ticks": 1,
         "actors": [
             {"name": "alice", "roles": ["user"], "balance": 10},
             {"name": "bob", "roles": ["user"]},
-            *({"name": name, "roles": ["validator"]} for name in validators),
+            *({"name": name, "roles": ["validator"]} for name in VALIDATORS),
         ],
-        "steps": [{"tick": 1, "tx": {"from": "alice", "kind": "transfer", "to": "bob", "amount": 3}}],
+        "steps": [{"tick": 1, "tx": {"from": "alice", "kind": "transfer", "to": "bob", "amount": a}} for a in amounts],
+        **extra,
     }
-    report, sim = run(parse_scenario(raw))
+
+
+@pytest.fixture
+def admitted(monkeypatch) -> defaultdict[bytes, list[Transaction]]:
+    """Validator id -> the copies its security gateway admitted, in order."""
+    copies: defaultdict[bytes, list[Transaction]] = defaultdict(list)
+    original = SecurityGateway.admit
+
+    def recording(self, state, raw_tx, tick):
+        outcome = original(self, state, raw_tx, tick)
+        if isinstance(outcome, Admitted):
+            copies[self.validator].append(outcome.tx)
+        return outcome
+
+    monkeypatch.setattr(SecurityGateway, "admit", recording)
+    return copies
+
+
+@pytest.fixture
+def verifies_in_validate(monkeypatch, tx_verifies) -> list[tuple[int, int]]:
+    """``(height, envelope verifies)`` of every ``validate_block`` call."""
+    counts: list[tuple[int, int]] = []
+    original = chain_module.validate_block
+
+    def counting(block, *args):
+        before = len(tx_verifies)
+        violations = original(block, *args)
+        counts.append((block.height, len(tx_verifies) - before))
+        return violations
+
+    monkeypatch.setattr(chain_module, "validate_block", counting)
+    return counts
+
+
+def test_each_gateway_verifies_its_own_copy(tx_verifies, admitted):
+    report, sim = run(parse_scenario(_transfers_raw([3])))
     assert report.balances["bob"] == 3
-    # four gateways decode and verify four copies; validate_block verifies the
-    # sim's own object once and apply_transaction reuses that result
-    assert len(tx_verifies) == len(validators) + 1
+    # four gateways decode and verify four copies; the block carries the
+    # publisher's own gateway's copy, so validate and apply reuse its check
+    block = sim.chain.blocks[1]
+    assert block.txs[0] is admitted[block.publisher][0]
+    assert len(tx_verifies) == len(VALIDATORS)
     assert len({message for _, message in tx_verifies}) == 1
+
+
+def test_a_copy_the_publishers_gateway_never_admitted_is_verified_afresh(
+    tx_verifies, admitted, verifies_in_validate
+):
+    # the validator in rotation slot 2 publishes height 2; offline at tick 1
+    # it admits neither transfer, and one transaction per block holds the
+    # second over to its block
+    order = sorted(VALIDATORS, key=lambda name: keypair_from_label("mock", name, 0).account_id)
+    late = order[2]
+
+    def raw(offline: bool) -> dict:
+        scenario = _transfers_raw(
+            [1, 2], ticks=2, policies=[{"key": "consensus.max_txs_per_block", "value": 1}]
+        )
+        if offline:
+            next(a for a in scenario["actors"] if a["name"] == late)["faults"] = ["offline"]
+        scenario["steps"].append({"tick": 2, "fault": {"actor": late, "set": []}})
+        return scenario
+
+    report, sim = run(parse_scenario(raw(offline=True)))
+    held = sim.chain.blocks[2].txs[0]
+    assert sim.chain.blocks[2].publisher == sim.aid(late)
+    assert admitted[sim.aid(late)] == []
+    # three admissions, then once in validate_block; apply reuses that check
+    assert verifies_in_validate == [(1, 0), (2, 1)]
+    assert sum(message == held.signing_bytes() for _, message in tx_verifies) == len(VALIDATORS)
+
+    # had its gateway admitted the copy, the chain and receipt would be the same
+    verifies_in_validate.clear()
+    online_report, online_sim = run(parse_scenario(raw(offline=False)))
+    assert verifies_in_validate == [(1, 0), (2, 0)]
+    assert online_sim.chain.blocks[2].txs[0] is admitted[sim.aid(late)][1]
+    assert sim.receipts[held.tx_id] == online_sim.receipts[held.tx_id]
+    assert sim.receipts[held.tx_id].ok
+    assert (report.head_hash, report.state_digest) == (online_report.head_hash, online_report.state_digest)
