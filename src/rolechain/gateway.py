@@ -19,7 +19,7 @@ admission and by a publisher choosing its block's transactions.
 from __future__ import annotations
 
 import hashlib
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
@@ -119,13 +119,14 @@ class SecurityGateway:
         # shared by reference so a sim can toggle faults mid-run
         self.faults = faults if faults is not None else set()
         # admitted and not yet included: this validator publishes these
-        # copies, whose signatures it verified, rather than propagated ones
+        # copies, whose signatures it verified, rather than propagated ones.
+        # Keyed by the admitted frame, the bytes the copy keeps as its
+        # encoding: the key costs no memory and no SHA-256, as a tx id would
         self.pool: dict[bytes, Transaction] = {}
         self._buckets: dict[bytes, TokenBucket] = {}
 
     def rate_check(self, state: LedgerState, sender: bytes, tick: int) -> bool:
-        whitelist = state.policy_bytes("rate.whitelist")
-        if whitelist and sender in {whitelist[i : i + 32] for i in range(0, len(whitelist), 32)}:
+        if whitelisted(state.policy_bytes("rate.whitelist"), sender):
             return True
         capacity = state.policy_int("rate.capacity")
         bucket = self._buckets.get(sender)
@@ -146,12 +147,28 @@ class SecurityGateway:
             return Rejected(fault)
         if not self.rate_check(state, tx.sender, tick):
             return Rejected(err.THROTTLED)
-        self.pool[tx.tx_id] = tx
+        self.pool[raw_tx] = tx
         return Admitted(tx)
 
-    def drop_included(self, tx_ids: set[bytes]) -> None:
-        for tx_id in tx_ids:
-            self.pool.pop(tx_id, None)
+    def drop_included(self, frames: Iterable[bytes]) -> None:
+        """Forget the pooled copies whose frames a block included."""
+        for frame in frames:
+            self.pool.pop(frame, None)
+
+
+def whitelisted(whitelist: bytes, sender: bytes) -> bool:
+    """Whether ``sender`` is one of the 32-byte ids concatenated in ``whitelist``.
+
+    A search of the bytes, not a set of its ids: a match must start on an
+    id boundary, so an id made of one entry's tail and the next one's head
+    does not count.
+    """
+    if len(sender) != 32:
+        return False
+    at = whitelist.find(sender)
+    while at >= 0 and at % 32:
+        at = whitelist.find(sender, at + 1)
+    return at >= 0
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,14 @@ Two interchangeable schemes sit behind one interface:
   - ``mock``: a deterministic keyed-hash double for fast tests and sims.
     Signatures are HMAC-SHA256 keyed by the public key, so they verify
     against the public key alone.  It offers no forgery resistance and is
-    never meant to leave a test process.
+    never meant to leave a test process.  The HMAC is computed as RFC 2104
+    defines it, in two ``hashlib.sha256`` calls: the key (hashed first if
+    longer than SHA-256's 64-byte block) is zero-padded to a block, each
+    pad is that block with every byte XORed by 0x36 or 0x5C (one
+    ``bytes.translate`` each), and the tag is
+    ``sha256(opad + sha256(ipad + message))``.  It equals
+    ``hmac.new(key, message, hashlib.sha256).digest()`` without that
+    wrapper's per-call objects, which cost more than the two hashes.
 
 Account ids are the SHA-256 digest of the account's original public key;
 they are stable across key rotations.
@@ -61,13 +68,27 @@ class MockScheme:
         return KeyPair(self.name, public, secret)
 
     def sign(self, pair: KeyPair, message: bytes) -> bytes:
-        return hmac.new(pair.public_key, message, hashlib.sha256).digest()
+        return _hmac_sha256(pair.public_key, message)
 
     def verify(self, public_key: bytes, message: bytes, signature: bytes) -> bool:
         if len(public_key) != KEY_LEN:
             return False
-        expected = hmac.new(public_key, message, hashlib.sha256).digest()
-        return hmac.compare_digest(expected, signature)
+        return hmac.compare_digest(_hmac_sha256(public_key, message), signature)
+
+
+_BLOCK = 64  # SHA-256's block size in bytes
+_IPAD = bytes(b ^ 0x36 for b in range(256))
+_OPAD = bytes(b ^ 0x5C for b in range(256))
+_sha256 = hashlib.sha256
+
+
+def _hmac_sha256(key: bytes, message: bytes) -> bytes:
+    """HMAC-SHA256 of ``message`` under ``key`` (RFC 2104), in two hashes."""
+    if len(key) > _BLOCK:
+        key = _sha256(key).digest()
+    key = key.ljust(_BLOCK, b"\0")
+    inner = _sha256(key.translate(_IPAD) + message).digest()
+    return _sha256(key.translate(_OPAD) + inner).digest()
 
 
 class Ed25519Scheme:

@@ -14,7 +14,7 @@ descriptions, and ``PAYLOAD.by_tag`` is the one table of payload classes.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 
 from .codec import (
@@ -443,20 +443,55 @@ class Transaction:
             return True
         if not get_scheme(scheme).verify(public_key, self.signing_bytes(), self.signature):
             return False
-        object.__setattr__(self, "_verified_scheme", scheme)
-        object.__setattr__(self, "_verified_key", public_key)
+        _set_verified_scheme(self, scheme)
+        _set_verified_key(self, public_key)
         return True
 
     def encode(self) -> bytes:
         if self._encoded is None:
-            _keep_encoding(self, tx_signing_bytes(self.sender, self.nonce, self.payload))
+            signing = tx_signing_bytes(self.sender, self.nonce, self.payload)
+            _set_encoded(self, _with_signature(signing, self.signature))
         return self._encoded
 
     @property
     def tx_id(self) -> bytes:
         if self._tx_id is None:
-            object.__setattr__(self, "_tx_id", hashlib.sha256(self.encode()).digest())
+            _set_tx_id(self, hashlib.sha256(self.encode()).digest())
         return self._tx_id
+
+
+# the setter of each slot, in field order; they write past the frozen
+# ``__setattr__``, and unpacking fails at import if a field is added
+(
+    _set_sender,
+    _set_nonce,
+    _set_payload,
+    _set_signature,
+    _set_encoded,
+    _set_tx_id,
+    _set_verified_scheme,
+    _set_verified_key,
+) = (Transaction.__dict__[f.name].__set__ for f in fields(Transaction))
+_new_object = object.__new__
+
+
+def _transaction(sender: bytes, nonce: int, payload: Payload, signature: bytes, encoded: bytes) -> Transaction:
+    """The transaction ``Transaction(sender, nonce, payload, signature)``
+    builds, with ``encoded`` kept as its encoding and its other memos empty.
+
+    Every gateway builds one per copy it admits, so this sets the slots
+    directly: about half what the frozen dataclass's ``__init__`` costs.
+    """
+    tx = _new_object(Transaction)
+    _set_sender(tx, sender)
+    _set_nonce(tx, nonce)
+    _set_payload(tx, payload)
+    _set_signature(tx, signature)
+    _set_encoded(tx, encoded)
+    _set_tx_id(tx, None)
+    _set_verified_scheme(tx, None)
+    _set_verified_key(tx, None)
+    return tx
 
 
 def tx_signing_bytes(sender: bytes, nonce: int, payload: Payload) -> bytes:
@@ -474,25 +509,24 @@ def decode_transaction(data: bytes) -> Transaction:
     if data[:3] != b"tx:":
         raise CodecError("missing transaction prefix")
     try:
-        tx = Transaction(*whole(_ENVELOPE.read, data, 3))
+        sender, nonce, payload, signature = whole(_ENVELOPE.read, data, 3)
     except RecursionError:
         # proposals nest, so a hostile frame can nest deeper than the stack
         raise CodecError("payload nested too deeply") from None
     # every decoder is strict, so a frame that decodes is its own encoding
-    object.__setattr__(tx, "_encoded", data)
-    return tx
+    return _transaction(sender, nonce, payload, signature, data)
 
 
 def sign_transaction(signer: KeyPair, sender: bytes, nonce: int, payload: Payload) -> Transaction:
     """``payload`` from ``sender`` at ``nonce``, signed by ``signer``, its signing bytes written once."""
     signing = tx_signing_bytes(sender, nonce, payload)
-    return _keep_encoding(Transaction(sender, nonce, payload, signer.sign(signing)), signing)
+    signature = signer.sign(signing)
+    return _transaction(sender, nonce, payload, signature, _with_signature(signing, signature))
 
 
-def _keep_encoding(tx: Transaction, signing: bytes) -> Transaction:
-    """Keep ``signing``, the signing bytes of ``tx``, then its framed signature as its encoding."""
-    object.__setattr__(tx, "_encoded", signing + encoding(BYTES.encode, tx.signature))
-    return tx
+def _with_signature(signing: bytes, signature: bytes) -> bytes:
+    """A transaction's encoding: its signing bytes, then its framed signature."""
+    return signing + encoding(BYTES.encode, signature)
 
 
 # --- auxiliary signed messages -------------------------------------------------

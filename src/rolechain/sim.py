@@ -851,7 +851,7 @@ class Simulation:
         # gateway never admitted is the propagated copy, verified afresh
         gateway = self.sec_gateways.get(name)
         own = gateway.pool if gateway is not None else {}
-        pending = [own.get(tx_id, tx) for tx_id, tx in self.mempool.items() if not censors(faults, tx, publisher)]
+        pending = [own.get(tx.encode(), tx) for tx in self.mempool.values() if not censors(faults, tx, publisher)]
         block = build_block(self.keys[name], publisher, self.chain.head, pending, tick, self.state)
         receipts = append_block(self.chain, self.state, block, offline)
         for receipt in receipts:
@@ -864,8 +864,10 @@ class Simulation:
             raise InternalInvariantViolation("block carries a transaction no gateway admitted")
         for tx_id in included:
             self.mempool.pop(tx_id, None)
+        frames = [tx.encode() for tx in block.txs]
         for gw in self.sec_gateways.values():
-            gw.drop_included(included)
+            if gw.pool:
+                gw.drop_included(frames)
 
     def run(self) -> Report:
         by_tick: dict[int, list[Step]] = {}

@@ -21,6 +21,7 @@ from rolechain.gateway import (
     compare_responses,
     file_discrepancy,
     sign_request,
+    whitelisted,
 )
 from rolechain.keys import keypair_from_label
 from rolechain.ledger import Account
@@ -209,6 +210,44 @@ def test_whitelist_edits_take_effect_on_a_gateway_already_in_use():
     assert burst("alice", 3) == 10
     policy.value = b""
     assert burst("bob", 4) == 10
+
+
+def test_an_id_straddling_two_whitelist_entries_is_not_whitelisted():
+    world = _gateway_world()
+    alice = world.aid("alice")
+    # alice's id sits at byte 16: the tail of the first entry and the head of the second
+    world.state.policies["rate.whitelist"].value = bytes(16) + alice + bytes(16)
+    sec, _ = _gateways(world, "v0")
+    txs = [world.tx("alice", Transfer(world.aid("bob"), 1), nonce=n) for n in range(20)]
+    assert sum(isinstance(sec.admit(world.state, tx.encode(), tick=1), Admitted) for tx in txs) == 10
+
+
+@given(
+    entries=st.lists(st.binary(min_size=32, max_size=32), max_size=6),
+    tail=st.binary(max_size=31),
+    sender=st.binary(min_size=32, max_size=32),
+    at=st.integers(0, 6 * 32),
+)
+def test_whitelisted_is_membership_among_the_aligned_ids(entries, tail, sender, at):
+    whitelist = b"".join(entries) + tail
+    # plant the sender at any offset, aligned or not
+    planted = whitelist[:at] + sender + whitelist[at + 32 :]
+    for wl in (whitelist, planted):
+        assert whitelisted(wl, sender) == (sender in {wl[i : i + 32] for i in range(0, len(wl), 32)})
+
+
+def test_pool_is_keyed_by_the_admitted_frame():
+    world = _gateway_world()
+    sec, _ = _gateways(world, "v0")
+    txs = [world.tx("alice", Transfer(world.aid("bob"), 1), nonce=n) for n in range(3)]
+    frames = [tx.encode() for tx in txs]
+    for frame in frames:
+        assert isinstance(sec.admit(world.state, frame, tick=1), Admitted)
+    # the key is the frame object the copy keeps as its encoding: no tx id is hashed
+    assert list(sec.pool) == frames
+    assert all(key is copy.encode() and copy._tx_id is None for key, copy in sec.pool.items())
+    sec.drop_included([bytes(frames[1]), frames[0]])
+    assert list(sec.pool) == [frames[2]]
 
 
 def test_censoring_gateway_drops_silently():

@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import hashlib
+import hmac
+
 import pytest
 from hypothesis import given, strategies as st
 
 from rolechain.errors import InvalidKey
-from rolechain.keys import derive_account_id, get_scheme, keypair_from_label
+from rolechain.keys import KeyPair, derive_account_id, get_scheme, keypair_from_label
 
 # pinned from an independent sha256 tool over the 32-byte key 00 01 .. 1f
 GOLDEN_KEY = bytes(range(32))
@@ -64,3 +67,19 @@ def test_signatures_deterministic():
 def test_unknown_scheme_rejected():
     with pytest.raises(InvalidKey):
         get_scheme("rsa")
+
+
+@given(key_len=st.integers(0, 200), message=st.binary(max_size=300), data=st.data())
+def test_mock_signature_is_rfc_2104_hmac_sha256(key_len, message, data):
+    # keys up to 200 bytes cross SHA-256's 64-byte block, past which a key is hashed first
+    key = data.draw(st.binary(min_size=key_len, max_size=key_len), label="key")
+    mock = get_scheme("mock")
+    signature = mock.sign(KeyPair("mock", key, b""), message)
+    assert signature == hmac.new(key, message, hashlib.sha256).digest()
+    public = data.draw(st.binary(min_size=32, max_size=32), label="public key")
+    signature = mock.sign(KeyPair("mock", public, b""), message)
+    assert mock.verify(public, message, signature)
+    bit = data.draw(st.integers(0, 8 * len(signature) - 1), label="flipped bit")
+    flipped = bytearray(signature)
+    flipped[bit // 8] ^= 1 << (bit % 8)
+    assert not mock.verify(public, message, bytes(flipped))

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import struct
 
@@ -44,6 +45,7 @@ from rolechain.payloads import (
     encode_payload,
     encode_query,
     read_payload,
+    sign_transaction,
 )
 
 from reference import Writer
@@ -167,3 +169,20 @@ def test_signature_scheme_binds_to_tx_bytes():
     assert scheme.verify(kp.public_key, tx.signing_bytes(), sig)
     tampered = Transaction(kp.account_id, 0, Transfer(B, 2))
     assert not scheme.verify(kp.public_key, tampered.signing_bytes(), sig)
+
+
+@pytest.mark.parametrize("payload", ALL_PAYLOADS, ids=lambda p: type(p).__name__)
+def test_decoded_and_signed_transactions_are_constructed_ones(payload):
+    # both build through a helper that sets the slots directly, so each must
+    # be indistinguishable from the public constructor's object
+    kp = keypair_from_label("mock", "signer", 0)
+    signed = sign_transaction(kp, kp.account_id, 7, payload)
+    built = Transaction(kp.account_id, 7, payload, signed.signature)
+    for tx in (signed, decode_transaction(signed.encode())):
+        assert type(tx) is Transaction
+        assert tx == built and hash(tx) == hash(built) and repr(tx) == repr(built)
+        assert (tx._tx_id, tx._verified_scheme, tx._verified_key) == (None, None, None)
+        assert tx.encode() == built.encode() and tx.tx_id == built.tx_id
+        for f in dataclasses.fields(Transaction):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(tx, f.name, getattr(tx, f.name))

@@ -460,12 +460,14 @@ def test_chain_with_liveness_skips_still_verifies():
 
 
 def test_gateway_pools_hold_no_committed_transaction():
+    # pools are keyed by frame, so committed transactions are compared as frames
     for fixture in ("bootstrap_and_transfer", "corrupt_gateway", "interest_pull", "interest_settle"):
         _, sim = run(load_scenario(SCENARIOS / f"{fixture}.yaml"))
-        committed = {tx.tx_id for block in sim.chain.blocks for tx in block.txs}
+        committed = {tx.encode() for block in sim.chain.blocks for tx in block.txs}
         assert committed
         for gateway in sim.sec_gateways.values():
-            assert not committed & set(gateway.pool)
+            assert all(frame == tx.encode() for frame, tx in gateway.pool.items())
+            assert not committed & gateway.pool.keys()
 
 
 def test_gateway_operators_follow_registrations_and_validator_changes(monkeypatch):
