@@ -135,7 +135,15 @@ class SecurityGateway:
         return bucket.take(tick, capacity, state.policy_int("rate.refill"))
 
     def admit(self, state: LedgerState, raw_tx: bytes, tick: int) -> Admitted | Rejected | Censored:
-        """Parse, authenticate, and rate-check one submission."""
+        """Parse, authenticate, and rate-check one submission.
+
+        A ``bytearray`` or ``memoryview`` frame is admitted as its ``bytes``
+        copy; a submission of any other type is malformed.
+        """
+        if type(raw_tx) is not bytes:
+            raw_tx = _frame_bytes(raw_tx)
+            if raw_tx is None:
+                return Rejected(err.MALFORMED)
         try:
             tx = decode_transaction(raw_tx)
         except CodecError:
@@ -154,6 +162,17 @@ class SecurityGateway:
         """Forget the pooled copies whose frames a block included."""
         for frame in frames:
             self.pool.pop(frame, None)
+
+
+def _frame_bytes(raw: object) -> bytes | None:
+    """The ``bytes`` copy of a frame passed as another bytes-like type, or
+    None for any other object (or a released ``memoryview``)."""
+    if not isinstance(raw, (bytes, bytearray, memoryview)):
+        return None
+    try:
+        return bytes(raw)
+    except ValueError:  # a released memoryview
+        return None
 
 
 def whitelisted(whitelist: bytes, sender: bytes) -> bool:

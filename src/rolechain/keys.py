@@ -61,6 +61,9 @@ class MockScheme:
     """Keyed-hash test double; deterministic and fast, not secure."""
 
     name = "mock"
+    # a check costs ~2 µs, far below what forking a process costs, so a
+    # replay never spreads these checks over processes
+    costly_verify = False
 
     def keypair(self, seed: bytes) -> KeyPair:
         secret = hashlib.sha256(b"mock-secret:" + seed).digest()
@@ -95,6 +98,8 @@ class Ed25519Scheme:
     """Release scheme: Ed25519 with raw 32-byte keys."""
 
     name = "ed25519"
+    # a check costs ~130 µs, so a replay spreads its checks over processes
+    costly_verify = True
 
     def keypair(self, seed: bytes) -> KeyPair:
         secret = hashlib.sha256(b"ed25519-seed:" + seed).digest()

@@ -494,6 +494,15 @@ def _transaction(sender: bytes, nonce: int, payload: Payload, signature: bytes, 
     return tx
 
 
+def mark_verified(tx: Transaction, scheme: str, public_key: bytes) -> None:
+    """Keep a success that a check outside this process found for ``tx``'s
+    signature under ``(scheme, public_key)``: the two slots
+    :meth:`Transaction.signature_ok` writes after a success of its own
+    (which sets them itself, saving a call on admission's hot path)."""
+    _set_verified_scheme(tx, scheme)
+    _set_verified_key(tx, public_key)
+
+
 def tx_signing_bytes(sender: bytes, nonce: int, payload: Payload) -> bytes:
     return b"tx:" + encoding(_SIGNED.encode, (sender, nonce, payload))
 

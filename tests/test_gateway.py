@@ -134,6 +134,45 @@ def test_admit_rejects_garbage():
     assert isinstance(outcome, Rejected) and outcome.reason == err.MALFORMED
 
 
+@pytest.mark.parametrize(
+    "as_type, admitted",
+    [
+        (bytes, True),
+        (bytearray, True),
+        (memoryview, True),
+        (lambda frame: frame.decode("latin-1"), False),
+        (lambda frame: None, False),
+        (lambda frame: int.from_bytes(frame, "big"), False),
+        (list, False),
+    ],
+    ids=["bytes", "bytearray", "memoryview", "str", "None", "int", "list"],
+)
+def test_admission_takes_bytes_like_frames_and_rejects_other_types(as_type, admitted):
+    world = _gateway_world()
+    sec, _ = _gateways(world, "v0")
+    tx = world.tx("alice", Transfer(world.aid("bob"), 5))
+    outcome = sec.admit(world.state, as_type(tx.encode()), tick=1)
+    if not admitted:
+        assert outcome == Rejected(err.MALFORMED)
+        assert sec.pool == {}
+        return
+    # admitted exactly as the bytes frame is: every key and field is bytes
+    assert isinstance(outcome, Admitted) and outcome.tx == tx
+    [(key, copy)] = sec.pool.items()
+    assert type(key) is bytes and key == tx.encode()
+    assert copy is outcome.tx and copy.encode() is key
+    assert type(copy.sender) is bytes and type(copy.signature) is bytes
+    assert type(copy.payload.to) is bytes
+
+
+def test_admit_rejects_a_released_memoryview():
+    world = _gateway_world()
+    sec, _ = _gateways(world, "v0")
+    frame = memoryview(world.tx("alice", Transfer(world.aid("bob"), 5)).encode())
+    frame.release()
+    assert sec.admit(world.state, frame, tick=1) == Rejected(err.MALFORMED)
+
+
 def test_admit_rejects_unknown_sender():
     world = _gateway_world()
     sec, _ = _gateways(world, "v0")
