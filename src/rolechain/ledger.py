@@ -7,11 +7,11 @@ touching state, so a raised :class:`TxError` always leaves the state
 untouched.  Every handler takes ``(state, sender, payload, tx_id,
 authority)``, the signature ``engine.HANDLERS`` declares.
 
-Role holders are cached (see :meth:`LedgerState.holders`); the cache is
-keyed on :data:`role_writes` and the number of accounts, so accounts are
-added to ``LedgerState.accounts`` but never replaced or removed.  An
-account's roles are a ``frozenset`` that only assignment replaces, one
-shared by every account holding the same roles.
+The state keeps its own role-holder lists (see :meth:`LedgerState.holders`),
+so an account's roles change only through ``LedgerState.set_roles``, and
+accounts enter ``LedgerState.accounts`` through ``add_account`` alone and
+are never replaced or removed.  An account's roles are a ``frozenset``,
+one shared by every account holding the same roles.
 
 The transaction log is append-only and written by :meth:`LedgerState.log`
 alone, which also keeps the indexes that answer history and
@@ -50,7 +50,7 @@ account's pending periods and every rule's next total instead
 from __future__ import annotations
 
 import hashlib
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left, bisect_right, insort
 from heapq import heappop, heappush
 from dataclasses import dataclass, field
 from enum import Enum
@@ -121,24 +121,18 @@ class Account:
     recovery: RecoveryPolicy = wire(RECOVERY, default_factory=ProviderOnly)
 
 
-# role writes so far, counted by the ``Account.roles`` setter; holders() keys
-# its cache on it.  Every state shares the count, so a write to one state can
-# only cause a needless rescan in another, never a stale answer.
-role_writes = 0
 # one frozenset per distinct role set (at most 2 ** len(Role)), shared by
 # every account of every state that holds exactly those roles
 _role_sets: dict[frozenset[Role], frozenset[Role]] = {}
 
 
 def _set_roles(acct: Account, roles) -> None:
-    global role_writes
-    role_writes += 1
     roles = frozenset(roles)
     acct._roles = _role_sets.setdefault(roles, roles)
 
 
-# an account's roles change only by assignment (``acct.roles |= {role}``
-# included), which stores the shared frozenset and counts as a role write
+# an assignment of roles stores the shared frozenset; once the account is in
+# a state, only ``LedgerState.set_roles`` assigns them, keeping its holder lists
 Account.roles = property(attrgetter("_roles"), _set_roles)
 
 
@@ -354,8 +348,7 @@ class LedgerState:
     tx_index: dict[bytes, int] = field(default_factory=dict)
     height: int = 0
     validator_registry: dict[bytes, ValidatorRecord] = field(default_factory=dict)
-    # holders() cache: (role_writes, len(accounts)) it was filled at
-    _holders_key: tuple[int, int] = field(default=(-1, -1), init=False, repr=False, compare=False)
+    # role -> its holders' ids, ascending, once holders() has read the role
     _holders: dict[Role, list[bytes]] = field(default_factory=dict, init=False, repr=False, compare=False)
     # log indexes kept by log(), both in log order: each participant's
     # entries, and the successful management entries (heights never decrease)
@@ -387,19 +380,15 @@ class LedgerState:
         return acct
 
     def holders(self, role: Role) -> list[bytes]:
-        """Ids of the accounts holding ``role``, ascending.
+        """Ids of the accounts holding ``role``, ascending, as a new list.
 
-        Cached until any account's roles change or an account is added.
+        The first read of a role scans every account; after that
+        ``add_account`` and ``set_roles`` keep the state's list current.
         """
-        key = (role_writes, len(self.accounts))
-        if key != self._holders_key:
-            self._holders_key, self._holders = key, {}
-        cached = self._holders.get(role)
-        if cached is None:
-            cached = self._holders[role] = sorted(
-                a.account_id for a in self.accounts.values() if role in a.roles
-            )
-        return list(cached)
+        held = self._holders.get(role)
+        if held is None:
+            held = self._holders[role] = sorted(a.account_id for a in self.accounts.values() if role in a.roles)
+        return list(held)
 
     def validators(self) -> list[bytes]:
         """Validator account ids in canonical (ascending) rotation order."""
@@ -442,6 +431,7 @@ class LedgerState:
     def add_account(self, acct: Account) -> None:
         """Add a new account: the pull periods accrued so far are not its."""
         self.accounts[acct.account_id] = acct
+        self._keep_holders(acct.account_id, frozenset(), acct.roles)
         if self._accruals:
             self.allowances[acct.account_id] = Allowances(len(self._accruals))
         self._after_write(acct)
@@ -451,8 +441,17 @@ class LedgerState:
         if self._accruals and (_USER in roles) != (_USER in acct.roles):
             # the periods so far were the account's, or not, by its old roles
             self._settle(acct, self.allowances.get(acct.account_id))
+        self._keep_holders(acct.account_id, acct.roles, roles)
         acct.roles = roles
         self._after_write(acct)
+
+    def _keep_holders(self, account_id: bytes, old, new) -> None:
+        """Put the id into each kept holder list of a role gained, take it out of each of a role lost."""
+        for role, held in self._holders.items():
+            if role in new and role not in old:
+                insort(held, account_id)
+            elif role in old and role not in new:
+                del held[bisect_left(held, account_id)]
 
     def set_frozen(self, acct: Account, frozen: bool) -> None:
         self._before_write(acct)

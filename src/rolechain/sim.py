@@ -33,7 +33,7 @@ from pathlib import Path
 
 import yaml
 
-from . import codec, ledger
+from . import codec
 from .codec import U64_MAX, whole
 from .chain import (
     Chain,
@@ -561,7 +561,7 @@ class Simulation:
         self.skipped_ticks: list[int] = []
         # tx id -> the entry apply_transaction returned for it
         self.receipts: dict[bytes, LogEntry] = {}
-        self._operators_key: tuple[int, int, int] | None = None
+        self._operators_of: tuple[list[bytes], int] | None = None
         self._operators: list[str] = []
         self._build_genesis()
 
@@ -668,16 +668,15 @@ class Simulation:
     def _gateway_operators(self) -> list[str]:
         """Names of current validators with registered endpoints.
 
-        Kept until a role is written, an account is added (the key of
-        ``LedgerState.holders``) or a validator registers for the first
-        time: records are replaced, never removed, so the registry's size
-        names its membership.
+        Kept until the validators change or a validator registers for the
+        first time: records are replaced, never removed, so the registry's
+        size names its membership.
         """
-        key = (ledger.role_writes, len(self.state.accounts), len(self.state.validator_registry))
-        if key != self._operators_key:
-            current = set(self.state.validators())
+        of = (self.state.validators(), len(self.state.validator_registry))
+        if of != self._operators_of:
+            current = set(of[0])
             self._operators = sorted(self.names_by_id[vid] for vid in self.state.validator_registry if vid in current)
-            self._operators_key = key
+            self._operators_of = of
         return self._operators
 
     # -- step execution -------------------------------------------------------

@@ -78,7 +78,7 @@ def _add_validator(world: World, name: str) -> None:
     world.keys[name] = keypair_from_label("mock", name, 0)
     world.ids[name] = world.keys[name].account_id
     world.keys[f"{name}.view"] = keypair_from_label("mock", f"{name}.view", 0)
-    world.state.accounts[world.aid(name)] = Account(world.aid(name), world.keys[name].public_key, {Role.VALIDATOR})
+    world.state.add_account(Account(world.aid(name), world.keys[name].public_key, {Role.VALIDATOR}))
     world.state.validator_registry[world.aid(name)] = ValidatorRecord(
         world.aid(name), ("s",), ("v",), "val", world.keys[f"{name}.view"].public_key, "ops"
     )
@@ -184,7 +184,7 @@ def test_admit_rejects_unknown_sender():
 
 def test_admit_rejects_roleless_sender():
     world = _gateway_world()
-    world.state.accounts[world.aid("alice")].roles = frozenset()
+    world.state.set_roles(world.state.accounts[world.aid("alice")], frozenset())
     sec, _ = _gateways(world, "v0")
     tx = world.tx("alice", Transfer(world.aid("bob"), 1))
     outcome = sec.admit(world.state, tx.encode(), tick=1)
@@ -599,7 +599,7 @@ def test_admission_and_apply_name_the_same_envelope_fault(
     alice.nonce = 3
     signer = world.kp("alice")
     if roleless:
-        alice.roles = frozenset()
+        world.state.set_roles(alice, frozenset())
     if rotated:  # a rotation that has committed: the id stays, the key is new
         fresh = keypair_from_label("mock", "alice-fresh", 0)
         alice.public_key = fresh.public_key

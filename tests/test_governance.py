@@ -389,7 +389,8 @@ def test_passed_proposal_with_failing_action_keeps_status():
     world = _validator_world(3)
     # minting to an account that will not exist fails at execution time
     ghost = keypair_from_label("mock", "ghost", 0).account_id
-    world.state.accounts[world.aid("bank")].roles |= {Role.VALIDATOR}
+    bank = world.state.accounts[world.aid("bank")]
+    world.state.set_roles(bank, bank.roles | {Role.VALIDATOR})
     receipt = world.apply_ok(
         "bank", CreateProposal(Mint(ghost, 10), Role.CURRENCY_MANAGER)
     )
@@ -467,7 +468,8 @@ def test_stale_role_votes_discarded_at_finalize():
     for voter in ("v0", "v1", "v2"):
         world.apply_ok(voter, CastVote(pid, True))
     # v2 loses the validator role before finalize; its vote no longer counts
-    world.state.accounts[world.aid("v2")].roles -= {Role.VALIDATOR}
+    v2 = world.state.accounts[world.aid("v2")]
+    world.state.set_roles(v2, v2.roles - {Role.VALIDATOR})
     undecided = world.apply("v3", FinalizeProposal(pid))
     # electorate is now 4, yes=2: not decidable yet
     assert undecided.error == err.PROPOSAL_NOT_DECIDABLE

@@ -57,7 +57,7 @@ def test_transfer_insufficient_funds(world):
 
 def test_sender_without_any_role_rejected_at_envelope(world):
     # escrow has a role; strip it to get a role-less account
-    world.state.accounts[world.aid("escrow")].roles = frozenset()
+    world.state.set_roles(world.state.accounts[world.aid("escrow")], frozenset())
     receipt = world.apply("escrow", Transfer(world.aid("bob"), 1))
     assert receipt.error == err.NO_ROLE
     # envelope failures consume nothing
@@ -530,3 +530,10 @@ def test_only_the_ledger_writes_what_a_pull_share_depends_on():
         found += [(kind, where, line) for kind, where, line in visitor.found if kind.startswith(("write", *MUTATORS))]
     assert not [f"{where}:{line} {kind}" for kind, where, line in found if where not in SHARE_WRITERS]
     assert {where for _, where, _ in found} == SHARE_WRITERS
+    # the holder lists a state keeps see every role write and every new
+    # account: roles are assigned in set_roles alone (besides the module's
+    # ``Account.roles`` property), and the accounts table is written in add_account alone
+    assert {where for kind, where, _ in found if kind == "write .roles"} == {"ledger", "ledger.LedgerState.set_roles"}
+    assert {where for kind, where, _ in found if kind.endswith((".accounts", ".accounts[...]"))} == {
+        "ledger.LedgerState.add_account"
+    }

@@ -1,4 +1,5 @@
-"""The cached role-holder lists always equal a fresh scan of every account."""
+"""The state's role-holder lists always equal a fresh scan of every account,
+and once filled they follow role writes and new accounts without one."""
 
 from __future__ import annotations
 
@@ -60,12 +61,13 @@ def apply(world, spares: list[Account], state: LedgerState, step) -> LedgerState
             pass
         return state
     if kind == "insert":
-        # an account built before the cache was last filled
+        # an account built before the holder lists were last filled
         spare = spares[args[0]]
-        state.accounts.setdefault(spare.account_id, spare)
+        if spare.account_id not in state.accounts:
+            state.add_account(spare)
         return state
     kp = KEYS[args[0]]
-    # direct edits pick any existing account, genesis ones included
+    # role writes pick any existing account, genesis ones included
     ids = sorted(state.accounts)
     acct = state.accounts[ids[args[0] % len(ids)]]
     if kind == "assign":
@@ -79,21 +81,21 @@ def apply(world, spares: list[Account], state: LedgerState, step) -> LedgerState
             pass
     elif kind == "ensure":
         if kp.account_id not in state.accounts:
-            state.accounts[kp.account_id] = governance._new_account(kp.account_id, kp.public_key, None, None)
+            state.add_account(governance._new_account(kp.account_id, kp.public_key, None, None))
     elif kind == "add":
         with pytest.raises(AttributeError):
             acct.roles.add(args[1])
-        acct.roles = acct.roles | {args[1]}
+        state.set_roles(acct, acct.roles | {args[1]})
     elif kind == "discard":
-        acct.roles = acct.roles - {args[1]}
+        state.set_roles(acct, acct.roles - {args[1]})
     elif kind == "clear":
-        acct.roles = frozenset()
+        state.set_roles(acct, frozenset())
     elif kind == "assign_set":
-        acct.roles = set(args[1])
+        state.set_roles(acct, set(args[1]))
     elif kind == "ior":
-        acct.roles |= args[1]
+        state.set_roles(acct, acct.roles | args[1])
     elif kind == "isub":
-        acct.roles -= args[1]
+        state.set_roles(acct, acct.roles - args[1])
     return state
 
 
@@ -117,6 +119,42 @@ def test_holders_match_a_full_scan_after_every_step(steps):
         # a clone and its original never see each other's writes
         for old in earlier:
             assert_fresh(old)
+
+
+class NoScan(dict):
+    """An accounts table on which any walk over every account fails."""
+
+    def _walk(self, *args):
+        raise AssertionError("scanned every account")
+
+    __iter__ = keys = values = items = _walk
+
+
+def test_filled_holders_follow_writes_without_a_scan():
+    """After the first read, a role gained or lost, a new account and a clone
+    each leave holders() answering from the kept lists alone."""
+    world = make_world()
+    state = world.state
+    for role in ROLES:
+        state.holders(role)
+    alice, newcomer = world.aid("alice"), keypair_from_label("mock", "newcomer", 0)
+    steps = [
+        lambda s: s.set_roles(s.accounts[alice], s.accounts[alice].roles | {Role.VALIDATOR, Role.SYSTEM_SECURITY}),
+        lambda s: s.set_roles(s.accounts[alice], s.accounts[alice].roles - {Role.USER}),
+        lambda s: s.add_account(Account(newcomer.account_id, newcomer.public_key, {Role.USER, Role.VALIDATOR})),
+        copy.deepcopy,
+    ]
+    for step in steps:
+        state = step(state) or state
+        plain = state.accounts
+        expected = {role: scan(state, role) for role in ROLES}
+        state.accounts = NoScan(plain)
+        try:
+            assert {role: state.holders(role) for role in ROLES} == expected
+        finally:
+            state.accounts = plain
+    assert alice in expected[Role.VALIDATOR] and alice not in expected[Role.USER]
+    assert newcomer.account_id in expected[Role.USER]
 
 
 def test_returned_list_is_a_copy():

@@ -15,7 +15,7 @@ import pytest
 from rolechain import ledger
 from rolechain.chain import decode_genesis, genesis_doc
 from rolechain.codec import whole
-from rolechain.ledger import Account
+from rolechain.ledger import Account, LedgerState
 from rolechain.payloads import QUERY, RECOVERY, Role, decode_query, encode_query
 
 from conftest import make_world
@@ -35,23 +35,22 @@ def test_accounts_with_equal_roles_share_one_frozenset_across_states():
 
 
 def test_the_interned_role_sets_number_at_most_one_per_subset_of_roles():
-    acct = Account(bytes(32), bytes(32))
+    state, acct = LedgerState(), Account(bytes(32), bytes(32))
+    state.add_account(acct)
     for size in range(len(Role) + 1):
         for roles in combinations(Role, size):
-            acct.roles = set(roles)
+            state.set_roles(acct, set(roles))
             assert acct.roles == frozenset(roles)
-            acct.roles = list(reversed(roles))
+            state.set_roles(acct, list(reversed(roles)))
             assert acct.roles is ledger._role_sets[frozenset(roles)]
     assert len(ledger._role_sets) <= 2 ** len(Role)
 
 
-def test_an_in_place_union_is_one_counted_write_of_a_shared_set():
+def test_a_role_write_stores_the_shared_set():
     world = make_world()
     acct = world.state.accounts[world.aid("alice")]
     validators = world.state.validators()
-    writes = ledger.role_writes
-    acct.roles |= {Role.VALIDATOR}
-    assert ledger.role_writes == writes + 1
+    world.state.set_roles(acct, acct.roles | {Role.VALIDATOR})
     assert acct.roles is Account(bytes(32), bytes(32), roles={Role.VALIDATOR, Role.USER}).roles
     assert world.state.validators() == sorted([*validators, world.aid("alice")])
 
