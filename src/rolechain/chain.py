@@ -19,15 +19,15 @@ still checks its own, and finds the successes that kept.
 from __future__ import annotations
 
 import hashlib
-import os
-import signal
-import threading
 from dataclasses import dataclass, field
+from functools import partial
 
 from . import engine
 from .codec import BYTES, TEXT, U64, encoding, seq_of, sorted_map, tuple_of, whole
 from .errors import CodecError, InternalInvariantViolation, InvalidBlock, TxError
 from . import errors as err
+from .fanout import Child, fork_child, may_fork, read_to_end, reap, write_all
+from .fanout import usable_cpus as _usable_cpus
 from .keys import KeyPair, get_scheme
 from .ledger import LedgerState, LogEntry, read_genesis
 from .payloads import Role, Transaction, ZERO_ID, decode_transaction, mark_verified
@@ -317,14 +317,6 @@ MAX_CHECK_PROCESSES = 8
 MIN_CHECKS_PER_PROCESS = 64
 
 
-def _usable_cpus() -> int:
-    """How many CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
 def precheck_signatures(state: LedgerState, blocks: list[Block]) -> None:
     """Check every transaction signature in ``blocks`` whose sender has an
     account in ``state`` under that account's key, spread over processes,
@@ -349,7 +341,7 @@ def precheck_signatures(state: LedgerState, blocks: list[Block]) -> None:
     child is reaped before this returns or raises.
     """
     scheme = get_scheme(state.scheme)
-    if not scheme.costly_verify or not hasattr(os, "fork") or threading.active_count() != 1:
+    if not may_fork(scheme):
         return
     accounts = state.accounts
     txs = [tx for block in blocks for tx in block.txs if tx.sender in accounts]
@@ -357,61 +349,31 @@ def precheck_signatures(state: LedgerState, blocks: list[Block]) -> None:
     if processes < 2:
         return
     bounds = [len(txs) * i // processes for i in range(processes + 1)]
-    children: list[tuple[int, int, int, int]] = []  # pid, pipe read end, range start, range end
-    read = 0  # how many children's pipes have been read to their end
+    children: list[tuple[Child, int, int]] = []  # child, range start, range end
     try:
         for start, end in zip(bounds[1:], bounds[2:]):
-            child = _fork_checker(scheme, accounts, txs, start, end)
+            child = fork_child(partial(_write_flags, scheme, accounts, txs, start, end))
             if child is None:
                 break
-            children.append((*child, start, end))
+            children.append((child, start, end))
         for tx in txs[: bounds[1]]:
             tx.signature_ok(state.scheme, accounts[tx.sender].public_key)
-        for pid, fd, start, end in children:
-            flags = _read_to_end(fd)
-            read += 1
+        for child, start, end in children:
+            flags = read_to_end(child.replies)
             if len(flags) != end - start:
                 continue  # a child that died or wrote short: its range is checked inline
             for tx, ok in zip(txs[start:end], flags):
                 if ok:
                     mark_verified(tx, state.scheme, accounts[tx.sender].public_key)
     finally:
-        for i, (pid, fd, _, _) in enumerate(children):
-            os.close(fd)
-            try:
-                if i >= read:  # may still be checking: this process is leaving early
-                    os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-            except OSError:  # already reaped, as when SIGCHLD is ignored
-                pass
+        reap([child for child, _, _ in children])
 
 
-def _fork_checker(scheme, accounts: dict, txs: list[Transaction], start: int, end: int) -> tuple[int, int] | None:
-    """A child that checks ``txs[start:end]`` and writes one flag byte per
-    transaction, 1 for a signature that verified, to a pipe: its pid and
-    the pipe's read end, or None when no pipe or process can be made."""
-    try:
-        read_end, write_end = os.pipe()
-    except OSError:
-        return None
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read_end)
-        os.close(write_end)
-        return None
-    if pid == 0:
-        # the child: whatever happens, it leaves here, and it never runs the
-        # parent's clean-up or flushes the parent's buffered output
-        try:
-            os.close(read_end)
-            flags = memoryview(_check_range(scheme, accounts, txs, start, end))
-            while flags:
-                flags = flags[os.write(write_end, flags):]
-        finally:
-            os._exit(0)
-    os.close(write_end)
-    return pid, read_end
+def _write_flags(
+    scheme, accounts: dict, txs: list[Transaction], start: int, end: int, replies: int, requests: None
+) -> None:
+    """A child's work: write :func:`_check_range`'s flags to its pipe."""
+    write_all(replies, _check_range(scheme, accounts, txs, start, end))
 
 
 def _check_range(scheme, accounts: dict, txs: list[Transaction], start: int, end: int) -> bytes:
@@ -420,17 +382,6 @@ def _check_range(scheme, accounts: dict, txs: list[Transaction], start: int, end
     return bytes(
         scheme.verify(accounts[tx.sender].public_key, tx.signing_bytes(), tx.signature) for tx in txs[start:end]
     )
-
-
-def _read_to_end(fd: int) -> bytes:
-    """Everything a child wrote to its pipe, or b"" when the read fails."""
-    chunks = []
-    try:
-        while chunk := os.read(fd, 1 << 16):
-            chunks.append(chunk)
-    except OSError:
-        return b""
-    return b"".join(chunks)
 
 
 def format_chain(chain: Chain, height: int | None = None) -> str:

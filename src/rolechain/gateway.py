@@ -10,6 +10,10 @@ get access-checked against the visibility rules, and come back signed
 under the gateway validator's registered view key so a client can later
 prove what it was told.
 
+A sim run may hand some gateways' signature checks to a forked
+:class:`AdmissionHelper`; each of those gateways still checks its own
+copy, only on another core.
+
 Fault injection is first-class: a gateway can be configured to corrupt its
 answers or to censor submissions, which is exactly what the discrepancy
 machinery has to catch.  :func:`censors` is the one censor rule, asked by
@@ -19,13 +23,17 @@ admission and by a publisher choosing its block's transactions.
 from __future__ import annotations
 
 import hashlib
+import select
+import struct
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from itertools import combinations
 from typing import Any, NamedTuple
 
 from . import errors as err
+from . import fanout
 from .codec import BOOL, BYTES, TEXT, U32, U64, U64_MAX, Field, encoding, none_as, seq_of, whole, wire, wire_record
 from .engine import envelope_fault, verify_evidence, view_key_fault
 from .errors import CodecError, QueryError, TxError
@@ -49,6 +57,7 @@ from .payloads import (
     decode_query,
     decode_transaction,
     encode_query,
+    mark_verified,
     sign_response,
     sign_transaction,
 )
@@ -81,6 +90,11 @@ class TokenBucket:
             return False
         self.tokens -= 1
         return True
+
+
+# a gateway's bucket table is swept for full buckets when a new sender would
+# take it to this size, then again each time it doubles
+SWEEP_FLOOR = 1024
 
 
 @dataclass
@@ -124,21 +138,49 @@ class SecurityGateway:
         # encoding: the key costs no memory and no SHA-256, as a tx id would
         self.pool: dict[bytes, Transaction] = {}
         self._buckets: dict[bytes, TokenBucket] = {}
+        self._sweep_at = SWEEP_FLOOR
 
     def rate_check(self, state: LedgerState, sender: bytes, tick: int) -> bool:
+        """Take one of ``sender``'s tokens at ``tick``; ticks never decrease.
+
+        A sender's first take starts from a full bucket.  So a bucket that
+        would be full again is dropped when a new sender finds the table at
+        its sweep size, which then becomes twice what is left (at least
+        :data:`SWEEP_FLOOR`): each admission pays O(1) amortized, and the
+        table holds about twice the
+        senders whose buckets have not refilled, those of the last
+        ``capacity / refill`` ticks.  With the policy unchanged, or with
+        capacity lowered or refill raised, a dropped sender's next take
+        gives what its bucket's would have.  After capacity rises or refill
+        falls, it starts full under the new policy, where its old bucket
+        would have held what it had left.
+        """
         if whitelisted(state.policy_bytes("rate.whitelist"), sender):
             return True
         capacity = state.policy_int("rate.capacity")
+        refill = state.policy_int("rate.refill")
         bucket = self._buckets.get(sender)
         if bucket is None:
+            if len(self._buckets) >= self._sweep_at:
+                # keep the buckets a take at ``tick`` would not find full
+                self._buckets = {
+                    s: b for s, b in self._buckets.items() if b.tokens + refill * (tick - b.last_tick) < capacity
+                }
+                self._sweep_at = max(SWEEP_FLOOR, 2 * len(self._buckets))
             bucket = self._buckets[sender] = TokenBucket(capacity, tick)
-        return bucket.take(tick, capacity, state.policy_int("rate.refill"))
+        return bucket.take(tick, capacity, refill)
 
-    def admit(self, state: LedgerState, raw_tx: bytes, tick: int) -> Admitted | Rejected | Censored:
+    def admit(
+        self, state: LedgerState, raw_tx: bytes, tick: int, checked: bytes | None = None
+    ) -> Admitted | Rejected | Censored:
         """Parse, authenticate, and rate-check one submission.
 
         A ``bytearray`` or ``memoryview`` frame is admitted as its ``bytes``
-        copy; a submission of any other type is malformed.
+        copy; a submission of any other type is malformed.  ``checked`` is
+        a key under which another process found this frame's signature
+        valid (an :class:`AdmissionHelper`): the decoded copy keeps that
+        result, which ``envelope_fault`` uses only if it is the sender's
+        current key.
         """
         if type(raw_tx) is not bytes:
             raw_tx = _frame_bytes(raw_tx)
@@ -148,6 +190,8 @@ class SecurityGateway:
             tx = decode_transaction(raw_tx)
         except CodecError:
             return Rejected(err.MALFORMED)
+        if checked is not None:
+            mark_verified(tx, state.scheme, checked)
         if censors(self.faults, tx):
             return Censored()
         fault = envelope_fault(state, tx)
@@ -173,6 +217,93 @@ def _frame_bytes(raw: object) -> bytes | None:
         return bytes(raw)
     except ValueError:  # a released memoryview
         return None
+
+
+class AdmissionHelper:
+    """A forked process that checks signatures for gateways admitting here.
+
+    Each gateway checks its own copy of a submission, as each node would.
+    So while a run keeps a helper, :meth:`ask` hands it a frame, the
+    sender's current key and a number of copies; it decodes and verifies
+    each copy, as that many gateways would, and writes one flag byte per
+    copy, which :meth:`answer` reads back, request by request in the order
+    asked.  Meanwhile this process admits at the other gateways and may
+    ask again before it reads an answer.  A gateway whose flag is true
+    admits with ``checked`` set to the key; every other one verifies
+    inline.  A helper that fails a write or a read (it died, say) is used
+    no more, so no verdict depends on it.
+    """
+
+    def __init__(self, child: fanout.Child):
+        self.child = child
+        self.working = True
+        self.unanswered = 0  # flags asked for and not yet read
+
+    def room(self, copies: int) -> bool:
+        """Whether ``copies`` more flags may be asked for before the ones
+        already asked for are read.  Unread flags stay within ``PIPE_BUF``,
+        which a pipe always holds, so the helper never waits to write one
+        while this process waits to write a request."""
+        return self.unanswered + copies <= select.PIPE_BUF
+
+    @classmethod
+    def start(cls, scheme_name: str) -> AdmissionHelper | None:
+        """A helper for ``scheme_name``'s checks, or None when one cannot pay
+        or be made: it needs what a replay's forked checks need
+        (:func:`fanout.may_fork`) and at least two usable CPUs."""
+        scheme = get_scheme(scheme_name)
+        if not fanout.may_fork(scheme) or fanout.usable_cpus() < 2:
+            return None
+        child = fanout.fork_child(partial(_serve, scheme), requests=True)
+        return None if child is None else cls(child)
+
+    def ask(self, frame: bytes, key: bytes, copies: int) -> bool:
+        """Send one request; False when the helper cannot take it."""
+        if self.working:
+            try:
+                fanout.write_all(self.child.requests, _REQUEST.pack(copies, len(key), len(frame)) + key + frame)
+                self.unanswered += copies
+            except OSError:
+                self.working = False
+        return self.working
+
+    def answer(self, copies: int) -> bytes:
+        """The flags of the oldest request not yet answered; all false when
+        the helper failed to write every one of them, so a short read
+        vouches for nothing."""
+        self.unanswered -= copies
+        flags = fanout.read_exactly(self.child.replies, copies)
+        if len(flags) != copies:
+            self.working = False
+            return bytes(copies)
+        return flags
+
+    def stop(self) -> None:
+        """Stop the helper, whatever it is doing, and reap it."""
+        fanout.reap([self.child])
+
+
+# a request to an admission helper: copies, key length and frame length,
+# then the key and the frame
+_REQUEST = struct.Struct(">IHI")
+
+
+def _serve(scheme, replies: int, requests: int) -> None:
+    """An admission helper's loop: answer each request until the pipe closes."""
+    while len(head := fanout.read_exactly(requests, _REQUEST.size)) == _REQUEST.size:
+        copies, key_len, frame_len = _REQUEST.unpack(head)
+        body = fanout.read_exactly(requests, key_len + frame_len)
+        key, frame = body[:key_len], body[key_len:]
+        fanout.write_all(replies, bytes(_copy_verifies(scheme, key, frame) for _ in range(copies)))
+
+
+def _copy_verifies(scheme, key: bytes, frame: bytes) -> bool:
+    """Whether a gateway's own decoded copy of ``frame`` is signed under ``key``."""
+    try:
+        tx = decode_transaction(frame)
+    except CodecError:
+        return False
+    return scheme.verify(key, tx.signing_bytes(), tx.signature)
 
 
 def whitelisted(whitelist: bytes, sender: bytes) -> bool:

@@ -61,8 +61,8 @@ class MockScheme:
     """Keyed-hash test double; deterministic and fast, not secure."""
 
     name = "mock"
-    # a check costs ~2 µs, far below what forking a process costs, so a
-    # replay never spreads these checks over processes
+    # a check costs ~2 µs, far below what forking a process costs, so
+    # neither a replay nor a sim run checks these on another process
     costly_verify = False
 
     def keypair(self, seed: bytes) -> KeyPair:
@@ -98,7 +98,9 @@ class Ed25519Scheme:
     """Release scheme: Ed25519 with raw 32-byte keys."""
 
     name = "ed25519"
-    # a check costs ~130 µs, so a replay spreads its checks over processes
+    # a check costs ~130 µs, so two users check these on forked processes
+    # (rolechain.fanout): replay's pre-pass (chain.precheck_signatures) and
+    # a sim run's admission helper (gateway.AdmissionHelper)
     costly_verify = True
 
     def keypair(self, seed: bytes) -> KeyPair:

@@ -26,7 +26,7 @@ It is never served through a gateway.
 from __future__ import annotations
 
 import json
-from collections import defaultdict
+from collections import defaultdict, deque
 from collections.abc import Callable, Sequence
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -53,6 +53,7 @@ from .errors import (
 )
 from .gateway import (
     Admitted,
+    AdmissionHelper,
     KNOWN_FAULTS,
     FAULT_OFFLINE,
     READS,
@@ -563,6 +564,10 @@ class Simulation:
         self.receipts: dict[bytes, LogEntry] = {}
         self._operators_of: tuple[list[bytes], int] | None = None
         self._operators: list[str] = []
+        self._helper: AdmissionHelper | None = None  # kept by run()
+        # broadcasts whose helper-checked gateways have yet to admit them, oldest
+        # first: (frame, tick, those gateways, the key the helper checks under)
+        self._unsettled: deque[tuple[bytes, int, list[str], bytes]] = deque()
         self._build_genesis()
 
     # -- construction -------------------------------------------------------
@@ -693,19 +698,71 @@ class Simulation:
         # a transaction rejected by every gateway never consumes the nonce
 
     def _broadcast(self, tx: Transaction, tick: int) -> bool:
-        """Submit to every reachable security gateway; propagate on admission."""
+        """Submit to every reachable security gateway; propagate on admission.
+
+        While the run keeps an admission helper, the gateways
+        :meth:`_helper_checks` names admit later, each with the helper's
+        verdict on its own copy: at the next :meth:`_settle`, or at once
+        when no other gateway admitted the transaction.  Meanwhile this
+        process goes on without waiting for the helper.
+        """
         raw = tx.encode()
+        remote, key = self._helper_checks(tx, raw) if self._helper is not None else ([], None)
         accepted_anywhere = False
         for name in self._gateway_operators():
-            if FAULT_OFFLINE in self.faults[name]:
+            if FAULT_OFFLINE in self.faults[name] or name in remote:
                 continue
-            outcome = self._security_gateway(name).admit(self.state, raw, tick)
-            if isinstance(outcome, Admitted):
+            if isinstance(self._security_gateway(name).admit(self.state, raw, tick), Admitted):
                 accepted_anywhere = True
+        if remote:
+            self._unsettled.append((raw, tick, remote, key))
+            if not accepted_anywhere:
+                accepted_anywhere = self._settle()
         if accepted_anywhere:
             self.admitted_ids.add(tx.tx_id)
             self.mempool[tx.tx_id] = tx
         return accepted_anywhere
+
+    def _helper_checks(self, tx: Transaction, raw: bytes) -> tuple[list[str], bytes | None]:
+        """The gateways whose copies of ``tx`` the admission helper has been
+        asked to check, and the key it checks under: the last half, rounded
+        down, of the online gateways that will check the signature, under
+        the sender's current key.  Neither when the helper has failed or no
+        gateway will check."""
+        acct = self.state.accounts.get(tx.sender)
+        # envelope_fault checks no signature of a sender without an account or roles
+        if not self._helper.working or acct is None or not acct.roles:
+            return [], None
+        checking = [
+            name
+            for name in self._gateway_operators()
+            if FAULT_OFFLINE not in self.faults[name] and not censors(self.faults[name], tx)
+        ]
+        remote = checking[len(checking) - len(checking) // 2 :]
+        if remote and not self._helper.room(len(remote)):
+            self._settle()
+        if not remote or not self._helper.ask(raw, acct.public_key, len(remote)):
+            return [], None
+        return remote, acct.public_key
+
+    def _settle(self) -> bool:
+        """Admit each unsettled broadcast at its helper-checked gateways, oldest
+        first, so each gateway admits in broadcast order; whether one of them
+        admitted the newest.
+
+        Until then only those gateways' pools and token buckets lag, and
+        nothing reads them: the run settles before a fault step changes what
+        a gateway admits, before a block is built from a pool and at the end
+        of each tick.
+        """
+        admitted = False
+        while self._unsettled:
+            raw, tick, remote, key = self._unsettled.popleft()
+            admitted = False
+            for name, ok in zip(remote, self._helper.answer(len(remote))):
+                if isinstance(self._security_gateway(name).admit(self.state, raw, tick, key if ok else None), Admitted):
+                    admitted = True
+        return admitted
 
     def _run_query(self, body: dict, tick: int) -> None:
         requester = body["as"]
@@ -869,6 +926,19 @@ class Simulation:
                 gw.drop_included(frames)
 
     def run(self) -> Report:
+        """Play every tick, then report.  The admission helper, if one can be
+        made, lives for this call only: it is stopped and reaped on every
+        way out."""
+        self._helper = AdmissionHelper.start(self.scenario.scheme)
+        try:
+            return self._run()
+        finally:
+            if self._helper is not None:
+                self._helper.stop()
+                self._helper = None
+                self._unsettled.clear()
+
+    def _run(self) -> Report:
         by_tick: dict[int, list[Step]] = {}
         for step in self.scenario.steps:
             by_tick.setdefault(step.tick, []).append(step)
@@ -876,12 +946,14 @@ class Simulation:
             steps = by_tick.get(tick, [])
             for step in steps:
                 if step.kind == "fault":
+                    self._settle()
                     target = step.body["actor"]
                     self.faults[target].clear()
                     self.faults[target].update(step.body["set"])
                 elif step.kind == "tx":
                     payload = self._build_payload(step.body, step.body["from"])
                     self._submit_tx(step.body["from"], payload, tick, step.body.get("store"))
+            self._settle()
             self._publish_block(tick)
             for step in steps:
                 if step.kind == "query":
@@ -890,6 +962,7 @@ class Simulation:
                     self._run_compare(step.body, tick)
                 elif step.kind == "assert":
                     self._run_assert(step.body, tick)
+            self._settle()
         if not self.state.conservation_holds():
             raise InternalInvariantViolation("conservation broken at end of run")
         return self._report()

@@ -2,11 +2,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, permutations
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from rolechain import errors as err
+from rolechain import gateway as gateway_module
 from rolechain.engine import apply_transaction, verify_evidence, view_key_fault
 from rolechain.errors import QueryError, TxError
 from rolechain.gateway import (
@@ -114,6 +116,92 @@ def test_bucket_cap_not_exceeded():
     bucket = TokenBucket(Fraction(10), 0)
     bucket.take(100, 10, Fraction(1))
     assert bucket.tokens == Fraction(9)
+
+
+def _rate_state(capacity: int, refill: int):
+    state = make_world({"alice": {Role.USER}}).state
+    _set_rate(state, capacity, refill)
+    return state
+
+
+def _set_rate(state, capacity: int, refill: int) -> None:
+    state.policies["rate.capacity"].value = capacity
+    state.policies["rate.refill"].value = refill
+
+
+SENDERS = [bytes([i]) * 32 for i in range(6)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    capacity=st.integers(0, 8),
+    refill=st.integers(0, 3),
+    steps=st.lists(
+        st.one_of(
+            # a take: sender, ticks since the last step
+            st.tuples(st.just("take"), st.integers(0, len(SENDERS) - 1), st.integers(0, 3)),
+            # a policy change: how far capacity falls and refill rises
+            st.tuples(st.just("policy"), st.integers(0, 3), st.integers(0, 2)),
+        ),
+        max_size=80,
+    ),
+)
+def test_a_swept_bucket_table_admits_as_an_unbounded_one(capacity, refill, steps):
+    """Over random senders, ticks that never decrease and policy changes
+    that never raise capacity or lower refill, each take's outcome is the
+    one a table that never drops a bucket gives.  Every kept bucket equals
+    that table's, and every dropped one would be full there.  (After a
+    rise in capacity or a fall in refill the two differ, as
+    ``test_a_dropped_sender_starts_full_under_a_raised_capacity`` shows.)"""
+    state = _rate_state(capacity, refill)
+    with patch.object(gateway_module, "SWEEP_FLOOR", 2):
+        gateway = SecurityGateway(bytes(32))
+        unbounded: dict[bytes, TokenBucket] = {}
+        tick = 0
+        for kind, a, b in steps:
+            if kind == "policy":
+                capacity, refill = max(0, capacity - a), refill + b
+                _set_rate(state, capacity, refill)
+                continue
+            tick += b
+            bucket = unbounded.setdefault(SENDERS[a], TokenBucket(capacity, tick))
+            assert gateway.rate_check(state, SENDERS[a], tick) == bucket.take(tick, capacity, refill)
+            assert all(kept == unbounded[sender] for sender, kept in gateway._buckets.items())
+            dropped = [b for sender, b in unbounded.items() if sender not in gateway._buckets]
+            assert all(b.tokens + refill * (tick - b.last_tick) >= capacity for b in dropped)
+
+
+def test_a_dropped_sender_starts_full_under_a_raised_capacity(monkeypatch):
+    """Where a swept table differs from one that never drops a bucket:
+    the old bucket would hold what it had left, refilled at the new rate."""
+    monkeypatch.setattr(gateway_module, "SWEEP_FLOOR", 1)
+    state = _rate_state(capacity=2, refill=1)
+    gateway = SecurityGateway(bytes(32))
+    a, b = SENDERS[:2]
+    assert gateway.rate_check(state, a, 1)  # a has 1 token left
+    assert gateway.rate_check(state, b, 2)  # b's first take sweeps: a is full again at tick 2
+    assert list(gateway._buckets) == [b]
+    _set_rate(state, capacity=10, refill=1)
+    assert [gateway.rate_check(state, a, 2) for _ in range(3)] == [True, True, True]
+    kept = TokenBucket(2, 1)
+    assert kept.take(1, 2, 1)
+    assert [kept.take(2, 10, 1) for _ in range(3)] == [True, True, False]
+
+
+def test_the_bucket_table_holds_only_senders_that_have_not_refilled():
+    """A new sender every tick under the default policy (capacity 10,
+    refill 1): a bucket is full again a tick after its one take, so each
+    sweep leaves only the new sender's and the table never passes its
+    sweep size, where a table that never drops one would hold them all."""
+    state = make_world({"alice": {Role.USER}}).state
+    gateway = SecurityGateway(bytes(32))
+    senders = [i.to_bytes(32, "big") for i in range(3 * gateway_module.SWEEP_FLOOR)]
+    sizes = []
+    for tick, sender in enumerate(senders):
+        assert gateway.rate_check(state, sender, tick)
+        sizes.append(len(gateway._buckets))
+    assert max(sizes) == gateway_module.SWEEP_FLOOR
+    assert min(sizes[gateway_module.SWEEP_FLOOR :]) == 1
 
 
 # --- admission ---------------------------------------------------------------------
