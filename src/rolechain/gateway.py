@@ -10,9 +10,10 @@ get access-checked against the visibility rules, and come back signed
 under the gateway validator's registered view key so a client can later
 prove what it was told.
 
-A sim run may hand some gateways' signature checks to a forked
-:class:`AdmissionHelper`; each of those gateways still checks its own
-copy, only on another core.
+A sim run may defer some gateways' admissions to a forked
+:class:`AdmissionHelper`: each of those gateways still checks its own
+copy, mostly on another core, and one of them on this one whenever the
+helper is behind.
 
 Fault injection is first-class: a gateway can be configured to corrupt its
 answers or to censor submissions, which is exactly what the discrepancy
@@ -23,8 +24,10 @@ admission and by a publisher choosing its block's transactions.
 from __future__ import annotations
 
 import hashlib
+import math
 import select
 import struct
+from collections import OrderedDict
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from enum import Enum
@@ -228,14 +231,17 @@ class AdmissionHelper:
     each copy, as that many gateways would, and writes one flag byte per
     copy, which :meth:`answer` reads back, request by request in the order
     asked.  Meanwhile this process admits at the other gateways and may
-    ask again before it reads an answer.  A gateway whose flag is true
-    admits with ``checked`` set to the key; every other one verifies
-    inline.  A helper that fails a write or a read (it died, say) is used
-    no more, so no verdict depends on it.
+    ask again before it reads an answer.  A deferred copy the helper is
+    not asked for, because its :meth:`backlog` is too long, gets its flag
+    from :meth:`check_here` instead, computed the same way.  A gateway
+    whose flag is true admits with ``checked`` set to the key; every other
+    one verifies inline.  A helper that fails a write or a read (it died,
+    say) is used no more, so no verdict depends on it.
     """
 
-    def __init__(self, child: fanout.Child):
+    def __init__(self, child: fanout.Child, scheme):
         self.child = child
+        self.scheme = scheme
         self.working = True
         self.unanswered = 0  # flags asked for and not yet read
 
@@ -246,6 +252,20 @@ class AdmissionHelper:
         while this process waits to write a request."""
         return self.unanswered + copies <= select.PIPE_BUF
 
+    def backlog(self) -> float:
+        """How many flags asked for the helper has yet to write: those not
+        yet read, less those already waiting in the reply pipe.  Infinite
+        when the pipe cannot say what it holds."""
+        try:
+            return self.unanswered - fanout.unread(self.child.replies)
+        except OSError:
+            return math.inf
+
+    def check_here(self, frame: bytes, key: bytes) -> bytes:
+        """The flag the helper would write for one copy of ``frame``,
+        checked in this process on a copy of its own."""
+        return b"\1" if _copy_verifies(self.scheme, key, frame) else b"\0"
+
     @classmethod
     def start(cls, scheme_name: str) -> AdmissionHelper | None:
         """A helper for ``scheme_name``'s checks, or None when one cannot pay
@@ -255,7 +275,7 @@ class AdmissionHelper:
         if not fanout.may_fork(scheme) or fanout.usable_cpus() < 2:
             return None
         child = fanout.fork_child(partial(_serve, scheme), requests=True)
-        return None if child is None else cls(child)
+        return None if child is None else cls(child, scheme)
 
     def ask(self, frame: bytes, key: bytes, copies: int) -> bool:
         """Send one request; False when the helper cannot take it."""
@@ -434,6 +454,11 @@ def compute_result(state: LedgerState, query: Query) -> bytes:
     return encoding(read.answer.encode, read.compute(state, query))
 
 
+# a visibility gateway keeps at most this many challenges open; issuing one
+# more drops the oldest
+MAX_OPEN_CHALLENGES = 1024
+
+
 class VisibilityGateway:
     """Per-validator read front end answering from the latest snapshot."""
 
@@ -442,14 +467,21 @@ class VisibilityGateway:
         self.view_signer = view_signer
         self.faults = faults if faults is not None else set()
         self._challenge_counter = 0
-        self._open_challenges: set[bytes] = set()
+        # in issue order, so the oldest is dropped in O(1); a plain dict
+        # would find its oldest key by walking past the slots freed before it
+        self._open_challenges: OrderedDict[bytes, None] = OrderedDict()
 
     def issue_challenge(self) -> bytes:
+        """A new single-use challenge.  Once more than
+        :data:`MAX_OPEN_CHALLENGES` are open the oldest is dropped, and a
+        request under it fails with ``BadChallenge``, as a used one does."""
         self._challenge_counter += 1
         challenge = hashlib.sha256(
             b"chal:" + self.validator + self._challenge_counter.to_bytes(8, "big")
         ).digest()
-        self._open_challenges.add(challenge)
+        self._open_challenges[challenge] = None
+        if len(self._open_challenges) > MAX_OPEN_CHALLENGES:
+            self._open_challenges.popitem(last=False)
         return challenge
 
     def _corrupt(self, query: Query, result: bytes) -> bytes:
@@ -471,7 +503,7 @@ class VisibilityGateway:
             query = decode_query(request.echo)
         except CodecError as exc:
             raise QueryError(err.MALFORMED, str(exc)) from None
-        self._open_challenges.discard(request.challenge)
+        del self._open_challenges[request.challenge]
         authorize_query(state, request.requester, query)
         result = compute_result(state, query)
         if FAULT_CORRUPT_RESULTS in self.faults:

@@ -565,9 +565,11 @@ class Simulation:
         self._operators_of: tuple[list[bytes], int] | None = None
         self._operators: list[str] = []
         self._helper: AdmissionHelper | None = None  # kept by run()
-        # broadcasts whose helper-checked gateways have yet to admit them, oldest
-        # first: (frame, tick, those gateways, the key the helper checks under)
-        self._unsettled: deque[tuple[bytes, int, list[str], bytes]] = deque()
+        # broadcasts whose deferred gateways have yet to admit them, oldest
+        # first: (frame, tick, those gateways, the key their copies are
+        # checked under, the flag of the copy this process checked, if any)
+        self._unsettled: deque[tuple[bytes, int, list[str], bytes, bytes]] = deque()
+        self._holding: set[str] = set()  # the gateways named in _unsettled
         self._build_genesis()
 
     # -- construction -------------------------------------------------------
@@ -701,67 +703,106 @@ class Simulation:
         """Submit to every reachable security gateway; propagate on admission.
 
         While the run keeps an admission helper, the gateways
-        :meth:`_helper_checks` names admit later, each with the helper's
-        verdict on its own copy: at the next :meth:`_settle`, or at once
-        when no other gateway admitted the transaction.  Meanwhile this
-        process goes on without waiting for the helper.
+        :meth:`_helper_checks` names admit later, each with a verdict on
+        its own copy made in the helper or in this process: at the next
+        :meth:`_settle`, or at once when no other gateway admitted the
+        transaction.  Meanwhile this process goes on without waiting for
+        the helper.
         """
         raw = tx.encode()
-        remote, key = self._helper_checks(tx, raw) if self._helper is not None else ([], None)
-        accepted_anywhere = False
-        for name in self._gateway_operators():
-            if FAULT_OFFLINE in self.faults[name] or name in remote:
-                continue
-            if isinstance(self._security_gateway(name).admit(self.state, raw, tick), Admitted):
-                accepted_anywhere = True
-        if remote:
-            self._unsettled.append((raw, tick, remote, key))
-            if not accepted_anywhere:
-                accepted_anywhere = self._settle()
+        if self._helper is None:
+            accepted_anywhere = False
+            for name in self._gateway_operators():
+                if FAULT_OFFLINE in self.faults[name]:
+                    continue
+                if isinstance(self._security_gateway(name).admit(self.state, raw, tick), Admitted):
+                    accepted_anywhere = True
+        else:
+            accepted_anywhere = self._admit_helped(tx, raw, tick)
         if accepted_anywhere:
             self.admitted_ids.add(tx.tx_id)
             self.mempool[tx.tx_id] = tx
         return accepted_anywhere
 
-    def _helper_checks(self, tx: Transaction, raw: bytes) -> tuple[list[str], bytes | None]:
-        """The gateways whose copies of ``tx`` the admission helper has been
-        asked to check, and the key it checks under: the last half, rounded
-        down, of the online gateways that will check the signature, under
-        the sender's current key.  Neither when the helper has failed or no
-        gateway will check."""
+    def _admit_helped(self, tx: Transaction, raw: bytes, tick: int) -> bool:
+        """Admit ``raw`` at each online gateway while the run keeps a helper:
+        now, or deferred to a settle; whether a gateway admitted it.
+
+        A gateway that still holds an unsettled admission is settled before
+        it admits here, so each gateway admits in broadcast order whichever
+        gateways a transaction defers.
+        """
+        deferred, key, here = self._helper_checks(tx, raw)
+        accepted_anywhere = False
+        for name in self._gateway_operators():
+            if FAULT_OFFLINE in self.faults[name] or name in deferred:
+                continue
+            if name in self._holding:
+                self._settle()
+            if isinstance(self._security_gateway(name).admit(self.state, raw, tick), Admitted):
+                accepted_anywhere = True
+        if deferred:
+            self._unsettled.append((raw, tick, deferred, key, here))
+            self._holding.update(deferred)
+            if not accepted_anywhere:
+                accepted_anywhere = self._settle()
+        return accepted_anywhere
+
+    def _helper_checks(self, tx: Transaction, raw: bytes) -> tuple[list[str], bytes | None, bytes]:
+        """The gateways that defer ``tx`` to a settle, the key their copies
+        are checked under (the sender's current one), and the flag of the
+        copy this process checked for them, if it checked one.
+
+        Of the k online gateways that will check the signature, the last
+        d = min(k // 2 + 1, k - 1) defer.  The helper is asked for the last
+        k // 2 copies, and for the first deferred one too when its
+        :meth:`~AdmissionHelper.backlog` is at most k copies; otherwise this
+        process checks that copy now.  Which gateways defer does not depend
+        on timing, only where that one copy is checked.  None defer when
+        the helper has failed or no gateway will check.
+        """
+        helper = self._helper
         acct = self.state.accounts.get(tx.sender)
         # envelope_fault checks no signature of a sender without an account or roles
-        if not self._helper.working or acct is None or not acct.roles:
-            return [], None
+        if not helper.working or acct is None or not acct.roles:
+            return [], None, b""
         checking = [
             name
             for name in self._gateway_operators()
             if FAULT_OFFLINE not in self.faults[name] and not censors(self.faults[name], tx)
         ]
-        remote = checking[len(checking) - len(checking) // 2 :]
-        if remote and not self._helper.room(len(remote)):
+        k = len(checking)
+        deferred = checking[k - min(k // 2 + 1, k - 1) :]
+        if not deferred:
+            return [], None, b""
+        if not helper.room(len(deferred)):
             self._settle()
-        if not remote or not self._helper.ask(raw, acct.public_key, len(remote)):
-            return [], None
-        return remote, acct.public_key
+        key = acct.public_key
+        copies = len(deferred) if len(deferred) == k // 2 or helper.backlog() <= k else k // 2
+        if not helper.ask(raw, key, copies):
+            return [], None, b""
+        return deferred, key, helper.check_here(raw, key) if copies < len(deferred) else b""
 
     def _settle(self) -> bool:
-        """Admit each unsettled broadcast at its helper-checked gateways, oldest
+        """Admit each unsettled broadcast at its deferred gateways, oldest
         first, so each gateway admits in broadcast order; whether one of them
-        admitted the newest.
+        admitted the newest.  The first deferred gateway takes this
+        process's flag when it checked that copy, and the rest the helper's.
 
         Until then only those gateways' pools and token buckets lag, and
         nothing reads them: the run settles before a fault step changes what
-        a gateway admits, before a block is built from a pool and at the end
-        of each tick.
+        a gateway admits, before such a gateway admits in this process,
+        before a block is built from a pool and at the end of each tick.
         """
         admitted = False
         while self._unsettled:
-            raw, tick, remote, key = self._unsettled.popleft()
+            raw, tick, deferred, key, here = self._unsettled.popleft()
             admitted = False
-            for name, ok in zip(remote, self._helper.answer(len(remote))):
+            flags = here + self._helper.answer(len(deferred) - len(here))
+            for name, ok in zip(deferred, flags):
                 if isinstance(self._security_gateway(name).admit(self.state, raw, tick, key if ok else None), Admitted):
                     admitted = True
+        self._holding.clear()
         return admitted
 
     def _run_query(self, body: dict, tick: int) -> None:
@@ -937,6 +978,7 @@ class Simulation:
                 self._helper.stop()
                 self._helper = None
                 self._unsettled.clear()
+                self._holding.clear()
 
     def _run(self) -> Report:
         by_tick: dict[int, list[Step]] = {}

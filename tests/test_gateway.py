@@ -13,6 +13,7 @@ from rolechain.engine import apply_transaction, verify_evidence, view_key_fault
 from rolechain.errors import QueryError, TxError
 from rolechain.gateway import (
     KNOWN_FAULTS,
+    MAX_OPEN_CHALLENGES,
     Admitted,
     Censored,
     Rejected,
@@ -465,6 +466,24 @@ def test_challenge_single_use():
     with pytest.raises(QueryError) as exc:
         vis.answer(world.state, request)
     assert exc.value.code == err.BAD_CHALLENGE
+
+
+def test_open_challenges_keep_the_newest_within_their_bound():
+    world = _gateway_world()
+    _, vis = _gateways(world, "v0")
+    issued = []
+    for _ in range(3 * MAX_OPEN_CHALLENGES):
+        issued.append(vis.issue_challenge())
+        assert len(vis._open_challenges) <= MAX_OPEN_CHALLENGES
+    assert len(vis._open_challenges) == MAX_OPEN_CHALLENGES
+    query = OwnBalance(world.aid("alice"))
+    # the oldest challenge still open answers; one issued just before it was dropped
+    for challenge in (issued[-1], issued[-MAX_OPEN_CHALLENGES]):
+        vis.answer(world.state, sign_request(world.kp("alice"), challenge, query, world.aid("alice")))
+    for challenge in (issued[0], issued[-MAX_OPEN_CHALLENGES - 1]):
+        with pytest.raises(QueryError) as exc:
+            vis.answer(world.state, sign_request(world.kp("alice"), challenge, query, world.aid("alice")))
+        assert exc.value.code == err.BAD_CHALLENGE
 
 
 def test_challenge_signature_must_match_key():
