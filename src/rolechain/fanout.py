@@ -16,16 +16,9 @@ from __future__ import annotations
 
 import os
 import signal
-import sys
 import threading
 from collections.abc import Callable
 from typing import NamedTuple
-
-try:
-    from fcntl import ioctl
-    from termios import FIONREAD
-except ImportError:  # not POSIX, where no child is forked either
-    ioctl = FIONREAD = None
 
 
 def usable_cpus() -> int:
@@ -103,12 +96,6 @@ def write_all(fd: int, data: bytes) -> None:
     view = memoryview(data)
     while view:
         view = view[os.write(fd, view):]
-
-
-def unread(fd: int) -> int:
-    """How many bytes wait in a pipe that no read has taken yet, asked
-    without blocking; raises ``OSError`` as ``ioctl`` does."""
-    return int.from_bytes(ioctl(fd, FIONREAD, bytes(4)), sys.byteorder)
 
 
 def read_to_end(fd: int) -> bytes:

@@ -10,10 +10,9 @@ get access-checked against the visibility rules, and come back signed
 under the gateway validator's registered view key so a client can later
 prove what it was told.
 
-A sim run may defer some gateways' admissions to a forked
-:class:`AdmissionHelper`: each of those gateways still checks its own
-copy, mostly on another core, and one of them on this one whenever the
-helper is behind.
+A sim run may hand some gateways' signature checks to a forked
+:class:`AdmissionHelper`; each of those gateways still checks its own
+copy, only on another core.
 
 Fault injection is first-class: a gateway can be configured to corrupt its
 answers or to censor submissions, which is exactly what the discrepancy
@@ -24,7 +23,6 @@ admission and by a publisher choosing its block's transactions.
 from __future__ import annotations
 
 import hashlib
-import math
 import select
 import struct
 from collections import OrderedDict
@@ -231,17 +229,14 @@ class AdmissionHelper:
     each copy, as that many gateways would, and writes one flag byte per
     copy, which :meth:`answer` reads back, request by request in the order
     asked.  Meanwhile this process admits at the other gateways and may
-    ask again before it reads an answer.  A deferred copy the helper is
-    not asked for, because its :meth:`backlog` is too long, gets its flag
-    from :meth:`check_here` instead, computed the same way.  A gateway
-    whose flag is true admits with ``checked`` set to the key; every other
-    one verifies inline.  A helper that fails a write or a read (it died,
-    say) is used no more, so no verdict depends on it.
+    ask again before it reads an answer.  A gateway whose flag is true
+    admits with ``checked`` set to the key; every other one verifies
+    inline.  A helper that fails a write or a read (it died, say) is used
+    no more, so no verdict depends on it.
     """
 
-    def __init__(self, child: fanout.Child, scheme):
+    def __init__(self, child: fanout.Child):
         self.child = child
-        self.scheme = scheme
         self.working = True
         self.unanswered = 0  # flags asked for and not yet read
 
@@ -252,20 +247,6 @@ class AdmissionHelper:
         while this process waits to write a request."""
         return self.unanswered + copies <= select.PIPE_BUF
 
-    def backlog(self) -> float:
-        """How many flags asked for the helper has yet to write: those not
-        yet read, less those already waiting in the reply pipe.  Infinite
-        when the pipe cannot say what it holds."""
-        try:
-            return self.unanswered - fanout.unread(self.child.replies)
-        except OSError:
-            return math.inf
-
-    def check_here(self, frame: bytes, key: bytes) -> bytes:
-        """The flag the helper would write for one copy of ``frame``,
-        checked in this process on a copy of its own."""
-        return b"\1" if _copy_verifies(self.scheme, key, frame) else b"\0"
-
     @classmethod
     def start(cls, scheme_name: str) -> AdmissionHelper | None:
         """A helper for ``scheme_name``'s checks, or None when one cannot pay
@@ -275,7 +256,7 @@ class AdmissionHelper:
         if not fanout.may_fork(scheme) or fanout.usable_cpus() < 2:
             return None
         child = fanout.fork_child(partial(_serve, scheme), requests=True)
-        return None if child is None else cls(child, scheme)
+        return None if child is None else cls(child)
 
     def ask(self, frame: bytes, key: bytes, copies: int) -> bool:
         """Send one request; False when the helper cannot take it."""

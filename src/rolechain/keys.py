@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import hashlib
 import hmac
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives.asymmetric.ed25519 import (
@@ -48,6 +48,10 @@ class KeyPair:
     scheme: str
     public_key: bytes
     secret: bytes
+    # the scheme's parsed form of ``secret``, kept so that signing does not
+    # parse it again; None for a scheme that signs from the bytes themselves,
+    # and for a pair built by hand, which parses on each signature
+    private: object = field(default=None, repr=False, compare=False)
 
     def sign(self, message: bytes) -> bytes:
         return get_scheme(self.scheme).sign(self, message)
@@ -107,10 +111,11 @@ class Ed25519Scheme:
         secret = hashlib.sha256(b"ed25519-seed:" + seed).digest()
         private = Ed25519PrivateKey.from_private_bytes(secret)
         public = private.public_key().public_bytes_raw()
-        return KeyPair(self.name, public, secret)
+        return KeyPair(self.name, public, secret, private)
 
     def sign(self, pair: KeyPair, message: bytes) -> bytes:
-        private = Ed25519PrivateKey.from_private_bytes(pair.secret)
+        # parsing a secret costs as much as signing with it (~40 µs each)
+        private = pair.private if pair.private is not None else Ed25519PrivateKey.from_private_bytes(pair.secret)
         return private.sign(message)
 
     def verify(self, public_key: bytes, message: bytes, signature: bytes) -> bool:

@@ -565,10 +565,9 @@ class Simulation:
         self._operators_of: tuple[list[bytes], int] | None = None
         self._operators: list[str] = []
         self._helper: AdmissionHelper | None = None  # kept by run()
-        # broadcasts whose deferred gateways have yet to admit them, oldest
-        # first: (frame, tick, those gateways, the key their copies are
-        # checked under, the flag of the copy this process checked, if any)
-        self._unsettled: deque[tuple[bytes, int, list[str], bytes, bytes]] = deque()
+        # broadcasts whose helper-checked gateways have yet to admit them, oldest
+        # first: (frame, tick, those gateways, the key the helper checks under)
+        self._unsettled: deque[tuple[bytes, int, list[str], bytes]] = deque()
         self._holding: set[str] = set()  # the gateways named in _unsettled
         self._build_genesis()
 
@@ -703,91 +702,60 @@ class Simulation:
         """Submit to every reachable security gateway; propagate on admission.
 
         While the run keeps an admission helper, the gateways
-        :meth:`_helper_checks` names admit later, each with a verdict on
-        its own copy made in the helper or in this process: at the next
-        :meth:`_settle`, or at once when no other gateway admitted the
-        transaction.  Meanwhile this process goes on without waiting for
-        the helper.
+        :meth:`_helper_checks` names admit later, each with the helper's
+        verdict on its own copy: at the next :meth:`_settle`, or at once
+        when no other gateway admitted the transaction.  Meanwhile this
+        process goes on without waiting for the helper.  A gateway that
+        still holds an unsettled admission is settled before it admits
+        here, so each gateway admits in broadcast order whichever gateways
+        a transaction defers.
         """
         raw = tx.encode()
-        if self._helper is None:
-            accepted_anywhere = False
-            for name in self._gateway_operators():
-                if FAULT_OFFLINE in self.faults[name]:
-                    continue
-                if isinstance(self._security_gateway(name).admit(self.state, raw, tick), Admitted):
-                    accepted_anywhere = True
-        else:
-            accepted_anywhere = self._admit_helped(tx, raw, tick)
-        if accepted_anywhere:
-            self.admitted_ids.add(tx.tx_id)
-            self.mempool[tx.tx_id] = tx
-        return accepted_anywhere
-
-    def _admit_helped(self, tx: Transaction, raw: bytes, tick: int) -> bool:
-        """Admit ``raw`` at each online gateway while the run keeps a helper:
-        now, or deferred to a settle; whether a gateway admitted it.
-
-        A gateway that still holds an unsettled admission is settled before
-        it admits here, so each gateway admits in broadcast order whichever
-        gateways a transaction defers.
-        """
-        deferred, key, here = self._helper_checks(tx, raw)
+        remote, key = self._helper_checks(tx, raw) if self._helper is not None else ([], None)
         accepted_anywhere = False
         for name in self._gateway_operators():
-            if FAULT_OFFLINE in self.faults[name] or name in deferred:
+            if FAULT_OFFLINE in self.faults[name] or name in remote:
                 continue
             if name in self._holding:
                 self._settle()
             if isinstance(self._security_gateway(name).admit(self.state, raw, tick), Admitted):
                 accepted_anywhere = True
-        if deferred:
-            self._unsettled.append((raw, tick, deferred, key, here))
-            self._holding.update(deferred)
+        if remote:
+            self._unsettled.append((raw, tick, remote, key))
+            self._holding.update(remote)
             if not accepted_anywhere:
                 accepted_anywhere = self._settle()
+        if accepted_anywhere:
+            self.admitted_ids.add(tx.tx_id)
+            self.mempool[tx.tx_id] = tx
         return accepted_anywhere
 
-    def _helper_checks(self, tx: Transaction, raw: bytes) -> tuple[list[str], bytes | None, bytes]:
-        """The gateways that defer ``tx`` to a settle, the key their copies
-        are checked under (the sender's current one), and the flag of the
-        copy this process checked for them, if it checked one.
-
-        Of the k online gateways that will check the signature, the last
-        d = min(k // 2 + 1, k - 1) defer.  The helper is asked for the last
-        k // 2 copies, and for the first deferred one too when its
-        :meth:`~AdmissionHelper.backlog` is at most k copies; otherwise this
-        process checks that copy now.  Which gateways defer does not depend
-        on timing, only where that one copy is checked.  None defer when
-        the helper has failed or no gateway will check.
-        """
-        helper = self._helper
+    def _helper_checks(self, tx: Transaction, raw: bytes) -> tuple[list[str], bytes | None]:
+        """The gateways whose copies of ``tx`` the admission helper has been
+        asked to check, and the key it checks under: of the k online
+        gateways that will check the signature, the last k // 2, under the
+        sender's current key.  Neither when the helper has failed or no
+        gateway will check."""
         acct = self.state.accounts.get(tx.sender)
         # envelope_fault checks no signature of a sender without an account or roles
-        if not helper.working or acct is None or not acct.roles:
-            return [], None, b""
+        if not self._helper.working or acct is None or not acct.roles:
+            return [], None
         checking = [
             name
             for name in self._gateway_operators()
             if FAULT_OFFLINE not in self.faults[name] and not censors(self.faults[name], tx)
         ]
-        k = len(checking)
-        deferred = checking[k - min(k // 2 + 1, k - 1) :]
-        if not deferred:
-            return [], None, b""
-        if not helper.room(len(deferred)):
+        remote = checking[len(checking) - len(checking) // 2 :]
+        if remote and not self._helper.room(len(remote)):
             self._settle()
-        key = acct.public_key
-        copies = len(deferred) if len(deferred) == k // 2 or helper.backlog() <= k else k // 2
-        if not helper.ask(raw, key, copies):
-            return [], None, b""
-        return deferred, key, helper.check_here(raw, key) if copies < len(deferred) else b""
+        if not remote or not self._helper.ask(raw, acct.public_key, len(remote)):
+            return [], None
+        return remote, acct.public_key
 
     def _settle(self) -> bool:
-        """Admit each unsettled broadcast at its deferred gateways, oldest
+        """Admit each unsettled broadcast at its helper-checked gateways, oldest
         first, so each gateway admits in broadcast order; whether one of them
-        admitted the newest.  The first deferred gateway takes this
-        process's flag when it checked that copy, and the rest the helper's.
+        admitted the newest.
 
         Until then only those gateways' pools and token buckets lag, and
         nothing reads them: the run settles before a fault step changes what
@@ -796,10 +764,9 @@ class Simulation:
         """
         admitted = False
         while self._unsettled:
-            raw, tick, deferred, key, here = self._unsettled.popleft()
+            raw, tick, remote, key = self._unsettled.popleft()
             admitted = False
-            flags = here + self._helper.answer(len(deferred) - len(here))
-            for name, ok in zip(deferred, flags):
+            for name, ok in zip(remote, self._helper.answer(len(remote))):
                 if isinstance(self._security_gateway(name).admit(self.state, raw, tick, key if ok else None), Admitted):
                     admitted = True
         self._holding.clear()

@@ -1,22 +1,17 @@
 """The sim's admission helper changes no outcome and leaves no process behind.
 
 While ``Simulation.run`` runs an ed25519 scenario on a machine with two
-usable CPUs, the last d = min(k // 2 + 1, k - 1) of the k gateways that
-will check a broadcast's signature defer their admission to a settle.  A
-forked ``gateway.AdmissionHelper`` checks the last k // 2 of those copies,
-and the first one too when its backlog allows; otherwise this process
-checks that one at broadcast time.  Each case here runs with the helper
-forced off (one usable CPU) and forced on (two, whatever this machine
-has): with the backlog as the pipe reports it, read as 0 (the helper
-always has room) and read as infinite (never), and requires
-byte-identical reports and dumps and the same admission outcome at every
-gateway.
+usable CPUs, a forked ``gateway.AdmissionHelper`` checks the copies of the
+last k // 2 of the k gateways that will check a broadcast's signature,
+and those gateways admit with ``checked`` set.  Each case here runs with the
+helper forced on (two usable CPUs, whatever this machine has) and forced
+off (one), and requires byte-identical reports and dumps and the same
+admission outcome at every gateway.
 """
 
 from __future__ import annotations
 
 import copy
-import math
 import os
 import signal
 import threading
@@ -113,15 +108,6 @@ CASES = {
     "burst": (_scenario(*BURST, actors=({"name": "burst", "roles": ["user"], "balance": 100},)), None, err.THROTTLED),
 }
 
-# how the backlog reads in each helped run: as the reply pipe says, always
-# room for the moving copy, never room
-BACKLOGS = {"as reported": None, "room": 0, "no room": math.inf}
-
-
-def _deferred(k: int) -> int:
-    """How many of k checking gateways defer a broadcast: d."""
-    return max(0, min(k // 2 + 1, k - 1))
-
 
 @pytest.fixture
 def forks(monkeypatch) -> list[int]:
@@ -155,14 +141,6 @@ def flags(monkeypatch) -> list[tuple[int, bytes]]:
 
 def _helper(monkeypatch, on: bool) -> None:
     monkeypatch.setattr(fanout, "usable_cpus", lambda: 2 if on else 1)
-
-
-_REPORTED_BACKLOG = AdmissionHelper.backlog
-
-
-def _backlog(monkeypatch, backlog: float | None) -> None:
-    """Read the helper's backlog as ``backlog``, or as the pipe reports it when None."""
-    monkeypatch.setattr(AdmissionHelper, "backlog", _REPORTED_BACKLOG if backlog is None else lambda self: backlog)
 
 
 def _play(raw: dict, monkeypatch, hook=None) -> tuple[str, bytes, list]:
@@ -203,29 +181,26 @@ def _no_children_left() -> None:
 @pytest.mark.parametrize("case", CASES)
 def test_the_helper_gives_the_outcome_of_a_run_without_it(case, forks, flags, monkeypatch):
     raw, hook, reason = CASES[case]
+    _helper(monkeypatch, on=True)
+    helped = _play(raw, monkeypatch, hook)
+    assert len(forks) == 1
+    _no_children_left()
+    asked = len(flags)
+    assert asked > 0 and any(any(f) for _, f in flags)
+
     _helper(monkeypatch, on=False)
     alone = _play(raw, monkeypatch, hook)
-    assert forks == [] and flags == []
+    assert len(forks) == 1 and len(flags) == asked
+    _no_children_left()
+
+    assert helped[0] == alone[0]  # the report
+    assert helped[1] == alone[1]  # the dump
+    assert helped[2] == alone[2]  # each gateway's outcome for each frame
     if reason is not None:
         assert reason in {o[3] for o in alone[2]} | {o[4] for o in alone[2]}
-
-    _helper(monkeypatch, on=True)
-    for runs, backlog in enumerate(BACKLOGS.values(), 1):
-        _backlog(monkeypatch, backlog)
-        flags.clear()
-        helped = _play(raw, monkeypatch, hook)
-        assert len(forks) == runs
-        _no_children_left()
-        assert flags and any(any(f) for _, f in flags)
-
-        assert helped[0] == alone[0]  # the report
-        assert helped[1] == alone[1]  # the dump
-        assert helped[2] == alone[2]  # each gateway's outcome for each frame
-        if case == "helper killed":
-            # asked at ticks 1 and 2 only, with k = 4 each time, and every
-            # flag true: after the kill every gateway checks inline
-            assert len(flags) == 2 * 3
-            assert all(2 <= copies <= 3 and read == b"\1" * copies for copies, read in flags)
+    if case == "helper killed":
+        # asked at ticks 1 and 2 only: after the kill every gateway checks inline
+        assert asked == 2 * 3 and all(f == b"\1\1" for _, f in flags[:asked])
 
 
 def test_a_stale_key_is_refused_by_every_gateway(flags, monkeypatch):
@@ -234,8 +209,7 @@ def test_a_stale_key_is_refused_by_every_gateway(flags, monkeypatch):
     _, _, outcomes = _play(raw, monkeypatch, hook)
     stale = [o for o in outcomes if o[0] == 3 and o[4] == err.BAD_SIGNATURE]
     assert len(stale) == 2 * len(VALIDATORS)  # alice's two transfers of tick 3, at every gateway
-    # the helper found them false and vouched for nothing
-    assert any(copies >= 2 and read == bytes(copies) for copies, read in flags)
+    assert (2, b"\0\0") in flags  # the helper found them false and vouched for nothing
 
 
 def _admissions_in_order(monkeypatch, helped: bool) -> dict[str, list[tuple[str, str]]]:
@@ -244,9 +218,9 @@ def _admissions_in_order(monkeypatch, helped: bool) -> dict[str, list[tuple[str,
     broadcasts in one window, with v1 censoring discrepancy events and a
     bucket that holds one token.
 
-    With a helper the transfer defers at v2 to v4 and the event only at v3
-    and v4, so v2 admits the event in this process while it still holds
-    the transfer unsettled.
+    With a helper the transfer defers at v3 and v4 and the event only at
+    v4, so v3 admits the event in this process while it still holds the
+    transfer unsettled.
     """
     raw = _scenario(faults={"v1": ["censor_discrepancy"]})
     raw["steps"] = []
@@ -288,7 +262,7 @@ def test_a_gateway_admits_in_broadcast_order_whichever_gateways_defer(monkeypatc
     assert alone["v1"] == [("Transfer", "Admitted"), ("DiscrepancyEvent", "Censored")]
     for name in ("v2", "v3", "v4"):
         assert alone[name] == [("Transfer", "Admitted"), ("DiscrepancyEvent", err.THROTTLED)]
-    # v2 settles the transfer before it admits the event, so it too admits
+    # v3 settles the transfer before it admits the event, so it too admits
     # the transfer and throttles the event
     assert _admissions_in_order(monkeypatch, helped=True) == alone
 
@@ -332,72 +306,7 @@ def test_each_copy_is_checked_once_here_or_in_the_helper(on, offline, forks, mon
     assert {m: here[m] + vouched[m] for m in signed} == {m: online for m in signed}
     assert len(forks) == on and bool(vouched) == on
     if on:
-        # the helper checks the last k // 2 copies, and the moving one when it has room
-        assert all(online // 2 <= vouched[m] <= _deferred(online) for m in signed)
-
-
-@pytest.mark.parametrize("backlog", ["room", "no room"])
-@pytest.mark.parametrize("offline", [[], ["v3"]], ids=["all online", "v3 offline"])
-def test_the_moving_copy_is_checked_where_the_backlog_says(backlog, offline, flags, monkeypatch):
-    here: Counter[bytes] = Counter()
-    settling = []  # true while the run settles
-    at_settle: Counter[bytes] = Counter()  # checks this process made while settling
-    verify, settle = Ed25519Scheme.verify, Simulation._settle
-
-    def counting_verify(self, public_key, message, signature):
-        if message.startswith(b"tx:"):
-            here[message] += 1
-            at_settle[message] += bool(settling)
-        return verify(self, public_key, message, signature)
-
-    def marked_settle(self):
-        settling.append(True)
-        try:
-            return settle(self)
-        finally:
-            settling.pop()
-
-    monkeypatch.setattr(Ed25519Scheme, "verify", counting_verify)
-    monkeypatch.setattr(Simulation, "_settle", marked_settle)
-    _helper(monkeypatch, on=True)
-    _backlog(monkeypatch, BACKLOGS[backlog])
-    sim = Simulation(parse_scenario(_scenario(faults={name: ["offline"] for name in offline})))
-    sim.run()
-    _no_children_left()
-
-    k = len(VALIDATORS) - len(offline)
-    remote = _deferred(k) if backlog == "room" else k // 2
-    assert flags and all(copies == remote and read == b"\1" * copies for copies, read in flags)
-    signed = [tx.signing_bytes() for block in sim.chain.blocks for tx in block.txs]
-    assert len(signed) == 18 and all(here[m] == k - remote for m in signed)
-    # a deferred gateway admits on a flag made earlier, here or in the helper
-    assert not any(at_settle[m] for m in signed)
-
-
-def test_the_backlog_counts_the_flags_the_helper_has_yet_to_write(monkeypatch):
-    _helper(monkeypatch, on=True)
-    helper = AdmissionHelper.start("ed25519")
-    try:
-        sim = Simulation(parse_scenario(_scenario()))
-        tx = sign_transaction(sim.keys["alice"], sim.aid("alice"), 0, Transfer(sim.aid("bob"), 1))
-        assert helper.backlog() == 0
-        assert helper.ask(tx.encode(), sim.keys["alice"].public_key, 3)
-        assert 0 <= helper.backlog() <= 3
-        deadline = time.monotonic() + 30
-        while helper.backlog() and time.monotonic() < deadline:
-            time.sleep(0.001)
-        assert helper.backlog() == 0 and helper.unanswered == 3  # written, not yet read
-        assert helper.check_here(tx.encode(), sim.keys["alice"].public_key) == b"\1" == helper.answer(1)
-        assert helper.check_here(tx.encode(), sim.keys["bob"].public_key) == b"\0"
-
-        def failing(fd):
-            raise OSError(9, "Bad file descriptor")
-
-        monkeypatch.setattr(fanout, "unread", failing)
-        assert helper.backlog() == math.inf  # a pipe that cannot say means no room
-    finally:
-        helper.stop()
-    _no_children_left()
+        assert all(vouched[m] == online // 2 for m in signed)
 
 
 # --- process hygiene -----------------------------------------------------------------
@@ -435,8 +344,7 @@ def test_an_interrupt_while_the_helper_checks_stops_and_reaps_it(forks, flags, m
     with pytest.raises(KeyboardInterrupt):
         Simulation(parse_scenario(_scenario())).run()
     assert time.monotonic() - started < 30
-    # the one request asks for the last k // 2 copies, or d with the moving one
-    assert len(forks) == 1 and len(asked) == 1 and 2 <= asked[0] <= 3 and flags == []
+    assert len(forks) == 1 and asked == [2] and flags == []
     _no_children_left()
 
 
@@ -457,20 +365,9 @@ def test_a_helper_that_fails_vouches_for_nothing(fate, forks, flags, monkeypatch
     monkeypatch.setattr(gateway_module, "_serve", serve)
     vouched = []
     mark = gateway_module.mark_verified
-    monkeypatch.setattr(gateway_module, "mark_verified", lambda *args: vouched.append(args[0].encode()) or mark(*args))
-    checked_here = []  # frames this process found signed, for a moving copy
-    check_here = AdmissionHelper.check_here
-
-    def recording_check_here(self, frame, key):
-        flag = check_here(self, frame, key)
-        if flag == b"\1":
-            checked_here.append(frame)
-        return flag
-
-    monkeypatch.setattr(AdmissionHelper, "check_here", recording_check_here)
+    monkeypatch.setattr(gateway_module, "mark_verified", lambda *args: vouched.append(args) or mark(*args))
     assert _play(raw, monkeypatch, hook) == expected
-    # only this process's own checks vouch for a copy
-    assert len(forks) == 1 and sorted(vouched) == sorted(checked_here)
+    assert len(forks) == 1 and vouched == []
     # only tick 1's three broadcasts can be asked before the failure shows, at
     # a failed write or at the settle before tick 1's block
     assert len(flags) <= 3 and all(read == bytes(copies) for copies, read in flags)

@@ -64,6 +64,16 @@ def test_signatures_deterministic():
         assert pair.sign(b"m") == pair.sign(b"m")
 
 
+def test_a_kept_signing_key_signs_as_its_secret_does():
+    pair = keypair_from_label("ed25519", "x", 1)
+    assert pair.private is not None
+    by_hand = KeyPair(pair.scheme, pair.public_key, pair.secret)
+    assert by_hand.private is None and by_hand == pair
+    assert by_hand.sign(b"m") == pair.sign(b"m")
+    assert get_scheme("ed25519").verify(pair.public_key, b"m", pair.sign(b"m"))
+    assert keypair_from_label("mock", "x", 1).private is None
+
+
 def test_unknown_scheme_rejected():
     with pytest.raises(InvalidKey):
         get_scheme("rsa")
