@@ -41,6 +41,13 @@ compiles nothing.  :func:`encoding` gives the bytes of one value and
 signed messages included, is a declared codec's after at most a constant
 prefix.  A codec without source is called from a record's encoder or
 decoder instead.
+
+A set of members of a small enum, an account's roles, is coded by
+:class:`EnumSet` through two tables in place of the element loop: each set
+to its encoding, and each encoding to its set.  They keep only sets that
+passed every check, at most one entry per subset, and any other value or
+frame goes through :func:`set_of`'s loop, so the bytes and the errors are
+the loop's.
 """
 
 from __future__ import annotations
@@ -446,6 +453,54 @@ def set_of(inner: Field) -> Field:
     return _field(*_each(inner, "sorted({})", ascending, "frozenset({})"), inner)
 
 
+class EnumSet:
+    """A set of members of ``kind``, written and read as ``set_of(enum(kind))``
+    is, through two tables: each set to its encoding, for writing, and each
+    encoding's elements to the set, for reading.
+
+    A table keeps only a valid set, so each holds at most ``2 ** len(kind)``
+    entries, one per subset.  Any other value, and any frame the table
+    lacks, goes through ``set_of(enum(kind))`` with every check it makes.
+    Usable as a :class:`Field`, as :class:`Tagged` is.
+    """
+
+    def __init__(self, kind: type[Enum]):
+        self.kind = kind
+        self.generic = set_of(enum(kind))
+        self.encodings: dict[frozenset, bytes] = {}
+        self.sets: dict[bytes, frozenset] = {}
+        self.encode = _lazy(lambda: _compile(self.source))
+        self.read = _lazy(lambda: _compile_read(self.read_source))
+
+    def source(self, s: _Source, v: str) -> list:
+        items: list = []
+        value = s.bind(v, items)
+        data = s.local()
+        # an unhashable value (a set or a list) is not in the table
+        lookup = ["try:", f"    {data} = {s.const(self.encodings)}.get({value})", "except TypeError:", f"    {data} = None"]
+        return [*items, *lookup, f"if {data} is None: {data} = {s.const(self._encode_new)}({value})", f"b += {data}"]
+
+    def read_source(self, s: _Source, v: str) -> list:
+        n = s.local()
+        # a slice of a bytearray, or of a writable memoryview, is unhashable
+        lookup = ["try:", f"    {v} = {s.const(self.sets)}.get(d[p : p + {n}])", "except (TypeError, ValueError):", f"    {v} = None"]
+        found = s.branches([(f"{v} is None", [f"{v}, p = {s.const(self._read_new)}(d, p - 4)"])], f"p += {n}")
+        return [*_count(n), *lookup, *found]
+
+    def _encode_new(self, value) -> bytes:
+        """The generic encoding of a value the table lacks, kept if it is a set of members."""
+        data = encoding(self.generic.encode, value)
+        if type(value) is frozenset and all(type(member) is self.kind for member in value):
+            self.encodings[value] = data
+        return data
+
+    def _read_new(self, data, pos: int) -> tuple[frozenset, int]:
+        """The generic read of the set whose count is at ``pos``, kept once it has passed every check."""
+        value, end = self.generic.read(data, pos)
+        self.sets[bytes(data[pos + 4 : end])] = value
+        return value, end
+
+
 def _by_key(key: Field | str, value: Field) -> tuple[Callable, Callable]:
     """The source and read source of a count, then each entry in strictly
     ascending key order: its key, then its value, or the value alone if
@@ -553,18 +608,19 @@ def wire(codec: Field, *, when: tuple[str, Any] | None = None, **kwargs) -> Any:
     return dataclasses.field(metadata={"codec": codec, "when": when}, **kwargs)
 
 
-def wire_record(cls: type | None = None, *, frozen: bool = True):
+def wire_record(cls: type | None = None, *, frozen: bool = True, slots: bool = False):
     """Make ``cls`` a dataclass with ``FIELDS``, the codec of its fields.
 
     The record is its fields' encodings in declaration order.  A wire type
     is frozen and declares every field with :func:`wire`.  A ledger state
     record is declared with ``frozen=False``; a field of it declared
     without :func:`wire` is outside its encoding, and the record then only
-    encodes.
+    encodes.  With ``slots`` its instances keep their fields in slots, with
+    no ``__dict__``.
     """
 
     def make(cls: type) -> type:
-        cls = dataclasses.dataclass(frozen=frozen)(cls)
+        cls = dataclasses.dataclass(frozen=frozen, slots=slots)(cls)
         cls.FIELDS = _generate(cls, whole=frozen)
         return cls
 

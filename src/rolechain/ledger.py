@@ -11,7 +11,9 @@ The state keeps its own role-holder lists (see :meth:`LedgerState.holders`),
 so an account's roles change only through ``LedgerState.set_roles``, and
 accounts enter ``LedgerState.accounts`` through ``add_account`` alone and
 are never replaced or removed.  An account's roles are a ``frozenset``,
-one shared by every account holding the same roles.
+one shared by every account holding the same roles: ``Account.__post_init__``
+and ``set_roles`` intern it, the only two writes of roles.  The records
+built per account or per transaction keep their fields in slots.
 
 The transaction log is append-only and written by :meth:`LedgerState.log`
 alone, which also keeps the indexes that answer history and
@@ -64,6 +66,7 @@ from .codec import (
     U32,
     U64,
     U64_MAX,
+    EnumSet,
     encoding,
     enum,
     none_as,
@@ -109,34 +112,35 @@ class Authority(Enum):
     SYSTEM = 2
 
 
-@wire_record(frozen=False)
+# one frozenset per distinct role set (at most 2 ** len(Role)), shared by
+# every account of every state that holds exactly those roles
+_role_sets: dict[frozenset[Role], frozenset[Role]] = {}
+
+
+def _shared(roles) -> frozenset[Role]:
+    """The frozenset of ``roles`` that every account holding exactly them shares."""
+    roles = frozenset(roles)
+    return _role_sets.setdefault(roles, roles)
+
+
+@wire_record(frozen=False, slots=True)
 class Account:
     account_id: bytes = wire(BYTES)
     public_key: bytes = wire(BYTES)
-    roles: frozenset[Role] = wire(set_of(enum(Role)), default_factory=frozenset)
+    roles: frozenset[Role] = wire(EnumSet(Role), default_factory=frozenset)
     balance: int = wire(U64, default=0)
     frozen: bool = wire(BOOL, default=False)
     nonce: int = wire(U64, default=0)
     provider: bytes | None = wire(optional(BYTES), default=None)
     recovery: RecoveryPolicy = wire(RECOVERY, default_factory=ProviderOnly)
 
-
-# one frozenset per distinct role set (at most 2 ** len(Role)), shared by
-# every account of every state that holds exactly those roles
-_role_sets: dict[frozenset[Role], frozenset[Role]] = {}
-
-
-def _set_roles(acct: Account, roles) -> None:
-    roles = frozenset(roles)
-    acct._roles = _role_sets.setdefault(roles, roles)
+    def __post_init__(self) -> None:
+        # once the account is in a state, only ``LedgerState.set_roles``
+        # assigns its roles, keeping the state's holder lists
+        self.roles = _shared(self.roles)
 
 
-# an assignment of roles stores the shared frozenset; once the account is in
-# a state, only ``LedgerState.set_roles`` assigns them, keeping its holder lists
-Account.roles = property(attrgetter("_roles"), _set_roles)
-
-
-@wire_record(frozen=False)
+@wire_record(frozen=False, slots=True)
 class Policy:
     key: str = wire(TEXT)
     value: int | bytes = wire(POLICY_VALUE)
@@ -202,7 +206,7 @@ class ProposalStatus(Enum):
     EXPIRED = "expired"
 
 
-@wire_record(frozen=False)
+@wire_record(frozen=False, slots=True)
 class Proposal:
     proposal_id: int = wire(U64)
     action: object  # a Payload executed with system authority on passage
@@ -221,7 +225,7 @@ class Proposal:
 _USER = Role.USER
 
 
-@wire_record(frozen=False)
+@wire_record(frozen=False, slots=True)
 class InterestRule:
     rule_id: int = wire(U64)
     rate_num: int = wire(U64)
@@ -256,7 +260,7 @@ class PullSum:
         self.rule, self.next_total = rule, next_total
 
 
-@wire_record(frozen=False)
+@wire_record(frozen=False, slots=True)
 class AllowanceLedger:
     """Per-account, per-rule record of settled, unclaimed periods."""
 
@@ -265,7 +269,7 @@ class AllowanceLedger:
     accrued: list[tuple[int, int]] = wire(seq_of(tuple_of(U64, U64)), default_factory=list)
 
 
-@wire_record(frozen=False)
+@wire_record(frozen=False, slots=True)
 class Allowances:
     """An account's pull allowances: how many of the state's pull accruals it
     has settled, and per rule its settled, unclaimed periods."""
@@ -299,7 +303,7 @@ LOG_VALUE = tagged_value(int, bytes, bool, str)
 LOG_DATA = sorted_map(TEXT, LOG_VALUE)
 
 
-@wire_record(frozen=False)
+@wire_record(frozen=False, slots=True)
 class LogEntry:
     """One applied (or on-chain failed) transaction, summarized.
 
@@ -437,6 +441,7 @@ class LedgerState:
         self._after_write(acct)
 
     def set_roles(self, acct: Account, roles) -> None:
+        roles = _shared(roles)
         self._before_write(acct)
         if self._accruals and (_USER in roles) != (_USER in acct.roles):
             # the periods so far were the account's, or not, by its old roles

@@ -437,7 +437,7 @@ SHARE_TABLES = {"accounts", "interest_rules", "_pull"}
 SHARE_WRITERS = {
     f"ledger.LedgerState.{name}"
     for name in ("add_account", "set_roles", "set_frozen", "add_rule", "set_rule_active", "_track", "_before_write", "_after_write")
-} | {"ledger", "ledger.PullSum.__init__"}  # the module declares the ``Account.roles`` property
+} | {"ledger.Account.__post_init__", "ledger.PullSum.__init__"}  # a new account's roles are interned
 
 
 class _MoneyWrites(ast.NodeVisitor):
@@ -531,9 +531,12 @@ def test_only_the_ledger_writes_what_a_pull_share_depends_on():
     assert not [f"{where}:{line} {kind}" for kind, where, line in found if where not in SHARE_WRITERS]
     assert {where for _, where, _ in found} == SHARE_WRITERS
     # the holder lists a state keeps see every role write and every new
-    # account: roles are assigned in set_roles alone (besides the module's
-    # ``Account.roles`` property), and the accounts table is written in add_account alone
-    assert {where for kind, where, _ in found if kind == "write .roles"} == {"ledger", "ledger.LedgerState.set_roles"}
+    # account: roles are assigned in set_roles alone (besides a new account's
+    # own, interned as it is built), and the accounts table is written in add_account alone
+    assert {where for kind, where, _ in found if kind == "write .roles"} == {
+        "ledger.Account.__post_init__",
+        "ledger.LedgerState.set_roles",
+    }
     assert {where for kind, where, _ in found if kind.endswith((".accounts", ".accounts[...]"))} == {
         "ledger.LedgerState.add_account"
     }

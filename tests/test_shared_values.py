@@ -1,8 +1,9 @@
 """Immutable per-account values are shared, not copied per account.
 
 An account's roles are one interned ``frozenset`` per distinct role set,
-and a union member without fields (``ProviderOnly``, ``SupplyView``, ...)
-has one instance, whether built or decoded.
+however the account is built or decoded, and the ledger's records keep
+their fields in slots.  A union member without fields (``ProviderOnly``,
+``SupplyView``, ...) has one instance, whether built or decoded.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import pytest
 from rolechain import ledger
 from rolechain.chain import decode_genesis, genesis_doc
 from rolechain.codec import whole
-from rolechain.ledger import Account, LedgerState
+from rolechain.ledger import Account, LedgerState, LogEntry
 from rolechain.payloads import QUERY, RECOVERY, Role, decode_query, encode_query
 
 from conftest import make_world
@@ -53,6 +54,29 @@ def test_a_role_write_stores_the_shared_set():
     world.state.set_roles(acct, acct.roles | {Role.VALIDATOR})
     assert acct.roles is Account(bytes(32), bytes(32), roles={Role.VALIDATOR, Role.USER}).roles
     assert world.state.validators() == sorted([*validators, world.aid("alice")])
+
+
+@pytest.mark.parametrize("roles", [{Role.USER, Role.VALIDATOR}, [Role.VALIDATOR, Role.USER, Role.USER]], ids=["set", "list"])
+def test_an_account_built_with_a_set_or_a_list_of_roles_holds_the_shared_frozenset(roles):
+    acct = Account(bytes(32), bytes(32), roles=roles)
+    assert type(acct.roles) is frozenset
+    assert acct.roles is ledger._role_sets[frozenset({Role.USER, Role.VALIDATOR})]
+
+
+def test_a_decoded_genesis_account_holds_the_shared_frozenset():
+    state = make_world().state
+    loaded, _ = decode_genesis(genesis_doc(state, {}))
+    for acct in loaded.accounts.values():
+        assert acct.roles is ledger._role_sets[acct.roles]
+
+
+def test_accounts_and_log_entries_keep_their_fields_in_slots():
+    acct = Account(bytes(32), bytes(32))
+    entry = LogEntry(bytes(32), 1, "transfer", None, True, None, False, (), {})
+    for record in (acct, entry):
+        assert not hasattr(record, "__dict__")
+        with pytest.raises(AttributeError):
+            record.undeclared = 1
 
 
 @pytest.mark.parametrize("cls", FIELDLESS, ids=lambda cls: cls.__name__)
