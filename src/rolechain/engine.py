@@ -127,8 +127,8 @@ def _apply_discrepancy(
     )
 
 
-# payload type -> handler(state, sender, payload, tx_id, authority); a
-# handler raises TxError without side effects on failure
+# payload type -> handler(state, sender, payload, tx_id, authority), run once
+# its kind's gates pass; a handler raises TxError without side effects on failure
 HANDLERS: dict[type, Callable[[LedgerState, bytes, Payload, bytes, Authority], Applied]] = {
     Transfer: ledger.transfer,
     SetFrozen: ledger.set_frozen,
@@ -156,16 +156,20 @@ HANDLERS: dict[type, Callable[[LedgerState, bytes, Payload, bytes, Authority], A
 
 
 def execute_payload(
-    state: LedgerState,
-    sender: bytes,
-    payload: Payload,
-    tx_id: bytes,
-    authority: Authority,
+    state: LedgerState, sender: bytes, payload: Payload, tx_id: bytes, authority: Authority
 ) -> Applied:
-    """Dispatch one payload; raises TxError without side effects on failure."""
-    handler = HANDLERS.get(type(payload))
+    """Run the payload kind's sender gates in order (a passed proposal's action on a voteable kind
+    skips all but ``FeatureDisabled``'s), then its handler; raises TxError without side effects on failure."""
+    kind = type(payload)
+    handler = HANDLERS.get(kind)
     if handler is None:
-        raise TxError(err.UNKNOWN_PAYLOAD, type(payload).__name__)
+        raise TxError(err.UNKNOWN_PAYLOAD, kind.__name__)
+    acct = state.accounts.get(sender)
+    roles = frozenset() if acct is None else acct.roles
+    voted = authority is Authority.SYSTEM and kind.ELECTORATE is not None
+    for gate in kind.GATES:
+        if (not voted or gate.code == err.FEATURE_DISABLED) and not gate.passes(state, roles, payload):
+            raise TxError(gate.code)
     return handler(state, sender, payload, tx_id, authority)
 
 

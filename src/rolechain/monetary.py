@@ -1,8 +1,8 @@
 """Money supply control: mint/burn, fiat conversion, and periodic creation.
 
-The handlers here check who may act and on what; the money itself moves
-only through the ledger's writers (``LedgerState.issue``, ``retire``,
-``promise`` and ``claim``), which also keep the u64 bound on minted supply.
+The handlers here check what an action acts on (its kind's gates check who
+sends it); money moves only through the ledger's writers (``LedgerState.issue``,
+``retire``, ``promise`` and ``claim``), which keep the u64 bound on minted supply.
 
 Periodic creation rules accrue at block heights ``start + k * period``,
 each account's amount the floor of the rate times its balance at the
@@ -45,16 +45,6 @@ from .payloads import (
 )
 
 
-def _currency_gate(state: LedgerState, actor: bytes, policy_key: str, authority: Authority) -> None:
-    if authority is Authority.SYSTEM:
-        return
-    if state.policy_int(policy_key):
-        raise TxError(err.VOTE_REQUIRED)
-    acct = state.accounts.get(actor)
-    if acct is None or Role.CURRENCY_MANAGER not in acct.roles:
-        raise TxError(err.NOT_CURRENCY_MANAGER)
-
-
 def _reject_all_users_overlap(state: LedgerState, except_id: int | None = None) -> None:
     for other in state.interest_rules.values():
         if other.active and other.scope is None and other.rule_id != except_id:
@@ -62,14 +52,12 @@ def _reject_all_users_overlap(state: LedgerState, except_id: int | None = None) 
 
 
 def mint(state: LedgerState, actor: bytes, payload: Mint, tx_id: bytes, authority: Authority) -> Applied:
-    _currency_gate(state, actor, "mint.requires_vote", authority)
     to, amount = payload.to, payload.amount
     state.issue(state.account(to), amount)
     return Applied((actor, to), {"to": to, "amount": amount})
 
 
 def burn(state: LedgerState, actor: bytes, payload: Burn, tx_id: bytes, authority: Authority) -> Applied:
-    _currency_gate(state, actor, "mint.requires_vote", authority)
     source, amount = payload.source, payload.amount
     state.retire(state.account(source), amount)
     return Applied((actor, source), {"from": source, "amount": amount})
@@ -80,9 +68,6 @@ def convert_fiat(
 ) -> Applied:
     """Mint on fiat received off-chain; burn on fiat paid out off-chain."""
     user, direction, amount = payload.user, payload.direction, payload.amount
-    inst = state.accounts.get(institution)
-    if inst is None or not ({Role.ACCOUNT_PROVIDER, Role.CURRENCY_MANAGER} & inst.roles):
-        raise TxError(err.NOT_AUTHORIZED_CONVERTER)
     acct = state.account(user)
     if _USER not in acct.roles:
         raise TxError(err.NOT_AUTHORIZED_CONVERTER, "target lacks the user role")
@@ -101,7 +86,6 @@ def convert_fiat(
 def set_interest_rule(
     state: LedgerState, actor: bytes, payload: SetInterestRule, tx_id: bytes, authority: Authority
 ) -> Applied:
-    _currency_gate(state, actor, "interest.requires_vote", authority)
     if payload.rule_id is not None:
         rule = state.interest_rules.get(payload.rule_id)
         if rule is None:
@@ -201,8 +185,6 @@ def claim_allowance(
     """Withdraw all unclaimed periods up to and including ``payload.up_to_period``."""
     rule_id, up_to_period = payload.rule_id, payload.up_to_period
     acct = state.account(account)
-    if _USER not in acct.roles:
-        raise TxError(err.NO_ROLE)
     if acct.frozen:
         raise TxError(err.FROZEN)
     rule = state.interest_rules.get(rule_id)

@@ -6,9 +6,9 @@ block ids are SHA-256 digests of the full canonical serialization.
 
 Each payload, query, recovery policy and record is described once, on its
 class: its tag, one codec per field and, for a payload, its kind name
-(``KIND``), whether it belongs to the management log and which role votes
-on it (see :func:`payload_kind`).  The codecs derive from these
-descriptions, and ``PAYLOAD.by_tag`` is the one table of payload classes.
+(``KIND``), whether it belongs to the management log, which role votes on
+it and its sender's gates (see :func:`payload_kind`).  The codecs derive
+from these, and ``PAYLOAD.by_tag`` is the one table of payload classes.
 """
 
 from __future__ import annotations
@@ -16,7 +16,9 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field, fields
 from enum import Enum
+from typing import NamedTuple
 
+from . import errors as err
 from .codec import (
     BOOL,
     BYTES,
@@ -203,6 +205,76 @@ def sign_response(
 
 # --- action payloads ----------------------------------------------------------
 
+# role -> the role that may grant or revoke it directly (none for validator)
+GRANTED_BY = {
+    Role.USER: Role.ACCOUNT_PROVIDER,
+    Role.ACCOUNT_PROVIDER: Role.PLATFORM_MANAGER,
+    Role.SYSTEM_SECURITY: Role.PLATFORM_MANAGER,
+    Role.CURRENCY_MANAGER: Role.PLATFORM_MANAGER,
+    Role.PLATFORM_MANAGER: Role.PLATFORM_MANAGER,
+}
+
+
+class Holds(NamedTuple):
+    """The sender holds one of ``roles``."""
+
+    roles: tuple[Role, ...]
+    code: str
+
+    def passes(self, state, roles: frozenset[Role], payload: Payload) -> bool:
+        return not roles.isdisjoint(self.roles)
+
+
+class Sole(NamedTuple):
+    """No account but the sender holds ``role`` (a gate before it checks that the sender does)."""
+
+    role: Role
+    code: str = err.VOTE_REQUIRED
+
+    def passes(self, state, roles: frozenset[Role], payload: Payload) -> bool:
+        return len(state.holders(self.role)) <= 1
+
+
+class Switch(NamedTuple):
+    """The policy ``key`` reads nonzero exactly when ``on`` (by default: a ``requires_vote`` key reads 0)."""
+
+    key: str
+    on: bool = False
+    code: str = err.VOTE_REQUIRED
+
+    def passes(self, state, roles: frozenset[Role], payload: Payload) -> bool:
+        return (state.policy_int(self.key) != 0) is self.on
+
+
+class NotRole(NamedTuple):
+    """The role the payload grants or revokes is not ``role``."""
+
+    role: Role
+    code: str
+
+    def passes(self, state, roles: frozenset[Role], payload: Payload) -> bool:
+        return payload.role is not self.role
+
+
+class Grants(NamedTuple):
+    """The sender holds the role ``GRANTED_BY`` names for the payload's role."""
+
+    code: str = err.NOT_AUTHORIZED_FOR_ROLE
+
+    def passes(self, state, roles: frozenset[Role], payload: Payload) -> bool:
+        return GRANTED_BY.get(payload.role) in roles
+
+
+def _security(feature: str) -> tuple:
+    """A security action's gates: the role, the feature switched on, then no vote required."""
+    return _SECURITY, Switch(f"security.{feature}.enabled", True, err.FEATURE_DISABLED), Switch(f"security.{feature}.requires_vote")
+
+
+_SECURITY = Holds((Role.SYSTEM_SECURITY,), err.NOT_SECURITY_ROLE)
+_PLATFORM = Holds((Role.PLATFORM_MANAGER,), err.NOT_PLATFORM_MANAGER)
+_CURRENCY = Holds((Role.CURRENCY_MANAGER,), err.NOT_CURRENCY_MANAGER)
+
+
 class Payload:
     """An action a transaction carries; declared with :func:`payload_kind`."""
 
@@ -210,19 +282,22 @@ class Payload:
     KIND: str
     MANAGEMENT: bool
     ELECTORATE: Role | None
+    GATES: tuple
 
 
 PAYLOAD = Tagged("payload")
 
 
-def payload_kind(tag: int, kind: str, *, management: bool = True, electorate: Role | None = None):
+def payload_kind(tag: int, kind: str, *, management: bool = True, electorate: Role | None = None, gates: tuple = ()):
     """Class decorator describing one payload kind in full.
 
     The class becomes a frozen dataclass whose fields are declared with
     :func:`~rolechain.codec.wire`.  ``tag`` is its wire tag, ``kind`` its
     name in receipts and logs, ``management`` whether its successful
-    transactions belong to the public management log, and ``electorate``
-    the role that votes on it as a proposal (``None``: not voteable).
+    transactions belong to the public management log, ``electorate`` the
+    role that votes on it as a proposal (``None``: not voteable), and
+    ``gates`` the checks its sender must pass, in order: the first whose
+    ``passes(state, sender_roles, payload)`` is false gives its ``code``.
     Besides the class, a kind has a handler in ``engine.HANDLERS`` and a
     scenario step in ``sim.TX_STEPS``.
     """
@@ -231,7 +306,7 @@ def payload_kind(tag: int, kind: str, *, management: bool = True, electorate: Ro
         if any(other.KIND == kind for other in PAYLOAD.by_tag.values()):
             raise ValueError(f"payload kind {kind!r} is declared twice")
         cls = PAYLOAD.member(tag)(cls)
-        cls.KIND, cls.MANAGEMENT, cls.ELECTORATE = kind, management, electorate
+        cls.KIND, cls.MANAGEMENT, cls.ELECTORATE, cls.GATES = kind, management, electorate, gates
         return cls
 
     return register
@@ -241,26 +316,26 @@ def payload_kind(tag: int, kind: str, *, management: bool = True, electorate: Ro
 POLICY_VALUE = tagged_value(int, bytes)
 
 
-@payload_kind(0x01, "transfer", management=False)
+@payload_kind(0x01, "transfer", management=False, gates=(Holds((Role.USER,), err.NO_ROLE),))
 class Transfer(Payload):
     to: bytes = wire(BYTES)
     amount: int = wire(U64)
 
 
-@payload_kind(0x02, "set_frozen", electorate=Role.SYSTEM_SECURITY)
+@payload_kind(0x02, "set_frozen", electorate=Role.SYSTEM_SECURITY, gates=_security("freeze"))
 class SetFrozen(Payload):
     target: bytes = wire(BYTES)
     frozen: bool = wire(BOOL)
 
 
-@payload_kind(0x03, "confiscate", electorate=Role.SYSTEM_SECURITY)
+@payload_kind(0x03, "confiscate", electorate=Role.SYSTEM_SECURITY, gates=_security("confiscate"))
 class Confiscate(Payload):
     source: bytes = wire(BYTES)
     to: bytes = wire(BYTES)
     amount: int = wire(U64)
 
 
-@payload_kind(0x04, "reverse", electorate=Role.SYSTEM_SECURITY)
+@payload_kind(0x04, "reverse", electorate=Role.SYSTEM_SECURITY, gates=_security("reverse"))
 class Reverse(Payload):
     target_tx: bytes = wire(BYTES)
 
@@ -273,7 +348,7 @@ class RotateKey(Payload):
     approvals: tuple[tuple[bytes, bytes], ...] = wire(seq_of(tuple_of(BYTES, BYTES)))
 
 
-@payload_kind(0x06, "set_policy", electorate=Role.PLATFORM_MANAGER)
+@payload_kind(0x06, "set_policy", electorate=Role.PLATFORM_MANAGER, gates=(_PLATFORM, Sole(Role.PLATFORM_MANAGER)))
 class SetPolicy(Payload):
     key: str = wire(TEXT)
     value: int | bytes = wire(POLICY_VALUE)
@@ -281,8 +356,7 @@ class SetPolicy(Payload):
     expiry_height: int | None = wire(U64, when=("permanence", Permanence.TIMED_EXPIRATION), default=None)
 
 
-# voteable only for the validator role (see governance)
-@payload_kind(0x07, "assign_role", electorate=Role.VALIDATOR)
+@payload_kind(0x07, "assign_role", electorate=Role.VALIDATOR, gates=(NotRole(Role.VALIDATOR, err.VALIDATOR_ROLE_LOCKED), Grants()))
 class AssignRole(Payload):
     target: bytes = wire(BYTES)
     role: Role = wire(enum(Role))
@@ -293,13 +367,13 @@ class AssignRole(Payload):
     recovery: RecoveryPolicy | None = wire(optional(RECOVERY), default=None)
 
 
-@payload_kind(0x08, "revoke_role", electorate=Role.VALIDATOR)
+@payload_kind(0x08, "revoke_role", electorate=Role.VALIDATOR, gates=AssignRole.GATES)
 class RevokeRole(Payload):
     target: bytes = wire(BYTES)
     role: Role = wire(enum(Role))
 
 
-@payload_kind(0x09, "bootstrap_validators")
+@payload_kind(0x09, "bootstrap_validators", gates=(_PLATFORM,))
 class BootstrapValidators(Payload):
     validators: frozenset[bytes] = wire(set_of(BYTES))
 
@@ -322,26 +396,26 @@ class FinalizeProposal(Payload):
     proposal_id: int = wire(U64)
 
 
-@payload_kind(0x0D, "mint", electorate=Role.CURRENCY_MANAGER)
+@payload_kind(0x0D, "mint", electorate=Role.CURRENCY_MANAGER, gates=(Switch("mint.requires_vote"), _CURRENCY))
 class Mint(Payload):
     to: bytes = wire(BYTES)
     amount: int = wire(U64)
 
 
-@payload_kind(0x0E, "burn", electorate=Role.CURRENCY_MANAGER)
+@payload_kind(0x0E, "burn", electorate=Role.CURRENCY_MANAGER, gates=(Switch("mint.requires_vote"), _CURRENCY))
 class Burn(Payload):
     source: bytes = wire(BYTES)
     amount: int = wire(U64)
 
 
-@payload_kind(0x0F, "convert_fiat")
+@payload_kind(0x0F, "convert_fiat", gates=(Holds((Role.ACCOUNT_PROVIDER, Role.CURRENCY_MANAGER), err.NOT_AUTHORIZED_CONVERTER),))
 class ConvertFiat(Payload):
     user: bytes = wire(BYTES)
     direction: FiatDirection = wire(enum(FiatDirection))
     amount: int = wire(U64)
 
 
-@payload_kind(0x10, "set_interest_rule", electorate=Role.CURRENCY_MANAGER)
+@payload_kind(0x10, "set_interest_rule", electorate=Role.CURRENCY_MANAGER, gates=(Switch("interest.requires_vote"), _CURRENCY))
 class SetInterestRule(Payload):
     rate_num: int = wire(U64)
     rate_den: int = wire(U64)
@@ -355,13 +429,13 @@ class SetInterestRule(Payload):
     active: bool = wire(BOOL, default=True)
 
 
-@payload_kind(0x11, "claim_allowance", management=False)
+@payload_kind(0x11, "claim_allowance", management=False, gates=(Holds((Role.USER,), err.NO_ROLE),))
 class ClaimAllowance(Payload):
     rule_id: int = wire(U64)
     up_to_period: int = wire(U64)
 
 
-@payload_kind(0x12, "register_endpoints")
+@payload_kind(0x12, "register_endpoints", gates=(Holds((Role.VALIDATOR,), err.NOT_VALIDATOR),))
 class RegisterEndpoints(Payload):
     record: ValidatorRecord = wire(ValidatorRecord.FIELDS)
 

@@ -12,6 +12,10 @@ bytearray, so a compiled encoder may also write into one.
 boundary, as the ledger did before it settled periods on each account's
 next write, so the lazy ledger's claims, ``claimable`` answers, supply and
 public accrual totals can be compared with it block by block.
+
+:func:`parent_sender_fault` makes the sender checks each handler made
+first, inline, before payload kinds declared their sender gates, so the
+gates ``engine.execute_payload`` runs can be compared with them.
 """
 
 from __future__ import annotations
@@ -22,8 +26,26 @@ from typing import TypeVar
 
 from rolechain import errors as err
 from rolechain.codec import U32_MAX, U64_MAX, _not_bytes, _not_utf8
-from rolechain.errors import CodecError
-from rolechain.payloads import ClaimAllowance, InterestMode, Role
+from rolechain.errors import CodecError, TxError
+from rolechain.ledger import Authority
+from rolechain.payloads import (
+    AssignRole,
+    BootstrapValidators,
+    Burn,
+    ClaimAllowance,
+    Confiscate,
+    ConvertFiat,
+    InterestMode,
+    Mint,
+    RegisterEndpoints,
+    Reverse,
+    RevokeRole,
+    Role,
+    SetFrozen,
+    SetInterestRule,
+    SetPolicy,
+    Transfer,
+)
 
 E = TypeVar("E", bound=Enum)
 
@@ -212,3 +234,99 @@ class EagerInterest:
             for period, amount in periods
             if period > last
         )
+
+
+# --- sender checks, as the handlers made them inline ------------------------------------
+#
+# The three gates and six inline checks below are the handlers' own first
+# checks, as they stood before each payload kind declared its sender gates.
+
+_GRANTED_BY = {
+    Role.USER: Role.ACCOUNT_PROVIDER,
+    Role.ACCOUNT_PROVIDER: Role.PLATFORM_MANAGER,
+    Role.SYSTEM_SECURITY: Role.PLATFORM_MANAGER,
+    Role.CURRENCY_MANAGER: Role.PLATFORM_MANAGER,
+    Role.PLATFORM_MANAGER: Role.PLATFORM_MANAGER,
+}
+_SECURITY_FEATURE = {SetFrozen: "freeze", Confiscate: "confiscate", Reverse: "reverse"}
+
+
+def _security_gate(state, actor: bytes, feature: str, authority: Authority) -> None:
+    if authority is not Authority.SYSTEM:
+        acct = state.accounts.get(actor)
+        if acct is None or Role.SYSTEM_SECURITY not in acct.roles:
+            raise TxError(err.NOT_SECURITY_ROLE)
+    if state.policy_int(f"security.{feature}.enabled") == 0:
+        raise TxError(err.FEATURE_DISABLED)
+    if authority is not Authority.SYSTEM and state.policy_int(f"security.{feature}.requires_vote"):
+        raise TxError(err.VOTE_REQUIRED)
+
+
+def _currency_gate(state, actor: bytes, policy_key: str, authority: Authority) -> None:
+    if authority is Authority.SYSTEM:
+        return
+    if state.policy_int(policy_key):
+        raise TxError(err.VOTE_REQUIRED)
+    acct = state.accounts.get(actor)
+    if acct is None or Role.CURRENCY_MANAGER not in acct.roles:
+        raise TxError(err.NOT_CURRENCY_MANAGER)
+
+
+def _check_role_authority(state, actor: bytes, role: Role) -> None:
+    if role is Role.VALIDATOR:
+        raise TxError(err.VALIDATOR_ROLE_LOCKED)
+    acct = state.accounts.get(actor)
+    if acct is None or _GRANTED_BY[role] not in acct.roles:
+        raise TxError(err.NOT_AUTHORIZED_FOR_ROLE)
+
+
+def _sender_checks(state, sender: bytes, payload, authority: Authority) -> None:
+    kind = type(payload)
+    if kind in _SECURITY_FEATURE:
+        _security_gate(state, sender, _SECURITY_FEATURE[kind], authority)
+    elif kind in (Mint, Burn):
+        _currency_gate(state, sender, "mint.requires_vote", authority)
+    elif kind is SetInterestRule:
+        _currency_gate(state, sender, "interest.requires_vote", authority)
+    elif kind in (AssignRole, RevokeRole):
+        if authority is not Authority.SYSTEM:
+            _check_role_authority(state, sender, payload.role)
+    elif kind is Transfer:
+        acct = state.accounts.get(sender)
+        if acct is None or Role.USER not in acct.roles:
+            raise TxError(err.NO_ROLE, "sender lacks the user role")
+    elif kind is SetPolicy:
+        if authority is not Authority.SYSTEM:
+            acct = state.accounts.get(sender)
+            if acct is None or Role.PLATFORM_MANAGER not in acct.roles:
+                raise TxError(err.NOT_PLATFORM_MANAGER)
+            # with more than one platform manager, policy changes go to a vote
+            if len(state.holders(Role.PLATFORM_MANAGER)) > 1:
+                raise TxError(err.VOTE_REQUIRED, "multiple platform managers")
+    elif kind is BootstrapValidators:
+        acct = state.accounts.get(sender)
+        if acct is None or Role.PLATFORM_MANAGER not in acct.roles:
+            raise TxError(err.NOT_PLATFORM_MANAGER)
+    elif kind is ConvertFiat:
+        inst = state.accounts.get(sender)
+        if inst is None or not ({Role.ACCOUNT_PROVIDER, Role.CURRENCY_MANAGER} & inst.roles):
+            raise TxError(err.NOT_AUTHORIZED_CONVERTER)
+    elif kind is ClaimAllowance:
+        acct = state.account(sender)
+        if Role.USER not in acct.roles:
+            raise TxError(err.NO_ROLE)
+    elif kind is RegisterEndpoints:
+        acct = state.accounts.get(sender)
+        if acct is None or Role.VALIDATOR not in acct.roles:
+            raise TxError(err.NOT_VALIDATOR)
+
+
+def parent_sender_fault(state, sender: bytes, payload, authority: Authority) -> str | None:
+    """The code the handlers' own sender checks gave ``payload`` from
+    ``sender`` under ``authority``, or None when they pass.  Every check
+    came before its handler's first write, and reads nothing it writes."""
+    try:
+        _sender_checks(state, sender, payload, authority)
+    except TxError as exc:
+        return exc.code
+    return None

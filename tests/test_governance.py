@@ -12,6 +12,7 @@ from rolechain.engine import build_genesis, finalize_expired_proposals
 from rolechain.keys import keypair_from_label
 from rolechain.ledger import POLICY_DEFAULTS, Account, LedgerState, Policy, ProposalStatus, is_mutable, new_policy
 from rolechain.payloads import (
+    PAYLOAD,
     AssignRole,
     Guardians,
     BootstrapValidators,
@@ -23,6 +24,7 @@ from rolechain.payloads import (
     RevokeRole,
     Role,
     SetPolicy,
+    Switch,
     Transfer,
     possession_message,
 )
@@ -94,7 +96,11 @@ def test_no_policy_read_in_src_names_its_own_default():
     """``POLICY_DEFAULTS`` is the one source of defaults: a read in ``src`` names
     only its key, and a key it names as a constant is in the table with a value
     of the type it reads.  The escrow key is set by genesis from the escrow
-    account; the sim's ``policy`` assert reads -1 for an absent key."""
+    account; the sim's ``policy`` assert reads -1 for an absent key.  The only
+    other read whose key is not a constant is a ``Switch`` gate's, and each
+    gate's key counts as a read: it is in the table with an integer default,
+    since a misspelt key would read 0 and silently disable its feature or
+    waive its vote."""
     reads = 0
     for path in sorted(SRC.glob("*.py")):
         for call in ast.walk(ast.parse(path.read_text())):
@@ -107,10 +113,18 @@ def test_no_policy_read_in_src_names_its_own_default():
                 continue
             assert not default, f"{where} names its own default"
             key = call.args[0]
-            if isinstance(key, ast.Constant) and key.value != "security.escrow":
+            if not isinstance(key, ast.Constant):
+                assert (path.name, ast.unparse(call)) == ("payloads.py", "state.policy_int(self.key)"), f"{where} reads a key that is not a constant"
+            elif key.value != "security.escrow":
                 assert key.value in POLICY_DEFAULTS, f"{where} reads {key.value!r}, which has no default"
                 kind = int if call.func.attr == "policy_int" else bytes
                 assert type(POLICY_DEFAULTS[key.value][0]) is kind, f"{where} reads {key.value!r} as {kind.__name__}"
+    for cls in PAYLOAD.by_tag.values():
+        for gate in cls.GATES:
+            if isinstance(gate, Switch):
+                reads += 1
+                assert gate.key in POLICY_DEFAULTS, f"{cls.KIND}'s gate reads {gate.key!r}, which has no default"
+                assert type(POLICY_DEFAULTS[gate.key][0]) is int, f"{cls.KIND}'s gate reads {gate.key!r} as int"
     assert reads >= 14
 
 

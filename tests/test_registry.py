@@ -1,12 +1,14 @@
 """Each payload kind is described once; every table derived from it is complete.
 
-Adding a kind means one class declared with ``payloads.payload_kind``, one
-entry in ``engine.HANDLERS`` and one in ``sim.TX_STEPS``, plus a round-trip
-case in ``test_payloads.ALL_PAYLOADS``.  Adding a read kind means one member
-of ``payloads.QUERY``, one entry in ``gateway.READS`` (who may see it, its
-answer's codec and its answer), one in ``sim.QUERY_STEPS`` and one CLI name
-in ``cli.QUERIES``.  Leaving out any of them fails here, and every golden
-answer must decode with its declared codec and encode back to its bytes.
+Adding a kind means one class declared with ``payloads.payload_kind``, its
+sender gates among them, one entry in ``engine.HANDLERS`` and one in
+``sim.TX_STEPS``, plus a round-trip case in ``test_payloads.ALL_PAYLOADS``
+and its row in README's authority matrix, which is rendered here from the
+gates.  Adding a read kind means one member of ``payloads.QUERY``, one
+entry in ``gateway.READS`` (who may see it, its answer's codec and its
+answer), one in ``sim.QUERY_STEPS`` and one CLI name in ``cli.QUERIES``.
+Leaving out any of them fails here, and every golden answer must decode
+with its declared codec and encode back to its bytes.
 
 Each ledger state record is described once too: every field the state
 digest writes is declared with a codec, and a genesis, the height-0 state's
@@ -18,10 +20,12 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from rolechain import errors as err
 from rolechain.chain import decode_genesis, genesis_doc
 from rolechain.cli import QUERIES
 from rolechain.codec import U64, U64_MAX, Field, whole
@@ -43,12 +47,17 @@ from rolechain.payloads import (
     PAYLOAD,
     QUERY,
     RECOVERY,
+    Grants,
     Guardians,
+    Holds,
+    NotRole,
     Payload,
     Permanence,
     ProviderOnly,
     ProviderPlusSecurity,
     Role,
+    Sole,
+    Switch,
     ValidatorRecord,
     encode_payload,
 )
@@ -64,6 +73,8 @@ from test_payloads import ALL_PAYLOADS
 CLASSES = sorted({*PAYLOAD.by_tag.values(), *Payload.__subclasses__()}, key=lambda cls: cls.__name__)
 # the kind name each class declares, as receipts, logs and scenario steps spell it
 KINDS = {getattr(cls, "KIND", None) for cls in CLASSES}
+# every receipt code a transaction can carry
+ERROR_CODES = {value for name, value in vars(err).items() if name.isupper() and isinstance(value, str)}
 
 
 @pytest.mark.parametrize("cls", CLASSES, ids=lambda cls: cls.__name__)
@@ -72,6 +83,12 @@ def test_payload_class_is_described_everywhere(cls):
     assert isinstance(vars(cls).get("KIND"), str), "no kind name of its own"
     assert isinstance(cls.MANAGEMENT, bool)
     assert cls in HANDLERS, "no engine handler"
+    gates = vars(cls).get("GATES")
+    assert isinstance(gates, tuple), "no sender gates of its own"
+    for gate in gates:
+        assert callable(getattr(gate, "passes", None)) and gate.code in ERROR_CODES, gate
+        named = [*getattr(gate, "roles", ()), *([gate.role] if hasattr(gate, "role") else [])]
+        assert all(type(role) is Role for role in named), gate
     assert any(type(p) is cls for p in ALL_PAYLOADS), "no round-trip case in ALL_PAYLOADS"
     if cls.KIND != "discrepancy_event":  # only the comparator files these
         assert cls.KIND in TX_STEPS, "no sim builder"
@@ -247,3 +264,40 @@ def test_the_state_part_of_a_genesis_hashes_to_its_digest(state, names):
     genesis, names_part = genesis_doc(state, names), w.getvalue()
     assert genesis.endswith(names_part)
     assert hashlib.sha256(genesis[: len(genesis) - len(names_part)]).digest() == state.digest()
+
+
+# --- README's authority matrix ----------------------------------------------------
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _words(gate) -> str:
+    """One gate as README's authority matrix words it."""
+    if isinstance(gate, Holds):
+        check = "holds " + " or ".join(f"`{role.name.lower()}`" for role in gate.roles)
+    elif isinstance(gate, Sole):
+        check = f"is the only `{gate.role.name.lower()}`"
+    elif isinstance(gate, Switch):
+        check = f"`{gate.key}` is {'not 0' if gate.on else '0'}"
+    elif isinstance(gate, NotRole):
+        check = f"the payload's role is not `{gate.role.name.lower()}`"
+    elif isinstance(gate, Grants):
+        check = "holds the payload role's `GRANTED_BY` role"
+    else:
+        raise AssertionError(f"no words for {gate!r}")
+    return f"{check}, else `{gate.code}`"
+
+
+def authority_matrix() -> str:
+    """README's authority matrix: one row per payload kind, in tag order."""
+    rows = ["| kind | sender gates, in order | voted on by |", "| --- | --- | --- |"]
+    for _, cls in sorted(PAYLOAD.by_tag.items()):
+        gates = "; ".join(map(_words, cls.GATES)) or "none"
+        electorate = f"`{cls.ELECTORATE.name.lower()}`" if cls.ELECTORATE else "not voteable"
+        rows.append(f"| `{cls.KIND}` | {gates} | {electorate} |")
+    return "\n".join(rows) + "\n"
+
+
+def test_readme_holds_the_authority_matrix_the_gates_give():
+    table = authority_matrix()
+    assert table in README.read_text(), "README's authority matrix should read:\n\n" + table

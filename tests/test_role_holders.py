@@ -3,7 +3,9 @@ and once filled they follow role writes and new accounts without one."""
 
 from __future__ import annotations
 
+import ast
 import copy
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -179,3 +181,27 @@ def test_roles_change_only_by_assignment():
     roles -= {Role.USER}
     assert acct.roles == {Role.USER} and type(acct.roles) is frozenset
     assert_fresh(world.state)
+
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "rolechain"
+
+
+def test_only_the_engine_and_two_handlers_read_an_authority():
+    """A passed proposal's action skips its kind's sender gates in
+    ``engine.execute_payload`` alone, so no handler has a bypass of its own:
+    ``confiscate`` reads the authority only for its non-escrow destination,
+    and ``assign_role`` only to ask a provider's grant for the possession
+    proof."""
+    readers = set()
+    for path in sorted(SRC.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "Authority":
+                    readers.add(f"{path.stem}.{getattr(top, 'name', '<module>')}")
+    assert readers == {
+        "engine.execute_payload",
+        "engine._proposal_executor",
+        "engine.apply_transaction",
+        "ledger.confiscate",
+        "governance.assign_role",
+    }

@@ -17,7 +17,12 @@ be what the eager reference (``reference.EagerInterest``) gives, and the
 per-block conservation check must give the full sum's verdict: with and
 without a stray write to an account the block wrote.  After each block,
 every account's ``claimable`` and each rule's created total are the eager
-reference's.  At teardown the exported chain replays to the same digest.
+reference's.  Two of the paper's checks and balances hold on every block
+(``assert_roles_change_by_rule``): each role gained or lost is a successful
+grant or revoke by a holder of the role ``GRANTED_BY`` names, or a passed
+proposal's action, and the validator set changes only through a bootstrap
+inside its window or a passed validator-electorate proposal.
+At teardown the exported chain replays to the same digest.
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ import copy
 from dataclasses import replace
 from types import SimpleNamespace
 
+import pytest
 from hypothesis import settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
@@ -47,6 +53,7 @@ from rolechain.keys import keypair_from_label
 from rolechain.ledger import Authority, LedgerState, ProposalStatus
 from rolechain.monetary import claimable_amount
 from rolechain.payloads import (
+    GRANTED_BY,
     AssignRole,
     BootstrapValidators,
     Burn,
@@ -301,18 +308,58 @@ def assert_sound(state: LedgerState) -> None:
             assert state._pull[rule.rule_id].next_total == sum(rule.rate_num * a.balance // rule.rate_den for a in eligible)
 
 
+def assert_roles_change_by_rule(state: LedgerState, before: dict, entries: list, held: dict) -> None:
+    """Every role an account gained or lost while the block's ``entries``
+    were logged on ``state`` (``before``: each role's holders until then)
+    matches a successful ``assign_role`` or ``revoke_role`` whose sender
+    held the role ``GRANTED_BY`` names when it applied (``held``: each
+    transaction's sender roles then), or a passed proposal's action.  The
+    validator role, which ``GRANTED_BY`` leaves out, changes only through a
+    successful bootstrap inside ``bootstrap.window_blocks`` or a passed
+    validator-electorate proposal."""
+    explained = {"assign_role": set(), "revoke_role": set()}  # (role, account) pairs
+    bootstrapped = []  # each validator set a bootstrap installed
+    for entry in entries:
+        if not entry.ok:
+            continue
+        if entry.kind == "bootstrap_validators":
+            assert entry.height <= state.policy_int("bootstrap.window_blocks")
+            bootstrapped.append(set(entry.participants[1:]))
+        elif entry.kind in explained:
+            role = Role[entry.data["role"].upper()]
+            if "proposal_id" in entry.data:
+                prop = state.proposals[entry.data["proposal_id"]]
+                assert prop.status is ProposalStatus.PASSED and prop.action.KIND == entry.kind
+                assert role is not Role.VALIDATOR or prop.electorate is Role.VALIDATOR
+            else:
+                assert GRANTED_BY.get(role) in held[entry.tx_id], (entry.kind, role)
+            explained[entry.kind].add((role, entry.data["target"]))
+    for role in ROLES:
+        after = set(state.holders(role))
+        for account in after - before[role]:
+            by_bootstrap = role is Role.VALIDATOR and any(account in chosen for chosen in bootstrapped)
+            assert (role, account) in explained["assign_role"] or by_bootstrap, ("gained", role)
+        for account in before[role] - after:
+            by_bootstrap = role is Role.VALIDATOR and any(account not in chosen for chosen in bootstrapped)
+            assert (role, account) in explained["revoke_role"] or by_bootstrap, ("lost", role)
+
+
 def check_block(state: LedgerState, block, eager: EagerInterest) -> LedgerState:
     """On a copy of ``state`` that applies ``block`` as ``append_block`` does,
     each claim's receipt, each boundary's public ``accrual`` entry and the
-    supply it mints are the eager reference's, and the per-block check's
-    verdict is the full sum's, first with 1 added behind the primitives' back
-    to an account the block wrote, then without it.  Returns the copy."""
+    supply it mints are the eager reference's, the per-block check's verdict
+    is the full sum's, first with 1 added behind the primitives' back to an
+    account the block wrote, then without it, and roles change only as
+    ``assert_roles_change_by_rule`` allows.  Returns the copy."""
     trial = copy.deepcopy(state)
     trial.height = block.height
+    before = {role: set(trial.holders(role)) for role in ROLES}
+    logged_before, held = len(trial.tx_log), {}
     for tx in block.txs:
         acct = trial.accounts.get(tx.sender)
         runs = engine.envelope_fault(trial, tx) is None and tx.nonce == acct.nonce
         expected = eager.claim(trial, tx.sender, tx.payload) if runs and isinstance(tx.payload, ClaimAllowance) else None
+        held[tx.tx_id] = frozenset() if acct is None else acct.roles
         receipt = engine.apply_transaction(trial, tx)
         if expected is not None:
             assert (receipt.error, receipt.data.get("amount")) == expected
@@ -323,6 +370,7 @@ def check_block(state: LedgerState, block, eager: EagerInterest) -> LedgerState:
     assert [(e.data["rule_id"], e.data["period"], e.ok, e.error, e.data.get("total")) for e in accruals] == boundaries
     assert trial.supply.minted == minted + sum(total for *_, total in boundaries if total is not None)
     engine.finalize_expired_proposals(trial)
+    assert_roles_change_by_rule(trial, before, trial.tx_log[logged_before:], held)
     written = sorted(trial._held_before)
     if written:
         trial.accounts[written[0]].balance += 1
@@ -449,6 +497,7 @@ class SmallWorld(RuleBasedStateMachine):
         trial = check_block(state, block, self.eager)
         append_block(chain, state, block)
         assert (state.supply.minted, state.supply.burned) == (trial.supply.minted, trial.supply.burned)
+        assert all(state.holders(role) == trial.holders(role) for role in ROLES)
         for account_id in state.accounts:
             assert claimable_amount(state, account_id) == self.eager.unclaimed(account_id)
         for rule_id, rule in state.interest_rules.items():
@@ -469,3 +518,24 @@ def test_every_handled_kind_has_a_builder():
 
 SmallWorld.TestCase.settings = settings(max_examples=80, stateful_step_count=25, deadline=None)
 TestSmallWorld = SmallWorld.TestCase
+
+
+def test_a_passed_validator_proposal_and_nothing_else_changes_the_validator_set():
+    """The per-block role check accepts a validator granted by a passed
+    validator-electorate proposal, and refuses a role that changed with no
+    receipt to explain it."""
+    m = SmallWorld()
+    pid = m.state.next_proposal_id
+    action = AssignRole(ID["carol"], Role.VALIDATOR, KEYS["carol"].public_key)
+    m.check_and_commit("v0", CreateProposal(action, Role.VALIDATOR))
+    m.check_and_commit("v0", CastVote(pid, True))
+    m.check_and_commit("v1", CastVote(pid, True))
+    m.check_and_commit("v0", FinalizeProposal(pid))
+    assert m.state.proposals[pid].status is ProposalStatus.PASSED
+    assert ID["carol"] in m.state.validators()
+
+    state = copy.deepcopy(m.state)
+    before = {role: set(state.holders(role)) for role in ROLES}
+    state.set_roles(state.accounts[ID["alice"]], {Role.USER, Role.VALIDATOR})
+    with pytest.raises(AssertionError, match="gained"):
+        assert_roles_change_by_rule(state, before, [], {})
